@@ -3,11 +3,13 @@ Riemannian metric family and its Finsleroid spray extension, built around
 closed forms cross-validated by independent differentiation oracles."""
 
 from .tensors import (
+    ConeStencilError,
     ContractionError,
     DiffConfig,
     Jet2,
     ShapeError,
     StencilError,
+    StencilMissError,
     Tensor,
     TOLERANCE_CLASSES,
     contract,
@@ -24,7 +26,6 @@ from .profiles import (
     ProfileValues,
     RicciCoefficients,
     combo_scalars,
-    eval_profiles,
     ricci_coefficients,
 )
 from .riemann import (
@@ -53,7 +54,6 @@ from .vacuum import (
 )
 from .finsler import (
     AdmissibilityError,
-    ConeStencilError,
     DegenerateFiberError,
     FinsleroidState,
     OutsideConeError,
@@ -61,7 +61,6 @@ from .finsler import (
     hh_curvature,
     kinematic_identity_residuals,
     kinematics,
-    spray,
     spray_coefficients,
     spray_derivatives,
 )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .profiles import ProfilePair
@@ -148,9 +147,6 @@ def main(argv: list[str] | None = None) -> int:
             parallel=True if args.parallel else None,
             report_path=args.report,
         )
-        if not scenario.suites:
-            # An empty suite list is a valid (empty) run.
-            scenario = replace(scenario, suites=())
     except (ScenarioError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

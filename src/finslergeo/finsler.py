@@ -28,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riemann import Frame, MetricState, build_metric, christoffel, nabla_b
+from .riemann import Frame, MetricState, build_metric
 from .profiles import ProfilePair
-from .tensors import DiffConfig, Jet2, _D1_STENCILS, fd_gradient, fd_partials
+from .tensors import DiffConfig, Jet2, StencilMissError, fd_gradient, fd_partials
 
 
-class AdmissibilityError(ValueError):
+class AdmissibilityError(StencilMissError):
     """The fiber vector lies outside the admissible cone."""
 
 
@@ -44,10 +44,6 @@ class DegenerateFiberError(AdmissibilityError):
 
 class OutsideConeError(AdmissibilityError):
     """nu <= 0: the fiber vector escapes the admissible cone."""
-
-
-class ConeStencilError(RuntimeError):
-    """A derivative stencil left the admissible cone even after shrinking."""
 
 
 @dataclass(frozen=True)
@@ -138,8 +134,7 @@ def kinematics(
     r_mix = np.eye(n) - np.outer(metric.b_up, metric.b_low)
     r_low = metric.a_low - np.outer(metric.b_low, metric.b_low)
     eta = r_low - np.outer(v_low, v_low) / q2
-    nb = nabla_b(metric)
-    s_low = nb @ y
+    s_low = metric.nb @ y
     ys = float(y @ s_low)
     sigma = float(metric.b_up @ s_low)
     yc = float(metric.dc_low @ y)
@@ -176,14 +171,26 @@ def kinematics(
 
 def riemann_spray(metric: MetricState, y: np.ndarray) -> np.ndarray:
     """The geodesic spray of the underlying metric: a^i_km y^k y^m."""
-    gamma = christoffel(metric)
-    return np.einsum("ikm,k,m->i", gamma, y, y)
+    return np.einsum("ikm,k,m->i", metric.gamma, y, y)
 
 
-def spray(state: FinsleroidState) -> np.ndarray:
-    """G^i = (g/nu) (ys) v^i + a^i_km y^k y^m."""
-    base = riemann_spray(state.metric, state.y)
-    return (state.charge / state.nu) * state.ys * state.v_up + base
+def _spray_and_first(
+    metric: MetricState, y: np.ndarray, charge: float, relativistic: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The spray G^i and its closed y-derivative G^i_k from one kinematics
+    evaluation; at charge 0 both are geodesic and need no admissible cone."""
+    y = np.asarray(y, dtype=float)
+    base = riemann_spray(metric, y)
+    if charge == 0.0:
+        return base, 2.0 * np.einsum("ikm,m->ik", metric.gamma, y)
+    state = kinematics(metric, y, charge, relativistic)
+    return (state.charge / state.nu) * state.ys * state.v_up + base, spray_y_derivative(state)
+
+
+def _spray_stack(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
+    """G^i followed by G^i_k row-major: the one field each stencil differences."""
+    g, g_first = _spray_and_first(metric, y, charge)
+    return np.concatenate([g, g_first.ravel()])
 
 
 def spray_coefficients(
@@ -192,11 +199,9 @@ def spray_coefficients(
     charge: float,
     relativistic: bool = False,
 ) -> np.ndarray:
-    """Spray at (x, y); at charge 0 this is exactly the geodesic spray and
-    needs no admissible cone."""
-    if charge == 0.0:
-        return riemann_spray(metric, np.asarray(y, dtype=float))
-    return spray(kinematics(metric, y, charge, relativistic))
+    """G^i = (g/nu) (ys) v^i + a^i_km y^k y^m at (x, y); at charge 0 this is
+    exactly the geodesic spray and needs no admissible cone."""
+    return _spray_and_first(metric, y, charge, relativistic)[0]
 
 
 def spray_y_derivative(state: FinsleroidState) -> np.ndarray:
@@ -205,13 +210,12 @@ def spray_y_derivative(state: FinsleroidState) -> np.ndarray:
     G^i_k = -(g/nu^2) (ys) nu_k v^i + 2 (g/nu) s_k v^i + (g/nu) (ys) r^i_k
             + 2 a^i_km y^m
     """
-    gamma = christoffel(state.metric)
     g, nu, ys = state.charge, state.nu, state.ys
     return (
         -(g / nu**2) * ys * np.outer(state.v_up, state.nu_low)
         + 2.0 * (g / nu) * np.outer(state.v_up, state.s_low)
         + (g / nu) * ys * state.r_mix
-        + 2.0 * np.einsum("ikm,m->ik", gamma, state.y)
+        + 2.0 * np.einsum("ikm,m->ik", state.metric.gamma, state.y)
     )
 
 
@@ -228,14 +232,12 @@ def spray_y_second(state: FinsleroidState) -> np.ndarray:
     Exact under the symmetry of nabla b and constant charge (confirmed
     against the numeric second derivative in the tests).
     """
-    gamma = christoffel(state.metric)
-    nb = nabla_b(state.metric)
     g, nu, q, ys = state.charge, state.nu, state.q, state.ys
     v, s, nu_low, r_mix, eta = state.v_up, state.s_low, state.nu_low, state.r_mix, state.eta
     return (
         2.0 * (g / nu**3) * ys * np.einsum("i,k,m->ikm", v, nu_low, nu_low)
         - (g / (nu**2 * q)) * ys * np.einsum("i,km->ikm", v, eta)
-        + 2.0 * (g / nu) * np.einsum("i,mk->ikm", v, nb)
+        + 2.0 * (g / nu) * np.einsum("i,mk->ikm", v, state.metric.nb)
         - 2.0 * (g / nu**2) * (
             np.einsum("i,m,k->ikm", v, nu_low, s) + np.einsum("i,k,m->ikm", v, nu_low, s)
         )
@@ -245,49 +247,14 @@ def spray_y_second(state: FinsleroidState) -> np.ndarray:
         - (g / nu**2) * ys * (
             np.einsum("m,ik->ikm", nu_low, r_mix) + np.einsum("k,im->ikm", nu_low, r_mix)
         )
-        + 2.0 * gamma
+        + 2.0 * state.metric.gamma
     )
-
-
-def _spray_closed_first(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
-    if charge == 0.0:
-        return 2.0 * np.einsum("ikm,m->ik", christoffel(metric), np.asarray(y, float))
-    return spray_y_derivative(kinematics(metric, y, charge))
 
 
 def _spray_closed_second(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
     if charge == 0.0:
-        return 2.0 * christoffel(metric)
+        return 2.0 * metric.gamma
     return spray_y_second(kinematics(metric, y, charge))
-
-
-def _fd_in_y(func, metric, y, charge, config: DiffConfig, retry: bool = True):
-    """Central differences in y with |y|-scaled steps, shrinking once if a
-    stencil point leaves the admissible cone."""
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    scale = float(np.linalg.norm(y))
-    stencil = _D1_STENCILS[config.fd_order]
-    for step in (config.fd_step, 0.1 * config.fd_step) if retry else (config.fd_step,):
-        h = step * scale
-        try:
-            out = None
-            for k in range(n):
-                acc = None
-                for off, w in stencil:
-                    yp = y.copy()
-                    yp[k] += off * h
-                    fv = np.asarray(func(metric, yp, charge), dtype=float)
-                    acc = w * fv if acc is None else acc + w * fv
-                if out is None:
-                    out = np.zeros((n,) + acc.shape)
-                out[k] = acc / h
-            return out
-        except AdmissibilityError:
-            continue
-    raise ConeStencilError(
-        "y-stencil left the admissible cone even after shrinking the step"
-    )
 
 
 @dataclass(frozen=True)
@@ -317,13 +284,17 @@ def spray_derivatives(
     closed-form class).
     """
     cfg = config or DiffConfig()
-    first_closed = _spray_closed_first(metric, y, charge)
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    first_closed = _spray_and_first(metric, y, charge)[1]
     second_closed = _spray_closed_second(metric, y, charge)
-    first_numeric_raw = _fd_in_y(spray_coefficients, metric, y, charge, cfg)
-    # fd_partials layout is [k, i]; derivative index goes last for G^i_k.
-    first_numeric = np.transpose(first_numeric_raw, (1, 0))
-    second_numeric_raw = _fd_in_y(_spray_closed_first, metric, y, charge, cfg)
-    second_numeric = np.transpose(second_numeric_raw, (1, 2, 0))
+    # One |y|-scaled stencil pass over [G^i, G^i_k]; fd_partials puts the
+    # derivative index first, so it moves last for G^i_k and G^i_km.
+    d_stack = fd_partials(
+        lambda yp: _spray_stack(metric, yp, charge), y, cfg, scales=float(np.linalg.norm(y))
+    )
+    first_numeric = np.transpose(d_stack[:, :n], (1, 0))
+    second_numeric = np.transpose(d_stack[:, n:].reshape(n, n, n), (1, 2, 0))
     return SprayDerivatives(
         first_closed=first_closed,
         first_numeric=first_numeric,
@@ -355,35 +326,6 @@ class SprayBundle:
     curvature: np.ndarray
 
 
-def _fd_in_x(field, frame, profiles, x, config: DiffConfig):
-    """Central differences in x with r-scaled steps and one shrink retry on
-    admissibility failures."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    scale = frame.radius(x)
-    stencil = _D1_STENCILS[config.fd_order]
-    for step in (config.fd_step, 0.1 * config.fd_step):
-        h = step * scale
-        try:
-            out = None
-            for k in range(n):
-                acc = None
-                for off, w in stencil:
-                    xp = x.copy()
-                    xp[k] += off * h
-                    fv = np.asarray(field(build_metric(frame, profiles, xp)), dtype=float)
-                    acc = w * fv if acc is None else acc + w * fv
-                if out is None:
-                    out = np.zeros((n,) + acc.shape)
-                out[k] = acc / h
-            return out
-        except AdmissibilityError:
-            continue
-    raise ConeStencilError(
-        "x-stencil left the admissible cone even after shrinking the step"
-    )
-
-
 def hh_curvature(
     frame: Frame,
     profiles: ProfilePair,
@@ -402,20 +344,25 @@ def hh_curvature(
     cfg = config or DiffConfig()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    n = y.size
     metric = build_metric(frame, profiles, x)
 
-    g_spray = spray_coefficients(metric, y, charge)
-    g_first = _spray_closed_first(metric, y, charge)
+    g_spray, g_first = _spray_and_first(metric, y, charge)
     g_second = _spray_closed_second(metric, y, charge)
 
-    d_spray = _fd_in_x(lambda ms: spray_coefficients(ms, y, charge), frame, profiles, x, cfg)
-    d_first = _fd_in_x(lambda ms: _spray_closed_first(ms, y, charge), frame, profiles, x, cfg)
+    # One r-scaled stencil pass over [G^i, G^i_k]: each stencil metric is built once.
+    d_stack = fd_partials(
+        lambda pt: _spray_stack(build_metric(frame, profiles, pt), y, charge),
+        x,
+        cfg,
+        scales=metric.r,
+    )
 
     gbar = 0.5 * g_spray
     gbar_first = 0.5 * g_first
     gbar_second = 0.5 * g_second
-    d_gbar = 0.5 * d_spray          # [k, i] = d Gbar^i / d x^k
-    d_gbar_first = 0.5 * d_first    # [j, i, k] = d Gbar^i_k / d x^j
+    d_gbar = 0.5 * d_stack[:, :n]                           # [k, i] = d Gbar^i / d x^k
+    d_gbar_first = 0.5 * d_stack[:, n:].reshape(n, n, n)    # [j, i, k] = d Gbar^i_k / d x^j
 
     curvature = (
         2.0 * d_gbar.T
@@ -451,7 +398,7 @@ def _fiber_jets(state: FinsleroidState, axis: int):
     b_ax = float(ms.b_low[axis])
     bj = Jet2(state.b, b_ax, 0.0)
     s2j = Jet2(state.s2, 2.0 * float(state.y_low[axis]), 2.0 * float(a[axis, axis]))
-    q2j = s2j - bj * bj
+    q2j = bj * bj - s2j if state.relativistic else s2j - bj * bj
     qj = q2j.sqrt()
     gc = state.charge * (1.0 - ms.c**2)
     nuj = qj + gc * bj

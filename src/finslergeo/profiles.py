@@ -150,11 +150,6 @@ def _poly(coeffs, w: Jet2) -> Jet2:
     return acc
 
 
-def eval_profiles(pair: ProfilePair, r: float) -> ProfileValues:
-    """The six scalars (c, c', c'', m, m', m'') at radius r."""
-    return pair.eval(r)
-
-
 def combo_scalars(pair: ProfilePair, r: float) -> ComboScalars:
     """The four scalar combinations entering curvature and Ricci assembly."""
     p = pair.eval(r)

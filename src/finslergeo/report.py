@@ -129,8 +129,8 @@ class RunReport:
         lines.append(header)
         lines.append("-" * len(header))
         for suite in self.suites:
-            if suite.status == "skipped":
-                lines.append(f"{suite.name:<26} {'SKIPPED':<8} ({suite.reason})")
+            if suite.reason:
+                lines.append(f"{suite.name:<26} {suite.status.upper():<8} ({suite.reason})")
                 continue
             gated = [c for c in suite.checks if c.tolerance is not None]
             if gated:

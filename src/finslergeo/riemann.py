@@ -14,6 +14,7 @@ nothing but the definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,7 +145,9 @@ class MetricState:
 
     Raised radial components use the background transverse block
     (n^i = u^ij n_j); the axis vector is metric-raised (b^i = a^ij b_j = c^2 e^i).
-    States are immutable snapshots, safe to share across threads.
+    States are immutable snapshots, safe to share across threads.  The
+    closed Christoffel symbols and nabla b are computed on first use and
+    kept, so the spray code reads them once per point.
     """
 
     frame: Frame
@@ -168,6 +171,16 @@ class MetricState:
     def dc_low(self) -> np.ndarray:
         """Gradient covector of c: c_i = c'(r) n_i."""
         return self.c1 * self.n_low
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """christoffel(self), computed once."""
+        return christoffel(self)
+
+    @cached_property
+    def nb(self) -> np.ndarray:
+        """nabla_b(self), computed once."""
+        return nabla_b(self)
 
 
 def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricState:

@@ -151,7 +151,7 @@ def _plain(params) -> dict:
     return out
 
 
-def _parse_scalar(text: str, line: int):
+def _parse_scalar(text: str):
     low = text.lower()
     if low in ("true", "false"):
         return low == "true"
@@ -166,10 +166,10 @@ def _parse_scalar(text: str, line: int):
     return text
 
 
-def _parse_value(text: str, line: int):
+def _parse_value(text: str):
     if "," in text:
-        return [_parse_scalar(part.strip(), line) for part in text.split(",") if part.strip()]
-    return _parse_scalar(text, line)
+        return [_parse_scalar(part.strip()) for part in text.split(",") if part.strip()]
+    return _parse_scalar(text)
 
 
 def _as_list(value):
@@ -205,7 +205,7 @@ def parse_scenario(text: str) -> Scenario:
                 f"known: {sorted(_SECTION_KEYS[current])}",
                 lineno,
             )
-        sections[current][key] = _parse_value(value.strip(), lineno)
+        sections[current][key] = _parse_value(value.strip())
     return _validate(sections)
 
 

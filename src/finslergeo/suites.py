@@ -74,17 +74,35 @@ def _sample_point(rng: np.random.Generator, n_dim: int, lo: float, hi: float) ->
     return x
 
 
-def _sample_states(scenario: Scenario, rng: np.random.Generator, count: int) -> list[MetricState]:
+class SamplingError(RuntimeError):
+    """The profile's domain held too few of the drawn points to verify anything."""
+
+
+def _sample_states(
+    scenario: Scenario, rng: np.random.Generator, count: int, with_fiber: bool = False
+) -> list:
+    """Draw ``count`` points where the profile is defined, rejecting the rest
+    for at most 60 tries per point.  ``with_fiber`` pairs each accepted state
+    with a normal fiber vector drawn right after it."""
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     lo, hi = _sampling_range(scenario.profile)
-    states = []
-    while len(states) < count:
+    out = []
+    tries = 0
+    max_tries = 60 * count
+    while len(out) < count and tries < max_tries:
+        tries += 1
         x = _sample_point(rng, scenario.n_dim, lo, hi)
         try:
-            states.append(build_metric(frame, scenario.profile, x))
+            state = build_metric(frame, scenario.profile, x)
         except DomainError:
             continue
-    return states
+        out.append((state, rng.normal(size=scenario.n_dim)) if with_fiber else state)
+    if len(out) < count:
+        raise SamplingError(
+            f"only {len(out)} of {count} points fell in the profile's domain "
+            f"in {max_tries} tries; nothing was verified"
+        )
+    return out
 
 
 def _sample_admissible(
@@ -416,15 +434,7 @@ def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     count = min(scenario.n_fibers, 100)
     if scenario.charge == 0.0:
-        lo, hi = _sampling_range(scenario.profile)
-        pairs = []
-        while len(pairs) < count:
-            x = _sample_point(rng, scenario.n_dim, lo, hi)
-            try:
-                state = build_metric(frame, scenario.profile, x)
-            except DomainError:
-                continue
-            pairs.append((state, rng.normal(size=scenario.n_dim)))
+        pairs = _sample_states(scenario, rng, count, with_fiber=True)
     else:
         pairs = _sample_admissible(scenario, rng, count, relativistic=False)
         if pairs is None:

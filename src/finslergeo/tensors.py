@@ -45,6 +45,16 @@ class StencilError(RuntimeError):
     """A finite-difference stencil produced a non-finite evaluation."""
 
 
+class StencilMissError(ValueError):
+    """A field is undefined at a stencil point (e.g. outside the Finsleroid
+    cone); fd_partials then retries once with a step ten times smaller."""
+
+
+class ConeStencilError(StencilError):
+    """A derivative stencil left the field's admissible set even after
+    shrinking the step."""
+
+
 @dataclass(frozen=True)
 class Tensor:
     """Dense tensor over one N-dimensional chart with per-axis variance tags.
@@ -312,6 +322,8 @@ def fd_partials(
 
     Returns out[k, ...] = d f / d x^k.  ``scales`` fixes the per-axis step
     scale (scalar or length-N array); default is max(1, |x_k|) per axis.
+    If a stencil point raises StencilMissError, every axis is redone once
+    with the step shrunk tenfold; a second miss raises ConeStencilError.
     """
     cfg = config or DiffConfig()
     x = np.asarray(x, dtype=float)
@@ -321,19 +333,24 @@ def fd_partials(
     else:
         scale_arr = np.broadcast_to(np.asarray(scales, dtype=float), (n,))
     stencil = _D1_STENCILS[cfg.fd_order]
-    out = None
-    for k in range(n):
-        h = cfg.fd_step * scale_arr[k]
-        acc = None
-        for off, w in stencil:
-            xp = x.copy()
-            xp[k] += off * h
-            fv = _check_finite(np.asarray(f(xp), dtype=float), f"axis {k}, offset {off}")
-            acc = w * fv if acc is None else acc + w * fv
-        if out is None:
-            out = np.zeros((n,) + acc.shape)
-        out[k] = acc / h
-    return out
+    for step in (cfg.fd_step, 0.1 * cfg.fd_step):
+        try:
+            out = None
+            for k in range(n):
+                h = step * scale_arr[k]
+                acc = None
+                for off, w in stencil:
+                    xp = x.copy()
+                    xp[k] += off * h
+                    fv = _check_finite(np.asarray(f(xp), dtype=float), f"axis {k}, offset {off}")
+                    acc = w * fv if acc is None else acc + w * fv
+                if out is None:
+                    out = np.zeros((n,) + acc.shape)
+                out[k] = acc / h
+            return out
+        except StencilMissError:
+            continue
+    raise ConeStencilError("stencil left the admissible set even after shrinking the step")
 
 
 def fd_gradient(

@@ -18,6 +18,7 @@ from .profiles import ProfilePair
 from .riemann import (
     Frame,
     MetricState,
+    _curvature_blocks,
     build_metric,
     curvature_closed,
     curvature_fd_oracle,
@@ -62,13 +63,7 @@ def reduced_curvature(state: MetricState) -> np.ndarray:
     w_mix = u_mix - 3.0 * np.outer(n, n_up)  # [k, i] = u_k^i - 3 n_k n^i
     w_low = u - 3.0 * np.outer(n, n)
 
-    t_uu = np.einsum("mn,ki->nikm", u, u_mix) - np.einsum("kn,mi->nikm", u, u_mix)
-    t_nu = (
-        np.einsum("n,m,ki->nikm", n, n, u_mix)
-        - np.einsum("n,k,mi->nikm", n, n, u_mix)
-        - np.einsum("m,nk,i->nikm", n, u, n_up)
-        + np.einsum("k,nm,i->nikm", n, u, n_up)
-    )
+    t_uu, _, t_nu, _ = _curvature_blocks(state)
     t_bw = (
         (1.0 / m)
         * (np.einsum("n,m,ki->nikm", b, b, w_mix) - np.einsum("n,k,mi->nikm", b, b, w_mix))

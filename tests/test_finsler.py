@@ -16,7 +16,6 @@ from finslergeo import (
     hh_curvature,
     kinematic_identity_residuals,
     kinematics,
-    spray,
     spray_coefficients,
     spray_derivatives,
 )
@@ -173,7 +172,7 @@ class TestSpray:
         y = rng.normal(size=4)
         fib = kinematics(state, y, 0.8)
         assert fib.ys == 0.0
-        assert max_abs(spray(fib) - riemann_spray(state, y)) == 0.0
+        assert max_abs(spray_coefficients(state, y, 0.8) - riemann_spray(state, y)) == 0.0
 
     def test_positive_homogeneity_is_exact(self, frame4_pd, pd_rational, rng):
         """G^i(x, 2y) = 4 G^i(x, y) bitwise (powers of two are exact in floats)."""
@@ -186,7 +185,7 @@ class TestSpray:
         """y^k G^i_k = 2 G^i to 1e-9 (degree-2 homogeneity differentiated)."""
         for state, y in admissible_sample(rng, frame4_pd, pd_rational, 0.3, 20):
             fib = kinematics(state, y, 0.3)
-            assert max_abs(spray_y_derivative(fib) @ y - 2.0 * spray(fib)) < 1e-9
+            assert max_abs(spray_y_derivative(fib) @ y - 2.0 * spray_coefficients(state, y, 0.3)) < 1e-9
 
 
 class TestSprayDerivatives:

@@ -9,7 +9,6 @@ from finslergeo import (
     DomainError,
     ProfilePair,
     combo_scalars,
-    eval_profiles,
     ricci_coefficients,
 )
 from finslergeo.tensors import fd_derivative, fd_second
@@ -18,7 +17,7 @@ from finslergeo.tensors import fd_derivative, fd_second
 class TestSchwarzschildPair:
     def test_values_at_unit_radius(self):
         """c(1) = 1.25/0.75 = 5/3 and m(1) = -(1.25)^4 = -2.44140625 for xi = 1."""
-        p = eval_profiles(ProfilePair.schwarzschild_isotropic(1.0), 1.0)
+        p = ProfilePair.schwarzschild_isotropic(1.0).eval(1.0)
         assert p.c == pytest.approx(5.0 / 3.0, rel=1e-15)
         assert p.m == pytest.approx(-2.44140625, rel=1e-15)
 
@@ -28,7 +27,7 @@ class TestSchwarzschildPair:
         pair = ProfilePair.schwarzschild_isotropic(xi)
         for r in (0.4, 1.0, 2.5, 7.0):
             t = xi / (4.0 * r)
-            p = eval_profiles(pair, r)
+            p = pair.eval(r)
             assert p.c1 == pytest.approx(-(xi / (4 * r**2)) * 2.0 / (1 - t) ** 2, rel=1e-13)
             assert p.m1 == pytest.approx((xi / r**2) * (1 + t) ** 3, rel=1e-13)
 
@@ -40,7 +39,7 @@ class TestSchwarzschildPair:
             t = xi / (4.0 * r)
             yp = 2.0 / (1 - t) ** 2
             ypp = 4.0 / (1 - t) ** 3
-            p = eval_profiles(pair, r)
+            p = pair.eval(r)
             assert p.c2 == pytest.approx(
                 (xi / (2 * r**3)) * yp + (xi**2 / (16 * r**4)) * ypp, rel=1e-13
             )
@@ -61,14 +60,14 @@ class TestSchwarzschildPair:
 
 class TestConstantAndRational:
     def test_constant_pair_is_flat(self):
-        p = eval_profiles(ProfilePair.constant(1.0, -1.0), 3.7)
+        p = ProfilePair.constant(1.0, -1.0).eval(3.7)
         assert (p.c, p.m) == (1.0, -1.0)
         assert p.c1 == p.c2 == p.m1 == p.m2 == 0.0
 
     def test_rational_values_and_derivatives(self):
         # c = 0.8 + 0.1/r: c' = -0.1/r^2, c'' = 0.2/r^3
         pair = ProfilePair.rational((0.8, 0.1), (1.0, 0.2))
-        p = eval_profiles(pair, 2.0)
+        p = pair.eval(2.0)
         assert p.c == pytest.approx(0.85, rel=1e-15)
         assert p.c1 == pytest.approx(-0.1 / 4.0, rel=1e-14)
         assert p.c2 == pytest.approx(0.2 / 8.0, rel=1e-14)

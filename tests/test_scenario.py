@@ -1,6 +1,10 @@
 """Scenario parsing and validation, report determinism, exit codes, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +150,19 @@ class TestRun:
         assert report.suites[0].status == "skipped"
         assert "signature" in report.suites[0].reason
 
+    def test_indefinite_finsler_mode_runs(self):
+        """allow_indefinite_finsler builds the identity jets in the state's own
+        q^2 = b^2 - S^2 convention instead of failing in sqrt."""
+        scenario = parse_scenario(
+            "[scenario]\nsignature = -1\ncharge = 0.3\nallow_indefinite_finsler = true\n"
+            "suites = finsler-identities\n"
+            "[profile]\nkind = schwarzschild_isotropic\nxi = 1\n"
+            "[samples]\nfibers = 20\n"
+        )
+        suite = run(scenario).suites[0]
+        assert suite.status != "fail"
+        assert suite.reason is None
+
     def test_charged_curvature_skips_on_indefinite_signature(self):
         scenario = parse_scenario("[scenario]\ncharge = 0.3\nsuites = finsler-curvature\n")
         report = run(scenario)
@@ -185,6 +202,25 @@ class TestCli:
         assert code == 1
         assert main(["run", str(good), "--tolerance-class", "bogus=1"]) == 2
         assert main(["run", str(good), "--tolerance-class", "exact"]) == 2
+
+    def test_profile_without_domain_fails_with_reason(self, tmp_path):
+        """c = -1 is never positive, so no point is admissible: both rejection
+        loops stop after 60 tries per point and fail their suite with a reason
+        instead of hanging."""
+        scn = tmp_path / "empty_domain.ini"
+        scn.write_text(
+            "[scenario]\nsignature = 1\nsuites = frame-identities, finsler-curvature\n"
+            "[profile]\nkind = rational\nc_coeffs = -1\nm_coeffs = 1\n",
+            encoding="utf-8",
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from finslergeo.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "run", str(scn)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.count("nothing was verified") == 2
 
     def test_verify_vacuum_subcommand(self):
         assert main(["verify-vacuum", "--xi", "1.0", "--radii", "0.5,1,2"]) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslergeo import (
+    ConeStencilError,
     ContractionError,
     DiffConfig,
     Frame,
@@ -13,13 +14,17 @@ from finslergeo import (
     ProfilePair,
     ShapeError,
     StencilError,
+    StencilMissError,
     Tensor,
     build_metric,
     contract,
     fd_gradient,
+    fd_partials,
+    hh_curvature,
     lower_index,
     product,
     raise_index,
+    spray_derivatives,
 )
 from finslergeo.tensors import fd_derivative, fd_second, transform_components
 
@@ -247,6 +252,50 @@ class TestFdGradient:
     def test_non_finite_stencil_raises(self):
         with pytest.raises(StencilError):
             fd_gradient(lambda p: float("nan"), np.ones(3))
+
+    @pytest.mark.parametrize("route", ["y-stencil", "x-stencil"])
+    def test_non_finite_spray_stencil_raises(self, route):
+        """m = nan makes every spray evaluation NaN: the spray's y- and
+        x-stencils run through fd_partials, so they reject it too."""
+        frame = Frame.standard(4, 1)
+        pair = ProfilePair.rational((0.8,), (float("nan"),))
+        x = np.array([0.1, 1.0, 0.5, -0.3])
+        y = np.array([1.0, 0.2, -0.4, 0.3])
+        with pytest.raises(StencilError):
+            if route == "y-stencil":
+                spray_derivatives(build_metric(frame, pair, x), y, 0.0)
+            else:
+                hh_curvature(frame, pair, x, y, 0.0)
+
+    def test_miss_at_full_step_retries_at_tenth(self, rng):
+        """A field undefined beyond 1.5e-5 of x misses the order-4 stencil
+        (reach 2e-5) but not the tenfold-shrunk one: the result is exactly
+        the derivative taken at step/10."""
+        x = rng.normal(size=3)
+        cfg = DiffConfig(fd_step=1e-5, fd_order=4)
+
+        def field(p):
+            return np.array([np.sin(p[0]) * p[1], p @ p])
+
+        def ball_field(p):
+            if np.max(np.abs(p - x)) > 1.5e-5:
+                raise StencilMissError("outside the ball")
+            return field(p)
+
+        got = fd_partials(ball_field, x, cfg, scales=1.0)
+        want = fd_partials(field, x, DiffConfig(fd_step=0.1 * cfg.fd_step), scales=1.0)
+        assert np.array_equal(got, want)
+
+    def test_miss_at_both_steps_raises(self):
+        x = np.ones(3)
+
+        def point_field(p):
+            if not np.array_equal(p, x):
+                raise StencilMissError("defined only at x")
+            return 1.0
+
+        with pytest.raises(ConeStencilError):
+            fd_gradient(point_field, x)
 
     def test_order4_beats_order2(self, frame4, schwarzschild):
         x = np.array([0.0, 1.3, 0.4, -0.2])

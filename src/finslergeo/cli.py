@@ -15,8 +15,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .profiles import ProfilePair
-from .scenario import DEFAULT_RADII, Scenario, ScenarioError, load_scenario
+from .scenario import (
+    DEFAULT_RADII,
+    Scenario,
+    ScenarioError,
+    load_scenario,
+    scenario_from_sections,
+)
 from .suites import run
 
 
@@ -32,9 +37,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--dump-tensors", metavar="DIR", default=None, help="write per-component CSV dumps"
-    )
-    parser.add_argument(
-        "--parallel", action="store_true", help="evaluate samples within a suite in parallel"
     )
     parser.add_argument(
         "--report", metavar="PATH", default=None, help="write the JSON report to PATH"
@@ -54,14 +56,11 @@ def _parse_tolerance_overrides(items: list[str]) -> dict[str, float]:
     return overrides
 
 
-def _parse_radii(text: str) -> tuple[float, ...]:
+def _parse_radii(text: str) -> list[float]:
     try:
-        radii = tuple(float(part) for part in text.split(",") if part.strip())
+        return [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ScenarioError(f"bad radii list {text!r}") from exc
-    if not radii or any(r <= 0 for r in radii):
-        raise ScenarioError("radii must be a comma list of positive numbers")
-    return radii
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,34 +102,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_FC_PROFILES = {
+    "pd-rational": ({"kind": "rational", "c_coeffs": [0.8, 0.1], "m_coeffs": [1.0, 0.2]}, 1),
+    "constant": ({"kind": "constant", "c0": 0.9, "m0": 1.0}, 1),
+    "schwarzschild": ({"kind": "schwarzschild_isotropic"}, -1),
+}
+
+
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
+    """The subcommands fill the sections a scenario file would hold and go
+    through the same validation as ``run``."""
     if args.command == "run":
         return load_scenario(args.scenario)
     if args.command == "verify-vacuum":
-        return Scenario(
-            n_dim=args.dimension,
-            epsilon=-1,
-            profile=ProfilePair.schwarzschild_isotropic(args.xi),
-            suites=("vacuum",),
-            radii=_parse_radii(args.radii),
+        return scenario_from_sections(
+            {
+                "scenario": {"dimension": args.dimension, "signature": -1, "suites": ["vacuum"]},
+                "profile": {"kind": "schwarzschild_isotropic", "xi": args.xi},
+                "samples": {"radii": _parse_radii(args.radii)},
+            }
         )
     if args.command == "finsler-curvature":
-        if args.profile == "pd-rational":
-            profile = ProfilePair.rational((0.8, 0.1), (1.0, 0.2))
-            epsilon = 1
-        elif args.profile == "constant":
-            profile = ProfilePair.constant(0.9, 1.0)
-            epsilon = 1
-        else:
-            profile = ProfilePair.schwarzschild_isotropic(args.xi)
-            epsilon = -1
-        return Scenario(
-            n_dim=args.dimension,
-            epsilon=epsilon,
-            profile=profile,
-            charge=args.charge,
-            suites=("finsler-curvature",),
-            n_fibers=args.samples,
+        profile, epsilon = _FC_PROFILES[args.profile]
+        if args.profile == "schwarzschild":
+            profile = {**profile, "xi": args.xi}
+        return scenario_from_sections(
+            {
+                "scenario": {
+                    "dimension": args.dimension,
+                    "signature": epsilon,
+                    "charge": args.charge,
+                    "suites": ["finsler-curvature"],
+                },
+                "profile": profile,
+                "samples": {"fibers": args.samples},
+            }
         )
     raise ScenarioError(f"unknown command {args.command!r}")
 
@@ -144,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             tolerance_overrides=_parse_tolerance_overrides(args.tolerance_class),
             dump_dir=args.dump_tensors,
-            parallel=True if args.parallel else None,
             report_path=args.report,
         )
     except (ScenarioError, OSError, ValueError) as exc:

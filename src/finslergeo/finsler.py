@@ -30,7 +30,7 @@ import numpy as np
 
 from .riemann import Frame, MetricState, build_metric
 from .profiles import ProfilePair
-from .tensors import DiffConfig, Jet2, StencilMissError, fd_gradient, fd_partials
+from .tensors import DiffConfig, Jet2, StencilMissError, fd_gradient, fd_partials, outer
 
 
 class AdmissibilityError(StencilMissError):
@@ -63,6 +63,9 @@ class FinsleroidState:
       s_low    s_k = y^h nabla_k b_h;  ys = y^k s_k;  sigma = b^k s_k
       yc       y^h c_h
       e_fiber  (b/q^2) v_k - b_k, the covector whose y-derivative closes on eta
+
+    Built from a stack of metrics or of fiber vectors, the per-point fields
+    carry the stack's leading axis (the scalars become arrays over it).
     """
 
     metric: MetricState
@@ -70,35 +73,37 @@ class FinsleroidState:
     charge: float
     relativistic: bool
     y_low: np.ndarray
-    b: float
-    s2: float
-    q2: float
-    q: float
+    b: float | np.ndarray
+    s2: float | np.ndarray
+    q2: float | np.ndarray
+    q: float | np.ndarray
     v_low: np.ndarray
     v_up: np.ndarray
-    nu: float
+    nu: float | np.ndarray
     nu_low: np.ndarray
     r_mix: np.ndarray
     r_low: np.ndarray
     eta: np.ndarray
     s_low: np.ndarray
-    ys: float
-    sigma: float
-    yc: float
+    ys: float | np.ndarray
+    sigma: float | np.ndarray
+    yc: float | np.ndarray
     e_fiber: np.ndarray
 
 
 def fiber_vectors(metric: MetricState, y: np.ndarray):
     """The q^2-level fiber data (no admissibility requirement): returns
     (y_low, b, S^2, q^2, v_low, v_up).  q^2 may be negative for indefinite
-    metrics; callers needing the full state must go through kinematics."""
+    metrics; callers needing the full state must go through kinematics.
+    A stack of metrics (x-stencils) or of fiber vectors (y-stencils)
+    broadcasts against a single partner."""
     y = np.asarray(y, dtype=float)
-    y_low = metric.a_low @ y
-    b = float(metric.b_low @ y)
-    s2 = float(y @ y_low)
+    y_low = np.einsum("...ij,...j->...i", metric.a_low, y)
+    b = np.einsum("...i,...i->...", metric.b_low, y)
+    s2 = np.einsum("...i,...i->...", y, y_low)
     q2 = s2 - b * b
-    v_low = y_low - b * metric.b_low
-    v_up = y - b * metric.b_up
+    v_low = y_low - b[..., None] * metric.b_low
+    v_up = y - b[..., None] * metric.b_up
     return y_low, b, s2, q2, v_low, v_up
 
 
@@ -110,35 +115,37 @@ def kinematics(
 ) -> FinsleroidState:
     """Assemble the Finsleroid state at (x, y), enforcing admissibility.
 
-    ``relativistic=True`` flips the transverse norm to q^2 = b^2 - S^2 for
-    exploratory runs on indefinite metrics; the printed identity suite is
-    only claimed (and only asserted) for the positive-definite convention.
+    Either side may be a stack (see fiber_vectors); every point of the
+    stack must be admissible.  ``relativistic=True`` flips the transverse
+    norm to q^2 = b^2 - S^2 for exploratory runs on indefinite metrics;
+    the printed identity suite is only claimed (and only asserted) for the
+    positive-definite convention.
     """
     y = np.asarray(y, dtype=float)
     y_low, b, s2, q2, v_low, v_up = fiber_vectors(metric, y)
     if relativistic:
         q2 = b * b - s2
-    if q2 <= 0.0:
+    if np.any(q2 <= 0.0):
         raise DegenerateFiberError(
-            f"q^2 = {q2:.3e} <= 0: no transverse norm for this fiber vector"
+            f"q^2 = {np.min(q2):.3e} <= 0: no transverse norm for this fiber vector"
         )
-    q = float(np.sqrt(q2))
+    q = np.sqrt(q2)
     c = metric.c
     one_minus_c2 = 1.0 - c * c
     nu = q + charge * one_minus_c2 * b
-    if nu <= 0.0:
-        raise OutsideConeError(f"nu = {nu:.3e} <= 0: fiber vector outside the cone")
+    if np.any(nu <= 0.0):
+        raise OutsideConeError(f"nu = {np.min(nu):.3e} <= 0: fiber vector outside the cone")
 
-    nu_low = v_low / q + one_minus_c2 * charge * metric.b_low
+    nu_low = v_low / q[..., None] + (one_minus_c2 * charge)[..., None] * metric.b_low
     n = metric.frame.n_dim
-    r_mix = np.eye(n) - np.outer(metric.b_up, metric.b_low)
-    r_low = metric.a_low - np.outer(metric.b_low, metric.b_low)
-    eta = r_low - np.outer(v_low, v_low) / q2
-    s_low = metric.nb @ y
-    ys = float(y @ s_low)
-    sigma = float(metric.b_up @ s_low)
-    yc = float(metric.dc_low @ y)
-    e_fiber = (b / q2) * v_low - metric.b_low
+    r_mix = np.eye(n) - outer(metric.b_up, metric.b_low)
+    r_low = metric.a_low - outer(metric.b_low, metric.b_low)
+    eta = r_low - outer(v_low, v_low) / q2[..., None, None]
+    s_low = np.einsum("...ij,...j->...i", metric.nb, y)
+    ys = np.einsum("...i,...i->...", y, s_low)
+    sigma = np.einsum("...i,...i->...", metric.b_up, s_low)
+    yc = np.einsum("...i,...i->...", metric.dc_low, y)
+    e_fiber = (b / q2)[..., None] * v_low - metric.b_low
     return FinsleroidState(
         metric=metric,
         y=y,
@@ -171,7 +178,7 @@ def kinematics(
 
 def riemann_spray(metric: MetricState, y: np.ndarray) -> np.ndarray:
     """The geodesic spray of the underlying metric: a^i_km y^k y^m."""
-    return np.einsum("ikm,k,m->i", metric.gamma, y, y)
+    return np.einsum("...ikm,...k,...m->...i", metric.gamma, y, y)
 
 
 def _spray_and_first(
@@ -182,15 +189,16 @@ def _spray_and_first(
     y = np.asarray(y, dtype=float)
     base = riemann_spray(metric, y)
     if charge == 0.0:
-        return base, 2.0 * np.einsum("ikm,m->ik", metric.gamma, y)
+        return base, 2.0 * np.einsum("...ikm,...m->...ik", metric.gamma, y)
     state = kinematics(metric, y, charge, relativistic)
-    return (state.charge / state.nu) * state.ys * state.v_up + base, spray_y_derivative(state)
+    weight = (state.charge / state.nu) * state.ys
+    return weight[..., None] * state.v_up + base, spray_y_derivative(state)
 
 
 def _spray_stack(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
     """G^i followed by G^i_k row-major: the one field each stencil differences."""
     g, g_first = _spray_and_first(metric, y, charge)
-    return np.concatenate([g, g_first.ravel()])
+    return np.concatenate([g, g_first.reshape(g_first.shape[:-2] + (-1,))], axis=-1)
 
 
 def spray_coefficients(
@@ -212,10 +220,10 @@ def spray_y_derivative(state: FinsleroidState) -> np.ndarray:
     """
     g, nu, ys = state.charge, state.nu, state.ys
     return (
-        -(g / nu**2) * ys * np.outer(state.v_up, state.nu_low)
-        + 2.0 * (g / nu) * np.outer(state.v_up, state.s_low)
-        + (g / nu) * ys * state.r_mix
-        + 2.0 * np.einsum("ikm,m->ik", state.metric.gamma, state.y)
+        (-(g / nu**2) * ys)[..., None, None] * outer(state.v_up, state.nu_low)
+        + (2.0 * (g / nu))[..., None, None] * outer(state.v_up, state.s_low)
+        + ((g / nu) * ys)[..., None, None] * state.r_mix
+        + 2.0 * np.einsum("...ikm,...m->...ik", state.metric.gamma, state.y)
     )
 
 
@@ -291,7 +299,7 @@ def spray_derivatives(
     # One |y|-scaled stencil pass over [G^i, G^i_k]; fd_partials puts the
     # derivative index first, so it moves last for G^i_k and G^i_km.
     d_stack = fd_partials(
-        lambda yp: _spray_stack(metric, yp, charge), y, cfg, scales=float(np.linalg.norm(y))
+        lambda ys: _spray_stack(metric, ys, charge), y, cfg, scales=float(np.linalg.norm(y))
     )
     first_numeric = np.transpose(d_stack[:, :n], (1, 0))
     second_numeric = np.transpose(d_stack[:, n:].reshape(n, n, n), (1, 2, 0))
@@ -352,7 +360,7 @@ def hh_curvature(
 
     # One r-scaled stencil pass over [G^i, G^i_k]: each stencil metric is built once.
     d_stack = fd_partials(
-        lambda pt: _spray_stack(build_metric(frame, profiles, pt), y, charge),
+        lambda pts: _spray_stack(build_metric(frame, profiles, pts), y, charge),
         x,
         cfg,
         scales=metric.r,
@@ -386,8 +394,10 @@ def hh_curvature(
 # ---------------------------------------------------------------------------
 
 
-def _fiber_jets(state: FinsleroidState, axis: int):
-    """Second-order jets of the fiber scalars along y + t e_axis.
+def _fiber_jets(state: FinsleroidState):
+    """Second-order jets of the fiber scalars along y + t e_axis, for every
+    axis in one pass: jet parts have axes [axis] (scalars, kept as a column)
+    or [axis, k] (covector components).
 
     Jet arithmetic gives the exact directional derivative of every quantity
     built from b(t), S^2(t), q(t), so derivative identities can be checked
@@ -395,21 +405,17 @@ def _fiber_jets(state: FinsleroidState, axis: int):
     """
     ms = state.metric
     a = ms.a_low
-    b_ax = float(ms.b_low[axis])
-    bj = Jet2(state.b, b_ax, 0.0)
-    s2j = Jet2(state.s2, 2.0 * float(state.y_low[axis]), 2.0 * float(a[axis, axis]))
+    b_low = ms.b_low
+    bj = Jet2(state.b, b_low[:, None], 0.0)
+    s2j = Jet2(state.s2, 2.0 * state.y_low[:, None], 2.0 * np.diag(a)[:, None])
     q2j = bj * bj - s2j if state.relativistic else s2j - bj * bj
     qj = q2j.sqrt()
     gc = state.charge * (1.0 - ms.c**2)
     nuj = qj + gc * bj
-    v_j = [
-        Jet2(float(state.v_low[k]), float(a[axis, k]) - b_ax * float(ms.b_low[k]), 0.0)
-        for k in range(ms.frame.n_dim)
-    ]
-    nu_k_j = [v_j[k] / qj + gc * float(ms.b_low[k]) for k in range(ms.frame.n_dim)]
-    ratio_j = [nu_k_j[k] / nuj for k in range(ms.frame.n_dim)]
-    e_j = [bj / q2j * v_j[k] - float(ms.b_low[k]) for k in range(ms.frame.n_dim)]
-    return nuj, nu_k_j, ratio_j, e_j
+    v_j = Jet2(state.v_low, a - outer(b_low, b_low), 0.0)
+    ratio_j = (v_j / qj + gc * b_low) / nuj
+    e_j = bj / q2j * v_j - b_low
+    return nuj, ratio_j, e_j
 
 
 def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float]:
@@ -429,22 +435,17 @@ def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float]:
       b_dot_v              b_j v^j = (1-c^2) b
     """
     ms = state.metric
-    n = ms.frame.n_dim
     c2 = ms.c**2
     one_minus_c2 = 1.0 - c2
     g = state.charge
 
     res: dict[str, float] = {}
 
-    # Jet-based derivative identities, one directional pass per axis.
-    nu_grad = np.zeros(n)
-    ratio_d = np.zeros((n, n))  # [m, k] = d(nu_k/nu)/dy^m
-    e_d = np.zeros((n, n))      # [j, k] = d(e_k)/dy^j
-    for axis in range(n):
-        nuj, _, ratio_j, e_j = _fiber_jets(state, axis)
-        nu_grad[axis] = nuj.d1
-        ratio_d[axis] = [rj.d1 for rj in ratio_j]
-        e_d[axis] = [ej.d1 for ej in e_j]
+    # Jet-based derivative identities: one pass over all directions.
+    nuj, ratio_j, e_j = _fiber_jets(state)
+    nu_grad = nuj.d1[:, 0]
+    ratio_d = ratio_j.d1  # [m, k] = d(nu_k/nu)/dy^m
+    e_d = e_j.d1          # [j, k] = d(e_k)/dy^j
 
     res["nu_gradient"] = float(np.max(np.abs(state.nu_low - nu_grad)))
 
@@ -497,17 +498,16 @@ def transverse_slope_residuals(
     metric = build_metric(frame, profiles, x)
     state = kinematics(metric, y, charge)
 
-    def q_field(pt: np.ndarray) -> float:
-        ms = build_metric(frame, profiles, pt)
-        _, _, _, q2, _, _ = fiber_vectors(ms, y)
-        if q2 <= 0.0:
-            raise DegenerateFiberError(f"q^2 = {q2:.3e} on the stencil")
-        return float(np.sqrt(q2))
+    def q_field(pts: np.ndarray) -> np.ndarray:
+        q2 = fiber_vectors(build_metric(frame, profiles, pts), y)[3]
+        if np.any(q2 <= 0.0):
+            raise DegenerateFiberError(f"q^2 = {np.min(q2):.3e} on the stencil")
+        return np.sqrt(q2)
 
     dq = fd_gradient(q_field, x, cfg, scales=metric.r)
 
-    def b_cov_field(pt: np.ndarray) -> np.ndarray:
-        return build_metric(frame, profiles, pt).b_low
+    def b_cov_field(pts: np.ndarray) -> np.ndarray:
+        return build_metric(frame, profiles, pts).b_low
 
     db = fd_partials(b_cov_field, x, cfg, scales=metric.r)  # [k, j] = d_k b_j
     coord_rhs = -(state.b / state.q) * (db @ y)

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .tensors import Jet2
 
 PROFILE_KINDS = ("constant", "schwarzschild_isotropic", "rational")
@@ -24,14 +26,15 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class ProfileValues:
-    """The six scalars at one radius: c, c', c'', m, m', m''."""
+    """The six scalars c, c', c'', m, m', m'', each shaped like the radius
+    (a float at one radius, an array over a stack of radii)."""
 
-    c: float
-    c1: float
-    c2: float
-    m: float
-    m1: float
-    m2: float
+    c: float | np.ndarray
+    c1: float | np.ndarray
+    c2: float | np.ndarray
+    m: float | np.ndarray
+    m1: float | np.ndarray
+    m2: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -104,23 +107,26 @@ class ProfilePair:
             "rational", {"c_coeffs": c_coeffs, "m_coeffs": m_coeffs}
         )
 
-    def _check_domain(self, r: float) -> None:
-        if not (self.r_min < r < self.r_max):
+    def _check_domain(self, r) -> None:
+        at = _first_bad(r, np.logical_not((self.r_min < r) & (r < self.r_max)))
+        if at is not None:
             if self.kind == "schwarzschild_isotropic":
                 xi = self.params["xi"]
                 raise DomainError(
-                    f"r={r} outside domain r > {self.r_min} "
+                    f"r={at} outside domain r > {self.r_min} "
                     f"(pole of c at r = xi/4 with xi={xi})"
                 )
-            raise DomainError(f"r={r} outside domain ({self.r_min}, {self.r_max})")
+            raise DomainError(f"r={at} outside domain ({self.r_min}, {self.r_max})")
 
-    def jets(self, r: float) -> tuple[Jet2, Jet2]:
-        """The (c, m) jets at radius r, each carrying value, d/dr, d^2/dr^2."""
+    def jets(self, r) -> tuple[Jet2, Jet2]:
+        """The (c, m) jets at radius r (a float or an array of radii), each
+        carrying value, d/dr, d^2/dr^2.  Every radius must be in the domain."""
         self._check_domain(r)
         rj = Jet2.variable(r)
         if self.kind == "constant":
-            cj = Jet2.constant(self.params["c0"])
-            mj = Jet2.constant(self.params["m0"])
+            flat = 0.0 * rj  # zero jet shaped like r
+            cj = flat + self.params["c0"]
+            mj = flat + self.params["m0"]
         elif self.kind == "schwarzschild_isotropic":
             t = self.params["xi"] / (4.0 * rj)
             cj = (1.0 + t) / (1.0 - t)
@@ -131,15 +137,23 @@ class ProfilePair:
             mj = _poly(self.params["m_coeffs"], w)
         else:  # pragma: no cover - constructors guard the kind
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if not cj.value > 0.0:
-            raise DomainError(f"profile c(r)={cj.value} is not positive at r={r}")
-        if mj.value == 0.0:
-            raise DomainError(f"profile m(r) vanishes at r={r}")
+        at = _first_bad(r, np.logical_not(cj.value > 0.0))
+        if at is not None:
+            raise DomainError(f"profile c(r) is not positive at r={at}")
+        at = _first_bad(r, mj.value == 0.0)
+        if at is not None:
+            raise DomainError(f"profile m(r) vanishes at r={at}")
         return cj, mj
 
-    def eval(self, r: float) -> ProfileValues:
+    def eval(self, r) -> ProfileValues:
+        """The six profile scalars at r, each shaped like r."""
         cj, mj = self.jets(r)
         return ProfileValues(cj.value, cj.d1, cj.d2, mj.value, mj.d1, mj.d2)
+
+
+def _first_bad(r, bad):
+    """The first radius at which the mask ``bad`` (shaped like r) holds, or None."""
+    return float(np.asarray(r)[bad].flat[0]) if np.any(bad) else None
 
 
 def _poly(coeffs, w: Jet2) -> Jet2:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .profiles import ProfilePair, RicciCoefficients, ricci_coefficients
-from .tensors import DiffConfig, fd_partials
+from .tensors import DiffConfig, fd_partials, outer
 
 _FRAME_TOL = 1e-9
 
@@ -129,13 +129,15 @@ class Frame:
             lin_inv.T @ self.u_low @ lin_inv,
         )
 
-    def radius(self, x: np.ndarray) -> float:
-        r2 = float(x @ self.u_low @ x)
-        if r2 <= 0.0:
+    def radius(self, x: np.ndarray) -> float | np.ndarray:
+        """r = sqrt(u_ij x^i x^j) for a point or, row by row, a stack of points."""
+        # A stacked matmul sums in the same order as x @ u @ x at one point.
+        r2 = ((x @ self.u_low)[..., None, :] @ x[..., :, None])[..., 0, 0]
+        if np.any(r2 <= 0.0):
             raise RadialSingularityError(
                 "radius vanishes (point on the axis); the metric family is singular at r = 0"
             )
-        return float(np.sqrt(r2))
+        return np.sqrt(r2)
 
 
 @dataclass(frozen=True)
@@ -143,34 +145,36 @@ class MetricState:
     """All point-local metric data at x: radius, radial covector, metric and
     inverse, axis covector/vector, and the profile jets at r.
 
+    x may be one point (N,) or a stack of points (..., N); every array field
+    then carries the same leading axes (scalars become arrays over them).
     Raised radial components use the background transverse block
     (n^i = u^ij n_j); the axis vector is metric-raised (b^i = a^ij b_j = c^2 e^i).
-    States are immutable snapshots, safe to share across threads.  The
-    closed Christoffel symbols and nabla b are computed on first use and
-    kept, so the spray code reads them once per point.
+    States are immutable snapshots.  The closed Christoffel symbols and
+    nabla b are computed on first use and kept, so the spray code reads
+    them once per state.
     """
 
     frame: Frame
     profiles: ProfilePair
     x: np.ndarray
-    r: float
+    r: float | np.ndarray
     n_low: np.ndarray
     n_up: np.ndarray
     b_low: np.ndarray
     b_up: np.ndarray
     a_low: np.ndarray
     a_up: np.ndarray
-    c: float
-    c1: float
-    c2: float
-    m: float
-    m1: float
-    m2: float
+    c: float | np.ndarray
+    c1: float | np.ndarray
+    c2: float | np.ndarray
+    m: float | np.ndarray
+    m1: float | np.ndarray
+    m2: float | np.ndarray
 
     @property
     def dc_low(self) -> np.ndarray:
         """Gradient covector of c: c_i = c'(r) n_i."""
-        return self.c1 * self.n_low
+        return self.c1[..., None] * self.n_low
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -184,17 +188,21 @@ class MetricState:
 
 
 def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricState:
-    """Assemble the metric family at x; the closed inverse is
-    a^ij = b^i b^j / c^2 + u^ij / m, verified against a_ij a^jn = delta."""
-    x = np.array(x, dtype=float).reshape(frame.n_dim)
+    """Assemble the metric family at x, one point (N,) or a stack (..., N);
+    the closed inverse is a^ij = b^i b^j / c^2 + u^ij / m, verified against
+    a_ij a^jn = delta."""
+    x = np.array(x, dtype=float)
+    x = x.reshape(x.shape[:-1] + (frame.n_dim,))
     r = frame.radius(x)
     p = profiles.eval(r)
-    n_low = (frame.u_low @ x) / r
-    n_up = frame.u_up @ n_low
-    b_low = frame.e_low.copy()
-    b_up = p.c**2 * frame.e_up
-    a_low = np.outer(b_low, b_low) / p.c**2 + p.m * frame.u_low
-    a_up = np.outer(b_up, b_up) / p.c**2 + frame.u_up / p.m
+    c_sq, m = (p.c**2)[..., None, None], p.m[..., None, None]
+    n_low = (x @ frame.u_low.T) / r[..., None]
+    n_up = n_low @ frame.u_up.T
+    b_low = np.empty_like(x)
+    b_low[...] = frame.e_low
+    b_up = (p.c**2)[..., None] * frame.e_up
+    a_low = outer(b_low, b_low) / c_sq + m * frame.u_low
+    a_up = outer(b_up, b_up) / c_sq + frame.u_up / m
     return MetricState(
         frame=frame,
         profiles=profiles,
@@ -223,7 +231,7 @@ def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricSt
 def nabla_b(state: MetricState) -> np.ndarray:
     """Closed form nabla_i b_j = (c_i b_j + c_j b_i) / c; symmetric, m-free."""
     ci = state.dc_low
-    return (np.outer(ci, state.b_low) + np.outer(state.b_low, ci)) / state.c
+    return (outer(ci, state.b_low) + outer(state.b_low, ci)) / state.c[..., None, None]
 
 
 def nabla_b_definitional(state: MetricState, config: DiffConfig | None = None) -> np.ndarray:
@@ -231,8 +239,8 @@ def nabla_b_definitional(state: MetricState, config: DiffConfig | None = None) -
     finite-difference partials and definitional Christoffel symbols."""
     cfg = config or DiffConfig()
 
-    def b_field(pt: np.ndarray) -> np.ndarray:
-        return build_metric(state.frame, state.profiles, pt).b_low
+    def b_field(pts: np.ndarray) -> np.ndarray:
+        return build_metric(state.frame, state.profiles, pts).b_low
 
     db = fd_partials(b_field, state.x, cfg, scales=state.r)  # db[i, j] = d_i b_j
     gamma = christoffel_definitional(state, cfg)
@@ -259,8 +267,8 @@ def nabla_c_definitional(state: MetricState, config: DiffConfig | None = None) -
     """Oracle: nabla_i c_j = d c_j / d x^i - c_n Gamma^n_ij, all numeric."""
     cfg = config or DiffConfig()
 
-    def c_field(pt: np.ndarray) -> np.ndarray:
-        return build_metric(state.frame, state.profiles, pt).dc_low
+    def c_field(pts: np.ndarray) -> np.ndarray:
+        return build_metric(state.frame, state.profiles, pts).dc_low
 
     dc = fd_partials(c_field, state.x, cfg, scales=state.r)
     gamma = christoffel_definitional(state, cfg)
@@ -282,13 +290,15 @@ def christoffel(state: MetricState) -> np.ndarray:
     n, n_up = state.n_low, state.n_up
     b, b_up = state.b_low, state.b_up
     u, u_mix = state.frame.u_low, state.frame.u_mix
-    c, c1, m, m1 = state.c, state.c1, state.m, state.m1
-    sym_nb = np.einsum("k,i,j->kij", b_up, n, b) + np.einsum("k,j,i->kij", b_up, n, b)
+    c, c1, m, m1 = (v[..., None, None, None] for v in (state.c, state.c1, state.m, state.m1))
+    sym_nb = np.einsum("...k,...i,...j->...kij", b_up, n, b) + np.einsum(
+        "...k,...j,...i->...kij", b_up, n, b
+    )
     inner = (
-        m1 * np.einsum("i,jk->kij", n, u_mix)
-        + m1 * np.einsum("j,ik->kij", n, u_mix)
-        + (2.0 * c1 / c**3) * np.einsum("k,i,j->kij", n_up, b, b)
-        - m1 * np.einsum("k,ij->kij", n_up, u)
+        m1 * np.einsum("...i,jk->...kij", n, u_mix)
+        + m1 * np.einsum("...j,ik->...kij", n, u_mix)
+        + (2.0 * c1 / c**3) * np.einsum("...k,...i,...j->...kij", n_up, b, b)
+        - m1 * np.einsum("...k,ij->...kij", n_up, u)
     )
     return -(c1 / c**3) * sym_nb + inner / (2.0 * m)
 
@@ -298,8 +308,8 @@ def christoffel_definitional(state: MetricState, config: DiffConfig | None = Non
     metric derivatives."""
     cfg = config or DiffConfig()
 
-    def metric_field(pt: np.ndarray) -> np.ndarray:
-        return build_metric(state.frame, state.profiles, pt).a_low
+    def metric_field(pts: np.ndarray) -> np.ndarray:
+        return build_metric(state.frame, state.profiles, pts).a_low
 
     da = fd_partials(metric_field, state.x, cfg, scales=state.r)  # da[n, i, j] = d_n a_ij
     # combo[i, n, j] = d_i a_nj + d_j a_ni - d_n a_ij
@@ -395,8 +405,8 @@ def curvature_fd_oracle(state: MetricState, config: DiffConfig | None = None) ->
     """
     cfg = config or DiffConfig()
 
-    def gamma_field(pt: np.ndarray) -> np.ndarray:
-        return christoffel(build_metric(state.frame, state.profiles, pt))
+    def gamma_field(pts: np.ndarray) -> np.ndarray:
+        return christoffel(build_metric(state.frame, state.profiles, pts))
 
     dgamma = fd_partials(gamma_field, state.x, cfg, scales=state.r)  # [d, k, i, j]
     gamma = christoffel(state)

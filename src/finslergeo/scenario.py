@@ -10,7 +10,6 @@ Grammar (INI-style, documented in the README):
     seed = 0
     suites = vacuum, curvature-xcheck
     allow_indefinite_finsler = false
-    parallel = false
 
     [profile]
     kind = schwarzschild_isotropic
@@ -30,12 +29,15 @@ Grammar (INI-style, documented in the README):
     report = report.json
     dump_tensors = dumps
 
-Unknown sections or keys are parse errors carrying the offending line
-number; constraint violations are validation errors naming the constraint.
+Unknown sections, unknown keys and repeated keys are parse errors carrying
+the offending line number; constraint violations (a non-integer count, a
+non-finite number, a flag other than true/false, a repeated suite) are
+validation errors naming the constraint.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -62,7 +64,6 @@ _SECTION_KEYS = {
         "seed",
         "suites",
         "allow_indefinite_finsler",
-        "parallel",
     },
     "profile": {"kind", "xi", "c0", "m0", "c_coeffs", "m_coeffs"},
     "samples": {"radii", "points", "fibers"},
@@ -97,7 +98,6 @@ class Scenario:
     report_path: str | None = None
     dump_dir: str | None = None
     allow_indefinite_finsler: bool = False
-    parallel: bool = False
 
     def echo(self) -> dict:
         """Deterministic dictionary form for reports and hashing."""
@@ -113,7 +113,6 @@ class Scenario:
             "fibers": self.n_fibers,
             "tolerances": dict(sorted(self.tolerances.items())),
             "allow_indefinite_finsler": self.allow_indefinite_finsler,
-            "parallel": self.parallel,
         }
 
     def with_overrides(
@@ -121,25 +120,20 @@ class Scenario:
         seed: int | None = None,
         tolerance_overrides: dict[str, float] | None = None,
         dump_dir: str | None = None,
-        parallel: bool | None = None,
         report_path: str | None = None,
     ) -> "Scenario":
         tol = dict(self.tolerances)
-        if tolerance_overrides:
-            for name, value in tolerance_overrides.items():
-                if name not in TOLERANCE_CLASSES:
-                    raise ScenarioError(
-                        f"unknown tolerance class {name!r}; known: {sorted(TOLERANCE_CLASSES)}"
-                    )
-                if not value > 0.0:
-                    raise ScenarioError(f"tolerance {name} must be > 0, got {value}")
-                tol[name] = float(value)
+        for name, value in (tolerance_overrides or {}).items():
+            if name not in TOLERANCE_CLASSES:
+                raise ScenarioError(
+                    f"unknown tolerance class {name!r}; known: {sorted(TOLERANCE_CLASSES)}"
+                )
+            tol[name] = _tolerance(name, value)
         return replace(
             self,
-            seed=self.seed if seed is None else int(seed),
+            seed=self.seed if seed is None else _seed(seed),
             tolerances=tol,
             dump_dir=self.dump_dir if dump_dir is None else dump_dir,
-            parallel=self.parallel if parallel is None else bool(parallel),
             report_path=self.report_path if report_path is None else report_path,
         )
 
@@ -205,48 +199,90 @@ def parse_scenario(text: str) -> Scenario:
                 f"known: {sorted(_SECTION_KEYS[current])}",
                 lineno,
             )
+        if key in sections[current]:
+            raise ScenarioError(f"duplicate key {key!r} in section [{current}]", lineno)
         sections[current][key] = _parse_value(value.strip())
-    return _validate(sections)
+    return scenario_from_sections(sections)
 
 
 def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
-def _validate(sections: dict[str, dict[str, object]]) -> Scenario:
+def _integer(section: dict, key: str, default: int) -> int:
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{key} must be an integer; got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ScenarioError(f"{what} must be a finite number; got {value!r}")
+    return float(value)
+
+
+def _numbers(value, what: str) -> tuple[float, ...]:
+    return tuple(_number(v, what) for v in _as_list(value))
+
+
+def _seed(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ScenarioError(f"seed must be an integer >= 0; got {value!r}")
+    return value
+
+
+def _tolerance(name: str, value) -> float:
+    value = _number(value, f"tolerance {name}")
+    if not value > 0.0:
+        raise ScenarioError(f"tolerance {name} must be > 0, got {value}")
+    return value
+
+
+def scenario_from_sections(sections: dict[str, dict[str, object]]) -> Scenario:
+    """Validate parsed sections ({section: {key: value}}, values as the
+    grammar parses them) into a Scenario.  Every entry point builds its
+    Scenario here, so one set of rules decides what runs."""
     sc = sections.get("scenario", {})
     prof = sections.get("profile", {})
     samples = sections.get("samples", {})
     tols = sections.get("tolerances", {})
     output = sections.get("output", {})
 
-    n_dim = int(sc.get("dimension", 4))
+    n_dim = _integer(sc, "dimension", 4)
     if not 2 <= n_dim <= 8:
         raise ScenarioError(f"N must be in [2,8]; got {n_dim}")
-    epsilon = int(sc.get("signature", -1))
+    epsilon = _integer(sc, "signature", -1)
     if epsilon not in (1, -1):
         raise ScenarioError(f"signature must be +1 or -1; got {epsilon}")
-    charge = float(sc.get("charge", 0.0))
-    seed = int(sc.get("seed", 0))
+    charge = _number(sc.get("charge", 0.0), "charge")
+    seed = _seed(sc.get("seed", 0))
+    allow_indefinite = sc.get("allow_indefinite_finsler", False)
+    if not isinstance(allow_indefinite, bool):
+        raise ScenarioError(
+            f"allow_indefinite_finsler must be true or false; got {allow_indefinite!r}"
+        )
 
     suites_raw = [str(s) for s in _as_list(sc.get("suites", []))]
-    for name in suites_raw:
+    for pos, name in enumerate(suites_raw):
         if name not in SUITES:
             raise ScenarioError(f"unknown suite {name!r}; known: {list(SUITES)}")
+        if name in suites_raw[:pos]:
+            raise ScenarioError(f"suite {name!r} is listed twice")
 
     kind = str(prof.get("kind", "schwarzschild_isotropic"))
     try:
         if kind == "schwarzschild_isotropic":
-            profile = ProfilePair.schwarzschild_isotropic(float(prof.get("xi", 1.0)))
+            profile = ProfilePair.schwarzschild_isotropic(_number(prof.get("xi", 1.0), "xi"))
         elif kind == "constant":
             profile = ProfilePair.constant(
-                float(prof.get("c0", 1.0)), float(prof.get("m0", 1.0))
+                _number(prof.get("c0", 1.0), "c0"), _number(prof.get("m0", 1.0), "m0")
             )
         elif kind == "rational":
             if "c_coeffs" not in prof or "m_coeffs" not in prof:
                 raise ScenarioError("rational profile needs c_coeffs and m_coeffs")
             profile = ProfilePair.rational(
-                _as_list(prof["c_coeffs"]), _as_list(prof["m_coeffs"])
+                _numbers(prof["c_coeffs"], "c_coeffs"), _numbers(prof["m_coeffs"], "m_coeffs")
             )
         else:
             raise ScenarioError(
@@ -258,20 +294,17 @@ def _validate(sections: dict[str, dict[str, object]]) -> Scenario:
             raise
         raise ScenarioError(str(exc)) from exc
 
-    radii = tuple(float(r) for r in _as_list(samples.get("radii", list(DEFAULT_RADII))))
-    if any(r <= 0 for r in radii):
-        raise ScenarioError("radii must be > 0")
-    n_points = int(samples.get("points", 100))
-    n_fibers = int(samples.get("fibers", 100))
+    radii = _numbers(samples.get("radii", list(DEFAULT_RADII)), "radii")
+    if not radii or any(r <= profile.r_min for r in radii):
+        raise ScenarioError(f"radii must be a nonempty list of radii > {profile.r_min}")
+    n_points = _integer(samples, "points", 100)
+    n_fibers = _integer(samples, "fibers", 100)
     if n_points < 1 or n_fibers < 1:
         raise ScenarioError("points and fibers counts must be >= 1")
 
     tolerances = dict(TOLERANCE_CLASSES)
     for name, value in tols.items():
-        value = float(value)
-        if not value > 0.0:
-            raise ScenarioError(f"tolerance {name} must be > 0, got {value}")
-        tolerances[name] = value
+        tolerances[name] = _tolerance(name, value)
 
     return Scenario(
         n_dim=n_dim,
@@ -286,6 +319,5 @@ def _validate(sections: dict[str, dict[str, object]]) -> Scenario:
         tolerances=tolerances,
         report_path=str(output["report"]) if "report" in output else None,
         dump_dir=str(output["dump_tensors"]) if "dump_tensors" in output else None,
-        allow_indefinite_finsler=bool(sc.get("allow_indefinite_finsler", False)),
-        parallel=bool(sc.get("parallel", False)),
+        allow_indefinite_finsler=allow_indefinite,
     )

@@ -1,18 +1,15 @@
 """Verification suites driven by a Scenario.
 
 Each suite samples deterministically from a seed derived from the scenario
-seed and the suite's fixed position, evaluates its residuals (optionally
-in parallel over samples; reductions stay order-stable either way), and
-returns per-check statistics.  A suite whose preconditions fail is marked
-skipped with the reason, and the run continues.
+seed and the suite's fixed position, evaluates its residuals sample by
+sample, and returns per-check statistics.  A suite whose preconditions
+fail is marked skipped with the reason, and the run continues.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -51,14 +48,6 @@ def _suite_rng(scenario: Scenario, suite: str) -> np.random.Generator:
     return np.random.default_rng([scenario.seed, SUITES.index(suite)])
 
 
-def _map(fn: Callable, items: Iterable, parallel: bool) -> list:
-    items = list(items)
-    if parallel and len(items) > 1:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _sampling_range(profile: ProfilePair) -> tuple[float, float]:
     lo = 1.2 * profile.r_min if profile.r_min > 0.0 else 0.5
     return lo, max(8.0, 4.0 * lo)
@@ -75,7 +64,8 @@ def _sample_point(rng: np.random.Generator, n_dim: int, lo: float, hi: float) ->
 
 
 class SamplingError(RuntimeError):
-    """The profile's domain held too few of the drawn points to verify anything."""
+    """Too few drawn samples fell in the profile's domain (or, for fibers,
+    well inside the admissible cone) to verify anything."""
 
 
 def _sample_states(
@@ -114,8 +104,7 @@ def _sample_admissible(
     margin: float = 0.05,
 ):
     """Sample (state, y) pairs inside the admissible cone, with margins so
-    derivative stencils stay inside too.  Returns None if the profile
-    admits too few fibers."""
+    derivative stencils stay inside too, for at most 60 tries per pair."""
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     lo, hi = _sampling_range(scenario.profile)
     effective_charge = scenario.charge if charge is None else charge
@@ -135,7 +124,12 @@ def _sample_admissible(
         if fib.q < margin * scale or fib.nu < margin * max(fib.q, 1e-300):
             continue
         pairs.append((state, y))
-    return pairs if len(pairs) == count else None
+    if len(pairs) < count:
+        raise SamplingError(
+            f"only {len(pairs)} of {count} fiber vectors fell well inside the admissible "
+            f"cone in {max_tries} tries; nothing was verified"
+        )
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +164,7 @@ def suite_frame_identities(scenario: Scenario, cfg: DiffConfig):
             "axis_c_orthogonality": abs(state.b_up @ state.dc_low),
         }
 
-    rows = _map(residuals, states, scenario.parallel)
+    rows = [residuals(state) for state in states]
     checks = [
         CheckResult.from_residuals(name, [row[name] for row in rows], cfg.tolerance("exact"), "exact")
         for name in rows[0]
@@ -190,7 +184,7 @@ def suite_christoffel_xcheck(scenario: Scenario, cfg: DiffConfig):
             "lower_symmetry": max_abs(closed - np.transpose(closed, (0, 2, 1))),
         }
 
-    rows = _map(residuals, states, scenario.parallel)
+    rows = [residuals(state) for state in states]
     checks = [
         CheckResult.from_residuals(
             "closed_vs_definitional",
@@ -211,8 +205,7 @@ def suite_christoffel_xcheck(scenario: Scenario, cfg: DiffConfig):
 
 def suite_curvature_xcheck(scenario: Scenario, cfg: DiffConfig):
     rng = _suite_rng(scenario, "curvature-xcheck")
-    count = min(scenario.n_points, 25)  # FD oracle per point; keep the suite brisk
-    states = _sample_states(scenario, rng, count)
+    states = _sample_states(scenario, rng, scenario.n_points)
 
     def residuals(state: MetricState) -> dict[str, float]:
         closed = curvature_closed(state)
@@ -231,7 +224,7 @@ def suite_curvature_xcheck(scenario: Scenario, cfg: DiffConfig):
             ),
         }
 
-    rows = _map(residuals, states, scenario.parallel)
+    rows = [residuals(state) for state in states]
     check_plan = [
         ("closed_vs_fd_oracle", "finite_difference", 1.0),
         ("block_form_equivalence", "exact", 1.0),
@@ -372,15 +365,6 @@ def suite_finsler_identities(scenario: Scenario, cfg: DiffConfig):
     # charge 0 the suite still validates the charged formulas at 0.3.
     charge = scenario.charge if scenario.charge != 0.0 else 0.3
     pairs = _sample_admissible(scenario, rng, scenario.n_fibers, relativistic, charge=charge)
-    if pairs is None:
-        return (
-            SuiteResult(
-                "finsler-identities",
-                "skipped",
-                reason="profile admits too few admissible fiber vectors",
-            ),
-            {},
-        )
 
     def residuals(pair):
         state, y = pair
@@ -389,7 +373,7 @@ def suite_finsler_identities(scenario: Scenario, cfg: DiffConfig):
         res["e_fiber_derivative_fd"] = _e_fiber_rule_fd(fib, cfg)
         return res
 
-    rows = _map(residuals, pairs, scenario.parallel)
+    rows = [residuals(pair) for pair in pairs]
     # The printed identity suite is only claimed for the positive-definite
     # convention; exploratory indefinite runs report residuals untested.
     identity_tol = None if relativistic else cfg.tolerance("algebraic")
@@ -409,8 +393,8 @@ def _e_fiber_rule_fd(fib, cfg: DiffConfig) -> float:
     """Finite-difference cross-check of the e_k derivative rule."""
     metric = fib.metric
 
-    def e_field(yv: np.ndarray) -> np.ndarray:
-        return kinematics(metric, yv, fib.charge, fib.relativistic).e_fiber
+    def e_field(ys: np.ndarray) -> np.ndarray:
+        return kinematics(metric, ys, fib.charge, fib.relativistic).e_fiber
 
     d_e = fd_partials(e_field, fib.y, cfg, scales=float(np.linalg.norm(fib.y)))
     rhs = (fib.b / fib.q2) * fib.eta - np.outer(fib.v_low, fib.e_fiber) / fib.q2
@@ -432,20 +416,10 @@ def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
         )
     rng = _suite_rng(scenario, "finsler-curvature")
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
-    count = min(scenario.n_fibers, 100)
     if scenario.charge == 0.0:
-        pairs = _sample_states(scenario, rng, count, with_fiber=True)
+        pairs = _sample_states(scenario, rng, scenario.n_fibers, with_fiber=True)
     else:
-        pairs = _sample_admissible(scenario, rng, count, relativistic=False)
-        if pairs is None:
-            return (
-                SuiteResult(
-                    "finsler-curvature",
-                    "skipped",
-                    reason="profile admits too few admissible fiber vectors",
-                ),
-                {},
-            )
+        pairs = _sample_admissible(scenario, rng, scenario.n_fibers, relativistic=False)
 
     def evaluate(pair):
         state, y = pair
@@ -466,7 +440,7 @@ def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
             out["riemann_limit"] = rel_frobenius(bundle.curvature, comparison)
         return out, bundle
 
-    results = _map(evaluate, pairs, scenario.parallel)
+    results = [evaluate(pair) for pair in pairs]
     rows = [row for row, _ in results]
     check_plan = [
         ("spray_homogeneity", "exact", 1.0),

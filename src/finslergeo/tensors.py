@@ -176,6 +176,11 @@ def transform_components(components: np.ndarray, variance: str, lin: np.ndarray)
     return comp
 
 
+def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Outer product over the last axis, broadcast over leading (point) axes."""
+    return a[..., :, None] * b[..., None, :]
+
+
 # ---------------------------------------------------------------------------
 # Second-order Taylor jets (analytic differentiation engine)
 # ---------------------------------------------------------------------------
@@ -184,7 +189,7 @@ def transform_components(components: np.ndarray, variance: str, lin: np.ndarray)
 def _as_jet(value) -> "Jet2":
     if isinstance(value, Jet2):
         return value
-    return Jet2(float(value), 0.0, 0.0)
+    return Jet2(value, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -194,19 +199,21 @@ class Jet2:
     Arithmetic propagates (value, d1, d2) by the product/chain rules, which
     makes any composite expression an exact analytic derivative evaluator,
     independent of the finite-difference engine it is checked against.
+    The three parts may be floats or broadcast-compatible arrays, so one
+    pass evaluates a jet at many points or along many directions.
     """
 
-    value: float
-    d1: float = 0.0
-    d2: float = 0.0
+    value: float | np.ndarray
+    d1: float | np.ndarray = 0.0
+    d2: float | np.ndarray = 0.0
 
     @staticmethod
-    def variable(value: float) -> "Jet2":
-        return Jet2(float(value), 1.0, 0.0)
+    def variable(value) -> "Jet2":
+        return Jet2(value, 1.0, 0.0)
 
     @staticmethod
-    def constant(value: float) -> "Jet2":
-        return Jet2(float(value), 0.0, 0.0)
+    def constant(value) -> "Jet2":
+        return Jet2(value, 0.0, 0.0)
 
     def __add__(self, other) -> "Jet2":
         o = _as_jet(other)
@@ -245,8 +252,8 @@ class Jet2:
 
     def __pow__(self, exponent) -> "Jet2":
         p = float(exponent)
-        if not p.is_integer() and self.value <= 0.0:
-            raise ValueError(f"non-integer power of non-positive value {self.value}")
+        if not p.is_integer() and np.any(self.value <= 0.0):
+            raise ValueError(f"non-integer power of non-positive value {np.min(self.value)}")
         v, d1, d2 = self.value, self.d1, self.d2
         f = v**p
         fp = p * v ** (p - 1)
@@ -254,7 +261,9 @@ class Jet2:
         return Jet2(f, fp * d1, fpp * d1 * d1 + fp * d2)
 
     def sqrt(self) -> "Jet2":
-        s = math.sqrt(self.value)
+        if np.any(self.value < 0.0):
+            raise ValueError(f"square root of negative value {np.min(self.value)}")
+        s = np.sqrt(self.value)
         return Jet2(s, self.d1 / (2.0 * s), self.d2 / (2.0 * s) - self.d1**2 / (4.0 * s**3))
 
 
@@ -306,12 +315,6 @@ _D2_STENCILS = {
 }
 
 
-def _check_finite(value: np.ndarray, where: str) -> np.ndarray:
-    if not np.all(np.isfinite(value)):
-        raise StencilError(f"non-finite evaluation at stencil point ({where})")
-    return value
-
-
 def fd_partials(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
@@ -320,10 +323,13 @@ def fd_partials(
 ) -> np.ndarray:
     """Central-difference partial derivatives of an array-valued field.
 
-    Returns out[k, ...] = d f / d x^k.  ``scales`` fixes the per-axis step
-    scale (scalar or length-N array); default is max(1, |x_k|) per axis.
-    If a stencil point raises StencilMissError, every axis is redone once
-    with the step shrunk tenfold; a second miss raises ConeStencilError.
+    ``f`` is evaluated once per step on the whole stencil: it receives a
+    (len(stencil) * N, N) stack of points, axis-major and then in stencil
+    order, and returns one value (of any shape) per row.  Returns
+    out[k, ...] = d f / d x^k.  ``scales`` fixes the per-axis step scale
+    (scalar or length-N array); default is max(1, |x_k|) per axis.  If the
+    field raises StencilMissError, the stencil is redone once with the step
+    shrunk tenfold; a second miss raises ConeStencilError.
     """
     cfg = config or DiffConfig()
     x = np.asarray(x, dtype=float)
@@ -333,38 +339,49 @@ def fd_partials(
     else:
         scale_arr = np.broadcast_to(np.asarray(scales, dtype=float), (n,))
     stencil = _D1_STENCILS[cfg.fd_order]
+    width = len(stencil)
+    offsets = np.array([off for off, _ in stencil], dtype=float)
+    axes = np.arange(n)
     for step in (cfg.fd_step, 0.1 * cfg.fd_step):
+        h = step * scale_arr
+        points = np.broadcast_to(x, (n, width, n)).copy()
+        points[axes, :, axes] += offsets * h[:, None]
         try:
-            out = None
-            for k in range(n):
-                h = step * scale_arr[k]
-                acc = None
-                for off, w in stencil:
-                    xp = x.copy()
-                    xp[k] += off * h
-                    fv = _check_finite(np.asarray(f(xp), dtype=float), f"axis {k}, offset {off}")
-                    acc = w * fv if acc is None else acc + w * fv
-                if out is None:
-                    out = np.zeros((n,) + acc.shape)
-                out[k] = acc / h
-            return out
+            values = np.asarray(f(points.reshape(n * width, n)), dtype=float)
         except StencilMissError:
             continue
+        if values.shape[:1] != (n * width,):
+            raise ValueError(
+                f"field returned shape {values.shape} for {n * width} stencil points; "
+                "it must return one value per row"
+            )
+        bad = np.flatnonzero(~np.isfinite(values.reshape(n * width, -1)).all(axis=1))
+        if bad.size:
+            axis, pos = divmod(int(bad[0]), width)
+            raise StencilError(
+                f"non-finite evaluation at stencil point (axis {axis}, offset {stencil[pos][0]})"
+            )
+        values = values.reshape((n, width) + values.shape[1:])
+        acc = stencil[0][1] * values[:, 0]
+        for pos in range(1, width):
+            acc = acc + stencil[pos][1] * values[:, pos]
+        return acc / h.reshape((n,) + (1,) * (acc.ndim - 1))
     raise ConeStencilError("stencil left the admissible set even after shrinking the step")
 
 
 def fd_gradient(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     config: DiffConfig | None = None,
     scales: np.ndarray | float | None = None,
 ) -> np.ndarray:
     """Central-difference gradient of a scalar field (a covector).
 
-    Error is O(fd_step^2) at order 2 and O(fd_step^4) at order 4.
+    ``f`` takes the stencil stack as fd_partials does and returns one
+    scalar per row.  Error is O(fd_step^2) at order 2 and O(fd_step^4) at
+    order 4.
     """
-    grad = fd_partials(lambda p: np.asarray(float(f(p))), x, config, scales)
-    return grad.reshape(-1)
+    return fd_partials(f, x, config, scales).reshape(-1)
 
 
 def fd_derivative(

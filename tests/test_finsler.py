@@ -20,6 +20,8 @@ from finslergeo import (
     spray_derivatives,
 )
 from finslergeo.finsler import (
+    AdmissibilityError,
+    _spray_stack,
     fiber_vectors,
     riemann_spray,
     spray_y_derivative,
@@ -152,6 +154,60 @@ class TestKinematics:
         fib = kinematics(state, y, 0.3, relativistic=True)
         assert fib.q2 == pytest.approx(fib.b**2 - fib.s2, rel=1e-14)
         assert fib.q > 0.0
+
+
+STATE_FIELDS = ("y_low", "b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "r_mix",
+                "r_low", "eta", "s_low", "ys", "sigma", "yc", "e_fiber")
+
+
+def _assert_row_matches(stacked, row, want):
+    """Row ``row`` of a stacked result equals the one-point result to 1e-15
+    relative; a field of the unstacked partner has no row axis."""
+    got = stacked if np.shape(stacked) == np.shape(want) else stacked[row]
+    assert max_abs(got - want) <= 1e-15 * max(max_abs(want), 1e-300)
+
+
+class TestStacks:
+    """A stack of fiber vectors (y-stencils) or of metrics (x-stencils) gives
+    each row what that row gives alone, to 1e-15 relative."""
+
+    def test_kinematics_over_fiber_and_metric_stacks(self, frame4_pd, pd_rational, rng):
+        pairs = admissible_sample(rng, frame4_pd, pd_rational, 0.3, 6)
+        state, _ = pairs[0]
+        ys = np.array([y for _, y in pairs])
+        by_y = kinematics(state, ys, 0.3)
+        xs = np.array([ms.x for ms, _ in pairs])
+        y0 = pairs[0][1]
+        by_x = kinematics(build_metric(frame4_pd, pd_rational, xs), y0, 0.3)
+        for row, (ms, y) in enumerate(pairs):
+            alone_y = kinematics(state, y, 0.3)
+            alone_x = kinematics(ms, y0, 0.3)
+            for name in STATE_FIELDS:
+                _assert_row_matches(getattr(by_y, name), row, getattr(alone_y, name))
+                _assert_row_matches(getattr(by_x, name), row, getattr(alone_x, name))
+
+    @pytest.mark.parametrize("charge", [0.3, 0.0])
+    def test_spray_stack_over_fiber_and_metric_stacks(self, charge, frame4_pd, pd_rational, rng):
+        pairs = admissible_sample(rng, frame4_pd, pd_rational, 0.3, 6)
+        state, y0 = pairs[0]
+        ys = np.array([y for _, y in pairs])
+        xs = np.array([ms.x for ms, _ in pairs])
+        by_y = _spray_stack(state, ys, charge)
+        by_x = _spray_stack(build_metric(frame4_pd, pd_rational, xs), y0, charge)
+        assert by_y.shape == by_x.shape == (6, 4 + 16)
+        for row, (ms, y) in enumerate(pairs):
+            _assert_row_matches(by_y, row, _spray_stack(state, y, charge))
+            _assert_row_matches(by_x, row, _spray_stack(ms, y0, charge))
+
+    def test_one_inadmissible_row_rejects_the_stack(self):
+        """The outside-cone fiber of test_outside_cone_error, stacked among
+        admissible ones, makes the whole stack an AdmissibilityError."""
+        frame = Frame.standard(4, 1)
+        state = build_metric(frame, ProfilePair.constant(0.9, 1.0), np.array([0.0, 1.0, 0.0, 0.0]))
+        ys = np.array([[0.1, 1.0, 0.0, 0.0], [1.0, 0.05, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]])
+        kinematics(state, ys[[0, 2]], -5.0)
+        with pytest.raises(AdmissibilityError):
+            kinematics(state, ys, -5.0)
 
 
 class TestSpray:

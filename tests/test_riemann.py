@@ -6,6 +6,7 @@ import pytest
 
 from finslergeo import (
     DiffConfig,
+    DomainError,
     Frame,
     FrameError,
     ProfilePair,
@@ -94,6 +95,40 @@ class TestMetricAssembly:
             state = build_metric(frame4, schwarzschild, sample_point(rng, 4, 0.3, 8.0))
             np.testing.assert_allclose(state.a_low @ state.a_up, np.eye(4), atol=1e-12)
             np.testing.assert_allclose(state.a_up, np.linalg.inv(state.a_low), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("profile_name", ["schwarzschild", "pd_rational", "constant"])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
+    def test_stack_equals_per_row(self, profile_name, rotated, request, rng):
+        """build_metric, christoffel and nabla_b on a (P, N) stack of points
+        equal their per-row results to 1e-15 relative."""
+        pair = (
+            ProfilePair.constant(0.9, 1.3)
+            if profile_name == "constant"
+            else request.getfixturevalue(profile_name)
+        )
+        frame = Frame.standard(4, 1)
+        if rotated:
+            frame = frame.transformed(spatial_rotation(rng, 4))
+        pts = np.array([sample_point(rng, 4, 0.5, 5.0) for _ in range(6)])
+        stack = build_metric(frame, pair, pts)
+        for row, pt in enumerate(pts):
+            one = build_metric(frame, pair, pt)
+            for name in ("r", "n_low", "n_up", "b_low", "b_up", "a_low", "a_up", "c", "c1", "m2"):
+                want = np.asarray(getattr(one, name))
+                got = np.asarray(getattr(stack, name))[row]
+                assert max_abs(got - want) <= 1e-15 * max(max_abs(want), 1e-300), name
+            for func in (christoffel, nabla_b):
+                want = func(one)
+                assert max_abs(func(stack)[row] - want) <= 1e-15 * max_abs(want)
+
+    def test_stack_domain_check_covers_every_row(self, frame4, schwarzschild):
+        """One point inside the pole r = xi/4 makes the whole stack a DomainError."""
+        pts = np.array([[0.1, 1.0, 0.5, 0.0], [0.1, 0.1, 0.1, 0.0], [0.2, 2.0, 0.0, 1.0]])
+        with pytest.raises(DomainError, match="pole"):
+            build_metric(frame4, schwarzschild, pts)
+        pts[1, 1:] = 0.0
+        with pytest.raises(RadialSingularityError):
+            build_metric(frame4, schwarzschild, pts)
 
     def test_axis_vector_identities(self, frame4, schwarzschild, rng):
         state = build_metric(frame4, schwarzschild, sample_point(rng, 4, 0.5, 5.0))

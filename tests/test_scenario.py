@@ -110,13 +110,6 @@ class TestRun:
         body2 = run(parse_scenario(PD_FINSLER)).body_json()
         assert body1 == body2
 
-    def test_parallel_matches_serial(self):
-        serial = run(parse_scenario(PD_FINSLER))
-        parallel = run(parse_scenario(PD_FINSLER).with_overrides(parallel=True))
-        ser = [s.to_dict(include_timing=False) for s in serial.suites]
-        par = [s.to_dict(include_timing=False) for s in parallel.suites]
-        assert ser == par
-
     def test_vacuum_scenario_passes(self):
         report = run(parse_scenario(MINIMAL_VACUUM))
         assert report.passed
@@ -143,6 +136,15 @@ class TestRun:
         assert statuses["vacuum"] == "skipped"
         assert statuses["frame-identities"] == "pass"
         assert report.passed  # skipped suites do not fail the run
+
+    def test_points_are_not_capped(self):
+        """curvature-xcheck draws exactly the points the scenario asks for."""
+        scenario = parse_scenario(
+            "[scenario]\nsuites = curvature-xcheck\n[samples]\npoints = 30\n"
+        )
+        suite = run(scenario).suites[0]
+        assert suite.status == "pass"
+        assert {check.n_samples for check in suite.checks} == {30}
 
     def test_finsler_identities_skip_on_indefinite_signature(self):
         scenario = parse_scenario("[scenario]\nsuites = finsler-identities\n")
@@ -204,23 +206,57 @@ class TestCli:
         assert main(["run", str(good), "--tolerance-class", "exact"]) == 2
 
     def test_profile_without_domain_fails_with_reason(self, tmp_path):
-        """c = -1 is never positive, so no point is admissible: both rejection
-        loops stop after 60 tries per point and fail their suite with a reason
-        instead of hanging."""
-        scn = tmp_path / "empty_domain.ini"
-        scn.write_text(
-            "[scenario]\nsignature = 1\nsuites = frame-identities, finsler-curvature\n"
-            "[profile]\nkind = rational\nc_coeffs = -1\nm_coeffs = 1\n",
-            encoding="utf-8",
-        )
+        """c = -1 is never positive, so no point is admissible: the point, the
+        charge-0 and the admissible-fiber rejection loops stop after 60 tries
+        per sample and fail their suite with a reason instead of hanging or
+        passing with nothing verified."""
         src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from finslergeo.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "run", str(scn)],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=20,
-        )
-        assert proc.returncode == 1
-        assert proc.stdout.count("nothing was verified") == 2
+        for scenario_head in (
+            "signature = 1\nsuites = frame-identities, finsler-curvature\n",
+            "signature = 1\ncharge = 0.3\nsuites = finsler-identities, finsler-curvature\n",
+        ):
+            scn = tmp_path / "empty_domain.ini"
+            scn.write_text(
+                "[scenario]\n" + scenario_head
+                + "[profile]\nkind = rational\nc_coeffs = -1\nm_coeffs = 1\n",
+                encoding="utf-8",
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from finslergeo.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "run", str(scn)],
+                env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                timeout=20,
+            )
+            assert proc.returncode == 1, scenario_head
+            assert proc.stdout.count("nothing was verified") == 2, scenario_head
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("[scenario]\nallow_indefinite_finsler = no\n", "true or false"),
+            ("[scenario]\ndimension = 4.7\n", "dimension must be an integer"),
+            ("[scenario]\ncharge = nan\n", "charge must be a finite number"),
+            ("[scenario]\nseed = 1\nseed = 2\n", "line 3: duplicate key 'seed'"),
+            ("[scenario]\nsuites = vacuum, vacuum\n", "listed twice"),
+            ("[scenario]\nseed = -1\n", "seed must be an integer >= 0"),
+            (["verify-vacuum", "--dimension", "9"], r"N must be in [2,8]"),
+            (["verify-vacuum", "--radii", "0.25,1"], "radii > 0.25"),
+            (["finsler-curvature", "--samples", "0"], "must be >= 1"),
+        ],
+        ids=[
+            "boolean", "integer", "finite", "duplicate-key", "duplicate-suite", "seed",
+            "vacuum-dimension", "vacuum-pole", "curvature-samples",
+        ],
+    )
+    def test_every_input_runs_or_exits_2(self, case, message, tmp_path, capsys):
+        """Input the grammar would once reinterpret, or that a subcommand took
+        without validation, is a configuration error naming the rule."""
+        if isinstance(case, str):
+            scn = tmp_path / "case.ini"
+            scn.write_text(case, encoding="utf-8")
+            case = ["run", str(scn)]
+        assert main(case) == 2
+        assert message in capsys.readouterr().err
 
     def test_verify_vacuum_subcommand(self):
         assert main(["verify-vacuum", "--xi", "1.0", "--radii", "0.5,1,2"]) == 0

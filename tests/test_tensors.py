@@ -192,6 +192,31 @@ class TestJet2:
     def test_fractional_power_of_negative_rejected(self):
         with pytest.raises(ValueError):
             Jet2.variable(-2.0) ** 0.5
+        with pytest.raises(ValueError):
+            Jet2.variable(-2.0).sqrt()
+
+    def test_array_jets_match_scalar_jets_and_reject_any_negative_base(self):
+        """Array parts evaluate every element as the scalar jet would, to
+        roundoff (numpy's array and scalar powers may round differently, and
+        the d2 combination cancels); one negative element rejects the whole
+        array."""
+
+        def f(t):
+            return (Jet2.variable(t) * Jet2.variable(t) + 1.0).sqrt() / (Jet2.variable(t) + 2.0) ** 3
+
+        t = np.array([0.4, 1.3, 2.2])
+        jet = f(t)
+        for k, tk in enumerate(t):
+            one = f(tk)
+            np.testing.assert_allclose(
+                [jet.value[k], jet.d1[k], jet.d2[k]],
+                [one.value, one.d1, one.d2],
+                rtol=1e-13,
+            )
+        with pytest.raises(ValueError):
+            Jet2(np.array([1.0, -1.0]), 1.0, 0.0).sqrt()
+        with pytest.raises(ValueError):
+            Jet2(np.array([1.0, -1.0]), 1.0, 0.0) ** 1.5
 
     @pytest.mark.parametrize(
         "profile",
@@ -233,7 +258,7 @@ class TestFdGradient:
 
     def test_constant_field_gives_zero(self, rng):
         # roundoff in the stencil sum is amplified by 1/h; zero at FD accuracy
-        grad = fd_gradient(lambda p: 4.25, rng.normal(size=4))
+        grad = fd_gradient(lambda pts: np.full(len(pts), 4.25), rng.normal(size=4))
         np.testing.assert_allclose(grad, np.zeros(4), atol=1e-9)
 
     def test_schwarzschild_c_gradient(self, frame4, schwarzschild):
@@ -251,7 +276,25 @@ class TestFdGradient:
 
     def test_non_finite_stencil_raises(self):
         with pytest.raises(StencilError):
-            fd_gradient(lambda p: float("nan"), np.ones(3))
+            fd_gradient(lambda pts: np.full(len(pts), np.nan), np.ones(3))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_non_finite_message_names_axis_and_offset(self, order):
+        """Only the point at axis 1, offset -1 is NaN: the error names it."""
+        x = np.ones(3)
+        cfg = DiffConfig(fd_order=order)
+
+        def field(pts):
+            out = pts.sum(axis=1)
+            out[(pts[:, 1] < 1.0) & (pts[:, 1] > 1.0 - 1.5 * cfg.fd_step)] = np.nan
+            return out
+
+        with pytest.raises(StencilError, match=r"axis 1, offset -1\)"):
+            fd_gradient(field, x, cfg, scales=1.0)
+
+    def test_single_point_field_is_rejected(self):
+        with pytest.raises(ValueError, match="one value per row"):
+            fd_gradient(lambda pts: 4.25, np.ones(3))
 
     @pytest.mark.parametrize("route", ["y-stencil", "x-stencil"])
     def test_non_finite_spray_stencil_raises(self, route):
@@ -270,21 +313,47 @@ class TestFdGradient:
     def test_miss_at_full_step_retries_at_tenth(self, rng):
         """A field undefined beyond 1.5e-5 of x misses the order-4 stencil
         (reach 2e-5) but not the tenfold-shrunk one: the result is exactly
-        the derivative taken at step/10."""
+        the derivative taken at step/10.  The field sees each step's whole
+        stencil as one (4 N, N) stack, so it is called twice."""
         x = rng.normal(size=3)
         cfg = DiffConfig(fd_step=1e-5, fd_order=4)
+        shapes = []
 
-        def field(p):
-            return np.array([np.sin(p[0]) * p[1], p @ p])
+        def field(pts):
+            return np.stack([np.sin(pts[:, 0]) * pts[:, 1], np.sum(pts * pts, axis=1)], axis=1)
 
-        def ball_field(p):
-            if np.max(np.abs(p - x)) > 1.5e-5:
+        def ball_field(pts):
+            shapes.append(pts.shape)
+            if np.max(np.abs(pts - x)) > 1.5e-5:
                 raise StencilMissError("outside the ball")
-            return field(p)
+            return field(pts)
 
         got = fd_partials(ball_field, x, cfg, scales=1.0)
         want = fd_partials(field, x, DiffConfig(fd_step=0.1 * cfg.fd_step), scales=1.0)
         assert np.array_equal(got, want)
+        assert shapes == [(12, 3), (12, 3)]
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_one_call_per_step_in_axis_major_order(self, order, rng):
+        """Without a miss the field is called once, with rows axis-major and
+        then in stencil order, each row x moved along one axis."""
+        x = rng.normal(size=4)
+        cfg = DiffConfig(fd_order=order)
+        width = order  # points in the first-derivative stencil
+        stacks = []
+
+        def field(pts):
+            stacks.append(pts.copy())
+            return pts @ np.arange(1.0, 5.0)
+
+        grad = fd_gradient(field, x, cfg, scales=1.0)
+        np.testing.assert_allclose(grad, np.arange(1.0, 5.0), rtol=1e-9)
+        assert len(stacks) == 1 and stacks[0].shape == (4 * width, 4)
+        moved = (stacks[0] - x).reshape(4, width, 4)
+        for axis in range(4):
+            others = np.delete(moved[axis], axis, axis=1)
+            assert np.all(others == 0.0)
+            assert np.all(np.diff(moved[axis, :, axis]) < 0.0)  # offsets descend
 
     def test_miss_at_both_steps_raises(self):
         x = np.ones(3)

@@ -4,20 +4,13 @@ closed forms cross-validated by independent differentiation oracles."""
 
 from .tensors import (
     ConeStencilError,
-    ContractionError,
     DiffConfig,
     Jet2,
-    ShapeError,
     StencilError,
     StencilMissError,
-    Tensor,
     TOLERANCE_CLASSES,
-    contract,
     fd_gradient,
     fd_partials,
-    lower_index,
-    product,
-    raise_index,
 )
 from .profiles import (
     ComboScalars,

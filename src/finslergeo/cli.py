@@ -5,8 +5,8 @@ Subcommands:
   verify-vacuum         the Ricci-flatness suite for the isotropic profiles
   finsler-curvature     spray consistency and the hh-curvature bundle
 
-Exit codes: 0 all executed suites passed, 1 at least one suite failed,
-2 configuration error.
+Exit codes: 0 all executed suites passed, 1 at least one suite failed or
+every suite was skipped, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -125,6 +125,11 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     if args.command == "finsler-curvature":
         profile, epsilon = _FC_PROFILES[args.profile]
         if args.profile == "schwarzschild":
+            if args.charge != 0.0:
+                raise ScenarioError(
+                    "--profile schwarzschild runs at charge 0 only (charged runs need "
+                    f"signature +1); got --charge {args.charge}"
+                )
             profile = {**profile, "xi": args.xi}
         return scenario_from_sections(
             {

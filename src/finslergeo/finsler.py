@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riemann import Frame, MetricState, build_metric
-from .profiles import ProfilePair
+from .riemann import MetricState, build_metric
 from .tensors import DiffConfig, Jet2, StencilMissError, fd_gradient, fd_partials, outer
 
 
@@ -183,21 +182,22 @@ def riemann_spray(metric: MetricState, y: np.ndarray) -> np.ndarray:
 
 def _spray_and_first(
     metric: MetricState, y: np.ndarray, charge: float, relativistic: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """The spray G^i and its closed y-derivative G^i_k from one kinematics
-    evaluation; at charge 0 both are geodesic and need no admissible cone."""
+) -> tuple[np.ndarray, np.ndarray, FinsleroidState | None]:
+    """The spray G^i, its closed y-derivative G^i_k and the kinematics state
+    they came from (one evaluation); at charge 0 both are geodesic, need no
+    admissible cone, and the state is None."""
     y = np.asarray(y, dtype=float)
     base = riemann_spray(metric, y)
     if charge == 0.0:
-        return base, 2.0 * np.einsum("...ikm,...m->...ik", metric.gamma, y)
+        return base, 2.0 * np.einsum("...ikm,...m->...ik", metric.gamma, y), None
     state = kinematics(metric, y, charge, relativistic)
     weight = (state.charge / state.nu) * state.ys
-    return weight[..., None] * state.v_up + base, spray_y_derivative(state)
+    return weight[..., None] * state.v_up + base, spray_y_derivative(state), state
 
 
 def _spray_stack(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
     """G^i followed by G^i_k row-major: the one field each stencil differences."""
-    g, g_first = _spray_and_first(metric, y, charge)
+    g, g_first, _ = _spray_and_first(metric, y, charge)
     return np.concatenate([g, g_first.reshape(g_first.shape[:-2] + (-1,))], axis=-1)
 
 
@@ -259,17 +259,16 @@ def spray_y_second(state: FinsleroidState) -> np.ndarray:
     )
 
 
-def _spray_closed_second(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
-    if charge == 0.0:
-        return 2.0 * metric.gamma
-    return spray_y_second(kinematics(metric, y, charge))
-
-
 @dataclass(frozen=True)
 class SprayDerivatives:
-    """First and second y-derivatives of the spray: closed forms, numeric
-    differentiations, and their disagreements."""
+    """The closed spray at (x, y) with its first and second y-derivatives,
+    their numeric differentiations, and the disagreements.  It carries the
+    point, so the hh-curvature bundle is assembled from it."""
 
+    metric: MetricState
+    y: np.ndarray
+    charge: float
+    spray: np.ndarray
     first_closed: np.ndarray
     first_numeric: np.ndarray
     second_closed: np.ndarray
@@ -286,6 +285,7 @@ def spray_derivatives(
 ) -> SprayDerivatives:
     """Both derivative routes at (x, y).
 
+    The closed G^i, G^i_k and G^i_km come from one kinematics evaluation.
     The first numeric derivative differentiates the spray itself; the
     second differentiates the independently verified closed first
     derivative (one stencil level each keeps the error budget at the
@@ -294,8 +294,8 @@ def spray_derivatives(
     cfg = config or DiffConfig()
     y = np.asarray(y, dtype=float)
     n = y.size
-    first_closed = _spray_and_first(metric, y, charge)[1]
-    second_closed = _spray_closed_second(metric, y, charge)
+    spray, first_closed, state = _spray_and_first(metric, y, charge)
+    second_closed = 2.0 * metric.gamma if state is None else spray_y_second(state)
     # One |y|-scaled stencil pass over [G^i, G^i_k]; fd_partials puts the
     # derivative index first, so it moves last for G^i_k and G^i_km.
     d_stack = fd_partials(
@@ -304,6 +304,10 @@ def spray_derivatives(
     first_numeric = np.transpose(d_stack[:, :n], (1, 0))
     second_numeric = np.transpose(d_stack[:, n:].reshape(n, n, n), (1, 2, 0))
     return SprayDerivatives(
+        metric=metric,
+        y=y,
+        charge=float(charge),
+        spray=spray,
         first_closed=first_closed,
         first_numeric=first_numeric,
         second_closed=second_closed,
@@ -334,15 +338,9 @@ class SprayBundle:
     curvature: np.ndarray
 
 
-def hh_curvature(
-    frame: Frame,
-    profiles: ProfilePair,
-    x: np.ndarray,
-    y: np.ndarray,
-    charge: float,
-    config: DiffConfig | None = None,
-) -> SprayBundle:
-    """Assemble K^2 R^i_k at (x, y) from x-stencils of the closed spray data.
+def hh_curvature(derivs: SprayDerivatives, config: DiffConfig | None = None) -> SprayBundle:
+    """Assemble K^2 R^i_k at the point of ``derivs`` from its closed spray
+    data and one x-stencil of [G^i, G^i_k].
 
     With Gbar = G/2 and y held fixed across the x-stencil:
 
@@ -350,25 +348,20 @@ def hh_curvature(
                     - y^j dGbar^i_k/dx^j + 2 Gbar^j Gbar^i_kj
     """
     cfg = config or DiffConfig()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    metric, y, charge = derivs.metric, derivs.y, derivs.charge
     n = y.size
-    metric = build_metric(frame, profiles, x)
-
-    g_spray, g_first = _spray_and_first(metric, y, charge)
-    g_second = _spray_closed_second(metric, y, charge)
 
     # One r-scaled stencil pass over [G^i, G^i_k]: each stencil metric is built once.
     d_stack = fd_partials(
-        lambda pts: _spray_stack(build_metric(frame, profiles, pts), y, charge),
-        x,
+        lambda pts: _spray_stack(build_metric(metric.frame, metric.profiles, pts), y, charge),
+        metric.x,
         cfg,
         scales=metric.r,
     )
 
-    gbar = 0.5 * g_spray
-    gbar_first = 0.5 * g_first
-    gbar_second = 0.5 * g_second
+    gbar = 0.5 * derivs.spray
+    gbar_first = 0.5 * derivs.first_closed
+    gbar_second = 0.5 * derivs.second_closed
     d_gbar = 0.5 * d_stack[:, :n]                           # [k, i] = d Gbar^i / d x^k
     d_gbar_first = 0.5 * d_stack[:, n:].reshape(n, n, n)    # [j, i, k] = d Gbar^i_k / d x^j
 
@@ -379,12 +372,12 @@ def hh_curvature(
         + 2.0 * np.einsum("j,ikj->ik", gbar, gbar_second)
     )
     return SprayBundle(
-        x=x,
+        x=metric.x,
         y=y,
-        charge=float(charge),
-        spray=g_spray,
-        first=g_first,
-        second=g_second,
+        charge=charge,
+        spray=derivs.spray,
+        first=derivs.first_closed,
+        second=derivs.second_closed,
         curvature=curvature,
     )
 
@@ -478,9 +471,7 @@ def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float]:
 
 
 def transverse_slope_residuals(
-    frame: Frame,
-    profiles: ProfilePair,
-    x: np.ndarray,
+    metric: MetricState,
     y: np.ndarray,
     charge: float,
     config: DiffConfig | None = None,
@@ -493,10 +484,9 @@ def transverse_slope_residuals(
     constant profiles.
     """
     cfg = config or DiffConfig()
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    metric = build_metric(frame, profiles, x)
     state = kinematics(metric, y, charge)
+    frame, profiles, x = metric.frame, metric.profiles, metric.x
 
     def q_field(pts: np.ndarray) -> np.ndarray:
         q2 = fiber_vectors(build_metric(frame, profiles, pts), y)[3]

@@ -39,18 +39,21 @@ class ProfileValues:
 
 @dataclass(frozen=True)
 class ComboScalars:
-    """The four recurring scalar combinations the curvature assembles from.
+    """The four recurring scalar combinations the curvature assembles from,
+    and the mixed one built on c_curv:
 
     c_curv  = c''/c - 2 (c'/c)^2 - c'/(r c)
     m_curv  = (1/m) (m'' - m'/r - (3/2) m'^2 / m)
     m_slope = (m'/m) ((1/4) m'/m + 1/r)
     cross   = (1/2) (c'/c) (m'/m + 2/r)
+    mixed   = c_curv - (c'/c)(m'/m)
     """
 
     c_curv: float
     m_curv: float
     m_slope: float
     cross: float
+    mixed: float
 
 
 @dataclass(frozen=True)
@@ -164,21 +167,25 @@ def _poly(coeffs, w: Jet2) -> Jet2:
     return acc
 
 
-def combo_scalars(pair: ProfilePair, r: float) -> ComboScalars:
-    """The four scalar combinations entering curvature and Ricci assembly."""
-    p = pair.eval(r)
+def combo_scalars(p: ProfileValues, r: float) -> ComboScalars:
+    """The scalar combinations entering curvature and Ricci assembly, from
+    the profile values at radius r (a ProfileValues or a MetricState, which
+    carries the same six scalars)."""
     c_over = p.c1 / p.c
     m_over = p.m1 / p.m
+    c_curv = p.c2 / p.c - 2.0 * c_over**2 - c_over / r
     return ComboScalars(
-        c_curv=p.c2 / p.c - 2.0 * c_over**2 - c_over / r,
+        c_curv=c_curv,
         m_curv=(p.m2 - p.m1 / r - 1.5 * p.m1**2 / p.m) / p.m,
         m_slope=m_over * (0.25 * m_over + 1.0 / r),
         cross=0.5 * c_over * (m_over + 2.0 / r),
+        mixed=c_curv - c_over * m_over,
     )
 
 
-def ricci_coefficients(pair: ProfilePair, r: float, n_dim: int) -> RicciCoefficients:
-    """The three scalars of the Ricci decomposition in dimension n_dim.
+def ricci_coefficients(p: ProfileValues, r: float, n_dim: int) -> RicciCoefficients:
+    """The three scalars of the Ricci decomposition in dimension n_dim, from
+    the profile values at radius r (as for combo_scalars).
 
     With A = c_curv, B = m_curv, C = m_slope, D = cross and the mixed
     combination Y = A - (c'/c)(m'/m):
@@ -190,11 +197,9 @@ def ricci_coefficients(pair: ProfilePair, r: float, n_dim: int) -> RicciCoeffici
     All three vanish identically for the isotropic Schwarzschild pair at
     N = 4, which is the vacuum property.
     """
-    p = pair.eval(r)
-    s = combo_scalars(pair, r)
-    mixed = s.c_curv - (p.c1 / p.c) * (p.m1 / p.m)
+    s = combo_scalars(p, r)
     return RicciCoefficients(
         u_term=-(n_dim - 2) * s.m_slope - 0.5 * s.m_curv + s.cross,
-        bb_term=mixed + (n_dim - 1) * s.cross,
-        nn_term=mixed - (n_dim - 3) * 0.5 * s.m_curv,
+        bb_term=s.mixed + (n_dim - 1) * s.cross,
+        nn_term=s.mixed - (n_dim - 3) * 0.5 * s.m_curv,
     )

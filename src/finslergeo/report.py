@@ -85,8 +85,13 @@ class RunReport:
     suites: tuple[SuiteResult, ...]
 
     @property
+    def nothing_verified(self) -> bool:
+        """Suites were asked for and every one of them was skipped."""
+        return bool(self.suites) and all(s.status == "skipped" for s in self.suites)
+
+    @property
     def passed(self) -> bool:
-        return not any(s.status == "fail" for s in self.suites)
+        return not self.nothing_verified and not any(s.status == "fail" for s in self.suites)
 
     @property
     def exit_code(self) -> int:
@@ -147,5 +152,7 @@ class RunReport:
                         f"    FAIL {check.name}: max {check.residual_max:.3e} "
                         f"> tol {check.tolerance:.1e} over {check.n_samples} samples"
                     )
+        if self.nothing_verified:
+            lines.append("every suite was skipped; nothing was verified")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)

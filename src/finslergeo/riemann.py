@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .profiles import ProfilePair, RicciCoefficients, ricci_coefficients
+from .profiles import ProfilePair, RicciCoefficients, combo_scalars, ricci_coefficients
 from .tensors import DiffConfig, fd_partials, outer
 
 _FRAME_TOL = 1e-9
@@ -351,12 +351,8 @@ def _curvature_blocks(state: MetricState):
 
 def _block_scalars(state: MetricState):
     """Scalar weights of the four blocks: (m_slope, mixed, m_curv/2, cross/c^2)."""
-    r, c, c1, c2, m, m1, m2 = state.r, state.c, state.c1, state.c2, state.m, state.m1, state.m2
-    m_slope = (m1 / m) * (0.25 * m1 / m + 1.0 / r)
-    mixed = c2 / c - 2.0 * (c1 / c) ** 2 - c1 / (r * c) - (c1 / c) * (m1 / m)
-    m_curv_half = 0.5 * (m2 - m1 / r - 1.5 * m1**2 / m) / m
-    cross_c = 0.5 * (c1 / c**3) * (m1 / m + 2.0 / r)
-    return m_slope, mixed, m_curv_half, cross_c
+    s = combo_scalars(state, state.r)
+    return s.m_slope, s.mixed, 0.5 * s.m_curv, s.cross / state.c**2
 
 
 def curvature_closed(state: MetricState) -> np.ndarray:
@@ -429,7 +425,7 @@ def ricci_closed(state: MetricState) -> tuple[np.ndarray, RicciCoefficients]:
         a_n^i_im = u_term * u_nm + bb_term * b_n b_m / (c^2 m) + nn_term * n_n n_m
 
     returned together with its three scalar coefficients."""
-    coeffs = ricci_coefficients(state.profiles, state.r, state.frame.n_dim)
+    coeffs = ricci_coefficients(state, state.r, state.frame.n_dim)
     ric = (
         coeffs.u_term * state.frame.u_low
         + (coeffs.bb_term / (state.c**2 * state.m)) * np.outer(state.b_low, state.b_low)

@@ -37,6 +37,7 @@ validation errors naming the constraint.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -206,7 +207,12 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    """Parse a scenario file to run: unlike a parsed fragment, it must list
+    at least one suite, or the run would verify nothing."""
+    scenario = parse_scenario(Path(path).read_text(encoding="utf-8"))
+    if not scenario.suites:
+        raise ScenarioError(f"{path}: no suites listed; nothing would be verified")
+    return scenario
 
 
 def _integer(section: dict, key: str, default: int) -> int:
@@ -217,9 +223,12 @@ def _integer(section: dict, key: str, default: int) -> int:
 
 
 def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ScenarioError(f"{what} must be a finite number; got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        with contextlib.suppress(OverflowError):  # an integer too large for a float
+            number = float(value)
+            if math.isfinite(number):
+                return number
+    raise ScenarioError(f"{what} must be a finite number; got {value!r}")
 
 
 def _numbers(value, what: str) -> tuple[float, ...]:

@@ -103,15 +103,15 @@ def _sample_admissible(
     charge: float | None = None,
     margin: float = 0.05,
 ):
-    """Sample (state, y) pairs inside the admissible cone, with margins so
-    derivative stencils stay inside too, for at most 60 tries per pair."""
+    """Sample Finsleroid states inside the admissible cone, with margins so
+    derivative stencils stay inside too, for at most 60 tries per state."""
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     lo, hi = _sampling_range(scenario.profile)
     effective_charge = scenario.charge if charge is None else charge
-    pairs = []
+    states = []
     tries = 0
     max_tries = 60 * count
-    while len(pairs) < count and tries < max_tries:
+    while len(states) < count and tries < max_tries:
         tries += 1
         x = _sample_point(rng, scenario.n_dim, lo, hi)
         y = rng.normal(size=scenario.n_dim)
@@ -123,13 +123,13 @@ def _sample_admissible(
         scale = np.sqrt(abs(fib.s2)) + abs(fib.b)
         if fib.q < margin * scale or fib.nu < margin * max(fib.q, 1e-300):
             continue
-        pairs.append((state, y))
-    if len(pairs) < count:
+        states.append(fib)
+    if len(states) < count:
         raise SamplingError(
-            f"only {len(pairs)} of {count} fiber vectors fell well inside the admissible "
+            f"only {len(states)} of {count} fiber vectors fell well inside the admissible "
             f"cone in {max_tries} tries; nothing was verified"
         )
-    return pairs
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +364,14 @@ def suite_finsler_identities(scenario: Scenario, cfg: DiffConfig):
     # The identity set involves the charge through nu; if the scenario runs
     # charge 0 the suite still validates the charged formulas at 0.3.
     charge = scenario.charge if scenario.charge != 0.0 else 0.3
-    pairs = _sample_admissible(scenario, rng, scenario.n_fibers, relativistic, charge=charge)
+    fibers = _sample_admissible(scenario, rng, scenario.n_fibers, relativistic, charge=charge)
 
-    def residuals(pair):
-        state, y = pair
-        fib = kinematics(state, y, charge, relativistic)
+    def residuals(fib):
         res = kinematic_identity_residuals(fib)
         res["e_fiber_derivative_fd"] = _e_fiber_rule_fd(fib, cfg)
         return res
 
-    rows = [residuals(pair) for pair in pairs]
+    rows = [residuals(fib) for fib in fibers]
     # The printed identity suite is only claimed for the positive-definite
     # convention; exploratory indefinite runs report residuals untested.
     identity_tol = None if relativistic else cfg.tolerance("algebraic")
@@ -415,18 +413,18 @@ def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
             {},
         )
     rng = _suite_rng(scenario, "finsler-curvature")
-    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     if scenario.charge == 0.0:
         pairs = _sample_states(scenario, rng, scenario.n_fibers, with_fiber=True)
     else:
-        pairs = _sample_admissible(scenario, rng, scenario.n_fibers, relativistic=False)
+        fibers = _sample_admissible(scenario, rng, scenario.n_fibers, relativistic=False)
+        pairs = [(fib.metric, fib.y) for fib in fibers]
 
     def evaluate(pair):
         state, y = pair
         derivs = spray_derivatives(state, y, scenario.charge, cfg)
-        g1 = spray_coefficients(state, y, scenario.charge)
+        g1 = derivs.spray
         g2 = spray_coefficients(state, 2.0 * y, scenario.charge)
-        bundle = hh_curvature(frame, state.profiles, state.x, y, scenario.charge, cfg)
+        bundle = hh_curvature(derivs, cfg)
         out = {
             "spray_homogeneity": max_abs(g2 - 4.0 * g1),
             "euler_identity": max_abs(derivs.first_closed @ y - 2.0 * g1),
@@ -495,7 +493,8 @@ def run(scenario: Scenario) -> RunReport:
     A suite precondition failure marks the suite skipped and the run
     continues; an unexpected numerical error marks it failed with the
     diagnostic.  Exit-code policy: report.exit_code is 0 iff no suite
-    failed (skips do not fail a run).
+    failed and at least one ran (a run whose every suite skipped verified
+    nothing).
     """
     cfg = _config(scenario)
     suite_results = []

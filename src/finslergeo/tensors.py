@@ -1,10 +1,7 @@
-"""Dense small-tensor arithmetic with explicit index variance, plus two
-independent differentiation engines: second-order Taylor jets (analytic
-chain rule) and central finite differences.  The two engines are used as
-mutual oracles throughout the geometry code.
-
-Tensors are capped at rank 4 and dimension 8; everything is stored densely
-so componentwise tests stay exhaustive and cheap.
+"""Small dense-array helpers plus two independent differentiation engines:
+second-order Taylor jets (analytic chain rule) and central finite
+differences.  The two engines are used as mutual oracles throughout the
+geometry code.
 """
 
 from __future__ import annotations
@@ -14,12 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-
-MAX_RANK = 4
-MAX_DIM = 8
-
-COVARIANT = "d"
-CONTRAVARIANT = "u"
 
 # Default tolerance per check class.  Rationale: error budgets differ by
 # provenance (pure algebra vs closed-form assembly vs finite differences vs
@@ -31,14 +22,6 @@ TOLERANCE_CLASSES: dict[str, float] = {
     "finite_difference": 1e-6,
     "bundle": 1e-5,
 }
-
-
-class ShapeError(ValueError):
-    """Tensor axes disagree in dimension or exceed the rank/dimension caps."""
-
-
-class ContractionError(ValueError):
-    """A contraction paired two indices of the same variance."""
 
 
 class StencilError(RuntimeError):
@@ -55,121 +38,18 @@ class ConeStencilError(StencilError):
     shrinking the step."""
 
 
-@dataclass(frozen=True)
-class Tensor:
-    """Dense tensor over one N-dimensional chart with per-axis variance tags.
-
-    ``variance`` is a string of "u" (contravariant) / "d" (covariant), one
-    character per axis.  Contraction and raising/lowering enforce the tags,
-    so index-position mistakes fail loudly instead of producing silently
-    wrong components.
-    """
-
-    components: np.ndarray
-    variance: str = ""
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.components, dtype=float)
-        object.__setattr__(self, "components", arr)
-        if arr.ndim != len(self.variance):
-            raise ShapeError(
-                f"variance {self.variance!r} has {len(self.variance)} tags "
-                f"for a rank-{arr.ndim} tensor"
-            )
-        if arr.ndim > MAX_RANK:
-            raise ShapeError(f"rank {arr.ndim} exceeds the cap {MAX_RANK}")
-        if arr.ndim > 0:
-            dims = set(arr.shape)
-            if len(dims) != 1:
-                raise ShapeError(f"axes must share one dimension, got {arr.shape}")
-            if arr.shape[0] > MAX_DIM:
-                raise ShapeError(f"dimension {arr.shape[0]} exceeds the cap {MAX_DIM}")
-        bad = set(self.variance) - {COVARIANT, CONTRAVARIANT}
-        if bad:
-            raise ValueError(f"unknown variance tags {sorted(bad)}")
-
-    @property
-    def rank(self) -> int:
-        return self.components.ndim
-
-    @property
-    def n_dim(self) -> int:
-        return self.components.shape[0] if self.rank else 0
-
-    def item(self) -> float:
-        return float(self.components)
-
-
-def product(t1: Tensor, t2: Tensor) -> Tensor:
-    """Outer product; the combined rank must stay within the cap."""
-    if t1.rank + t2.rank > MAX_RANK:
-        raise ShapeError(f"product rank {t1.rank + t2.rank} exceeds the cap {MAX_RANK}")
-    if t1.rank and t2.rank and t1.n_dim != t2.n_dim:
-        raise ShapeError(f"dimension mismatch {t1.n_dim} vs {t2.n_dim}")
-    comp = np.multiply.outer(t1.components, t2.components)
-    return Tensor(comp, t1.variance + t2.variance)
-
-
-def contract(t: Tensor, axis_a: int, axis_b: int) -> Tensor:
-    """Trace over one covariant and one contravariant axis.
-
-    The paired axes must have opposite variance and equal dimension; the
-    result drops both axes (rank reduced by 2).
-    """
-    if t.rank < 2:
-        raise ShapeError(f"cannot contract a rank-{t.rank} tensor")
-    if axis_a == axis_b:
-        raise ShapeError("contraction axes must be distinct")
-    for ax in (axis_a, axis_b):
-        if not 0 <= ax < t.rank:
-            raise ShapeError(f"axis {ax} out of range for rank {t.rank}")
-    if t.variance[axis_a] == t.variance[axis_b]:
-        raise ContractionError(
-            f"axes {axis_a} and {axis_b} are both "
-            f"{'covariant' if t.variance[axis_a] == COVARIANT else 'contravariant'}"
-        )
-    if t.components.shape[axis_a] != t.components.shape[axis_b]:
-        raise ShapeError("contraction axes differ in dimension")
-    comp = np.trace(t.components, axis1=axis_a, axis2=axis_b)
-    variance = "".join(ch for i, ch in enumerate(t.variance) if i not in (axis_a, axis_b))
-    return Tensor(comp, variance)
-
-
-def raise_index(t: Tensor, axis: int, metric_inverse: np.ndarray) -> Tensor:
-    """Raise one covariant axis with the inverse metric a^ij."""
-    if not 0 <= axis < t.rank:
-        raise ShapeError(f"axis {axis} out of range for rank {t.rank}")
-    if t.variance[axis] != COVARIANT:
-        raise ContractionError(f"axis {axis} is already contravariant")
-    g = np.asarray(metric_inverse, dtype=float)
-    comp = np.moveaxis(np.tensordot(g, t.components, axes=(1, axis)), 0, axis)
-    variance = t.variance[:axis] + CONTRAVARIANT + t.variance[axis + 1:]
-    return Tensor(comp, variance)
-
-
-def lower_index(t: Tensor, axis: int, metric: np.ndarray) -> Tensor:
-    """Lower one contravariant axis with the metric a_ij."""
-    if not 0 <= axis < t.rank:
-        raise ShapeError(f"axis {axis} out of range for rank {t.rank}")
-    if t.variance[axis] != CONTRAVARIANT:
-        raise ContractionError(f"axis {axis} is already covariant")
-    g = np.asarray(metric, dtype=float)
-    comp = np.moveaxis(np.tensordot(g, t.components, axes=(1, axis)), 0, axis)
-    variance = t.variance[:axis] + COVARIANT + t.variance[axis + 1:]
-    return Tensor(comp, variance)
-
-
 def transform_components(components: np.ndarray, variance: str, lin: np.ndarray) -> np.ndarray:
     """Push tensor components to the chart x_new = lin @ x_old.
 
-    Contravariant axes transform with ``lin``, covariant axes with its
-    inverse transpose; used by the chart-covariance tests.
+    ``variance`` holds one tag per axis, "u" (contravariant) or "d"
+    (covariant).  Contravariant axes transform with ``lin``, covariant
+    axes with its inverse transpose; used by the chart-covariance tests.
     """
     comp = np.asarray(components, dtype=float)
     lin = np.asarray(lin, dtype=float)
     lin_inv = np.linalg.inv(lin)
     for axis, ch in enumerate(variance):
-        if ch == CONTRAVARIANT:
+        if ch == "u":
             comp = np.moveaxis(np.tensordot(lin, comp, axes=(1, axis)), 0, axis)
         else:
             comp = np.moveaxis(np.tensordot(comp, lin_inv, axes=(axis, 0)), -1, axis)

@@ -183,12 +183,12 @@ def verify_vacuum(
         x[1:] = r * direction
         state = build_metric(frame, profiles, x)
 
+        closed = curvature_closed(state)
         ric_decomposed, coeffs = ricci_closed(state)
-        ric_traced = ricci_from_curvature(curvature_closed(state))
+        ric_traced = ricci_from_curvature(closed)
         ricci_scaled = max(max_abs(ric_decomposed), max_abs(ric_traced)) * r**2
         coeff_scaled = tuple(abs(v) * r**2 for v in coeffs.as_tuple())
 
-        closed = curvature_closed(state)
         oracle = curvature_fd_oracle(state, cfg)
         closed_vs_oracle = rel_frobenius(closed, oracle)
         reduced_vs_closed = rel_frobenius(reduced_curvature(state), closed)

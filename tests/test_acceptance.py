@@ -205,8 +205,8 @@ def test_criterion_7_curvature_bundle_riemannian_limit():
     for k in range(5):
         x = sample_point(rng, 4, 0.6, 4.0)
         y = rng.normal(size=4)
-        bundle = hh_curvature(frame, pair, x, y, 0.0)
         state = build_metric(frame, pair, x)
+        bundle = hh_curvature(spray_derivatives(state, y, 0.0))
         comparison = np.einsum("nikm,n,m->ik", curvature_closed(state), y, y)
         if k == 0:
             sign = 1.0 if max_abs(bundle.curvature - comparison) < max_abs(
@@ -236,7 +236,7 @@ def test_criterion_8_flat_space_zeros():
             y[1:] += 1.0
         state = build_metric(frame, pair, x)
         ric, _ = ricci_closed(state)
-        bundle = hh_curvature(frame, pair, x, y, charge)
+        bundle = hh_curvature(spray_derivatives(state, y, charge))
         spray_correction = bundle.spray  # geodesic part is zero here too
         worst = max(
             worst,

@@ -311,7 +311,7 @@ class TestTransverseSlopeDiagnostic:
         pair = ProfilePair.constant(0.9, 1.0)
         x = sample_point(rng, 4, 1.0, 3.0)
         y = rng.normal(size=4)
-        res = transverse_slope_residuals(frame, pair, x, y, 0.3)
+        res = transverse_slope_residuals(build_metric(frame, pair, x), y, 0.3)
         assert res["coordinate_form"] < 1e-10
         assert res["covariant_form"] < 1e-10
 
@@ -321,8 +321,8 @@ class TestTransverseSlopeDiagnostic:
         bookkeeping is real rather than a sign slip."""
         x = sample_point(rng, 4, 1.0, 3.0)
         y = rng.normal(size=4)
-        res = transverse_slope_residuals(frame4_pd, pd_rational, x, y, 0.3)
         state = build_metric(frame4_pd, pd_rational, x)
+        res = transverse_slope_residuals(state, y, 0.3)
         fib = kinematics(state, y, 0.3)
         from finslergeo.tensors import fd_partials
 
@@ -343,7 +343,7 @@ class TestBundle:
             y = rng.normal(size=4)
             if eps == 1:
                 y[1:] += 1.0  # keep q away from zero
-            bundle = hh_curvature(frame, pair, x, y, charge)
+            bundle = hh_curvature(spray_derivatives(build_metric(frame, pair, x), y, charge))
             assert max_abs(bundle.spray) == 0.0
             assert max_abs(bundle.curvature) < 1e-10
 
@@ -354,8 +354,8 @@ class TestBundle:
         for k in range(5):
             x = sample_point(rng, 4, 0.6, 4.0)
             y = rng.normal(size=4)
-            bundle = hh_curvature(frame4, schwarzschild, x, y, 0.0)
             state = build_metric(frame4, schwarzschild, x)
+            bundle = hh_curvature(spray_derivatives(state, y, 0.0))
             comparison = np.einsum("nikm,n,m->ik", curvature_closed(state), y, y)
             if k == 0:
                 plus = max_abs(bundle.curvature - comparison)
@@ -389,7 +389,8 @@ class TestBundle:
             ),
         ]
         for x, y, trace in probes:
-            bundle = hh_curvature(frame, pair, np.array(x), np.array(y), 0.3)
+            state = build_metric(frame, pair, np.array(x))
+            bundle = hh_curvature(spray_derivatives(state, np.array(y), 0.3))
             assert float(np.trace(bundle.curvature)) == pytest.approx(trace, rel=1e-6)
             assert max_abs(bundle.curvature @ np.array(y)) < 1e-9
 
@@ -399,8 +400,8 @@ class TestBundle:
         are finite and reproducible."""
         x = sample_point(rng, 4, 1.0, 3.0)
         y = rng.normal(size=4)
-        bundle = hh_curvature(frame4_pd, pd_rational, x, y, 0.3)
         state = build_metric(frame4_pd, pd_rational, x)
+        bundle = hh_curvature(spray_derivatives(state, y, 0.3))
         lowered = state.a_low @ bundle.curvature
         sym = max_abs(lowered + lowered.T) / 2.0
         antisym = max_abs(lowered - lowered.T) / 2.0

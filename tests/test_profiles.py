@@ -121,9 +121,9 @@ class TestDerivativeOracle:
 
 class TestComboScalars:
     def test_constant_profiles_vanish(self):
-        s = combo_scalars(ProfilePair.constant(1.4, -2.0), 2.2)
+        s = combo_scalars(ProfilePair.constant(1.4, -2.0).eval(2.2), 2.2)
         assert s.c_curv == s.m_curv == s.m_slope == s.cross == 0.0
-        n = ricci_coefficients(ProfilePair.constant(1.4, -2.0), 2.2, 4)
+        n = ricci_coefficients(ProfilePair.constant(1.4, -2.0).eval(2.2), 2.2, 4)
         assert n.as_tuple() == (0.0, 0.0, 0.0)
 
     def test_schwarzschild_vacuum_coefficients(self, rng):
@@ -133,7 +133,7 @@ class TestComboScalars:
         pair = ProfilePair.schwarzschild_isotropic(xi)
         for _ in range(50):
             r = rng.uniform(xi / 4 * 1.01 + 1e-9, 20 * xi)
-            n = ricci_coefficients(pair, r, 4)
+            n = ricci_coefficients(pair.eval(r), r, 4)
             assert max(abs(v) for v in n.as_tuple()) * r**2 < 1e-10
 
     def test_mixed_combination_value(self):
@@ -141,7 +141,7 @@ class TestComboScalars:
         6 (1/r^2) t/(1+t)^2; at r = 1, xi = 1 that is 6 * 0.25/1.5625 = 0.96."""
         pair = ProfilePair.schwarzschild_isotropic(1.0)
         p = pair.eval(1.0)
-        s = combo_scalars(pair, 1.0)
+        s = combo_scalars(p, 1.0)
         mixed = s.c_curv - (p.c1 / p.c) * (p.m1 / p.m)
         assert mixed == pytest.approx(0.96, rel=1e-12)
 
@@ -153,7 +153,7 @@ class TestComboScalars:
         for _ in range(25):
             r = rng.uniform(0.3, 15.0)
             t = xi / (4.0 * r)
-            s = combo_scalars(pair, r)
+            s = combo_scalars(pair.eval(r), r)
             want = (
                 (t / r**2)
                 / ((1 + t) * (1 - t))
@@ -164,7 +164,7 @@ class TestComboScalars:
     def test_dimension_five_is_not_vacuum(self):
         """At N = 5 the coefficients are (0.64, -0.32, -0.96) at r = 1, xi = 1;
         the vanishing is specific to N = 4."""
-        n = ricci_coefficients(ProfilePair.schwarzschild_isotropic(1.0), 1.0, 5)
+        n = ricci_coefficients(ProfilePair.schwarzschild_isotropic(1.0).eval(1.0), 1.0, 5)
         assert n.u_term == pytest.approx(0.64, rel=1e-12)
         assert n.bb_term == pytest.approx(-0.32, rel=1e-12)
         assert n.nn_term == pytest.approx(-0.96, rel=1e-12)

@@ -166,10 +166,28 @@ class TestRun:
         assert suite.reason is None
 
     def test_charged_curvature_skips_on_indefinite_signature(self):
+        """The suite skips, and a run whose only suite skipped verified
+        nothing, so it does not pass."""
         scenario = parse_scenario("[scenario]\ncharge = 0.3\nsuites = finsler-curvature\n")
         report = run(scenario)
         assert report.suites[0].status == "skipped"
-        assert report.passed
+        assert not report.passed
+        assert report.exit_code == 1
+
+    def test_run_with_every_suite_skipped_fails(self):
+        """A run in which every suite skipped exits 1, and its summary says
+        nothing was verified."""
+        scenario = parse_scenario(
+            "[scenario]\nsignature = 1\nsuites = vacuum, schwarzschild-reductions\n"
+            "[profile]\nkind = constant\nc0 = 0.9\nm0 = 1.0\n"
+        )
+        report = run(scenario)
+        assert [s.status for s in report.suites] == ["skipped", "skipped"]
+        assert not report.passed
+        assert report.exit_code == 1
+        summary = report.human_summary()
+        assert "nothing was verified" in summary
+        assert summary.endswith("overall: FAIL")
 
 
 class TestCli:
@@ -242,10 +260,16 @@ class TestCli:
             (["verify-vacuum", "--dimension", "9"], r"N must be in [2,8]"),
             (["verify-vacuum", "--radii", "0.25,1"], "radii > 0.25"),
             (["finsler-curvature", "--samples", "0"], "must be >= 1"),
+            ("[scenario]\nseed = 3\n", "no suites listed"),
+            (
+                ["finsler-curvature", "--profile", "schwarzschild", "--charge", "0.3"],
+                "charge 0 only",
+            ),
         ],
         ids=[
             "boolean", "integer", "finite", "duplicate-key", "duplicate-suite", "seed",
-            "vacuum-dimension", "vacuum-pole", "curvature-samples",
+            "vacuum-dimension", "vacuum-pole", "curvature-samples", "no-suites",
+            "charged-schwarzschild",
         ],
     )
     def test_every_input_runs_or_exits_2(self, case, message, tmp_path, capsys):

@@ -29,7 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .riemann import MetricState, build_metric
-from .tensors import DiffConfig, Jet2, StencilMissError, fd_gradient, fd_partials, outer
+from .tensors import (
+    DiffConfig,
+    Jet2,
+    StencilMissError,
+    dot,
+    fd_gradient,
+    fd_partials,
+    matvec,
+    max_abs,
+    outer,
+)
 
 
 class AdmissibilityError(StencilMissError):
@@ -55,7 +65,8 @@ class FinsleroidState:
       q2, q    transverse norm squared / its positive root
       v_low    v_i = y_i - b b_i;  v_up = y^i - b b^i
       nu       q + g (1 - c^2) b
-      nu_low   y-gradient of nu: v_k / q + (1 - c^2) g b_k
+      nu_low   y-gradient of nu: v_k / q + (1 - c^2) g b_k (-v_k / q in
+               the relativistic convention q^2 = b^2 - S^2)
       r_mix    transverse projector r^i_k = delta^i_k - b^i b_k  [upper, lower]
       r_low    a_km - b_k b_m
       eta      r_km - v_k v_m / q^2
@@ -115,10 +126,11 @@ def kinematics(
     """Assemble the Finsleroid state at (x, y), enforcing admissibility.
 
     Either side may be a stack (see fiber_vectors); every point of the
-    stack must be admissible.  ``relativistic=True`` flips the transverse
-    norm to q^2 = b^2 - S^2 for exploratory runs on indefinite metrics;
-    the printed identity suite is only claimed (and only asserted) for the
-    positive-definite convention.
+    stack must be admissible, and the error of an inadmissible stack marks
+    its points in ``rows``.  ``relativistic=True`` flips the transverse
+    norm to q^2 = b^2 - S^2 (so dq/dy^k = -v_k/q) for exploratory runs on
+    indefinite metrics; the printed identity suite is only claimed (and
+    only asserted) for the positive-definite convention.
     """
     y = np.asarray(y, dtype=float)
     y_low, b, s2, q2, v_low, v_up = fiber_vectors(metric, y)
@@ -126,16 +138,20 @@ def kinematics(
         q2 = b * b - s2
     if np.any(q2 <= 0.0):
         raise DegenerateFiberError(
-            f"q^2 = {np.min(q2):.3e} <= 0: no transverse norm for this fiber vector"
+            f"q^2 = {np.min(q2):.3e} <= 0: no transverse norm for this fiber vector",
+            rows=q2 <= 0.0,
         )
     q = np.sqrt(q2)
     c = metric.c
     one_minus_c2 = 1.0 - c * c
     nu = q + charge * one_minus_c2 * b
     if np.any(nu <= 0.0):
-        raise OutsideConeError(f"nu = {np.min(nu):.3e} <= 0: fiber vector outside the cone")
+        raise OutsideConeError(
+            f"nu = {np.min(nu):.3e} <= 0: fiber vector outside the cone", rows=nu <= 0.0
+        )
 
-    nu_low = v_low / q[..., None] + (one_minus_c2 * charge)[..., None] * metric.b_low
+    q_slope = -v_low if relativistic else v_low
+    nu_low = q_slope / q[..., None] + (one_minus_c2 * charge)[..., None] * metric.b_low
     n = metric.frame.n_dim
     r_mix = np.eye(n) - outer(metric.b_up, metric.b_low)
     r_low = metric.a_low - outer(metric.b_low, metric.b_low)
@@ -240,20 +256,23 @@ def spray_y_second(state: FinsleroidState) -> np.ndarray:
     Exact under the symmetry of nabla b and constant charge (confirmed
     against the numeric second derivative in the tests).
     """
-    g, nu, q, ys = state.charge, state.nu, state.q, state.ys
+    g = state.charge
+    nu, q, ys = (v[..., None, None, None] for v in (state.nu, state.q, state.ys))
     v, s, nu_low, r_mix, eta = state.v_up, state.s_low, state.nu_low, state.r_mix, state.eta
     return (
-        2.0 * (g / nu**3) * ys * np.einsum("i,k,m->ikm", v, nu_low, nu_low)
-        - (g / (nu**2 * q)) * ys * np.einsum("i,km->ikm", v, eta)
-        + 2.0 * (g / nu) * np.einsum("i,mk->ikm", v, state.metric.nb)
+        2.0 * (g / nu**3) * ys * np.einsum("...i,...k,...m->...ikm", v, nu_low, nu_low)
+        - (g / (nu**2 * q)) * ys * np.einsum("...i,...km->...ikm", v, eta)
+        + 2.0 * (g / nu) * np.einsum("...i,...mk->...ikm", v, state.metric.nb)
         - 2.0 * (g / nu**2) * (
-            np.einsum("i,m,k->ikm", v, nu_low, s) + np.einsum("i,k,m->ikm", v, nu_low, s)
+            np.einsum("...i,...m,...k->...ikm", v, nu_low, s)
+            + np.einsum("...i,...k,...m->...ikm", v, nu_low, s)
         )
         + 2.0 * (g / nu) * (
-            np.einsum("k,im->ikm", s, r_mix) + np.einsum("m,ik->ikm", s, r_mix)
+            np.einsum("...k,...im->...ikm", s, r_mix) + np.einsum("...m,...ik->...ikm", s, r_mix)
         )
         - (g / nu**2) * ys * (
-            np.einsum("m,ik->ikm", nu_low, r_mix) + np.einsum("k,im->ikm", nu_low, r_mix)
+            np.einsum("...m,...ik->...ikm", nu_low, r_mix)
+            + np.einsum("...k,...im->...ikm", nu_low, r_mix)
         )
         + 2.0 * state.metric.gamma
     )
@@ -262,8 +281,9 @@ def spray_y_second(state: FinsleroidState) -> np.ndarray:
 @dataclass(frozen=True)
 class SprayDerivatives:
     """The closed spray at (x, y) with its first and second y-derivatives,
-    their numeric differentiations, and the disagreements.  It carries the
-    point, so the hh-curvature bundle is assembled from it."""
+    their numeric differentiations, and the disagreements (one per sample
+    over a batch).  It carries the point, so the hh-curvature bundle is
+    assembled from it."""
 
     metric: MetricState
     y: np.ndarray
@@ -273,8 +293,8 @@ class SprayDerivatives:
     first_numeric: np.ndarray
     second_closed: np.ndarray
     second_numeric: np.ndarray
-    first_gap: float
-    second_gap: float
+    first_gap: float | np.ndarray
+    second_gap: float | np.ndarray
 
 
 def spray_derivatives(
@@ -283,7 +303,8 @@ def spray_derivatives(
     charge: float,
     config: DiffConfig | None = None,
 ) -> SprayDerivatives:
-    """Both derivative routes at (x, y).
+    """Both derivative routes at (x, y), or at each sample of a batch: a
+    metric over B points with fiber vectors y (B, N).
 
     The closed G^i, G^i_k and G^i_km come from one kinematics evaluation.
     The first numeric derivative differentiates the spray itself; the
@@ -293,16 +314,21 @@ def spray_derivatives(
     """
     cfg = config or DiffConfig()
     y = np.asarray(y, dtype=float)
-    n = y.size
+    n = y.shape[-1]
     spray, first_closed, state = _spray_and_first(metric, y, charge)
     second_closed = 2.0 * metric.gamma if state is None else spray_y_second(state)
-    # One |y|-scaled stencil pass over [G^i, G^i_k]; fd_partials puts the
-    # derivative index first, so it moves last for G^i_k and G^i_km.
+    # One |y|-scaled stencil pass over [G^i, G^i_k], each sample's metric
+    # broadcast over its rows; fd_partials puts the derivative index before
+    # the components, so it moves last for G^i_k and G^i_km.
+    rows = metric.per_row()
     d_stack = fd_partials(
-        lambda ys: _spray_stack(metric, ys, charge), y, cfg, scales=float(np.linalg.norm(y))
+        lambda ys: _spray_stack(rows, ys, charge),
+        y,
+        cfg,
+        scales=np.linalg.norm(y, axis=-1)[..., None],
     )
-    first_numeric = np.transpose(d_stack[:, :n], (1, 0))
-    second_numeric = np.transpose(d_stack[:, n:].reshape(n, n, n), (1, 2, 0))
+    first_numeric = np.swapaxes(d_stack[..., :n], -1, -2)
+    second_numeric = np.moveaxis(d_stack[..., n:].reshape(y.shape[:-1] + (n, n, n)), -3, -1)
     return SprayDerivatives(
         metric=metric,
         y=y,
@@ -312,8 +338,8 @@ def spray_derivatives(
         first_numeric=first_numeric,
         second_closed=second_closed,
         second_numeric=second_numeric,
-        first_gap=float(np.max(np.abs(first_closed - first_numeric))),
-        second_gap=float(np.max(np.abs(second_closed - second_numeric))),
+        first_gap=max_abs(first_closed - first_numeric, 2),
+        second_gap=max_abs(second_closed - second_numeric, 3),
     )
 
 
@@ -339,8 +365,8 @@ class SprayBundle:
 
 
 def hh_curvature(derivs: SprayDerivatives, config: DiffConfig | None = None) -> SprayBundle:
-    """Assemble K^2 R^i_k at the point of ``derivs`` from its closed spray
-    data and one x-stencil of [G^i, G^i_k].
+    """Assemble K^2 R^i_k at the point (or at each sample) of ``derivs``
+    from its closed spray data and one x-stencil of [G^i, G^i_k].
 
     With Gbar = G/2 and y held fixed across the x-stencil:
 
@@ -349,27 +375,28 @@ def hh_curvature(derivs: SprayDerivatives, config: DiffConfig | None = None) -> 
     """
     cfg = config or DiffConfig()
     metric, y, charge = derivs.metric, derivs.y, derivs.charge
-    n = y.size
+    n = y.shape[-1]
+    y_rows = y[..., None, :]  # each sample's y, broadcast over its stencil rows
 
     # One r-scaled stencil pass over [G^i, G^i_k]: each stencil metric is built once.
     d_stack = fd_partials(
-        lambda pts: _spray_stack(build_metric(metric.frame, metric.profiles, pts), y, charge),
+        lambda pts: _spray_stack(build_metric(metric.frame, metric.profiles, pts), y_rows, charge),
         metric.x,
         cfg,
-        scales=metric.r,
+        scales=metric.r[..., None],
     )
 
     gbar = 0.5 * derivs.spray
     gbar_first = 0.5 * derivs.first_closed
     gbar_second = 0.5 * derivs.second_closed
-    d_gbar = 0.5 * d_stack[:, :n]                           # [k, i] = d Gbar^i / d x^k
-    d_gbar_first = 0.5 * d_stack[:, n:].reshape(n, n, n)    # [j, i, k] = d Gbar^i_k / d x^j
+    d_gbar = 0.5 * d_stack[..., :n]  # [k, i] = d Gbar^i / d x^k
+    d_gbar_first = 0.5 * d_stack[..., n:].reshape(y.shape[:-1] + (n, n, n))  # [j, i, k]
 
     curvature = (
-        2.0 * d_gbar.T
+        2.0 * np.swapaxes(d_gbar, -1, -2)
         - gbar_first @ gbar_first
-        - np.einsum("j,jik->ik", y, d_gbar_first)
-        + 2.0 * np.einsum("j,ikj->ik", gbar, gbar_second)
+        - np.einsum("...j,...jik->...ik", y, d_gbar_first)
+        + 2.0 * np.einsum("...j,...ikj->...ik", gbar, gbar_second)
     )
     return SprayBundle(
         x=metric.x,
@@ -389,8 +416,8 @@ def hh_curvature(derivs: SprayDerivatives, config: DiffConfig | None = None) -> 
 
 def _fiber_jets(state: FinsleroidState):
     """Second-order jets of the fiber scalars along y + t e_axis, for every
-    axis in one pass: jet parts have axes [axis] (scalars, kept as a column)
-    or [axis, k] (covector components).
+    axis in one pass: after the state's sample axes, jet parts have axes
+    [axis, 1] (scalars) or [axis, k] (covector components).
 
     Jet arithmetic gives the exact directional derivative of every quantity
     built from b(t), S^2(t), q(t), so derivative identities can be checked
@@ -399,20 +426,25 @@ def _fiber_jets(state: FinsleroidState):
     ms = state.metric
     a = ms.a_low
     b_low = ms.b_low
-    bj = Jet2(state.b, b_low[:, None], 0.0)
-    s2j = Jet2(state.s2, 2.0 * state.y_low[:, None], 2.0 * np.diag(a)[:, None])
+    bj = Jet2(state.b[..., None, None], b_low[..., :, None], 0.0)
+    s2j = Jet2(
+        state.s2[..., None, None],
+        2.0 * state.y_low[..., :, None],
+        2.0 * np.diagonal(a, axis1=-2, axis2=-1)[..., :, None],
+    )
     q2j = bj * bj - s2j if state.relativistic else s2j - bj * bj
     qj = q2j.sqrt()
     gc = state.charge * (1.0 - ms.c**2)
-    nuj = qj + gc * bj
-    v_j = Jet2(state.v_low, a - outer(b_low, b_low), 0.0)
-    ratio_j = (v_j / qj + gc * b_low) / nuj
-    e_j = bj / q2j * v_j - b_low
+    nuj = qj + bj * gc[..., None, None]
+    v_j = Jet2(state.v_low[..., None, :], a - outer(b_low, b_low), 0.0)
+    ratio_j = (v_j / qj + (gc[..., None] * b_low)[..., None, :]) / nuj
+    e_j = bj / q2j * v_j - b_low[..., None, :]
     return nuj, ratio_j, e_j
 
 
-def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float]:
-    """Two-sided residuals of the printed kinematic identities.
+def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float | np.ndarray]:
+    """Two-sided residuals of the printed kinematic identities, one per
+    sample of the state (a float for one point).
 
     Derivative identities evaluate their left sides with directional jets
     (exact chain rule), so every residual measures pure algebra:
@@ -431,42 +463,43 @@ def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float]:
     c2 = ms.c**2
     one_minus_c2 = 1.0 - c2
     g = state.charge
+    b, q, q2, nu = state.b, state.q, state.q2, state.nu
 
-    res: dict[str, float] = {}
+    res: dict[str, float | np.ndarray] = {}
 
     # Jet-based derivative identities: one pass over all directions.
     nuj, ratio_j, e_j = _fiber_jets(state)
-    nu_grad = nuj.d1[:, 0]
+    nu_grad = nuj.d1[..., 0]
     ratio_d = ratio_j.d1  # [m, k] = d(nu_k/nu)/dy^m
     e_d = e_j.d1          # [j, k] = d(e_k)/dy^j
 
-    res["nu_gradient"] = float(np.max(np.abs(state.nu_low - nu_grad)))
+    res["nu_gradient"] = max_abs(state.nu_low - nu_grad, 1)
 
     ratio_rhs = (
-        -np.outer(state.nu_low, state.nu_low) / state.nu**2
-        + state.eta / (state.nu * state.q)
+        -outer(state.nu_low, state.nu_low) / (nu**2)[..., None, None]
+        + state.eta / (nu * q)[..., None, None]
     )  # [k, m]; symmetric in (k, m)
-    res["nu_ratio_derivative"] = float(np.max(np.abs(ratio_d - ratio_rhs.T)))
+    res["nu_ratio_derivative"] = max_abs(ratio_d - np.swapaxes(ratio_rhs, -1, -2), 2)
 
-    e_rhs = (state.b / state.q2) * state.eta - np.outer(state.v_low, state.e_fiber) / state.q2
+    q2_col = q2[..., None, None]
+    e_rhs = (b / q2)[..., None, None] * state.eta - outer(state.v_low, state.e_fiber) / q2_col
     # e_rhs[k, j] = d(e_k)/dy^j; compare against e_d[j, k].
-    res["e_fiber_derivative"] = float(np.max(np.abs(e_d - e_rhs.T)))
+    res["e_fiber_derivative"] = max_abs(e_d - np.swapaxes(e_rhs, -1, -2), 2)
 
-    v_up, v_low = state.v_up, state.v_low
-    res["v_dot_s"] = abs(float(v_up @ state.s_low) - (state.ys - state.b * state.sigma))
-    res["v_projected"] = float(
-        np.max(np.abs(state.r_mix @ v_up - (v_up - one_minus_c2 * state.b * ms.b_up)))
+    v_up, v_low, r_mix = state.v_up, state.v_low, state.r_mix
+    res["v_dot_s"] = np.abs(dot(v_up, state.s_low) - (state.ys - b * state.sigma))
+    res["v_projected"] = max_abs(
+        matvec(r_mix, v_up) - (v_up - (one_minus_c2 * b)[..., None] * ms.b_up), 1
     )
-    proj_sq = np.einsum("ij,jm->im", state.r_mix, state.r_mix)
-    res["projector_square"] = float(
-        np.max(np.abs(proj_sq - (state.r_mix - one_minus_c2 * np.outer(ms.b_up, ms.b_low))))
+    proj_sq = np.einsum("...ij,...jm->...im", r_mix, r_mix)
+    res["projector_square"] = max_abs(
+        proj_sq - (r_mix - one_minus_c2[..., None, None] * outer(ms.b_up, ms.b_low)), 2
     )
-    res["v_norm"] = abs(float(v_low @ v_up) - (state.q2 - one_minus_c2 * state.b**2))
-    res["nu_dot_v"] = abs(
-        float(state.nu_low @ v_up)
-        - (state.nu - one_minus_c2 * (state.b**2 + g * c2 * state.b * state.q) / state.q)
+    res["v_norm"] = np.abs(dot(v_low, v_up) - (q2 - one_minus_c2 * b**2))
+    res["nu_dot_v"] = np.abs(
+        dot(state.nu_low, v_up) - (nu - one_minus_c2 * (b**2 + g * c2 * b * q) / q)
     )
-    res["b_dot_v"] = abs(float(ms.b_low @ v_up) - one_minus_c2 * state.b)
+    res["b_dot_v"] = np.abs(dot(ms.b_low, v_up) - one_minus_c2 * b)
     return res
 
 

@@ -23,6 +23,7 @@ class CheckResult:
     tolerance_class: str | None
     n_samples: int
     passed: bool
+    worst_index: int | None = None
 
     @staticmethod
     def from_residuals(
@@ -31,10 +32,14 @@ class CheckResult:
         tolerance: float | None,
         tolerance_class: str | None = None,
     ) -> "CheckResult":
+        """Statistics of per-sample residuals given in draw order;
+        ``worst_index`` is the position of the first sample that attains
+        the maximum (None without samples)."""
         import numpy as np
 
         values = np.asarray(list(residuals), dtype=float)
-        worst = float(np.max(values)) if values.size else 0.0
+        worst_index = int(np.argmax(values)) if values.size else None
+        worst = float(values[worst_index]) if values.size else 0.0
         med = float(np.median(values)) if values.size else 0.0
         passed = True if tolerance is None else worst <= tolerance
         return CheckResult(
@@ -45,6 +50,7 @@ class CheckResult:
             tolerance_class=tolerance_class,
             n_samples=int(values.size),
             passed=passed,
+            worst_index=worst_index,
         )
 
     def to_dict(self) -> dict:
@@ -56,6 +62,7 @@ class CheckResult:
             "tolerance_class": self.tolerance_class,
             "n_samples": self.n_samples,
             "passed": self.passed,
+            "worst_index": self.worst_index,
         }
 
 
@@ -86,8 +93,8 @@ class RunReport:
 
     @property
     def nothing_verified(self) -> bool:
-        """Suites were asked for and every one of them was skipped."""
-        return bool(self.suites) and all(s.status == "skipped" for s in self.suites)
+        """No suite ran: none was asked for, or every one was skipped."""
+        return all(s.status == "skipped" for s in self.suites)
 
     @property
     def passed(self) -> bool:
@@ -152,7 +159,9 @@ class RunReport:
                         f"    FAIL {check.name}: max {check.residual_max:.3e} "
                         f"> tol {check.tolerance:.1e} over {check.n_samples} samples"
                     )
-        if self.nothing_verified:
+        if not self.suites:
+            lines.append("no suite was asked for; nothing was verified")
+        elif self.nothing_verified:
             lines.append("every suite was skipped; nothing was verified")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)

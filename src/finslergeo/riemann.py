@@ -8,18 +8,20 @@ block u_ij with e_ij = e_i e_j + eps u_ij.  The metric family is
 with r = sqrt(u_ij x^i x^j).  Every derived object (covariant derivatives
 of b and c, Christoffel symbols, Riemann and Ricci curvature) has a closed
 form assembled here, each paired with a finite-difference oracle built from
-nothing but the definition.
+nothing but the definition.  Each takes a state at one point or at a batch
+of points (leading sample axes) and returns one result per sample.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .profiles import ProfilePair, RicciCoefficients, combo_scalars, ricci_coefficients
-from .tensors import DiffConfig, fd_partials, outer
+from .tensors import DiffConfig, dot, fd_partials, outer
 
 _FRAME_TOL = 1e-9
 
@@ -131,8 +133,7 @@ class Frame:
 
     def radius(self, x: np.ndarray) -> float | np.ndarray:
         """r = sqrt(u_ij x^i x^j) for a point or, row by row, a stack of points."""
-        # A stacked matmul sums in the same order as x @ u @ x at one point.
-        r2 = ((x @ self.u_low)[..., None, :] @ x[..., :, None])[..., 0, 0]
+        r2 = dot(x @ self.u_low, x)
         if np.any(r2 <= 0.0):
             raise RadialSingularityError(
                 "radius vanishes (point on the axis); the metric family is singular at r = 0"
@@ -185,6 +186,44 @@ class MetricState:
     def nb(self) -> np.ndarray:
         """nabla_b(self), computed once."""
         return nabla_b(self)
+
+    def per_row(self) -> "MetricState":
+        """The same state with a unit axis inserted after its sample axes, so
+        that it broadcasts against each sample's stack of stencil rows
+        without a copy per row; values already cached (Christoffel symbols,
+        nabla b) come along as views."""
+        at = np.ndim(self.r)
+        return _combine([self], lambda values: np.expand_dims(values[0], at))
+
+
+def stack_states(states: list):
+    """One state over a leading sample axis from per-sample states of one
+    kind (MetricState or FinsleroidState) on one frame, profile pair and
+    charge: every per-point array, nested state and cached value is stacked
+    as computed, nothing is evaluated again."""
+    return _combine(states, np.array)
+
+
+def _combine(states: list, join):
+    """A state of the kind of ``states[0]`` whose array fields, nested
+    states and values cached on every state are ``join`` of the states'
+    values; other fields (frame, profiles, charge, flags) come from the
+    first state."""
+    first = states[0]
+    values = {}
+    for f in dataclasses.fields(first):
+        items = [getattr(s, f.name) for s in states]
+        if isinstance(items[0], MetricState):
+            values[f.name] = _combine(items, join)
+        elif isinstance(items[0], (np.ndarray, np.generic)):
+            values[f.name] = join(items)
+        else:
+            values[f.name] = items[0]
+    out = type(first)(**values)
+    for key in vars(first).keys() - values.keys():
+        if all(key in vars(s) for s in states):
+            vars(out)[key] = join([vars(s)[key] for s in states])
+    return out
 
 
 def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricState:
@@ -311,10 +350,10 @@ def christoffel_definitional(state: MetricState, config: DiffConfig | None = Non
     def metric_field(pts: np.ndarray) -> np.ndarray:
         return build_metric(state.frame, state.profiles, pts).a_low
 
-    da = fd_partials(metric_field, state.x, cfg, scales=state.r)  # da[n, i, j] = d_n a_ij
+    da = fd_partials(metric_field, state.x, cfg, scales=state.r[..., None])  # [n, i, j] = d_n a_ij
     # combo[i, n, j] = d_i a_nj + d_j a_ni - d_n a_ij
-    combo = da + np.transpose(da, (2, 1, 0)) - np.transpose(da, (1, 0, 2))
-    return 0.5 * np.einsum("kn,inj->kij", state.a_up, combo)
+    combo = da + np.einsum("...jni->...inj", da) - np.swapaxes(da, -3, -2)
+    return 0.5 * np.einsum("...kn,...inj->...kij", state.a_up, combo)
 
 
 # ---------------------------------------------------------------------------
@@ -323,36 +362,42 @@ def christoffel_definitional(state: MetricState, config: DiffConfig | None = Non
 
 
 def _curvature_blocks(state: MetricState):
-    """The four index blocks of the curvature closed form, axes [n, i, k, m]."""
+    """The four index blocks of the curvature closed form, axes [n, i, k, m]
+    after the state's sample axes (t_uu, built from the frame alone, has none)."""
     n, n_up = state.n_low, state.n_up
     b, b_up = state.b_low, state.b_up
     u, u_mix = state.frame.u_low, state.frame.u_mix
-    m = state.m
+    inv_m = (1.0 / state.m)[..., None, None, None, None]
 
-    anti_nb = np.outer(n, b) - np.outer(b, n)  # [k, m] = n_k b_m - n_m b_k
+    anti_nb = outer(n, b) - outer(b, n)  # [k, m] = n_k b_m - n_m b_k
     t_uu = np.einsum("mn,ki->nikm", u, u_mix) - np.einsum("kn,mi->nikm", u, u_mix)
-    t_nb = np.einsum("n,km,i->nikm", n, anti_nb, b_up) - (1.0 / m) * np.einsum(
-        "n,km,i->nikm", b, anti_nb, n_up
+    t_nb = np.einsum("...n,...km,...i->...nikm", n, anti_nb, b_up) - inv_m * np.einsum(
+        "...n,...km,...i->...nikm", b, anti_nb, n_up
     )
     t_nu = (
-        np.einsum("n,m,ki->nikm", n, n, u_mix)
-        - np.einsum("n,k,mi->nikm", n, n, u_mix)
-        - np.einsum("m,nk,i->nikm", n, u, n_up)
-        + np.einsum("k,nm,i->nikm", n, u, n_up)
+        np.einsum("...n,...m,ki->...nikm", n, n, u_mix)
+        - np.einsum("...n,...k,mi->...nikm", n, n, u_mix)
+        - np.einsum("...m,nk,...i->...nikm", n, u, n_up)
+        + np.einsum("...k,nm,...i->...nikm", n, u, n_up)
     )
     t_bu = (
-        (1.0 / m)
-        * (np.einsum("n,m,ki->nikm", b, b, u_mix) - np.einsum("n,k,mi->nikm", b, b, u_mix))
-        - np.einsum("m,nk,i->nikm", b, u, b_up)
-        + np.einsum("k,nm,i->nikm", b, u, b_up)
+        inv_m
+        * (
+            np.einsum("...n,...m,ki->...nikm", b, b, u_mix)
+            - np.einsum("...n,...k,mi->...nikm", b, b, u_mix)
+        )
+        - np.einsum("...m,nk,...i->...nikm", b, u, b_up)
+        + np.einsum("...k,nm,...i->...nikm", b, u, b_up)
     )
     return t_uu, t_nb, t_nu, t_bu
 
 
 def _block_scalars(state: MetricState):
-    """Scalar weights of the four blocks: (m_slope, mixed, m_curv/2, cross/c^2)."""
+    """Scalar weights of the four blocks, (m_slope, mixed, m_curv/2,
+    cross/c^2), each with four unit axes to scale a block."""
     s = combo_scalars(state, state.r)
-    return s.m_slope, s.mixed, 0.5 * s.m_curv, s.cross / state.c**2
+    weights = (s.m_slope, s.mixed, 0.5 * s.m_curv, s.cross / state.c**2)
+    return tuple(w[..., None, None, None, None] for w in weights)
 
 
 def curvature_closed(state: MetricState) -> np.ndarray:
@@ -367,12 +412,16 @@ def curvature_closed(state: MetricState) -> np.ndarray:
     _, t_nb, t_nu, t_bu = _curvature_blocks(state)
     m_slope, mixed, m_curv_half, cross_c = _block_scalars(state)
     a, b, b_up = state.a_low, state.b_low, state.b_up
-    m, c = state.m, state.c
+    m, c = (v[..., None, None, None, None] for v in (state.m, state.c))
     eye = np.eye(state.frame.n_dim)
 
-    block_a = np.einsum("mn,ki->nikm", a, eye) - np.einsum("kn,mi->nikm", a, eye)
-    block_ab = np.einsum("mn,k,i->nikm", a, b, b_up) - np.einsum("kn,m,i->nikm", a, b, b_up)
-    block_bb = np.einsum("m,n,ki->nikm", b, b, eye) - np.einsum("k,n,mi->nikm", b, b, eye)
+    block_a = np.einsum("...mn,ki->...nikm", a, eye) - np.einsum("...kn,mi->...nikm", a, eye)
+    block_ab = np.einsum("...mn,...k,...i->...nikm", a, b, b_up) - np.einsum(
+        "...kn,...m,...i->...nikm", a, b, b_up
+    )
+    block_bb = np.einsum("...m,...n,ki->...nikm", b, b, eye) - np.einsum(
+        "...k,...n,mi->...nikm", b, b, eye
+    )
     return (
         -(m_slope / m) * block_a
         + (m_slope / (c**2 * m)) * (block_ab + block_bb)
@@ -386,9 +435,8 @@ def curvature_presubstitution(state: MetricState) -> np.ndarray:
     """The equivalent four-block curvature form kept in u/n/b variables."""
     t_uu, t_nb, t_nu, t_bu = _curvature_blocks(state)
     m_slope, mixed, m_curv_half, cross_c = _block_scalars(state)
-    return (
-        -m_slope * t_uu - (mixed / state.c**2) * t_nb - m_curv_half * t_nu + cross_c * t_bu
-    )
+    c2 = (state.c**2)[..., None, None, None, None]
+    return -m_slope * t_uu - (mixed / c2) * t_nb - m_curv_half * t_nu + cross_c * t_bu
 
 
 def curvature_fd_oracle(state: MetricState, config: DiffConfig | None = None) -> np.ndarray:
@@ -404,19 +452,19 @@ def curvature_fd_oracle(state: MetricState, config: DiffConfig | None = None) ->
     def gamma_field(pts: np.ndarray) -> np.ndarray:
         return christoffel(build_metric(state.frame, state.profiles, pts))
 
-    dgamma = fd_partials(gamma_field, state.x, cfg, scales=state.r)  # [d, k, i, j]
-    gamma = christoffel(state)
+    dgamma = fd_partials(gamma_field, state.x, cfg, scales=state.r[..., None])  # [d, k, i, j]
+    gamma = state.gamma
     return (
-        np.transpose(dgamma, (2, 1, 0, 3))
-        - np.transpose(dgamma, (2, 1, 3, 0))
-        + np.einsum("unm,iuk->nikm", gamma, gamma)
-        - np.einsum("unk,ium->nikm", gamma, gamma)
+        np.einsum("...kinm->...nikm", dgamma)
+        - np.einsum("...mink->...nikm", dgamma)
+        + np.einsum("...unm,...iuk->...nikm", gamma, gamma)
+        - np.einsum("...unk,...ium->...nikm", gamma, gamma)
     )
 
 
 def ricci_from_curvature(curvature: np.ndarray) -> np.ndarray:
     """Contract the upper index with the first derivative index: a_n^i_im."""
-    return np.trace(curvature, axis1=1, axis2=2)
+    return np.trace(curvature, axis1=-3, axis2=-2)
 
 
 def ricci_closed(state: MetricState) -> tuple[np.ndarray, RicciCoefficients]:
@@ -426,9 +474,13 @@ def ricci_closed(state: MetricState) -> tuple[np.ndarray, RicciCoefficients]:
 
     returned together with its three scalar coefficients."""
     coeffs = ricci_coefficients(state, state.r, state.frame.n_dim)
+    u_term, bb_term, nn_term = (
+        v[..., None, None]
+        for v in (coeffs.u_term, coeffs.bb_term / (state.c**2 * state.m), coeffs.nn_term)
+    )
     ric = (
-        coeffs.u_term * state.frame.u_low
-        + (coeffs.bb_term / (state.c**2 * state.m)) * np.outer(state.b_low, state.b_low)
-        + coeffs.nn_term * np.outer(state.n_low, state.n_low)
+        u_term * state.frame.u_low
+        + bb_term * outer(state.b_low, state.b_low)
+        + nn_term * outer(state.n_low, state.n_low)
     )
     return ric, coeffs

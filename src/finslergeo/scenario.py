@@ -57,6 +57,11 @@ SUITES = (
 
 DEFAULT_RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
 
+# Largest accepted ``points`` / ``fibers`` count: every sample is drawn and
+# evaluated, so run time grows with the count, and an unbounded count (a
+# many-digit integer) would never finish instead of being refused.
+MAX_COUNT = 10_000
+
 _SECTION_KEYS = {
     "scenario": {
         "dimension",
@@ -310,6 +315,11 @@ def scenario_from_sections(sections: dict[str, dict[str, object]]) -> Scenario:
     n_fibers = _integer(samples, "fibers", 100)
     if n_points < 1 or n_fibers < 1:
         raise ScenarioError("points and fibers counts must be >= 1")
+    if n_points > MAX_COUNT or n_fibers > MAX_COUNT:
+        raise ScenarioError(
+            f"points and fibers counts must be <= {MAX_COUNT}; "
+            f"got points = {n_points}, fibers = {n_fibers}"
+        )
 
     tolerances = dict(TOLERANCE_CLASSES)
     for name, value in tols.items():

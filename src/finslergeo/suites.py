@@ -1,9 +1,10 @@
 """Verification suites driven by a Scenario.
 
 Each suite samples deterministically from a seed derived from the scenario
-seed and the suite's fixed position, evaluates its residuals sample by
-sample, and returns per-check statistics.  A suite whose preconditions
-fail is marked skipped with the reason, and the run continues.
+seed and the suite's fixed position, evaluates its residuals on stacked
+chunks of samples (one residual per sample, in draw order), and returns
+per-check statistics.  A suite whose preconditions fail is marked skipped
+with the reason, and the run continues.
 """
 
 from __future__ import annotations
@@ -25,19 +26,40 @@ from .profiles import DomainError, ProfilePair
 from .report import CheckResult, RunReport, SuiteResult
 from .riemann import (
     Frame,
-    MetricState,
     build_metric,
-    christoffel,
     christoffel_definitional,
     curvature_closed,
     curvature_fd_oracle,
     curvature_presubstitution,
     ricci_closed,
     ricci_from_curvature,
+    stack_states,
 )
 from .scenario import SUITES, Scenario
-from .tensors import DiffConfig, fd_partials, max_abs, rel_frobenius
+from .tensors import DiffConfig, dot, fd_partials, matvec, max_abs, outer, rel_frobenius
 from .vacuum import contraction_identities, reduced_curvature, verify_vacuum
+
+# Samples are evaluated in stacked chunks: one call per chunk instead of
+# one per sample removes the per-call overhead on tiny arrays, but a
+# chunk's stencil arrays grow with it (all 100 fibers of an N = 8 charged
+# finsler-curvature run in one chunk peak at 57 MB of arrays, against
+# 3.8 MB chunked).  The largest value a stencil row holds is an N^3 array
+# (the Christoffel symbols of the row's metric) and a sample has N * 4 rows
+# (order-4 stencil), so a chunk takes as many samples as keep that array
+# within this many floats (512 KiB): 64 samples at N = 4, 4 at N = 8.
+STENCIL_FLOAT_BUDGET = 2**16
+
+
+def _chunks(samples: list, n_dim: int) -> list[list]:
+    size = max(1, STENCIL_FLOAT_BUDGET // (4 * n_dim**4))
+    return [samples[i : i + size] for i in range(0, len(samples), size)]
+
+
+def _per_sample(samples: list, n_dim: int, evaluate) -> dict[str, np.ndarray]:
+    """Run ``evaluate`` on each chunk of samples; it returns per-sample
+    arrays by name, which are joined in draw order."""
+    parts = [evaluate(chunk) for chunk in _chunks(samples, n_dim)]
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
 def _config(scenario: Scenario) -> DiffConfig:
@@ -142,32 +164,37 @@ def suite_frame_identities(scenario: Scenario, cfg: DiffConfig):
     states = _sample_states(scenario, rng, scenario.n_points)
     frame = states[0].frame
     eye = np.eye(scenario.n_dim)
+    e, e_up = frame.e_low, frame.e_up
+    u, u_up, u_mix = frame.u_low, frame.u_up, frame.u_mix
+    # Frame identities do not depend on the point: the same value per sample.
+    frame_rows = {
+        "axis_normalisation": abs(e @ e_up - 1.0),
+        "axis_transversality": max_abs(e_up @ u),
+        "transverse_inverse": max_abs(u_up @ u - (eye - np.outer(e_up, e))),
+        "transverse_mixed": max_abs(u_mix - (eye - np.outer(e, e_up))),
+    }
 
-    def residuals(state: MetricState) -> dict[str, float]:
-        e, e_up = frame.e_low, frame.e_up
-        u, u_up, u_mix = frame.u_low, frame.u_up, frame.u_mix
-        return {
-            "axis_normalisation": abs(e @ e_up - 1.0),
-            "axis_transversality": max_abs(e_up @ u),
-            "transverse_inverse": max_abs(u_up @ u - (eye - np.outer(e_up, e))),
-            "transverse_mixed": max_abs(u_mix - (eye - np.outer(e, e_up))),
-            "metric_inverse": max_abs(state.a_low @ state.a_up - eye),
-            "axis_vector_norm": abs(state.b_up @ state.b_low - state.c**2),
-            "axis_vector_transversality": max_abs(state.b_up @ u),
-            "axis_vector_form": max_abs(state.b_up - state.c**2 * e_up),
-            "metric_raise_consistency": max_abs(state.a_up @ state.b_low - state.b_up),
-            "radial_norm": abs(state.n_up @ state.n_low - 1.0),
-            "radial_axis_orthogonality": abs(state.n_low @ state.b_up),
+    def residuals(chunk) -> dict[str, np.ndarray]:
+        state = stack_states(chunk)
+        c2 = state.c**2
+        return {name: np.full(len(chunk), value) for name, value in frame_rows.items()} | {
+            "metric_inverse": max_abs(state.a_low @ state.a_up - eye, 2),
+            "axis_vector_norm": np.abs(dot(state.b_up, state.b_low) - c2),
+            "axis_vector_transversality": max_abs(state.b_up @ u, 1),
+            "axis_vector_form": max_abs(state.b_up - c2[:, None] * e_up, 1),
+            "metric_raise_consistency": max_abs(matvec(state.a_up, state.b_low) - state.b_up, 1),
+            "radial_norm": np.abs(dot(state.n_up, state.n_low) - 1.0),
+            "radial_axis_orthogonality": np.abs(dot(state.n_low, state.b_up)),
             "radial_raise_signature": max_abs(
-                state.n_up - frame.epsilon * frame.background_inv @ state.n_low
+                state.n_up - matvec(frame.epsilon * frame.background_inv, state.n_low), 1
             ),
-            "axis_c_orthogonality": abs(state.b_up @ state.dc_low),
+            "axis_c_orthogonality": np.abs(dot(state.b_up, state.dc_low)),
         }
 
-    rows = [residuals(state) for state in states]
+    rows = _per_sample(states, scenario.n_dim, residuals)
     checks = [
-        CheckResult.from_residuals(name, [row[name] for row in rows], cfg.tolerance("exact"), "exact")
-        for name in rows[0]
+        CheckResult.from_residuals(name, values, cfg.tolerance("exact"), "exact")
+        for name, values in rows.items()
     ]
     status = "pass" if all(c.passed for c in checks) else "fail"
     return SuiteResult("frame-identities", status, tuple(checks)), {}
@@ -177,26 +204,24 @@ def suite_christoffel_xcheck(scenario: Scenario, cfg: DiffConfig):
     rng = _suite_rng(scenario, "christoffel-xcheck")
     states = _sample_states(scenario, rng, scenario.n_points)
 
-    def residuals(state: MetricState) -> dict[str, float]:
-        closed = christoffel(state)
+    def residuals(chunk) -> dict[str, np.ndarray]:
+        state = stack_states(chunk)
+        closed = state.gamma
         return {
-            "closed_vs_definitional": max_abs(closed - christoffel_definitional(state, cfg)),
-            "lower_symmetry": max_abs(closed - np.transpose(closed, (0, 2, 1))),
+            "closed_vs_definitional": max_abs(closed - christoffel_definitional(state, cfg), 3),
+            "lower_symmetry": max_abs(closed - np.swapaxes(closed, -1, -2), 3),
         }
 
-    rows = [residuals(state) for state in states]
+    rows = _per_sample(states, scenario.n_dim, residuals)
     checks = [
         CheckResult.from_residuals(
             "closed_vs_definitional",
-            [row["closed_vs_definitional"] for row in rows],
+            rows["closed_vs_definitional"],
             cfg.tolerance("closed_form"),
             "closed_form",
         ),
         CheckResult.from_residuals(
-            "lower_symmetry",
-            [row["lower_symmetry"] for row in rows],
-            cfg.tolerance("exact"),
-            "exact",
+            "lower_symmetry", rows["lower_symmetry"], cfg.tolerance("exact"), "exact"
         ),
     ]
     status = "pass" if all(c.passed for c in checks) else "fail"
@@ -207,24 +232,25 @@ def suite_curvature_xcheck(scenario: Scenario, cfg: DiffConfig):
     rng = _suite_rng(scenario, "curvature-xcheck")
     states = _sample_states(scenario, rng, scenario.n_points)
 
-    def residuals(state: MetricState) -> dict[str, float]:
+    def residuals(chunk) -> dict[str, np.ndarray]:
+        state = stack_states(chunk)
         closed = curvature_closed(state)
         oracle = curvature_fd_oracle(state, cfg)
         ric_decomposed, _ = ricci_closed(state)
-        lowered = np.einsum("is,nskm->nikm", state.a_low, closed)
+        lowered = np.einsum("...is,...nskm->...nikm", state.a_low, closed)
         return {
-            "closed_vs_fd_oracle": rel_frobenius(closed, oracle),
-            "block_form_equivalence": max_abs(closed - curvature_presubstitution(state)),
+            "closed_vs_fd_oracle": rel_frobenius(closed, oracle, 4),
+            "block_form_equivalence": max_abs(closed - curvature_presubstitution(state), 4),
             "ricci_decomposition_consistency": max_abs(
-                ricci_from_curvature(closed) - ric_decomposed
+                ricci_from_curvature(closed) - ric_decomposed, 2
             ),
-            "antisymmetry_last_pair": max_abs(closed + np.transpose(closed, (0, 1, 3, 2))),
+            "antisymmetry_last_pair": max_abs(closed + np.swapaxes(closed, -1, -2), 4),
             "antisymmetry_first_pair_lowered": max_abs(
-                lowered + np.transpose(lowered, (1, 0, 2, 3))
+                lowered + np.swapaxes(lowered, -4, -3), 4
             ),
         }
 
-    rows = [residuals(state) for state in states]
+    rows = _per_sample(states, scenario.n_dim, residuals)
     check_plan = [
         ("closed_vs_fd_oracle", "finite_difference", 1.0),
         ("block_form_equivalence", "exact", 1.0),
@@ -233,9 +259,7 @@ def suite_curvature_xcheck(scenario: Scenario, cfg: DiffConfig):
         ("antisymmetry_first_pair_lowered", "exact", 10.0),
     ]
     checks = [
-        CheckResult.from_residuals(
-            name, [row[name] for row in rows], cfg.tolerance(klass, scale), klass
-        )
+        CheckResult.from_residuals(name, rows[name], cfg.tolerance(klass, scale), klass)
         for name, klass, scale in check_plan
     ]
     status = "pass" if all(c.passed for c in checks) else "fail"
@@ -366,37 +390,38 @@ def suite_finsler_identities(scenario: Scenario, cfg: DiffConfig):
     charge = scenario.charge if scenario.charge != 0.0 else 0.3
     fibers = _sample_admissible(scenario, rng, scenario.n_fibers, relativistic, charge=charge)
 
-    def residuals(fib):
+    def residuals(chunk) -> dict[str, np.ndarray]:
+        fib = stack_states(chunk)
         res = kinematic_identity_residuals(fib)
         res["e_fiber_derivative_fd"] = _e_fiber_rule_fd(fib, cfg)
         return res
 
-    rows = [residuals(fib) for fib in fibers]
+    rows = _per_sample(fibers, scenario.n_dim, residuals)
     # The printed identity suite is only claimed for the positive-definite
     # convention; exploratory indefinite runs report residuals untested.
     identity_tol = None if relativistic else cfg.tolerance("algebraic")
     fd_tol = None if relativistic else cfg.tolerance("closed_form")
     checks = []
-    for name in rows[0]:
+    for name, values in rows.items():
         tol = fd_tol if name == "e_fiber_derivative_fd" else identity_tol
         klass = "closed_form" if name == "e_fiber_derivative_fd" else "algebraic"
-        checks.append(
-            CheckResult.from_residuals(name, [row[name] for row in rows], tol, klass)
-        )
+        checks.append(CheckResult.from_residuals(name, values, tol, klass))
     status = "pass" if all(c.passed for c in checks) else "fail"
     return SuiteResult("finsler-identities", status, tuple(checks)), {}
 
 
-def _e_fiber_rule_fd(fib, cfg: DiffConfig) -> float:
-    """Finite-difference cross-check of the e_k derivative rule."""
-    metric = fib.metric
+def _e_fiber_rule_fd(fib, cfg: DiffConfig) -> np.ndarray:
+    """Finite-difference cross-check of the e_k derivative rule, one
+    residual per sample of the stacked state ``fib``."""
+    rows = fib.metric.per_row()
 
     def e_field(ys: np.ndarray) -> np.ndarray:
-        return kinematics(metric, ys, fib.charge, fib.relativistic).e_fiber
+        return kinematics(rows, ys, fib.charge, fib.relativistic).e_fiber
 
-    d_e = fd_partials(e_field, fib.y, cfg, scales=float(np.linalg.norm(fib.y)))
-    rhs = (fib.b / fib.q2) * fib.eta - np.outer(fib.v_low, fib.e_fiber) / fib.q2
-    return max_abs(d_e - rhs.T)
+    d_e = fd_partials(e_field, fib.y, cfg, scales=np.linalg.norm(fib.y, axis=-1)[..., None])
+    q2_col = fib.q2[..., None, None]
+    rhs = (fib.b / fib.q2)[..., None, None] * fib.eta - outer(fib.v_low, fib.e_fiber) / q2_col
+    return max_abs(d_e - np.swapaxes(rhs, -1, -2), 2)
 
 
 def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
@@ -413,56 +438,54 @@ def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
             {},
         )
     rng = _suite_rng(scenario, "finsler-curvature")
-    if scenario.charge == 0.0:
+    charge = scenario.charge
+    if charge == 0.0:
         pairs = _sample_states(scenario, rng, scenario.n_fibers, with_fiber=True)
     else:
         fibers = _sample_admissible(scenario, rng, scenario.n_fibers, relativistic=False)
         pairs = [(fib.metric, fib.y) for fib in fibers]
 
-    def evaluate(pair):
-        state, y = pair
-        derivs = spray_derivatives(state, y, scenario.charge, cfg)
+    def evaluate(chunk) -> dict[str, np.ndarray]:
+        state = stack_states([metric for metric, _ in chunk])
+        y = np.stack([y for _, y in chunk])
+        derivs = spray_derivatives(state, y, charge, cfg)
         g1 = derivs.spray
-        g2 = spray_coefficients(state, 2.0 * y, scenario.charge)
-        bundle = hh_curvature(derivs, cfg)
+        g2 = spray_coefficients(state, 2.0 * y, charge)
+        curvature = hh_curvature(derivs, cfg).curvature
         out = {
-            "spray_homogeneity": max_abs(g2 - 4.0 * g1),
-            "euler_identity": max_abs(derivs.first_closed @ y - 2.0 * g1),
+            "spray_homogeneity": max_abs(g2 - 4.0 * g1, 1),
+            "euler_identity": max_abs(matvec(derivs.first_closed, y) - 2.0 * g1, 1),
             "spray_first_derivative_gap": derivs.first_gap,
-            "bundle_y_contraction": max_abs(bundle.curvature @ y),
-            "bundle_magnitude": max_abs(bundle.curvature),
+            "bundle_y_contraction": max_abs(matvec(curvature, y), 1),
+            "bundle_magnitude": max_abs(curvature, 2),
+            "bundle": curvature,
         }
-        if scenario.charge == 0.0:
+        if charge == 0.0:
             riem = curvature_closed(state)
-            comparison = np.einsum("nikm,n,m->ik", riem, y, y)
-            out["riemann_limit"] = rel_frobenius(bundle.curvature, comparison)
-        return out, bundle
+            comparison = np.einsum("...nikm,...n,...m->...ik", riem, y, y)
+            out["riemann_limit"] = rel_frobenius(curvature, comparison, 2)
+        return out
 
-    results = [evaluate(pair) for pair in pairs]
-    rows = [row for row, _ in results]
+    rows = _per_sample(pairs, scenario.n_dim, evaluate)
     check_plan = [
         ("spray_homogeneity", "exact", 1.0),
         ("euler_identity", "algebraic", 10.0),
         ("spray_first_derivative_gap", "finite_difference", 0.1),
         ("bundle_y_contraction", "finite_difference", 1.0),
     ]
-    if scenario.charge == 0.0:
+    if charge == 0.0:
         check_plan.append(("riemann_limit", "bundle", 1.0))
     checks = [
-        CheckResult.from_residuals(
-            name, [row[name] for row in rows], cfg.tolerance(klass, scale), klass
-        )
+        CheckResult.from_residuals(name, rows[name], cfg.tolerance(klass, scale), klass)
         for name, klass, scale in check_plan
     ]
     checks.append(
-        CheckResult.from_residuals(
-            "bundle_magnitude", [row["bundle_magnitude"] for row in rows], None, None
-        )
+        CheckResult.from_residuals("bundle_magnitude", rows["bundle_magnitude"], None, None)
     )
     status = "pass" if all(c.passed for c in checks) else "fail"
     dumps = {}
     if scenario.dump_dir:
-        dumps["finsler_bundle_sample"] = results[0][1].curvature
+        dumps["finsler_bundle_sample"] = rows["bundle"][0]
     return SuiteResult("finsler-curvature", status, tuple(checks)), dumps
 
 

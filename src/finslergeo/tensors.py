@@ -29,8 +29,15 @@ class StencilError(RuntimeError):
 
 
 class StencilMissError(ValueError):
-    """A field is undefined at a stencil point (e.g. outside the Finsleroid
-    cone); fd_partials then retries once with a step ten times smaller."""
+    """A field is undefined at some stencil points (e.g. outside the
+    Finsleroid cone); fd_partials then retries once with a step ten times
+    smaller.  ``rows``, when known, is a boolean mask over the leading axes
+    of the evaluated stack that marks the points that missed, so a batch
+    shrinks only the samples that missed."""
+
+    def __init__(self, message: str, rows: np.ndarray | None = None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class ConeStencilError(StencilError):
@@ -59,6 +66,17 @@ def transform_components(components: np.ndarray, variance: str, lin: np.ndarray)
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Outer product over the last axis, broadcast over leading (point) axes."""
     return a[..., :, None] * b[..., None, :]
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Contraction of the last axes, broadcast over leading (point) axes; a
+    stacked matmul sums each point in the order a @ b takes at one point."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m^i_j v^j per point, summed as m @ v sums at one point."""
+    return (m @ v[..., :, None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -201,51 +219,71 @@ def fd_partials(
     config: DiffConfig | None = None,
     scales: np.ndarray | float | None = None,
 ) -> np.ndarray:
-    """Central-difference partial derivatives of an array-valued field.
+    """Central-difference partial derivatives of an array-valued field at
+    one base point x (N,) or at each of a batch of base points (B, N).
 
-    ``f`` is evaluated once per step on the whole stencil: it receives a
-    (len(stencil) * N, N) stack of points, axis-major and then in stencil
-    order, and returns one value (of any shape) per row.  Returns
-    out[k, ...] = d f / d x^k.  ``scales`` fixes the per-axis step scale
-    (scalar or length-N array); default is max(1, |x_k|) per axis.  If the
-    field raises StencilMissError, the stencil is redone once with the step
-    shrunk tenfold; a second miss raises ConeStencilError.
+    ``f`` is evaluated once per step on the whole stencil: it receives the
+    stencil points with x's leading axes kept, (B, N * width, N) for a
+    batch and (N * width, N) for one point, rows axis-major and then in
+    stencil order, and returns one value (of any shape) per row,
+    (B, N * width, ...).  Returns out[..., k, ...] = d f / d x^k, shaped
+    (B, N, ...).  ``scales`` fixes the step scale and broadcasts against
+    x: a scalar, a per-axis (N,) array or a per-sample (B, 1) column;
+    default max(1, |x_k|) per axis.  Per sample the derivative sums w * f
+    in stencil order and divides by that sample's step.
+
+    If the field raises StencilMissError, the samples owning the rows it
+    names (every sample when it names none) are redone once with the step
+    shrunk tenfold, while the others keep the full step; a second miss
+    raises ConeStencilError.
     """
     cfg = config or DiffConfig()
     x = np.asarray(x, dtype=float)
-    n = x.size
+    lead, n = x.shape[:-1], x.shape[-1]
     if scales is None:
         scale_arr = np.maximum(1.0, np.abs(x))
     else:
-        scale_arr = np.broadcast_to(np.asarray(scales, dtype=float), (n,))
+        scale_arr = np.broadcast_to(np.asarray(scales, dtype=float), x.shape)
     stencil = _D1_STENCILS[cfg.fd_order]
     width = len(stencil)
-    offsets = np.array([off for off, _ in stencil], dtype=float)
-    axes = np.arange(n)
-    for step in (cfg.fd_step, 0.1 * cfg.fd_step):
+    rows = n * width
+    # moves[k, j] = offset_j e_k: stencil point j along axis k.
+    moves = np.eye(n)[:, None, :] * np.array([off for off, _ in stencil], dtype=float)[:, None]
+    step = np.full(lead + (1,), cfg.fd_step)
+    for attempt in range(2):
         h = step * scale_arr
-        points = np.broadcast_to(x, (n, width, n)).copy()
-        points[axes, :, axes] += offsets * h[:, None]
+        points = (x[..., None, None, :] + moves * h[..., :, None, None]).reshape(lead + (rows, n))
         try:
-            values = np.asarray(f(points.reshape(n * width, n)), dtype=float)
-        except StencilMissError:
+            values = np.asarray(f(points), dtype=float)
+        except StencilMissError as miss:
+            if attempt:
+                break
+            missed = np.ones(lead, dtype=bool)
+            if miss.rows is not None and np.shape(miss.rows) == lead + (rows,):
+                missed = np.any(miss.rows, axis=-1)
+            step = np.where(missed[..., None], 0.1 * cfg.fd_step, step)
             continue
-        if values.shape[:1] != (n * width,):
+        if values.shape[: len(lead) + 1] != lead + (rows,):
             raise ValueError(
-                f"field returned shape {values.shape} for {n * width} stencil points; "
-                "it must return one value per row"
+                f"field returned shape {values.shape} for stencil points shaped "
+                f"{lead + (rows, n)}; it must return one value per row"
             )
-        bad = np.flatnonzero(~np.isfinite(values.reshape(n * width, -1)).all(axis=1))
-        if bad.size:
-            axis, pos = divmod(int(bad[0]), width)
+        finite = np.isfinite(values.reshape(lead + (rows, -1))).all(axis=-1)
+        if not finite.all():
+            *sample, row = np.argwhere(~finite)[0]
+            axis, pos = divmod(int(row), width)
+            where = f"sample {tuple(int(i) for i in sample)}, " if sample else ""
             raise StencilError(
-                f"non-finite evaluation at stencil point (axis {axis}, offset {stencil[pos][0]})"
+                f"non-finite evaluation at stencil point ({where}axis {axis}, "
+                f"offset {stencil[pos][0]})"
             )
-        values = values.reshape((n, width) + values.shape[1:])
-        acc = stencil[0][1] * values[:, 0]
+        # Put the stencil position first: values[j][..., k, ...] = f(x + off_j h_k e_k).
+        shape = lead + (n, width) + values.shape[len(lead) + 1 :]
+        values = np.moveaxis(values.reshape(shape), len(lead) + 1, 0)
+        acc = stencil[0][1] * values[0]
         for pos in range(1, width):
-            acc = acc + stencil[pos][1] * values[:, pos]
-        return acc / h.reshape((n,) + (1,) * (acc.ndim - 1))
+            acc = acc + stencil[pos][1] * values[pos]
+        return acc / h.reshape(h.shape + (1,) * (acc.ndim - h.ndim))
     raise ConeStencilError("stencil left the admissible set even after shrinking the step")
 
 
@@ -255,13 +293,14 @@ def fd_gradient(
     config: DiffConfig | None = None,
     scales: np.ndarray | float | None = None,
 ) -> np.ndarray:
-    """Central-difference gradient of a scalar field (a covector).
+    """Central-difference gradient of a scalar field (a covector), shaped
+    like x: one point or a batch.
 
     ``f`` takes the stencil stack as fd_partials does and returns one
     scalar per row.  Error is O(fd_step^2) at order 2 and O(fd_step^4) at
     order 4.
     """
-    return fd_partials(f, x, config, scales).reshape(-1)
+    return fd_partials(f, x, config, scales).reshape(np.shape(x))
 
 
 def fd_derivative(
@@ -305,16 +344,27 @@ def fd_second(
 # ---------------------------------------------------------------------------
 
 
-def max_abs(arr) -> float:
-    a = np.asarray(arr)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+def _component_axes(a: np.ndarray, ndim: int | None) -> tuple[int, ...]:
+    return tuple(range(a.ndim - (a.ndim if ndim is None else ndim), a.ndim))
 
 
-def rel_frobenius(a, b) -> float:
-    """Frobenius norm of (a - b), relative to the larger of the two norms."""
+def max_abs(arr, ndim: int | None = None):
+    """Largest |component|: a float over the whole array, or, given the
+    number ``ndim`` of trailing component axes, one value per sample of the
+    leading axes."""
+    a = np.abs(np.asarray(arr, dtype=float))
+    out = np.max(a, axis=_component_axes(a, ndim), initial=0.0)
+    return float(out) if ndim is None else out
+
+
+def rel_frobenius(a, b, ndim: int | None = None):
+    """Frobenius norm of (a - b), relative to the larger of the two norms
+    (absolute where both vanish); over the whole array, or per sample over
+    the last ``ndim`` axes as for max_abs."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    denom = max(np.linalg.norm(a.ravel()), np.linalg.norm(b.ravel()))
-    if denom == 0.0:
-        return float(np.linalg.norm((a - b).ravel()))
-    return float(np.linalg.norm((a - b).ravel()) / denom)
+    axes = _component_axes(np.broadcast(a, b), ndim)
+    diff = np.sqrt(np.sum((a - b) ** 2, axis=axes))
+    denom = np.maximum(np.sqrt(np.sum(a * a, axis=axes)), np.sqrt(np.sum(b * b, axis=axes)))
+    out = np.where(denom == 0.0, diff, diff / np.where(denom == 0.0, 1.0, denom))
+    return float(out) if ndim is None else out

@@ -1,0 +1,304 @@
+"""The batch path: fd_partials over a (B, N) batch of base points, the
+geometry and Finsler closed forms over a leading sample axis, per-sample
+stencil misses, the suites' chunk memory, and the worst-sample index of
+each check."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from finslergeo import (
+    ConeStencilError,
+    DiffConfig,
+    Frame,
+    ProfilePair,
+    StencilMissError,
+    build_metric,
+    curvature_closed,
+    curvature_fd_oracle,
+    curvature_presubstitution,
+    fd_partials,
+    hh_curvature,
+    kinematic_identity_residuals,
+    kinematics,
+    parse_scenario,
+    ricci_closed,
+    spray_derivatives,
+)
+from finslergeo.finsler import fiber_vectors
+from finslergeo.report import CheckResult
+from finslergeo.riemann import christoffel_definitional, stack_states
+from finslergeo.suites import (
+    _sample_admissible,
+    _suite_rng,
+    suite_finsler_curvature,
+    suite_finsler_identities,
+)
+from finslergeo.tensors import max_abs
+
+from conftest import sample_point
+
+# name -> (profile, signature, charge, relativistic): the Finsleroid runs on
+# the positive-definite profiles; Schwarzschild is indefinite, so its spray
+# runs at charge 0 and its kinematics in the relativistic convention.
+PROFILES = {
+    "schwarzschild": (ProfilePair.schwarzschild_isotropic(1.0), -1, 0.0, True),
+    "pd_rational": (ProfilePair.rational((0.8, 0.1), (1.0, 0.2)), 1, 0.3, False),
+    "pd_rational_b": (ProfilePair.rational((0.7, 0.15), (1.2, -0.1)), 1, -0.2, False),
+}
+CLOSED, FD = 1e-13, 1e-9
+ROTATION = np.array(
+    [[1.0, 0.1, 0.0, -0.2], [0.05, 0.9, 0.2, 0.0], [0.0, -0.15, 1.1, 0.1], [0.1, 0.0, 0.05, 0.95]]
+)
+
+
+def _frame(signature: int, rotated: bool) -> tuple[Frame, np.ndarray]:
+    lin = ROTATION if rotated else np.eye(4)
+    return Frame.standard(4, signature).transformed(lin), lin
+
+
+def _samples(rng, name, rotated, count=5):
+    """(metric, y) per sample in the chosen chart, admissible for the
+    profile's charge and convention."""
+    pair, signature, charge, relativistic = PROFILES[name]
+    frame, lin = _frame(signature, rotated)
+    out = []
+    while len(out) < count:
+        x = lin @ sample_point(rng, 4, 0.8, 4.0)
+        y = lin @ rng.normal(size=4)
+        metric = build_metric(frame, pair, x)
+        try:
+            fib = kinematics(metric, y, 0.3 if relativistic else charge, relativistic)
+        except Exception:
+            continue
+        if fib.q < 0.05 * (abs(fib.b) + np.sqrt(abs(fib.s2))):
+            continue
+        out.append((metric, y, fib))
+    return out
+
+
+def _agree(batched, singles, rel):
+    """Each row of ``batched`` equals its single-point result to ``rel`` of
+    the array's largest component."""
+    want = np.stack([np.asarray(s, dtype=float) for s in singles])
+    batched = np.asarray(batched, dtype=float)
+    assert batched.shape == want.shape
+    assert max_abs(batched - want) <= rel * max(max_abs(want), 1e-300)
+
+
+CASES = [(name, rotated) for name in PROFILES for rotated in (False, True)]
+IDS = [f"{name}-{'rotated' if rotated else 'standard'}" for name, rotated in CASES]
+
+
+class TestFdPartialsBatch:
+    @staticmethod
+    def field(pts):
+        return np.stack([np.sin(pts[..., 0]) * pts[..., 1], np.sum(pts * pts, axis=-1)], axis=-1)
+
+    def test_batch_with_per_sample_scales_equals_per_point_calls(self, rng):
+        """A (B, N) batch with one scale per sample gives each sample the
+        per-point result bit for bit; f sees (B, N * width, N)."""
+        x = rng.normal(size=(5, 3))
+        scales = rng.uniform(0.5, 3.0, size=(5, 1))
+        shapes = []
+
+        def field(pts):
+            shapes.append(pts.shape)
+            return self.field(pts)
+
+        got = fd_partials(field, x, scales=scales)
+        assert shapes == [(5, 12, 3)]
+        assert got.shape == (5, 3, 2)
+        for b in range(5):
+            assert np.array_equal(got[b], fd_partials(self.field, x[b], scales=scales[b, 0]))
+
+    def test_miss_shrinks_only_the_samples_that_missed(self, rng):
+        """Rows of sample 1 beyond 1.5e-5 of its base point miss: sample 1
+        gets its step/10 result, the others their full-step results."""
+        x = rng.normal(size=(4, 3))
+        cfg = DiffConfig(fd_step=1e-5, fd_order=4)
+        tenth = DiffConfig(fd_step=0.1 * cfg.fd_step, fd_order=4)
+
+        def ball_field(pts):
+            rows = np.zeros(pts.shape[:-1], dtype=bool)
+            rows[1] = np.max(np.abs(pts[1] - x[1]), axis=-1) > 1.5e-5
+            if rows.any():
+                raise StencilMissError("outside the ball", rows=rows)
+            return self.field(pts)
+
+        got = fd_partials(ball_field, x, cfg, scales=1.0)
+        for b in range(4):
+            want = fd_partials(self.field, x[b], tenth if b == 1 else cfg, scales=1.0)
+            assert np.array_equal(got[b], want)
+
+    def test_miss_without_rows_shrinks_the_whole_batch(self, rng):
+        x = rng.normal(size=(3, 3))
+        tenth = DiffConfig(fd_step=0.1 * DiffConfig().fd_step)
+        calls = []
+
+        def shy_field(pts):
+            calls.append(pts.shape)
+            if len(calls) == 1:
+                raise StencilMissError("somewhere")
+            return self.field(pts)
+
+        got = fd_partials(shy_field, x, scales=1.0)
+        for b in range(3):
+            assert np.array_equal(got[b], fd_partials(self.field, x[b], tenth, scales=1.0))
+
+    def test_second_miss_of_a_sample_raises(self, rng):
+        x = rng.normal(size=(3, 3))
+
+        def point_field(pts):
+            rows = np.zeros(pts.shape[:-1], dtype=bool)
+            rows[2] = np.any(pts[2] != x[2], axis=-1)
+            raise StencilMissError("defined only at x", rows=rows)
+
+        with pytest.raises(ConeStencilError):
+            fd_partials(point_field, x)
+
+
+class TestClosedFormsBatch:
+    @pytest.mark.parametrize("name, rotated", CASES, ids=IDS)
+    def test_riemann_layer_equals_per_sample(self, name, rotated, rng):
+        samples = _samples(rng, name, rotated)
+        metrics = [m for m, _, _ in samples]
+        batch = stack_states(metrics)
+        _agree(curvature_closed(batch), [curvature_closed(m) for m in metrics], CLOSED)
+        _agree(
+            curvature_presubstitution(batch),
+            [curvature_presubstitution(m) for m in metrics],
+            CLOSED,
+        )
+        ric, coeffs = ricci_closed(batch)
+        _agree(ric, [ricci_closed(m)[0] for m in metrics], CLOSED)
+        _agree(
+            np.stack(coeffs.as_tuple(), axis=-1),
+            [ricci_closed(m)[1].as_tuple() for m in metrics],
+            CLOSED,
+        )
+        _agree(curvature_fd_oracle(batch), [curvature_fd_oracle(m) for m in metrics], FD)
+        _agree(
+            christoffel_definitional(batch), [christoffel_definitional(m) for m in metrics], FD
+        )
+
+    @pytest.mark.parametrize("name, rotated", CASES, ids=IDS)
+    def test_finsler_layer_equals_per_sample(self, name, rotated, rng):
+        _, _, charge, _ = PROFILES[name]
+        samples = _samples(rng, name, rotated)
+        metric = stack_states([m for m, _, _ in samples])
+        y = np.stack([y for _, y, _ in samples])
+        derivs = spray_derivatives(metric, y, charge)
+        singles = [spray_derivatives(m, yy, charge) for m, yy, _ in samples]
+        for field in ("spray", "first_closed", "second_closed"):
+            _agree(getattr(derivs, field), [getattr(s, field) for s in singles], CLOSED)
+        for field in ("first_numeric", "second_numeric"):
+            _agree(getattr(derivs, field), [getattr(s, field) for s in singles], FD)
+        _agree(
+            hh_curvature(derivs).curvature, [hh_curvature(s).curvature for s in singles], FD
+        )
+
+        fib = stack_states([f for _, _, f in samples])
+        res = kinematic_identity_residuals(fib)
+        alone = [kinematic_identity_residuals(f) for _, _, f in samples]
+        for key, values in res.items():
+            _agree(values, [a[key] for a in alone], CLOSED)
+
+
+class TestStencilMissInBatch:
+    @staticmethod
+    def _batch(nu_at_edge: float):
+        """Three fibers at one constant-profile point; fiber 1 sits nu_at_edge
+        from the cone boundary, the other two well inside it."""
+        frame = Frame.standard(4, 1)
+        metric = build_metric(frame, ProfilePair.constant(0.9, 1.0), np.array([0.0, 1.0, 0.0, 0.0]))
+        edge = np.array([1.0, 1.0, 0.0, 0.0])
+        _, b, _, q2, _, _ = fiber_vectors(metric, edge)
+        charge = -(np.sqrt(q2) - nu_at_edge) / ((1.0 - 0.9**2) * b)
+        ys = np.array([[-1.0, 0.5, 0.3, 0.0], edge, [-0.5, 0.2, -0.4, 0.7]])
+        return stack_states([metric] * 3), ys, charge, metric
+
+    def test_only_the_missing_sample_shrinks(self):
+        """Fiber 1's full-step stencil crosses nu = 0 but its tenfold-shrunk
+        one does not: it equals its own step/10 result, the others their
+        full-step results."""
+        batch, ys, charge, metric = self._batch(2e-5)
+        with pytest.raises(ConeStencilError):
+            spray_derivatives(metric, ys[1], charge, DiffConfig(fd_step=1e-4))
+        got = spray_derivatives(batch, ys, charge)
+        tenth = DiffConfig(fd_step=0.1 * DiffConfig().fd_step)
+        for row, y in enumerate(ys):
+            want = spray_derivatives(metric, y, charge, tenth if row == 1 else None)
+            for field in ("first_numeric", "second_numeric"):
+                value = getattr(want, field)
+                assert max_abs(getattr(got, field)[row] - value) <= FD * max_abs(value)
+
+    def test_second_miss_raises(self):
+        batch, ys, charge, _ = self._batch(1e-9)
+        with pytest.raises(ConeStencilError):
+            spray_derivatives(batch, ys, charge)
+
+
+CHARGED_N8 = """
+[scenario]
+dimension = 8
+signature = 1
+charge = 0.3
+suites = finsler-identities, finsler-curvature
+[profile]
+kind = rational
+c_coeffs = 0.8, 0.1
+m_coeffs = 1.0, 0.2
+[samples]
+fibers = 100
+"""
+
+
+@pytest.mark.parametrize("suite", [suite_finsler_curvature, suite_finsler_identities])
+def test_chunked_suites_stay_within_the_memory_guard(suite):
+    """The suites evaluate in chunks sized from N, so the stacked stencils of
+    an N = 8 run over 100 fibers peak at a few MB, not tens of MB."""
+    scenario = parse_scenario(CHARGED_N8)
+    cfg = DiffConfig(tolerances=dict(scenario.tolerances))
+    tracemalloc.start()
+    try:
+        result, _ = suite(scenario, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status == "pass"
+    assert peak <= 8 * 2**20
+
+
+class TestWorstIndex:
+    def test_first_position_of_the_maximum(self):
+        assert CheckResult.from_residuals("r", [1, 3, 2], 10.0).worst_index == 1
+        assert CheckResult.from_residuals("r", [3, 1, 3], None).worst_index == 0
+        empty = CheckResult.from_residuals("r", [], 1.0)
+        assert empty.worst_index is None
+        assert empty.to_dict()["worst_index"] is None
+
+    def test_reported_sample_reproduces_the_residual(self):
+        """Redrawing the seeded samples and evaluating the reported one alone
+        gives the check's residual_max."""
+        scenario = parse_scenario(
+            "[scenario]\nsignature = 1\ncharge = 0.3\nseed = 5\nsuites = finsler-curvature\n"
+            "[profile]\nkind = rational\nc_coeffs = 0.8, 0.1\nm_coeffs = 1.0, 0.2\n"
+            "[samples]\nfibers = 12\n"
+        )
+        cfg = DiffConfig(tolerances=dict(scenario.tolerances))
+        result, _ = suite_finsler_curvature(scenario, cfg)
+        checks = {c.name: c for c in result.checks}
+        fibers = _sample_admissible(
+            scenario, _suite_rng(scenario, "finsler-curvature"), 12, relativistic=False
+        )
+        for name in ("bundle_magnitude", "spray_first_derivative_gap"):
+            check = checks[name]
+            fib = fibers[check.worst_index]
+            derivs = spray_derivatives(fib.metric, fib.y, scenario.charge, cfg)
+            if name == "bundle_magnitude":
+                alone = max_abs(hh_curvature(derivs, cfg).curvature)
+            else:
+                alone = derivs.first_gap
+            assert alone == pytest.approx(check.residual_max, rel=1e-9)

@@ -99,10 +99,13 @@ class TestParsing:
 
 class TestRun:
     def test_empty_suite_list_is_valid(self):
+        """A Scenario with no suites builds and runs, but verifies nothing,
+        so the run does not pass."""
         report = run(Scenario(suites=()))
-        assert report.passed
+        assert not report.passed
         assert report.suites == ()
-        assert report.exit_code == 0
+        assert report.exit_code == 1
+        assert "nothing was verified" in report.human_summary()
 
     def test_report_body_is_deterministic(self):
         """Identical scenario + seed give a bit-identical report body."""
@@ -164,6 +167,19 @@ class TestRun:
         suite = run(scenario).suites[0]
         assert suite.status != "fail"
         assert suite.reason is None
+
+    def test_indefinite_nu_gradient_follows_the_convention(self):
+        """With q^2 = b^2 - S^2, dq/dy = -v/q: the state's nu gradient agrees
+        with the jet derivative to the algebraic tolerance (it was off by
+        2 v/q while it kept the positive-definite sign)."""
+        scenario = parse_scenario(
+            "[scenario]\nsignature = -1\ncharge = 0.3\nallow_indefinite_finsler = true\n"
+            "suites = finsler-identities\n"
+            "[profile]\nkind = schwarzschild_isotropic\nxi = 1\n"
+        )
+        checks = {c.name: c for c in run(scenario).suites[0].checks}
+        assert checks["nu_gradient"].n_samples == 100
+        assert checks["nu_gradient"].residual_max <= scenario.tolerances["algebraic"]
 
     def test_charged_curvature_skips_on_indefinite_signature(self):
         """The suite skips, and a run whose only suite skipped verified
@@ -260,6 +276,9 @@ class TestCli:
             (["verify-vacuum", "--dimension", "9"], r"N must be in [2,8]"),
             (["verify-vacuum", "--radii", "0.25,1"], "radii > 0.25"),
             (["finsler-curvature", "--samples", "0"], "must be >= 1"),
+            ("[scenario]\nsuites = vacuum\n[samples]\npoints = 1" + "0" * 400 + "\n",
+             "must be <= 10000"),
+            (["finsler-curvature", "--samples", "10001"], "must be <= 10000"),
             ("[scenario]\nseed = 3\n", "no suites listed"),
             (
                 ["finsler-curvature", "--profile", "schwarzschild", "--charge", "0.3"],
@@ -268,7 +287,8 @@ class TestCli:
         ],
         ids=[
             "boolean", "integer", "finite", "duplicate-key", "duplicate-suite", "seed",
-            "vacuum-dimension", "vacuum-pole", "curvature-samples", "no-suites",
+            "vacuum-dimension", "vacuum-pole", "curvature-samples", "huge-points",
+            "curvature-samples-cap", "no-suites",
             "charged-schwarzschild",
         ],
     )

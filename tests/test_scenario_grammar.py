@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslergeo import ScenarioError, parse_scenario
-from finslergeo.scenario import SUITES
+from finslergeo.scenario import MAX_COUNT, SUITES
 from finslergeo.tensors import TOLERANCE_CLASSES
 
 GRAMMAR = settings(max_examples=60, deadline=None)
@@ -63,8 +63,8 @@ def valid_scenarios(draw):
         "seed": draw(st.integers(0, 2**64)),
         "suites": draw(st.lists(st.sampled_from(SUITES), min_size=1, unique=True)),
         "radii": radii,
-        "points": draw(st.integers(1, 10**6)),
-        "fibers": draw(st.integers(1, 10**6)),
+        "points": draw(st.integers(1, MAX_COUNT)),
+        "fibers": draw(st.integers(1, MAX_COUNT)),
         "tolerances": dict(sorted({**TOLERANCE_CLASSES, **tolerances}.items())),
         "allow_indefinite_finsler": draw(st.booleans()),
     }
@@ -152,6 +152,17 @@ def test_non_finite_profile_coefficients_are_rejected(kind, bad):
 )
 def test_non_integer_counts_are_rejected(slot, bad):
     _rejected(_with(*slot, bad))
+
+
+@GRAMMAR
+@given(
+    key=st.sampled_from(["points", "fibers"]),
+    count=st.one_of(st.integers(MAX_COUNT + 1, 10**6), st.integers(MAX_COUNT + 1)),
+)
+def test_counts_above_the_cap_are_rejected(key, count):
+    """Every sample is drawn and evaluated, so a count beyond MAX_COUNT
+    (any number of digits) is refused instead of running for ever."""
+    _rejected(_with("samples", key, str(count)))
 
 
 @GRAMMAR

@@ -9,7 +9,6 @@ from .tensors import (
     StencilError,
     StencilMissError,
     TOLERANCE_CLASSES,
-    fd_gradient,
     fd_partials,
 )
 from .profiles import (
@@ -40,7 +39,6 @@ from .riemann import (
     ricci_from_curvature,
 )
 from .vacuum import (
-    VacuumReport,
     contraction_identities,
     reduced_curvature,
     verify_vacuum,
@@ -50,7 +48,6 @@ from .finsler import (
     DegenerateFiberError,
     FinsleroidState,
     OutsideConeError,
-    SprayBundle,
     hh_curvature,
     kinematic_identity_residuals,
     kinematics,

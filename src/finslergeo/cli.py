@@ -33,7 +33,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=[],
         metavar="NAME=VALUE",
         help="override a tolerance class (exact, algebraic, closed_form, "
-        "finite_difference, bundle); repeatable",
+        "finite_difference, bundle); repeatable, once per class",
     )
     parser.add_argument(
         "--dump-tensors", metavar="DIR", default=None, help="write per-component CSV dumps"
@@ -49,8 +49,11 @@ def _parse_tolerance_overrides(items: list[str]) -> dict[str, float]:
         name, sep, value = item.partition("=")
         if not sep:
             raise ScenarioError(f"expected NAME=VALUE for --tolerance-class, got {item!r}")
+        name = name.strip()
+        if name in overrides:
+            raise ScenarioError(f"duplicate --tolerance-class {name!r}")
         try:
-            overrides[name.strip()] = float(value)
+            overrides[name] = float(value)
         except ValueError as exc:
             raise ScenarioError(f"bad tolerance value in {item!r}") from exc
     return overrides

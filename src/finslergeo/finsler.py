@@ -34,7 +34,6 @@ from .tensors import (
     Jet2,
     StencilMissError,
     dot,
-    fd_gradient,
     fd_partials,
     matvec,
     max_abs,
@@ -348,30 +347,18 @@ def spray_derivatives(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SprayBundle:
-    """The spray, its y-derivatives, and the hh-curvature combination
-    K^2 R^i_k (axes [i, k]).  Index lowering on the bundle, where wanted,
-    uses the Riemannian metric a_ij (the Finsler metric tensor is out of
-    scope), which is also how the reports document it."""
-
-    x: np.ndarray
-    y: np.ndarray
-    charge: float
-    spray: np.ndarray
-    first: np.ndarray
-    second: np.ndarray
-    curvature: np.ndarray
-
-
-def hh_curvature(derivs: SprayDerivatives, config: DiffConfig | None = None) -> SprayBundle:
-    """Assemble K^2 R^i_k at the point (or at each sample) of ``derivs``
-    from its closed spray data and one x-stencil of [G^i, G^i_k].
+def hh_curvature(derivs: SprayDerivatives, config: DiffConfig | None = None) -> np.ndarray:
+    """K^2 R^i_k, axes [i, k], at the point (or at each sample) of
+    ``derivs``, assembled from its closed spray data and one x-stencil of
+    [G^i, G^i_k].
 
     With Gbar = G/2 and y held fixed across the x-stencil:
 
         K^2 R^i_k = 2 dGbar^i/dx^k - Gbar^i_j Gbar^j_k
                     - y^j dGbar^i_k/dx^j + 2 Gbar^j Gbar^i_kj
+
+    Index lowering on the bundle, where wanted, uses the Riemannian metric
+    a_ij (the Finsler metric tensor is out of scope).
     """
     cfg = config or DiffConfig()
     metric, y, charge = derivs.metric, derivs.y, derivs.charge
@@ -392,20 +379,11 @@ def hh_curvature(derivs: SprayDerivatives, config: DiffConfig | None = None) -> 
     d_gbar = 0.5 * d_stack[..., :n]  # [k, i] = d Gbar^i / d x^k
     d_gbar_first = 0.5 * d_stack[..., n:].reshape(y.shape[:-1] + (n, n, n))  # [j, i, k]
 
-    curvature = (
+    return (
         2.0 * np.swapaxes(d_gbar, -1, -2)
         - gbar_first @ gbar_first
         - np.einsum("...j,...jik->...ik", y, d_gbar_first)
         + 2.0 * np.einsum("...j,...ikj->...ik", gbar, gbar_second)
-    )
-    return SprayBundle(
-        x=metric.x,
-        y=y,
-        charge=charge,
-        spray=derivs.spray,
-        first=derivs.first_closed,
-        second=derivs.second_closed,
-        curvature=curvature,
     )
 
 
@@ -501,41 +479,3 @@ def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float | np
     )
     res["b_dot_v"] = np.abs(dot(ms.b_low, v_up) - one_minus_c2 * b)
     return res
-
-
-def transverse_slope_residuals(
-    metric: MetricState,
-    y: np.ndarray,
-    charge: float,
-    config: DiffConfig | None = None,
-) -> dict[str, float]:
-    """Diagnostic for the x-slope of the transverse norm.
-
-    The printed shorthand dq/dx^k = -(b/q) b_{j,k} y^j drops the metric
-    derivative term (1/2q) (d_k a_ij) y^i y^j; both gaps are reported so
-    the dropped contribution is visible.  Exact (all zeros) only for
-    constant profiles.
-    """
-    cfg = config or DiffConfig()
-    y = np.asarray(y, dtype=float)
-    state = kinematics(metric, y, charge)
-    frame, profiles, x = metric.frame, metric.profiles, metric.x
-
-    def q_field(pts: np.ndarray) -> np.ndarray:
-        q2 = fiber_vectors(build_metric(frame, profiles, pts), y)[3]
-        if np.any(q2 <= 0.0):
-            raise DegenerateFiberError(f"q^2 = {np.min(q2):.3e} on the stencil")
-        return np.sqrt(q2)
-
-    dq = fd_gradient(q_field, x, cfg, scales=metric.r)
-
-    def b_cov_field(pts: np.ndarray) -> np.ndarray:
-        return build_metric(frame, profiles, pts).b_low
-
-    db = fd_partials(b_cov_field, x, cfg, scales=metric.r)  # [k, j] = d_k b_j
-    coord_rhs = -(state.b / state.q) * (db @ y)
-    s_rhs = -(state.b / state.q) * state.s_low
-    return {
-        "coordinate_form": float(np.max(np.abs(dq - coord_rhs))),
-        "covariant_form": float(np.max(np.abs(dq - s_rhs))),
-    }

@@ -281,9 +281,9 @@ def nabla_b_definitional(state: MetricState, config: DiffConfig | None = None) -
     def b_field(pts: np.ndarray) -> np.ndarray:
         return build_metric(state.frame, state.profiles, pts).b_low
 
-    db = fd_partials(b_field, state.x, cfg, scales=state.r)  # db[i, j] = d_i b_j
+    db = fd_partials(b_field, state.x, cfg, scales=state.r[..., None])  # [i, j] = d_i b_j
     gamma = christoffel_definitional(state, cfg)
-    return db - np.einsum("n,nij->ij", state.b_low, gamma)
+    return db - np.einsum("...n,...nij->...ij", state.b_low, gamma)
 
 
 def nabla_c(state: MetricState) -> np.ndarray:
@@ -293,12 +293,14 @@ def nabla_c(state: MetricState) -> np.ndarray:
     - (c'/2m) [2 m' n_i n_j + (2 c'/c^3) b_i b_j - m' u_ij]
     """
     n, b, u = state.n_low, state.b_low, state.frame.u_low
-    nn = np.outer(n, n)
+    c, c1, c2, m, m1, r = (
+        v[..., None, None] for v in (state.c, state.c1, state.c2, state.m, state.m1, state.r)
+    )
+    nn = outer(n, n)
     return (
-        state.c2 * nn
-        + (state.c1 / state.r) * (u - nn)
-        - (0.5 * state.c1 / state.m)
-        * (2.0 * state.m1 * nn + (2.0 * state.c1 / state.c**3) * np.outer(b, b) - state.m1 * u)
+        c2 * nn
+        + (c1 / r) * (u - nn)
+        - (0.5 * c1 / m) * (2.0 * m1 * nn + (2.0 * c1 / c**3) * outer(b, b) - m1 * u)
     )
 
 
@@ -309,9 +311,9 @@ def nabla_c_definitional(state: MetricState, config: DiffConfig | None = None) -
     def c_field(pts: np.ndarray) -> np.ndarray:
         return build_metric(state.frame, state.profiles, pts).dc_low
 
-    dc = fd_partials(c_field, state.x, cfg, scales=state.r)
+    dc = fd_partials(c_field, state.x, cfg, scales=state.r[..., None])
     gamma = christoffel_definitional(state, cfg)
-    return dc - np.einsum("n,nij->ij", state.dc_low, gamma)
+    return dc - np.einsum("...n,...nij->...ij", state.dc_low, gamma)
 
 
 # ---------------------------------------------------------------------------

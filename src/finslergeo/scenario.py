@@ -57,9 +57,10 @@ SUITES = (
 
 DEFAULT_RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
 
-# Largest accepted ``points`` / ``fibers`` count: every sample is drawn and
-# evaluated, so run time grows with the count, and an unbounded count (a
-# many-digit integer) would never finish instead of being refused.
+# Largest accepted ``points`` / ``fibers`` count and number of radii: every
+# sample is drawn and evaluated, so run time grows with the count, and an
+# unbounded count (a many-digit integer) would never finish instead of
+# being refused.
 MAX_COUNT = 10_000
 
 _SECTION_KEYS = {
@@ -309,6 +310,8 @@ def scenario_from_sections(sections: dict[str, dict[str, object]]) -> Scenario:
         raise ScenarioError(str(exc)) from exc
 
     radii = _numbers(samples.get("radii", list(DEFAULT_RADII)), "radii")
+    if len(radii) > MAX_COUNT:
+        raise ScenarioError(f"the radii count must be <= {MAX_COUNT}; got {len(radii)} radii")
     if not radii or any(r <= profile.r_min for r in radii):
         raise ScenarioError(f"radii must be a nonempty list of radii > {profile.r_min}")
     n_points = _integer(samples, "points", 100)

@@ -36,30 +36,17 @@ from .riemann import (
     stack_states,
 )
 from .scenario import SUITES, Scenario
-from .tensors import DiffConfig, dot, fd_partials, matvec, max_abs, outer, rel_frobenius
+from .tensors import (
+    DiffConfig,
+    _per_sample,
+    dot,
+    fd_partials,
+    matvec,
+    max_abs,
+    outer,
+    rel_frobenius,
+)
 from .vacuum import contraction_identities, reduced_curvature, verify_vacuum
-
-# Samples are evaluated in stacked chunks: one call per chunk instead of
-# one per sample removes the per-call overhead on tiny arrays, but a
-# chunk's stencil arrays grow with it (all 100 fibers of an N = 8 charged
-# finsler-curvature run in one chunk peak at 57 MB of arrays, against
-# 3.8 MB chunked).  The largest value a stencil row holds is an N^3 array
-# (the Christoffel symbols of the row's metric) and a sample has N * 4 rows
-# (order-4 stencil), so a chunk takes as many samples as keep that array
-# within this many floats (512 KiB): 64 samples at N = 4, 4 at N = 8.
-STENCIL_FLOAT_BUDGET = 2**16
-
-
-def _chunks(samples: list, n_dim: int) -> list[list]:
-    size = max(1, STENCIL_FLOAT_BUDGET // (4 * n_dim**4))
-    return [samples[i : i + size] for i in range(0, len(samples), size)]
-
-
-def _per_sample(samples: list, n_dim: int, evaluate) -> dict[str, np.ndarray]:
-    """Run ``evaluate`` on each chunk of samples; it returns per-sample
-    arrays by name, which are joined in draw order."""
-    parts = [evaluate(chunk) for chunk in _chunks(samples, n_dim)]
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
 def _config(scenario: Scenario) -> DiffConfig:
@@ -280,49 +267,17 @@ def suite_vacuum(scenario: Scenario, cfg: DiffConfig):
             {},
         )
     xi = float(scenario.profile.params["xi"])
-    report = verify_vacuum(xi, scenario.radii, scenario.n_dim, seed=scenario.seed, config=cfg)
-    checks = [
-        CheckResult.from_residuals(
-            "ricci_scaled",
-            [res.ricci_scaled for res in report.results],
-            report.tolerances["ricci_scaled"],
-            "algebraic",
-        ),
-        CheckResult.from_residuals(
-            "ricci_coefficients_scaled",
-            [max(res.coefficients_scaled) for res in report.results],
-            report.tolerances["coefficients_scaled"],
-            "algebraic",
-        ),
-        CheckResult.from_residuals(
-            "closed_vs_oracle",
-            [res.closed_vs_oracle for res in report.results],
-            report.tolerances["closed_vs_oracle"],
-            "finite_difference",
-        ),
-        CheckResult.from_residuals(
-            "reduced_vs_closed",
-            [res.reduced_vs_closed for res in report.results],
-            report.tolerances["reduced_vs_closed"],
-            "closed_form",
-        ),
-        CheckResult.from_residuals(
-            "axis_contractions",
-            [max(res.contractions.values()) for res in report.results],
-            report.tolerances["contractions"],
-            "algebraic",
-        ),
-    ]
-    status = "pass" if report.passed else "fail"
+    checks = verify_vacuum(xi, scenario.radii, scenario.n_dim, seed=scenario.seed, config=cfg)
+    status = "pass" if all(c.passed for c in checks) else "fail"
     dumps = {}
     if scenario.dump_dir:
         frame = Frame.standard(scenario.n_dim, scenario.epsilon)
-        for res in report.results:
+        for r in scenario.radii:
             x = np.zeros(scenario.n_dim)
-            x[1] = res.r
+            x[1] = r
             state = build_metric(frame, scenario.profile, x)
-            dumps[f"vacuum_curvature_r{res.r:g}"] = curvature_closed(state)
-    return SuiteResult("vacuum", status, tuple(checks)), dumps
+            dumps[f"vacuum_curvature_r{r:g}"] = curvature_closed(state)
+    return SuiteResult("vacuum", status, checks), dumps
 
 
 def suite_schwarzschild_reductions(scenario: Scenario, cfg: DiffConfig):
@@ -338,32 +293,37 @@ def suite_schwarzschild_reductions(scenario: Scenario, cfg: DiffConfig):
     rng = _suite_rng(scenario, "schwarzschild-reductions")
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     xi = float(scenario.profile.params["xi"])
-
-    reduced_gaps, contraction_gaps, scaling_gaps = [], [], []
+    samples = []
     for r in scenario.radii:
         x = _sample_point(rng, scenario.n_dim, r, r)
-        state = build_metric(frame, scenario.profile, x)
-        closed = curvature_closed(state)
-        reduced_gaps.append(rel_frobenius(reduced_curvature(state), closed))
-        y = rng.normal(size=scenario.n_dim)
-        contraction_gaps.append(max(contraction_identities(state, y).values()))
-        # Scaling xi -> lam*xi, x -> lam*x leaves (c, m) invariant and scales
-        # curvature components by 1/lam^2.
-        for lam in (0.5, 2.0):
-            scaled_profile = ProfilePair.schwarzschild_isotropic(lam * xi)
-            scaled_state = build_metric(frame, scaled_profile, lam * x)
-            scaling_gaps.append(max_abs(lam**2 * curvature_closed(scaled_state) - closed))
+        samples.append((x, rng.normal(size=scenario.n_dim)))
 
+    def residuals(chunk) -> dict[str, np.ndarray]:
+        xs = np.stack([x for x, _ in chunk])
+        state = build_metric(frame, scenario.profile, xs)
+        closed = curvature_closed(state)
+        contractions = contraction_identities(state, np.stack([y for _, y in chunk]))
+        # Scaling xi -> lam*xi, x -> lam*x leaves (c, m) invariant and scales
+        # curvature components by 1/lam^2; both scalings of a radius in turn.
+        scaling = []
+        for lam in (0.5, 2.0):
+            scaled = build_metric(frame, ProfilePair.schwarzschild_isotropic(lam * xi), lam * xs)
+            scaling.append(max_abs(lam**2 * curvature_closed(scaled) - closed, 4))
+        return {
+            "reduced_vs_closed": rel_frobenius(reduced_curvature(state), closed, 4),
+            "axis_contractions": np.max(list(contractions.values()), axis=0),
+            "scaling_covariance": np.stack(scaling, axis=-1).reshape(-1),
+        }
+
+    rows = _per_sample(samples, scenario.n_dim, residuals)
+    check_plan = [
+        ("reduced_vs_closed", "closed_form", 1.0),
+        ("axis_contractions", "algebraic", 10.0),
+        ("scaling_covariance", "algebraic", 1.0),
+    ]
     checks = [
-        CheckResult.from_residuals(
-            "reduced_vs_closed", reduced_gaps, cfg.tolerance("closed_form"), "closed_form"
-        ),
-        CheckResult.from_residuals(
-            "axis_contractions", contraction_gaps, cfg.tolerance("algebraic", 10.0), "algebraic"
-        ),
-        CheckResult.from_residuals(
-            "scaling_covariance", scaling_gaps, cfg.tolerance("algebraic"), "algebraic"
-        ),
+        CheckResult.from_residuals(name, rows[name], cfg.tolerance(klass, scale), klass)
+        for name, klass, scale in check_plan
     ]
     status = "pass" if all(c.passed for c in checks) else "fail"
     return SuiteResult("schwarzschild-reductions", status, tuple(checks)), {}
@@ -451,7 +411,7 @@ def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
         derivs = spray_derivatives(state, y, charge, cfg)
         g1 = derivs.spray
         g2 = spray_coefficients(state, 2.0 * y, charge)
-        curvature = hh_curvature(derivs, cfg).curvature
+        curvature = hh_curvature(derivs, cfg)
         out = {
             "spray_homogeneity": max_abs(g2 - 4.0 * g1, 1),
             "euler_identity": max_abs(matvec(derivs.first_closed, y) - 2.0 * g1, 1),

@@ -6,7 +6,6 @@ geometry code.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -200,18 +199,6 @@ _D1_STENCILS = {
     4: ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.0)),
 }
 
-# Second-derivative stencils; value = sum w*f(x+off*h) / h^2.
-_D2_STENCILS = {
-    2: ((1, 1.0), (0, -2.0), (-1, 1.0)),
-    4: (
-        (2, -1.0 / 12.0),
-        (1, 16.0 / 12.0),
-        (0, -30.0 / 12.0),
-        (-1, 16.0 / 12.0),
-        (-2, -1.0 / 12.0),
-    ),
-}
-
 
 def fd_partials(
     f: Callable[[np.ndarray], np.ndarray],
@@ -287,61 +274,32 @@ def fd_partials(
     raise ConeStencilError("stencil left the admissible set even after shrinking the step")
 
 
-def fd_gradient(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    config: DiffConfig | None = None,
-    scales: np.ndarray | float | None = None,
-) -> np.ndarray:
-    """Central-difference gradient of a scalar field (a covector), shaped
-    like x: one point or a batch.
-
-    ``f`` takes the stencil stack as fd_partials does and returns one
-    scalar per row.  Error is O(fd_step^2) at order 2 and O(fd_step^4) at
-    order 4.
-    """
-    return fd_partials(f, x, config, scales).reshape(np.shape(x))
-
-
-def fd_derivative(
-    f: Callable[[float], float],
-    r: float,
-    config: DiffConfig | None = None,
-    scale: float | None = None,
-) -> float:
-    """Central-difference first derivative of a scalar function of one scalar."""
-    cfg = config or DiffConfig()
-    h = cfg.fd_step * (scale if scale is not None else max(1.0, abs(r)))
-    acc = 0.0
-    for off, w in _D1_STENCILS[cfg.fd_order]:
-        fv = float(f(r + off * h))
-        if not math.isfinite(fv):
-            raise StencilError(f"non-finite evaluation at r={r + off * h}")
-        acc += w * fv
-    return acc / h
-
-
-def fd_second(
-    f: Callable[[float], float],
-    r: float,
-    config: DiffConfig | None = None,
-    scale: float | None = None,
-) -> float:
-    """Central-difference second derivative of a scalar function of one scalar."""
-    cfg = config or DiffConfig()
-    h = cfg.fd_step * (scale if scale is not None else max(1.0, abs(r)))
-    acc = 0.0
-    for off, w in _D2_STENCILS[cfg.fd_order]:
-        fv = float(f(r + off * h))
-        if not math.isfinite(fv):
-            raise StencilError(f"non-finite evaluation at r={r + off * h}")
-        acc += w * fv
-    return acc / (h * h)
-
-
 # ---------------------------------------------------------------------------
-# Residual helpers shared by the verification suites
+# Chunked evaluation and residual helpers shared by the verification suites
 # ---------------------------------------------------------------------------
+
+# Samples are evaluated in stacked chunks: one call per chunk instead of
+# one per sample removes the per-call overhead on tiny arrays, but a
+# chunk's stencil arrays grow with it (all 100 fibers of an N = 8 charged
+# finsler-curvature run in one chunk peak at 57 MB of arrays, against
+# 3.8 MB chunked).  The largest value a stencil row holds is an N^3 array
+# (the Christoffel symbols of the row's metric) and a sample has N * 4 rows
+# (order-4 stencil), so a chunk takes as many samples as keep that array
+# within this many floats (512 KiB): 64 samples at N = 4, 4 at N = 8.
+STENCIL_FLOAT_BUDGET = 2**16
+
+
+def _chunks(samples: list, n_dim: int) -> list[list]:
+    size = max(1, STENCIL_FLOAT_BUDGET // (4 * n_dim**4))
+    return [samples[i : i + size] for i in range(0, len(samples), size)]
+
+
+def _per_sample(samples: list, n_dim: int, evaluate) -> dict[str, np.ndarray]:
+    """Run ``evaluate`` on each chunk of samples; it returns per-sample
+    arrays by name, which are joined in draw order."""
+    parts = [evaluate(chunk) for chunk in _chunks(samples, n_dim)]
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
 
 
 def _component_axes(a: np.ndarray, ndim: int | None) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ if str(SRC) not in sys.path:
 import numpy as np
 import pytest
 
-from finslergeo import Frame, ProfilePair
+from finslergeo import Frame, ProfilePair, fd_partials
 
 
 @pytest.fixture
@@ -51,3 +51,10 @@ def sample_point(rng, n_dim, lo, hi):
 @pytest.fixture
 def point_sampler():
     return sample_point
+
+
+def fd_scalar(f, t, config, scale):
+    """Central difference of a scalar function of one scalar: fd_partials
+    at the one-coordinate point (t,), with ``f`` applied to the stencil
+    coordinates."""
+    return float(fd_partials(lambda pts: f(pts[..., 0]), np.array([t]), config, scale)[0])

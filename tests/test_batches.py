@@ -15,6 +15,7 @@ from finslergeo import (
     ProfilePair,
     StencilMissError,
     build_metric,
+    contraction_identities,
     curvature_closed,
     curvature_fd_oracle,
     curvature_presubstitution,
@@ -22,9 +23,14 @@ from finslergeo import (
     hh_curvature,
     kinematic_identity_residuals,
     kinematics,
+    nabla_b_definitional,
+    nabla_c,
+    nabla_c_definitional,
     parse_scenario,
+    reduced_curvature,
     ricci_closed,
     spray_derivatives,
+    verify_vacuum,
 )
 from finslergeo.finsler import fiber_vectors
 from finslergeo.report import CheckResult
@@ -36,6 +42,7 @@ from finslergeo.suites import (
     suite_finsler_identities,
 )
 from finslergeo.tensors import max_abs
+from finslergeo.vacuum import reduced_prefactor
 
 from conftest import sample_point
 
@@ -184,6 +191,32 @@ class TestClosedFormsBatch:
         )
 
     @pytest.mark.parametrize("name, rotated", CASES, ids=IDS)
+    def test_covariant_derivative_oracles_equal_per_sample(self, name, rotated, rng):
+        metrics = [m for m, _, _ in _samples(rng, name, rotated)]
+        batch = stack_states(metrics)
+        _agree(nabla_c(batch), [nabla_c(m) for m in metrics], CLOSED)
+        _agree(nabla_b_definitional(batch), [nabla_b_definitional(m) for m in metrics], FD)
+        _agree(nabla_c_definitional(batch), [nabla_c_definitional(m) for m in metrics], FD)
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
+    def test_vacuum_layer_equals_per_sample(self, rotated, rng):
+        samples = _samples(rng, "schwarzschild", rotated)
+        metrics = [m for m, _, _ in samples]
+        batch = stack_states(metrics)
+        y = np.stack([yy for _, yy, _ in samples])
+        _agree(reduced_prefactor(batch), [reduced_prefactor(m) for m in metrics], CLOSED)
+        reduced = reduced_curvature(batch)
+        _agree(reduced, [reduced_curvature(m) for m in metrics], CLOSED)
+        # The contraction residuals are roundoff of curvature-sized terms:
+        # they agree to CLOSED on the scale of the curvature, not their own.
+        res = contraction_identities(batch, y)
+        alone = [contraction_identities(m, yy) for m, yy, _ in samples]
+        for key, values in res.items():
+            assert values.shape == (len(samples),)
+            gap = max_abs(values - np.array([a[key] for a in alone]))
+            assert gap <= CLOSED * max_abs(reduced)
+
+    @pytest.mark.parametrize("name, rotated", CASES, ids=IDS)
     def test_finsler_layer_equals_per_sample(self, name, rotated, rng):
         _, _, charge, _ = PROFILES[name]
         samples = _samples(rng, name, rotated)
@@ -196,7 +229,7 @@ class TestClosedFormsBatch:
         for field in ("first_numeric", "second_numeric"):
             _agree(getattr(derivs, field), [getattr(s, field) for s in singles], FD)
         _agree(
-            hh_curvature(derivs).curvature, [hh_curvature(s).curvature for s in singles], FD
+            hh_curvature(derivs), [hh_curvature(s) for s in singles], FD
         )
 
         fib = stack_states([f for _, _, f in samples])
@@ -271,6 +304,19 @@ def test_chunked_suites_stay_within_the_memory_guard(suite):
     assert peak <= 8 * 2**20
 
 
+def test_vacuum_chunks_stay_within_the_memory_guard():
+    """verify_vacuum evaluates its radii in the same chunks: 200 radii at
+    N = 8 peak at a few MB."""
+    tracemalloc.start()
+    try:
+        checks = verify_vacuum(1.0, np.linspace(0.5, 10.0, 200), n_dim=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [check.n_samples for check in checks] == [200] * 5
+    assert peak <= 8 * 2**20
+
+
 class TestWorstIndex:
     def test_first_position_of_the_maximum(self):
         assert CheckResult.from_residuals("r", [1, 3, 2], 10.0).worst_index == 1
@@ -298,7 +344,7 @@ class TestWorstIndex:
             fib = fibers[check.worst_index]
             derivs = spray_derivatives(fib.metric, fib.y, scenario.charge, cfg)
             if name == "bundle_magnitude":
-                alone = max_abs(hh_curvature(derivs, cfg).curvature)
+                alone = max_abs(hh_curvature(derivs, cfg))
             else:
                 alone = derivs.first_gap
             assert alone == pytest.approx(check.residual_max, rel=1e-9)

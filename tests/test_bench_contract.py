@@ -1,13 +1,32 @@
-"""The traced benchmark names package functions in BENCHMARK.json; each
-per-layer metric must still name a public function, so that a rename fails
-here instead of leaving the traced bench unable to compute the metric."""
+"""The benchmark's contract with the package, checked here so that a
+change that breaks it fails the tests instead of every bench operation:
+
+- the traced benchmark names package functions in BENCHMARK.json; each
+  per-layer metric must still name a public function;
+- bench/workloads.json lists the check names and sample counts each suite
+  must report; every scenario shape there must still report exactly them.
+"""
 
 import importlib
 import inspect
 import json
 from pathlib import Path
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+import pytest
+
+from finslergeo import run
+from finslergeo.scenario import scenario_from_sections
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
+WORKLOADS = json.loads((ROOT / "bench" / "workloads.json").read_text())
+# Tiny counts per sample kind; a check's count in the table is one of these.
+COUNTS = {"points": 2, "fibers": 2, "radii": 2, "2*radii": 4}
+SHAPES = [
+    (f"{workload}-{index}", entry)
+    for workload, spec in WORKLOADS["workloads"].items()
+    for index, entry in enumerate(spec["scenarios"])
+]
 SPAN_STATS = ("calls", "errors", "self_s", "total_s", "p50_us", "p90_us")
 # Public methods the tracer wraps on their classes, named <module>.<method>.
 TRACED_METHODS = {"profiles.jets": "ProfilePair", "report.to_json": "RunReport"}
@@ -42,3 +61,35 @@ def test_every_traced_span_names_a_public_function():
             f"{name}: finslergeo.{span} is traced as {func.__module__}.{func.__name__}"
         )
     assert checked > 0
+
+
+@pytest.mark.parametrize("entry", [entry for _, entry in SHAPES], ids=[i for i, _ in SHAPES])
+def test_every_workload_suite_reports_the_checks_the_bench_expects(entry):
+    """Each suite of each workload scenario, run with tiny counts, passes
+    and reports the check names and n_samples that bench/workloads.json
+    lists for it (a charge-0 finsler-curvature run has its own table)."""
+    scenario = scenario_from_sections(
+        {
+            "scenario": {
+                "dimension": entry["dimension"],
+                "signature": entry["signature"],
+                "charge": entry["charge"],
+                "suites": entry["suites"],
+            },
+            "profile": WORKLOADS["profiles"][entry["profile"]],
+            "samples": {
+                "radii": WORKLOADS["radii"][: COUNTS["radii"]],
+                "points": COUNTS["points"],
+                "fibers": COUNTS["fibers"],
+            },
+        }
+    )
+    report = run(scenario)
+    assert [suite.name for suite in report.suites] == entry["suites"]
+    for suite in report.suites:
+        key = suite.name
+        if key == "finsler-curvature" and entry["charge"] == 0.0:
+            key += "@charge0"
+        expected = {name: COUNTS[base] for name, base in WORKLOADS["checks"][key].items()}
+        assert suite.status == "pass", (suite.name, suite.reason)
+        assert {check.name: check.n_samples for check in suite.checks} == expected

@@ -26,10 +26,9 @@ from finslergeo.finsler import (
     riemann_spray,
     spray_y_derivative,
     spray_y_second,
-    transverse_slope_residuals,
 )
 from finslergeo.riemann import christoffel, nabla_b
-from finslergeo.tensors import max_abs, rel_frobenius
+from finslergeo.tensors import fd_partials, max_abs, rel_frobenius
 
 from conftest import sample_point
 
@@ -304,6 +303,27 @@ class TestSprayDerivatives:
             spray_derivatives(state, y, charge)
 
 
+def transverse_slope_residuals(metric, y, charge):
+    """Gaps of the printed shorthand dq/dx^k = -(b/q) b_{j,k} y^j for the
+    x-slope of the transverse norm, with b_{j,k} y^j taken as coordinate
+    partials of b_j and as s_k.  The shorthand drops the metric derivative
+    term (1/2q) (d_k a_ij) y^i y^j, so both gaps vanish only for constant
+    profiles."""
+    state = kinematics(metric, y, charge)
+    frame, profiles, x = metric.frame, metric.profiles, metric.x
+
+    def q_field(pts):
+        return np.sqrt(fiber_vectors(build_metric(frame, profiles, pts), y)[3])
+
+    dq = fd_partials(q_field, x, scales=metric.r)
+    db = fd_partials(lambda pts: build_metric(frame, profiles, pts).b_low, x, scales=metric.r)
+    slope = -state.b / state.q
+    return {
+        "coordinate_form": max_abs(dq - slope * (db @ y)),
+        "covariant_form": max_abs(dq - slope * state.s_low),
+    }
+
+
 class TestTransverseSlopeDiagnostic:
     def test_exact_for_constant_profiles(self, rng):
         """Flat background: all three expressions vanish identically."""
@@ -324,8 +344,6 @@ class TestTransverseSlopeDiagnostic:
         state = build_metric(frame4_pd, pd_rational, x)
         res = transverse_slope_residuals(state, y, 0.3)
         fib = kinematics(state, y, 0.3)
-        from finslergeo.tensors import fd_partials
-
         da = fd_partials(lambda p: build_metric(frame4_pd, pd_rational, p).a_low, x, scales=state.r)
         dropped = np.einsum("kij,i,j->k", da, y, y) / (2.0 * fib.q)
         assert res["coordinate_form"] == pytest.approx(max_abs(dropped), rel=1e-4)
@@ -343,9 +361,9 @@ class TestBundle:
             y = rng.normal(size=4)
             if eps == 1:
                 y[1:] += 1.0  # keep q away from zero
-            bundle = hh_curvature(spray_derivatives(build_metric(frame, pair, x), y, charge))
-            assert max_abs(bundle.spray) == 0.0
-            assert max_abs(bundle.curvature) < 1e-10
+            derivs = spray_derivatives(build_metric(frame, pair, x), y, charge)
+            assert max_abs(derivs.spray) == 0.0
+            assert max_abs(hh_curvature(derivs)) < 1e-10
 
     def test_riemannian_limit_matches_curvature(self, frame4, schwarzschild, rng):
         """g = 0: the bundle equals y^n y^m a_n^i_km (sign +1, fixed at the
@@ -355,14 +373,14 @@ class TestBundle:
             x = sample_point(rng, 4, 0.6, 4.0)
             y = rng.normal(size=4)
             state = build_metric(frame4, schwarzschild, x)
-            bundle = hh_curvature(spray_derivatives(state, y, 0.0))
+            curvature = hh_curvature(spray_derivatives(state, y, 0.0))
             comparison = np.einsum("nikm,n,m->ik", curvature_closed(state), y, y)
             if k == 0:
-                plus = max_abs(bundle.curvature - comparison)
-                minus = max_abs(bundle.curvature + comparison)
+                plus = max_abs(curvature - comparison)
+                minus = max_abs(curvature + comparison)
                 sign = 1.0 if plus < minus else -1.0
                 assert sign == 1.0
-            assert rel_frobenius(bundle.curvature, sign * comparison) < 1e-5
+            assert rel_frobenius(curvature, sign * comparison) < 1e-5
 
     def test_charged_bundle_regression(self):
         """Self-regression for g = 0.3 on the positive-definite rational pair:
@@ -390,9 +408,9 @@ class TestBundle:
         ]
         for x, y, trace in probes:
             state = build_metric(frame, pair, np.array(x))
-            bundle = hh_curvature(spray_derivatives(state, np.array(y), 0.3))
-            assert float(np.trace(bundle.curvature)) == pytest.approx(trace, rel=1e-6)
-            assert max_abs(bundle.curvature @ np.array(y)) < 1e-9
+            curvature = hh_curvature(spray_derivatives(state, np.array(y), 0.3))
+            assert float(np.trace(curvature)) == pytest.approx(trace, rel=1e-6)
+            assert max_abs(curvature @ np.array(y)) < 1e-9
 
     def test_lowered_bundle_symmetry_diagnostic(self, frame4_pd, pd_rational, rng):
         """Diagnostic record: the a_ij-lowered bundle splits into symmetric and
@@ -401,8 +419,7 @@ class TestBundle:
         x = sample_point(rng, 4, 1.0, 3.0)
         y = rng.normal(size=4)
         state = build_metric(frame4_pd, pd_rational, x)
-        bundle = hh_curvature(spray_derivatives(state, y, 0.3))
-        lowered = state.a_low @ bundle.curvature
+        lowered = state.a_low @ hh_curvature(spray_derivatives(state, y, 0.3))
         sym = max_abs(lowered + lowered.T) / 2.0
         antisym = max_abs(lowered - lowered.T) / 2.0
         assert np.isfinite(sym) and np.isfinite(antisym)

@@ -11,7 +11,8 @@ from finslergeo import (
     combo_scalars,
     ricci_coefficients,
 )
-from finslergeo.tensors import fd_derivative, fd_second
+
+from conftest import fd_scalar
 
 
 class TestSchwarzschildPair:
@@ -105,16 +106,11 @@ class TestDerivativeOracle:
         for _ in range(200):
             r = rng.uniform(0.4, 12.0)
 
-            def c_of(rr):
-                return pair.eval(rr).c
-
-            def m_of(rr):
-                return pair.eval(rr).m
-
             p = pair.eval(r)
-            for got1, got2, f in ((p.c1, p.c2, c_of), (p.m1, p.m2, m_of)):
-                d1 = fd_derivative(f, r, cfg, scale=r)
-                d2 = fd_second(f, r, cfg, scale=r)
+            for ch in ("c", "m"):
+                got1, got2 = getattr(p, ch + "1"), getattr(p, ch + "2")
+                d1 = fd_scalar(lambda rr: getattr(pair.eval(rr), ch), r, cfg, r)
+                d2 = fd_scalar(lambda rr: getattr(pair.eval(rr), ch + "1"), r, cfg, r)
                 assert abs(got1 - d1) <= 1e-8 * max(abs(got1), 1.0)
                 assert abs(got2 - d2) <= 1e-8 * max(abs(got2), 1.0)
 

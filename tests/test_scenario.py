@@ -279,6 +279,14 @@ class TestCli:
             ("[scenario]\nsuites = vacuum\n[samples]\npoints = 1" + "0" * 400 + "\n",
              "must be <= 10000"),
             (["finsler-curvature", "--samples", "10001"], "must be <= 10000"),
+            ("[scenario]\nsuites = vacuum\n[samples]\nradii = " + ", ".join(["1"] * 10001) + "\n",
+             "must be <= 10000"),
+            (["verify-vacuum", "--radii", ",".join(["1"] * 10001)], "must be <= 10000"),
+            (
+                ["verify-vacuum", "--tolerance-class", "exact=1e-12",
+                 "--tolerance-class", "exact=1e-3"],
+                "duplicate --tolerance-class 'exact'",
+            ),
             ("[scenario]\nseed = 3\n", "no suites listed"),
             (
                 ["finsler-curvature", "--profile", "schwarzschild", "--charge", "0.3"],
@@ -288,7 +296,8 @@ class TestCli:
         ids=[
             "boolean", "integer", "finite", "duplicate-key", "duplicate-suite", "seed",
             "vacuum-dimension", "vacuum-pole", "curvature-samples", "huge-points",
-            "curvature-samples-cap", "no-suites",
+            "curvature-samples-cap", "huge-radii", "vacuum-radii-cap",
+            "duplicate-tolerance-class", "no-suites",
             "charged-schwarzschild",
         ],
     )

@@ -17,14 +17,13 @@ from finslergeo import (
     StencilError,
     StencilMissError,
     build_metric,
-    fd_gradient,
     fd_partials,
     hh_curvature,
     spray_derivatives,
 )
-from finslergeo.tensors import fd_derivative, fd_second, transform_components
+from finslergeo.tensors import transform_components
 
-from conftest import sample_point
+from conftest import fd_scalar, sample_point
 
 
 class TestTensorBasics:
@@ -76,8 +75,10 @@ class TestJet2:
 
         jet = f(Jet2.variable(t))
         cfg = DiffConfig(fd_step=1e-3, fd_order=4)
-        assert jet.d1 == pytest.approx(fd_derivative(f, t, cfg, scale=1.0), rel=1e-8, abs=1e-10)
-        assert jet.d2 == pytest.approx(fd_second(f, t, cfg, scale=1.0), rel=1e-6, abs=1e-8)
+        d1 = fd_scalar(f, t, cfg, 1.0)
+        d2 = fd_scalar(lambda s: f(Jet2.variable(s)).d1, t, cfg, 1.0)
+        assert jet.d1 == pytest.approx(d1, rel=1e-8, abs=1e-10)
+        assert jet.d2 == pytest.approx(d2, rel=1e-6, abs=1e-8)
 
     def test_arithmetic_identities(self):
         x = Jet2.variable(1.7)
@@ -140,14 +141,9 @@ class TestJet2:
         for _ in range(100):
             r = rng.uniform(0.5, 10.0)
             cj, mj = profile.jets(r)
-            for jet, channel in ((cj, "c"), (mj, "m")):
-
-                def value(rr, _ch=channel):
-                    c, m = profile.jets(rr)
-                    return c.value if _ch == "c" else m.value
-
-                d1 = fd_derivative(value, r, cfg, scale=r)
-                d2 = fd_second(value, r, cfg, scale=r)
+            for pos, jet in enumerate((cj, mj)):
+                d1 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p].value, r, cfg, r)
+                d2 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p].d1, r, cfg, r)
                 scale1 = max(abs(jet.d1), 1e-3)
                 scale2 = max(abs(jet.d2), 1e-3)
                 assert abs(jet.d1 - d1) / scale1 < 1e-6
@@ -155,16 +151,19 @@ class TestJet2:
 
 
 class TestFdGradient:
+    """fd_partials on scalar fields: one value per stencil row gives the
+    gradient covector, shaped like the point."""
+
     def test_radius_gradient_is_radial_covector(self, frame4, rng):
         """The gradient of r = sqrt(u_ij x^i x^j) is the unit radial covector n_i."""
         x = sample_point(rng, 4, 0.5, 5.0)
-        grad = fd_gradient(lambda p: frame4.radius(p), x)
+        grad = fd_partials(lambda p: frame4.radius(p), x)
         n_low = (frame4.u_low @ x) / frame4.radius(x)
         np.testing.assert_allclose(grad, n_low, atol=1e-9)
 
     def test_constant_field_gives_zero(self, rng):
         # roundoff in the stencil sum is amplified by 1/h; zero at FD accuracy
-        grad = fd_gradient(lambda pts: np.full(len(pts), 4.25), rng.normal(size=4))
+        grad = fd_partials(lambda pts: np.full(len(pts), 4.25), rng.normal(size=4))
         np.testing.assert_allclose(grad, np.zeros(4), atol=1e-9)
 
     def test_schwarzschild_c_gradient(self, frame4, schwarzschild):
@@ -174,7 +173,7 @@ class TestFdGradient:
         def c_field(p):
             return schwarzschild.eval(frame4.radius(p)).c
 
-        grad = fd_gradient(c_field, x, DiffConfig(fd_step=1e-5, fd_order=4))
+        grad = fd_partials(c_field, x, DiffConfig(fd_step=1e-5, fd_order=4))
         n_low = (frame4.u_low @ x) / 1.0
         np.testing.assert_allclose(grad, (-8.0 / 9.0) * n_low, atol=1e-9)
         # Cross-check the same derivative through the jet engine.
@@ -182,7 +181,7 @@ class TestFdGradient:
 
     def test_non_finite_stencil_raises(self):
         with pytest.raises(StencilError):
-            fd_gradient(lambda pts: np.full(len(pts), np.nan), np.ones(3))
+            fd_partials(lambda pts: np.full(len(pts), np.nan), np.ones(3))
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_non_finite_message_names_axis_and_offset(self, order):
@@ -196,11 +195,11 @@ class TestFdGradient:
             return out
 
         with pytest.raises(StencilError, match=r"axis 1, offset -1\)"):
-            fd_gradient(field, x, cfg, scales=1.0)
+            fd_partials(field, x, cfg, scales=1.0)
 
     def test_single_point_field_is_rejected(self):
         with pytest.raises(ValueError, match="one value per row"):
-            fd_gradient(lambda pts: 4.25, np.ones(3))
+            fd_partials(lambda pts: 4.25, np.ones(3))
 
     @pytest.mark.parametrize("route", ["y-stencil", "x-stencil"])
     def test_non_finite_spray_stencil_raises(self, route):
@@ -256,7 +255,7 @@ class TestFdGradient:
             stacks.append(pts.copy())
             return pts @ np.arange(1.0, 5.0)
 
-        grad = fd_gradient(field, x, cfg, scales=1.0)
+        grad = fd_partials(field, x, cfg, scales=1.0)
         np.testing.assert_allclose(grad, np.arange(1.0, 5.0), rtol=1e-9)
         assert len(stacks) == 1 and stacks[0].shape == (4 * width, 4)
         moved = (stacks[0] - x).reshape(4, width, 4)
@@ -274,7 +273,7 @@ class TestFdGradient:
             return 1.0
 
         with pytest.raises(ConeStencilError):
-            fd_gradient(point_field, x)
+            fd_partials(point_field, x)
 
     def test_order4_beats_order2(self, frame4, schwarzschild):
         x = np.array([0.0, 1.3, 0.4, -0.2])
@@ -283,8 +282,8 @@ class TestFdGradient:
             return schwarzschild.eval(frame4.radius(p)).c
 
         exact = schwarzschild.eval(frame4.radius(x)).c1 * (frame4.u_low @ x) / frame4.radius(x)
-        err2 = np.max(np.abs(fd_gradient(c_field, x, DiffConfig(fd_step=1e-3, fd_order=2)) - exact))
-        err4 = np.max(np.abs(fd_gradient(c_field, x, DiffConfig(fd_step=1e-3, fd_order=4)) - exact))
+        err2 = np.max(np.abs(fd_partials(c_field, x, DiffConfig(fd_step=1e-3, fd_order=2)) - exact))
+        err4 = np.max(np.abs(fd_partials(c_field, x, DiffConfig(fd_step=1e-3, fd_order=4)) - exact))
         assert err4 < err2
 
 

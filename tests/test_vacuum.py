@@ -23,21 +23,25 @@ from conftest import sample_point
 RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
 
 
+def _checks(*args, **kwargs):
+    """verify_vacuum's checks by name."""
+    return {check.name: check for check in verify_vacuum(*args, **kwargs)}
+
+
 class TestVerifyVacuum:
     def test_vacuum_at_dimension_four(self):
         """Every Ricci component stays below 1e-9 (in 1/r^2 units) and the
         decomposition coefficients below 1e-10 across the radius sweep."""
-        report = verify_vacuum(1.0, RADII, n_dim=4)
-        assert report.passed
-        assert report.max_ricci_scaled < 1e-9
-        for res in report.results:
-            assert max(res.coefficients_scaled) < 1e-10
+        checks = _checks(1.0, RADII, n_dim=4)
+        assert all(check.passed for check in checks.values())
+        assert checks["ricci_scaled"].residual_max < 1e-9
+        assert checks["ricci_coefficients_scaled"].residual_max < 1e-10
 
     def test_dimension_five_fails_by_design(self):
-        report = verify_vacuum(1.0, (1.0, 2.0), n_dim=5)
-        assert not report.passed
-        assert report.max_ricci_scaled > 0.1
-        assert any("Ricci" in failure for failure in report.failures)
+        checks = _checks(1.0, (1.0, 2.0), n_dim=5)
+        assert not all(check.passed for check in checks.values())
+        assert checks["ricci_scaled"].residual_max > 0.1
+        assert not checks["ricci_scaled"].passed
 
     def test_flat_limit_of_small_xi(self, frame4):
         """As xi -> 0 the curvature scale collapses (overall factor ~ xi)."""
@@ -120,5 +124,5 @@ class TestScalingCovariance:
 
     def test_ricci_zero_scales_too(self):
         for lam in (0.5, 2.0):
-            report = verify_vacuum(lam, tuple(lam * np.asarray(RADII)), n_dim=4)
-            assert report.passed
+            checks = verify_vacuum(lam, tuple(lam * np.asarray(RADII)), n_dim=4)
+            assert all(check.passed for check in checks)

@@ -21,7 +21,13 @@ PROFILE_KINDS = ("constant", "schwarzschild_isotropic", "rational")
 
 
 class DomainError(ValueError):
-    """Evaluation at a radius outside the profile's valid open interval."""
+    """Evaluation at a radius outside the profile's valid open interval.
+    ``rows``, shaped like the evaluated radius, marks the radii that failed
+    the check that raised, so a stack can drop just those points."""
+
+    def __init__(self, message: str, rows: np.ndarray | None = None):
+        super().__init__(message)
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -111,15 +117,11 @@ class ProfilePair:
         )
 
     def _check_domain(self, r) -> None:
-        at = _first_bad(r, np.logical_not((self.r_min < r) & (r < self.r_max)))
-        if at is not None:
-            if self.kind == "schwarzschild_isotropic":
-                xi = self.params["xi"]
-                raise DomainError(
-                    f"r={at} outside domain r > {self.r_min} "
-                    f"(pole of c at r = xi/4 with xi={xi})"
-                )
-            raise DomainError(f"r={at} outside domain ({self.r_min}, {self.r_max})")
+        where = f"({self.r_min}, {self.r_max})"
+        if self.kind == "schwarzschild_isotropic":
+            where = f"r > {self.r_min} (pole of c at r = xi/4 with xi={self.params['xi']})"
+        bad = np.logical_not((self.r_min < r) & (r < self.r_max))
+        _reject(r, bad, lambda at: f"r={at} outside domain {where}")
 
     def jets(self, r) -> tuple[Jet2, Jet2]:
         """The (c, m) jets at radius r (a float or an array of radii), each
@@ -140,12 +142,9 @@ class ProfilePair:
             mj = _poly(self.params["m_coeffs"], w)
         else:  # pragma: no cover - constructors guard the kind
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        at = _first_bad(r, np.logical_not(cj.value > 0.0))
-        if at is not None:
-            raise DomainError(f"profile c(r) is not positive at r={at}")
-        at = _first_bad(r, mj.value == 0.0)
-        if at is not None:
-            raise DomainError(f"profile m(r) vanishes at r={at}")
+        not_positive = np.logical_not(cj.value > 0.0)
+        _reject(r, not_positive, lambda at: f"profile c(r) is not positive at r={at}")
+        _reject(r, mj.value == 0.0, lambda at: f"profile m(r) vanishes at r={at}")
         return cj, mj
 
     def eval(self, r) -> ProfileValues:
@@ -154,9 +153,11 @@ class ProfilePair:
         return ProfileValues(cj.value, cj.d1, cj.d2, mj.value, mj.d1, mj.d2)
 
 
-def _first_bad(r, bad):
-    """The first radius at which the mask ``bad`` (shaped like r) holds, or None."""
-    return float(np.asarray(r)[bad].flat[0]) if np.any(bad) else None
+def _reject(r, bad, message) -> None:
+    """Raise DomainError(message(at), rows=bad) if the mask ``bad`` (shaped
+    like r) holds anywhere; ``at`` is the first radius where it does."""
+    if np.any(bad):
+        raise DomainError(message(float(np.asarray(r)[bad].flat[0])), rows=bad)
 
 
 def _poly(coeffs, w: Jet2) -> Jet2:

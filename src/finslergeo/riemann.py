@@ -196,12 +196,11 @@ class MetricState:
         return _combine([self], lambda values: np.expand_dims(values[0], at))
 
 
-def stack_states(states: list):
-    """One state over a leading sample axis from per-sample states of one
-    kind (MetricState or FinsleroidState) on one frame, profile pair and
-    charge: every per-point array, nested state and cached value is stacked
-    as computed, nothing is evaluated again."""
-    return _combine(states, np.array)
+def take(state, rows):
+    """The samples ``rows`` (an index, slice or mask over the leading axis)
+    of a stacked MetricState or FinsleroidState: every per-point array,
+    nested state and cached value is indexed, nothing is evaluated again."""
+    return _combine([state], lambda values: values[0][rows])
 
 
 def _combine(states: list, join):

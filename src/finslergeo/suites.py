@@ -16,6 +16,8 @@ import numpy as np
 
 from .finsler import (
     AdmissibilityError,
+    DegenerateFiberError,
+    OutsideConeError,
     hh_curvature,
     kinematics,
     kinematic_identity_residuals,
@@ -33,7 +35,8 @@ from .riemann import (
     curvature_presubstitution,
     ricci_closed,
     ricci_from_curvature,
-    stack_states,
+    take,
+    _combine,
 )
 from .scenario import SUITES, Scenario
 from .tensors import (
@@ -77,31 +80,110 @@ class SamplingError(RuntimeError):
     well inside the admissible cone) to verify anything."""
 
 
-def _sample_states(
-    scenario: Scenario, rng: np.random.Generator, count: int, with_fiber: bool = False
-) -> list:
-    """Draw ``count`` points where the profile is defined, rejecting the rest
-    for at most 60 tries per point.  ``with_fiber`` pairs each accepted state
-    with a normal fiber vector drawn right after it."""
+_IN_DOMAIN = "points fell in the profile's domain"
+_REJECTIONS = {
+    DomainError: "outside the domain",
+    DegenerateFiberError: "with q^2 <= 0",
+    OutsideConeError: "with nu <= 0",
+}
+
+
+def _sampling_failure(what: str, accepted: int, count: int, tries: int, rejected: dict):
+    causes = ", ".join(f"{n} {cause}" for cause, n in rejected.items())
+    return SamplingError(
+        f"only {accepted} of {count} {what} in {tries} tries (rejected: {causes}); "
+        "nothing was verified"
+    )
+
+
+def _survivors(evaluate, size: int, rejected: dict):
+    """``evaluate(keep)`` on the rows ``keep`` of a stack of ``size`` that it
+    accepts, and that mask: each DomainError or AdmissibilityError drops
+    the rows it marks, counted in ``rejected`` by cause."""
+    keep = np.ones(size, dtype=bool)
+    while True:
+        try:
+            return evaluate(keep), keep
+        except (DomainError, AdmissibilityError) as exc:
+            rejected[_REJECTIONS[type(exc)]] += int(np.sum(exc.rows))
+            keep[np.flatnonzero(keep)[exc.rows]] = False
+
+
+def _sample_blocks(scenario: Scenario, rng: np.random.Generator, count: int, cone=None):
+    """``count`` samples in draw order, for at most 60 tries per sample: one
+    stacked MetricState, or given ``cone`` = (charge, relativistic, margin)
+    one FinsleroidState whose fibers lie that margin inside the cone.
+
+    Each try draws a point (and a fiber vector, given ``cone``).  A block
+    of tries is drawn in try order and judged by one build_metric (and one
+    kinematics) call; it never holds more tries than could still be
+    accepted, so the generator stops where a try-by-try loop would."""
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     lo, hi = _sampling_range(scenario.profile)
-    out = []
+    causes = [*_REJECTIONS.values(), "inside the margin"] if cone else ["outside the domain"]
+    rejected = dict.fromkeys(causes, 0)
+    parts = []
+    tries = accepted = 0
+    while accepted < count and tries < 60 * count:
+        block = min(count - accepted, 60 * count - tries)
+        xs, ys = np.empty((2, block, scenario.n_dim))
+        for i in range(block):
+            xs[i] = _sample_point(rng, scenario.n_dim, lo, hi)
+            if cone:
+                ys[i] = rng.normal(size=scenario.n_dim)
+        tries += block
+        state, kept = _survivors(
+            lambda keep: build_metric(frame, scenario.profile, xs[keep]), block, rejected
+        )
+        if cone:
+            charge, relativistic, margin = cone
+            metric, ys = state, ys[kept]
+            state, _ = _survivors(
+                lambda keep: kinematics(take(metric, keep), ys[keep], charge, relativistic),
+                len(ys),
+                rejected,
+            )
+            kept = (state.q >= margin * (np.sqrt(np.abs(state.s2)) + np.abs(state.b))) & (
+                state.nu >= margin * np.maximum(state.q, 1e-300)
+            )
+            rejected["inside the margin"] += int(np.sum(~kept))
+            state = take(state, kept)
+        parts.append(state)
+        accepted += int(np.sum(kept))
+    if accepted < count:
+        what = "fiber vectors fell well inside the admissible cone" if cone else _IN_DOMAIN
+        raise _sampling_failure(what, accepted, count, tries, rejected)
+    return _combine(parts, np.concatenate)
+
+
+def _sample_states(
+    scenario: Scenario, rng: np.random.Generator, count: int, with_fiber: bool = False
+):
+    """``count`` points where the profile is defined, for at most 60 tries
+    per point, as one stacked MetricState in draw order; ``with_fiber``
+    pairs each with a normal fiber vector drawn right after it and returns
+    (metric, ys)."""
+    if not with_fiber:
+        return _sample_blocks(scenario, rng, count)
+    # A fiber is drawn only after an accepted point, so each radius is
+    # tested as it is drawn, and the metric is built once at the end.
+    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
+    lo, hi = _sampling_range(scenario.profile)
+    xs, ys = [], []
     tries = 0
-    max_tries = 60 * count
-    while len(out) < count and tries < max_tries:
+    while len(xs) < count and tries < 60 * count:
         tries += 1
         x = _sample_point(rng, scenario.n_dim, lo, hi)
         try:
-            state = build_metric(frame, scenario.profile, x)
+            scenario.profile.jets(frame.radius(x))
         except DomainError:
             continue
-        out.append((state, rng.normal(size=scenario.n_dim)) if with_fiber else state)
-    if len(out) < count:
-        raise SamplingError(
-            f"only {len(out)} of {count} points fell in the profile's domain "
-            f"in {max_tries} tries; nothing was verified"
-        )
-    return out
+        xs.append(x)
+        ys.append(rng.normal(size=scenario.n_dim))
+    if len(xs) < count:
+        rejected = {"outside the domain": tries - len(xs)}
+        raise _sampling_failure(_IN_DOMAIN, len(xs), count, tries, rejected)
+    return build_metric(frame, scenario.profile, np.stack(xs)), np.stack(ys)
 
 
 def _sample_admissible(
@@ -112,33 +194,11 @@ def _sample_admissible(
     charge: float | None = None,
     margin: float = 0.05,
 ):
-    """Sample Finsleroid states inside the admissible cone, with margins so
-    derivative stencils stay inside too, for at most 60 tries per state."""
-    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
-    lo, hi = _sampling_range(scenario.profile)
-    effective_charge = scenario.charge if charge is None else charge
-    states = []
-    tries = 0
-    max_tries = 60 * count
-    while len(states) < count and tries < max_tries:
-        tries += 1
-        x = _sample_point(rng, scenario.n_dim, lo, hi)
-        y = rng.normal(size=scenario.n_dim)
-        try:
-            state = build_metric(frame, scenario.profile, x)
-            fib = kinematics(state, y, effective_charge, relativistic)
-        except (AdmissibilityError, DomainError):
-            continue
-        scale = np.sqrt(abs(fib.s2)) + abs(fib.b)
-        if fib.q < margin * scale or fib.nu < margin * max(fib.q, 1e-300):
-            continue
-        states.append(fib)
-    if len(states) < count:
-        raise SamplingError(
-            f"only {len(states)} of {count} fiber vectors fell well inside the admissible "
-            f"cone in {max_tries} tries; nothing was verified"
-        )
-    return states
+    """Finsleroid states inside the admissible cone, with margins so
+    derivative stencils stay inside too, for at most 60 tries per state,
+    as one stacked FinsleroidState in draw order."""
+    charge = scenario.charge if charge is None else charge
+    return _sample_blocks(scenario, rng, count, (charge, relativistic, margin))
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +206,28 @@ def _sample_admissible(
 # ---------------------------------------------------------------------------
 
 
+def _skipped(name: str, reason: str):
+    return SuiteResult(name, "skipped", reason=reason), {}
+
+
+def _planned(rows: dict, plan: list, cfg: DiffConfig) -> list:
+    """One check per (name, tolerance class, scale) of ``plan``."""
+    return [
+        CheckResult.from_residuals(name, rows[name], cfg.tolerance(klass, scale), klass)
+        for name, klass, scale in plan
+    ]
+
+
+def _verdict(name: str, checks, dumps=None):
+    """The suite's result, a pass iff every check passed, and its dumps."""
+    status = "pass" if all(c.passed for c in checks) else "fail"
+    return SuiteResult(name, status, tuple(checks)), dumps or {}
+
+
 def suite_frame_identities(scenario: Scenario, cfg: DiffConfig):
     rng = _suite_rng(scenario, "frame-identities")
     states = _sample_states(scenario, rng, scenario.n_points)
-    frame = states[0].frame
+    frame = states.frame
     eye = np.eye(scenario.n_dim)
     e, e_up = frame.e_low, frame.e_up
     u, u_up, u_mix = frame.u_low, frame.u_up, frame.u_mix
@@ -161,10 +239,10 @@ def suite_frame_identities(scenario: Scenario, cfg: DiffConfig):
         "transverse_mixed": max_abs(u_mix - (eye - np.outer(e, e_up))),
     }
 
-    def residuals(chunk) -> dict[str, np.ndarray]:
-        state = stack_states(chunk)
+    def residuals(rows) -> dict[str, np.ndarray]:
+        state = take(states, rows)
         c2 = state.c**2
-        return {name: np.full(len(chunk), value) for name, value in frame_rows.items()} | {
+        return {name: np.full(c2.shape, value) for name, value in frame_rows.items()} | {
             "metric_inverse": max_abs(state.a_low @ state.a_up - eye, 2),
             "axis_vector_norm": np.abs(dot(state.b_up, state.b_low) - c2),
             "axis_vector_transversality": max_abs(state.b_up @ u, 1),
@@ -178,49 +256,38 @@ def suite_frame_identities(scenario: Scenario, cfg: DiffConfig):
             "axis_c_orthogonality": np.abs(dot(state.b_up, state.dc_low)),
         }
 
-    rows = _per_sample(states, scenario.n_dim, residuals)
+    rows = _per_sample(scenario.n_points, scenario.n_dim, residuals)
     checks = [
         CheckResult.from_residuals(name, values, cfg.tolerance("exact"), "exact")
         for name, values in rows.items()
     ]
-    status = "pass" if all(c.passed for c in checks) else "fail"
-    return SuiteResult("frame-identities", status, tuple(checks)), {}
+    return _verdict("frame-identities", checks)
 
 
 def suite_christoffel_xcheck(scenario: Scenario, cfg: DiffConfig):
     rng = _suite_rng(scenario, "christoffel-xcheck")
     states = _sample_states(scenario, rng, scenario.n_points)
 
-    def residuals(chunk) -> dict[str, np.ndarray]:
-        state = stack_states(chunk)
+    def residuals(rows) -> dict[str, np.ndarray]:
+        state = take(states, rows)
         closed = state.gamma
         return {
             "closed_vs_definitional": max_abs(closed - christoffel_definitional(state, cfg), 3),
             "lower_symmetry": max_abs(closed - np.swapaxes(closed, -1, -2), 3),
         }
 
-    rows = _per_sample(states, scenario.n_dim, residuals)
-    checks = [
-        CheckResult.from_residuals(
-            "closed_vs_definitional",
-            rows["closed_vs_definitional"],
-            cfg.tolerance("closed_form"),
-            "closed_form",
-        ),
-        CheckResult.from_residuals(
-            "lower_symmetry", rows["lower_symmetry"], cfg.tolerance("exact"), "exact"
-        ),
-    ]
-    status = "pass" if all(c.passed for c in checks) else "fail"
-    return SuiteResult("christoffel-xcheck", status, tuple(checks)), {}
+    rows = _per_sample(scenario.n_points, scenario.n_dim, residuals)
+    check_plan = [("closed_vs_definitional", "closed_form", 1.0), ("lower_symmetry", "exact", 1.0)]
+    checks = _planned(rows, check_plan, cfg)
+    return _verdict("christoffel-xcheck", checks)
 
 
 def suite_curvature_xcheck(scenario: Scenario, cfg: DiffConfig):
     rng = _suite_rng(scenario, "curvature-xcheck")
     states = _sample_states(scenario, rng, scenario.n_points)
 
-    def residuals(chunk) -> dict[str, np.ndarray]:
-        state = stack_states(chunk)
+    def residuals(rows) -> dict[str, np.ndarray]:
+        state = take(states, rows)
         closed = curvature_closed(state)
         oracle = curvature_fd_oracle(state, cfg)
         ric_decomposed, _ = ricci_closed(state)
@@ -237,7 +304,7 @@ def suite_curvature_xcheck(scenario: Scenario, cfg: DiffConfig):
             ),
         }
 
-    rows = _per_sample(states, scenario.n_dim, residuals)
+    rows = _per_sample(scenario.n_points, scenario.n_dim, residuals)
     check_plan = [
         ("closed_vs_fd_oracle", "finite_difference", 1.0),
         ("block_form_equivalence", "exact", 1.0),
@@ -245,30 +312,18 @@ def suite_curvature_xcheck(scenario: Scenario, cfg: DiffConfig):
         ("antisymmetry_last_pair", "exact", 1.0),
         ("antisymmetry_first_pair_lowered", "exact", 10.0),
     ]
-    checks = [
-        CheckResult.from_residuals(name, rows[name], cfg.tolerance(klass, scale), klass)
-        for name, klass, scale in check_plan
-    ]
-    status = "pass" if all(c.passed for c in checks) else "fail"
+    checks = _planned(rows, check_plan, cfg)
     dumps = {}
     if scenario.dump_dir:
-        dumps["curvature_closed_sample"] = curvature_closed(states[0])
-    return SuiteResult("curvature-xcheck", status, tuple(checks)), dumps
+        dumps["curvature_closed_sample"] = curvature_closed(take(states, 0))
+    return _verdict("curvature-xcheck", checks, dumps)
 
 
 def suite_vacuum(scenario: Scenario, cfg: DiffConfig):
     if scenario.profile.kind != "schwarzschild_isotropic":
-        return (
-            SuiteResult(
-                "vacuum",
-                "skipped",
-                reason="requires the schwarzschild_isotropic profile",
-            ),
-            {},
-        )
+        return _skipped("vacuum", "requires the schwarzschild_isotropic profile")
     xi = float(scenario.profile.params["xi"])
     checks = verify_vacuum(xi, scenario.radii, scenario.n_dim, seed=scenario.seed, config=cfg)
-    status = "pass" if all(c.passed for c in checks) else "fail"
     dumps = {}
     if scenario.dump_dir:
         frame = Frame.standard(scenario.n_dim, scenario.epsilon)
@@ -277,37 +332,33 @@ def suite_vacuum(scenario: Scenario, cfg: DiffConfig):
             x[1] = r
             state = build_metric(frame, scenario.profile, x)
             dumps[f"vacuum_curvature_r{r:g}"] = curvature_closed(state)
-    return SuiteResult("vacuum", status, checks), dumps
+    return _verdict("vacuum", checks, dumps)
 
 
 def suite_schwarzschild_reductions(scenario: Scenario, cfg: DiffConfig):
     if scenario.profile.kind != "schwarzschild_isotropic":
-        return (
-            SuiteResult(
-                "schwarzschild-reductions",
-                "skipped",
-                reason="requires the schwarzschild_isotropic profile",
-            ),
-            {},
+        return _skipped(
+            "schwarzschild-reductions",
+            "requires the schwarzschild_isotropic profile",
         )
     rng = _suite_rng(scenario, "schwarzschild-reductions")
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     xi = float(scenario.profile.params["xi"])
-    samples = []
-    for r in scenario.radii:
-        x = _sample_point(rng, scenario.n_dim, r, r)
-        samples.append((x, rng.normal(size=scenario.n_dim)))
+    xs, ys = np.empty((2, len(scenario.radii), scenario.n_dim))
+    for i, r in enumerate(scenario.radii):
+        xs[i] = _sample_point(rng, scenario.n_dim, r, r)
+        ys[i] = rng.normal(size=scenario.n_dim)
 
-    def residuals(chunk) -> dict[str, np.ndarray]:
-        xs = np.stack([x for x, _ in chunk])
-        state = build_metric(frame, scenario.profile, xs)
+    def residuals(rows) -> dict[str, np.ndarray]:
+        x = xs[rows]
+        state = build_metric(frame, scenario.profile, x)
         closed = curvature_closed(state)
-        contractions = contraction_identities(state, np.stack([y for _, y in chunk]))
+        contractions = contraction_identities(state, ys[rows], closed)
         # Scaling xi -> lam*xi, x -> lam*x leaves (c, m) invariant and scales
         # curvature components by 1/lam^2; both scalings of a radius in turn.
         scaling = []
         for lam in (0.5, 2.0):
-            scaled = build_metric(frame, ProfilePair.schwarzschild_isotropic(lam * xi), lam * xs)
+            scaled = build_metric(frame, ProfilePair.schwarzschild_isotropic(lam * xi), lam * x)
             scaling.append(max_abs(lam**2 * curvature_closed(scaled) - closed, 4))
         return {
             "reduced_vs_closed": rel_frobenius(reduced_curvature(state), closed, 4),
@@ -315,18 +366,14 @@ def suite_schwarzschild_reductions(scenario: Scenario, cfg: DiffConfig):
             "scaling_covariance": np.stack(scaling, axis=-1).reshape(-1),
         }
 
-    rows = _per_sample(samples, scenario.n_dim, residuals)
+    rows = _per_sample(len(xs), scenario.n_dim, residuals)
     check_plan = [
         ("reduced_vs_closed", "closed_form", 1.0),
         ("axis_contractions", "algebraic", 10.0),
         ("scaling_covariance", "algebraic", 1.0),
     ]
-    checks = [
-        CheckResult.from_residuals(name, rows[name], cfg.tolerance(klass, scale), klass)
-        for name, klass, scale in check_plan
-    ]
-    status = "pass" if all(c.passed for c in checks) else "fail"
-    return SuiteResult("schwarzschild-reductions", status, tuple(checks)), {}
+    checks = _planned(rows, check_plan, cfg)
+    return _verdict("schwarzschild-reductions", checks)
 
 
 def _relativistic_mode(scenario: Scenario) -> bool:
@@ -336,13 +383,9 @@ def _relativistic_mode(scenario: Scenario) -> bool:
 def suite_finsler_identities(scenario: Scenario, cfg: DiffConfig):
     relativistic = _relativistic_mode(scenario)
     if scenario.epsilon != 1 and not scenario.allow_indefinite_finsler:
-        return (
-            SuiteResult(
-                "finsler-identities",
-                "skipped",
-                reason="needs signature +1 (set allow_indefinite_finsler for exploratory runs)",
-            ),
-            {},
+        return _skipped(
+            "finsler-identities",
+            "needs signature +1 (set allow_indefinite_finsler for exploratory runs)",
         )
     rng = _suite_rng(scenario, "finsler-identities")
     # The identity set involves the charge through nu; if the scenario runs
@@ -350,13 +393,13 @@ def suite_finsler_identities(scenario: Scenario, cfg: DiffConfig):
     charge = scenario.charge if scenario.charge != 0.0 else 0.3
     fibers = _sample_admissible(scenario, rng, scenario.n_fibers, relativistic, charge=charge)
 
-    def residuals(chunk) -> dict[str, np.ndarray]:
-        fib = stack_states(chunk)
+    def residuals(rows) -> dict[str, np.ndarray]:
+        fib = take(fibers, rows)
         res = kinematic_identity_residuals(fib)
         res["e_fiber_derivative_fd"] = _e_fiber_rule_fd(fib, cfg)
         return res
 
-    rows = _per_sample(fibers, scenario.n_dim, residuals)
+    rows = _per_sample(scenario.n_fibers, scenario.n_dim, residuals)
     # The printed identity suite is only claimed for the positive-definite
     # convention; exploratory indefinite runs report residuals untested.
     identity_tol = None if relativistic else cfg.tolerance("algebraic")
@@ -366,8 +409,7 @@ def suite_finsler_identities(scenario: Scenario, cfg: DiffConfig):
         tol = fd_tol if name == "e_fiber_derivative_fd" else identity_tol
         klass = "closed_form" if name == "e_fiber_derivative_fd" else "algebraic"
         checks.append(CheckResult.from_residuals(name, values, tol, klass))
-    status = "pass" if all(c.passed for c in checks) else "fail"
-    return SuiteResult("finsler-identities", status, tuple(checks)), {}
+    return _verdict("finsler-identities", checks)
 
 
 def _e_fiber_rule_fd(fib, cfg: DiffConfig) -> np.ndarray:
@@ -389,25 +431,20 @@ def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
         # The spray closed forms are only asserted for the positive-definite
         # convention; charge 0 collapses to the Riemannian spray and runs on
         # any signature.
-        return (
-            SuiteResult(
-                "finsler-curvature",
-                "skipped",
-                reason="charged runs need signature +1 (charge 0 runs on any signature)",
-            ),
-            {},
+        return _skipped(
+            "finsler-curvature",
+            "charged runs need signature +1 (charge 0 runs on any signature)",
         )
     rng = _suite_rng(scenario, "finsler-curvature")
     charge = scenario.charge
     if charge == 0.0:
-        pairs = _sample_states(scenario, rng, scenario.n_fibers, with_fiber=True)
+        metrics, ys = _sample_states(scenario, rng, scenario.n_fibers, with_fiber=True)
     else:
         fibers = _sample_admissible(scenario, rng, scenario.n_fibers, relativistic=False)
-        pairs = [(fib.metric, fib.y) for fib in fibers]
+        metrics, ys = fibers.metric, fibers.y
 
-    def evaluate(chunk) -> dict[str, np.ndarray]:
-        state = stack_states([metric for metric, _ in chunk])
-        y = np.stack([y for _, y in chunk])
+    def evaluate(rows) -> dict[str, np.ndarray]:
+        state, y = take(metrics, rows), ys[rows]
         derivs = spray_derivatives(state, y, charge, cfg)
         g1 = derivs.spray
         g2 = spray_coefficients(state, 2.0 * y, charge)
@@ -426,7 +463,7 @@ def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
             out["riemann_limit"] = rel_frobenius(curvature, comparison, 2)
         return out
 
-    rows = _per_sample(pairs, scenario.n_dim, evaluate)
+    rows = _per_sample(scenario.n_fibers, scenario.n_dim, evaluate)
     check_plan = [
         ("spray_homogeneity", "exact", 1.0),
         ("euler_identity", "algebraic", 10.0),
@@ -435,18 +472,14 @@ def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
     ]
     if charge == 0.0:
         check_plan.append(("riemann_limit", "bundle", 1.0))
-    checks = [
-        CheckResult.from_residuals(name, rows[name], cfg.tolerance(klass, scale), klass)
-        for name, klass, scale in check_plan
-    ]
+    checks = _planned(rows, check_plan, cfg)
     checks.append(
         CheckResult.from_residuals("bundle_magnitude", rows["bundle_magnitude"], None, None)
     )
-    status = "pass" if all(c.passed for c in checks) else "fail"
     dumps = {}
     if scenario.dump_dir:
         dumps["finsler_bundle_sample"] = rows["bundle"][0]
-    return SuiteResult("finsler-curvature", status, tuple(checks)), dumps
+    return _verdict("finsler-curvature", checks, dumps)
 
 
 _SUITE_FUNCS = {

@@ -289,17 +289,13 @@ def fd_partials(
 STENCIL_FLOAT_BUDGET = 2**16
 
 
-def _chunks(samples: list, n_dim: int) -> list[list]:
+def _per_sample(count: int, n_dim: int, evaluate) -> dict[str, np.ndarray]:
+    """Run ``evaluate`` on consecutive index ranges (slices) of ``count``
+    stacked samples, each within the budget; it returns per-sample arrays
+    by name for its range, which are joined in draw order."""
     size = max(1, STENCIL_FLOAT_BUDGET // (4 * n_dim**4))
-    return [samples[i : i + size] for i in range(0, len(samples), size)]
-
-
-def _per_sample(samples: list, n_dim: int, evaluate) -> dict[str, np.ndarray]:
-    """Run ``evaluate`` on each chunk of samples; it returns per-sample
-    arrays by name, which are joined in draw order."""
-    parts = [evaluate(chunk) for chunk in _chunks(samples, n_dim)]
+    parts = [evaluate(slice(i, i + size)) for i in range(0, count, size)]
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
-
 
 
 def _component_axes(a: np.ndarray, ndim: int | None) -> tuple[int, ...]:

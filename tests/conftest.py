@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from finslergeo import Frame, ProfilePair, fd_partials
+from finslergeo.riemann import _combine
 
 
 @pytest.fixture
@@ -58,3 +59,11 @@ def fd_scalar(f, t, config, scale):
     at the one-coordinate point (t,), with ``f`` applied to the stencil
     coordinates."""
     return float(fd_partials(lambda pts: f(pts[..., 0]), np.array([t]), config, scale)[0])
+
+
+def stack_states(states):
+    """One state over a leading sample axis from per-sample states of one
+    kind (MetricState or FinsleroidState) on one frame, profile pair and
+    charge: every per-point array, nested state and cached value is stacked
+    as computed, nothing is evaluated again."""
+    return _combine(states, np.array)

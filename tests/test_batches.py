@@ -1,7 +1,7 @@
 """The batch path: fd_partials over a (B, N) batch of base points, the
 geometry and Finsler closed forms over a leading sample axis, per-sample
-stencil misses, the suites' chunk memory, and the worst-sample index of
-each check."""
+stencil misses, the block samplers against the try-by-try loops, the
+suites' chunk memory, and the worst-sample index of each check."""
 
 import tracemalloc
 
@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from finslergeo import (
+    AdmissibilityError,
     ConeStencilError,
     DiffConfig,
+    DomainError,
     Frame,
     ProfilePair,
     StencilMissError,
@@ -34,9 +36,14 @@ from finslergeo import (
 )
 from finslergeo.finsler import fiber_vectors
 from finslergeo.report import CheckResult
-from finslergeo.riemann import christoffel_definitional, stack_states
+from finslergeo.riemann import christoffel_definitional, take
+from finslergeo import suites
 from finslergeo.suites import (
+    SamplingError,
     _sample_admissible,
+    _sample_point,
+    _sample_states,
+    _sampling_range,
     _suite_rng,
     suite_finsler_curvature,
     suite_finsler_identities,
@@ -44,7 +51,7 @@ from finslergeo.suites import (
 from finslergeo.tensors import max_abs
 from finslergeo.vacuum import reduced_prefactor
 
-from conftest import sample_point
+from conftest import sample_point, stack_states
 
 # name -> (profile, signature, charge, relativistic): the Finsleroid runs on
 # the positive-definite profiles; Schwarzschild is indefinite, so its spray
@@ -209,8 +216,8 @@ class TestClosedFormsBatch:
         _agree(reduced, [reduced_curvature(m) for m in metrics], CLOSED)
         # The contraction residuals are roundoff of curvature-sized terms:
         # they agree to CLOSED on the scale of the curvature, not their own.
-        res = contraction_identities(batch, y)
-        alone = [contraction_identities(m, yy) for m, yy, _ in samples]
+        res = contraction_identities(batch, y, curvature_closed(batch))
+        alone = [contraction_identities(m, yy, curvature_closed(m)) for m, yy, _ in samples]
         for key, values in res.items():
             assert values.shape == (len(samples),)
             gap = max_abs(values - np.array([a[key] for a in alone]))
@@ -271,6 +278,145 @@ class TestStencilMissInBatch:
         batch, ys, charge, _ = self._batch(1e-9)
         with pytest.raises(ConeStencilError):
             spray_derivatives(batch, ys, charge)
+
+
+def _loop_states(scenario, rng, count, with_fiber=False):
+    """The try-by-try point sampler: one build_metric per try, and with
+    ``with_fiber`` a fiber drawn after each accepted point.  Returns the
+    stacked points and fibers, or None where it gives up."""
+    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
+    lo, hi = _sampling_range(scenario.profile)
+    xs, ys = [], []
+    tries = 0
+    while len(xs) < count and tries < 60 * count:
+        tries += 1
+        x = _sample_point(rng, scenario.n_dim, lo, hi)
+        try:
+            build_metric(frame, scenario.profile, x)
+        except DomainError:
+            continue
+        xs.append(x)
+        if with_fiber:
+            ys.append(rng.normal(size=scenario.n_dim))
+    if len(xs) < count:
+        return None
+    return np.stack(xs), np.stack(ys) if with_fiber else None
+
+
+def _loop_admissible(scenario, rng, count, relativistic, charge, margin=0.05):
+    """The try-by-try fiber sampler: one build_metric and one kinematics per
+    try.  Returns the stacked points and fibers, or None where it gives up."""
+    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
+    lo, hi = _sampling_range(scenario.profile)
+    xs, ys = [], []
+    tries = 0
+    while len(xs) < count and tries < 60 * count:
+        tries += 1
+        x = _sample_point(rng, scenario.n_dim, lo, hi)
+        y = rng.normal(size=scenario.n_dim)
+        try:
+            fib = kinematics(build_metric(frame, scenario.profile, x), y, charge, relativistic)
+        except (AdmissibilityError, DomainError):
+            continue
+        scale = np.sqrt(abs(fib.s2)) + abs(fib.b)
+        if fib.q < margin * scale or fib.nu < margin * max(fib.q, 1e-300):
+            continue
+        xs.append(x)
+        ys.append(y)
+    if len(xs) < count:
+        return None
+    return np.stack(xs), np.stack(ys)
+
+
+SAMPLER_PROFILES = {
+    "pd_rational": "kind = rational\nc_coeffs = 0.8, 0.1\nm_coeffs = 1.0, 0.2\n",
+    "schwarzschild": "kind = schwarzschild_isotropic\nxi = 1.0\n",
+    # c = 0.8 - 3/r is positive only beyond r = 3.75: about half the
+    # sampled range is outside the domain.
+    "half_domain": "kind = rational\nc_coeffs = 0.8, -3.0\nm_coeffs = 1.0, 0.2\n",
+}
+# (profile, dimension, signature, sampler); "cone" samples the positive-
+# definite convention and "relativistic" the other, with charge 0.3.
+SAMPLER_CASES = [
+    ("pd_rational", 4, 1, "cone"),
+    ("pd_rational", 8, 1, "cone"),
+    ("pd_rational", 4, 1, "fiber"),
+    ("pd_rational", 8, 1, "fiber"),
+    ("schwarzschild", 4, -1, "points"),
+    ("schwarzschild", 4, -1, "fiber"),
+    ("schwarzschild", 4, -1, "cone"),
+    ("schwarzschild", 4, -1, "relativistic"),
+    ("half_domain", 4, 1, "points"),
+    ("half_domain", 4, 1, "fiber"),
+    ("half_domain", 4, 1, "cone"),
+]
+
+
+@pytest.mark.parametrize(
+    "profile, n_dim, signature, sampler",
+    SAMPLER_CASES,
+    ids=[f"{p}-N{n}-{s}" for p, n, _, s in SAMPLER_CASES],
+)
+def test_block_samplers_draw_the_try_by_try_samples(profile, n_dim, signature, sampler):
+    """The block samplers accept the same points and fibers, bit for bit, as
+    the try-by-try loops, give up where they give up, and leave the
+    generator in the same state."""
+    scenario = parse_scenario(
+        f"[scenario]\ndimension = {n_dim}\nsignature = {signature}\nseed = 3\n"
+        f"[profile]\n{SAMPLER_PROFILES[profile]}"
+    )
+    count = 20
+    rng_loop, rng_block = np.random.default_rng(11), np.random.default_rng(11)
+    if sampler in ("cone", "relativistic"):
+        relativistic = sampler == "relativistic"
+        want = _loop_admissible(scenario, rng_loop, count, relativistic, 0.3)
+        try:
+            fib = _sample_admissible(scenario, rng_block, count, relativistic, charge=0.3)
+            got = fib.metric.x, fib.y
+        except SamplingError:
+            got = None
+    else:
+        with_fiber = sampler == "fiber"
+        want = _loop_states(scenario, rng_loop, count, with_fiber)
+        try:
+            out = _sample_states(scenario, rng_block, count, with_fiber)
+            got = (out[0].x, out[1]) if with_fiber else (out.x, None)
+        except SamplingError:
+            got = None
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        for w, g in zip(want, got):
+            assert (w is None and g is None) or (g.shape == w.shape and np.array_equal(g, w))
+    assert rng_block.random() == rng_loop.random()
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(suites, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(suites, name, counted)
+    return calls
+
+
+def test_samplers_make_a_few_stacked_calls(monkeypatch):
+    """Sampling 100 admissible N = 8 fibers, or 25 points, takes at most three
+    build_metric and three kinematics calls, not one per try."""
+    scenario = parse_scenario(CHARGED_N8)
+    builds = _counting(monkeypatch, "build_metric")
+    kins = _counting(monkeypatch, "kinematics")
+    fibers = _sample_admissible(scenario, np.random.default_rng(1), 100, relativistic=False)
+    assert fibers.y.shape == (100, 8)
+    assert len(builds) <= 3 and len(kins) <= 3
+    for with_fiber in (False, True):
+        builds.clear()
+        _sample_states(scenario, np.random.default_rng(1), 25, with_fiber)
+        assert len(builds) <= 3
 
 
 CHARGED_N8 = """
@@ -341,7 +487,7 @@ class TestWorstIndex:
         )
         for name in ("bundle_magnitude", "spray_first_derivative_gap"):
             check = checks[name]
-            fib = fibers[check.worst_index]
+            fib = take(fibers, check.worst_index)
             derivs = spray_derivatives(fib.metric, fib.y, scenario.charge, cfg)
             if name == "bundle_magnitude":
                 alone = max_abs(hh_curvature(derivs, cfg))

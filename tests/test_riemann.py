@@ -130,6 +130,20 @@ class TestMetricAssembly:
         with pytest.raises(RadialSingularityError):
             build_metric(frame4, schwarzschild, pts)
 
+    def test_stack_domain_error_marks_the_failing_rows(self, frame4, schwarzschild):
+        """The DomainError of a stack marks exactly the points that failed its
+        check: the one point inside the pole, or the points where c <= 0."""
+        pts = np.array([[0.1, 1.0, 0.5, 0.0], [0.1, 0.1, 0.1, 0.0], [0.2, 2.0, 0.0, 1.0]])
+        with pytest.raises(DomainError, match="pole") as err:
+            build_metric(frame4, schwarzschild, pts)
+        assert err.value.rows.tolist() == [False, True, False]
+        # c = 0.8 - 3/r is positive only beyond r = 3.75.
+        half = ProfilePair.rational((0.8, -3.0), (1.0, 0.2))
+        pts = np.array([[0.0, 5.0, 0.0, 0.0], [0.3, 1.0, 2.0, 0.0], [0.0, 0.0, 4.0, 1.0]])
+        with pytest.raises(DomainError, match="not positive") as err:
+            build_metric(frame4, half, pts)
+        assert err.value.rows.tolist() == [False, True, False]
+
     def test_axis_vector_identities(self, frame4, schwarzschild, rng):
         state = build_metric(frame4, schwarzschild, sample_point(rng, 4, 0.5, 5.0))
         assert state.b_up @ state.b_low == pytest.approx(state.c**2, rel=1e-14)

@@ -263,6 +263,8 @@ class TestCli:
             )
             assert proc.returncode == 1, scenario_head
             assert proc.stdout.count("nothing was verified") == 2, scenario_head
+            # Each failure counts its rejected tries: all 6000 left the domain.
+            assert proc.stdout.count("in 6000 tries (rejected: 6000 outside the domain") == 2
 
     @pytest.mark.parametrize(
         "case, message",

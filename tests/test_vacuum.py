@@ -87,7 +87,7 @@ class TestContractionIdentities:
     def test_residuals_at_unit_radius(self, frame4, schwarzschild, rng):
         """Both single-axis contractions hold below 1e-9 at r = 1, xi = 1."""
         state = build_metric(frame4, schwarzschild, np.array([0.2, 0.6, 0.8, 0.0]))
-        res = contraction_identities(state, rng.normal(size=4))
+        res = contraction_identities(state, rng.normal(size=4), curvature_closed(state))
         assert res["axis_contraction_last"] < 1e-9
         assert res["axis_contraction_first"] < 1e-9
         assert res["axis_contraction_mixed"] < 1e-9
@@ -97,14 +97,14 @@ class TestContractionIdentities:
         frame = Frame.standard(4, -1)
         pair = ProfilePair.schwarzschild_isotropic(0.5)
         state = build_metric(frame, pair, np.array([-0.4, 0.0, 1.8, 2.4]))
-        res = contraction_identities(state, rng.normal(size=4))
+        res = contraction_identities(state, rng.normal(size=4), curvature_closed(state))
         assert max(res.values()) < 1e-9
 
     def test_axis_fiber_degenerates_consistently(self, frame4, schwarzschild):
         """With y proportional to b^i the mixed contraction reduces to the
         two single contractions: the residual still vanishes."""
         state = build_metric(frame4, schwarzschild, np.array([0.2, 0.6, 0.8, 0.0]))
-        res = contraction_identities(state, 2.0 * state.b_up)
+        res = contraction_identities(state, 2.0 * state.b_up, curvature_closed(state))
         assert res["axis_contraction_mixed"] < 1e-12
 
 

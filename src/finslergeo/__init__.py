@@ -28,6 +28,7 @@ from .riemann import (
     build_metric,
     christoffel,
     christoffel_definitional,
+    christoffel_dot,
     curvature_closed,
     curvature_fd_oracle,
     curvature_presubstitution,

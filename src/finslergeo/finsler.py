@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riemann import MetricState, build_metric
+from .riemann import MetricState, build_metric, christoffel_dot
 from .tensors import (
     DiffConfig,
     Jet2,
@@ -192,22 +192,23 @@ def kinematics(
 
 def riemann_spray(metric: MetricState, y: np.ndarray) -> np.ndarray:
     """The geodesic spray of the underlying metric: a^i_km y^k y^m."""
-    return np.einsum("...ikm,...k,...m->...i", metric.gamma, y, y)
+    return matvec(christoffel_dot(metric, y), y)
 
 
 def _spray_and_first(
     metric: MetricState, y: np.ndarray, charge: float, relativistic: bool = False
 ) -> tuple[np.ndarray, np.ndarray, FinsleroidState | None]:
     """The spray G^i, its closed y-derivative G^i_k and the kinematics state
-    they came from (one evaluation); at charge 0 both are geodesic, need no
-    admissible cone, and the state is None."""
+    they came from (one evaluation, one a^i_km y^m); at charge 0 both are
+    geodesic, need no admissible cone, and the state is None."""
     y = np.asarray(y, dtype=float)
-    base = riemann_spray(metric, y)
+    gamma_y = christoffel_dot(metric, y)
+    base = matvec(gamma_y, y)
     if charge == 0.0:
-        return base, 2.0 * np.einsum("...ikm,...m->...ik", metric.gamma, y), None
+        return base, 2.0 * gamma_y, None
     state = kinematics(metric, y, charge, relativistic)
     weight = (state.charge / state.nu) * state.ys
-    return weight[..., None] * state.v_up + base, spray_y_derivative(state), state
+    return weight[..., None] * state.v_up + base, _first_derivative(state, gamma_y), state
 
 
 def _spray_stack(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
@@ -233,12 +234,17 @@ def spray_y_derivative(state: FinsleroidState) -> np.ndarray:
     G^i_k = -(g/nu^2) (ys) nu_k v^i + 2 (g/nu) s_k v^i + (g/nu) (ys) r^i_k
             + 2 a^i_km y^m
     """
+    return _first_derivative(state, christoffel_dot(state.metric, state.y))
+
+
+def _first_derivative(state: FinsleroidState, gamma_y: np.ndarray) -> np.ndarray:
+    """spray_y_derivative(state), given gamma_y = a^i_km y^m at the state."""
     g, nu, ys = state.charge, state.nu, state.ys
     return (
         (-(g / nu**2) * ys)[..., None, None] * outer(state.v_up, state.nu_low)
         + (2.0 * (g / nu))[..., None, None] * outer(state.v_up, state.s_low)
         + ((g / nu) * ys)[..., None, None] * state.r_mix
-        + 2.0 * np.einsum("...ikm,...m->...ik", state.metric.gamma, state.y)
+        + 2.0 * gamma_y
     )
 
 

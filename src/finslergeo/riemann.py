@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .profiles import ProfilePair, RicciCoefficients, combo_scalars, ricci_coefficients
-from .tensors import DiffConfig, dot, fd_partials, outer
+from .tensors import DiffConfig, dot, fd_partials, matvec, outer
 
 _FRAME_TOL = 1e-9
 
@@ -151,8 +151,8 @@ class MetricState:
     Raised radial components use the background transverse block
     (n^i = u^ij n_j); the axis vector is metric-raised (b^i = a^ij b_j = c^2 e^i).
     States are immutable snapshots.  The closed Christoffel symbols and
-    nabla b are computed on first use and kept, so the spray code reads
-    them once per state.
+    nabla b are computed on first use and kept, so each is built at most
+    once per state (the sprays contract a^k_ij with y through christoffel_dot).
     """
 
     frame: Frame
@@ -320,27 +320,49 @@ def nabla_c_definitional(state: MetricState, config: DiffConfig | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def christoffel(state: MetricState) -> np.ndarray:
-    """Closed Christoffel symbols of the family, axes [k, i, j] for a^k_ij:
+def _christoffel_blocks(state: MetricState):
+    """The rank-one blocks (P, Q, w) of the closed Christoffel symbols
 
-    a^k_ij = -(c'/c^3) b^k (n_i b_j + n_j b_i)
-             + (1/2m) [m' n_i u_j^k + m' n_j u_i^k
-                       + n^k ((2c'/c^3) b_i b_j - m' u_ij)]
+    a^k_ij = b^k P_ij + n^k Q_ij + w (n_i u_j^k + n_j u_i^k),
+    P_ij = -(c'/c^3)(n_i b_j + n_j b_i),  Q_ij = ((2c'/c^3) b_i b_j - m' u_ij) / 2m,  w = m'/2m.
     """
-    n, n_up = state.n_low, state.n_up
-    b, b_up = state.b_low, state.b_up
-    u, u_mix = state.frame.u_low, state.frame.u_mix
-    c, c1, m, m1 = (v[..., None, None, None] for v in (state.c, state.c1, state.m, state.m1))
-    sym_nb = np.einsum("...k,...i,...j->...kij", b_up, n, b) + np.einsum(
-        "...k,...j,...i->...kij", b_up, n, b
+    n, b, u = state.n_low, state.b_low, state.frame.u_low
+    c, c1, m, m1 = (v[..., None, None] for v in (state.c, state.c1, state.m, state.m1))
+    slope = c1 / c**3
+    nb = outer(n, b)
+    p = -slope * (nb + np.swapaxes(nb, -1, -2))
+    q = (2.0 * slope * outer(b, b) - m1 * u) / (2.0 * m)
+    return p, q, state.m1 / (2.0 * state.m)
+
+
+def christoffel(state: MetricState) -> np.ndarray:
+    """Closed Christoffel symbols of the family, axes [k, i, j] for a^k_ij,
+    assembled from the blocks of _christoffel_blocks."""
+    p, q, w = _christoffel_blocks(state)
+    # nu[k, i, j] = n_i u_j^k
+    nu = state.n_low[..., None, :, None] * state.frame.u_mix.T[:, None, :]
+    return (
+        state.b_up[..., :, None, None] * p[..., None, :, :]
+        + state.n_up[..., :, None, None] * q[..., None, :, :]
+        + w[..., None, None, None] * (nu + np.swapaxes(nu, -1, -2))
     )
-    inner = (
-        m1 * np.einsum("...i,jk->...kij", n, u_mix)
-        + m1 * np.einsum("...j,ik->...kij", n, u_mix)
-        + (2.0 * c1 / c**3) * np.einsum("...k,...i,...j->...kij", n_up, b, b)
-        - m1 * np.einsum("...k,ij->...kij", n_up, u)
+
+
+def christoffel_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
+    """a^k_ij y^j, axes [k, i], from the blocks without building a^k_ij.
+
+    The state and y broadcast against each other over their leading axes:
+    a per_row() metric against each sample's stack of fiber vectors, or a
+    stack of stencil metrics against each sample's one fiber vector.
+    """
+    p, q, w = _christoffel_blocks(state)
+    u_mix = state.frame.u_mix
+    ny = dot(state.n_low, y)
+    return (
+        outer(state.b_up, matvec(p, y))
+        + outer(state.n_up, matvec(q, y))
+        + w[..., None, None] * (outer(y @ u_mix, state.n_low) + ny[..., None, None] * u_mix.T)
     )
-    return -(c1 / c**3) * sym_nb + inner / (2.0 * m)
 
 
 def christoffel_definitional(state: MetricState, config: DiffConfig | None = None) -> np.ndarray:

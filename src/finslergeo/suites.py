@@ -165,10 +165,21 @@ def _sample_states(
     (metric, ys)."""
     if not with_fiber:
         return _sample_blocks(scenario, rng, count)
-    # A fiber is drawn only after an accepted point, so each radius is
-    # tested as it is drawn, and the metric is built once at the end.
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     lo, hi = _sampling_range(scenario.profile)
+    # Draw as if every try were accepted; if one is not, the draws after it
+    # differ, so the generator rewinds and the tries are redrawn one by one.
+    start = rng.bit_generator.state
+    xs, ys = np.empty((2, count, scenario.n_dim))
+    for i in range(count):
+        xs[i] = _sample_point(rng, scenario.n_dim, lo, hi)
+        ys[i] = rng.normal(size=scenario.n_dim)
+    try:
+        return build_metric(frame, scenario.profile, xs), ys
+    except DomainError:
+        rng.bit_generator.state = start
+    # A fiber is drawn only after an accepted point, so each radius is
+    # tested as it is drawn, and the metric is built once at the end.
     xs, ys = [], []
     tries = 0
     while len(xs) < count and tries < 60 * count:

@@ -1,8 +1,11 @@
 """The batch path: fd_partials over a (B, N) batch of base points, the
-geometry and Finsler closed forms over a leading sample axis, per-sample
-stencil misses, the block samplers against the try-by-try loops, the
-suites' chunk memory, and the worst-sample index of each check."""
+geometry and Finsler closed forms over a leading sample axis, the block
+Christoffel kernels against the einsum form, per-sample stencil misses,
+the block samplers against the try-by-try loops, the calls each stage
+makes, the suites' chunk memory, and the worst-sample index of each
+check."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +20,8 @@ from finslergeo import (
     ProfilePair,
     StencilMissError,
     build_metric,
+    christoffel,
+    christoffel_dot,
     contraction_identities,
     curvature_closed,
     curvature_fd_oracle,
@@ -36,6 +41,7 @@ from finslergeo import (
 )
 from finslergeo.finsler import fiber_vectors
 from finslergeo.report import CheckResult
+from finslergeo import riemann
 from finslergeo.riemann import christoffel_definitional, take
 from finslergeo import suites
 from finslergeo.suites import (
@@ -246,6 +252,95 @@ class TestClosedFormsBatch:
             _agree(values, [a[key] for a in alone], CLOSED)
 
 
+def _einsum_christoffel(state):
+    """The closed Christoffel symbols as six 3-operand einsums, axes
+    [k, i, j]: the form the block assembly replaced, kept as its reference."""
+    n, n_up = state.n_low, state.n_up
+    b, b_up = state.b_low, state.b_up
+    u, u_mix = state.frame.u_low, state.frame.u_mix
+    c, c1, m, m1 = (v[..., None, None, None] for v in (state.c, state.c1, state.m, state.m1))
+    sym_nb = np.einsum("...k,...i,...j->...kij", b_up, n, b) + np.einsum(
+        "...k,...j,...i->...kij", b_up, n, b
+    )
+    inner = (
+        m1 * np.einsum("...i,jk->...kij", n, u_mix)
+        + m1 * np.einsum("...j,ik->...kij", n, u_mix)
+        + (2.0 * c1 / c**3) * np.einsum("...k,...i,...j->...kij", n_up, b, b)
+        - m1 * np.einsum("...k,ij->...kij", n_up, u)
+    )
+    return -(c1 / c**3) * sym_nb + inner / (2.0 * m)
+
+
+# (dimension, signature, transformed): every dimension on both signatures,
+# in the standard chart and in a generic linear chart.
+KERNEL_CASES = [
+    (n_dim, signature, transformed)
+    for n_dim in range(2, 9)
+    for signature in (1, -1)
+    for transformed in (False, True)
+]
+KERNEL_TOL = 2e-15
+
+
+class TestChristoffelKernel:
+    @staticmethod
+    def _stack(rng, n_dim, signature, transformed, count):
+        """A frame, a profile of the signature, ``count`` base points and
+        fiber vectors in that frame's chart."""
+        pair = PROFILES["pd_rational" if signature == 1 else "schwarzschild"][0]
+        lin = np.eye(n_dim)
+        if transformed:
+            lin = lin + 0.2 * rng.normal(size=(n_dim, n_dim))
+        frame = Frame.standard(n_dim, signature).transformed(lin)
+        xs = np.stack([lin @ sample_point(rng, n_dim, 0.8, 4.0) for _ in range(count)])
+        ys = rng.normal(size=(count, n_dim)) @ lin.T
+        return frame, pair, xs, ys
+
+    @staticmethod
+    def _assert_dot(got, gamma, y):
+        """got equals a^k_ij y^j of the reference gamma to KERNEL_TOL of
+        max|gamma| max|y|, sample by sample."""
+        want = np.einsum("...kij,...j->...ki", gamma, y)
+        assert got.shape == want.shape
+        bound = KERNEL_TOL * max_abs(gamma, 3) * max_abs(y, 1)
+        assert np.all(max_abs(got - want, 2) <= bound)
+
+    @pytest.mark.parametrize(
+        "n_dim, signature, transformed",
+        KERNEL_CASES,
+        ids=[f"N{n}-sig{s:+d}-{'transformed' if t else 'standard'}" for n, s, t in KERNEL_CASES],
+    )
+    def test_blocks_match_the_einsum_form(self, n_dim, signature, transformed, rng):
+        """christoffel and christoffel_dot agree with the six-einsum form and
+        its contraction with y, at one point and over a batch."""
+        frame, pair, xs, ys = self._stack(rng, n_dim, signature, transformed, 5)
+        for x, y in [(xs[0], ys[0]), (xs, ys)]:
+            state = build_metric(frame, pair, x)
+            want = _einsum_christoffel(state)
+            got = christoffel(state)
+            assert got.shape == want.shape
+            assert np.all(max_abs(got - want, 3) <= KERNEL_TOL * max_abs(want, 3))
+            self._assert_dot(christoffel_dot(state, y), want, y)
+
+    @pytest.mark.parametrize("signature", [1, -1])
+    def test_dot_broadcasts_over_stencil_rows(self, signature, rng):
+        """A per_row() metric (B, 1) against fiber vectors (B, rows, N), as in
+        the y-stencil, and a stencil of metrics (B, rows) against one fiber
+        vector per sample (B, 1, N), as in the x-stencil."""
+        frame, pair, xs, ys = self._stack(rng, 8, signature, True, 3)
+        metric = build_metric(frame, pair, xs)
+        y_rows = ys[:, None, :] + 0.01 * rng.normal(size=(3, 6, 8))
+        got = christoffel_dot(metric.per_row(), y_rows)
+        assert got.shape == (3, 6, 8, 8)
+        self._assert_dot(got, _einsum_christoffel(metric)[:, None], y_rows)
+
+        pts = xs[:, None, :] + 0.01 * rng.normal(size=(3, 6, 8))
+        stencil = build_metric(frame, pair, pts)
+        got = christoffel_dot(stencil, ys[:, None, :])
+        assert got.shape == (3, 6, 8, 8)
+        self._assert_dot(got, _einsum_christoffel(stencil), np.broadcast_to(ys[:, None, :], pts.shape))
+
+
 class TestStencilMissInBatch:
     @staticmethod
     def _batch(nu_at_edge: float):
@@ -417,6 +512,52 @@ def test_samplers_make_a_few_stacked_calls(monkeypatch):
         builds.clear()
         _sample_states(scenario, np.random.default_rng(1), 25, with_fiber)
         assert len(builds) <= 3
+
+
+def _counting_everywhere(monkeypatch, func):
+    """Count the calls of ``func`` through every finslergeo namespace that
+    binds it, the module that defines it included."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(func.__name__)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "finslergeo" and getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counted)
+    return calls
+
+
+def test_spray_stencils_build_no_christoffel_array(monkeypatch):
+    """On a charged N = 8 batch of four fibers the spray stencils contract
+    the Christoffel blocks with y: spray_derivatives builds the full array
+    once (the cached gamma of spray_y_second) and hh_curvature never."""
+    scenario = parse_scenario(CHARGED_N8)
+    fibers = _sample_admissible(scenario, np.random.default_rng(1), 4, relativistic=False)
+    calls = _counting_everywhere(monkeypatch, riemann.christoffel)
+    derivs = spray_derivatives(fibers.metric, fibers.y, scenario.charge)
+    assert len(calls) <= 1
+    calls.clear()
+    hh_curvature(derivs)
+    assert calls == []
+
+
+def test_charge_zero_sampler_evaluates_the_profile_in_a_block(monkeypatch):
+    """25 charge-0 points with fibers on a profile that rejects no try take
+    at most three profile evaluations, not one per try."""
+    scenario = parse_scenario(CHARGED_N8)
+    calls = []
+    jets = ProfilePair.jets
+
+    def counted(self, r):
+        calls.append(r)
+        return jets(self, r)
+
+    monkeypatch.setattr(ProfilePair, "jets", counted)
+    metric, ys = _sample_states(scenario, np.random.default_rng(1), 25, with_fiber=True)
+    assert ys.shape == (25, 8) and metric.x.shape == (25, 8)
+    assert len(calls) <= 3
 
 
 CHARGED_N8 = """

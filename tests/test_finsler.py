@@ -27,7 +27,7 @@ from finslergeo.finsler import (
     spray_y_derivative,
     spray_y_second,
 )
-from finslergeo.riemann import christoffel, nabla_b
+from finslergeo.riemann import christoffel, christoffel_dot, nabla_b
 from finslergeo.tensors import fd_partials, max_abs, rel_frobenius
 
 from conftest import sample_point
@@ -211,13 +211,13 @@ class TestStacks:
 
 class TestSpray:
     def test_zero_charge_is_geodesic_spray(self, frame4, schwarzschild, rng):
-        """g = 0 collapses exactly to a^i_km y^k y^m, even on the indefinite
-        metric (no cone needed)."""
+        """g = 0 collapses exactly to the geodesic spray a^i_km y^k y^m, even
+        on the indefinite metric (no cone needed).  christoffel_dot's tie to
+        the full Christoffel array is in tests/test_batches.py."""
         state = build_metric(frame4, schwarzschild, sample_point(rng, 4, 0.5, 4.0))
         y = rng.normal(size=4)
         got = spray_coefficients(state, y, 0.0)
-        want = np.einsum("ikm,k,m->i", christoffel(state), y, y)
-        assert max_abs(got - want) == 0.0
+        assert max_abs(got - riemann_spray(state, y)) == 0.0
 
     def test_constant_norm_keeps_riemannian_spray(self, frame4_pd, rng):
         """With c constant the slope (ys) vanishes, so the charged spray equals
@@ -248,8 +248,7 @@ class TestSprayDerivatives:
         state = build_metric(frame4, schwarzschild, sample_point(rng, 4, 0.5, 4.0))
         y = rng.normal(size=4)
         derivs = spray_derivatives(state, y, 0.0)
-        want = 2.0 * np.einsum("ikm,m->ik", christoffel(state), y)
-        assert max_abs(derivs.first_closed - want) == 0.0
+        assert max_abs(derivs.first_closed - 2.0 * christoffel_dot(state, y)) == 0.0
         assert max_abs(derivs.second_closed - 2.0 * christoffel(state)) == 0.0
 
     def test_closed_first_matches_numeric(self, frame4_pd, pd_rational, rng):

@@ -320,7 +320,7 @@ def nabla_c_definitional(state: MetricState, config: DiffConfig | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _christoffel_blocks(state: MetricState):
+def _christoffel_blocks(state: MetricState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rank-one blocks (P, Q, w) of the closed Christoffel symbols
 
     a^k_ij = b^k P_ij + n^k Q_ij + w (n_i u_j^k + n_j u_i^k),
@@ -339,13 +339,13 @@ def christoffel(state: MetricState) -> np.ndarray:
     """Closed Christoffel symbols of the family, axes [k, i, j] for a^k_ij,
     assembled from the blocks of _christoffel_blocks."""
     p, q, w = _christoffel_blocks(state)
-    # nu[k, i, j] = n_i u_j^k
-    nu = state.n_low[..., None, :, None] * state.frame.u_mix.T[:, None, :]
-    return (
-        state.b_up[..., :, None, None] * p[..., None, :, :]
-        + state.n_up[..., :, None, None] * q[..., None, :, :]
-        + w[..., None, None, None] * (nu + np.swapaxes(nu, -1, -2))
-    )
+    # Summed in place: the curvature oracle's stencil rows hold this N^3 array.
+    out = state.b_up[..., :, None, None] * p[..., None, :, :]
+    out += state.n_up[..., :, None, None] * q[..., None, :, :]
+    # wnu[k, i, j] = w n_i u_j^k
+    wnu = (w[..., None] * state.n_low)[..., None, :, None] * state.frame.u_mix.T[:, None, :]
+    out += wnu + np.swapaxes(wnu, -1, -2)
+    return out
 
 
 def christoffel_dot(state: MetricState, y: np.ndarray) -> np.ndarray:

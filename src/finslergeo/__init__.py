@@ -34,6 +34,7 @@ from .riemann import (
     curvature_presubstitution,
     nabla_b,
     nabla_b_definitional,
+    nabla_b_dot,
     nabla_c,
     nabla_c_definitional,
     ricci_closed,

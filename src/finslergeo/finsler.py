@@ -25,10 +25,11 @@ only the combination K^2 R^i_k is exposed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .riemann import MetricState, build_metric, christoffel_dot
+from .riemann import MetricState, build_metric, christoffel_dot, nabla_b_dot
 from .tensors import (
     DiffConfig,
     Jet2,
@@ -75,6 +76,8 @@ class FinsleroidState:
 
     Built from a stack of metrics or of fiber vectors, the per-point fields
     carry the stack's leading axis (the scalars become arrays over it).
+    r_low, eta and e_fiber are computed on first use and kept: no spray
+    stencil row reads them.
     """
 
     metric: MetricState
@@ -91,13 +94,22 @@ class FinsleroidState:
     nu: float | np.ndarray
     nu_low: np.ndarray
     r_mix: np.ndarray
-    r_low: np.ndarray
-    eta: np.ndarray
     s_low: np.ndarray
     ys: float | np.ndarray
     sigma: float | np.ndarray
     yc: float | np.ndarray
-    e_fiber: np.ndarray
+
+    @cached_property
+    def r_low(self) -> np.ndarray:
+        return self.metric.a_low - outer(self.metric.b_low, self.metric.b_low)
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        return self.r_low - outer(self.v_low, self.v_low) / self.q2[..., None, None]
+
+    @cached_property
+    def e_fiber(self) -> np.ndarray:
+        return (self.b / self.q2)[..., None] * self.v_low - self.metric.b_low
 
 
 def fiber_vectors(metric: MetricState, y: np.ndarray):
@@ -151,15 +163,11 @@ def kinematics(
 
     q_slope = -v_low if relativistic else v_low
     nu_low = q_slope / q[..., None] + (one_minus_c2 * charge)[..., None] * metric.b_low
-    n = metric.frame.n_dim
-    r_mix = np.eye(n) - outer(metric.b_up, metric.b_low)
-    r_low = metric.a_low - outer(metric.b_low, metric.b_low)
-    eta = r_low - outer(v_low, v_low) / q2[..., None, None]
-    s_low = np.einsum("...ij,...j->...i", metric.nb, y)
+    r_mix = np.eye(metric.frame.n_dim) - outer(metric.b_up, metric.b_low)
+    s_low = nabla_b_dot(metric, y)
     ys = np.einsum("...i,...i->...", y, s_low)
     sigma = np.einsum("...i,...i->...", metric.b_up, s_low)
     yc = np.einsum("...i,...i->...", metric.dc_low, y)
-    e_fiber = (b / q2)[..., None] * v_low - metric.b_low
     return FinsleroidState(
         metric=metric,
         y=y,
@@ -175,13 +183,10 @@ def kinematics(
         nu=nu,
         nu_low=nu_low,
         r_mix=r_mix,
-        r_low=r_low,
-        eta=eta,
         s_low=s_low,
         ys=ys,
         sigma=sigma,
         yc=yc,
-        e_fiber=e_fiber,
     )
 
 
@@ -240,12 +245,13 @@ def spray_y_derivative(state: FinsleroidState) -> np.ndarray:
 def _first_derivative(state: FinsleroidState, gamma_y: np.ndarray) -> np.ndarray:
     """spray_y_derivative(state), given gamma_y = a^i_km y^m at the state."""
     g, nu, ys = state.charge, state.nu, state.ys
-    return (
-        (-(g / nu**2) * ys)[..., None, None] * outer(state.v_up, state.nu_low)
-        + (2.0 * (g / nu))[..., None, None] * outer(state.v_up, state.s_low)
-        + ((g / nu) * ys)[..., None, None] * state.r_mix
-        + 2.0 * gamma_y
+    out = outer(
+        state.v_up,
+        (-(g / nu**2) * ys)[..., None] * state.nu_low + (2.0 * (g / nu))[..., None] * state.s_low,
     )
+    out += ((g / nu) * ys)[..., None, None] * state.r_mix
+    out += 2.0 * gamma_y
+    return out
 
 
 def spray_y_second(state: FinsleroidState) -> np.ndarray:
@@ -398,6 +404,13 @@ def hh_curvature(derivs: SprayDerivatives, config: DiffConfig | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
+def _e_fiber_rule(state: FinsleroidState) -> np.ndarray:
+    """The closed e-fiber derivative d(e_k)/dy^j = (b/q^2) eta_kj - v_k e_j / q^2,
+    axes [k, j]."""
+    q2 = state.q2[..., None, None]
+    return (state.b / state.q2)[..., None, None] * state.eta - outer(state.v_low, state.e_fiber) / q2
+
+
 def _fiber_jets(state: FinsleroidState):
     """Second-order jets of the fiber scalars along y + t e_axis, for every
     axis in one pass: after the state's sample axes, jet parts have axes
@@ -465,10 +478,7 @@ def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float | np
     )  # [k, m]; symmetric in (k, m)
     res["nu_ratio_derivative"] = max_abs(ratio_d - np.swapaxes(ratio_rhs, -1, -2), 2)
 
-    q2_col = q2[..., None, None]
-    e_rhs = (b / q2)[..., None, None] * state.eta - outer(state.v_low, state.e_fiber) / q2_col
-    # e_rhs[k, j] = d(e_k)/dy^j; compare against e_d[j, k].
-    res["e_fiber_derivative"] = max_abs(e_d - np.swapaxes(e_rhs, -1, -2), 2)
+    res["e_fiber_derivative"] = max_abs(e_d - np.swapaxes(_e_fiber_rule(state), -1, -2), 2)
 
     v_up, v_low, r_mix = state.v_up, state.v_low, state.r_mix
     res["v_dot_s"] = np.abs(dot(v_up, state.s_low) - (state.ys - b * state.sigma))

@@ -150,9 +150,11 @@ class MetricState:
     then carries the same leading axes (scalars become arrays over them).
     Raised radial components use the background transverse block
     (n^i = u^ij n_j); the axis vector is metric-raised (b^i = a^ij b_j = c^2 e^i).
-    States are immutable snapshots.  The closed Christoffel symbols and
-    nabla b are computed on first use and kept, so each is built at most
-    once per state (the sprays contract a^k_ij with y through christoffel_dot).
+    States are immutable snapshots.  The inverse metric, the closed
+    Christoffel symbols and nabla b are computed on first use and kept, so
+    each is built at most once per state and never at a spray stencil row
+    (the sprays contract a^k_ij and nabla b with y through christoffel_dot
+    and nabla_b_dot).
     """
 
     frame: Frame
@@ -164,7 +166,6 @@ class MetricState:
     b_low: np.ndarray
     b_up: np.ndarray
     a_low: np.ndarray
-    a_up: np.ndarray
     c: float | np.ndarray
     c1: float | np.ndarray
     c2: float | np.ndarray
@@ -176,6 +177,12 @@ class MetricState:
     def dc_low(self) -> np.ndarray:
         """Gradient covector of c: c_i = c'(r) n_i."""
         return self.c1[..., None] * self.n_low
+
+    @cached_property
+    def a_up(self) -> np.ndarray:
+        """The closed inverse metric a^ij = b^i b^j / c^2 + u^ij / m, computed once."""
+        c_sq, m = (v[..., None, None] for v in (self.c**2, self.m))
+        return outer(self.b_up, self.b_up) / c_sq + self.frame.u_up / m
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -227,20 +234,18 @@ def _combine(states: list, join):
 
 def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricState:
     """Assemble the metric family at x, one point (N,) or a stack (..., N);
-    the closed inverse is a^ij = b^i b^j / c^2 + u^ij / m, verified against
-    a_ij a^jn = delta."""
+    the closed inverse (MetricState.a_up, built on first use) is verified
+    against a_ij a^jn = delta."""
     x = np.array(x, dtype=float)
     x = x.reshape(x.shape[:-1] + (frame.n_dim,))
     r = frame.radius(x)
     p = profiles.eval(r)
-    c_sq, m = (p.c**2)[..., None, None], p.m[..., None, None]
     n_low = (x @ frame.u_low.T) / r[..., None]
     n_up = n_low @ frame.u_up.T
     b_low = np.empty_like(x)
     b_low[...] = frame.e_low
     b_up = (p.c**2)[..., None] * frame.e_up
-    a_low = outer(b_low, b_low) / c_sq + m * frame.u_low
-    a_up = outer(b_up, b_up) / c_sq + frame.u_up / m
+    a_low = outer(b_low, b_low) / (p.c**2)[..., None, None] + p.m[..., None, None] * frame.u_low
     return MetricState(
         frame=frame,
         profiles=profiles,
@@ -251,7 +256,6 @@ def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricSt
         b_low=b_low,
         b_up=b_up,
         a_low=a_low,
-        a_up=a_up,
         c=p.c,
         c1=p.c1,
         c2=p.c2,
@@ -270,6 +274,13 @@ def nabla_b(state: MetricState) -> np.ndarray:
     """Closed form nabla_i b_j = (c_i b_j + c_j b_i) / c; symmetric, m-free."""
     ci = state.dc_low
     return (outer(ci, state.b_low) + outer(state.b_low, ci)) / state.c[..., None, None]
+
+
+def nabla_b_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
+    """nabla_k b_h y^h = (c_k (b.y) + b_k (c.y)) / c, axes [k], in O(N)
+    without building nabla b; state and y broadcast as in christoffel_dot."""
+    ci, b = state.dc_low, state.b_low
+    return (ci * dot(b, y)[..., None] + b * dot(ci, y)[..., None]) / state.c[..., None]
 
 
 def nabla_b_definitional(state: MetricState, config: DiffConfig | None = None) -> np.ndarray:
@@ -320,18 +331,25 @@ def nabla_c_definitional(state: MetricState, config: DiffConfig | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _christoffel_blocks(state: MetricState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _christoffel_blocks(state: MetricState, y: np.ndarray | None = None):
     """The rank-one blocks (P, Q, w) of the closed Christoffel symbols
 
     a^k_ij = b^k P_ij + n^k Q_ij + w (n_i u_j^k + n_j u_i^k),
-    P_ij = -(c'/c^3)(n_i b_j + n_j b_i),  Q_ij = ((2c'/c^3) b_i b_j - m' u_ij) / 2m,  w = m'/2m.
+    P_ij = -(c'/c^3)(n_i b_j + n_j b_i),  Q_ij = ((2c'/c^3) b_i b_j - m' u_ij) / 2m,  w = m'/2m;
+
+    given y, P and Q come contracted with it, (P_ij y^j, Q_ij y^j, w).
     """
     n, b, u = state.n_low, state.b_low, state.frame.u_low
-    c, c1, m, m1 = (v[..., None, None] for v in (state.c, state.c1, state.m, state.m1))
-    slope = c1 / c**3
-    nb = outer(n, b)
-    p = -slope * (nb + np.swapaxes(nb, -1, -2))
-    q = (2.0 * slope * outer(b, b) - m1 * u) / (2.0 * m)
+    if y is None:
+        pair, axes = outer, (None, None)  # pair(l, r)_ij = l_i r_j
+    else:
+        def pair(left, right):  # l_i r_j y^j
+            return left * dot(right, y)[..., None]
+
+        u, axes = matvec(u, y), (None,)
+    slope, m, m1 = (v[(...,) + axes] for v in (state.c1 / state.c**3, state.m, state.m1))
+    p = -slope * (pair(n, b) + pair(b, n))
+    q = (2.0 * slope * pair(b, b) - m1 * u) / (2.0 * m)
     return p, q, state.m1 / (2.0 * state.m)
 
 
@@ -349,20 +367,21 @@ def christoffel(state: MetricState) -> np.ndarray:
 
 
 def christoffel_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
-    """a^k_ij y^j, axes [k, i], from the blocks without building a^k_ij.
+    """a^k_ij y^j, axes [k, i], from the blocks contracted with y, without
+    building a^k_ij or the N x N blocks.
 
     The state and y broadcast against each other over their leading axes:
     a per_row() metric against each sample's stack of fiber vectors, or a
     stack of stencil metrics against each sample's one fiber vector.
     """
-    p, q, w = _christoffel_blocks(state)
+    py, qy, w = _christoffel_blocks(state, y)
     u_mix = state.frame.u_mix
-    ny = dot(state.n_low, y)
-    return (
-        outer(state.b_up, matvec(p, y))
-        + outer(state.n_up, matvec(q, y))
-        + w[..., None, None] * (outer(y @ u_mix, state.n_low) + ny[..., None, None] * u_mix.T)
-    )
+    wn = w[..., None] * state.n_low
+    out = outer(state.b_up, py)
+    out += outer(state.n_up, qy)
+    out += outer(y @ u_mix, wn)
+    out += dot(wn, y)[..., None, None] * u_mix.T
+    return out
 
 
 def christoffel_definitional(state: MetricState, config: DiffConfig | None = None) -> np.ndarray:

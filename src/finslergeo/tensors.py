@@ -281,19 +281,22 @@ def fd_partials(
 # Samples are evaluated in stacked chunks: one call per chunk instead of
 # one per sample removes the per-call overhead on tiny arrays, but a
 # chunk's stencil arrays grow with it (all 100 fibers of an N = 8 charged
-# finsler-curvature run in one chunk peak at 57 MB of arrays, against
-# 3.8 MB chunked).  The largest value a stencil row holds is an N^3 array
-# (the Christoffel symbols of the row's metric) and a sample has N * 4 rows
-# (order-4 stencil), so a chunk takes as many samples as keep that array
-# within this many floats (512 KiB): 64 samples at N = 4, 4 at N = 8.
+# finsler-curvature run in one chunk peak at 57 MB of arrays when each
+# stencil row holds an N^3 Christoffel array).  Each suite states the floats
+# one sample holds at its largest: 4N^4 where a stencil row holds an N^3
+# array (curvature FD oracle) or a sample an N^4 curvature, 8N^3 where each
+# of the 4N rows (order-4 stencil) holds two N x N arrays (the spray
+# stencils).  A chunk takes as many samples as keep that within this many
+# floats (512 KiB): at N = 8, 4 samples at 4N^4 and 16 at 8N^3.
 STENCIL_FLOAT_BUDGET = 2**16
 
 
-def _per_sample(count: int, n_dim: int, evaluate) -> dict[str, np.ndarray]:
+def _per_sample(count: int, sample_floats: int, evaluate) -> dict[str, np.ndarray]:
     """Run ``evaluate`` on consecutive index ranges (slices) of ``count``
-    stacked samples, each within the budget; it returns per-sample arrays
-    by name for its range, which are joined in draw order."""
-    size = max(1, STENCIL_FLOAT_BUDGET // (4 * n_dim**4))
+    stacked samples, as many per range as keep ``sample_floats`` floats per
+    sample within the budget; it returns per-sample arrays by name for its
+    range, which are joined in draw order."""
+    size = max(1, STENCIL_FLOAT_BUDGET // sample_floats)
     parts = [evaluate(slice(i, i + size)) for i in range(0, count, size)]
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 

@@ -179,7 +179,7 @@ def verify_vacuum(
             "axis_contractions": np.max(list(contractions.values()), axis=0),
         }
 
-    rows = _per_sample(len(radii), n_dim, residuals)
+    rows = _per_sample(len(radii), 4 * n_dim**4, residuals)
     check_plan = [
         ("ricci_scaled", "algebraic", 10.0),  # 1e-9 in 1/r^2 units
         ("ricci_coefficients_scaled", "algebraic", 1.0),

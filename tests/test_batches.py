@@ -1,8 +1,9 @@
 """The batch path: fd_partials over a (B, N) batch of base points, the
 geometry and Finsler closed forms over a leading sample axis, the block
-Christoffel kernels against the einsum form, per-sample stencil misses,
-the block samplers against the try-by-try loops, the calls each stage
-makes, the suites' chunk memory, and the worst-sample index of each
+Christoffel and nabla b kernels against the full arrays, per-sample stencil
+misses, the block samplers against the try-by-try loops, the calls each
+stage makes, the fields a stencil row computes, the suites' chunk counts,
+chunk-size invariance and chunk memory, and the worst-sample index of each
 check."""
 
 import sys
@@ -30,7 +31,9 @@ from finslergeo import (
     hh_curvature,
     kinematic_identity_residuals,
     kinematics,
+    nabla_b,
     nabla_b_definitional,
+    nabla_b_dot,
     nabla_c,
     nabla_c_definitional,
     parse_scenario,
@@ -41,9 +44,8 @@ from finslergeo import (
 )
 from finslergeo.finsler import fiber_vectors
 from finslergeo.report import CheckResult
-from finslergeo import riemann
+from finslergeo import finsler, riemann, suites, tensors
 from finslergeo.riemann import christoffel_definitional, take
-from finslergeo import suites
 from finslergeo.suites import (
     SamplingError,
     _sample_admissible,
@@ -305,6 +307,17 @@ class TestChristoffelKernel:
         bound = KERNEL_TOL * max_abs(gamma, 3) * max_abs(y, 1)
         assert np.all(max_abs(got - want, 2) <= bound)
 
+    @staticmethod
+    def _assert_nabla_b_dot(state, y):
+        """nabla_b_dot(state, y) equals nabla_b(state) @ y to 1e-15 of
+        max|nabla b| sum|y^h|, sample by sample."""
+        full = nabla_b(state)
+        want = np.einsum("...kh,...h->...k", full, y)
+        got = nabla_b_dot(state, y)
+        assert got.shape == want.shape
+        bound = 1e-15 * max_abs(full, 2) * np.sum(np.abs(y), axis=-1)
+        assert np.all(max_abs(got - want, 1) <= bound)
+
     @pytest.mark.parametrize(
         "n_dim, signature, transformed",
         KERNEL_CASES,
@@ -312,7 +325,8 @@ class TestChristoffelKernel:
     )
     def test_blocks_match_the_einsum_form(self, n_dim, signature, transformed, rng):
         """christoffel and christoffel_dot agree with the six-einsum form and
-        its contraction with y, at one point and over a batch."""
+        its contraction with y, and nabla_b_dot with nabla_b contracted with
+        y, at one point and over a batch."""
         frame, pair, xs, ys = self._stack(rng, n_dim, signature, transformed, 5)
         for x, y in [(xs[0], ys[0]), (xs, ys)]:
             state = build_metric(frame, pair, x)
@@ -321,24 +335,28 @@ class TestChristoffelKernel:
             assert got.shape == want.shape
             assert np.all(max_abs(got - want, 3) <= KERNEL_TOL * max_abs(want, 3))
             self._assert_dot(christoffel_dot(state, y), want, y)
+            self._assert_nabla_b_dot(state, y)
 
     @pytest.mark.parametrize("signature", [1, -1])
     def test_dot_broadcasts_over_stencil_rows(self, signature, rng):
-        """A per_row() metric (B, 1) against fiber vectors (B, rows, N), as in
-        the y-stencil, and a stencil of metrics (B, rows) against one fiber
-        vector per sample (B, 1, N), as in the x-stencil."""
+        """christoffel_dot and nabla_b_dot broadcast a per_row() metric (B, 1)
+        against fiber vectors (B, rows, N), as in the y-stencil, and a stencil
+        of metrics (B, rows) against one fiber vector per sample (B, 1, N), as
+        in the x-stencil."""
         frame, pair, xs, ys = self._stack(rng, 8, signature, True, 3)
         metric = build_metric(frame, pair, xs)
         y_rows = ys[:, None, :] + 0.01 * rng.normal(size=(3, 6, 8))
         got = christoffel_dot(metric.per_row(), y_rows)
         assert got.shape == (3, 6, 8, 8)
         self._assert_dot(got, _einsum_christoffel(metric)[:, None], y_rows)
+        self._assert_nabla_b_dot(metric.per_row(), y_rows)
 
         pts = xs[:, None, :] + 0.01 * rng.normal(size=(3, 6, 8))
         stencil = build_metric(frame, pair, pts)
         got = christoffel_dot(stencil, ys[:, None, :])
         assert got.shape == (3, 6, 8, 8)
         self._assert_dot(got, _einsum_christoffel(stencil), np.broadcast_to(ys[:, None, :], pts.shape))
+        self._assert_nabla_b_dot(stencil, ys[:, None, :])
 
 
 class TestStencilMissInBatch:
@@ -543,6 +561,29 @@ def test_spray_stencils_build_no_christoffel_array(monkeypatch):
     assert calls == []
 
 
+def test_spray_stencil_rows_compute_only_what_the_spray_reads(monkeypatch):
+    """On a charged N = 8 batch, hh_curvature's x-stencil rows build no
+    inverse metric, no nabla b and none of the Finsleroid fields that only
+    the identities and the second derivative read."""
+    scenario = parse_scenario(CHARGED_N8)
+    fibers = _sample_admissible(scenario, np.random.default_rng(1), 4, relativistic=False)
+    derivs = spray_derivatives(fibers.metric, fibers.y, scenario.charge)
+    built = []
+    for name in ("build_metric", "kinematics"):
+        original = getattr(finsler, name)
+
+        def recorded(*args, _original=original, **kwargs):
+            built.append(_original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(finsler, name, recorded)
+    hh_curvature(derivs)
+    kinds = {type(state).__name__ for state in built}
+    assert kinds == {"MetricState", "FinsleroidState"}
+    for state in built:
+        assert not {"r_low", "eta", "e_fiber", "a_up", "nb", "gamma"} & vars(state).keys()
+
+
 def test_charge_zero_sampler_evaluates_the_profile_in_a_block(monkeypatch):
     """25 charge-0 points with fibers on a profile that rejects no try take
     at most three profile evaluations, not one per try."""
@@ -575,11 +616,83 @@ fibers = 100
 """
 
 
+CHARGED_N4 = CHARGED_N8.replace("dimension = 8", "dimension = 4")
+
+
+def _suite_calls(monkeypatch, text, suite, names):
+    """Run ``suite`` on the scenario ``text`` and count the suite's calls of
+    each of ``names``."""
+    scenario = parse_scenario(text)
+    calls = {name: _counting(monkeypatch, name) for name in names}
+    result, _ = suite(scenario, DiffConfig(tolerances=dict(scenario.tolerances)))
+    assert result.status == "pass"
+    return {name: len(made) for name, made in calls.items()}
+
+
+def test_charged_chunks_are_sized_for_their_stencil_rows(monkeypatch):
+    """At N = 8 the charged spray stencils hold N x N arrays per row, so 100
+    fibers take at most 7 chunks; charge 0 evaluates an N^4 curvature per
+    sample and keeps its 25 chunks of 4."""
+    spray = ("spray_derivatives", "hh_curvature")
+    charged = _suite_calls(monkeypatch, CHARGED_N8, suite_finsler_curvature, spray)
+    assert all(count <= 7 for count in charged.values()), charged
+    identities = _suite_calls(
+        monkeypatch, CHARGED_N8, suite_finsler_identities, ("kinematic_identity_residuals",)
+    )
+    assert identities["kinematic_identity_residuals"] <= 7
+    limit = CHARGED_N8.replace("charge = 0.3", "charge = 0.0")
+    assert _suite_calls(monkeypatch, limit, suite_finsler_curvature, spray) == dict.fromkeys(spray, 25)
+
+
+def _suite_rows(monkeypatch, text):
+    """The per-sample residual arrays and worst indices of the charged
+    finsler-identities and finsler-curvature suites on ``text``."""
+    scenario = parse_scenario(text)
+    cfg = DiffConfig(tolerances=dict(scenario.tolerances))
+    rows = []
+
+    def recorded(*args):
+        rows.append(tensors._per_sample(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(suites, "_per_sample", recorded)
+    worst = [
+        [check.worst_index for check in suite(scenario, cfg)[0].checks]
+        for suite in (suite_finsler_identities, suite_finsler_curvature)
+    ]
+    return rows, worst
+
+
+@pytest.mark.parametrize("text", [CHARGED_N4, CHARGED_N8], ids=["N4", "N8"])
+def test_residuals_do_not_depend_on_the_chunk_size(monkeypatch, text):
+    """Budgets that give one sample per chunk and one chunk for all give the
+    same residuals: bit for bit where charged, and to 1e-6 of the bundle
+    tolerance for riemann_limit, whose einsum sums in an order that depends
+    on the batch size."""
+    results = {}
+    for budget in (2**12, 2**20):
+        monkeypatch.setattr(tensors, "STENCIL_FLOAT_BUDGET", budget)
+        for charge in ("0.3", "0.0"):
+            results[budget, charge] = _suite_rows(
+                monkeypatch, text.replace("charge = 0.3", f"charge = {charge}")
+            )
+    small, large = results[2**12, "0.3"], results[2**20, "0.3"]
+    assert small[1] == large[1]
+    for got, want in zip(small[0], large[0], strict=True):
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[name], want[name]) for name in want)
+    (_, small_limit), (_, large_limit) = results[2**12, "0.0"][0], results[2**20, "0.0"][0]
+    tolerance = DiffConfig().tolerance("bundle")
+    assert max_abs(small_limit["riemann_limit"] - large_limit["riemann_limit"]) <= 1e-6 * tolerance
+
+
+@pytest.mark.parametrize("text", [CHARGED_N4, CHARGED_N8], ids=["N4", "N8"])
 @pytest.mark.parametrize("suite", [suite_finsler_curvature, suite_finsler_identities])
-def test_chunked_suites_stay_within_the_memory_guard(suite):
-    """The suites evaluate in chunks sized from N, so the stacked stencils of
-    an N = 8 run over 100 fibers peak at a few MB, not tens of MB."""
-    scenario = parse_scenario(CHARGED_N8)
+def test_chunked_suites_stay_within_the_memory_guard(suite, text):
+    """The suites evaluate in chunks sized for their stencil rows, so the
+    stacked stencils of a run over 100 fibers (one chunk at N = 4, seven at
+    N = 8) peak at a few MB, not tens of MB."""
+    scenario = parse_scenario(text)
     cfg = DiffConfig(tolerances=dict(scenario.tolerances))
     tracemalloc.start()
     try:

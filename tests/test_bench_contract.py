@@ -22,6 +22,9 @@ BENCHMARK = ROOT / "BENCHMARK.json"
 WORKLOADS = json.loads((ROOT / "bench" / "workloads.json").read_text())
 # Tiny counts per sample kind; a check's count in the table is one of these.
 COUNTS = {"points": 2, "fibers": 2, "radii": 2, "2*radii": 4}
+# The N = 8 shapes run 20 fibers: two chunks of a charged Finsler suite, so
+# the contract also covers joining the chunks.
+COUNTS_N8 = COUNTS | {"fibers": 20}
 SHAPES = [
     (f"{workload}-{index}", entry)
     for workload, spec in WORKLOADS["workloads"].items()
@@ -68,6 +71,7 @@ def test_every_workload_suite_reports_the_checks_the_bench_expects(entry):
     """Each suite of each workload scenario, run with tiny counts, passes
     and reports the check names and n_samples that bench/workloads.json
     lists for it (a charge-0 finsler-curvature run has its own table)."""
+    counts = COUNTS_N8 if entry["dimension"] == 8 else COUNTS
     scenario = scenario_from_sections(
         {
             "scenario": {
@@ -78,9 +82,9 @@ def test_every_workload_suite_reports_the_checks_the_bench_expects(entry):
             },
             "profile": WORKLOADS["profiles"][entry["profile"]],
             "samples": {
-                "radii": WORKLOADS["radii"][: COUNTS["radii"]],
-                "points": COUNTS["points"],
-                "fibers": COUNTS["fibers"],
+                "radii": WORKLOADS["radii"][: counts["radii"]],
+                "points": counts["points"],
+                "fibers": counts["fibers"],
             },
         }
     )
@@ -90,6 +94,6 @@ def test_every_workload_suite_reports_the_checks_the_bench_expects(entry):
         key = suite.name
         if key == "finsler-curvature" and entry["charge"] == 0.0:
             key += "@charge0"
-        expected = {name: COUNTS[base] for name, base in WORKLOADS["checks"][key].items()}
+        expected = {name: counts[base] for name, base in WORKLOADS["checks"][key].items()}
         assert suite.status == "pass", (suite.name, suite.reason)
         assert {check.name: check.n_samples for check in suite.checks} == expected

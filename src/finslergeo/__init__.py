@@ -30,6 +30,7 @@ from .riemann import (
     christoffel_definitional,
     christoffel_dot,
     curvature_closed,
+    curvature_dot,
     curvature_fd_oracle,
     curvature_presubstitution,
     nabla_b,

@@ -434,12 +434,48 @@ def _curvature_blocks(state: MetricState):
     return t_uu, t_nb, t_nu, t_bu
 
 
-def _block_scalars(state: MetricState):
-    """Scalar weights of the four blocks, (m_slope, mixed, m_curv/2,
-    cross/c^2), each with four unit axes to scale a block."""
+def _curvature_blocks_dot(state: MetricState, y: np.ndarray):
+    """The five blocks of curvature_closed (block_a, block_ab + block_bb,
+    t_nb, t_nu, t_bu) contracted with y^n y^m, axes [i, k], in O(N^2) per
+    point.  Each block is a sum of terms L_nm M_k^i - L_nk M_m^i, which
+    contract to (y L y) M_k^i - (y L)_k (y M)^i."""
+    n, n_up = state.n_low, state.n_up
+    b, b_up = state.b_low, state.b_up
+    u_mix, eye = state.frame.u_mix, np.eye(state.frame.n_dim)
+    uy, ay, yu_mix = matvec(state.frame.u_low, y), matvec(state.a_low, y), y @ u_mix
+    ny, by, yuy, yay = (dot(v, y)[..., None] for v in (n, b, uy, ay))
+    inv_m = (1.0 / state.m)[..., None]
+    return (
+        yay[..., None] * eye - outer(y, ay),
+        outer(b_up, yay * b - by * ay) + by[..., None] * (by[..., None] * eye - outer(y, b)),
+        outer(ny * b_up - inv_m * by * n_up, by * n - ny * b),
+        (ny**2)[..., None] * u_mix.T - outer(ny * yu_mix, n) + outer(n_up, yuy * n - ny * uy),
+        inv_m[..., None] * ((by**2)[..., None] * u_mix.T - outer(by * yu_mix, b))
+        + outer(b_up, yuy * b - by * uy),
+    )
+
+
+def _block_scalars(state: MetricState, rank: int = 4):
+    """Scalar weights of the curvature blocks, (m_slope, mixed, m_curv/2,
+    cross/c^2), each with ``rank`` unit axes to scale a block."""
     s = combo_scalars(state, state.r)
     weights = (s.m_slope, s.mixed, 0.5 * s.m_curv, s.cross / state.c**2)
-    return tuple(w[..., None, None, None, None] for w in weights)
+    return tuple(w[(...,) + (None,) * rank] for w in weights)
+
+
+def _closed_sum(state: MetricState, blocks, rank: int) -> np.ndarray:
+    """The weighted sum of curvature_closed's five blocks, each with
+    ``rank`` trailing component axes."""
+    m_slope, mixed, m_curv_half, cross_c = _block_scalars(state, rank)
+    m, c = (v[(...,) + (None,) * rank] for v in (state.m, state.c))
+    block_a, block_abb, t_nb, t_nu, t_bu = blocks
+    return (
+        -(m_slope / m) * block_a
+        + (m_slope / (c**2 * m)) * block_abb
+        - (mixed / c**2) * t_nb
+        - m_curv_half * t_nu
+        + cross_c * t_bu
+    )
 
 
 def curvature_closed(state: MetricState) -> np.ndarray:
@@ -452,9 +488,7 @@ def curvature_closed(state: MetricState) -> np.ndarray:
     finite-difference oracle.
     """
     _, t_nb, t_nu, t_bu = _curvature_blocks(state)
-    m_slope, mixed, m_curv_half, cross_c = _block_scalars(state)
     a, b, b_up = state.a_low, state.b_low, state.b_up
-    m, c = (v[..., None, None, None, None] for v in (state.m, state.c))
     eye = np.eye(state.frame.n_dim)
 
     block_a = np.einsum("...mn,ki->...nikm", a, eye) - np.einsum("...kn,mi->...nikm", a, eye)
@@ -464,13 +498,14 @@ def curvature_closed(state: MetricState) -> np.ndarray:
     block_bb = np.einsum("...m,...n,ki->...nikm", b, b, eye) - np.einsum(
         "...k,...n,mi->...nikm", b, b, eye
     )
-    return (
-        -(m_slope / m) * block_a
-        + (m_slope / (c**2 * m)) * (block_ab + block_bb)
-        - (mixed / c**2) * t_nb
-        - m_curv_half * t_nu
-        + cross_c * t_bu
-    )
+    return _closed_sum(state, (block_a, block_ab + block_bb, t_nb, t_nu, t_bu), 4)
+
+
+def curvature_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
+    """R^i_k = a_n^i_km y^n y^m, axes [i, k], from curvature_closed's blocks
+    contracted with y, in O(N^2) per point without building the N^4 tensor;
+    state and y broadcast as in christoffel_dot."""
+    return _closed_sum(state, _curvature_blocks_dot(state, y), 2)
 
 
 def curvature_presubstitution(state: MetricState) -> np.ndarray:

@@ -1,10 +1,10 @@
 """The batch path: fd_partials over a (B, N) batch of base points, the
 geometry and Finsler closed forms over a leading sample axis, the block
-Christoffel and nabla b kernels against the full arrays, per-sample stencil
-misses, the block samplers against the try-by-try loops, the calls each
-stage makes, the fields a stencil row computes, the suites' chunk counts,
-chunk-size invariance and chunk memory, and the worst-sample index of each
-check."""
+Christoffel, nabla b and curvature kernels against the full arrays,
+per-sample stencil misses, the block samplers against the try-by-try loops,
+the calls each stage makes, the fields a stencil row computes, the suites'
+chunk counts, chunk-size invariance and chunk memory, and the worst-sample
+index of each check."""
 
 import sys
 import tracemalloc
@@ -25,6 +25,7 @@ from finslergeo import (
     christoffel_dot,
     contraction_identities,
     curvature_closed,
+    curvature_dot,
     curvature_fd_oracle,
     curvature_presubstitution,
     fd_partials,
@@ -281,6 +282,7 @@ KERNEL_CASES = [
     for signature in (1, -1)
     for transformed in (False, True)
 ]
+KERNEL_IDS = [f"N{n}-sig{s:+d}-{'transformed' if t else 'standard'}" for n, s, t in KERNEL_CASES]
 KERNEL_TOL = 2e-15
 
 
@@ -318,11 +320,7 @@ class TestChristoffelKernel:
         bound = 1e-15 * max_abs(full, 2) * np.sum(np.abs(y), axis=-1)
         assert np.all(max_abs(got - want, 1) <= bound)
 
-    @pytest.mark.parametrize(
-        "n_dim, signature, transformed",
-        KERNEL_CASES,
-        ids=[f"N{n}-sig{s:+d}-{'transformed' if t else 'standard'}" for n, s, t in KERNEL_CASES],
-    )
+    @pytest.mark.parametrize("n_dim, signature, transformed", KERNEL_CASES, ids=KERNEL_IDS)
     def test_blocks_match_the_einsum_form(self, n_dim, signature, transformed, rng):
         """christoffel and christoffel_dot agree with the six-einsum form and
         its contraction with y, and nabla_b_dot with nabla_b contracted with
@@ -357,6 +355,37 @@ class TestChristoffelKernel:
         assert got.shape == (3, 6, 8, 8)
         self._assert_dot(got, _einsum_christoffel(stencil), np.broadcast_to(ys[:, None, :], pts.shape))
         self._assert_nabla_b_dot(stencil, ys[:, None, :])
+
+
+class TestCurvatureKernel:
+    @pytest.mark.parametrize("n_dim, signature, transformed", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_dot_matches_the_contracted_tensor(self, n_dim, signature, transformed, rng):
+        """curvature_dot equals curvature_closed contracted with y^n y^m to
+        1e-13 of max|R| max|y|^2, sample by sample, at one point and over a
+        batch."""
+        frame, pair, xs, ys = TestChristoffelKernel._stack(rng, n_dim, signature, transformed, 5)
+        for x, y in [(xs[0], ys[0]), (xs, ys)]:
+            state = build_metric(frame, pair, x)
+            full = curvature_closed(state)
+            want = np.einsum("...nikm,...n,...m->...ik", full, y, y)
+            got = curvature_dot(state, y)
+            assert got.shape == want.shape
+            bound = 1e-13 * max_abs(full, 4) * max_abs(y, 1) ** 2
+            assert np.all(max_abs(got - want, 2) <= bound)
+
+    @pytest.mark.parametrize("n_dim, signature, transformed", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_dot_keeps_the_curvature_symmetries(self, n_dim, signature, transformed, rng):
+        """Without the N^4 tensor: R^i_k y^k = 0 (antisymmetry in the last
+        pair) to 1e-13 of max|R| max|y|, and a_ij R^j_k is symmetric (pair
+        symmetry) to 1e-13 of max|a| max|R|, sample by sample."""
+        frame, pair, xs, ys = TestChristoffelKernel._stack(rng, n_dim, signature, transformed, 5)
+        state = build_metric(frame, pair, xs)
+        got = curvature_dot(state, ys)
+        annihilated = np.einsum("...ik,...k->...i", got, ys)
+        assert np.all(max_abs(annihilated, 1) <= CLOSED * max_abs(got, 2) * max_abs(ys, 1))
+        lowered = np.einsum("...ij,...jk->...ik", state.a_low, got)
+        gap = max_abs(lowered - np.swapaxes(lowered, -1, -2), 2)
+        assert np.all(gap <= CLOSED * max_abs(state.a_low, 2) * max_abs(got, 2))
 
 
 class TestStencilMissInBatch:
@@ -617,6 +646,8 @@ fibers = 100
 
 
 CHARGED_N4 = CHARGED_N8.replace("dimension = 8", "dimension = 4")
+LIMIT_N8 = CHARGED_N8.replace("charge = 0.3", "charge = 0.0")
+LIMIT_N4 = CHARGED_N4.replace("charge = 0.3", "charge = 0.0")
 
 
 def _suite_calls(monkeypatch, text, suite, names):
@@ -630,9 +661,9 @@ def _suite_calls(monkeypatch, text, suite, names):
 
 
 def test_charged_chunks_are_sized_for_their_stencil_rows(monkeypatch):
-    """At N = 8 the charged spray stencils hold N x N arrays per row, so 100
-    fibers take at most 7 chunks; charge 0 evaluates an N^4 curvature per
-    sample and keeps its 25 chunks of 4."""
+    """At N = 8 the spray stencils hold N x N arrays per row, so 100 fibers
+    take at most 7 chunks at either charge; charge 0 contracts the closed
+    curvature with y (curvature_dot) and never builds the N^4 tensor."""
     spray = ("spray_derivatives", "hh_curvature")
     charged = _suite_calls(monkeypatch, CHARGED_N8, suite_finsler_curvature, spray)
     assert all(count <= 7 for count in charged.values()), charged
@@ -640,8 +671,10 @@ def test_charged_chunks_are_sized_for_their_stencil_rows(monkeypatch):
         monkeypatch, CHARGED_N8, suite_finsler_identities, ("kinematic_identity_residuals",)
     )
     assert identities["kinematic_identity_residuals"] <= 7
-    limit = CHARGED_N8.replace("charge = 0.3", "charge = 0.0")
-    assert _suite_calls(monkeypatch, limit, suite_finsler_curvature, spray) == dict.fromkeys(spray, 25)
+    closed = _counting_everywhere(monkeypatch, riemann.curvature_closed)
+    limit = _suite_calls(monkeypatch, LIMIT_N8, suite_finsler_curvature, spray)
+    assert all(count <= 7 for count in limit.values()), limit
+    assert closed == []
 
 
 def _suite_rows(monkeypatch, text):
@@ -666,9 +699,7 @@ def _suite_rows(monkeypatch, text):
 @pytest.mark.parametrize("text", [CHARGED_N4, CHARGED_N8], ids=["N4", "N8"])
 def test_residuals_do_not_depend_on_the_chunk_size(monkeypatch, text):
     """Budgets that give one sample per chunk and one chunk for all give the
-    same residuals: bit for bit where charged, and to 1e-6 of the bundle
-    tolerance for riemann_limit, whose einsum sums in an order that depends
-    on the batch size."""
+    same residuals and worst indices, bit for bit, at either charge."""
     results = {}
     for budget in (2**12, 2**20):
         monkeypatch.setattr(tensors, "STENCIL_FLOAT_BUDGET", budget)
@@ -676,22 +707,29 @@ def test_residuals_do_not_depend_on_the_chunk_size(monkeypatch, text):
             results[budget, charge] = _suite_rows(
                 monkeypatch, text.replace("charge = 0.3", f"charge = {charge}")
             )
-    small, large = results[2**12, "0.3"], results[2**20, "0.3"]
-    assert small[1] == large[1]
-    for got, want in zip(small[0], large[0], strict=True):
-        assert got.keys() == want.keys()
-        assert all(np.array_equal(got[name], want[name]) for name in want)
-    (_, small_limit), (_, large_limit) = results[2**12, "0.0"][0], results[2**20, "0.0"][0]
-    tolerance = DiffConfig().tolerance("bundle")
-    assert max_abs(small_limit["riemann_limit"] - large_limit["riemann_limit"]) <= 1e-6 * tolerance
+    for charge in ("0.3", "0.0"):
+        small, large = results[2**12, charge], results[2**20, charge]
+        assert small[1] == large[1]
+        for got, want in zip(small[0], large[0], strict=True):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
-@pytest.mark.parametrize("text", [CHARGED_N4, CHARGED_N8], ids=["N4", "N8"])
-@pytest.mark.parametrize("suite", [suite_finsler_curvature, suite_finsler_identities])
+MEMORY_CASES = {
+    "suite_finsler_curvature-N4": (suite_finsler_curvature, CHARGED_N4),
+    "suite_finsler_curvature-N8": (suite_finsler_curvature, CHARGED_N8),
+    "suite_finsler_curvature-N4-charge0": (suite_finsler_curvature, LIMIT_N4),
+    "suite_finsler_curvature-N8-charge0": (suite_finsler_curvature, LIMIT_N8),
+    "suite_finsler_identities-N4": (suite_finsler_identities, CHARGED_N4),
+    "suite_finsler_identities-N8": (suite_finsler_identities, CHARGED_N8),
+}
+
+
+@pytest.mark.parametrize("suite, text", MEMORY_CASES.values(), ids=MEMORY_CASES.keys())
 def test_chunked_suites_stay_within_the_memory_guard(suite, text):
     """The suites evaluate in chunks sized for their stencil rows, so the
     stacked stencils of a run over 100 fibers (one chunk at N = 4, seven at
-    N = 8) peak at a few MB, not tens of MB."""
+    N = 8, at either charge) peak at a few MB, not tens of MB."""
     scenario = parse_scenario(text)
     cfg = DiffConfig(tolerances=dict(scenario.tolerances))
     tracemalloc.start()

@@ -22,8 +22,8 @@ BENCHMARK = ROOT / "BENCHMARK.json"
 WORKLOADS = json.loads((ROOT / "bench" / "workloads.json").read_text())
 # Tiny counts per sample kind; a check's count in the table is one of these.
 COUNTS = {"points": 2, "fibers": 2, "radii": 2, "2*radii": 4}
-# The N = 8 shapes run 20 fibers: two chunks of a charged Finsler suite, so
-# the contract also covers joining the chunks.
+# The N = 8 shapes run 20 fibers: two chunks (16 + 4) of a Finsler suite at
+# either charge, so the contract also covers joining the chunks.
 COUNTS_N8 = COUNTS | {"fibers": 20}
 SHAPES = [
     (f"{workload}-{index}", entry)

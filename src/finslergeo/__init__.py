@@ -36,8 +36,6 @@ from .riemann import (
     nabla_b,
     nabla_b_definitional,
     nabla_b_dot,
-    nabla_c,
-    nabla_c_definitional,
     ricci_closed,
     ricci_from_curvature,
 )

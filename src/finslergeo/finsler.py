@@ -195,11 +195,6 @@ def kinematics(
 # ---------------------------------------------------------------------------
 
 
-def riemann_spray(metric: MetricState, y: np.ndarray) -> np.ndarray:
-    """The geodesic spray of the underlying metric: a^i_km y^k y^m."""
-    return matvec(christoffel_dot(metric, y), y)
-
-
 def _spray_and_first(
     metric: MetricState, y: np.ndarray, charge: float, relativistic: bool = False
 ) -> tuple[np.ndarray, np.ndarray, FinsleroidState | None]:
@@ -233,17 +228,13 @@ def spray_coefficients(
     return _spray_and_first(metric, y, charge, relativistic)[0]
 
 
-def spray_y_derivative(state: FinsleroidState) -> np.ndarray:
-    """Closed first y-derivative, axes [i, k]:
+def _first_derivative(state: FinsleroidState, gamma_y: np.ndarray) -> np.ndarray:
+    """Closed first y-derivative, axes [i, k], given gamma_y = a^i_km y^m
+    at the state:
 
     G^i_k = -(g/nu^2) (ys) nu_k v^i + 2 (g/nu) s_k v^i + (g/nu) (ys) r^i_k
             + 2 a^i_km y^m
     """
-    return _first_derivative(state, christoffel_dot(state.metric, state.y))
-
-
-def _first_derivative(state: FinsleroidState, gamma_y: np.ndarray) -> np.ndarray:
-    """spray_y_derivative(state), given gamma_y = a^i_km y^m at the state."""
     g, nu, ys = state.charge, state.nu, state.ys
     out = outer(
         state.v_up,

@@ -5,8 +5,8 @@ block u_ij with e_ij = e_i e_j + eps u_ij.  The metric family is
 
     a_ij = b_i b_j / c(r)^2 + m(r) u_ij,        b_i = e_i,
 
-with r = sqrt(u_ij x^i x^j).  Every derived object (covariant derivatives
-of b and c, Christoffel symbols, Riemann and Ricci curvature) has a closed
+with r = sqrt(u_ij x^i x^j).  Every derived object (the covariant
+derivative of b, Christoffel symbols, Riemann and Ricci curvature) has a closed
 form assembled here, each paired with a finite-difference oracle built from
 nothing but the definition.  Each takes a state at one point or at a batch
 of points (leading sample axes) and returns one result per sample.
@@ -266,7 +266,7 @@ def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricSt
 
 
 # ---------------------------------------------------------------------------
-# Covariant derivatives of the axis covector and of c
+# Covariant derivative of the axis covector
 # ---------------------------------------------------------------------------
 
 
@@ -294,36 +294,6 @@ def nabla_b_definitional(state: MetricState, config: DiffConfig | None = None) -
     db = fd_partials(b_field, state.x, cfg, scales=state.r[..., None])  # [i, j] = d_i b_j
     gamma = christoffel_definitional(state, cfg)
     return db - np.einsum("...n,...nij->...ij", state.b_low, gamma)
-
-
-def nabla_c(state: MetricState) -> np.ndarray:
-    """Closed form of nabla_i c_j for c_j = c'(r) n_j:
-
-    c'' n_i n_j + (c'/r)(u_ij - n_i n_j)
-    - (c'/2m) [2 m' n_i n_j + (2 c'/c^3) b_i b_j - m' u_ij]
-    """
-    n, b, u = state.n_low, state.b_low, state.frame.u_low
-    c, c1, c2, m, m1, r = (
-        v[..., None, None] for v in (state.c, state.c1, state.c2, state.m, state.m1, state.r)
-    )
-    nn = outer(n, n)
-    return (
-        c2 * nn
-        + (c1 / r) * (u - nn)
-        - (0.5 * c1 / m) * (2.0 * m1 * nn + (2.0 * c1 / c**3) * outer(b, b) - m1 * u)
-    )
-
-
-def nabla_c_definitional(state: MetricState, config: DiffConfig | None = None) -> np.ndarray:
-    """Oracle: nabla_i c_j = d c_j / d x^i - c_n Gamma^n_ij, all numeric."""
-    cfg = config or DiffConfig()
-
-    def c_field(pts: np.ndarray) -> np.ndarray:
-        return build_metric(state.frame, state.profiles, pts).dc_low
-
-    dc = fd_partials(c_field, state.x, cfg, scales=state.r[..., None])
-    gamma = christoffel_definitional(state, cfg)
-    return dc - np.einsum("...n,...nij->...ij", state.dc_low, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -403,117 +373,97 @@ def christoffel_definitional(state: MetricState, config: DiffConfig | None = Non
 # ---------------------------------------------------------------------------
 
 
-def _curvature_blocks(state: MetricState):
-    """The four index blocks of the curvature closed form, axes [n, i, k, m]
-    after the state's sample axes (t_uu, built from the frame alone, has none)."""
-    n, n_up = state.n_low, state.n_up
-    b, b_up = state.b_low, state.b_up
+def _curvature_pairs(state: MetricState, substituted: bool = True):
+    """The (L, M) pairs of the closed curvature, the one home of its blocks:
+
+        a_n^i_km = sum over pairs of L_nm M_k^i - L_nk M_m^i,
+
+    L with axes [n, m], M with axes [lower k, upper i], the scalar weights
+    folded into M and the pairs grouped by L.  The four pairs of the
+    presubstituted form (L = u, b b, n b, n n) keep the u/n/b structure;
+    the substituted form (``substituted``, curvature_closed's) rewrites its
+    pure-u block through m u_mn = a_mn - b_m b_n / c^2 and
+    u_k^i = delta_k^i - b_k b^i / c^2, which adds the pair L = a.
+    """
+    n, b = state.n_low, state.b_low
     u, u_mix = state.frame.u_low, state.frame.u_mix
-    inv_m = (1.0 / state.m)[..., None, None, None, None]
-
-    anti_nb = outer(n, b) - outer(b, n)  # [k, m] = n_k b_m - n_m b_k
-    t_uu = np.einsum("mn,ki->nikm", u, u_mix) - np.einsum("kn,mi->nikm", u, u_mix)
-    t_nb = np.einsum("...n,...km,...i->...nikm", n, anti_nb, b_up) - inv_m * np.einsum(
-        "...n,...km,...i->...nikm", b, anti_nb, n_up
-    )
-    t_nu = (
-        np.einsum("...n,...m,ki->...nikm", n, n, u_mix)
-        - np.einsum("...n,...k,mi->...nikm", n, n, u_mix)
-        - np.einsum("...m,nk,...i->...nikm", n, u, n_up)
-        + np.einsum("...k,nm,...i->...nikm", n, u, n_up)
-    )
-    t_bu = (
-        inv_m
-        * (
-            np.einsum("...n,...m,ki->...nikm", b, b, u_mix)
-            - np.einsum("...n,...k,mi->...nikm", b, b, u_mix)
-        )
-        - np.einsum("...m,nk,...i->...nikm", b, u, b_up)
-        + np.einsum("...k,nm,...i->...nikm", b, u, b_up)
-    )
-    return t_uu, t_nb, t_nu, t_bu
-
-
-def _curvature_blocks_dot(state: MetricState, y: np.ndarray):
-    """The five blocks of curvature_closed (block_a, block_ab + block_bb,
-    t_nb, t_nu, t_bu) contracted with y^n y^m, axes [i, k], in O(N^2) per
-    point.  Each block is a sum of terms L_nm M_k^i - L_nk M_m^i, which
-    contract to (y L y) M_k^i - (y L)_k (y M)^i."""
-    n, n_up = state.n_low, state.n_up
-    b, b_up = state.b_low, state.b_up
-    u_mix, eye = state.frame.u_mix, np.eye(state.frame.n_dim)
-    uy, ay, yu_mix = matvec(state.frame.u_low, y), matvec(state.a_low, y), y @ u_mix
-    ny, by, yuy, yay = (dot(v, y)[..., None] for v in (n, b, uy, ay))
-    inv_m = (1.0 / state.m)[..., None]
-    return (
-        yay[..., None] * eye - outer(y, ay),
-        outer(b_up, yay * b - by * ay) + by[..., None] * (by[..., None] * eye - outer(y, b)),
-        outer(ny * b_up - inv_m * by * n_up, by * n - ny * b),
-        (ny**2)[..., None] * u_mix.T - outer(ny * yu_mix, n) + outer(n_up, yuy * n - ny * uy),
-        inv_m[..., None] * ((by**2)[..., None] * u_mix.T - outer(by * yu_mix, b))
-        + outer(b_up, yuy * b - by * uy),
-    )
-
-
-def _block_scalars(state: MetricState, rank: int = 4):
-    """Scalar weights of the curvature blocks, (m_slope, mixed, m_curv/2,
-    cross/c^2), each with ``rank`` unit axes to scale a block."""
     s = combo_scalars(state, state.r)
-    weights = (s.m_slope, s.mixed, 0.5 * s.m_curv, s.cross / state.c**2)
-    return tuple(w[(...,) + (None,) * rank] for w in weights)
-
-
-def _closed_sum(state: MetricState, blocks, rank: int) -> np.ndarray:
-    """The weighted sum of curvature_closed's five blocks, each with
-    ``rank`` trailing component axes."""
-    m_slope, mixed, m_curv_half, cross_c = _block_scalars(state, rank)
-    m, c = (v[(...,) + (None,) * rank] for v in (state.m, state.c))
-    block_a, block_abb, t_nb, t_nu, t_bu = blocks
-    return (
-        -(m_slope / m) * block_a
-        + (m_slope / (c**2 * m)) * block_abb
-        - (mixed / c**2) * t_nb
-        - m_curv_half * t_nu
-        + cross_c * t_bu
+    m_slope, mixed, m_curv_half, cross, m, c2 = (
+        v[..., None, None] for v in (s.m_slope, s.mixed, 0.5 * s.m_curv, s.cross, state.m, state.c**2)
     )
+    mixed_c, cross_c = mixed / c2, cross / c2
+    bb, nn = outer(b, b), outer(n, n)
+    bb_up, nn_up = outer(b, state.b_up), outer(n, state.n_up)
+    bb_pair = (mixed_c * nn_up + cross_c * u_mix) / m
+    u_pair = cross_c * bb_up - m_curv_half * nn_up
+    common = ((outer(n, b), -mixed_c * outer(n, state.b_up)), (nn, -m_curv_half * u_mix))
+    if not substituted:
+        return ((u, u_pair - m_slope * u_mix), (bb, bb_pair)) + common
+    slope_m = m_slope / m
+    eye = np.eye(state.frame.n_dim)
+    return (
+        (state.a_low, slope_m * (bb_up / c2 - eye)),
+        (bb, bb_pair + (slope_m / c2) * eye),
+        (u, u_pair),
+    ) + common
+
+
+def _stacked(pairs):
+    """The pairs' L and M factors, broadcast to one shape and stacked on a
+    pair axis before the two component axes: ([..., t, n, m], [..., t, k, i])."""
+    factors = np.broadcast_arrays(*(f for pair in pairs for f in pair))
+    return np.stack(factors[0::2], axis=-3), np.stack(factors[1::2], axis=-3)
+
+
+def _pair_sum(pairs) -> np.ndarray:
+    """sum over pairs of L_nm M_k^i - L_nk M_m^i, axes [n, i, k, m]: one
+    stacked (N^2 x T) @ (T x N^2) matmul over the T pairs, then the
+    difference with its (k, m) transpose."""
+    left, right = _stacked(pairs)
+    *lead, t, n, _ = left.shape
+    x = np.swapaxes(left.reshape(*lead, t, n * n), -1, -2) @ right.reshape(*lead, t, n * n)
+    x = np.einsum("...nmki->...nikm", x.reshape(*lead, n, n, n, n))
+    return x - np.swapaxes(x, -1, -2)
+
+
+def _pair_dot(pairs, y: np.ndarray) -> np.ndarray:
+    """_pair_sum(pairs) contracted with y^n y^m, axes [i, k], in O(T N^2)
+    per point: sum over pairs of (y L y) M_k^i - (y M)^i (y L)_k.  The
+    pairs and y broadcast over their leading axes."""
+    left, right = _stacked(pairs)
+    y_row = y[..., None, None, :]
+    yl, ym = (y_row @ left)[..., 0, :], (y_row @ right)[..., 0, :]  # [t, k], [t, i]
+    yly = dot(yl, y[..., None, :])  # [t]
+    return np.einsum("...t,...tki->...ik", yly, right) - np.swapaxes(ym, -1, -2) @ yl
 
 
 def curvature_closed(state: MetricState) -> np.ndarray:
-    """Closed-form curvature tensor a_n^i_km, axes [n, i, k, m].
-
-    Five-block form with the pure-u block rewritten through
-    m u_mn = a_mn - b_m b_n / c^2 and u_i^k = delta_i^k - b_i b^k / c^2;
-    the remaining blocks keep their u/n/b structure.  Algebraically equal
-    to the pre-substitution four-block sum (asserted in tests) and to the
-    finite-difference oracle.
-    """
-    _, t_nb, t_nu, t_bu = _curvature_blocks(state)
-    a, b, b_up = state.a_low, state.b_low, state.b_up
-    eye = np.eye(state.frame.n_dim)
-
-    block_a = np.einsum("...mn,ki->...nikm", a, eye) - np.einsum("...kn,mi->...nikm", a, eye)
-    block_ab = np.einsum("...mn,...k,...i->...nikm", a, b, b_up) - np.einsum(
-        "...kn,...m,...i->...nikm", a, b, b_up
-    )
-    block_bb = np.einsum("...m,...n,ki->...nikm", b, b, eye) - np.einsum(
-        "...k,...n,mi->...nikm", b, b, eye
-    )
-    return _closed_sum(state, (block_a, block_ab + block_bb, t_nb, t_nu, t_bu), 4)
+    """Closed-form curvature tensor a_n^i_km, axes [n, i, k, m], from the
+    five pairs of _curvature_pairs (the pure-u block rewritten through a_mn
+    and delta).  Algebraically equal to the presubstituted four-pair sum
+    (asserted in tests) and to the finite-difference oracle."""
+    return _pair_sum(_curvature_pairs(state))
 
 
 def curvature_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
-    """R^i_k = a_n^i_km y^n y^m, axes [i, k], from curvature_closed's blocks
+    """R^i_k = a_n^i_km y^n y^m, axes [i, k], from curvature_closed's pairs
     contracted with y, in O(N^2) per point without building the N^4 tensor;
     state and y broadcast as in christoffel_dot."""
-    return _closed_sum(state, _curvature_blocks_dot(state, y), 2)
+    return _pair_dot(_curvature_pairs(state), y)
 
 
 def curvature_presubstitution(state: MetricState) -> np.ndarray:
-    """The equivalent four-block curvature form kept in u/n/b variables."""
-    t_uu, t_nb, t_nu, t_bu = _curvature_blocks(state)
-    m_slope, mixed, m_curv_half, cross_c = _block_scalars(state)
-    c2 = (state.c**2)[..., None, None, None, None]
-    return -m_slope * t_uu - (mixed / c2) * t_nb - m_curv_half * t_nu + cross_c * t_bu
+    """The equivalent four-pair curvature form kept in u/n/b variables."""
+    return _pair_sum(_curvature_pairs(state, substituted=False))
+
+
+def _gamma_products(gamma: np.ndarray) -> np.ndarray:
+    """a^u_nm a^i_uk, axes [n, i, k, m], from Christoffel symbols with axes
+    [k, i, j]: one stacked (N^2 x N) @ (N x N^2) matmul over u."""
+    *lead, n, _, _ = gamma.shape
+    left = np.moveaxis(gamma, -3, -1).reshape(*lead, n * n, n)  # [(n, m), u]
+    right = np.swapaxes(gamma, -3, -2).reshape(*lead, n, n * n)  # [u, (i, k)]
+    return np.einsum("...nmik->...nikm", (left @ right).reshape(*lead, n, n, n, n))
 
 
 def curvature_fd_oracle(state: MetricState, config: DiffConfig | None = None) -> np.ndarray:
@@ -522,7 +472,8 @@ def curvature_fd_oracle(state: MetricState, config: DiffConfig | None = None) ->
     a_n^i_km = d_k a^i_nm - d_m a^i_nk + a^u_nm a^i_uk - a^u_nk a^i_um
 
     with the partials taken by central differences over the closed-form
-    Christoffel field.
+    Christoffel field and the products from _gamma_products.  Nothing here
+    reads the closed curvature's pairs.
     """
     cfg = config or DiffConfig()
 
@@ -530,13 +481,9 @@ def curvature_fd_oracle(state: MetricState, config: DiffConfig | None = None) ->
         return christoffel(build_metric(state.frame, state.profiles, pts))
 
     dgamma = fd_partials(gamma_field, state.x, cfg, scales=state.r[..., None])  # [d, k, i, j]
-    gamma = state.gamma
-    return (
-        np.einsum("...kinm->...nikm", dgamma)
-        - np.einsum("...mink->...nikm", dgamma)
-        + np.einsum("...unm,...iuk->...nikm", gamma, gamma)
-        - np.einsum("...unk,...ium->...nikm", gamma, gamma)
-    )
+    # half[n, i, k, m] = d_k a^i_nm + a^u_nm a^i_uk; the rest is its (k, m) transpose
+    half = np.einsum("...kinm->...nikm", dgamma) + _gamma_products(state.gamma)
+    return half - np.swapaxes(half, -1, -2)
 
 
 def ricci_from_curvature(curvature: np.ndarray) -> np.ndarray:

@@ -303,7 +303,9 @@ def suite_curvature_xcheck(scenario: Scenario, cfg: DiffConfig):
         closed = curvature_closed(state)
         oracle = curvature_fd_oracle(state, cfg)
         ric_decomposed, _ = ricci_closed(state)
-        lowered = np.einsum("...is,...nskm->...nikm", state.a_low, closed)
+        n = scenario.n_dim
+        # lowered[n, i, k, m] = a_is a_n^s_km, one stacked matmul over (k, m)
+        lowered = (state.a_low[:, None] @ closed.reshape(-1, n, n, n * n)).reshape(closed.shape)
         return {
             "closed_vs_fd_oracle": rel_frobenius(closed, oracle, 4),
             "block_form_equivalence": max_abs(closed - curvature_presubstitution(state), 4),

@@ -18,7 +18,7 @@ from .report import CheckResult
 from .riemann import (
     Frame,
     MetricState,
-    _curvature_blocks,
+    _pair_sum,
     build_metric,
     curvature_closed,
     curvature_fd_oracle,
@@ -62,25 +62,23 @@ def reduced_curvature(state: MetricState) -> np.ndarray:
                   - (1/c^2) ((1/m) b_n (b_m w_k^i - b_k w_m^i)
                              - (b_m w_nk - b_k w_nm) b^i) ]
 
-    with w_k^i = u_k^i - 3 n_k n^i and w_nk = u_nk - 3 n_n n_k.
+    with w_k^i = u_k^i - 3 n_k n^i and w_nk = u_nk - 3 n_n n_k, summed as
+    the four (L, M) pairs (u, 2 u_k^i - 3 n_k n^i), (n n, -3 u_k^i),
+    (b b, -w_k^i / (c^2 m)) and (w, -b_k b^i / c^2), the prefactor folded
+    into M.
     """
-    pref, m, c = (
-        v[..., None, None, None, None] for v in (reduced_prefactor(state), state.m, state.c)
-    )
-    b, b_up = state.b_low, state.b_up
+    pref, m, c2 = (v[..., None, None] for v in (reduced_prefactor(state), state.m, state.c**2))
+    n, b = state.n_low, state.b_low
+    u_mix = state.frame.u_mix
     w_mix, w_low = _axis_weights(state)
-
-    t_uu, _, t_nu, _ = _curvature_blocks(state)
-    t_bw = (
-        (1.0 / m)
-        * (
-            np.einsum("...n,...m,...ki->...nikm", b, b, w_mix)
-            - np.einsum("...n,...k,...mi->...nikm", b, b, w_mix)
+    return _pair_sum(
+        (
+            (state.frame.u_low, pref * (2.0 * u_mix - 3.0 * outer(n, state.n_up))),
+            (outer(n, n), -3.0 * pref * u_mix),
+            (outer(b, b), -(pref / (c2 * m)) * w_mix),
+            (w_low, -(pref / c2) * outer(b, state.b_up)),
         )
-        - np.einsum("...m,...nk,...i->...nikm", b, w_low, b_up)
-        + np.einsum("...k,...nm,...i->...nikm", b, w_low, b_up)
     )
-    return pref * (2.0 * t_uu - 3.0 * t_nu - t_bw / c**2)
 
 
 def contraction_identities(

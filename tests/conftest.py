@@ -8,8 +8,10 @@ if str(SRC) not in sys.path:
 import numpy as np
 import pytest
 
-from finslergeo import Frame, ProfilePair, fd_partials
-from finslergeo.riemann import _combine
+from finslergeo import DiffConfig, Frame, ProfilePair, build_metric, christoffel_definitional, fd_partials
+from finslergeo.finsler import _first_derivative
+from finslergeo.riemann import _combine, christoffel_dot
+from finslergeo.tensors import matvec, outer
 
 
 @pytest.fixture
@@ -67,3 +69,43 @@ def stack_states(states):
     charge: every per-point array, nested state and cached value is stacked
     as computed, nothing is evaluated again."""
     return _combine(states, np.array)
+
+
+def nabla_c(state):
+    """Closed form of nabla_i c_j for c_j = c'(r) n_j:
+
+    c'' n_i n_j + (c'/r)(u_ij - n_i n_j)
+    - (c'/2m) [2 m' n_i n_j + (2 c'/c^3) b_i b_j - m' u_ij]
+    """
+    n, b, u = state.n_low, state.b_low, state.frame.u_low
+    c, c1, c2, m, m1, r = (
+        v[..., None, None] for v in (state.c, state.c1, state.c2, state.m, state.m1, state.r)
+    )
+    nn = outer(n, n)
+    return (
+        c2 * nn
+        + (c1 / r) * (u - nn)
+        - (0.5 * c1 / m) * (2.0 * m1 * nn + (2.0 * c1 / c**3) * outer(b, b) - m1 * u)
+    )
+
+
+def nabla_c_definitional(state, config=None):
+    """Oracle: nabla_i c_j = d c_j / d x^i - c_n Gamma^n_ij, all numeric."""
+    cfg = config or DiffConfig()
+
+    def c_field(pts):
+        return build_metric(state.frame, state.profiles, pts).dc_low
+
+    dc = fd_partials(c_field, state.x, cfg, scales=state.r[..., None])
+    gamma = christoffel_definitional(state, cfg)
+    return dc - np.einsum("...n,...nij->...ij", state.dc_low, gamma)
+
+
+def riemann_spray(metric, y):
+    """The geodesic spray of the underlying metric: a^i_km y^k y^m."""
+    return matvec(christoffel_dot(metric, y), y)
+
+
+def spray_y_derivative(state):
+    """The closed first y-derivative G^i_k of a FinsleroidState's spray."""
+    return _first_derivative(state, christoffel_dot(state.metric, state.y))

@@ -35,8 +35,6 @@ from finslergeo import (
     nabla_b,
     nabla_b_definitional,
     nabla_b_dot,
-    nabla_c,
-    nabla_c_definitional,
     parse_scenario,
     reduced_curvature,
     ricci_closed,
@@ -60,7 +58,7 @@ from finslergeo.suites import (
 from finslergeo.tensors import max_abs
 from finslergeo.vacuum import reduced_prefactor
 
-from conftest import sample_point, stack_states
+from conftest import nabla_c, nabla_c_definitional, sample_point, stack_states
 
 # name -> (profile, signature, charge, relativistic): the Finsleroid runs on
 # the positive-definite profiles; Schwarzschild is indefinite, so its spray

@@ -23,14 +23,12 @@ from finslergeo.finsler import (
     AdmissibilityError,
     _spray_stack,
     fiber_vectors,
-    riemann_spray,
-    spray_y_derivative,
     spray_y_second,
 )
 from finslergeo.riemann import christoffel, christoffel_dot, nabla_b
 from finslergeo.tensors import fd_partials, max_abs, rel_frobenius
 
-from conftest import sample_point
+from conftest import riemann_spray, sample_point, spray_y_derivative
 
 
 def admissible_sample(rng, frame, pair, charge, count, lo=0.8, hi=5.0, margin=0.05):

@@ -19,14 +19,12 @@ from finslergeo import (
     curvature_presubstitution,
     nabla_b,
     nabla_b_definitional,
-    nabla_c,
-    nabla_c_definitional,
     ricci_closed,
     ricci_from_curvature,
 )
 from finslergeo.tensors import max_abs, rel_frobenius, transform_components
 
-from conftest import sample_point
+from conftest import nabla_c, nabla_c_definitional, sample_point
 
 
 def spatial_rotation(rng, n_dim):

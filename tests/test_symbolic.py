@@ -1,0 +1,138 @@
+"""Exact oracle: the Riemann tensor of the family from sympy, at a rational
+point with a rational radius, against curvature_closed's float components.
+
+sympy differentiates a_ij(x) symbolically and the derivatives are then
+evaluated at the point, with no simplification; the Christoffel symbols,
+their derivatives and the curvature follow from the definition in exact
+rational arithmetic.  Nothing here reads a closed form of the package.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+
+import numpy as np
+import pytest
+
+from finslergeo import Frame, ProfilePair, build_metric, curvature_closed
+from finslergeo.tensors import max_abs
+
+sp = pytest.importorskip("sympy")
+
+POINT = (Fraction(1, 3), Fraction(3, 5), Fraction(4, 5), Fraction(0))  # r = 1 in the standard chart
+# A rational chart map with no symmetry, so a transposed index would show.
+CHART = (
+    (2, Fraction(1, 2), 0, Fraction(1, 3)),
+    (0, 1, Fraction(1, 4), 0),
+    (Fraction(1, 5), 0, Fraction(3, 2), Fraction(1, 2)),
+    (0, Fraction(-1, 3), 0, 1),
+)
+IDENTITY = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+def _schwarzschild(r):
+    t = 1 / (4 * r)  # xi = 1
+    return (1 + t) / (1 - t), -((1 + t) ** 4)
+
+
+def _pd_rational(r):
+    return sp.Rational(4, 5) + sp.Rational(1, 10) / r, 1 + sp.Rational(1, 5) / r
+
+
+PROFILES = {
+    "schwarzschild": (_schwarzschild, ProfilePair.schwarzschild_isotropic(1.0), -1),
+    "pd_rational": (_pd_rational, ProfilePair.rational((0.8, 0.1), (1.0, 0.2)), 1),
+}
+
+
+@lru_cache(maxsize=None)
+def metric_jet(name):
+    """a_ij and its first and second partials at POINT in the standard
+    chart, as Fractions: sympy differentiates a_ij(x), then the point is
+    substituted."""
+    xs = sp.symbols("x0:4")
+    r = sp.sqrt(xs[1] ** 2 + xs[2] ** 2 + xs[3] ** 2)
+    c, m = PROFILES[name][0](r)
+    e = sp.Matrix([1, 0, 0, 0])
+    a = e * e.T / c**2 + m * sp.diag(0, 1, 1, 1)
+    at = {x: sp.Rational(v.numerator, v.denominator) for x, v in zip(xs, POINT)}
+
+    def value(expr) -> Fraction:
+        exact = expr.xreplace(at)
+        assert exact.is_Rational, exact
+        return Fraction(int(exact.p), int(exact.q))
+
+    rng4 = range(4)
+    a0 = np.empty((4, 4), dtype=object)
+    da = np.empty((4, 4, 4), dtype=object)  # [d, i, j] = d_d a_ij
+    dda = np.empty((4, 4, 4, 4), dtype=object)  # [e, d, i, j] = d_e d_d a_ij
+    for i, j in product(rng4, rng4):
+        if j < i:
+            a0[i, j], da[:, i, j], dda[:, :, i, j] = a0[j, i], da[:, j, i], dda[:, :, j, i]
+            continue
+        a0[i, j] = value(a[i, j])
+        for d in rng4:
+            first = sp.diff(a[i, j], xs[d])
+            da[d, i, j] = value(first)
+            for f in range(d, 4):
+                dda[f, d, i, j] = dda[d, f, i, j] = value(sp.diff(first, xs[f]))
+    return a0, da, dda
+
+
+def _inverse(matrix):
+    """The exact inverse of a Fraction matrix, by Gauss-Jordan elimination."""
+    n = len(matrix)
+    rows = [list(matrix[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                rows[i] = [v - rows[i][col] * w for v, w in zip(rows[i], rows[col])]
+    return np.array([row[n:] for row in rows], dtype=object)
+
+
+def exact_riemann(name, chart):
+    """a_n^i_km, axes [n, i, k, m], as Fractions, in the chart x' = chart x:
+    the metric jet is carried to that chart by the chain rule (every
+    covariant index picks up chart^-1), then the Christoffel symbols, their
+    partials and the curvature follow from the definition."""
+    inv = _inverse(np.array(chart, dtype=object) + Fraction(0))
+    a0, da, dda = metric_jet(name)
+    a0 = np.einsum("pi,qj,pq->ij", inv, inv, a0, optimize=True)
+    da = np.einsum("sd,pi,qj,spq->dij", inv, inv, inv, da, optimize=True)
+    dda = np.einsum("te,sd,pi,qj,tspq->edij", inv, inv, inv, inv, dda, optimize=True)
+
+    a_up = _inverse(a0)
+    # combo[i, l, j] = d_i a_lj + d_j a_li - d_l a_ij, and its partials d_e
+    combo = da + np.einsum("jli->ilj", da) - np.einsum("lij->ilj", da)
+    dcombo = dda + np.einsum("ejli->eilj", dda) - np.einsum("elij->eilj", dda)
+    gamma = np.einsum("kl,ilj->kij", a_up, combo) / 2  # [k, i, j] = a^k_ij
+    da_up = -np.einsum("kp,epq,ql->ekl", a_up, da, a_up, optimize=True)  # d_e a^kl
+    dgamma = (
+        np.einsum("ekl,ilj->ekij", da_up, combo) + np.einsum("kl,eilj->ekij", a_up, dcombo)
+    ) / 2  # [e, k, i, j] = d_e a^k_ij
+    return (
+        np.einsum("kinm->nikm", dgamma)
+        - np.einsum("mink->nikm", dgamma)
+        + np.einsum("unm,iuk->nikm", gamma, gamma)
+        - np.einsum("unk,ium->nikm", gamma, gamma)
+    )
+
+
+@pytest.mark.parametrize("chart", [IDENTITY, CHART], ids=["standard", "general"])
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_closed_curvature_matches_the_exact_tensor(name, chart):
+    """curvature_closed equals the exact Riemann tensor to 1e-12 of max|R|;
+    N = 4 Schwarzschild is exactly Ricci-flat."""
+    _, pair, signature = PROFILES[name]
+    exact = exact_riemann(name, chart)
+    lin = np.array(chart, dtype=float)
+    frame = Frame.standard(4, signature).transformed(lin)
+    state = build_metric(frame, pair, lin @ np.array(POINT, dtype=float))
+    want = exact.astype(float)
+    assert max_abs(want) > 1e-2
+    assert max_abs(curvature_closed(state) - want) <= 1e-12 * max_abs(want)
+    if name == "schwarzschild":
+        assert all(v == 0 for v in np.trace(exact, axis1=1, axis2=2).flat)

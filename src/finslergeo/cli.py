@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("pd-rational", "constant", "schwarzschild"),
         default="pd-rational",
         help="profile family: a positive-definite rational pair (default), "
-        "flat constants, or the isotropic Schwarzschild pair (charge 0 only)",
+        "flat constants, or the isotropic Schwarzschild pair (signature -1)",
     )
     fc.add_argument("--xi", type=float, default=1.0, help="xi for --profile schwarzschild")
     _add_common(fc)
@@ -128,11 +128,6 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     if args.command == "finsler-curvature":
         profile, epsilon = _FC_PROFILES[args.profile]
         if args.profile == "schwarzschild":
-            if args.charge != 0.0:
-                raise ScenarioError(
-                    "--profile schwarzschild runs at charge 0 only (charged runs need "
-                    f"signature +1); got --charge {args.charge}"
-                )
             profile = {**profile, "xi": args.xi}
         return scenario_from_sections(
             {

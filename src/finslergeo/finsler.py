@@ -6,9 +6,14 @@ nu are positive:
 
     b   = b_i y^i                 (axis component)
     S^2 = a_ij y^i y^j
-    q   = sqrt(S^2 - b^2)         (transverse norm)
+    q   = sqrt(eps (S^2 - b^2))   (transverse norm)
     v_i = y_i - b b_i             (transverse covector)
     nu  = q + g (1 - c^2) b
+
+The convention sign eps is the metric's signature, metric.frame.epsilon:
++1 gives the positive-definite Finsleroid, -1 the pseudo-Finsleroid with a
+timelike axis (q^2 = b^2 - S^2).  Since d(S^2 - b^2)/dy^k = 2 v_k, every
+y-derivative of q carries it once: dq/dy^k = eps v_k / q.
 
 The spray coefficients are  G^i = (g/nu) (ys) v^i + a^i_km y^k y^m  with
 (ys) = y^j y^h nabla_j b_h, valid when nabla b is symmetric and g is
@@ -48,7 +53,7 @@ class AdmissibilityError(StencilMissError):
 
 class DegenerateFiberError(AdmissibilityError):
     """q^2 <= 0: no real transverse norm (e.g. y parallel to the axis at c = 1,
-    or an indefinite metric with no admissible fibers at all)."""
+    or a profile with no admissible fibers in its signature's convention)."""
 
 
 class OutsideConeError(AdmissibilityError):
@@ -62,14 +67,14 @@ class FinsleroidState:
     Field map (index placement in brackets):
       b        axis component b_i y^i
       s2       a_ij y^i y^j
-      q2, q    transverse norm squared / its positive root
+      q2, q    transverse norm squared eps (S^2 - b^2) / its positive root,
+               with the convention sign eps = metric.frame.epsilon
       v_low    v_i = y_i - b b_i;  v_up = y^i - b b^i
       nu       q + g (1 - c^2) b
-      nu_low   y-gradient of nu: v_k / q + (1 - c^2) g b_k (-v_k / q in
-               the relativistic convention q^2 = b^2 - S^2)
+      nu_low   y-gradient of nu: eps v_k / q + (1 - c^2) g b_k
       r_mix    transverse projector r^i_k = delta^i_k - b^i b_k  [upper, lower]
       r_low    a_km - b_k b_m
-      eta      r_km - v_k v_m / q^2
+      eta      r_km - eps v_k v_m / q^2, so that d(nu_k)/dy^m = eps eta_km / q
       s_low    s_k = y^h nabla_k b_h;  ys = y^k s_k;  sigma = b^k s_k
       yc       y^h c_h
       e_fiber  (b/q^2) v_k - b_k, the covector whose y-derivative closes on eta
@@ -83,7 +88,6 @@ class FinsleroidState:
     metric: MetricState
     y: np.ndarray
     charge: float
-    relativistic: bool
     y_low: np.ndarray
     b: float | np.ndarray
     s2: float | np.ndarray
@@ -105,7 +109,8 @@ class FinsleroidState:
 
     @cached_property
     def eta(self) -> np.ndarray:
-        return self.r_low - outer(self.v_low, self.v_low) / self.q2[..., None, None]
+        eps = self.metric.frame.epsilon
+        return self.r_low - eps * outer(self.v_low, self.v_low) / self.q2[..., None, None]
 
     @cached_property
     def e_fiber(self) -> np.ndarray:
@@ -113,9 +118,10 @@ class FinsleroidState:
 
 
 def fiber_vectors(metric: MetricState, y: np.ndarray):
-    """The q^2-level fiber data (no admissibility requirement): returns
-    (y_low, b, S^2, q^2, v_low, v_up).  q^2 may be negative for indefinite
-    metrics; callers needing the full state must go through kinematics.
+    """The fiber data before the convention sign (no admissibility
+    requirement): returns (y_low, b, S^2, S^2 - b^2, v_low, v_up).  The
+    fourth entry is S^2 - b^2 on either signature; kinematics multiplies it
+    by eps = metric.frame.epsilon to get q^2.
     A stack of metrics (x-stencils) or of fiber vectors (y-stencils)
     broadcasts against a single partner."""
     y = np.asarray(y, dtype=float)
@@ -128,25 +134,19 @@ def fiber_vectors(metric: MetricState, y: np.ndarray):
     return y_low, b, s2, q2, v_low, v_up
 
 
-def kinematics(
-    metric: MetricState,
-    y: np.ndarray,
-    charge: float,
-    relativistic: bool = False,
-) -> FinsleroidState:
+def kinematics(metric: MetricState, y: np.ndarray, charge: float) -> FinsleroidState:
     """Assemble the Finsleroid state at (x, y), enforcing admissibility.
 
     Either side may be a stack (see fiber_vectors); every point of the
     stack must be admissible, and the error of an inadmissible stack marks
-    its points in ``rows``.  ``relativistic=True`` flips the transverse
-    norm to q^2 = b^2 - S^2 (so dq/dy^k = -v_k/q) for exploratory runs on
-    indefinite metrics; the printed identity suite is only claimed (and
-    only asserted) for the positive-definite convention.
+    its points in ``rows``.  The convention sign eps = metric.frame.epsilon
+    enters here once: q^2 = eps (S^2 - b^2), and since dq/dy^k =
+    eps v_k / q, the nu gradient is nu_k = eps v_k / q + (1 - c^2) g b_k.
     """
     y = np.asarray(y, dtype=float)
-    y_low, b, s2, q2, v_low, v_up = fiber_vectors(metric, y)
-    if relativistic:
-        q2 = b * b - s2
+    eps = metric.frame.epsilon
+    y_low, b, s2, transverse, v_low, v_up = fiber_vectors(metric, y)
+    q2 = eps * transverse
     if np.any(q2 <= 0.0):
         raise DegenerateFiberError(
             f"q^2 = {np.min(q2):.3e} <= 0: no transverse norm for this fiber vector",
@@ -161,8 +161,7 @@ def kinematics(
             f"nu = {np.min(nu):.3e} <= 0: fiber vector outside the cone", rows=nu <= 0.0
         )
 
-    q_slope = -v_low if relativistic else v_low
-    nu_low = q_slope / q[..., None] + (one_minus_c2 * charge)[..., None] * metric.b_low
+    nu_low = eps * v_low / q[..., None] + (one_minus_c2 * charge)[..., None] * metric.b_low
     r_mix = np.eye(metric.frame.n_dim) - outer(metric.b_up, metric.b_low)
     s_low = nabla_b_dot(metric, y)
     ys = np.einsum("...i,...i->...", y, s_low)
@@ -172,7 +171,6 @@ def kinematics(
         metric=metric,
         y=y,
         charge=float(charge),
-        relativistic=relativistic,
         y_low=y_low,
         b=b,
         s2=s2,
@@ -196,7 +194,7 @@ def kinematics(
 
 
 def _spray_and_first(
-    metric: MetricState, y: np.ndarray, charge: float, relativistic: bool = False
+    metric: MetricState, y: np.ndarray, charge: float
 ) -> tuple[np.ndarray, np.ndarray, FinsleroidState | None]:
     """The spray G^i, its closed y-derivative G^i_k and the kinematics state
     they came from (one evaluation, one a^i_km y^m); at charge 0 both are
@@ -206,7 +204,7 @@ def _spray_and_first(
     base = matvec(gamma_y, y)
     if charge == 0.0:
         return base, 2.0 * gamma_y, None
-    state = kinematics(metric, y, charge, relativistic)
+    state = kinematics(metric, y, charge)
     weight = (state.charge / state.nu) * state.ys
     return weight[..., None] * state.v_up + base, _first_derivative(state, gamma_y), state
 
@@ -217,15 +215,10 @@ def _spray_stack(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarra
     return np.concatenate([g, g_first.reshape(g_first.shape[:-2] + (-1,))], axis=-1)
 
 
-def spray_coefficients(
-    metric: MetricState,
-    y: np.ndarray,
-    charge: float,
-    relativistic: bool = False,
-) -> np.ndarray:
+def spray_coefficients(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
     """G^i = (g/nu) (ys) v^i + a^i_km y^k y^m at (x, y); at charge 0 this is
     exactly the geodesic spray and needs no admissible cone."""
-    return _spray_and_first(metric, y, charge, relativistic)[0]
+    return _spray_and_first(metric, y, charge)[0]
 
 
 def _first_derivative(state: FinsleroidState, gamma_y: np.ndarray) -> np.ndarray:
@@ -248,22 +241,24 @@ def _first_derivative(state: FinsleroidState, gamma_y: np.ndarray) -> np.ndarray
 def spray_y_second(state: FinsleroidState) -> np.ndarray:
     """Closed second y-derivative, axes [i, k, m]:
 
-    G^i_km = (2g/nu^3)(ys) nu_k nu_m v^i - (g/(nu^2 q))(ys) eta_km v^i
+    G^i_km = (2g/nu^3)(ys) nu_k nu_m v^i - eps (g/(nu^2 q))(ys) eta_km v^i
              + 2 (g/nu) (nabla_m b_k) v^i
              - 2 (g/nu^2) (nu_m s_k + nu_k s_m) v^i
              + 2 (g/nu) (s_k r^i_m + s_m r^i_k)
              - (g/nu^2) (ys) (nu_m r^i_k + nu_k r^i_m)
              + 2 a^i_km
 
-    Exact under the symmetry of nabla b and constant charge (confirmed
-    against the numeric second derivative in the tests).
+    The eta term is d(nu_k)/dy^m = eps eta_km / q, with the convention
+    sign eps = metric.frame.epsilon.  Exact under the symmetry of nabla b
+    and constant charge (confirmed against the numeric second derivative
+    and the exact symbolic one in the tests).
     """
-    g = state.charge
+    g, eps = state.charge, state.metric.frame.epsilon
     nu, q, ys = (v[..., None, None, None] for v in (state.nu, state.q, state.ys))
     v, s, nu_low, r_mix, eta = state.v_up, state.s_low, state.nu_low, state.r_mix, state.eta
     return (
         2.0 * (g / nu**3) * ys * np.einsum("...i,...k,...m->...ikm", v, nu_low, nu_low)
-        - (g / (nu**2 * q)) * ys * np.einsum("...i,...km->...ikm", v, eta)
+        - eps * (g / (nu**2 * q)) * ys * np.einsum("...i,...km->...ikm", v, eta)
         + 2.0 * (g / nu) * np.einsum("...i,...mk->...ikm", v, state.metric.nb)
         - 2.0 * (g / nu**2) * (
             np.einsum("...i,...m,...k->...ikm", v, nu_low, s)
@@ -396,10 +391,16 @@ def hh_curvature(derivs: SprayDerivatives, config: DiffConfig | None = None) -> 
 
 
 def _e_fiber_rule(state: FinsleroidState) -> np.ndarray:
-    """The closed e-fiber derivative d(e_k)/dy^j = (b/q^2) eta_kj - v_k e_j / q^2,
-    axes [k, j]."""
+    """The closed e-fiber derivative, axes [k, j]:
+
+        d(e_k)/dy^j = (b/q^2) eta_kj - v_k ((eps b/q^2) v_j - b_j) / q^2
+
+    from e_k = (b/q^2) v_k - b_k, dv_k/dy^j = r_kj and dq^2/dy^j = 2 eps v_j;
+    at eps = +1 the bracket is e_j itself."""
     q2 = state.q2[..., None, None]
-    return (state.b / state.q2)[..., None, None] * state.eta - outer(state.v_low, state.e_fiber) / q2
+    eps = state.metric.frame.epsilon
+    factor = (eps * state.b / state.q2)[..., None] * state.v_low - state.metric.b_low
+    return (state.b / state.q2)[..., None, None] * state.eta - outer(state.v_low, factor) / q2
 
 
 def _fiber_jets(state: FinsleroidState):
@@ -409,9 +410,11 @@ def _fiber_jets(state: FinsleroidState):
 
     Jet arithmetic gives the exact directional derivative of every quantity
     built from b(t), S^2(t), q(t), so derivative identities can be checked
-    to algebraic precision without finite differences.
+    to algebraic precision without finite differences.  The q^2 jet and the
+    nu_k jet's v/q term carry the convention sign, as in kinematics.
     """
     ms = state.metric
+    eps = ms.frame.epsilon
     a = ms.a_low
     b_low = ms.b_low
     bj = Jet2(state.b[..., None, None], b_low[..., :, None], 0.0)
@@ -420,12 +423,12 @@ def _fiber_jets(state: FinsleroidState):
         2.0 * state.y_low[..., :, None],
         2.0 * np.diagonal(a, axis1=-2, axis2=-1)[..., :, None],
     )
-    q2j = bj * bj - s2j if state.relativistic else s2j - bj * bj
+    q2j = (s2j - bj * bj) * eps
     qj = q2j.sqrt()
     gc = state.charge * (1.0 - ms.c**2)
     nuj = qj + bj * gc[..., None, None]
     v_j = Jet2(state.v_low[..., None, :], a - outer(b_low, b_low), 0.0)
-    ratio_j = (v_j / qj + (gc[..., None] * b_low)[..., None, :]) / nuj
+    ratio_j = (v_j * eps / qj + (gc[..., None] * b_low)[..., None, :]) / nuj
     e_j = bj / q2j * v_j - b_low[..., None, :]
     return nuj, ratio_j, e_j
 
@@ -437,17 +440,23 @@ def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float | np
     Derivative identities evaluate their left sides with directional jets
     (exact chain rule), so every residual measures pure algebra:
 
-      nu_gradient          nu_k = v_k/q + (1-c^2) g b_k  vs  d(nu)/dy^k
-      nu_ratio_derivative  d(nu_k/nu)/dy^m = -nu_k nu_m/nu^2 + eta_km/(nu q)
-      e_fiber_derivative   d(e_k)/dy^j = (b/q^2) eta_kj - v_k e_j / q^2
+      nu_gradient          nu_k = eps v_k/q + (1-c^2) g b_k  vs  d(nu)/dy^k
+      nu_ratio_derivative  d(nu_k/nu)/dy^m = -nu_k nu_m/nu^2 + eps eta_km/(nu q)
+      e_fiber_derivative   d(e_k)/dy^j = (b/q^2) eta_kj
+                                         - v_k ((eps b/q^2) v_j - b_j) / q^2
       v_dot_s              v^m s_m = (ys) - b sigma
       v_projected          v^j r^i_j = v^i - (1-c^2) b b^i
       projector_square     r^j_m r^i_j = r^i_m - (1-c^2) b^i b_m
-      v_norm               v_j v^j = q^2 - (1-c^2) b^2
-      nu_dot_v             nu_j v^j = nu - (1-c^2)(b^2 + g c^2 b q)/q
+      v_norm               v_j v^j = eps q^2 - (1-c^2) b^2
+      nu_dot_v             nu_j v^j = nu - (1-c^2)(eps b^2 + g c^2 b q)/q
       b_dot_v              b_j v^j = (1-c^2) b
+
+    Here eps = metric.frame.epsilon is the convention sign: v_j v^j =
+    S^2 - b^2 - (1-c^2) b^2 with S^2 - b^2 = eps q^2, and nu_dot_v follows
+    from it with b_j v^j = (1-c^2) b.
     """
     ms = state.metric
+    eps = ms.frame.epsilon
     c2 = ms.c**2
     one_minus_c2 = 1.0 - c2
     g = state.charge
@@ -465,7 +474,7 @@ def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float | np
 
     ratio_rhs = (
         -outer(state.nu_low, state.nu_low) / (nu**2)[..., None, None]
-        + state.eta / (nu * q)[..., None, None]
+        + eps * state.eta / (nu * q)[..., None, None]
     )  # [k, m]; symmetric in (k, m)
     res["nu_ratio_derivative"] = max_abs(ratio_d - np.swapaxes(ratio_rhs, -1, -2), 2)
 
@@ -480,9 +489,9 @@ def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float | np
     res["projector_square"] = max_abs(
         proj_sq - (r_mix - one_minus_c2[..., None, None] * outer(ms.b_up, ms.b_low)), 2
     )
-    res["v_norm"] = np.abs(dot(v_low, v_up) - (q2 - one_minus_c2 * b**2))
+    res["v_norm"] = np.abs(dot(v_low, v_up) - (eps * q2 - one_minus_c2 * b**2))
     res["nu_dot_v"] = np.abs(
-        dot(state.nu_low, v_up) - (nu - one_minus_c2 * (b**2 + g * c2 * b * q) / q)
+        dot(state.nu_low, v_up) - (nu - one_minus_c2 * (eps * b**2 + g * c2 * b * q) / q)
     )
     res["b_dot_v"] = np.abs(dot(ms.b_low, v_up) - one_minus_c2 * b)
     return res

@@ -39,7 +39,8 @@ class Frame:
     """Background split e_ij = e_i e_j + eps u_ij in a concrete chart.
 
     ``epsilon`` is +1 for the positive-definite background and -1 for the
-    relativistic one; it enters only through the raised transverse block.
+    Lorentzian one; it enters the Riemannian layer only through the raised
+    transverse block, and it is the Finsleroid convention sign (finsler.py).
     Derived arrays (background inverse, raised/mixed u, raised e) are
     precomputed and validated at construction.
     """

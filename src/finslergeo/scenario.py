@@ -9,7 +9,6 @@ Grammar (INI-style, documented in the README):
     charge = 0.0
     seed = 0
     suites = vacuum, curvature-xcheck
-    allow_indefinite_finsler = false
 
     [profile]
     kind = schwarzschild_isotropic
@@ -31,8 +30,8 @@ Grammar (INI-style, documented in the README):
 
 Unknown sections, unknown keys and repeated keys are parse errors carrying
 the offending line number; constraint violations (a non-integer count, a
-non-finite number, a flag other than true/false, a repeated suite) are
-validation errors naming the constraint.
+non-finite number, a repeated suite) are validation errors naming the
+constraint.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ _SECTION_KEYS = {
         "charge",
         "seed",
         "suites",
-        "allow_indefinite_finsler",
     },
     "profile": {"kind", "xi", "c0", "m0", "c_coeffs", "m_coeffs"},
     "samples": {"radii", "points", "fibers"},
@@ -104,7 +102,6 @@ class Scenario:
     tolerances: dict[str, float] = field(default_factory=lambda: dict(TOLERANCE_CLASSES))
     report_path: str | None = None
     dump_dir: str | None = None
-    allow_indefinite_finsler: bool = False
 
     def echo(self) -> dict:
         """Deterministic dictionary form for reports and hashing."""
@@ -119,7 +116,6 @@ class Scenario:
             "points": self.n_points,
             "fibers": self.n_fibers,
             "tolerances": dict(sorted(self.tolerances.items())),
-            "allow_indefinite_finsler": self.allow_indefinite_finsler,
         }
 
     def with_overrides(
@@ -153,9 +149,6 @@ def _plain(params) -> dict:
 
 
 def _parse_scalar(text: str):
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
     try:
         return int(text)
     except ValueError:
@@ -272,11 +265,6 @@ def scenario_from_sections(sections: dict[str, dict[str, object]]) -> Scenario:
         raise ScenarioError(f"signature must be +1 or -1; got {epsilon}")
     charge = _number(sc.get("charge", 0.0), "charge")
     seed = _seed(sc.get("seed", 0))
-    allow_indefinite = sc.get("allow_indefinite_finsler", False)
-    if not isinstance(allow_indefinite, bool):
-        raise ScenarioError(
-            f"allow_indefinite_finsler must be true or false; got {allow_indefinite!r}"
-        )
 
     suites_raw = [str(s) for s in _as_list(sc.get("suites", []))]
     for pos, name in enumerate(suites_raw):
@@ -341,5 +329,4 @@ def scenario_from_sections(sections: dict[str, dict[str, object]]) -> Scenario:
         tolerances=tolerances,
         report_path=str(output["report"]) if "report" in output else None,
         dump_dir=str(output["dump_tensors"]) if "dump_tensors" in output else None,
-        allow_indefinite_finsler=allow_indefinite,
     )

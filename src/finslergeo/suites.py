@@ -112,7 +112,7 @@ def _survivors(evaluate, size: int, rejected: dict):
 
 def _sample_blocks(scenario: Scenario, rng: np.random.Generator, count: int, cone=None):
     """``count`` samples in draw order, for at most 60 tries per sample: one
-    stacked MetricState, or given ``cone`` = (charge, relativistic, margin)
+    stacked MetricState, or given ``cone`` = (charge, margin)
     one FinsleroidState whose fibers lie that margin inside the cone.
 
     Each try draws a point (and a fiber vector, given ``cone``).  A block
@@ -137,10 +137,10 @@ def _sample_blocks(scenario: Scenario, rng: np.random.Generator, count: int, con
             lambda keep: build_metric(frame, scenario.profile, xs[keep]), block, rejected
         )
         if cone:
-            charge, relativistic, margin = cone
+            charge, margin = cone
             metric, ys = state, ys[kept]
             state, _ = _survivors(
-                lambda keep: kinematics(take(metric, keep), ys[keep], charge, relativistic),
+                lambda keep: kinematics(take(metric, keep), ys[keep], charge),
                 len(ys),
                 rejected,
             )
@@ -202,7 +202,6 @@ def _sample_admissible(
     scenario: Scenario,
     rng: np.random.Generator,
     count: int,
-    relativistic: bool,
     charge: float | None = None,
     margin: float = 0.05,
 ):
@@ -210,7 +209,7 @@ def _sample_admissible(
     derivative stencils stay inside too, for at most 60 tries per state,
     as one stacked FinsleroidState in draw order."""
     charge = scenario.charge if charge is None else charge
-    return _sample_blocks(scenario, rng, count, (charge, relativistic, margin))
+    return _sample_blocks(scenario, rng, count, (charge, margin))
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +389,12 @@ def suite_schwarzschild_reductions(scenario: Scenario, cfg: DiffConfig):
     return _verdict("schwarzschild-reductions", checks)
 
 
-def _relativistic_mode(scenario: Scenario) -> bool:
-    return scenario.allow_indefinite_finsler and scenario.epsilon == -1
-
-
 def suite_finsler_identities(scenario: Scenario, cfg: DiffConfig):
-    relativistic = _relativistic_mode(scenario)
-    if scenario.epsilon != 1 and not scenario.allow_indefinite_finsler:
-        return _skipped(
-            "finsler-identities",
-            "needs signature +1 (set allow_indefinite_finsler for exploratory runs)",
-        )
     rng = _suite_rng(scenario, "finsler-identities")
     # The identity set involves the charge through nu; if the scenario runs
     # charge 0 the suite still validates the charged formulas at 0.3.
     charge = scenario.charge if scenario.charge != 0.0 else 0.3
-    fibers = _sample_admissible(scenario, rng, scenario.n_fibers, relativistic, charge=charge)
+    fibers = _sample_admissible(scenario, rng, scenario.n_fibers, charge=charge)
 
     def residuals(rows) -> dict[str, np.ndarray]:
         fib = take(fibers, rows)
@@ -414,16 +403,11 @@ def suite_finsler_identities(scenario: Scenario, cfg: DiffConfig):
         return res
 
     rows = _per_sample(scenario.n_fibers, 8 * scenario.n_dim**3, residuals)
-    # The printed identity suite is only claimed for the positive-definite
-    # convention; exploratory indefinite runs report residuals untested.
-    identity_tol = None if relativistic else cfg.tolerance("algebraic")
-    fd_tol = None if relativistic else cfg.tolerance("closed_form")
-    checks = []
-    for name, values in rows.items():
-        tol = fd_tol if name == "e_fiber_derivative_fd" else identity_tol
-        klass = "closed_form" if name == "e_fiber_derivative_fd" else "algebraic"
-        checks.append(CheckResult.from_residuals(name, values, tol, klass))
-    return _verdict("finsler-identities", checks)
+    check_plan = [
+        (name, "closed_form" if name == "e_fiber_derivative_fd" else "algebraic", 1.0)
+        for name in rows
+    ]
+    return _verdict("finsler-identities", _planned(rows, check_plan, cfg))
 
 
 def _e_fiber_rule_fd(fib, cfg: DiffConfig) -> np.ndarray:
@@ -432,27 +416,19 @@ def _e_fiber_rule_fd(fib, cfg: DiffConfig) -> np.ndarray:
     rows = fib.metric.per_row()
 
     def e_field(ys: np.ndarray) -> np.ndarray:
-        return kinematics(rows, ys, fib.charge, fib.relativistic).e_fiber
+        return kinematics(rows, ys, fib.charge).e_fiber
 
     d_e = fd_partials(e_field, fib.y, cfg, scales=np.linalg.norm(fib.y, axis=-1)[..., None])
     return max_abs(d_e - np.swapaxes(_e_fiber_rule(fib), -1, -2), 2)
 
 
 def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
-    if scenario.charge != 0.0 and scenario.epsilon != 1:
-        # The spray closed forms are only asserted for the positive-definite
-        # convention; charge 0 collapses to the Riemannian spray and runs on
-        # any signature.
-        return _skipped(
-            "finsler-curvature",
-            "charged runs need signature +1 (charge 0 runs on any signature)",
-        )
     rng = _suite_rng(scenario, "finsler-curvature")
     charge = scenario.charge
     if charge == 0.0:
         metrics, ys = _sample_states(scenario, rng, scenario.n_fibers, with_fiber=True)
     else:
-        fibers = _sample_admissible(scenario, rng, scenario.n_fibers, relativistic=False)
+        fibers = _sample_admissible(scenario, rng, scenario.n_fibers)
         metrics, ys = fibers.metric, fibers.y
 
     def evaluate(rows) -> dict[str, np.ndarray]:

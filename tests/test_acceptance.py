@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from finslergeo import (
+    AdmissibilityError,
     Frame,
     ProfilePair,
     build_metric,
@@ -135,17 +136,20 @@ def test_criterion_5_finsleroid_identity_suite():
     rng = np.random.default_rng(5)
     worst: dict[str, float] = {}
     count = 0
-    while count < 100:
+    for _ in range(60 * 100):  # at most 60 tries per sample
+        if count == 100:
+            break
         x = sample_point(rng, 4, 0.8, 5.0)
         y = rng.normal(size=4)
         state = build_metric(frame, pair, x)
         try:
             fib = kinematics(state, y, 0.3)
-        except Exception:
+        except AdmissibilityError:
             continue
         count += 1
         for name, value in kinematic_identity_residuals(fib).items():
             worst[name] = max(worst.get(name, 0.0), value)
+    assert count == 100, f"only {count} admissible samples in 6000 tries"
     bad = {k: v for k, v in worst.items() if v >= 1e-10}
     _report(
         "5 finsleroid identities",

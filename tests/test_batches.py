@@ -60,13 +60,13 @@ from finslergeo.vacuum import reduced_prefactor
 
 from conftest import nabla_c, nabla_c_definitional, sample_point, stack_states
 
-# name -> (profile, signature, charge, relativistic): the Finsleroid runs on
-# the positive-definite profiles; Schwarzschild is indefinite, so its spray
-# runs at charge 0 and its kinematics in the relativistic convention.
+# name -> (profile, signature, charge): the Finsleroid convention follows the
+# signature, so Schwarzschild runs the pseudo-Finsleroid (q^2 = b^2 - S^2)
+# and the rational pairs the positive-definite one.
 PROFILES = {
-    "schwarzschild": (ProfilePair.schwarzschild_isotropic(1.0), -1, 0.0, True),
-    "pd_rational": (ProfilePair.rational((0.8, 0.1), (1.0, 0.2)), 1, 0.3, False),
-    "pd_rational_b": (ProfilePair.rational((0.7, 0.15), (1.2, -0.1)), 1, -0.2, False),
+    "schwarzschild": (ProfilePair.schwarzschild_isotropic(1.0), -1, 0.3),
+    "pd_rational": (ProfilePair.rational((0.8, 0.1), (1.0, 0.2)), 1, 0.3),
+    "pd_rational_b": (ProfilePair.rational((0.7, 0.15), (1.2, -0.1)), 1, -0.2),
 }
 CLOSED, FD = 1e-13, 1e-9
 ROTATION = np.array(
@@ -80,22 +80,25 @@ def _frame(signature: int, rotated: bool) -> tuple[Frame, np.ndarray]:
 
 
 def _samples(rng, name, rotated, count=5):
-    """(metric, y) per sample in the chosen chart, admissible for the
-    profile's charge and convention."""
-    pair, signature, charge, relativistic = PROFILES[name]
+    """(metric, y, state) per sample in the chosen chart, admissible for the
+    profile's charge, for at most 60 tries per sample."""
+    pair, signature, charge = PROFILES[name]
     frame, lin = _frame(signature, rotated)
     out = []
-    while len(out) < count:
+    for _ in range(60 * count):
+        if len(out) == count:
+            break
         x = lin @ sample_point(rng, 4, 0.8, 4.0)
         y = lin @ rng.normal(size=4)
         metric = build_metric(frame, pair, x)
         try:
-            fib = kinematics(metric, y, 0.3 if relativistic else charge, relativistic)
-        except Exception:
+            fib = kinematics(metric, y, charge)
+        except AdmissibilityError:
             continue
         if fib.q < 0.05 * (abs(fib.b) + np.sqrt(abs(fib.s2))):
             continue
         out.append((metric, y, fib))
+    assert len(out) == count, f"only {len(out)} of {count} {name} samples in {60 * count} tries"
     return out
 
 
@@ -232,19 +235,19 @@ class TestClosedFormsBatch:
 
     @pytest.mark.parametrize("name, rotated", CASES, ids=IDS)
     def test_finsler_layer_equals_per_sample(self, name, rotated, rng):
-        _, _, charge, _ = PROFILES[name]
+        """At the profile's charge and at the Riemannian limit."""
+        charge = PROFILES[name][2]
         samples = _samples(rng, name, rotated)
         metric = stack_states([m for m, _, _ in samples])
         y = np.stack([y for _, y, _ in samples])
-        derivs = spray_derivatives(metric, y, charge)
-        singles = [spray_derivatives(m, yy, charge) for m, yy, _ in samples]
-        for field in ("spray", "first_closed", "second_closed"):
-            _agree(getattr(derivs, field), [getattr(s, field) for s in singles], CLOSED)
-        for field in ("first_numeric", "second_numeric"):
-            _agree(getattr(derivs, field), [getattr(s, field) for s in singles], FD)
-        _agree(
-            hh_curvature(derivs), [hh_curvature(s) for s in singles], FD
-        )
+        for g in (charge, 0.0):
+            derivs = spray_derivatives(metric, y, g)
+            singles = [spray_derivatives(m, yy, g) for m, yy, _ in samples]
+            for field in ("spray", "first_closed", "second_closed"):
+                _agree(getattr(derivs, field), [getattr(s, field) for s in singles], CLOSED)
+            for field in ("first_numeric", "second_numeric"):
+                _agree(getattr(derivs, field), [getattr(s, field) for s in singles], FD)
+            _agree(hh_curvature(derivs), [hh_curvature(s) for s in singles], FD)
 
         fib = stack_states([f for _, _, f in samples])
         res = kinematic_identity_residuals(fib)
@@ -443,7 +446,7 @@ def _loop_states(scenario, rng, count, with_fiber=False):
     return np.stack(xs), np.stack(ys) if with_fiber else None
 
 
-def _loop_admissible(scenario, rng, count, relativistic, charge, margin=0.05):
+def _loop_admissible(scenario, rng, count, charge, margin=0.05):
     """The try-by-try fiber sampler: one build_metric and one kinematics per
     try.  Returns the stacked points and fibers, or None where it gives up."""
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
@@ -455,7 +458,7 @@ def _loop_admissible(scenario, rng, count, relativistic, charge, margin=0.05):
         x = _sample_point(rng, scenario.n_dim, lo, hi)
         y = rng.normal(size=scenario.n_dim)
         try:
-            fib = kinematics(build_metric(frame, scenario.profile, x), y, charge, relativistic)
+            fib = kinematics(build_metric(frame, scenario.profile, x), y, charge)
         except (AdmissibilityError, DomainError):
             continue
         scale = np.sqrt(abs(fib.s2)) + abs(fib.b)
@@ -475,8 +478,10 @@ SAMPLER_PROFILES = {
     # sampled range is outside the domain.
     "half_domain": "kind = rational\nc_coeffs = 0.8, -3.0\nm_coeffs = 1.0, 0.2\n",
 }
-# (profile, dimension, signature, sampler); "cone" samples the positive-
-# definite convention and "relativistic" the other, with charge 0.3.
+# The positive-definite pair run at signature -1: no fiber has q^2 > 0.
+SAMPLER_PROFILES["no_fiber"] = SAMPLER_PROFILES["pd_rational"]
+# (profile, dimension, signature, sampler); "cone" samples admissible fibers
+# at charge 0.3 in the signature's convention.
 SAMPLER_CASES = [
     ("pd_rational", 4, 1, "cone"),
     ("pd_rational", 8, 1, "cone"),
@@ -485,7 +490,7 @@ SAMPLER_CASES = [
     ("schwarzschild", 4, -1, "points"),
     ("schwarzschild", 4, -1, "fiber"),
     ("schwarzschild", 4, -1, "cone"),
-    ("schwarzschild", 4, -1, "relativistic"),
+    ("no_fiber", 4, -1, "cone"),
     ("half_domain", 4, 1, "points"),
     ("half_domain", 4, 1, "fiber"),
     ("half_domain", 4, 1, "cone"),
@@ -507,11 +512,10 @@ def test_block_samplers_draw_the_try_by_try_samples(profile, n_dim, signature, s
     )
     count = 20
     rng_loop, rng_block = np.random.default_rng(11), np.random.default_rng(11)
-    if sampler in ("cone", "relativistic"):
-        relativistic = sampler == "relativistic"
-        want = _loop_admissible(scenario, rng_loop, count, relativistic, 0.3)
+    if sampler == "cone":
+        want = _loop_admissible(scenario, rng_loop, count, 0.3)
         try:
-            fib = _sample_admissible(scenario, rng_block, count, relativistic, charge=0.3)
+            fib = _sample_admissible(scenario, rng_block, count, charge=0.3)
             got = fib.metric.x, fib.y
         except SamplingError:
             got = None
@@ -550,7 +554,7 @@ def test_samplers_make_a_few_stacked_calls(monkeypatch):
     scenario = parse_scenario(CHARGED_N8)
     builds = _counting(monkeypatch, "build_metric")
     kins = _counting(monkeypatch, "kinematics")
-    fibers = _sample_admissible(scenario, np.random.default_rng(1), 100, relativistic=False)
+    fibers = _sample_admissible(scenario, np.random.default_rng(1), 100)
     assert fibers.y.shape == (100, 8)
     assert len(builds) <= 3 and len(kins) <= 3
     for with_fiber in (False, True):
@@ -579,7 +583,7 @@ def test_spray_stencils_build_no_christoffel_array(monkeypatch):
     the Christoffel blocks with y: spray_derivatives builds the full array
     once (the cached gamma of spray_y_second) and hh_curvature never."""
     scenario = parse_scenario(CHARGED_N8)
-    fibers = _sample_admissible(scenario, np.random.default_rng(1), 4, relativistic=False)
+    fibers = _sample_admissible(scenario, np.random.default_rng(1), 4)
     calls = _counting_everywhere(monkeypatch, riemann.christoffel)
     derivs = spray_derivatives(fibers.metric, fibers.y, scenario.charge)
     assert len(calls) <= 1
@@ -593,7 +597,7 @@ def test_spray_stencil_rows_compute_only_what_the_spray_reads(monkeypatch):
     inverse metric, no nabla b and none of the Finsleroid fields that only
     the identities and the second derivative read."""
     scenario = parse_scenario(CHARGED_N8)
-    fibers = _sample_admissible(scenario, np.random.default_rng(1), 4, relativistic=False)
+    fibers = _sample_admissible(scenario, np.random.default_rng(1), 4)
     derivs = spray_derivatives(fibers.metric, fibers.y, scenario.charge)
     built = []
     for name in ("build_metric", "kinematics"):
@@ -772,9 +776,7 @@ class TestWorstIndex:
         cfg = DiffConfig(tolerances=dict(scenario.tolerances))
         result, _ = suite_finsler_curvature(scenario, cfg)
         checks = {c.name: c for c in result.checks}
-        fibers = _sample_admissible(
-            scenario, _suite_rng(scenario, "finsler-curvature"), 12, relativistic=False
-        )
+        fibers = _sample_admissible(scenario, _suite_rng(scenario, "finsler-curvature"), 12)
         for name in ("bundle_magnitude", "spray_first_derivative_gap"):
             check = checks[name]
             fib = take(fibers, check.worst_index)

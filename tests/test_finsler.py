@@ -13,9 +13,11 @@ from finslergeo import (
     ProfilePair,
     build_metric,
     curvature_closed,
+    curvature_dot,
     hh_curvature,
     kinematic_identity_residuals,
     kinematics,
+    parse_scenario,
     spray_coefficients,
     spray_derivatives,
 )
@@ -26,25 +28,30 @@ from finslergeo.finsler import (
     spray_y_second,
 )
 from finslergeo.riemann import christoffel, christoffel_dot, nabla_b
+from finslergeo.suites import _sample_admissible, _suite_rng
 from finslergeo.tensors import fd_partials, max_abs, rel_frobenius
 
 from conftest import riemann_spray, sample_point, spray_y_derivative
 
 
 def admissible_sample(rng, frame, pair, charge, count, lo=0.8, hi=5.0, margin=0.05):
-    """Seeded (state, y) pairs with cone margins (PD profiles accept nearly all)."""
+    """Seeded (state, y) pairs with cone margins (PD profiles accept nearly
+    all), for at most 60 tries per pair."""
     out = []
-    while len(out) < count:
+    for _ in range(60 * count):
+        if len(out) == count:
+            break
         x = sample_point(rng, frame.n_dim, lo, hi)
         y = rng.normal(size=frame.n_dim)
         state = build_metric(frame, pair, x)
         try:
             fib = kinematics(state, y, charge)
-        except Exception:
+        except AdmissibilityError:
             continue
         if fib.q < margin * (abs(fib.b) + np.sqrt(abs(fib.s2))):
             continue
         out.append((state, y))
+    assert len(out) == count, f"only {len(out)} of {count} admissible pairs in {60 * count} tries"
     return out
 
 
@@ -96,16 +103,29 @@ class TestKinematics:
         with pytest.raises(OutsideConeError):
             kinematics(state, np.array([1.0, 0.05, 0.0, 0.0]), -5.0)
 
-    def test_schwarzschild_metric_admits_no_fiber(self, frame4, schwarzschild, rng):
-        """With c > 1 and m < 0 the transverse square S^2 - b^2 is negative for
-        every nonzero fiber vector, so the positive-definite cone is empty."""
+    def test_schwarzschild_admits_pseudo_finsleroid_fibers(self, frame4, schwarzschild, rng):
+        """With c > 1 and m < 0, S^2 - b^2 is negative for every nonzero fiber
+        vector; the signature -1 convention takes q^2 = b^2 - S^2 > 0, so
+        kinematics admits the fibers and nu_k carries dq/dy^k = -v_k / q."""
         state = build_metric(frame4, schwarzschild, np.array([0.2, 0.6, 0.8, 0.0]))
-        for _ in range(50):
-            y = rng.normal(size=4)
-            _, _, _, q2, _, _ = fiber_vectors(state, y)
-            assert q2 < 0.0
-        with pytest.raises(DegenerateFiberError):
-            kinematics(state, rng.normal(size=4), 0.3)
+        ys = rng.normal(size=(50, 4))
+        transverse = fiber_vectors(state, ys)[3]
+        assert np.all(transverse < 0.0)
+        fib = kinematics(state, ys, 0.3)
+        np.testing.assert_array_equal(fib.q2, fib.b**2 - fib.s2)
+        assert np.all(fib.q > 0.0)
+        g_term = 0.3 * (1.0 - state.c**2) * state.b_low
+        np.testing.assert_allclose(fib.nu_low, -fib.v_low / fib.q[:, None] + g_term, rtol=1e-15)
+
+    def test_positive_definite_profile_at_signature_minus_one_admits_no_fiber(
+        self, frame4, pd_rational, rng
+    ):
+        """0 < c < 1 and m > 0 give S^2 - b^2 > 0, so the signature -1
+        convention q^2 = b^2 - S^2 is negative for every fiber vector."""
+        state = build_metric(frame4, pd_rational, np.array([0.2, 0.6, 0.8, 0.0]))
+        with pytest.raises(DegenerateFiberError) as err:
+            kinematics(state, rng.normal(size=(50, 4)), 0.3)
+        assert np.all(err.value.rows)
 
     def test_q2_level_identities_hold_even_indefinite(self, frame4, schwarzschild, rng):
         """The identities that involve only q^2 (never q itself) hold with the
@@ -143,14 +163,6 @@ class TestKinematics:
             rhs = (fib.b / fib.q2) * fib.eta - np.outer(fib.v_low, fib.e_fiber) / fib.q2
             assert max_abs(d_e - rhs.T) < 1e-8
 
-    def test_relativistic_mode_flips_transverse_square(self, frame4, schwarzschild, rng):
-        """Exploratory indefinite mode uses q^2 = b^2 - S^2; states build, but
-        the positive-definite identity suite is not claimed there."""
-        state = build_metric(frame4, schwarzschild, np.array([0.2, 0.6, 0.8, 0.0]))
-        y = np.array([1.0, 0.2, -0.1, 0.3])
-        fib = kinematics(state, y, 0.3, relativistic=True)
-        assert fib.q2 == pytest.approx(fib.b**2 - fib.s2, rel=1e-14)
-        assert fib.q > 0.0
 
 
 STATE_FIELDS = ("y_low", "b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "r_mix",
@@ -378,6 +390,36 @@ class TestBundle:
                 sign = 1.0 if plus < minus else -1.0
                 assert sign == 1.0
             assert rel_frobenius(curvature, sign * comparison) < 1e-5
+
+    @pytest.mark.parametrize(
+        "signature, profile",
+        [
+            (1, "kind = rational\nc_coeffs = 0.8, 0.1\nm_coeffs = 1.0, 0.2\n"),
+            (-1, "kind = schwarzschild_isotropic\nxi = 1\n"),
+        ],
+        ids=["positive-definite", "pseudo"],
+    )
+    @pytest.mark.parametrize("n_dim", [4, 8])
+    def test_small_charge_continuity(self, signature, profile, n_dim):
+        """At g = 1e-8 the bundle matches the Riemannian curvature_dot within
+        the bundle class, in either convention, and the gap is a first-order
+        term in g rather than stencil noise: it grows 100-fold, within 10 %,
+        from g = 1e-8 to 1e-6 (at g = 1e-6 the pseudo-Finsleroid gap
+        itself reaches 1e-4)."""
+        tol = DiffConfig().tolerance("bundle")
+        for seed in (0, 1, 2):
+            scenario = parse_scenario(
+                f"[scenario]\ndimension = {n_dim}\nsignature = {signature}\n"
+                f"charge = 1e-8\nseed = {seed}\n[profile]\n{profile}"
+            )
+            fib = _sample_admissible(scenario, _suite_rng(scenario, "finsler-curvature"), 20)
+            riemannian = curvature_dot(fib.metric, fib.y)
+            gap = {}
+            for g in (1e-8, 1e-6):
+                bundle = hh_curvature(spray_derivatives(fib.metric, fib.y, g))
+                gap[g] = np.max(rel_frobenius(bundle, riemannian, 2))
+            assert gap[1e-8] <= tol, (seed, gap)
+            assert 90.0 <= gap[1e-6] / gap[1e-8] <= 110.0, (seed, gap)
 
     def test_charged_bundle_regression(self):
         """Self-regression for g = 0.3 on the positive-definite rational pair:

@@ -149,45 +149,41 @@ class TestRun:
         assert suite.status == "pass"
         assert {check.n_samples for check in suite.checks} == {30}
 
-    def test_finsler_identities_skip_on_indefinite_signature(self):
-        scenario = parse_scenario("[scenario]\nsuites = finsler-identities\n")
-        report = run(scenario)
-        assert report.suites[0].status == "skipped"
-        assert "signature" in report.suites[0].reason
-
-    def test_indefinite_finsler_mode_runs(self):
-        """allow_indefinite_finsler builds the identity jets in the state's own
-        q^2 = b^2 - S^2 convention instead of failing in sqrt."""
+    @pytest.mark.parametrize("n_dim", [4, 8])
+    def test_pseudo_finsleroid_schwarzschild_passes_every_toleranced_check(self, n_dim):
+        """The default scenario (signature -1 Schwarzschild, xi 1) at charge
+        0.3 runs both Finsler suites in the q^2 = b^2 - S^2 convention and
+        passes; every check but the informational bundle_magnitude carries
+        a tolerance from its class."""
         scenario = parse_scenario(
-            "[scenario]\nsignature = -1\ncharge = 0.3\nallow_indefinite_finsler = true\n"
-            "suites = finsler-identities\n"
-            "[profile]\nkind = schwarzschild_isotropic\nxi = 1\n"
-            "[samples]\nfibers = 20\n"
+            f"[scenario]\ndimension = {n_dim}\ncharge = 0.3\n"
+            "suites = finsler-identities, finsler-curvature\n"
         )
-        suite = run(scenario).suites[0]
-        assert suite.status != "fail"
-        assert suite.reason is None
-
-    def test_indefinite_nu_gradient_follows_the_convention(self):
-        """With q^2 = b^2 - S^2, dq/dy = -v/q: the state's nu gradient agrees
-        with the jet derivative to the algebraic tolerance (it was off by
-        2 v/q while it kept the positive-definite sign)."""
-        scenario = parse_scenario(
-            "[scenario]\nsignature = -1\ncharge = 0.3\nallow_indefinite_finsler = true\n"
-            "suites = finsler-identities\n"
-            "[profile]\nkind = schwarzschild_isotropic\nxi = 1\n"
-        )
-        checks = {c.name: c for c in run(scenario).suites[0].checks}
-        assert checks["nu_gradient"].n_samples == 100
-        assert checks["nu_gradient"].residual_max <= scenario.tolerances["algebraic"]
-
-    def test_charged_curvature_skips_on_indefinite_signature(self):
-        """The suite skips, and a run whose only suite skipped verified
-        nothing, so it does not pass."""
-        scenario = parse_scenario("[scenario]\ncharge = 0.3\nsuites = finsler-curvature\n")
+        assert scenario.epsilon == -1 and scenario.profile.kind == "schwarzschild_isotropic"
         report = run(scenario)
-        assert report.suites[0].status == "skipped"
-        assert not report.passed
+        assert report.passed, report.human_summary()
+        for suite in report.suites:
+            for check in suite.checks:
+                assert check.n_samples == 100
+                if check.name != "bundle_magnitude":
+                    assert check.tolerance is not None, check.name
+                    assert check.tolerance_class in scenario.tolerances, check.name
+
+    def test_signature_without_admissible_fibers_fails_with_its_rejections(self):
+        """The positive-definite rational pair at signature -1 has q^2 =
+        b^2 - S^2 < 0 for every fiber vector: both Finsler suites fail with
+        the sampler's q^2 <= 0 count, and the run does not pass."""
+        scenario = parse_scenario(
+            "[scenario]\nsignature = -1\ncharge = 0.3\n"
+            "suites = finsler-identities, finsler-curvature\n"
+            "[profile]\nkind = rational\nc_coeffs = 0.8, 0.1\nm_coeffs = 1.0, 0.2\n"
+            "[samples]\nfibers = 5\n"
+        )
+        report = run(scenario)
+        assert [s.status for s in report.suites] == ["fail", "fail"]
+        for suite in report.suites:
+            assert "only 0 of 5 fiber vectors" in suite.reason
+            assert "in 300 tries (rejected: 0 outside the domain, 300 with q^2 <= 0" in suite.reason
         assert report.exit_code == 1
 
     def test_run_with_every_suite_skipped_fails(self):
@@ -269,7 +265,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "case, message",
         [
-            ("[scenario]\nallow_indefinite_finsler = no\n", "true or false"),
+            ("[scenario]\ndimension = true\n", "dimension must be an integer"),
             ("[scenario]\ndimension = 4.7\n", "dimension must be an integer"),
             ("[scenario]\ncharge = nan\n", "charge must be a finite number"),
             ("[scenario]\nseed = 1\nseed = 2\n", "line 3: duplicate key 'seed'"),
@@ -291,8 +287,8 @@ class TestCli:
             ),
             ("[scenario]\nseed = 3\n", "no suites listed"),
             (
-                ["finsler-curvature", "--profile", "schwarzschild", "--charge", "0.3"],
-                "charge 0 only",
+                "[scenario]\nallow_indefinite_finsler = true\nsuites = vacuum\n",
+                "line 2: unknown key 'allow_indefinite_finsler'",
             ),
         ],
         ids=[
@@ -300,7 +296,7 @@ class TestCli:
             "vacuum-dimension", "vacuum-pole", "curvature-samples", "huge-points",
             "curvature-samples-cap", "huge-radii", "vacuum-radii-cap",
             "duplicate-tolerance-class", "no-suites",
-            "charged-schwarzschild",
+            "removed-indefinite-key",
         ],
     )
     def test_every_input_runs_or_exits_2(self, case, message, tmp_path, capsys):
@@ -321,6 +317,13 @@ class TestCli:
     def test_finsler_curvature_subcommand(self):
         assert main(["finsler-curvature", "--charge", "0.3", "--samples", "5"]) == 0
         assert main(["finsler-curvature", "--profile", "schwarzschild", "--samples", "3"]) == 0
+
+    def test_charged_schwarzschild_subcommand_runs(self, capsys):
+        """The Schwarzschild profile runs at signature -1, so a charge takes
+        the pseudo-Finsleroid convention instead of a configuration error."""
+        argv = ["finsler-curvature", "--profile", "schwarzschild", "--charge", "0.3"]
+        assert main(argv + ["--samples", "10"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("overall: PASS")
 
     def test_dump_tensors(self, tmp_path):
         scn = tmp_path / "scn.ini"

@@ -27,8 +27,6 @@ def _text(sections: dict) -> str:
 
 def _value(value) -> str:
     """The grammar's spelling of a generated value."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (list, tuple)):
         return ", ".join(_value(v) for v in value)
     return repr(value) if isinstance(value, float) else str(value)
@@ -66,13 +64,11 @@ def valid_scenarios(draw):
         "points": draw(st.integers(1, MAX_COUNT)),
         "fibers": draw(st.integers(1, MAX_COUNT)),
         "tolerances": dict(sorted({**TOLERANCE_CLASSES, **tolerances}.items())),
-        "allow_indefinite_finsler": draw(st.booleans()),
     }
     sections = {
         "scenario": {
             key: _value(echo[key])
-            for key in ("dimension", "signature", "charge", "seed", "suites",
-                        "allow_indefinite_finsler")
+            for key in ("dimension", "signature", "charge", "seed", "suites")
         },
         "profile": {"kind": kind, **{k: _value(v) for k, v in params.items()}},
         "samples": {key: _value(echo[key]) for key in ("radii", "points", "fibers")},

@@ -1,10 +1,14 @@
-"""Exact oracle: the Riemann tensor of the family from sympy, at a rational
-point with a rational radius, against curvature_closed's float components.
+"""Exact oracles from sympy at a rational point with a rational radius:
+the Riemann tensor of the family against curvature_closed, and the
+Finsleroid spray with its y-derivatives against spray_derivatives, in both
+conventions.
 
 sympy differentiates a_ij(x) symbolically and the derivatives are then
 evaluated at the point, with no simplification; the Christoffel symbols,
 their derivatives and the curvature follow from the definition in exact
-rational arithmetic.  Nothing here reads a closed form of the package.
+rational arithmetic.  The spray is built from those Christoffel symbols by
+its definition and differentiated in y by sympy.  Nothing here reads a
+closed form of the package.
 """
 
 from fractions import Fraction
@@ -14,12 +18,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from finslergeo import Frame, ProfilePair, build_metric, curvature_closed
+from finslergeo import Frame, ProfilePair, build_metric, curvature_closed, spray_derivatives
 from finslergeo.tensors import max_abs
 
 sp = pytest.importorskip("sympy")
 
 POINT = (Fraction(1, 3), Fraction(3, 5), Fraction(4, 5), Fraction(0))  # r = 1 in the standard chart
+FIBER = (Fraction(1, 2), Fraction(3, 8), Fraction(-1, 4), Fraction(5, 16))  # exact in binary
+CHARGE = Fraction(3, 10)
 # A rational chart map with no symmetry, so a transposed index would show.
 CHART = (
     (2, Fraction(1, 2), 0, Fraction(1, 3)),
@@ -93,6 +99,13 @@ def _inverse(matrix):
     return np.array([row[n:] for row in rows], dtype=object)
 
 
+def _christoffel(a_up, da):
+    """combo[i, l, j] = d_i a_lj + d_j a_li - d_l a_ij and the Christoffel
+    symbols a^k_ij = a^kl combo[i, l, j] / 2, axes [k, i, j]."""
+    combo = da + np.einsum("jli->ilj", da) - np.einsum("lij->ilj", da)
+    return combo, np.einsum("kl,ilj->kij", a_up, combo) / 2
+
+
 def exact_riemann(name, chart):
     """a_n^i_km, axes [n, i, k, m], as Fractions, in the chart x' = chart x:
     the metric jet is carried to that chart by the chain rule (every
@@ -105,10 +118,8 @@ def exact_riemann(name, chart):
     dda = np.einsum("te,sd,pi,qj,tspq->edij", inv, inv, inv, inv, dda, optimize=True)
 
     a_up = _inverse(a0)
-    # combo[i, l, j] = d_i a_lj + d_j a_li - d_l a_ij, and its partials d_e
-    combo = da + np.einsum("jli->ilj", da) - np.einsum("lij->ilj", da)
-    dcombo = dda + np.einsum("ejli->eilj", dda) - np.einsum("elij->eilj", dda)
-    gamma = np.einsum("kl,ilj->kij", a_up, combo) / 2  # [k, i, j] = a^k_ij
+    combo, gamma = _christoffel(a_up, da)
+    dcombo = dda + np.einsum("ejli->eilj", dda) - np.einsum("elij->eilj", dda)  # d_e combo
     da_up = -np.einsum("kp,epq,ql->ekl", a_up, da, a_up, optimize=True)  # d_e a^kl
     dgamma = (
         np.einsum("ekl,ilj->ekij", da_up, combo) + np.einsum("kl,eilj->ekij", a_up, dcombo)
@@ -136,3 +147,59 @@ def test_closed_curvature_matches_the_exact_tensor(name, chart):
     assert max_abs(curvature_closed(state) - want) <= 1e-12 * max_abs(want)
     if name == "schwarzschild":
         assert all(v == 0 for v in np.trace(exact, axis1=1, axis2=2).flat)
+
+
+def exact_spray_jet(name):
+    """G^i, G^i_k and G^i_km at (POINT, FIBER) with charge 3/10, as floats
+    rounded from 30 digits, in the standard chart.
+
+    There b_i = e_i is constant, so nabla_i b_j = -a^k_ij b_k, and
+    G^i = (g/nu) (ys) v^i + a^i_km y^k y^m with q = sqrt(eps (S^2 - b^2))
+    and eps the profile's signature.  sympy differentiates G^i in y, then
+    the fiber is substituted; only k <= m of G^i_km is differentiated."""
+    def exact(f):
+        return sp.Rational(f.numerator, f.denominator)
+
+    rat = np.vectorize(exact, otypes=[object])
+    a0, da, _ = metric_jet(name)
+    a_up = _inverse(a0)
+    gamma = rat(_christoffel(a_up, da)[1])
+    a, a_up = rat(a0), rat(a_up)
+    eps, g = PROFILES[name][2], exact(CHARGE)
+    y = np.array(sp.symbols("y0:4", real=True), dtype=object)
+    b = y[0]
+    q = sp.sqrt(sp.expand(eps * (y @ a @ y - b**2)))
+    nu = q + g * (1 - a_up[0, 0]) * b  # c^2 = b_i b^i = a^00
+    ys = sp.expand(-(y @ gamma[0] @ y))
+    v_up = y - b * a_up[:, 0]
+    spray = [g / nu * ys * v_up[i] + sp.expand(y @ gamma[i] @ y) for i in range(4)]
+    first = [[sp.diff(spray[i], y[k]) for k in range(4)] for i in range(4)]
+    at = {yk: exact(f) for yk, f in zip(y, FIBER)}
+
+    def value(expr) -> float:
+        return float(sp.N(expr.xreplace(at), 30))
+
+    second = np.empty((4, 4, 4))
+    for i, k in product(range(4), range(4)):
+        for m in range(k, 4):
+            second[i, k, m] = second[i, m, k] = value(sp.diff(first[i][k], y[m]))
+    return (
+        np.array([value(e) for e in spray]),
+        np.array([[value(e) for e in row] for row in first]),
+        second,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_spray_derivatives_match_the_exact_ones(name):
+    """The closed G^i, G^i_k and G^i_km equal sympy's to 1e-13 of their
+    largest component, in the positive-definite convention (rational pair,
+    signature +1) and the pseudo-Finsleroid one (Schwarzschild, signature
+    -1, where q^2 = b^2 - S^2)."""
+    _, pair, signature = PROFILES[name]
+    state = build_metric(Frame.standard(4, signature), pair, np.array(POINT, dtype=float))
+    derivs = spray_derivatives(state, np.array(FIBER, dtype=float), float(CHARGE))
+    got = (derivs.spray, derivs.first_closed, derivs.second_closed)
+    for closed, exact in zip(got, exact_spray_jet(name)):
+        assert max_abs(exact) > 1e-3
+        assert max_abs(closed - exact) <= 1e-13 * max_abs(exact)

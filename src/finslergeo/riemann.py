@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .profiles import ProfilePair, RicciCoefficients, combo_scalars, ricci_coefficients
-from .tensors import DiffConfig, dot, fd_partials, matvec, outer
+from .tensors import DiffConfig, dot, fd_partials, fd_stencil, matvec, outer
 
 _FRAME_TOL = 1e-9
 
@@ -42,7 +42,7 @@ class Frame:
     Lorentzian one; it enters the Riemannian layer only through the raised
     transverse block, and it is the Finsleroid convention sign (finsler.py).
     Derived arrays (background inverse, raised/mixed u, raised e) are
-    precomputed and validated at construction.
+    precomputed and validated at construction; every array is read-only.
     """
 
     n_dim: int
@@ -73,6 +73,8 @@ class Frame:
         object.__setattr__(self, "_e_up", e_up)
         object.__setattr__(self, "_u_up", u_up)
         object.__setattr__(self, "_u_mix", u_mix)
+        for arr in (e, u, bg, bg_inv, e_up, u_up, u_mix):
+            arr.flags.writeable = False
 
         eye = np.eye(self.n_dim)
         checks = {
@@ -114,12 +116,8 @@ class Frame:
 
     @staticmethod
     def standard(n_dim: int, epsilon: int = -1) -> "Frame":
-        """Axis along coordinate 0: e = (1, 0, ...), u = diag(0, 1, ..., 1)."""
-        e = np.zeros(n_dim)
-        e[0] = 1.0
-        u = np.eye(n_dim)
-        u[0, 0] = 0.0
-        return Frame(n_dim, epsilon, e, u)
+        """e = (1, 0, ...), u = diag(0, 1, ..., 1); one shared frame per (n_dim, epsilon)."""
+        return _standard_frame(n_dim, epsilon)
 
     def transformed(self, lin: np.ndarray) -> "Frame":
         """The same frame expressed in the chart x_new = lin @ x_old."""
@@ -140,6 +138,13 @@ class Frame:
                 "radius vanishes (point on the axis); the metric family is singular at r = 0"
             )
         return np.sqrt(r2)
+
+
+@lru_cache(maxsize=None)
+def _standard_frame(n_dim: int, epsilon: int) -> Frame:
+    u = np.eye(n_dim)
+    u[0, 0] = 0.0
+    return Frame(n_dim, epsilon, np.eye(n_dim)[0], u)
 
 
 @dataclass(frozen=True)
@@ -328,7 +333,7 @@ def christoffel(state: MetricState) -> np.ndarray:
     """Closed Christoffel symbols of the family, axes [k, i, j] for a^k_ij,
     assembled from the blocks of _christoffel_blocks."""
     p, q, w = _christoffel_blocks(state)
-    # Summed in place: the curvature oracle's stencil rows hold this N^3 array.
+    # Summed in place: one N^3 array per point (no stencil row builds it).
     out = state.b_up[..., :, None, None] * p[..., None, :, :]
     out += state.n_up[..., :, None, None] * q[..., None, :, :]
     # wnu[k, i, j] = w n_i u_j^k
@@ -472,16 +477,30 @@ def curvature_fd_oracle(state: MetricState, config: DiffConfig | None = None) ->
 
     a_n^i_km = d_k a^i_nm - d_m a^i_nk + a^u_nm a^i_uk - a^u_nk a^i_um
 
-    with the partials taken by central differences over the closed-form
-    Christoffel field and the products from _gamma_products.  Nothing here
-    reads the closed curvature's pairs.
+    with the products from _gamma_products and the partials by central
+    differences of the closed Christoffel field, never built at a stencil
+    row: a^k_ij = b^k P_ij + n^k Q_ij + U^k_j (w n)_i + U^k_i (w n)_j with
+    U = u_mix^T fixed by the frame, so a row holds only P, Q, b^k, n^k and
+    w n (_christoffel_blocks).  Nothing here reads the curvature's pairs.
     """
-    cfg = config or DiffConfig()
+    n = state.frame.n_dim
 
-    def gamma_field(pts: np.ndarray) -> np.ndarray:
-        return christoffel(build_metric(state.frame, state.profiles, pts))
+    def block_field(pts: np.ndarray) -> np.ndarray:
+        rows = build_metric(state.frame, state.profiles, pts)
+        p, q, w = _christoffel_blocks(rows)
+        blocks = (p, q, rows.b_up, rows.n_up, w[..., None] * rows.n_low)
+        return np.concatenate([v.reshape(pts.shape[:-1] + (-1,)) for v in blocks], axis=-1)
 
-    dgamma = fd_partials(gamma_field, state.x, cfg, scales=state.r[..., None])  # [d, k, i, j]
+    values, weights, h = fd_stencil(block_field, state.x, config, scales=state.r[..., None])
+    *lead, _, width, _ = values.shape
+    pq, bn, wn = np.split(values, [2 * n * n, 2 * n * (n + 1)], axis=-1)
+    # sum_j w_j (b^k P_ij + n^k Q_ij)(x + off_j h_d e_d): one (N x 2W) @ (2W x N^2) matmul
+    bn = np.swapaxes((weights[:, None] * bn).reshape(*lead, n, 2 * width, n), -1, -2)
+    dgamma = bn @ pq.reshape(*lead, n, 2 * width, n * n) / h[..., None, None]
+    dgamma = dgamma.reshape(*lead, n, n, n, n)
+    dwn = np.swapaxes(wn, -1, -2) @ weights / h[..., None]  # [d, i]
+    du = dwn[..., :, None, :, None] * state.frame.u_mix.T[:, None, :]  # U^k_j d_d (w n)_i
+    dgamma += du + np.swapaxes(du, -1, -2)
     # half[n, i, k, m] = d_k a^i_nm + a^u_nm a^i_uk; the rest is its (k, m) transpose
     half = np.einsum("...kinm->...nikm", dgamma) + _gamma_products(state.gamma)
     return half - np.swapaxes(half, -1, -2)

@@ -200,24 +200,24 @@ _D1_STENCILS = {
 }
 
 
-def fd_partials(
+def fd_stencil(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     config: DiffConfig | None = None,
     scales: np.ndarray | float | None = None,
-) -> np.ndarray:
-    """Central-difference partial derivatives of an array-valued field at
-    one base point x (N,) or at each of a batch of base points (B, N).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The field on the central-difference stencil at one base point x (N,)
+    or at each of a batch of base points (B, N), as (values, weights, h):
+    d f / d x^k = sum over j of weights[j] * values[..., k, j, ...] / h[..., k].
 
     ``f`` is evaluated once per step on the whole stencil: it receives the
     stencil points with x's leading axes kept, (B, N * width, N) for a
     batch and (N * width, N) for one point, rows axis-major and then in
-    stencil order, and returns one value (of any shape) per row,
-    (B, N * width, ...).  Returns out[..., k, ...] = d f / d x^k, shaped
-    (B, N, ...).  ``scales`` fixes the step scale and broadcasts against
-    x: a scalar, a per-axis (N,) array or a per-sample (B, 1) column;
-    default max(1, |x_k|) per axis.  Per sample the derivative sums w * f
-    in stencil order and divides by that sample's step.
+    stencil order, and returns one value of any shape per row, which come
+    back as values (B, N, width, ...) with h (B, N).  ``scales`` fixes the
+    step scale and broadcasts against x: a scalar, a per-axis (N,) array or
+    a per-sample (B, 1) column; default max(1, |x_k|) per axis.  A
+    non-finite value raises StencilError naming its sample, axis and offset.
 
     If the field raises StencilMissError, the samples owning the rows it
     names (every sample when it names none) are redone once with the step
@@ -264,14 +264,24 @@ def fd_partials(
                 f"non-finite evaluation at stencil point ({where}axis {axis}, "
                 f"offset {stencil[pos][0]})"
             )
-        # Put the stencil position first: values[j][..., k, ...] = f(x + off_j h_k e_k).
-        shape = lead + (n, width) + values.shape[len(lead) + 1 :]
-        values = np.moveaxis(values.reshape(shape), len(lead) + 1, 0)
-        acc = stencil[0][1] * values[0]
-        for pos in range(1, width):
-            acc = acc + stencil[pos][1] * values[pos]
-        return acc / h.reshape(h.shape + (1,) * (acc.ndim - h.ndim))
+        values = values.reshape(lead + (n, width) + values.shape[len(lead) + 1 :])
+        return values, np.array([w for _, w in stencil]), h
     raise ConeStencilError("stencil left the admissible set even after shrinking the step")
+
+
+def fd_partials(
+    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, config: DiffConfig | None = None,
+    scales: np.ndarray | float | None = None,
+) -> np.ndarray:
+    """Central-difference partials out[..., k, ...] = d f / d x^k, shaped
+    (B, N, ...), for fd_stencil's arguments: per sample, the stencil rows
+    times their weights summed in stencil order and divided by the step."""
+    values, weights, h = fd_stencil(f, x, config, scales)
+    values = np.moveaxis(values, h.ndim, 0)  # values[j][..., k, ...] = f(x + off_j h_k e_k)
+    acc = weights[0] * values[0]
+    for pos in range(1, len(weights)):
+        acc = acc + weights[pos] * values[pos]
+    return acc / h.reshape(h.shape + (1,) * (acc.ndim - h.ndim))
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +293,12 @@ def fd_partials(
 # chunk's stencil arrays grow with it (all 100 fibers of an N = 8 charged
 # finsler-curvature run in one chunk peak at 57 MB of arrays when each
 # stencil row holds an N^3 Christoffel array).  Each suite states the floats
-# one sample holds at its largest: 4N^4 where a stencil row holds an N^3
-# array (curvature FD oracle) or a sample an N^4 curvature, 8N^3 where each
-# of the 4N rows (order-4 stencil) holds two N x N arrays (the spray
-# stencils).  A chunk takes as many samples as keep that within this many
-# floats (512 KiB): at N = 8, 4 samples at 4N^4 and 16 at 8N^3.
+# one sample holds at its largest: 4N^4 where a sample holds N^4 curvature
+# arrays (the curvature FD oracle's 4N rows hold only the blocks of the
+# Christoffel symbols), 8N^3 where each of the 4N rows (order-4 stencil)
+# holds two N x N arrays (the spray stencils).  A chunk takes as many
+# samples as keep that within this many floats (512 KiB): at N = 8, 4
+# samples at 4N^4 and 16 at 8N^3.
 STENCIL_FLOAT_BUDGET = 2**16
 
 

@@ -8,9 +8,17 @@ if str(SRC) not in sys.path:
 import numpy as np
 import pytest
 
-from finslergeo import DiffConfig, Frame, ProfilePair, build_metric, christoffel_definitional, fd_partials
+from finslergeo import (
+    DiffConfig,
+    Frame,
+    ProfilePair,
+    build_metric,
+    christoffel,
+    christoffel_definitional,
+    fd_partials,
+)
 from finslergeo.finsler import _first_derivative
-from finslergeo.riemann import _combine, christoffel_dot
+from finslergeo.riemann import _combine, _gamma_products, christoffel_dot
 from finslergeo.tensors import matvec, outer
 
 
@@ -109,3 +117,15 @@ def riemann_spray(metric, y):
 def spray_y_derivative(state):
     """The closed first y-derivative G^i_k of a FinsleroidState's spray."""
     return _first_derivative(state, christoffel_dot(state.metric, state.y))
+
+
+def reference_fd_oracle(state, config=None):
+    """curvature_fd_oracle as it was first built: fd_partials over the N^3
+    closed Christoffel array at every stencil row, plus _gamma_products."""
+
+    def gamma_field(pts):
+        return christoffel(build_metric(state.frame, state.profiles, pts))
+
+    dgamma = fd_partials(gamma_field, state.x, config, scales=state.r[..., None])
+    half = np.einsum("...kinm->...nikm", dgamma) + _gamma_products(state.gamma)
+    return half - np.swapaxes(half, -1, -2)

@@ -61,6 +61,24 @@ class TestFrame:
         with pytest.raises(FrameError):  # u not positive semidefinite
             Frame(4, 1, np.array([1.0, 0, 0, 0]), np.diag([0.0, 1, 1, -1]))
 
+    @pytest.mark.parametrize("name", ["e_low", "u_low", "background", "background_inv", "e_up", "u_up", "u_mix"])
+    def test_frame_arrays_are_read_only(self, name, rng):
+        """A validated frame cannot be changed through its arrays, in the
+        standard chart or a transformed one."""
+        for frame in (Frame.standard(4, -1), Frame.standard(4, 1).transformed(rng.normal(size=(4, 4)))):
+            arr = getattr(frame, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+
+    def test_standard_frame_is_shared(self):
+        """One standard frame per (n_dim, epsilon), however it is asked for."""
+        assert Frame.standard(4, -1) is Frame.standard(4, -1)
+        assert Frame.standard(4) is Frame.standard(4, epsilon=-1)
+        assert Frame.standard(4, 1) is not Frame.standard(4, -1)
+        assert Frame.standard(5, 1).n_dim == 5
+
     def test_radius_and_direction(self, frame4, schwarzschild):
         """x with spatial part (3, 4, 0) has r = 5 and n = (0, 0.6, 0.8, 0)."""
         state = build_metric(frame4, schwarzschild, np.array([0.7, 3.0, 4.0, 0.0]))

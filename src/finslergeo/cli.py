@@ -159,7 +159,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    report = run(scenario)
+    try:
+        report = run(scenario)
+    except OSError as exc:  # the report or dump path cannot be written
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     print(report.human_summary())
     if scenario.report_path:
         print(f"report written to {scenario.report_path}")

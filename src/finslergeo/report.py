@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+
+import numpy as np
+
+from .tensors import DiffConfig
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,6 @@ class CheckResult:
         """Statistics of per-sample residuals given in draw order;
         ``worst_index`` is the position of the first sample that attains
         the maximum (None without samples)."""
-        import numpy as np
-
         values = np.asarray(list(residuals), dtype=float)
         worst_index = int(np.argmax(values)) if values.size else None
         worst = float(values[worst_index]) if values.size else 0.0
@@ -53,17 +55,17 @@ class CheckResult:
             worst_index=worst_index,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual_max": self.residual_max,
-            "residual_median": self.residual_median,
-            "tolerance": self.tolerance,
-            "tolerance_class": self.tolerance_class,
-            "n_samples": self.n_samples,
-            "passed": self.passed,
-            "worst_index": self.worst_index,
-        }
+
+def _planned(rows: dict, plan: list, cfg: DiffConfig) -> list[CheckResult]:
+    """One check per (name, tolerance class, scale) of ``plan`` on the
+    per-sample residuals ``rows[name]``; a None class is an informational
+    check with no tolerance."""
+    return [
+        CheckResult.from_residuals(
+            name, rows[name], None if klass is None else cfg.tolerance(klass, scale), klass
+        )
+        for name, klass, scale in plan
+    ]
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class SuiteResult:
             "name": self.name,
             "status": self.status,
             "reason": self.reason,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
         if include_timing:
             out["wall_time_s"] = self.wall_time_s

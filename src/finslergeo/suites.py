@@ -26,7 +26,7 @@ from .finsler import (
     spray_derivatives,
 )
 from .profiles import DomainError, ProfilePair
-from .report import CheckResult, RunReport, SuiteResult
+from .report import RunReport, SuiteResult, _planned
 from .riemann import (
     Frame,
     build_metric,
@@ -81,20 +81,11 @@ class SamplingError(RuntimeError):
     well inside the admissible cone) to verify anything."""
 
 
-_IN_DOMAIN = "points fell in the profile's domain"
 _REJECTIONS = {
     DomainError: "outside the domain",
     DegenerateFiberError: "with q^2 <= 0",
     OutsideConeError: "with nu <= 0",
 }
-
-
-def _sampling_failure(what: str, accepted: int, count: int, tries: int, rejected: dict):
-    causes = ", ".join(f"{n} {cause}" for cause, n in rejected.items())
-    return SamplingError(
-        f"only {accepted} of {count} {what} in {tries} tries (rejected: {causes}); "
-        "nothing was verified"
-    )
 
 
 def _survivors(evaluate, size: int, rejected: dict):
@@ -110,35 +101,41 @@ def _survivors(evaluate, size: int, rejected: dict):
             keep[np.flatnonzero(keep)[exc.rows]] = False
 
 
-def _sample_blocks(scenario: Scenario, rng: np.random.Generator, count: int, cone=None):
+def _sample_blocks(
+    scenario: Scenario, rng: np.random.Generator, count: int, fiber: bool = False, cone=None
+):
     """``count`` samples in draw order, for at most 60 tries per sample: one
-    stacked MetricState, or given ``cone`` = (charge, margin)
-    one FinsleroidState whose fibers lie that margin inside the cone.
+    stacked MetricState; with ``fiber``, that state and the normal fiber
+    vectors ys paired with its points, as (metric, ys); or given ``cone`` =
+    (charge, margin), one FinsleroidState whose fibers lie that margin
+    inside the cone.
 
-    Each try draws a point (and a fiber vector, given ``cone``).  A block
-    of tries is drawn in try order and judged by one build_metric (and one
-    kinematics) call; it never holds more tries than could still be
-    accepted, so the generator stops where a try-by-try loop would."""
+    Each try draws a point, then (with ``fiber`` or ``cone``) a fiber
+    vector.  A block of tries is drawn in try order and judged by one
+    build_metric (and, given ``cone``, one kinematics) call; it never holds
+    more tries than could still be accepted, so the generator stops where a
+    try-by-try loop would."""
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     lo, hi = _sampling_range(scenario.profile)
     causes = [*_REJECTIONS.values(), "inside the margin"] if cone else ["outside the domain"]
     rejected = dict.fromkeys(causes, 0)
-    parts = []
+    parts, fibers = [], []
     tries = accepted = 0
     while accepted < count and tries < 60 * count:
         block = min(count - accepted, 60 * count - tries)
         xs, ys = np.empty((2, block, scenario.n_dim))
         for i in range(block):
             xs[i] = _sample_point(rng, scenario.n_dim, lo, hi)
-            if cone:
+            if fiber or cone:
                 ys[i] = rng.normal(size=scenario.n_dim)
         tries += block
         state, kept = _survivors(
             lambda keep: build_metric(frame, scenario.profile, xs[keep]), block, rejected
         )
+        ys = ys[kept]
         if cone:
             charge, margin = cone
-            metric, ys = state, ys[kept]
+            metric = state
             state, _ = _survivors(
                 lambda keep: kinematics(take(metric, keep), ys[keep], charge),
                 len(ys),
@@ -150,66 +147,21 @@ def _sample_blocks(scenario: Scenario, rng: np.random.Generator, count: int, con
             rejected["inside the margin"] += int(np.sum(~kept))
             state = take(state, kept)
         parts.append(state)
+        fibers.append(ys)
         accepted += int(np.sum(kept))
     if accepted < count:
-        what = "fiber vectors fell well inside the admissible cone" if cone else _IN_DOMAIN
-        raise _sampling_failure(what, accepted, count, tries, rejected)
-    return _combine(parts, np.concatenate)
-
-
-def _sample_states(
-    scenario: Scenario, rng: np.random.Generator, count: int, with_fiber: bool = False
-):
-    """``count`` points where the profile is defined, for at most 60 tries
-    per point, as one stacked MetricState in draw order; ``with_fiber``
-    pairs each with a normal fiber vector drawn right after it and returns
-    (metric, ys)."""
-    if not with_fiber:
-        return _sample_blocks(scenario, rng, count)
-    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
-    lo, hi = _sampling_range(scenario.profile)
-    # Draw as if every try were accepted; if one is not, the draws after it
-    # differ, so the generator rewinds and the tries are redrawn one by one.
-    start = rng.bit_generator.state
-    xs, ys = np.empty((2, count, scenario.n_dim))
-    for i in range(count):
-        xs[i] = _sample_point(rng, scenario.n_dim, lo, hi)
-        ys[i] = rng.normal(size=scenario.n_dim)
-    try:
-        return build_metric(frame, scenario.profile, xs), ys
-    except DomainError:
-        rng.bit_generator.state = start
-    # A fiber is drawn only after an accepted point, so each radius is
-    # tested as it is drawn, and the metric is built once at the end.
-    xs, ys = [], []
-    tries = 0
-    while len(xs) < count and tries < 60 * count:
-        tries += 1
-        x = _sample_point(rng, scenario.n_dim, lo, hi)
-        try:
-            scenario.profile.jets(frame.radius(x))
-        except DomainError:
-            continue
-        xs.append(x)
-        ys.append(rng.normal(size=scenario.n_dim))
-    if len(xs) < count:
-        rejected = {"outside the domain": tries - len(xs)}
-        raise _sampling_failure(_IN_DOMAIN, len(xs), count, tries, rejected)
-    return build_metric(frame, scenario.profile, np.stack(xs)), np.stack(ys)
-
-
-def _sample_admissible(
-    scenario: Scenario,
-    rng: np.random.Generator,
-    count: int,
-    charge: float | None = None,
-    margin: float = 0.05,
-):
-    """Finsleroid states inside the admissible cone, with margins so
-    derivative stencils stay inside too, for at most 60 tries per state,
-    as one stacked FinsleroidState in draw order."""
-    charge = scenario.charge if charge is None else charge
-    return _sample_blocks(scenario, rng, count, (charge, margin))
+        what = (
+            "fiber vectors fell well inside the admissible cone"
+            if cone
+            else "points fell in the profile's domain"
+        )
+        counts = ", ".join(f"{n} {cause}" for cause, n in rejected.items())
+        raise SamplingError(
+            f"only {accepted} of {count} {what} in {tries} tries (rejected: {counts}); "
+            "nothing was verified"
+        )
+    states = _combine(parts, np.concatenate)
+    return (states, np.concatenate(fibers)) if fiber else states
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +173,6 @@ def _skipped(name: str, reason: str):
     return SuiteResult(name, "skipped", reason=reason), {}
 
 
-def _planned(rows: dict, plan: list, cfg: DiffConfig) -> list:
-    """One check per (name, tolerance class, scale) of ``plan``."""
-    return [
-        CheckResult.from_residuals(name, rows[name], cfg.tolerance(klass, scale), klass)
-        for name, klass, scale in plan
-    ]
-
-
 def _verdict(name: str, checks, dumps=None):
     """The suite's result, a pass iff every check passed, and its dumps."""
     status = "pass" if all(c.passed for c in checks) else "fail"
@@ -237,7 +181,7 @@ def _verdict(name: str, checks, dumps=None):
 
 def suite_frame_identities(scenario: Scenario, cfg: DiffConfig):
     rng = _suite_rng(scenario, "frame-identities")
-    states = _sample_states(scenario, rng, scenario.n_points)
+    states = _sample_blocks(scenario, rng, scenario.n_points)
     frame = states.frame
     eye = np.eye(scenario.n_dim)
     e, e_up = frame.e_low, frame.e_up
@@ -268,16 +212,13 @@ def suite_frame_identities(scenario: Scenario, cfg: DiffConfig):
         }
 
     rows = _per_sample(scenario.n_points, 8 * scenario.n_dim**3, residuals)
-    checks = [
-        CheckResult.from_residuals(name, values, cfg.tolerance("exact"), "exact")
-        for name, values in rows.items()
-    ]
+    checks = _planned(rows, [(name, "exact", 1.0) for name in rows], cfg)
     return _verdict("frame-identities", checks)
 
 
 def suite_christoffel_xcheck(scenario: Scenario, cfg: DiffConfig):
     rng = _suite_rng(scenario, "christoffel-xcheck")
-    states = _sample_states(scenario, rng, scenario.n_points)
+    states = _sample_blocks(scenario, rng, scenario.n_points)
 
     def residuals(rows) -> dict[str, np.ndarray]:
         state = take(states, rows)
@@ -295,7 +236,7 @@ def suite_christoffel_xcheck(scenario: Scenario, cfg: DiffConfig):
 
 def suite_curvature_xcheck(scenario: Scenario, cfg: DiffConfig):
     rng = _suite_rng(scenario, "curvature-xcheck")
-    states = _sample_states(scenario, rng, scenario.n_points)
+    states = _sample_blocks(scenario, rng, scenario.n_points)
 
     def residuals(rows) -> dict[str, np.ndarray]:
         state = take(states, rows)
@@ -394,7 +335,7 @@ def suite_finsler_identities(scenario: Scenario, cfg: DiffConfig):
     # The identity set involves the charge through nu; if the scenario runs
     # charge 0 the suite still validates the charged formulas at 0.3.
     charge = scenario.charge if scenario.charge != 0.0 else 0.3
-    fibers = _sample_admissible(scenario, rng, scenario.n_fibers, charge=charge)
+    fibers = _sample_blocks(scenario, rng, scenario.n_fibers, cone=(charge, 0.05))
 
     def residuals(rows) -> dict[str, np.ndarray]:
         fib = take(fibers, rows)
@@ -426,9 +367,9 @@ def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
     rng = _suite_rng(scenario, "finsler-curvature")
     charge = scenario.charge
     if charge == 0.0:
-        metrics, ys = _sample_states(scenario, rng, scenario.n_fibers, with_fiber=True)
+        metrics, ys = _sample_blocks(scenario, rng, scenario.n_fibers, fiber=True)
     else:
-        fibers = _sample_admissible(scenario, rng, scenario.n_fibers)
+        fibers = _sample_blocks(scenario, rng, scenario.n_fibers, cone=(charge, 0.05))
         metrics, ys = fibers.metric, fibers.y
 
     def evaluate(rows) -> dict[str, np.ndarray]:
@@ -461,10 +402,8 @@ def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
     ]
     if charge == 0.0:
         check_plan.append(("riemann_limit", "bundle", 1.0))
+    check_plan.append(("bundle_magnitude", None, 1.0))
     checks = _planned(rows, check_plan, cfg)
-    checks.append(
-        CheckResult.from_residuals("bundle_magnitude", rows["bundle_magnitude"], None, None)
-    )
     dumps = {}
     if scenario.dump_dir:
         dumps["finsler_bundle_sample"] = rows["bundle"][0]

@@ -292,13 +292,16 @@ def fd_partials(
 # one per sample removes the per-call overhead on tiny arrays, but a
 # chunk's stencil arrays grow with it (all 100 fibers of an N = 8 charged
 # finsler-curvature run in one chunk peak at 57 MB of arrays when each
-# stencil row holds an N^3 Christoffel array).  Each suite states the floats
-# one sample holds at its largest: 4N^4 where a sample holds N^4 curvature
-# arrays (the curvature FD oracle's 4N rows hold only the blocks of the
-# Christoffel symbols), 8N^3 where each of the 4N rows (order-4 stencil)
-# holds two N x N arrays (the spray stencils).  A chunk takes as many
-# samples as keep that within this many floats (512 KiB): at N = 8, 4
-# samples at 4N^4 and 16 at 8N^3.
+# stencil row holds an N^3 Christoffel array).  Each suite passes a sizing
+# constant F, the floats it counts per sample: 4N^4 where a sample holds
+# N^4 curvature arrays (the curvature FD oracle's 4N rows hold only the
+# blocks of the Christoffel symbols), 8N^3 where each of the 4N rows
+# (order-4 stencil) holds two N x N arrays (the spray stencils).  A chunk
+# takes as many samples as keep F per sample within this many floats
+# (512 KiB): at N = 8, 4 samples at 4N^4 and 16 at 8N^3.  F is not the
+# measured peak: tracemalloc over one curvature-xcheck chunk reads about
+# 9.8, 8.2 and 7.6 N^4 floats per sample at N = 4, 6 and 8, so those
+# chunks peak at about twice the budget.
 STENCIL_FLOAT_BUDGET = 2**16
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .profiles import ProfilePair
-from .report import CheckResult
+from .report import CheckResult, _planned
 from .riemann import (
     Frame,
     MetricState,
@@ -185,7 +185,4 @@ def verify_vacuum(
         ("reduced_vs_closed", "closed_form", 1.0),
         ("axis_contractions", "algebraic", 10.0),
     ]
-    return tuple(
-        CheckResult.from_residuals(name, rows[name], cfg.tolerance(klass, scale), klass)
-        for name, klass, scale in check_plan
-    )
+    return tuple(_planned(rows, check_plan, cfg))

@@ -42,14 +42,13 @@ from finslergeo import (
     verify_vacuum,
 )
 from finslergeo.finsler import fiber_vectors
-from finslergeo.report import CheckResult
+from finslergeo.report import CheckResult, SuiteResult
 from finslergeo import finsler, riemann, suites, tensors
 from finslergeo.riemann import christoffel_definitional, take
 from finslergeo.suites import (
     SamplingError,
-    _sample_admissible,
+    _sample_blocks,
     _sample_point,
-    _sample_states,
     _sampling_range,
     _suite_rng,
     suite_finsler_curvature,
@@ -425,8 +424,9 @@ class TestStencilMissInBatch:
 
 def _loop_states(scenario, rng, count, with_fiber=False):
     """The try-by-try point sampler: one build_metric per try, and with
-    ``with_fiber`` a fiber drawn after each accepted point.  Returns the
-    stacked points and fibers, or None where it gives up."""
+    ``with_fiber`` a fiber drawn right after each try's point, the order of
+    ``_loop_admissible``.  Returns the stacked points and fibers, or None
+    where it gives up."""
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     lo, hi = _sampling_range(scenario.profile)
     xs, ys = [], []
@@ -434,13 +434,13 @@ def _loop_states(scenario, rng, count, with_fiber=False):
     while len(xs) < count and tries < 60 * count:
         tries += 1
         x = _sample_point(rng, scenario.n_dim, lo, hi)
+        y = rng.normal(size=scenario.n_dim) if with_fiber else None
         try:
             build_metric(frame, scenario.profile, x)
         except DomainError:
             continue
         xs.append(x)
-        if with_fiber:
-            ys.append(rng.normal(size=scenario.n_dim))
+        ys.append(y)
     if len(xs) < count:
         return None
     return np.stack(xs), np.stack(ys) if with_fiber else None
@@ -515,7 +515,7 @@ def test_block_samplers_draw_the_try_by_try_samples(profile, n_dim, signature, s
     if sampler == "cone":
         want = _loop_admissible(scenario, rng_loop, count, 0.3)
         try:
-            fib = _sample_admissible(scenario, rng_block, count, charge=0.3)
+            fib = _sample_blocks(scenario, rng_block, count, cone=(0.3, 0.05))
             got = fib.metric.x, fib.y
         except SamplingError:
             got = None
@@ -523,7 +523,7 @@ def test_block_samplers_draw_the_try_by_try_samples(profile, n_dim, signature, s
         with_fiber = sampler == "fiber"
         want = _loop_states(scenario, rng_loop, count, with_fiber)
         try:
-            out = _sample_states(scenario, rng_block, count, with_fiber)
+            out = _sample_blocks(scenario, rng_block, count, with_fiber)
             got = (out[0].x, out[1]) if with_fiber else (out.x, None)
         except SamplingError:
             got = None
@@ -554,12 +554,12 @@ def test_samplers_make_a_few_stacked_calls(monkeypatch):
     scenario = parse_scenario(CHARGED_N8)
     builds = _counting(monkeypatch, "build_metric")
     kins = _counting(monkeypatch, "kinematics")
-    fibers = _sample_admissible(scenario, np.random.default_rng(1), 100)
+    fibers = _sample_blocks(scenario, np.random.default_rng(1), 100, cone=(0.3, 0.05))
     assert fibers.y.shape == (100, 8)
     assert len(builds) <= 3 and len(kins) <= 3
     for with_fiber in (False, True):
         builds.clear()
-        _sample_states(scenario, np.random.default_rng(1), 25, with_fiber)
+        _sample_blocks(scenario, np.random.default_rng(1), 25, with_fiber)
         assert len(builds) <= 3
 
 
@@ -583,7 +583,7 @@ def test_spray_stencils_build_no_christoffel_array(monkeypatch):
     the Christoffel blocks with y: spray_derivatives builds the full array
     once (the cached gamma of spray_y_second) and hh_curvature never."""
     scenario = parse_scenario(CHARGED_N8)
-    fibers = _sample_admissible(scenario, np.random.default_rng(1), 4)
+    fibers = _sample_blocks(scenario, np.random.default_rng(1), 4, cone=(0.3, 0.05))
     calls = _counting_everywhere(monkeypatch, riemann.christoffel)
     derivs = spray_derivatives(fibers.metric, fibers.y, scenario.charge)
     assert len(calls) <= 1
@@ -597,7 +597,7 @@ def test_spray_stencil_rows_compute_only_what_the_spray_reads(monkeypatch):
     inverse metric, no nabla b and none of the Finsleroid fields that only
     the identities and the second derivative read."""
     scenario = parse_scenario(CHARGED_N8)
-    fibers = _sample_admissible(scenario, np.random.default_rng(1), 4)
+    fibers = _sample_blocks(scenario, np.random.default_rng(1), 4, cone=(0.3, 0.05))
     derivs = spray_derivatives(fibers.metric, fibers.y, scenario.charge)
     built = []
     for name in ("build_metric", "kinematics"):
@@ -615,10 +615,16 @@ def test_spray_stencil_rows_compute_only_what_the_spray_reads(monkeypatch):
         assert not {"r_low", "eta", "e_fiber", "a_up", "nb", "gamma"} & vars(state).keys()
 
 
-def test_charge_zero_sampler_evaluates_the_profile_in_a_block(monkeypatch):
-    """25 charge-0 points with fibers on a profile that rejects no try take
-    at most three profile evaluations, not one per try."""
-    scenario = parse_scenario(CHARGED_N8)
+@pytest.mark.parametrize(
+    "profile, count, most", [("pd_rational", 25, 3), ("half_domain", 100, 16)]
+)
+def test_charge_zero_sampler_evaluates_the_profile_in_a_block(monkeypatch, profile, count, most):
+    """Charge-0 points with fibers are judged in blocks: 25 on a profile
+    that rejects no try take at most three profile evaluations, and 100 on
+    one that rejects about half the tries at most 16, not one per try."""
+    scenario = parse_scenario(
+        f"[scenario]\ndimension = 8\nsignature = 1\n[profile]\n{SAMPLER_PROFILES[profile]}"
+    )
     calls = []
     jets = ProfilePair.jets
 
@@ -627,9 +633,9 @@ def test_charge_zero_sampler_evaluates_the_profile_in_a_block(monkeypatch):
         return jets(self, r)
 
     monkeypatch.setattr(ProfilePair, "jets", counted)
-    metric, ys = _sample_states(scenario, np.random.default_rng(1), 25, with_fiber=True)
-    assert ys.shape == (25, 8) and metric.x.shape == (25, 8)
-    assert len(calls) <= 3
+    metric, ys = _sample_blocks(scenario, np.random.default_rng(1), count, fiber=True)
+    assert ys.shape == (count, 8) and metric.x.shape == (count, 8)
+    assert len(calls) <= most
 
 
 CHARGED_N8 = """
@@ -763,7 +769,7 @@ class TestWorstIndex:
         assert CheckResult.from_residuals("r", [3, 1, 3], None).worst_index == 0
         empty = CheckResult.from_residuals("r", [], 1.0)
         assert empty.worst_index is None
-        assert empty.to_dict()["worst_index"] is None
+        assert SuiteResult("s", "pass", (empty,)).to_dict()["checks"][0]["worst_index"] is None
 
     def test_reported_sample_reproduces_the_residual(self):
         """Redrawing the seeded samples and evaluating the reported one alone
@@ -776,7 +782,8 @@ class TestWorstIndex:
         cfg = DiffConfig(tolerances=dict(scenario.tolerances))
         result, _ = suite_finsler_curvature(scenario, cfg)
         checks = {c.name: c for c in result.checks}
-        fibers = _sample_admissible(scenario, _suite_rng(scenario, "finsler-curvature"), 12)
+        rng = _suite_rng(scenario, "finsler-curvature")
+        fibers = _sample_blocks(scenario, rng, 12, cone=(scenario.charge, 0.05))
         for name in ("bundle_magnitude", "spray_first_derivative_gap"):
             check = checks[name]
             fib = take(fibers, check.worst_index)

@@ -28,7 +28,7 @@ from finslergeo.finsler import (
     spray_y_second,
 )
 from finslergeo.riemann import christoffel, christoffel_dot, nabla_b
-from finslergeo.suites import _sample_admissible, _suite_rng
+from finslergeo.suites import _sample_blocks, _suite_rng
 from finslergeo.tensors import fd_partials, max_abs, rel_frobenius
 
 from conftest import riemann_spray, sample_point, spray_y_derivative
@@ -412,7 +412,8 @@ class TestBundle:
                 f"[scenario]\ndimension = {n_dim}\nsignature = {signature}\n"
                 f"charge = 1e-8\nseed = {seed}\n[profile]\n{profile}"
             )
-            fib = _sample_admissible(scenario, _suite_rng(scenario, "finsler-curvature"), 20)
+            rng = _suite_rng(scenario, "finsler-curvature")
+            fib = _sample_blocks(scenario, rng, 20, cone=(scenario.charge, 0.05))
             riemannian = curvature_dot(fib.metric, fib.y)
             gap = {}
             for g in (1e-8, 1e-6):

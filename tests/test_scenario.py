@@ -227,6 +227,23 @@ class TestCli:
         assert payload["passed"] is True
         assert "timings" in payload
 
+    def test_unwritable_report_path_is_a_configuration_error(self, tmp_path, capsys):
+        """A --report path under a regular file cannot be written: exit 2
+        with a message, not a traceback."""
+        blocker = tmp_path / "FILE"
+        blocker.write_text("", encoding="utf-8")
+        argv = ["verify-vacuum", "--radii", "1,2", "--report", str(blocker / "r.json")]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_unwritable_dump_dir_is_a_configuration_error(self, tmp_path, capsys):
+        """A --dump-tensors directory that is a regular file: exit 2 with a
+        message, not a traceback."""
+        blocker = tmp_path / "FILE"
+        blocker.write_text("", encoding="utf-8")
+        assert main(["verify-vacuum", "--radii", "1,2", "--dump-tensors", str(blocker)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_tolerance_class_override_can_force_failure(self, tmp_path):
         good = tmp_path / "vacuum.ini"
         good.write_text(MINIMAL_VACUUM, encoding="utf-8")

@@ -4,7 +4,6 @@ closed forms cross-validated by independent differentiation oracles."""
 
 from .tensors import (
     ConeStencilError,
-    DiffConfig,
     Jet2,
     StencilError,
     StencilMissError,

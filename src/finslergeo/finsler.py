@@ -36,7 +36,6 @@ import numpy as np
 
 from .riemann import MetricState, build_metric, christoffel_dot, nabla_b_dot
 from .tensors import (
-    DiffConfig,
     Jet2,
     StencilMissError,
     dot,
@@ -76,7 +75,6 @@ class FinsleroidState:
       r_low    a_km - b_k b_m
       eta      r_km - eps v_k v_m / q^2, so that d(nu_k)/dy^m = eps eta_km / q
       s_low    s_k = y^h nabla_k b_h;  ys = y^k s_k;  sigma = b^k s_k
-      yc       y^h c_h
       e_fiber  (b/q^2) v_k - b_k, the covector whose y-derivative closes on eta
 
     Built from a stack of metrics or of fiber vectors, the per-point fields
@@ -101,7 +99,6 @@ class FinsleroidState:
     s_low: np.ndarray
     ys: float | np.ndarray
     sigma: float | np.ndarray
-    yc: float | np.ndarray
 
     @cached_property
     def r_low(self) -> np.ndarray:
@@ -166,7 +163,6 @@ def kinematics(metric: MetricState, y: np.ndarray, charge: float) -> FinsleroidS
     s_low = nabla_b_dot(metric, y)
     ys = np.einsum("...i,...i->...", y, s_low)
     sigma = np.einsum("...i,...i->...", metric.b_up, s_low)
-    yc = np.einsum("...i,...i->...", metric.dc_low, y)
     return FinsleroidState(
         metric=metric,
         y=y,
@@ -184,7 +180,6 @@ def kinematics(metric: MetricState, y: np.ndarray, charge: float) -> FinsleroidS
         s_low=s_low,
         ys=ys,
         sigma=sigma,
-        yc=yc,
     )
 
 
@@ -221,19 +216,23 @@ def spray_coefficients(metric: MetricState, y: np.ndarray, charge: float) -> np.
     return _spray_and_first(metric, y, charge)[0]
 
 
+def _weight_gradient(state: FinsleroidState) -> np.ndarray:
+    """Y_k = d((g/nu) (ys))/dy^k = -(g/nu^2) (ys) nu_k + 2 (g/nu) s_k, the
+    y-gradient of the spray's weight on v^i, axes [k]."""
+    g, nu, ys = state.charge, state.nu, state.ys
+    return (-(g / nu**2) * ys)[..., None] * state.nu_low + (2.0 * (g / nu))[..., None] * state.s_low
+
+
 def _first_derivative(state: FinsleroidState, gamma_y: np.ndarray) -> np.ndarray:
     """Closed first y-derivative, axes [i, k], given gamma_y = a^i_km y^m
     at the state:
 
-    G^i_k = -(g/nu^2) (ys) nu_k v^i + 2 (g/nu) s_k v^i + (g/nu) (ys) r^i_k
-            + 2 a^i_km y^m
+    G^i_k = v^i Y_k + (g/nu) (ys) r^i_k + 2 a^i_km y^m
+
+    with Y_k from _weight_gradient.
     """
-    g, nu, ys = state.charge, state.nu, state.ys
-    out = outer(
-        state.v_up,
-        (-(g / nu**2) * ys)[..., None] * state.nu_low + (2.0 * (g / nu))[..., None] * state.s_low,
-    )
-    out += ((g / nu) * ys)[..., None, None] * state.r_mix
+    out = outer(state.v_up, _weight_gradient(state))
+    out += ((state.charge / state.nu) * state.ys)[..., None, None] * state.r_mix
     out += 2.0 * gamma_y
     return out
 
@@ -241,12 +240,14 @@ def _first_derivative(state: FinsleroidState, gamma_y: np.ndarray) -> np.ndarray
 def spray_y_second(state: FinsleroidState) -> np.ndarray:
     """Closed second y-derivative, axes [i, k, m]:
 
-    G^i_km = (2g/nu^3)(ys) nu_k nu_m v^i - eps (g/(nu^2 q))(ys) eta_km v^i
-             + 2 (g/nu) (nabla_m b_k) v^i
-             - 2 (g/nu^2) (nu_m s_k + nu_k s_m) v^i
-             + 2 (g/nu) (s_k r^i_m + s_m r^i_k)
-             - (g/nu^2) (ys) (nu_m r^i_k + nu_k r^i_m)
-             + 2 a^i_km
+    G^i_km = v^i dY_k/dy^m + r^i_k Y_m + r^i_m Y_k + 2 a^i_km
+           = v^i D_km + P^i_k Y_m + P^i_m Y_k + 2 a^i_km
+
+    with Y_k from _weight_gradient, dv^i/dy^m = r^i_m, and
+
+    dY_k/dy^m = D_km - (nu_k Y_m + Y_k nu_m) / nu,
+    D_km = 2 (g/nu) nabla_k b_m - eps (g/(nu^2 q)) (ys) eta_km,
+    P^i_k = r^i_k - v^i nu_k / nu.
 
     The eta term is d(nu_k)/dy^m = eps eta_km / q, with the convention
     sign eps = metric.frame.epsilon.  Exact under the symmetry of nabla b
@@ -254,25 +255,15 @@ def spray_y_second(state: FinsleroidState) -> np.ndarray:
     and the exact symbolic one in the tests).
     """
     g, eps = state.charge, state.metric.frame.epsilon
-    nu, q, ys = (v[..., None, None, None] for v in (state.nu, state.q, state.ys))
-    v, s, nu_low, r_mix, eta = state.v_up, state.s_low, state.nu_low, state.r_mix, state.eta
-    return (
-        2.0 * (g / nu**3) * ys * np.einsum("...i,...k,...m->...ikm", v, nu_low, nu_low)
-        - eps * (g / (nu**2 * q)) * ys * np.einsum("...i,...km->...ikm", v, eta)
-        + 2.0 * (g / nu) * np.einsum("...i,...mk->...ikm", v, state.metric.nb)
-        - 2.0 * (g / nu**2) * (
-            np.einsum("...i,...m,...k->...ikm", v, nu_low, s)
-            + np.einsum("...i,...k,...m->...ikm", v, nu_low, s)
-        )
-        + 2.0 * (g / nu) * (
-            np.einsum("...k,...im->...ikm", s, r_mix) + np.einsum("...m,...ik->...ikm", s, r_mix)
-        )
-        - (g / nu**2) * ys * (
-            np.einsum("...m,...ik->...ikm", nu_low, r_mix)
-            + np.einsum("...k,...im->...ikm", nu_low, r_mix)
-        )
-        + 2.0 * state.metric.gamma
-    )
+    nu, q, ys = (v[..., None, None] for v in (state.nu, state.q, state.ys))
+    d = (2.0 * g / nu) * state.metric.nb - (eps * g / (nu**2 * q)) * ys * state.eta
+    p = state.r_mix - outer(state.v_up, state.nu_low) / nu
+    p_y = p[..., :, :, None] * _weight_gradient(state)[..., None, None, :]  # P^i_k Y_m
+    out = state.v_up[..., :, None, None] * d[..., None, :, :]
+    out += p_y
+    out += np.swapaxes(p_y, -1, -2)
+    out += 2.0 * state.metric.gamma
+    return out
 
 
 @dataclass(frozen=True)
@@ -298,7 +289,6 @@ def spray_derivatives(
     metric: MetricState,
     y: np.ndarray,
     charge: float,
-    config: DiffConfig | None = None,
 ) -> SprayDerivatives:
     """Both derivative routes at (x, y), or at each sample of a batch: a
     metric over B points with fiber vectors y (B, N).
@@ -309,7 +299,6 @@ def spray_derivatives(
     derivative (one stencil level each keeps the error budget at the
     closed-form class).
     """
-    cfg = config or DiffConfig()
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
     spray, first_closed, state = _spray_and_first(metric, y, charge)
@@ -321,7 +310,6 @@ def spray_derivatives(
     d_stack = fd_partials(
         lambda ys: _spray_stack(rows, ys, charge),
         y,
-        cfg,
         scales=np.linalg.norm(y, axis=-1)[..., None],
     )
     first_numeric = np.swapaxes(d_stack[..., :n], -1, -2)
@@ -345,7 +333,7 @@ def spray_derivatives(
 # ---------------------------------------------------------------------------
 
 
-def hh_curvature(derivs: SprayDerivatives, config: DiffConfig | None = None) -> np.ndarray:
+def hh_curvature(derivs: SprayDerivatives) -> np.ndarray:
     """K^2 R^i_k, axes [i, k], at the point (or at each sample) of
     ``derivs``, assembled from its closed spray data and one x-stencil of
     [G^i, G^i_k].
@@ -358,7 +346,6 @@ def hh_curvature(derivs: SprayDerivatives, config: DiffConfig | None = None) -> 
     Index lowering on the bundle, where wanted, uses the Riemannian metric
     a_ij (the Finsler metric tensor is out of scope).
     """
-    cfg = config or DiffConfig()
     metric, y, charge = derivs.metric, derivs.y, derivs.charge
     n = y.shape[-1]
     y_rows = y[..., None, :]  # each sample's y, broadcast over its stencil rows
@@ -367,7 +354,6 @@ def hh_curvature(derivs: SprayDerivatives, config: DiffConfig | None = None) -> 
     d_stack = fd_partials(
         lambda pts: _spray_stack(build_metric(metric.frame, metric.profiles, pts), y_rows, charge),
         metric.x,
-        cfg,
         scales=metric.r[..., None],
     )
 
@@ -427,7 +413,7 @@ def _fiber_jets(state: FinsleroidState):
     qj = q2j.sqrt()
     gc = state.charge * (1.0 - ms.c**2)
     nuj = qj + bj * gc[..., None, None]
-    v_j = Jet2(state.v_low[..., None, :], a - outer(b_low, b_low), 0.0)
+    v_j = Jet2(state.v_low[..., None, :], state.r_low, 0.0)
     ratio_j = (v_j * eps / qj + (gc[..., None] * b_low)[..., None, :]) / nuj
     e_j = bj / q2j * v_j - b_low[..., None, :]
     return nuj, ratio_j, e_j

@@ -10,10 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from typing import Mapping
 
 import numpy as np
-
-from .tensors import DiffConfig
 
 
 @dataclass(frozen=True)
@@ -56,13 +55,13 @@ class CheckResult:
         )
 
 
-def _planned(rows: dict, plan: list, cfg: DiffConfig) -> list[CheckResult]:
+def _planned(rows: dict, plan: list, tolerances: Mapping[str, float]) -> list[CheckResult]:
     """One check per (name, tolerance class, scale) of ``plan`` on the
-    per-sample residuals ``rows[name]``; a None class is an informational
-    check with no tolerance."""
+    per-sample residuals ``rows[name]``, with tolerance tolerances[class]
+    times scale; a None class is an informational check with no tolerance."""
     return [
         CheckResult.from_residuals(
-            name, rows[name], None if klass is None else cfg.tolerance(klass, scale), klass
+            name, rows[name], None if klass is None else tolerances[klass] * scale, klass
         )
         for name, klass, scale in plan
     ]

@@ -42,7 +42,6 @@ from .riemann import (
 )
 from .scenario import SUITES, Scenario
 from .tensors import (
-    DiffConfig,
     _per_sample,
     dot,
     fd_partials,
@@ -51,10 +50,6 @@ from .tensors import (
     rel_frobenius,
 )
 from .vacuum import contraction_identities, reduced_curvature, verify_vacuum
-
-
-def _config(scenario: Scenario) -> DiffConfig:
-    return DiffConfig(tolerances=dict(scenario.tolerances))
 
 
 def _suite_rng(scenario: Scenario, suite: str) -> np.random.Generator:
@@ -179,25 +174,18 @@ def _verdict(name: str, checks, dumps=None):
     return SuiteResult(name, status, tuple(checks)), dumps or {}
 
 
-def suite_frame_identities(scenario: Scenario, cfg: DiffConfig):
+def suite_frame_identities(scenario: Scenario):
     rng = _suite_rng(scenario, "frame-identities")
     states = _sample_blocks(scenario, rng, scenario.n_points)
     frame = states.frame
     eye = np.eye(scenario.n_dim)
-    e, e_up = frame.e_low, frame.e_up
-    u, u_up, u_mix = frame.u_low, frame.u_up, frame.u_mix
-    # Frame identities do not depend on the point: the same value per sample.
-    frame_rows = {
-        "axis_normalisation": abs(e @ e_up - 1.0),
-        "axis_transversality": max_abs(e_up @ u),
-        "transverse_inverse": max_abs(u_up @ u - (eye - np.outer(e_up, e))),
-        "transverse_mixed": max_abs(u_mix - (eye - np.outer(e, e_up))),
-    }
+    u, e_up = frame.u_low, frame.e_up
 
     def residuals(rows) -> dict[str, np.ndarray]:
         state = take(states, rows)
         c2 = state.c**2
-        return {name: np.full(c2.shape, value) for name, value in frame_rows.items()} | {
+        # The frame identities do not depend on the point: the same value per sample.
+        return {name: np.full(c2.shape, value) for name, value in frame.identities.items()} | {
             "metric_inverse": max_abs(state.a_low @ state.a_up - eye, 2),
             "axis_vector_norm": np.abs(dot(state.b_up, state.b_low) - c2),
             "axis_vector_transversality": max_abs(state.b_up @ u, 1),
@@ -212,11 +200,11 @@ def suite_frame_identities(scenario: Scenario, cfg: DiffConfig):
         }
 
     rows = _per_sample(scenario.n_points, 8 * scenario.n_dim**3, residuals)
-    checks = _planned(rows, [(name, "exact", 1.0) for name in rows], cfg)
+    checks = _planned(rows, [(name, "exact", 1.0) for name in rows], scenario.tolerances)
     return _verdict("frame-identities", checks)
 
 
-def suite_christoffel_xcheck(scenario: Scenario, cfg: DiffConfig):
+def suite_christoffel_xcheck(scenario: Scenario):
     rng = _suite_rng(scenario, "christoffel-xcheck")
     states = _sample_blocks(scenario, rng, scenario.n_points)
 
@@ -224,24 +212,24 @@ def suite_christoffel_xcheck(scenario: Scenario, cfg: DiffConfig):
         state = take(states, rows)
         closed = state.gamma
         return {
-            "closed_vs_definitional": max_abs(closed - christoffel_definitional(state, cfg), 3),
+            "closed_vs_definitional": max_abs(closed - christoffel_definitional(state), 3),
             "lower_symmetry": max_abs(closed - np.swapaxes(closed, -1, -2), 3),
         }
 
     rows = _per_sample(scenario.n_points, 8 * scenario.n_dim**3, residuals)
     check_plan = [("closed_vs_definitional", "closed_form", 1.0), ("lower_symmetry", "exact", 1.0)]
-    checks = _planned(rows, check_plan, cfg)
+    checks = _planned(rows, check_plan, scenario.tolerances)
     return _verdict("christoffel-xcheck", checks)
 
 
-def suite_curvature_xcheck(scenario: Scenario, cfg: DiffConfig):
+def suite_curvature_xcheck(scenario: Scenario):
     rng = _suite_rng(scenario, "curvature-xcheck")
     states = _sample_blocks(scenario, rng, scenario.n_points)
 
     def residuals(rows) -> dict[str, np.ndarray]:
         state = take(states, rows)
         closed = curvature_closed(state)
-        oracle = curvature_fd_oracle(state, cfg)
+        oracle = curvature_fd_oracle(state)
         ric_decomposed, _ = ricci_closed(state)
         n = scenario.n_dim
         # lowered[n, i, k, m] = a_is a_n^s_km, one stacked matmul over (k, m)
@@ -266,18 +254,20 @@ def suite_curvature_xcheck(scenario: Scenario, cfg: DiffConfig):
         ("antisymmetry_last_pair", "exact", 1.0),
         ("antisymmetry_first_pair_lowered", "exact", 10.0),
     ]
-    checks = _planned(rows, check_plan, cfg)
+    checks = _planned(rows, check_plan, scenario.tolerances)
     dumps = {}
     if scenario.dump_dir:
         dumps["curvature_closed_sample"] = curvature_closed(take(states, 0))
     return _verdict("curvature-xcheck", checks, dumps)
 
 
-def suite_vacuum(scenario: Scenario, cfg: DiffConfig):
+def suite_vacuum(scenario: Scenario):
     if scenario.profile.kind != "schwarzschild_isotropic":
         return _skipped("vacuum", "requires the schwarzschild_isotropic profile")
     xi = float(scenario.profile.params["xi"])
-    checks = verify_vacuum(xi, scenario.radii, scenario.n_dim, seed=scenario.seed, config=cfg)
+    checks = verify_vacuum(
+        xi, scenario.radii, scenario.n_dim, seed=scenario.seed, tolerances=scenario.tolerances
+    )
     dumps = {}
     if scenario.dump_dir:
         frame = Frame.standard(scenario.n_dim, scenario.epsilon)
@@ -289,7 +279,7 @@ def suite_vacuum(scenario: Scenario, cfg: DiffConfig):
     return _verdict("vacuum", checks, dumps)
 
 
-def suite_schwarzschild_reductions(scenario: Scenario, cfg: DiffConfig):
+def suite_schwarzschild_reductions(scenario: Scenario):
     if scenario.profile.kind != "schwarzschild_isotropic":
         return _skipped(
             "schwarzschild-reductions",
@@ -326,11 +316,11 @@ def suite_schwarzschild_reductions(scenario: Scenario, cfg: DiffConfig):
         ("axis_contractions", "algebraic", 10.0),
         ("scaling_covariance", "algebraic", 1.0),
     ]
-    checks = _planned(rows, check_plan, cfg)
+    checks = _planned(rows, check_plan, scenario.tolerances)
     return _verdict("schwarzschild-reductions", checks)
 
 
-def suite_finsler_identities(scenario: Scenario, cfg: DiffConfig):
+def suite_finsler_identities(scenario: Scenario):
     rng = _suite_rng(scenario, "finsler-identities")
     # The identity set involves the charge through nu; if the scenario runs
     # charge 0 the suite still validates the charged formulas at 0.3.
@@ -340,7 +330,7 @@ def suite_finsler_identities(scenario: Scenario, cfg: DiffConfig):
     def residuals(rows) -> dict[str, np.ndarray]:
         fib = take(fibers, rows)
         res = kinematic_identity_residuals(fib)
-        res["e_fiber_derivative_fd"] = _e_fiber_rule_fd(fib, cfg)
+        res["e_fiber_derivative_fd"] = _e_fiber_rule_fd(fib)
         return res
 
     rows = _per_sample(scenario.n_fibers, 8 * scenario.n_dim**3, residuals)
@@ -348,10 +338,10 @@ def suite_finsler_identities(scenario: Scenario, cfg: DiffConfig):
         (name, "closed_form" if name == "e_fiber_derivative_fd" else "algebraic", 1.0)
         for name in rows
     ]
-    return _verdict("finsler-identities", _planned(rows, check_plan, cfg))
+    return _verdict("finsler-identities", _planned(rows, check_plan, scenario.tolerances))
 
 
-def _e_fiber_rule_fd(fib, cfg: DiffConfig) -> np.ndarray:
+def _e_fiber_rule_fd(fib) -> np.ndarray:
     """Finite-difference cross-check of the e_k derivative rule, one
     residual per sample of the stacked state ``fib``."""
     rows = fib.metric.per_row()
@@ -359,11 +349,11 @@ def _e_fiber_rule_fd(fib, cfg: DiffConfig) -> np.ndarray:
     def e_field(ys: np.ndarray) -> np.ndarray:
         return kinematics(rows, ys, fib.charge).e_fiber
 
-    d_e = fd_partials(e_field, fib.y, cfg, scales=np.linalg.norm(fib.y, axis=-1)[..., None])
+    d_e = fd_partials(e_field, fib.y, scales=np.linalg.norm(fib.y, axis=-1)[..., None])
     return max_abs(d_e - np.swapaxes(_e_fiber_rule(fib), -1, -2), 2)
 
 
-def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
+def suite_finsler_curvature(scenario: Scenario):
     rng = _suite_rng(scenario, "finsler-curvature")
     charge = scenario.charge
     if charge == 0.0:
@@ -374,10 +364,10 @@ def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
 
     def evaluate(rows) -> dict[str, np.ndarray]:
         state, y = take(metrics, rows), ys[rows]
-        derivs = spray_derivatives(state, y, charge, cfg)
+        derivs = spray_derivatives(state, y, charge)
         g1 = derivs.spray
         g2 = spray_coefficients(state, 2.0 * y, charge)
-        curvature = hh_curvature(derivs, cfg)
+        curvature = hh_curvature(derivs)
         out = {
             "spray_homogeneity": max_abs(g2 - 4.0 * g1, 1),
             "euler_identity": max_abs(matvec(derivs.first_closed, y) - 2.0 * g1, 1),
@@ -403,7 +393,7 @@ def suite_finsler_curvature(scenario: Scenario, cfg: DiffConfig):
     if charge == 0.0:
         check_plan.append(("riemann_limit", "bundle", 1.0))
     check_plan.append(("bundle_magnitude", None, 1.0))
-    checks = _planned(rows, check_plan, cfg)
+    checks = _planned(rows, check_plan, scenario.tolerances)
     dumps = {}
     if scenario.dump_dir:
         dumps["finsler_bundle_sample"] = rows["bundle"][0]
@@ -438,16 +428,22 @@ def run(scenario: Scenario) -> RunReport:
     continues; an unexpected numerical error marks it failed with the
     diagnostic.  Exit-code policy: report.exit_code is 0 iff no suite
     failed and at least one ran (a run whose every suite skipped verified
-    nothing).
+    nothing).  The output directories are created before the first suite
+    runs, so an unwritable path raises OSError before any work is done.
     """
-    cfg = _config(scenario)
+    report_path = Path(scenario.report_path) if scenario.report_path else None
+    dump_root = Path(scenario.dump_dir) if scenario.dump_dir else None
+    if report_path:
+        report_path.parent.mkdir(parents=True, exist_ok=True)
+    if dump_root:
+        dump_root.mkdir(parents=True, exist_ok=True)
     suite_results = []
     dumps_all: dict[str, np.ndarray] = {}
     for name in scenario.suites:
         func = _SUITE_FUNCS[name]
         started = time.perf_counter()
         try:
-            result, dumps = func(scenario, cfg)
+            result, dumps = func(scenario)
         except Exception as exc:  # numerical failure inside a suite
             result, dumps = (
                 SuiteResult(name, "fail", reason=f"{type(exc).__name__}: {exc}"),
@@ -461,13 +457,8 @@ def run(scenario: Scenario) -> RunReport:
 
     report = RunReport(scenario=scenario.echo(), suites=tuple(suite_results))
 
-    if scenario.report_path:
-        path = Path(scenario.report_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report.to_json() + "\n", encoding="utf-8")
-    if scenario.dump_dir and dumps_all:
-        dump_root = Path(scenario.dump_dir)
-        dump_root.mkdir(parents=True, exist_ok=True)
-        for name, array in dumps_all.items():
-            write_tensor_csv(dump_root / f"{name}.csv", array)
+    if report_path:
+        report_path.write_text(report.to_json() + "\n", encoding="utf-8")
+    for name, array in dumps_all.items():
+        write_tensor_csv(dump_root / f"{name}.csv", array)
     return report

@@ -6,8 +6,8 @@ geometry code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -169,41 +169,17 @@ class Jet2:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiffConfig:
-    """Finite-difference settings plus the tolerance profile per check class.
+# Steps are relative: the step along an axis is FD_STEP times a scale (by
+# default max(1, |coordinate|)).
+FD_STEP = 1e-5
 
-    Steps are relative: the actual step along an axis is fd_step times a
-    scale (by default max(1, |coordinate|)).
-    """
-
-    fd_step: float = 1e-5
-    fd_order: int = 4
-    tolerances: Mapping[str, float] = field(
-        default_factory=lambda: dict(TOLERANCE_CLASSES)
-    )
-
-    def __post_init__(self) -> None:
-        if not self.fd_step > 0.0:
-            raise ValueError(f"fd_step must be > 0, got {self.fd_step}")
-        if self.fd_order not in (2, 4):
-            raise ValueError(f"fd_order must be 2 or 4, got {self.fd_order}")
-
-    def tolerance(self, class_name: str, scale: float = 1.0) -> float:
-        return self.tolerances[class_name] * scale
-
-
-# First-derivative stencils as (offset, weight); value = sum w*f(x+off*h) / h.
-_D1_STENCILS = {
-    2: ((1, 0.5), (-1, -0.5)),
-    4: ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.0)),
-}
+# The order-4 first-derivative stencil as (offset, weight); value = sum w*f(x+off*h) / h.
+_STENCIL = ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.0))
 
 
 def fd_stencil(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-    config: DiffConfig | None = None,
     scales: np.ndarray | float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The field on the central-difference stencil at one base point x (N,)
@@ -224,19 +200,17 @@ def fd_stencil(
     shrunk tenfold, while the others keep the full step; a second miss
     raises ConeStencilError.
     """
-    cfg = config or DiffConfig()
     x = np.asarray(x, dtype=float)
     lead, n = x.shape[:-1], x.shape[-1]
     if scales is None:
         scale_arr = np.maximum(1.0, np.abs(x))
     else:
         scale_arr = np.broadcast_to(np.asarray(scales, dtype=float), x.shape)
-    stencil = _D1_STENCILS[cfg.fd_order]
-    width = len(stencil)
+    width = len(_STENCIL)
     rows = n * width
     # moves[k, j] = offset_j e_k: stencil point j along axis k.
-    moves = np.eye(n)[:, None, :] * np.array([off for off, _ in stencil], dtype=float)[:, None]
-    step = np.full(lead + (1,), cfg.fd_step)
+    moves = np.eye(n)[:, None, :] * np.array([off for off, _ in _STENCIL], dtype=float)[:, None]
+    step = np.full(lead + (1,), FD_STEP)
     for attempt in range(2):
         h = step * scale_arr
         points = (x[..., None, None, :] + moves * h[..., :, None, None]).reshape(lead + (rows, n))
@@ -248,7 +222,7 @@ def fd_stencil(
             missed = np.ones(lead, dtype=bool)
             if miss.rows is not None and np.shape(miss.rows) == lead + (rows,):
                 missed = np.any(miss.rows, axis=-1)
-            step = np.where(missed[..., None], 0.1 * cfg.fd_step, step)
+            step = np.where(missed[..., None], 0.1 * FD_STEP, step)
             continue
         if values.shape[: len(lead) + 1] != lead + (rows,):
             raise ValueError(
@@ -262,21 +236,20 @@ def fd_stencil(
             where = f"sample {tuple(int(i) for i in sample)}, " if sample else ""
             raise StencilError(
                 f"non-finite evaluation at stencil point ({where}axis {axis}, "
-                f"offset {stencil[pos][0]})"
+                f"offset {_STENCIL[pos][0]})"
             )
         values = values.reshape(lead + (n, width) + values.shape[len(lead) + 1 :])
-        return values, np.array([w for _, w in stencil]), h
+        return values, np.array([w for _, w in _STENCIL]), h
     raise ConeStencilError("stencil left the admissible set even after shrinking the step")
 
 
 def fd_partials(
-    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, config: DiffConfig | None = None,
-    scales: np.ndarray | float | None = None,
+    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scales: np.ndarray | float | None = None
 ) -> np.ndarray:
     """Central-difference partials out[..., k, ...] = d f / d x^k, shaped
     (B, N, ...), for fd_stencil's arguments: per sample, the stencil rows
     times their weights summed in stencil order and divided by the step."""
-    values, weights, h = fd_stencil(f, x, config, scales)
+    values, weights, h = fd_stencil(f, x, scales)
     values = np.moveaxis(values, h.ndim, 0)  # values[j][..., k, ...] = f(x + off_j h_k e_k)
     acc = weights[0] * values[0]
     for pos in range(1, len(weights)):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from finslergeo import (
-    DiffConfig,
     Frame,
     ProfilePair,
     build_metric,
@@ -64,11 +63,11 @@ def point_sampler():
     return sample_point
 
 
-def fd_scalar(f, t, config, scale):
+def fd_scalar(f, t, scale):
     """Central difference of a scalar function of one scalar: fd_partials
     at the one-coordinate point (t,), with ``f`` applied to the stencil
     coordinates."""
-    return float(fd_partials(lambda pts: f(pts[..., 0]), np.array([t]), config, scale)[0])
+    return float(fd_partials(lambda pts: f(pts[..., 0]), np.array([t]), scale)[0])
 
 
 def stack_states(states):
@@ -97,15 +96,14 @@ def nabla_c(state):
     )
 
 
-def nabla_c_definitional(state, config=None):
+def nabla_c_definitional(state):
     """Oracle: nabla_i c_j = d c_j / d x^i - c_n Gamma^n_ij, all numeric."""
-    cfg = config or DiffConfig()
 
     def c_field(pts):
         return build_metric(state.frame, state.profiles, pts).dc_low
 
-    dc = fd_partials(c_field, state.x, cfg, scales=state.r[..., None])
-    gamma = christoffel_definitional(state, cfg)
+    dc = fd_partials(c_field, state.x, scales=state.r[..., None])
+    gamma = christoffel_definitional(state)
     return dc - np.einsum("...n,...nij->...ij", state.dc_low, gamma)
 
 
@@ -119,13 +117,13 @@ def spray_y_derivative(state):
     return _first_derivative(state, christoffel_dot(state.metric, state.y))
 
 
-def reference_fd_oracle(state, config=None):
+def reference_fd_oracle(state):
     """curvature_fd_oracle as it was first built: fd_partials over the N^3
     closed Christoffel array at every stencil row, plus _gamma_products."""
 
     def gamma_field(pts):
         return christoffel(build_metric(state.frame, state.profiles, pts))
 
-    dgamma = fd_partials(gamma_field, state.x, config, scales=state.r[..., None])
+    dgamma = fd_partials(gamma_field, state.x, scales=state.r[..., None])
     half = np.einsum("...kinm->...nikm", dgamma) + _gamma_products(state.gamma)
     return half - np.swapaxes(half, -1, -2)

@@ -15,7 +15,6 @@ import pytest
 from finslergeo import (
     AdmissibilityError,
     ConeStencilError,
-    DiffConfig,
     DomainError,
     Frame,
     ProfilePair,
@@ -136,12 +135,10 @@ class TestFdPartialsBatch:
         for b in range(5):
             assert np.array_equal(got[b], fd_partials(self.field, x[b], scales=scales[b, 0]))
 
-    def test_miss_shrinks_only_the_samples_that_missed(self, rng):
+    def test_miss_shrinks_only_the_samples_that_missed(self, rng, monkeypatch):
         """Rows of sample 1 beyond 1.5e-5 of its base point miss: sample 1
         gets its step/10 result, the others their full-step results."""
         x = rng.normal(size=(4, 3))
-        cfg = DiffConfig(fd_step=1e-5, fd_order=4)
-        tenth = DiffConfig(fd_step=0.1 * cfg.fd_step, fd_order=4)
 
         def ball_field(pts):
             rows = np.zeros(pts.shape[:-1], dtype=bool)
@@ -150,14 +147,15 @@ class TestFdPartialsBatch:
                 raise StencilMissError("outside the ball", rows=rows)
             return self.field(pts)
 
-        got = fd_partials(ball_field, x, cfg, scales=1.0)
+        got = fd_partials(ball_field, x, scales=1.0)
+        wants = [fd_partials(self.field, x[b], scales=1.0) for b in range(4)]
+        monkeypatch.setattr(tensors, "FD_STEP", 0.1 * tensors.FD_STEP)
+        wants[1] = fd_partials(self.field, x[1], scales=1.0)
         for b in range(4):
-            want = fd_partials(self.field, x[b], tenth if b == 1 else cfg, scales=1.0)
-            assert np.array_equal(got[b], want)
+            assert np.array_equal(got[b], wants[b])
 
-    def test_miss_without_rows_shrinks_the_whole_batch(self, rng):
+    def test_miss_without_rows_shrinks_the_whole_batch(self, rng, monkeypatch):
         x = rng.normal(size=(3, 3))
-        tenth = DiffConfig(fd_step=0.1 * DiffConfig().fd_step)
         calls = []
 
         def shy_field(pts):
@@ -167,8 +165,9 @@ class TestFdPartialsBatch:
             return self.field(pts)
 
         got = fd_partials(shy_field, x, scales=1.0)
+        monkeypatch.setattr(tensors, "FD_STEP", 0.1 * tensors.FD_STEP)
         for b in range(3):
-            assert np.array_equal(got[b], fd_partials(self.field, x[b], tenth, scales=1.0))
+            assert np.array_equal(got[b], fd_partials(self.field, x[b], scales=1.0))
 
     def test_second_miss_of_a_sample_raises(self, rng):
         x = rng.normal(size=(3, 3))
@@ -401,17 +400,21 @@ class TestStencilMissInBatch:
         ys = np.array([[-1.0, 0.5, 0.3, 0.0], edge, [-0.5, 0.2, -0.4, 0.7]])
         return stack_states([metric] * 3), ys, charge, metric
 
-    def test_only_the_missing_sample_shrinks(self):
+    def test_only_the_missing_sample_shrinks(self, monkeypatch):
         """Fiber 1's full-step stencil crosses nu = 0 but its tenfold-shrunk
         one does not: it equals its own step/10 result, the others their
         full-step results."""
         batch, ys, charge, metric = self._batch(2e-5)
-        with pytest.raises(ConeStencilError):
-            spray_derivatives(metric, ys[1], charge, DiffConfig(fd_step=1e-4))
+        step = tensors.FD_STEP
+        with monkeypatch.context() as patch:
+            patch.setattr(tensors, "FD_STEP", 1e-4)
+            with pytest.raises(ConeStencilError):
+                spray_derivatives(metric, ys[1], charge)
         got = spray_derivatives(batch, ys, charge)
-        tenth = DiffConfig(fd_step=0.1 * DiffConfig().fd_step)
-        for row, y in enumerate(ys):
-            want = spray_derivatives(metric, y, charge, tenth if row == 1 else None)
+        wants = [spray_derivatives(metric, y, charge) for y in ys[::2]]
+        monkeypatch.setattr(tensors, "FD_STEP", 0.1 * step)
+        wants.insert(1, spray_derivatives(metric, ys[1], charge))
+        for row, want in enumerate(wants):
             for field in ("first_numeric", "second_numeric"):
                 value = getattr(want, field)
                 assert max_abs(getattr(got, field)[row] - value) <= FD * max_abs(value)
@@ -663,7 +666,7 @@ def _suite_calls(monkeypatch, text, suite, names):
     each of ``names``."""
     scenario = parse_scenario(text)
     calls = {name: _counting(monkeypatch, name) for name in names}
-    result, _ = suite(scenario, DiffConfig(tolerances=dict(scenario.tolerances)))
+    result, _ = suite(scenario)
     assert result.status == "pass"
     return {name: len(made) for name, made in calls.items()}
 
@@ -689,7 +692,6 @@ def _suite_rows(monkeypatch, text):
     """The per-sample residual arrays and worst indices of the charged
     finsler-identities and finsler-curvature suites on ``text``."""
     scenario = parse_scenario(text)
-    cfg = DiffConfig(tolerances=dict(scenario.tolerances))
     rows = []
 
     def recorded(*args):
@@ -698,7 +700,7 @@ def _suite_rows(monkeypatch, text):
 
     monkeypatch.setattr(suites, "_per_sample", recorded)
     worst = [
-        [check.worst_index for check in suite(scenario, cfg)[0].checks]
+        [check.worst_index for check in suite(scenario)[0].checks]
         for suite in (suite_finsler_identities, suite_finsler_curvature)
     ]
     return rows, worst
@@ -739,10 +741,9 @@ def test_chunked_suites_stay_within_the_memory_guard(suite, text):
     stacked stencils of a run over 100 fibers (one chunk at N = 4, seven at
     N = 8, at either charge) peak at a few MB, not tens of MB."""
     scenario = parse_scenario(text)
-    cfg = DiffConfig(tolerances=dict(scenario.tolerances))
     tracemalloc.start()
     try:
-        result, _ = suite(scenario, cfg)
+        result, _ = suite(scenario)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -779,17 +780,16 @@ class TestWorstIndex:
             "[profile]\nkind = rational\nc_coeffs = 0.8, 0.1\nm_coeffs = 1.0, 0.2\n"
             "[samples]\nfibers = 12\n"
         )
-        cfg = DiffConfig(tolerances=dict(scenario.tolerances))
-        result, _ = suite_finsler_curvature(scenario, cfg)
+        result, _ = suite_finsler_curvature(scenario)
         checks = {c.name: c for c in result.checks}
         rng = _suite_rng(scenario, "finsler-curvature")
         fibers = _sample_blocks(scenario, rng, 12, cone=(scenario.charge, 0.05))
         for name in ("bundle_magnitude", "spray_first_derivative_gap"):
             check = checks[name]
             fib = take(fibers, check.worst_index)
-            derivs = spray_derivatives(fib.metric, fib.y, scenario.charge, cfg)
+            derivs = spray_derivatives(fib.metric, fib.y, scenario.charge)
             if name == "bundle_magnitude":
-                alone = max_abs(hh_curvature(derivs, cfg))
+                alone = max_abs(hh_curvature(derivs))
             else:
                 alone = derivs.first_gap
             assert alone == pytest.approx(check.residual_max, rel=1e-9)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from finslergeo import (
-    DiffConfig,
     Frame,
     ProfilePair,
     StencilError,
@@ -34,17 +33,15 @@ def _gap(got, want):
     return float(np.max(max_abs(got - want, 4) / max_abs(want, 4)))
 
 
-@pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("signature", [1, -1])
 @pytest.mark.parametrize("n_dim", range(2, 9))
-def test_oracle_matches_the_per_row_christoffel_construction(n_dim, signature, order, rng):
+def test_oracle_matches_the_per_row_christoffel_construction(n_dim, signature, rng):
     """Within 1e-9 of max|R|, batched and at one point (measured 5e-11)."""
     state, _ = general_chart(rng, n_dim, signature)
-    cfg = DiffConfig(fd_order=order)
-    assert _gap(curvature_fd_oracle(state, cfg), reference_fd_oracle(state, cfg)) < PARITY
+    assert _gap(curvature_fd_oracle(state), reference_fd_oracle(state)) < PARITY
     one = take(state, 2)
     assert one.x.shape == (n_dim,)
-    assert _gap(curvature_fd_oracle(one, cfg), reference_fd_oracle(one, cfg)) < PARITY
+    assert _gap(curvature_fd_oracle(one), reference_fd_oracle(one)) < PARITY
 
 
 def test_a_transposed_u_fails_parity(rng):

@@ -7,7 +7,6 @@ import pytest
 from finslergeo import (
     ConeStencilError,
     DegenerateFiberError,
-    DiffConfig,
     Frame,
     OutsideConeError,
     ProfilePair,
@@ -29,7 +28,8 @@ from finslergeo.finsler import (
 )
 from finslergeo.riemann import christoffel, christoffel_dot, nabla_b
 from finslergeo.suites import _sample_blocks, _suite_rng
-from finslergeo.tensors import fd_partials, max_abs, rel_frobenius
+from finslergeo import tensors
+from finslergeo.tensors import TOLERANCE_CLASSES, fd_partials, max_abs, rel_frobenius
 
 from conftest import riemann_spray, sample_point, spray_y_derivative
 
@@ -166,7 +166,7 @@ class TestKinematics:
 
 
 STATE_FIELDS = ("y_low", "b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "r_mix",
-                "r_low", "eta", "s_low", "ys", "sigma", "yc", "e_fiber")
+                "r_low", "eta", "s_low", "ys", "sigma", "e_fiber")
 
 
 def _assert_row_matches(stacked, row, want):
@@ -267,13 +267,13 @@ class TestSprayDerivatives:
             derivs = spray_derivatives(state, y, 0.3)
             assert derivs.first_gap < 1e-7
 
-    def test_closed_second_matches_numeric(self, frame4_pd, pd_rational, rng):
+    def test_closed_second_matches_numeric(self, frame4_pd, pd_rational, rng, monkeypatch):
         """The closed G^i_km (second y-derivative) is exact: differentiating
         the verified closed G^i_k numerically reproduces it, and so does a
         pure double-stencil of the spray itself (coarser tolerance)."""
-        cfg = DiffConfig(fd_step=1e-4, fd_order=4)
+        monkeypatch.setattr(tensors, "FD_STEP", 1e-4)
         for state, y in admissible_sample(rng, frame4_pd, pd_rational, 0.3, 5):
-            derivs = spray_derivatives(state, y, 0.3, cfg)
+            derivs = spray_derivatives(state, y, 0.3)
             assert derivs.second_gap < 1e-7
             fib = kinematics(state, y, 0.3)
             second = spray_y_second(fib)
@@ -406,7 +406,7 @@ class TestBundle:
         term in g rather than stencil noise: it grows 100-fold, within 10 %,
         from g = 1e-8 to 1e-6 (at g = 1e-6 the pseudo-Finsleroid gap
         itself reaches 1e-4)."""
-        tol = DiffConfig().tolerance("bundle")
+        tol = TOLERANCE_CLASSES["bundle"]
         for seed in (0, 1, 2):
             scenario = parse_scenario(
                 f"[scenario]\ndimension = {n_dim}\nsignature = {signature}\n"

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from finslergeo import (
-    DiffConfig,
     DomainError,
     ProfilePair,
     combo_scalars,
@@ -102,15 +101,14 @@ class TestDerivativeOracle:
     def test_jets_match_order4_differences(self, pair, rng):
         """Jet derivatives equal order-4 FD of the value channel to 1e-8
         relative at 200 random domain points."""
-        cfg = DiffConfig(fd_step=1e-3, fd_order=4)
         for _ in range(200):
             r = rng.uniform(0.4, 12.0)
 
             p = pair.eval(r)
             for ch in ("c", "m"):
                 got1, got2 = getattr(p, ch + "1"), getattr(p, ch + "2")
-                d1 = fd_scalar(lambda rr: getattr(pair.eval(rr), ch), r, cfg, r)
-                d2 = fd_scalar(lambda rr: getattr(pair.eval(rr), ch + "1"), r, cfg, r)
+                d1 = fd_scalar(lambda rr: getattr(pair.eval(rr), ch), r, r)
+                d2 = fd_scalar(lambda rr: getattr(pair.eval(rr), ch + "1"), r, r)
                 assert abs(got1 - d1) <= 1e-8 * max(abs(got1), 1.0)
                 assert abs(got2 - d2) <= 1e-8 * max(abs(got2), 1.0)
 

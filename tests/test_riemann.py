@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from finslergeo import (
-    DiffConfig,
     DomainError,
     Frame,
     FrameError,

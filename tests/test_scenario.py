@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from finslergeo import Scenario, ScenarioError, parse_scenario, run
+from finslergeo import suites
 from finslergeo.cli import main
 from finslergeo.scenario import DEFAULT_RADII
 from finslergeo.suites import write_tensor_csv
@@ -243,6 +244,21 @@ class TestCli:
         blocker.write_text("", encoding="utf-8")
         assert main(["verify-vacuum", "--radii", "1,2", "--dump-tensors", str(blocker)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--report", "--dump-tensors"])
+    def test_unwritable_output_fails_before_any_suite_runs(self, tmp_path, monkeypatch, option):
+        """The output directories are created before the first suite runs,
+        so an unwritable path exits 2 without running the vacuum suite."""
+        calls = []
+        vacuum = suites._SUITE_FUNCS["vacuum"]
+        monkeypatch.setitem(
+            suites._SUITE_FUNCS, "vacuum", lambda *args: calls.append(args) or vacuum(*args)
+        )
+        blocker = tmp_path / "FILE"
+        blocker.write_text("", encoding="utf-8")
+        target = blocker / "r.json" if option == "--report" else blocker
+        assert main(["verify-vacuum", "--radii", "1,2", option, str(target)]) == 2
+        assert calls == []
 
     def test_tolerance_class_override_can_force_failure(self, tmp_path):
         good = tmp_path / "vacuum.ini"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from finslergeo import (
     ConeStencilError,
-    DiffConfig,
     Frame,
     Jet2,
     ProfilePair,
@@ -21,7 +20,9 @@ from finslergeo import (
     hh_curvature,
     spray_derivatives,
 )
-from finslergeo.tensors import transform_components
+from finslergeo import tensors
+from finslergeo.report import _planned
+from finslergeo.tensors import TOLERANCE_CLASSES, transform_components
 
 from conftest import fd_scalar, sample_point
 
@@ -74,9 +75,8 @@ class TestJet2:
             return (s * s + a) / (s + b) ** 2 + (s * s + b) ** 0.5
 
         jet = f(Jet2.variable(t))
-        cfg = DiffConfig(fd_step=1e-3, fd_order=4)
-        d1 = fd_scalar(f, t, cfg, 1.0)
-        d2 = fd_scalar(lambda s: f(Jet2.variable(s)).d1, t, cfg, 1.0)
+        d1 = fd_scalar(f, t, 1.0)
+        d2 = fd_scalar(lambda s: f(Jet2.variable(s)).d1, t, 1.0)
         assert jet.d1 == pytest.approx(d1, rel=1e-8, abs=1e-10)
         assert jet.d2 == pytest.approx(d2, rel=1e-6, abs=1e-8)
 
@@ -137,13 +137,12 @@ class TestJet2:
     def test_catalog_profiles_vs_finite_differences(self, profile, rng):
         """Jet derivatives of every catalog profile match FD to 1e-6 relative
         at 100 random radii away from poles."""
-        cfg = DiffConfig(fd_step=1e-3, fd_order=4)
         for _ in range(100):
             r = rng.uniform(0.5, 10.0)
             cj, mj = profile.jets(r)
             for pos, jet in enumerate((cj, mj)):
-                d1 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p].value, r, cfg, r)
-                d2 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p].d1, r, cfg, r)
+                d1 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p].value, r, r)
+                d2 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p].d1, r, r)
                 scale1 = max(abs(jet.d1), 1e-3)
                 scale2 = max(abs(jet.d2), 1e-3)
                 assert abs(jet.d1 - d1) / scale1 < 1e-6
@@ -173,7 +172,7 @@ class TestFdGradient:
         def c_field(p):
             return schwarzschild.eval(frame4.radius(p)).c
 
-        grad = fd_partials(c_field, x, DiffConfig(fd_step=1e-5, fd_order=4))
+        grad = fd_partials(c_field, x)
         n_low = (frame4.u_low @ x) / 1.0
         np.testing.assert_allclose(grad, (-8.0 / 9.0) * n_low, atol=1e-9)
         # Cross-check the same derivative through the jet engine.
@@ -183,19 +182,17 @@ class TestFdGradient:
         with pytest.raises(StencilError):
             fd_partials(lambda pts: np.full(len(pts), np.nan), np.ones(3))
 
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_non_finite_message_names_axis_and_offset(self, order):
+    def test_non_finite_message_names_axis_and_offset(self):
         """Only the point at axis 1, offset -1 is NaN: the error names it."""
         x = np.ones(3)
-        cfg = DiffConfig(fd_order=order)
 
         def field(pts):
             out = pts.sum(axis=1)
-            out[(pts[:, 1] < 1.0) & (pts[:, 1] > 1.0 - 1.5 * cfg.fd_step)] = np.nan
+            out[(pts[:, 1] < 1.0) & (pts[:, 1] > 1.0 - 1.5 * tensors.FD_STEP)] = np.nan
             return out
 
         with pytest.raises(StencilError, match=r"axis 1, offset -1\)"):
-            fd_partials(field, x, cfg, scales=1.0)
+            fd_partials(field, x, scales=1.0)
 
     def test_single_point_field_is_rejected(self):
         with pytest.raises(ValueError, match="one value per row"):
@@ -219,13 +216,12 @@ class TestFdGradient:
                 derivs = spray_derivatives(finite, y, 0.0)
                 hh_curvature(dataclasses.replace(derivs, metric=nan_metric))
 
-    def test_miss_at_full_step_retries_at_tenth(self, rng):
+    def test_miss_at_full_step_retries_at_tenth(self, rng, monkeypatch):
         """A field undefined beyond 1.5e-5 of x misses the order-4 stencil
         (reach 2e-5) but not the tenfold-shrunk one: the result is exactly
         the derivative taken at step/10.  The field sees each step's whole
         stencil as one (4 N, N) stack, so it is called twice."""
         x = rng.normal(size=3)
-        cfg = DiffConfig(fd_step=1e-5, fd_order=4)
         shapes = []
 
         def field(pts):
@@ -237,25 +233,24 @@ class TestFdGradient:
                 raise StencilMissError("outside the ball")
             return field(pts)
 
-        got = fd_partials(ball_field, x, cfg, scales=1.0)
-        want = fd_partials(field, x, DiffConfig(fd_step=0.1 * cfg.fd_step), scales=1.0)
+        got = fd_partials(ball_field, x, scales=1.0)
+        monkeypatch.setattr(tensors, "FD_STEP", 0.1 * tensors.FD_STEP)
+        want = fd_partials(field, x, scales=1.0)
         assert np.array_equal(got, want)
         assert shapes == [(12, 3), (12, 3)]
 
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_one_call_per_step_in_axis_major_order(self, order, rng):
+    def test_one_call_per_step_in_axis_major_order(self, rng):
         """Without a miss the field is called once, with rows axis-major and
         then in stencil order, each row x moved along one axis."""
         x = rng.normal(size=4)
-        cfg = DiffConfig(fd_order=order)
-        width = order  # points in the first-derivative stencil
+        width = 4  # points in the order-4 first-derivative stencil
         stacks = []
 
         def field(pts):
             stacks.append(pts.copy())
             return pts @ np.arange(1.0, 5.0)
 
-        grad = fd_partials(field, x, cfg, scales=1.0)
+        grad = fd_partials(field, x, scales=1.0)
         np.testing.assert_allclose(grad, np.arange(1.0, 5.0), rtol=1e-9)
         assert len(stacks) == 1 and stacks[0].shape == (4 * width, 4)
         moved = (stacks[0] - x).reshape(4, width, 4)
@@ -275,30 +270,16 @@ class TestFdGradient:
         with pytest.raises(ConeStencilError):
             fd_partials(point_field, x)
 
-    def test_order4_beats_order2(self, frame4, schwarzschild):
-        x = np.array([0.0, 1.3, 0.4, -0.2])
 
-        def c_field(p):
-            return schwarzschild.eval(frame4.radius(p)).c
-
-        exact = schwarzschild.eval(frame4.radius(x)).c1 * (frame4.u_low @ x) / frame4.radius(x)
-        err2 = np.max(np.abs(fd_partials(c_field, x, DiffConfig(fd_step=1e-3, fd_order=2)) - exact))
-        err4 = np.max(np.abs(fd_partials(c_field, x, DiffConfig(fd_step=1e-3, fd_order=4)) - exact))
-        assert err4 < err2
-
-
-class TestDiffConfig:
-    def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            DiffConfig(fd_step=0.0)
-        with pytest.raises(ValueError):
-            DiffConfig(fd_step=-1e-5)
-
-    def test_order_must_be_supported(self):
-        with pytest.raises(ValueError):
-            DiffConfig(fd_order=3)
-
-    def test_tolerance_lookup(self):
-        cfg = DiffConfig()
-        assert cfg.tolerance("algebraic") == 1e-10
-        assert cfg.tolerance("algebraic", 10.0) == 1e-9
+class TestPlanned:
+    def test_tolerance_is_class_value_times_scale(self):
+        """A check's tolerance is its class's value times the plan's scale;
+        a None class is an informational check with no tolerance."""
+        rows = {"a": np.array([2e-10, 5e-10]), "b": np.array([5e-10]), "c": np.array([3.0])}
+        plan = [("a", "algebraic", 1.0), ("b", "algebraic", 10.0), ("c", None, 1.0)]
+        a, b, c = _planned(rows, plan, TOLERANCE_CLASSES)
+        assert a.tolerance == 1e-10 and not a.passed
+        assert b.tolerance == 1e-9 and b.passed
+        assert c.tolerance is None and c.tolerance_class is None and c.passed
+        (tight,) = _planned(rows, plan[1:2], {"algebraic": 1e-11})
+        assert tight.tolerance == pytest.approx(1e-10) and not tight.passed

@@ -259,6 +259,43 @@ class TestFdGradient:
             assert np.all(others == 0.0)
             assert np.all(np.diff(moved[axis, :, axis]) < 0.0)  # offsets descend
 
+    def test_exact_through_degree_four(self, rng, monkeypatch):
+        """The order-4 stencil differentiates a quartic exactly: even at a
+        step of 0.1 the gradient matches to roundoff."""
+        monkeypatch.setattr(tensors, "FD_STEP", 0.1)
+        x = rng.normal(size=3)
+
+        def quartic(pts):
+            a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
+            return a**4 - 2.0 * a**2 * b + 3.0 * b * c**3 + c - 7.0
+
+        a, b, c = x
+        want = np.array([4 * a**3 - 4 * a * b, -2 * a**2 + 3 * c**3, 9 * b * c**2 + 1])
+        np.testing.assert_allclose(fd_partials(quartic, x, scales=1.0), want, rtol=0, atol=1e-12)
+
+    def test_quintic_error_is_fourth_order_in_the_step(self, rng, monkeypatch):
+        """On f = t^5 the stencil's error is exactly -(h^4 / 30) f^(5) =
+        -4 h^4 at every point: halving the step divides it by 16."""
+        t = rng.uniform(-2.0, 2.0)
+        errors = []
+        for step in (0.1, 0.05):
+            monkeypatch.setattr(tensors, "FD_STEP", step)
+            got = fd_scalar(lambda pts: pts**5, t, 1.0)
+            errors.append(got - 5.0 * t**4)
+            assert errors[-1] == pytest.approx(-4.0 * step**4, rel=1e-6)
+        assert errors[0] / errors[1] == pytest.approx(16.0, rel=1e-6)
+
+    def test_stencil_rows_sit_at_one_and_two_steps_of_the_scale(self):
+        """Along axis k the rows sit at x + (2, 1, -1, -2) h_k e_k with
+        h_k = FD_STEP * scale_k, the default scale being max(1, |x_k|)."""
+        x = np.array([0.3, -4.0, 2.5])
+        values, _, h = tensors.fd_stencil(lambda pts: pts, x)
+        np.testing.assert_array_equal(h, tensors.FD_STEP * np.array([1.0, 4.0, 2.5]))
+        for axis in range(3):
+            moved = values[axis] - x
+            assert np.all(np.delete(moved, axis, axis=1) == 0.0)
+            np.testing.assert_allclose(moved[:, axis] / h[axis], [2.0, 1.0, -1.0, -2.0], rtol=1e-9)
+
     def test_miss_at_both_steps_raises(self):
         x = np.ones(3)
 

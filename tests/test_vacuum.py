@@ -15,7 +15,7 @@ from finslergeo import (
     ricci_closed,
     verify_vacuum,
 )
-from finslergeo.tensors import max_abs, rel_frobenius
+from finslergeo.tensors import TOLERANCE_CLASSES, max_abs, rel_frobenius
 from finslergeo.vacuum import reduced_prefactor
 
 from conftest import sample_point
@@ -42,6 +42,23 @@ class TestVerifyVacuum:
         assert not all(check.passed for check in checks.values())
         assert checks["ricci_scaled"].residual_max > 0.1
         assert not checks["ricci_scaled"].passed
+
+    def test_tolerance_map_judges_the_checks(self):
+        """The residuals do not depend on the tolerance map; each check's
+        tolerance is its class's value in the map times the check's fixed
+        scale, so a map that tightens the finite_difference class below
+        the oracle gap fails only that check."""
+        default = _checks(1.0, RADII, n_dim=4)
+        gap = default["closed_vs_oracle"].residual_max
+        tight = {**TOLERANCE_CLASSES, "finite_difference": 0.5 * gap}
+        judged = _checks(1.0, RADII, n_dim=4, tolerances=tight)
+        assert judged.keys() == default.keys()
+        for name, check in judged.items():
+            assert check.residual_max == default[name].residual_max
+            klass = check.tolerance_class
+            scale = default[name].tolerance / TOLERANCE_CLASSES[klass]
+            assert check.tolerance == pytest.approx(tight[klass] * scale, rel=1e-12)
+            assert check.passed == (name != "closed_vs_oracle")
 
     def test_flat_limit_of_small_xi(self, frame4):
         """As xi -> 0 the curvature scale collapses (overall factor ~ xi)."""

@@ -79,8 +79,8 @@ class FinsleroidState:
 
     Built from a stack of metrics or of fiber vectors, the per-point fields
     carry the stack's leading axis (the scalars become arrays over it).
-    r_low, eta and e_fiber are computed on first use and kept: no spray
-    stencil row reads them.
+    r_low, eta, sigma and e_fiber are computed on first use and kept: no
+    spray stencil row reads them.
     """
 
     metric: MetricState
@@ -98,7 +98,6 @@ class FinsleroidState:
     r_mix: np.ndarray
     s_low: np.ndarray
     ys: float | np.ndarray
-    sigma: float | np.ndarray
 
     @cached_property
     def r_low(self) -> np.ndarray:
@@ -108,6 +107,10 @@ class FinsleroidState:
     def eta(self) -> np.ndarray:
         eps = self.metric.frame.epsilon
         return self.r_low - eps * outer(self.v_low, self.v_low) / self.q2[..., None, None]
+
+    @cached_property
+    def sigma(self) -> float | np.ndarray:
+        return np.einsum("...i,...i->...", self.metric.b_up, self.s_low)
 
     @cached_property
     def e_fiber(self) -> np.ndarray:
@@ -162,7 +165,6 @@ def kinematics(metric: MetricState, y: np.ndarray, charge: float) -> FinsleroidS
     r_mix = np.eye(metric.frame.n_dim) - outer(metric.b_up, metric.b_low)
     s_low = nabla_b_dot(metric, y)
     ys = np.einsum("...i,...i->...", y, s_low)
-    sigma = np.einsum("...i,...i->...", metric.b_up, s_low)
     return FinsleroidState(
         metric=metric,
         y=y,
@@ -179,7 +181,6 @@ def kinematics(metric: MetricState, y: np.ndarray, charge: float) -> FinsleroidS
         r_mix=r_mix,
         s_low=s_low,
         ys=ys,
-        sigma=sigma,
     )
 
 

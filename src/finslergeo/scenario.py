@@ -170,6 +170,19 @@ def _as_list(value):
     return value if isinstance(value, list) else [value]
 
 
+def _check_known(section: str, keys, line: int | None = None) -> None:
+    """Refuse an unknown section, or the first of ``keys`` unknown in it;
+    the parser passes the offending ``line``."""
+    known = _SECTION_KEYS.get(section)
+    if known is None:
+        raise ScenarioError(f"unknown section [{section}]; known: {sorted(_SECTION_KEYS)}", line)
+    for key in keys:
+        if key not in known:
+            raise ScenarioError(
+                f"unknown key {key!r} in section [{section}]; known: {sorted(known)}", line
+            )
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario file contents into a Scenario."""
     sections: dict[str, dict[str, object]] = {}
@@ -180,10 +193,7 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
-                raise ScenarioError(
-                    f"unknown section [{name}]; known: {sorted(_SECTION_KEYS)}", lineno
-                )
+            _check_known(name, (), lineno)
             current = name
             sections.setdefault(name, {})
             continue
@@ -193,12 +203,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError("key outside any [section]", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _SECTION_KEYS[current]:
-            raise ScenarioError(
-                f"unknown key {key!r} in section [{current}]; "
-                f"known: {sorted(_SECTION_KEYS[current])}",
-                lineno,
-            )
+        _check_known(current, (key,), lineno)
         if key in sections[current]:
             raise ScenarioError(f"duplicate key {key!r} in section [{current}]", lineno)
         sections[current][key] = _parse_value(value.strip())
@@ -251,6 +256,8 @@ def scenario_from_sections(sections: dict[str, dict[str, object]]) -> Scenario:
     """Validate parsed sections ({section: {key: value}}, values as the
     grammar parses them) into a Scenario.  Every entry point builds its
     Scenario here, so one set of rules decides what runs."""
+    for name, section in sections.items():
+        _check_known(name, section)
     sc = sections.get("scenario", {})
     prof = sections.get("profile", {})
     samples = sections.get("samples", {})

@@ -1,10 +1,11 @@
 """Verification suites driven by a Scenario.
 
 Each suite samples deterministically from a seed derived from the scenario
-seed and the suite's fixed position, evaluates its residuals on stacked
-chunks of samples (one residual per sample, in draw order), and returns
-per-check statistics.  A suite whose preconditions fail is marked skipped
-with the reason, and the run continues.
+seed and the suite's fixed position (`vacuum` from the scenario seed),
+evaluates its residuals on stacked chunks of samples (one residual per
+sample, in draw order), and returns per-check statistics.  A suite whose
+preconditions fail is marked skipped with the reason, and the run
+continues.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .tensors import (
     max_abs,
     rel_frobenius,
 )
-from .vacuum import contraction_identities, reduced_curvature, verify_vacuum
+from .vacuum import reduction_residuals, verify_vacuum
 
 
 def _suite_rng(scenario: Scenario, suite: str) -> np.random.Generator:
@@ -96,22 +97,27 @@ def _survivors(evaluate, size: int, rejected: dict):
             keep[np.flatnonzero(keep)[exc.rows]] = False
 
 
+# A cone-mode fiber is kept iff q >= CONE_MARGIN (|S| + |b|) and nu >= CONE_MARGIN q.
+CONE_MARGIN = 0.05
+
+
 def _sample_blocks(
-    scenario: Scenario, rng: np.random.Generator, count: int, fiber: bool = False, cone=None
+    scenario: Scenario, rng: np.random.Generator, count: int, fiber: bool = False, charge=None
 ):
     """``count`` samples in draw order, for at most 60 tries per sample: one
     stacked MetricState; with ``fiber``, that state and the normal fiber
-    vectors ys paired with its points, as (metric, ys); or given ``cone`` =
-    (charge, margin), one FinsleroidState whose fibers lie that margin
-    inside the cone.
+    vectors ys paired with its points, as (metric, ys); or given a
+    ``charge``, one FinsleroidState of that charge whose fibers lie
+    CONE_MARGIN inside the cone.
 
-    Each try draws a point, then (with ``fiber`` or ``cone``) a fiber
+    Each try draws a point, then (with ``fiber`` or a ``charge``) a fiber
     vector.  A block of tries is drawn in try order and judged by one
-    build_metric (and, given ``cone``, one kinematics) call; it never holds
-    more tries than could still be accepted, so the generator stops where a
-    try-by-try loop would."""
+    build_metric (and, given a ``charge``, one kinematics) call; it never
+    holds more tries than could still be accepted, so the generator stops
+    where a try-by-try loop would."""
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     lo, hi = _sampling_range(scenario.profile)
+    cone = charge is not None
     causes = [*_REJECTIONS.values(), "inside the margin"] if cone else ["outside the domain"]
     rejected = dict.fromkeys(causes, 0)
     parts, fibers = [], []
@@ -129,15 +135,14 @@ def _sample_blocks(
         )
         ys = ys[kept]
         if cone:
-            charge, margin = cone
             metric = state
             state, _ = _survivors(
                 lambda keep: kinematics(take(metric, keep), ys[keep], charge),
                 len(ys),
                 rejected,
             )
-            kept = (state.q >= margin * (np.sqrt(np.abs(state.s2)) + np.abs(state.b))) & (
-                state.nu >= margin * np.maximum(state.q, 1e-300)
+            kept = (state.q >= CONE_MARGIN * (np.sqrt(np.abs(state.s2)) + np.abs(state.b))) & (
+                state.nu >= CONE_MARGIN * np.maximum(state.q, 1e-300)
             )
             rejected["inside the margin"] += int(np.sum(~kept))
             state = take(state, kept)
@@ -264,27 +269,44 @@ def suite_curvature_xcheck(scenario: Scenario):
 def suite_vacuum(scenario: Scenario):
     if scenario.profile.kind != "schwarzschild_isotropic":
         return _skipped("vacuum", "requires the schwarzschild_isotropic profile")
-    xi = float(scenario.profile.params["xi"])
-    checks = verify_vacuum(
-        xi, scenario.radii, scenario.n_dim, seed=scenario.seed, tolerances=scenario.tolerances
-    )
+    n = scenario.n_dim
+    frame = Frame.standard(n, scenario.epsilon)
+    # Reports pin this draw order: one direction, then per radius x^0 and a fiber.
+    rng = np.random.default_rng(scenario.seed)
+    direction = rng.normal(size=n - 1)
+    direction /= np.linalg.norm(direction)
+    radii = np.array(scenario.radii, dtype=float)
+    xs, ys = np.zeros((2, len(radii), n))
+    for i, r in enumerate(radii):
+        xs[i, 0] = rng.uniform(-1.0, 1.0)
+        xs[i, 1:] = r * direction
+        ys[i] = rng.normal(size=n)
+
+    def residuals(rows) -> dict[str, np.ndarray]:
+        state = build_metric(frame, scenario.profile, xs[rows])
+        return verify_vacuum(state, ys[rows], radii[rows])
+
+    rows = _per_sample(len(radii), 4 * n**4, residuals)
+    check_plan = [
+        ("ricci_scaled", "algebraic", 10.0),  # 1e-9 in 1/r^2 units
+        ("ricci_coefficients_scaled", "algebraic", 1.0),
+        ("closed_vs_oracle", "finite_difference", 1.0),
+        ("reduced_vs_closed", "closed_form", 1.0),
+        ("axis_contractions", "algebraic", 10.0),
+    ]
     dumps = {}
     if scenario.dump_dir:
-        frame = Frame.standard(scenario.n_dim, scenario.epsilon)
-        for r in scenario.radii:
-            x = np.zeros(scenario.n_dim)
+        for r in radii.tolist():
+            x = np.zeros(n)
             x[1] = r
             state = build_metric(frame, scenario.profile, x)
-            dumps[f"vacuum_curvature_r{r:g}"] = curvature_closed(state)
-    return _verdict("vacuum", checks, dumps)
+            dumps[f"vacuum_curvature_r{r!r}"] = curvature_closed(state)
+    return _verdict("vacuum", _planned(rows, check_plan, scenario.tolerances), dumps)
 
 
 def suite_schwarzschild_reductions(scenario: Scenario):
     if scenario.profile.kind != "schwarzschild_isotropic":
-        return _skipped(
-            "schwarzschild-reductions",
-            "requires the schwarzschild_isotropic profile",
-        )
+        return _skipped("schwarzschild-reductions", "requires the schwarzschild_isotropic profile")
     rng = _suite_rng(scenario, "schwarzschild-reductions")
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     xi = float(scenario.profile.params["xi"])
@@ -297,16 +319,13 @@ def suite_schwarzschild_reductions(scenario: Scenario):
         x = xs[rows]
         state = build_metric(frame, scenario.profile, x)
         closed = curvature_closed(state)
-        contractions = contraction_identities(state, ys[rows], closed)
         # Scaling xi -> lam*xi, x -> lam*x leaves (c, m) invariant and scales
         # curvature components by 1/lam^2; both scalings of a radius in turn.
         scaling = []
         for lam in (0.5, 2.0):
             scaled = build_metric(frame, ProfilePair.schwarzschild_isotropic(lam * xi), lam * x)
             scaling.append(max_abs(lam**2 * curvature_closed(scaled) - closed, 4))
-        return {
-            "reduced_vs_closed": rel_frobenius(reduced_curvature(state), closed, 4),
-            "axis_contractions": np.max(list(contractions.values()), axis=0),
+        return reduction_residuals(state, ys[rows], closed) | {
             "scaling_covariance": np.stack(scaling, axis=-1).reshape(-1),
         }
 
@@ -316,8 +335,7 @@ def suite_schwarzschild_reductions(scenario: Scenario):
         ("axis_contractions", "algebraic", 10.0),
         ("scaling_covariance", "algebraic", 1.0),
     ]
-    checks = _planned(rows, check_plan, scenario.tolerances)
-    return _verdict("schwarzschild-reductions", checks)
+    return _verdict("schwarzschild-reductions", _planned(rows, check_plan, scenario.tolerances))
 
 
 def suite_finsler_identities(scenario: Scenario):
@@ -325,7 +343,7 @@ def suite_finsler_identities(scenario: Scenario):
     # The identity set involves the charge through nu; if the scenario runs
     # charge 0 the suite still validates the charged formulas at 0.3.
     charge = scenario.charge if scenario.charge != 0.0 else 0.3
-    fibers = _sample_blocks(scenario, rng, scenario.n_fibers, cone=(charge, 0.05))
+    fibers = _sample_blocks(scenario, rng, scenario.n_fibers, charge=charge)
 
     def residuals(rows) -> dict[str, np.ndarray]:
         fib = take(fibers, rows)
@@ -359,7 +377,7 @@ def suite_finsler_curvature(scenario: Scenario):
     if charge == 0.0:
         metrics, ys = _sample_blocks(scenario, rng, scenario.n_fibers, fiber=True)
     else:
-        fibers = _sample_blocks(scenario, rng, scenario.n_fibers, cone=(charge, 0.05))
+        fibers = _sample_blocks(scenario, rng, scenario.n_fibers, charge=charge)
         metrics, ys = fibers.metric, fibers.y
 
     def evaluate(rows) -> dict[str, np.ndarray]:

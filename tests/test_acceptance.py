@@ -11,6 +11,7 @@ from finslergeo import (
     AdmissibilityError,
     Frame,
     ProfilePair,
+    Scenario,
     build_metric,
     christoffel,
     christoffel_definitional,
@@ -28,9 +29,9 @@ from finslergeo import (
     run,
     spray_coefficients,
     spray_derivatives,
-    verify_vacuum,
 )
 from finslergeo.cli import main
+from finslergeo.suites import suite_vacuum
 from finslergeo.tensors import max_abs, rel_frobenius
 
 from conftest import nabla_c, nabla_c_definitional, sample_point
@@ -47,7 +48,9 @@ def test_criterion_1_vacuum_verification():
     """N = 4 Ricci components below 1e-9 and coefficients below 1e-10 (both in
     1/r^2 units) at xi = 1 over the preset radii, in under a second."""
     started = time.perf_counter()
-    checks = {check.name: check for check in verify_vacuum(1.0, RADII, n_dim=4)}
+    schwarzschild = ProfilePair.schwarzschild_isotropic(1.0)
+    result, _ = suite_vacuum(Scenario(n_dim=4, profile=schwarzschild, radii=RADII))
+    checks = {check.name: check for check in result.checks}
     elapsed = time.perf_counter() - started
     worst_ricci = checks["ricci_scaled"].residual_max
     worst_coeff = checks["ricci_coefficients_scaled"].residual_max

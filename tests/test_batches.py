@@ -18,6 +18,7 @@ from finslergeo import (
     DomainError,
     Frame,
     ProfilePair,
+    Scenario,
     StencilMissError,
     build_metric,
     christoffel,
@@ -38,7 +39,6 @@ from finslergeo import (
     reduced_curvature,
     ricci_closed,
     spray_derivatives,
-    verify_vacuum,
 )
 from finslergeo.finsler import fiber_vectors
 from finslergeo.report import CheckResult, SuiteResult
@@ -52,6 +52,7 @@ from finslergeo.suites import (
     _suite_rng,
     suite_finsler_curvature,
     suite_finsler_identities,
+    suite_vacuum,
 )
 from finslergeo.tensors import max_abs
 from finslergeo.vacuum import reduced_prefactor
@@ -518,7 +519,7 @@ def test_block_samplers_draw_the_try_by_try_samples(profile, n_dim, signature, s
     if sampler == "cone":
         want = _loop_admissible(scenario, rng_loop, count, 0.3)
         try:
-            fib = _sample_blocks(scenario, rng_block, count, cone=(0.3, 0.05))
+            fib = _sample_blocks(scenario, rng_block, count, charge=0.3)
             got = fib.metric.x, fib.y
         except SamplingError:
             got = None
@@ -557,7 +558,7 @@ def test_samplers_make_a_few_stacked_calls(monkeypatch):
     scenario = parse_scenario(CHARGED_N8)
     builds = _counting(monkeypatch, "build_metric")
     kins = _counting(monkeypatch, "kinematics")
-    fibers = _sample_blocks(scenario, np.random.default_rng(1), 100, cone=(0.3, 0.05))
+    fibers = _sample_blocks(scenario, np.random.default_rng(1), 100, charge=0.3)
     assert fibers.y.shape == (100, 8)
     assert len(builds) <= 3 and len(kins) <= 3
     for with_fiber in (False, True):
@@ -586,7 +587,7 @@ def test_spray_stencils_build_no_christoffel_array(monkeypatch):
     the Christoffel blocks with y: spray_derivatives builds the full array
     once (the cached gamma of spray_y_second) and hh_curvature never."""
     scenario = parse_scenario(CHARGED_N8)
-    fibers = _sample_blocks(scenario, np.random.default_rng(1), 4, cone=(0.3, 0.05))
+    fibers = _sample_blocks(scenario, np.random.default_rng(1), 4, charge=0.3)
     calls = _counting_everywhere(monkeypatch, riemann.christoffel)
     derivs = spray_derivatives(fibers.metric, fibers.y, scenario.charge)
     assert len(calls) <= 1
@@ -600,7 +601,7 @@ def test_spray_stencil_rows_compute_only_what_the_spray_reads(monkeypatch):
     inverse metric, no nabla b and none of the Finsleroid fields that only
     the identities and the second derivative read."""
     scenario = parse_scenario(CHARGED_N8)
-    fibers = _sample_blocks(scenario, np.random.default_rng(1), 4, cone=(0.3, 0.05))
+    fibers = _sample_blocks(scenario, np.random.default_rng(1), 4, charge=0.3)
     derivs = spray_derivatives(fibers.metric, fibers.y, scenario.charge)
     built = []
     for name in ("build_metric", "kinematics"):
@@ -615,7 +616,7 @@ def test_spray_stencil_rows_compute_only_what_the_spray_reads(monkeypatch):
     kinds = {type(state).__name__ for state in built}
     assert kinds == {"MetricState", "FinsleroidState"}
     for state in built:
-        assert not {"r_low", "eta", "e_fiber", "a_up", "nb", "gamma"} & vars(state).keys()
+        assert not {"r_low", "eta", "sigma", "e_fiber", "a_up", "nb", "gamma"} & vars(state).keys()
 
 
 @pytest.mark.parametrize(
@@ -752,15 +753,20 @@ def test_chunked_suites_stay_within_the_memory_guard(suite, text):
 
 
 def test_vacuum_chunks_stay_within_the_memory_guard():
-    """verify_vacuum evaluates its radii in the same chunks: 200 radii at
-    N = 8 peak at a few MB."""
+    """The vacuum suite evaluates its radii in the same chunks: 200 radii
+    at N = 8 peak at a few MB."""
+    scenario = Scenario(
+        n_dim=8,
+        profile=ProfilePair.schwarzschild_isotropic(1.0),
+        radii=tuple(np.linspace(0.5, 10.0, 200)),
+    )
     tracemalloc.start()
     try:
-        checks = verify_vacuum(1.0, np.linspace(0.5, 10.0, 200), n_dim=8)
+        result, _ = suite_vacuum(scenario)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [check.n_samples for check in checks] == [200] * 5
+    assert [check.n_samples for check in result.checks] == [200] * 5
     assert peak <= 8 * 2**20
 
 
@@ -783,7 +789,7 @@ class TestWorstIndex:
         result, _ = suite_finsler_curvature(scenario)
         checks = {c.name: c for c in result.checks}
         rng = _suite_rng(scenario, "finsler-curvature")
-        fibers = _sample_blocks(scenario, rng, 12, cone=(scenario.charge, 0.05))
+        fibers = _sample_blocks(scenario, rng, 12, charge=scenario.charge)
         for name in ("bundle_magnitude", "spray_first_derivative_gap"):
             check = checks[name]
             fib = take(fibers, check.worst_index)

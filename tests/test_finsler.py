@@ -413,7 +413,7 @@ class TestBundle:
                 f"charge = 1e-8\nseed = {seed}\n[profile]\n{profile}"
             )
             rng = _suite_rng(scenario, "finsler-curvature")
-            fib = _sample_blocks(scenario, rng, 20, cone=(scenario.charge, 0.05))
+            fib = _sample_blocks(scenario, rng, 20, charge=scenario.charge)
             riemannian = curvature_dot(fib.metric, fib.y)
             gap = {}
             for g in (1e-8, 1e-6):

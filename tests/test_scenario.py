@@ -12,7 +12,7 @@ import pytest
 from finslergeo import Scenario, ScenarioError, parse_scenario, run
 from finslergeo import suites
 from finslergeo.cli import main
-from finslergeo.scenario import DEFAULT_RADII
+from finslergeo.scenario import DEFAULT_RADII, scenario_from_sections
 from finslergeo.suites import write_tensor_csv
 
 MINIMAL_VACUUM = """
@@ -92,6 +92,24 @@ class TestParsing:
             parse_scenario("[tolerances]\nexact = -1e-12\n")
         with pytest.raises(ScenarioError, match="unknown tolerance class"):
             Scenario().with_overrides(tolerance_overrides={"nope": 1e-3})
+
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            ({"scenario": {"dimenson": 5}}, "unknown key 'dimenson' in section [scenario]"),
+            ({"tolerances": {"bogus": 1e-3}}, "unknown key 'bogus' in section [tolerances]"),
+            ({"weird": {}}, "unknown section [weird]"),
+        ],
+        ids=["key", "tolerance-class", "section"],
+    )
+    def test_sections_refuse_what_the_grammar_refuses(self, sections, message):
+        """Sections built in code meet the parser's section and key rule:
+        a misspelt key is refused, not replaced by its default, and an
+        unknown tolerance class never reaches the report echo."""
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_sections(sections)
+        assert message in str(err.value)
+        assert err.value.line is None
 
     def test_comments_and_blank_lines_ignored(self):
         scenario = parse_scenario("# header\n\n[scenario]\nseed = 7 # trailing\n")
@@ -357,6 +375,15 @@ class TestCli:
         argv = ["finsler-curvature", "--profile", "schwarzschild", "--charge", "0.3"]
         assert main(argv + ["--samples", "10"]) == 0
         assert capsys.readouterr().out.rstrip().endswith("overall: PASS")
+
+    def test_vacuum_dumps_one_file_per_radius(self, tmp_path):
+        """Radii that agree to six significant digits still get one dump
+        each: the file name holds the radius's repr."""
+        radii = (1.0000001, 1.0000002, 2.0)
+        argv = ["verify-vacuum", "--radii", ",".join(map(repr, radii))]
+        assert main(argv + ["--dump-tensors", str(tmp_path)]) == 0
+        names = {path.name for path in tmp_path.glob("*.csv")}
+        assert names == {f"vacuum_curvature_r{r!r}.csv" for r in radii}
 
     def test_dump_tensors(self, tmp_path):
         scn = tmp_path / "scn.ini"

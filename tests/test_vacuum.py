@@ -7,6 +7,7 @@ import pytest
 from finslergeo import (
     Frame,
     ProfilePair,
+    Scenario,
     build_metric,
     contraction_identities,
     curvature_closed,
@@ -15,17 +16,26 @@ from finslergeo import (
     ricci_closed,
     verify_vacuum,
 )
+from finslergeo.suites import suite_vacuum
 from finslergeo.tensors import TOLERANCE_CLASSES, max_abs, rel_frobenius
-from finslergeo.vacuum import reduced_prefactor
+from finslergeo.vacuum import reduced_prefactor, reduction_residuals
 
 from conftest import sample_point
 
 RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
 
 
-def _checks(*args, **kwargs):
-    """verify_vacuum's checks by name."""
-    return {check.name: check for check in verify_vacuum(*args, **kwargs)}
+def _checks(xi, radii, n_dim=4, **fields):
+    """The vacuum suite's checks by name, on the Schwarzschild profile of
+    ``xi`` over ``radii``; ``fields`` set the scenario's other fields."""
+    scenario = Scenario(
+        n_dim=n_dim,
+        profile=ProfilePair.schwarzschild_isotropic(xi),
+        radii=tuple(radii),
+        **fields,
+    )
+    result, _ = suite_vacuum(scenario)
+    return {check.name: check for check in result.checks}
 
 
 class TestVerifyVacuum:
@@ -59,6 +69,45 @@ class TestVerifyVacuum:
             scale = default[name].tolerance / TOLERANCE_CLASSES[klass]
             assert check.tolerance == pytest.approx(tight[klass] * scale, rel=1e-12)
             assert check.passed == (name != "closed_vs_oracle")
+
+    def test_frames_take_the_scenario_signature(self, monkeypatch):
+        """A signature +1 scenario builds every vacuum state on the +1
+        standard frame, and its checks equal those of its -1 twin: in the
+        standard frame eps enters the vacuum residuals only as eps^2."""
+        signatures = []
+        standard = Frame.standard
+
+        def recorded(n_dim, epsilon=-1):
+            signatures.append(epsilon)
+            return standard(n_dim, epsilon)
+
+        monkeypatch.setattr(Frame, "standard", staticmethod(recorded))
+        plus = _checks(1.0, RADII, epsilon=1)
+        assert signatures and set(signatures) == {1}
+        assert plus == _checks(1.0, RADII, epsilon=-1)
+
+    def test_residuals_are_per_sample_of_a_stacked_state(self, frame4, schwarzschild, rng):
+        """verify_vacuum returns the five residuals by check name, one per
+        sample, each sample's the same in a stack of three as alone; two of
+        them are reduction_residuals of the same closed curvature."""
+        radii = np.array([0.7, 2.0, 6.0])
+        xs = np.stack([sample_point(rng, 4, r, r) for r in radii])
+        ys = rng.normal(size=(3, 4))
+        stacked = verify_vacuum(build_metric(frame4, schwarzschild, xs), ys, radii)
+        assert list(stacked) == [
+            "ricci_scaled", "ricci_coefficients_scaled", "closed_vs_oracle",
+            "reduced_vs_closed", "axis_contractions",
+        ]
+        for i in range(3):
+            rows = slice(i, i + 1)
+            state = build_metric(frame4, schwarzschild, xs[rows])
+            alone = verify_vacuum(state, ys[rows], radii[rows])
+            reductions = reduction_residuals(state, ys[rows], curvature_closed(state))
+            for name, values in stacked.items():
+                assert values.shape == (3,)
+                assert values[i] == alone[name][0]
+            for name, values in reductions.items():
+                assert values == alone[name]
 
     def test_flat_limit_of_small_xi(self, frame4):
         """As xi -> 0 the curvature scale collapses (overall factor ~ xi)."""
@@ -141,5 +190,5 @@ class TestScalingCovariance:
 
     def test_ricci_zero_scales_too(self):
         for lam in (0.5, 2.0):
-            checks = verify_vacuum(lam, tuple(lam * np.asarray(RADII)), n_dim=4)
-            assert all(check.passed for check in checks)
+            checks = _checks(lam, lam * np.asarray(RADII))
+            assert all(check.passed for check in checks.values())

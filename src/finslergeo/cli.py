@@ -5,6 +5,11 @@ Subcommands:
   verify-vacuum         the Ricci-flatness suite for the isotropic profiles
   finsler-curvature     spray consistency and the hh-curvature bundle
 
+Every option but --profile is a scenario entry (an option's dest names it
+as "section.key"; --tolerance-class NAME=VALUE is [tolerances] NAME), read
+as a scenario file reads it and validated with the file's entries.  An
+option not given adds no entry: the file's value or the default stands.
+
 Exit codes: 0 all executed suites passed, 1 at least one suite failed or
 every suite was skipped, 2 configuration error.
 """
@@ -16,9 +21,10 @@ import sys
 from pathlib import Path
 
 from .scenario import (
-    DEFAULT_RADII,
     Scenario,
     ScenarioError,
+    Sections,
+    _parse_value,
     load_scenario,
     scenario_from_sections,
 )
@@ -26,7 +32,7 @@ from .suites import run
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="override the sampling seed")
+    _option(parser, "--seed", "scenario.seed", "override the sampling seed")
     parser.add_argument(
         "--tolerance-class",
         action="append",
@@ -36,34 +42,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "finite_difference, bundle); repeatable, once per class",
     )
     parser.add_argument(
-        "--dump-tensors", metavar="DIR", default=None, help="write per-component CSV dumps"
+        "--dump-tensors",
+        dest="output.dump_tensors",
+        metavar="DIR",
+        help="write per-component CSV dumps to DIR",
     )
     parser.add_argument(
-        "--report", metavar="PATH", default=None, help="write the JSON report to PATH"
+        "--report", dest="output.report", metavar="PATH", help="write the JSON report to PATH"
     )
 
 
-def _parse_tolerance_overrides(items: list[str]) -> dict[str, float]:
-    overrides: dict[str, float] = {}
-    for item in items:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ScenarioError(f"expected NAME=VALUE for --tolerance-class, got {item!r}")
-        name = name.strip()
-        if name in overrides:
-            raise ScenarioError(f"duplicate --tolerance-class {name!r}")
-        try:
-            overrides[name] = float(value)
-        except ValueError as exc:
-            raise ScenarioError(f"bad tolerance value in {item!r}") from exc
-    return overrides
-
-
-def _parse_radii(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ScenarioError(f"bad radii list {text!r}") from exc
+def _option(parser: argparse.ArgumentParser, flag: str, entry: str, text: str) -> None:
+    """A subcommand option for the scenario entry ``entry`` ("section.key")."""
+    parser.add_argument(flag, dest=entry, type=_parse_value, metavar=flag[2:].upper(), help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,19 +70,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run_p)
 
     vac = sub.add_parser("verify-vacuum", help="Ricci-flatness of the isotropic profiles")
-    vac.add_argument("--xi", type=float, default=1.0, help="gravitational radius parameter")
-    vac.add_argument("--dimension", type=int, default=4)
-    vac.add_argument(
-        "--radii", default=",".join(str(r) for r in DEFAULT_RADII), help="comma list of radii"
-    )
+    _option(vac, "--xi", "profile.xi", "gravitational radius parameter")
+    _option(vac, "--dimension", "scenario.dimension", "dimension N")
+    _option(vac, "--radii", "samples.radii", "comma list of radii")
     _add_common(vac)
 
     fc = sub.add_parser(
         "finsler-curvature", help="spray consistency and the hh-curvature bundle"
     )
-    fc.add_argument("--charge", type=float, default=0.0, help="Finsleroid charge g")
-    fc.add_argument("--samples", type=int, default=100, help="number of (x, y) samples")
-    fc.add_argument("--dimension", type=int, default=4)
+    _option(fc, "--charge", "scenario.charge", "Finsleroid charge g")
+    _option(fc, "--samples", "samples.fibers", "number of (x, y) samples")
+    _option(fc, "--dimension", "scenario.dimension", "dimension N")
     fc.add_argument(
         "--profile",
         choices=("pd-rational", "constant", "schwarzschild"),
@@ -99,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile family: a positive-definite rational pair (default), "
         "flat constants, or the isotropic Schwarzschild pair (signature -1)",
     )
-    fc.add_argument("--xi", type=float, default=1.0, help="xi for --profile schwarzschild")
+    _option(fc, "--xi", "profile.xi", "xi for --profile schwarzschild")
     _add_common(fc)
 
     return parser
@@ -112,36 +101,44 @@ _FC_PROFILES = {
 }
 
 
+def _overrides(args: argparse.Namespace) -> Sections:
+    """The scenario entries the given options set."""
+    sections: Sections = {}
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            sections.setdefault(section, {})[key] = value
+    tolerances = sections["tolerances"] = {}
+    for item in args.tolerance_class:
+        name, sep, value = item.partition("=")
+        name = name.strip()
+        if not sep:
+            raise ScenarioError(f"expected NAME=VALUE for --tolerance-class, got {item!r}")
+        if name in tolerances:
+            raise ScenarioError(f"duplicate --tolerance-class {name!r}")
+        tolerances[name] = _parse_value(value.strip())
+    return sections
+
+
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    """The subcommands fill the sections a scenario file would hold and go
-    through the same validation as ``run``."""
+    """The subcommands fill the sections a scenario file would hold, and
+    every option is an entry that replaces the file's or the subcommand's
+    before the one validation."""
+    overrides = _overrides(args)
     if args.command == "run":
-        return load_scenario(args.scenario)
+        return load_scenario(args.scenario, overrides)
     if args.command == "verify-vacuum":
-        return scenario_from_sections(
-            {
-                "scenario": {"dimension": args.dimension, "signature": -1, "suites": ["vacuum"]},
-                "profile": {"kind": "schwarzschild_isotropic", "xi": args.xi},
-                "samples": {"radii": _parse_radii(args.radii)},
-            }
-        )
-    if args.command == "finsler-curvature":
+        sections = {
+            "scenario": {"suites": ["vacuum"]},
+            "profile": {"kind": "schwarzschild_isotropic"},
+        }
+    else:
         profile, epsilon = _FC_PROFILES[args.profile]
-        if args.profile == "schwarzschild":
-            profile = {**profile, "xi": args.xi}
-        return scenario_from_sections(
-            {
-                "scenario": {
-                    "dimension": args.dimension,
-                    "signature": epsilon,
-                    "charge": args.charge,
-                    "suites": ["finsler-curvature"],
-                },
-                "profile": profile,
-                "samples": {"fibers": args.samples},
-            }
-        )
-    raise ScenarioError(f"unknown command {args.command!r}")
+        sections = {
+            "scenario": {"signature": epsilon, "suites": ["finsler-curvature"]},
+            "profile": profile,
+        }
+    return scenario_from_sections(sections, overrides)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -149,12 +146,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         scenario = _scenario_from_args(args)
-        scenario = scenario.with_overrides(
-            seed=args.seed,
-            tolerance_overrides=_parse_tolerance_overrides(args.tolerance_class),
-            dump_dir=args.dump_tensors,
-            report_path=args.report,
-        )
     except (ScenarioError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,13 @@ import numpy as np
 
 from .tensors import Jet2
 
-PROFILE_KINDS = ("constant", "schwarzschild_isotropic", "rational")
+# Each profile kind, named as its ProfilePair constructor, with the keys that
+# constructor takes; the keys ending in "_coeffs" hold lists of numbers.
+PROFILE_KINDS = {
+    "constant": ("c0", "m0"),
+    "schwarzschild_isotropic": ("xi",),
+    "rational": ("c_coeffs", "m_coeffs"),
+}
 
 
 class DomainError(ValueError):
@@ -107,11 +113,11 @@ class ProfilePair:
         )
 
     @staticmethod
-    def rational(c_coeffs, m_coeffs) -> "ProfilePair":
+    def rational(c_coeffs=(), m_coeffs=()) -> "ProfilePair":
         c_coeffs = tuple(float(v) for v in c_coeffs)
         m_coeffs = tuple(float(v) for v in m_coeffs)
         if not c_coeffs or not m_coeffs:
-            raise ValueError("rational profile needs nonempty coefficient lists")
+            raise ValueError("rational profile needs nonempty c_coeffs and m_coeffs")
         return ProfilePair(
             "rational", {"c_coeffs": c_coeffs, "m_coeffs": m_coeffs}
         )

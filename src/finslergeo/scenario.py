@@ -30,18 +30,20 @@ Grammar (INI-style, documented in the README):
 
 Unknown sections, unknown keys and repeated keys are parse errors carrying
 the offending line number; constraint violations (a non-integer count, a
-non-finite number, a repeated suite) are validation errors naming the
-constraint.
+non-finite number, a repeated suite, a profile key of another kind, an
+empty output path) are validation errors naming the constraint.  The
+``[output]`` paths are taken verbatim; every other value is a number, a
+word or a comma list of them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .profiles import ProfilePair
+from .profiles import PROFILE_KINDS, ProfilePair
 from .tensors import TOLERANCE_CLASSES
 
 SUITES = (
@@ -62,6 +64,9 @@ DEFAULT_RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
 # being refused.
 MAX_COUNT = 10_000
 
+# Scenario entries by section, {section: {key: value}}, as the grammar parses them.
+Sections = dict[str, dict[str, object]]
+
 _SECTION_KEYS = {
     "scenario": {
         "dimension",
@@ -70,7 +75,7 @@ _SECTION_KEYS = {
         "seed",
         "suites",
     },
-    "profile": {"kind", "xi", "c0", "m0", "c_coeffs", "m_coeffs"},
+    "profile": {"kind"}.union(*PROFILE_KINDS.values()),
     "samples": {"radii", "points", "fibers"},
     "tolerances": set(TOLERANCE_CLASSES),
     "output": {"report", "dump_tensors"},
@@ -92,7 +97,7 @@ class Scenario:
 
     n_dim: int = 4
     epsilon: int = -1
-    profile: ProfilePair = field(default_factory=lambda: ProfilePair.schwarzschild_isotropic(1.0))
+    profile: ProfilePair = field(default_factory=ProfilePair.schwarzschild_isotropic)
     charge: float = 0.0
     seed: int = 0
     suites: tuple[str, ...] = ()
@@ -117,28 +122,6 @@ class Scenario:
             "fibers": self.n_fibers,
             "tolerances": dict(sorted(self.tolerances.items())),
         }
-
-    def with_overrides(
-        self,
-        seed: int | None = None,
-        tolerance_overrides: dict[str, float] | None = None,
-        dump_dir: str | None = None,
-        report_path: str | None = None,
-    ) -> "Scenario":
-        tol = dict(self.tolerances)
-        for name, value in (tolerance_overrides or {}).items():
-            if name not in TOLERANCE_CLASSES:
-                raise ScenarioError(
-                    f"unknown tolerance class {name!r}; known: {sorted(TOLERANCE_CLASSES)}"
-                )
-            tol[name] = _tolerance(name, value)
-        return replace(
-            self,
-            seed=self.seed if seed is None else _seed(seed),
-            tolerances=tol,
-            dump_dir=self.dump_dir if dump_dir is None else dump_dir,
-            report_path=self.report_path if report_path is None else report_path,
-        )
 
 
 def _plain(params) -> dict:
@@ -167,7 +150,7 @@ def _parse_value(text: str):
 
 
 def _as_list(value):
-    return value if isinstance(value, list) else [value]
+    return value if isinstance(value, (list, tuple)) else [value]
 
 
 def _check_known(section: str, keys, line: int | None = None) -> None:
@@ -183,9 +166,11 @@ def _check_known(section: str, keys, line: int | None = None) -> None:
             )
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario file contents into a Scenario."""
-    sections: dict[str, dict[str, object]] = {}
+def parse_scenario(text: str, overrides: Sections | None = None) -> Scenario:
+    """Parse and validate scenario file contents into a Scenario; the
+    entries of ``overrides`` (as in ``scenario_from_sections``) replace
+    the file's."""
+    sections: Sections = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -206,14 +191,16 @@ def parse_scenario(text: str) -> Scenario:
         _check_known(current, (key,), lineno)
         if key in sections[current]:
             raise ScenarioError(f"duplicate key {key!r} in section [{current}]", lineno)
-        sections[current][key] = _parse_value(value.strip())
-    return scenario_from_sections(sections)
+        value = value.strip()
+        sections[current][key] = value if current == "output" else _parse_value(value)
+    return scenario_from_sections(sections, overrides)
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse a scenario file to run: unlike a parsed fragment, it must list
-    at least one suite, or the run would verify nothing."""
-    scenario = parse_scenario(Path(path).read_text(encoding="utf-8"))
+def load_scenario(path: str | Path, overrides: Sections | None = None) -> Scenario:
+    """Parse a scenario file to run, with ``overrides`` as in
+    ``parse_scenario``: unlike a parsed fragment, it must list at least one
+    suite, or the run would verify nothing."""
+    scenario = parse_scenario(Path(path).read_text(encoding="utf-8"), overrides)
     if not scenario.suites:
         raise ScenarioError(f"{path}: no suites listed; nothing would be verified")
     return scenario
@@ -239,78 +226,73 @@ def _numbers(value, what: str) -> tuple[float, ...]:
     return tuple(_number(v, what) for v in _as_list(value))
 
 
-def _seed(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ScenarioError(f"seed must be an integer >= 0; got {value!r}")
+def _path(output: dict, key: str) -> str | None:
+    value = output.get(key)
+    if value is not None and not (isinstance(value, str) and value):
+        raise ScenarioError(f"[output] {key} must be a nonempty path; got {value!r}")
     return value
 
 
-def _tolerance(name: str, value) -> float:
-    value = _number(value, f"tolerance {name}")
-    if not value > 0.0:
-        raise ScenarioError(f"tolerance {name} must be > 0, got {value}")
-    return value
-
-
-def scenario_from_sections(sections: dict[str, dict[str, object]]) -> Scenario:
-    """Validate parsed sections ({section: {key: value}}, values as the
-    grammar parses them) into a Scenario.  Every entry point builds its
-    Scenario here, so one set of rules decides what runs."""
+def scenario_from_sections(sections: Sections, overrides: Sections | None = None) -> Scenario:
+    """Validate parsed sections into a Scenario.  The entries of
+    ``overrides`` replace those of ``sections`` first.  Every entry
+    point builds its Scenario here, so one set of rules decides what runs,
+    and an entry not given takes the default of its ``Scenario`` field (of
+    its ``ProfilePair`` constructor, for a profile key)."""
+    sections = dict(sections)
+    for name, entries in (overrides or {}).items():
+        sections[name] = {**sections.get(name, {}), **entries}
     for name, section in sections.items():
         _check_known(name, section)
     sc = sections.get("scenario", {})
     prof = sections.get("profile", {})
     samples = sections.get("samples", {})
-    tols = sections.get("tolerances", {})
     output = sections.get("output", {})
+    default = Scenario()
 
-    n_dim = _integer(sc, "dimension", 4)
+    n_dim = _integer(sc, "dimension", default.n_dim)
     if not 2 <= n_dim <= 8:
         raise ScenarioError(f"N must be in [2,8]; got {n_dim}")
-    epsilon = _integer(sc, "signature", -1)
+    epsilon = _integer(sc, "signature", default.epsilon)
     if epsilon not in (1, -1):
         raise ScenarioError(f"signature must be +1 or -1; got {epsilon}")
-    charge = _number(sc.get("charge", 0.0), "charge")
-    seed = _seed(sc.get("seed", 0))
+    charge = _number(sc.get("charge", default.charge), "charge")
+    seed = sc.get("seed", default.seed)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ScenarioError(f"seed must be an integer >= 0; got {seed!r}")
 
-    suites_raw = [str(s) for s in _as_list(sc.get("suites", []))]
+    suites_raw = [str(s) for s in _as_list(sc.get("suites", default.suites))]
     for pos, name in enumerate(suites_raw):
         if name not in SUITES:
             raise ScenarioError(f"unknown suite {name!r}; known: {list(SUITES)}")
         if name in suites_raw[:pos]:
             raise ScenarioError(f"suite {name!r} is listed twice")
 
-    kind = str(prof.get("kind", "schwarzschild_isotropic"))
-    try:
-        if kind == "schwarzschild_isotropic":
-            profile = ProfilePair.schwarzschild_isotropic(_number(prof.get("xi", 1.0), "xi"))
-        elif kind == "constant":
-            profile = ProfilePair.constant(
-                _number(prof.get("c0", 1.0), "c0"), _number(prof.get("m0", 1.0), "m0")
-            )
-        elif kind == "rational":
-            if "c_coeffs" not in prof or "m_coeffs" not in prof:
-                raise ScenarioError("rational profile needs c_coeffs and m_coeffs")
-            profile = ProfilePair.rational(
-                _numbers(prof["c_coeffs"], "c_coeffs"), _numbers(prof["m_coeffs"], "m_coeffs")
-            )
-        else:
+    kind = str(prof.get("kind", default.profile.kind))
+    keys = PROFILE_KINDS.get(kind)
+    if keys is None:
+        raise ScenarioError(f"unknown profile kind {kind!r}; known: {', '.join(PROFILE_KINDS)}")
+    params = {}
+    for key, value in prof.items():
+        if key == "kind":
+            continue
+        if key not in keys:
             raise ScenarioError(
-                f"unknown profile kind {kind!r}; known: constant, "
-                "schwarzschild_isotropic, rational"
+                f"key {key!r} does not apply to profile kind {kind!r}; it takes {', '.join(keys)}"
             )
+        params[key] = (_numbers if key.endswith("_coeffs") else _number)(value, key)
+    try:
+        profile = getattr(ProfilePair, kind)(**params)
     except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
         raise ScenarioError(str(exc)) from exc
 
-    radii = _numbers(samples.get("radii", list(DEFAULT_RADII)), "radii")
+    radii = _numbers(samples.get("radii", default.radii), "radii")
     if len(radii) > MAX_COUNT:
         raise ScenarioError(f"the radii count must be <= {MAX_COUNT}; got {len(radii)} radii")
     if not radii or any(r <= profile.r_min for r in radii):
         raise ScenarioError(f"radii must be a nonempty list of radii > {profile.r_min}")
-    n_points = _integer(samples, "points", 100)
-    n_fibers = _integer(samples, "fibers", 100)
+    n_points = _integer(samples, "points", default.n_points)
+    n_fibers = _integer(samples, "fibers", default.n_fibers)
     if n_points < 1 or n_fibers < 1:
         raise ScenarioError("points and fibers counts must be >= 1")
     if n_points > MAX_COUNT or n_fibers > MAX_COUNT:
@@ -319,9 +301,12 @@ def scenario_from_sections(sections: dict[str, dict[str, object]]) -> Scenario:
             f"got points = {n_points}, fibers = {n_fibers}"
         )
 
-    tolerances = dict(TOLERANCE_CLASSES)
-    for name, value in tols.items():
-        tolerances[name] = _tolerance(name, value)
+    tolerances = dict(default.tolerances)
+    for name, value in sections.get("tolerances", {}).items():
+        value = _number(value, f"tolerance {name}")
+        if not value > 0.0:
+            raise ScenarioError(f"tolerance {name} must be > 0, got {value}")
+        tolerances[name] = value
 
     return Scenario(
         n_dim=n_dim,
@@ -334,6 +319,6 @@ def scenario_from_sections(sections: dict[str, dict[str, object]]) -> Scenario:
         n_points=n_points,
         n_fibers=n_fibers,
         tolerances=tolerances,
-        report_path=str(output["report"]) if "report" in output else None,
-        dump_dir=str(output["dump_tensors"]) if "dump_tensors" in output else None,
+        report_path=_path(output, "report"),
+        dump_dir=_path(output, "dump_tensors"),
     )

@@ -90,8 +90,6 @@ class TestParsing:
         assert scenario.tolerances["finite_difference"] == 1e-7
         with pytest.raises(ScenarioError, match="must be > 0"):
             parse_scenario("[tolerances]\nexact = -1e-12\n")
-        with pytest.raises(ScenarioError, match="unknown tolerance class"):
-            Scenario().with_overrides(tolerance_overrides={"nope": 1e-3})
 
     @pytest.mark.parametrize(
         "sections, message",
@@ -278,6 +276,66 @@ class TestCli:
         assert main(["verify-vacuum", "--radii", "1,2", option, str(target)]) == 2
         assert calls == []
 
+    def test_unknown_tolerance_class_has_one_rule(self, tmp_path, capsys):
+        """--tolerance-class and a file's [tolerances] entry are refused by
+        the same rule, with the same message."""
+        message = "unknown key 'nope' in section [tolerances]"
+        good = tmp_path / "vacuum.ini"
+        good.write_text(MINIMAL_VACUUM, encoding="utf-8")
+        assert main(["run", str(good), "--tolerance-class", "nope=1e-3"]) == 2
+        assert message in capsys.readouterr().err
+        bad = tmp_path / "nope.ini"
+        bad.write_text(MINIMAL_VACUUM + "[tolerances]\nnope = 1e-3\n", encoding="utf-8")
+        assert main(["run", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_options_are_the_entries_of_a_file(self, tmp_path):
+        """run FILE --seed 9 --tolerance-class exact=1e-13 reports the body
+        of a file that holds those entries."""
+        plain = tmp_path / "plain.ini"
+        plain.write_text(PD_FINSLER, encoding="utf-8")
+        held = tmp_path / "held.ini"
+        held.write_text(
+            PD_FINSLER.replace("seed = 42", "seed = 9") + "[tolerances]\nexact = 1e-13\n",
+            encoding="utf-8",
+        )
+        options = ["--seed", "9", "--tolerance-class", "exact=1e-13"]
+        bodies = []
+        for argv in (["run", str(plain), *options], ["run", str(held)]):
+            report = tmp_path / f"{len(bodies)}.json"
+            assert main(argv + ["--report", str(report)]) == 0
+            payload = json.loads(report.read_text(encoding="utf-8"))
+            del payload["timings"]
+            bodies.append(payload)
+        assert bodies[0]["scenario"]["seed"] == 9
+        assert bodies[0]["scenario"]["tolerances"]["exact"] == 1e-13
+        assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("command", ["verify-vacuum", "finsler-curvature"])
+    def test_subcommands_without_options_echo_the_scenario_defaults(self, command, tmp_path):
+        """An option that is not given takes the Scenario default: the echo
+        differs from Scenario()'s only in what the subcommand chooses."""
+        report = tmp_path / "report.json"
+        assert main([command, "--report", str(report)]) == 0
+        echo = json.loads(report.read_text(encoding="utf-8"))["scenario"]
+        expected = Scenario().echo()
+        if command == "verify-vacuum":
+            expected["suites"] = ["vacuum"]
+        else:
+            assert echo["profile"]["kind"] == "rational"
+            expected.update(suites=["finsler-curvature"], signature=1, profile=echo["profile"])
+        assert echo == expected
+
+    def test_output_paths_are_taken_verbatim(self, tmp_path, monkeypatch):
+        """An [output] path that reads as a number or a list names that file."""
+        monkeypatch.chdir(tmp_path)
+        scn = tmp_path / "scn.ini"
+        output = "[output]\nreport = 1e3\ndump_tensors = a,b\n"
+        scn.write_text(MINIMAL_VACUUM + output, encoding="utf-8")
+        assert main(["run", str(scn)]) == 0
+        assert (tmp_path / "1e3").is_file()
+        assert (tmp_path / "a,b").is_dir()
+
     def test_tolerance_class_override_can_force_failure(self, tmp_path):
         good = tmp_path / "vacuum.ini"
         good.write_text(MINIMAL_VACUUM, encoding="utf-8")
@@ -337,6 +395,18 @@ class TestCli:
                 "duplicate --tolerance-class 'exact'",
             ),
             ("[scenario]\nseed = 3\n", "no suites listed"),
+            ("[scenario]\nsuites = vacuum\n[output]\nreport =\n",
+             "[output] report must be a nonempty path"),
+            (["verify-vacuum", "--radii", "1,2", "--report", ""],
+             "[output] report must be a nonempty path"),
+            (["verify-vacuum", "--radii", "1,2", "--dump-tensors", ""],
+             "[output] dump_tensors must be a nonempty path"),
+            ("[scenario]\nsuites = frame-identities\n[profile]\nkind = constant\nxi = 2\n",
+             "key 'xi' does not apply to profile kind 'constant'"),
+            ("[scenario]\nsuites = vacuum\n[profile]\nc0 = 3\n",
+             "key 'c0' does not apply to profile kind 'schwarzschild_isotropic'"),
+            (["finsler-curvature", "--profile", "constant", "--xi", "7", "--samples", "3"],
+             "key 'xi' does not apply to profile kind 'constant'"),
             (
                 "[scenario]\nallow_indefinite_finsler = true\nsuites = vacuum\n",
                 "line 2: unknown key 'allow_indefinite_finsler'",
@@ -347,6 +417,8 @@ class TestCli:
             "vacuum-dimension", "vacuum-pole", "curvature-samples", "huge-points",
             "curvature-samples-cap", "huge-radii", "vacuum-radii-cap",
             "duplicate-tolerance-class", "no-suites",
+            "empty-report-entry", "empty-report-option", "empty-dump-option",
+            "xi-of-constant", "c0-of-schwarzschild", "xi-option-of-constant",
             "removed-indefinite-key",
         ],
     )

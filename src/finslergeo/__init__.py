@@ -10,24 +10,19 @@ from .tensors import (
     TOLERANCE_CLASSES,
     fd_partials,
 )
-from .profiles import (
-    ComboScalars,
-    DomainError,
-    ProfilePair,
-    ProfileValues,
-    RicciCoefficients,
-    combo_scalars,
-    ricci_coefficients,
-)
+from .profiles import DomainError, ProfilePair
 from .riemann import (
+    ComboScalars,
     Frame,
     FrameError,
     MetricState,
     RadialSingularityError,
+    RicciCoefficients,
     build_metric,
     christoffel,
     christoffel_definitional,
     christoffel_dot,
+    combo_scalars,
     curvature_closed,
     curvature_dot,
     curvature_fd_oracle,

@@ -29,6 +29,7 @@ from .scenario import (
     scenario_from_sections,
 )
 from .suites import run
+from .tensors import TOLERANCE_CLASSES
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -38,8 +39,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=[],
         metavar="NAME=VALUE",
-        help="override a tolerance class (exact, algebraic, closed_form, "
-        "finite_difference, bundle); repeatable, once per class",
+        help=f"override a tolerance class ({', '.join(TOLERANCE_CLASSES)}); "
+        "repeatable, once per class",
     )
     parser.add_argument(
         "--dump-tensors",

@@ -5,6 +5,8 @@ The pair parameterises the metric family a_ij = b_i b_j / c^2 + m u_ij.
 Profiles expose their own derivatives because the vacuum check hinges on
 accurate values of c''/c and m''/m; relying on the generic differentiator
 there would put finite-difference noise inside the headline result.
+``riemann.build_metric`` keeps the six jet scalars c, c', c'', m, m', m''
+on its MetricState, where the curvature's scalar combinations read them.
 """
 
 from __future__ import annotations
@@ -34,50 +36,6 @@ class DomainError(ValueError):
     def __init__(self, message: str, rows: np.ndarray | None = None):
         super().__init__(message)
         self.rows = rows
-
-
-@dataclass(frozen=True)
-class ProfileValues:
-    """The six scalars c, c', c'', m, m', m'', each shaped like the radius
-    (a float at one radius, an array over a stack of radii)."""
-
-    c: float | np.ndarray
-    c1: float | np.ndarray
-    c2: float | np.ndarray
-    m: float | np.ndarray
-    m1: float | np.ndarray
-    m2: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class ComboScalars:
-    """The four recurring scalar combinations the curvature assembles from,
-    and the mixed one built on c_curv:
-
-    c_curv  = c''/c - 2 (c'/c)^2 - c'/(r c)
-    m_curv  = (1/m) (m'' - m'/r - (3/2) m'^2 / m)
-    m_slope = (m'/m) ((1/4) m'/m + 1/r)
-    cross   = (1/2) (c'/c) (m'/m + 2/r)
-    mixed   = c_curv - (c'/c)(m'/m)
-    """
-
-    c_curv: float
-    m_curv: float
-    m_slope: float
-    cross: float
-    mixed: float
-
-
-@dataclass(frozen=True)
-class RicciCoefficients:
-    """Coefficients of the Ricci decomposition over {u_nm, b_n b_m / (c^2 m), n_n n_m}."""
-
-    u_term: float
-    bb_term: float
-    nn_term: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.u_term, self.bb_term, self.nn_term)
 
 
 @dataclass(frozen=True)
@@ -153,11 +111,6 @@ class ProfilePair:
         _reject(r, mj.value == 0.0, lambda at: f"profile m(r) vanishes at r={at}")
         return cj, mj
 
-    def eval(self, r) -> ProfileValues:
-        """The six profile scalars at r, each shaped like r."""
-        cj, mj = self.jets(r)
-        return ProfileValues(cj.value, cj.d1, cj.d2, mj.value, mj.d1, mj.d2)
-
 
 def _reject(r, bad, message) -> None:
     """Raise DomainError(message(at), rows=bad) if the mask ``bad`` (shaped
@@ -172,41 +125,3 @@ def _poly(coeffs, w: Jet2) -> Jet2:
     for coef in reversed(coeffs):
         acc = acc * w + coef
     return acc
-
-
-def combo_scalars(p: ProfileValues, r: float) -> ComboScalars:
-    """The scalar combinations entering curvature and Ricci assembly, from
-    the profile values at radius r (a ProfileValues or a MetricState, which
-    carries the same six scalars)."""
-    c_over = p.c1 / p.c
-    m_over = p.m1 / p.m
-    c_curv = p.c2 / p.c - 2.0 * c_over**2 - c_over / r
-    return ComboScalars(
-        c_curv=c_curv,
-        m_curv=(p.m2 - p.m1 / r - 1.5 * p.m1**2 / p.m) / p.m,
-        m_slope=m_over * (0.25 * m_over + 1.0 / r),
-        cross=0.5 * c_over * (m_over + 2.0 / r),
-        mixed=c_curv - c_over * m_over,
-    )
-
-
-def ricci_coefficients(p: ProfileValues, r: float, n_dim: int) -> RicciCoefficients:
-    """The three scalars of the Ricci decomposition in dimension n_dim, from
-    the profile values at radius r (as for combo_scalars).
-
-    With A = c_curv, B = m_curv, C = m_slope, D = cross and the mixed
-    combination Y = A - (c'/c)(m'/m):
-
-        u_term  = -(N-2) C - B/2 + D
-        bb_term = Y + (N-1) D
-        nn_term = Y - (N-3) B/2
-
-    All three vanish identically for the isotropic Schwarzschild pair at
-    N = 4, which is the vacuum property.
-    """
-    s = combo_scalars(p, r)
-    return RicciCoefficients(
-        u_term=-(n_dim - 2) * s.m_slope - 0.5 * s.m_curv + s.cross,
-        bb_term=s.mixed + (n_dim - 1) * s.cross,
-        nn_term=s.mixed - (n_dim - 3) * 0.5 * s.m_curv,
-    )

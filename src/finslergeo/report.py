@@ -75,16 +75,15 @@ class SuiteResult:
     reason: str | None = None
     wall_time_s: float = 0.0
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The suite's part of the report body; its wall time goes in the
+        report's ``timings``."""
+        return {
             "name": self.name,
             "status": self.status,
             "reason": self.reason,
             "checks": [asdict(c) for c in self.checks],
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ class RunReport:
                 "bundle_index_lowering": "Riemannian a_ij (the Finsler metric tensor is out of scope)",
                 "residual_units": "vacuum Ricci residuals are scaled by r^2",
             },
-            "suites": [s.to_dict(include_timing=False) for s in self.suites],
+            "suites": [s.to_dict() for s in self.suites],
             "passed": self.passed,
         }
 

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .profiles import ProfilePair, RicciCoefficients, combo_scalars, ricci_coefficients
+from .profiles import ProfilePair
 from .tensors import dot, fd_partials, fd_stencil, matvec, outer
 
 _FRAME_TOL = 1e-9
@@ -156,7 +156,8 @@ def _standard_frame(n_dim: int, epsilon: int) -> Frame:
 @dataclass(frozen=True)
 class MetricState:
     """All point-local metric data at x: radius, radial covector, metric and
-    inverse, axis covector/vector, and the profile jets at r.
+    inverse, axis covector/vector, and the six profile scalars c, c', c'',
+    m, m', m'' at r (the values and derivatives of the profile jets).
 
     x may be one point (N,) or a stack of points (..., N); every array field
     then carries the same leading axes (scalars become arrays over them).
@@ -251,13 +252,14 @@ def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricSt
     x = np.array(x, dtype=float)
     x = x.reshape(x.shape[:-1] + (frame.n_dim,))
     r = frame.radius(x)
-    p = profiles.eval(r)
+    cj, mj = profiles.jets(r)
+    c, m = cj.value, mj.value
     n_low = (x @ frame.u_low.T) / r[..., None]
     n_up = n_low @ frame.u_up.T
     b_low = np.empty_like(x)
     b_low[...] = frame.e_low
-    b_up = (p.c**2)[..., None] * frame.e_up
-    a_low = outer(b_low, b_low) / (p.c**2)[..., None, None] + p.m[..., None, None] * frame.u_low
+    b_up = (c**2)[..., None] * frame.e_up
+    a_low = outer(b_low, b_low) / (c**2)[..., None, None] + m[..., None, None] * frame.u_low
     return MetricState(
         frame=frame,
         profiles=profiles,
@@ -268,12 +270,12 @@ def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricSt
         b_low=b_low,
         b_up=b_up,
         a_low=a_low,
-        c=p.c,
-        c1=p.c1,
-        c2=p.c2,
-        m=p.m,
-        m1=p.m1,
-        m2=p.m2,
+        c=c,
+        c1=cj.d1,
+        c2=cj.d2,
+        m=m,
+        m1=mj.d1,
+        m2=mj.d2,
     )
 
 
@@ -383,6 +385,54 @@ def christoffel_definitional(state: MetricState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ComboScalars:
+    """The four recurring scalar combinations the curvature assembles from,
+    and the mixed one built on c_curv:
+
+    c_curv  = c''/c - 2 (c'/c)^2 - c'/(r c)
+    m_curv  = (1/m) (m'' - m'/r - (3/2) m'^2 / m)
+    m_slope = (m'/m) ((1/4) m'/m + 1/r)
+    cross   = (1/2) (c'/c) (m'/m + 2/r)
+    mixed   = c_curv - (c'/c)(m'/m)
+    """
+
+    c_curv: float
+    m_curv: float
+    m_slope: float
+    cross: float
+    mixed: float
+
+
+@dataclass(frozen=True)
+class RicciCoefficients:
+    """Coefficients of the Ricci decomposition over {u_nm, b_n b_m / (c^2 m), n_n n_m}."""
+
+    u_term: float
+    bb_term: float
+    nn_term: float
+
+    def as_tuple(self) -> tuple[float, float, float]:
+        return (self.u_term, self.bb_term, self.nn_term)
+
+
+def combo_scalars(state: MetricState) -> ComboScalars:
+    """The scalar combinations of the state's six profile scalars at its
+    radius, the one home of the curvature's and the Ricci decomposition's
+    scalar weights; each is shaped like state.r."""
+    s, r = state, state.r
+    c_over = s.c1 / s.c
+    m_over = s.m1 / s.m
+    c_curv = s.c2 / s.c - 2.0 * c_over**2 - c_over / r
+    return ComboScalars(
+        c_curv=c_curv,
+        m_curv=(s.m2 - s.m1 / r - 1.5 * s.m1**2 / s.m) / s.m,
+        m_slope=m_over * (0.25 * m_over + 1.0 / r),
+        cross=0.5 * c_over * (m_over + 2.0 / r),
+        mixed=c_curv - c_over * m_over,
+    )
+
+
 def _curvature_pairs(state: MetricState, substituted: bool = True):
     """The (L, M) pairs of the closed curvature, the one home of its blocks:
 
@@ -397,7 +447,7 @@ def _curvature_pairs(state: MetricState, substituted: bool = True):
     """
     n, b = state.n_low, state.b_low
     u, u_mix = state.frame.u_low, state.frame.u_mix
-    s = combo_scalars(state, state.r)
+    s = combo_scalars(state)
     m_slope, mixed, m_curv_half, cross, m, c2 = (
         v[..., None, None] for v in (s.m_slope, s.mixed, 0.5 * s.m_curv, s.cross, state.m, state.c**2)
     )
@@ -520,8 +570,23 @@ def ricci_closed(state: MetricState) -> tuple[np.ndarray, RicciCoefficients]:
 
         a_n^i_im = u_term * u_nm + bb_term * b_n b_m / (c^2 m) + nn_term * n_n n_m
 
-    returned together with its three scalar coefficients."""
-    coeffs = ricci_coefficients(state, state.r, state.frame.n_dim)
+    returned together with its three scalar coefficients.  In dimension N,
+    with A = c_curv, B = m_curv, C = m_slope, D = cross and the mixed
+    combination Y = A - (c'/c)(m'/m) of combo_scalars:
+
+        u_term  = -(N-2) C - B/2 + D
+        bb_term = Y + (N-1) D
+        nn_term = Y - (N-3) B/2
+
+    All three vanish identically for the isotropic Schwarzschild pair at
+    N = 4, which is the vacuum property.
+    """
+    s, n_dim = combo_scalars(state), state.frame.n_dim
+    coeffs = RicciCoefficients(
+        u_term=-(n_dim - 2) * s.m_slope - 0.5 * s.m_curv + s.cross,
+        bb_term=s.mixed + (n_dim - 1) * s.cross,
+        nn_term=s.mixed - (n_dim - 3) * 0.5 * s.m_curv,
+    )
     u_term, bb_term, nn_term = (
         v[..., None, None]
         for v in (coeffs.u_term, coeffs.bb_term / (state.c**2 * state.m), coeffs.nn_term)

@@ -2,7 +2,7 @@
 
 Grammar (INI-style, documented in the README):
 
-    # comment lines start with '#'
+    # a '#' at line start or after whitespace starts a comment
     [scenario]
     dimension = 4
     signature = -1
@@ -33,13 +33,15 @@ the offending line number; constraint violations (a non-integer count, a
 non-finite number, a repeated suite, a profile key of another kind, an
 empty output path) are validation errors naming the constraint.  The
 ``[output]`` paths are taken verbatim; every other value is a number, a
-word or a comma list of them.
+word or a comma list of them.  A '#' inside a value (``report = out#1.json``)
+is part of it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,6 +65,8 @@ DEFAULT_RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
 # unbounded count (a many-digit integer) would never finish instead of
 # being refused.
 MAX_COUNT = 10_000
+
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 # Scenario entries by section, {section: {key: value}}, as the grammar parses them.
 Sections = dict[str, dict[str, object]]
@@ -173,7 +177,7 @@ def parse_scenario(text: str, overrides: Sections | None = None) -> Scenario:
     sections: Sections = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

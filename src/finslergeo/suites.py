@@ -10,6 +10,7 @@ continues.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from pathlib import Path
 
@@ -467,10 +468,7 @@ def run(scenario: Scenario) -> RunReport:
                 SuiteResult(name, "fail", reason=f"{type(exc).__name__}: {exc}"),
                 {},
             )
-        elapsed = time.perf_counter() - started
-        suite_results.append(
-            SuiteResult(result.name, result.status, result.checks, result.reason, elapsed)
-        )
+        suite_results.append(dataclasses.replace(result, wall_time_s=time.perf_counter() - started))
         dumps_all.update(dumps)
 
     report = RunReport(scenario=scenario.echo(), suites=tuple(suite_results))

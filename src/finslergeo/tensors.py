@@ -180,7 +180,7 @@ _STENCIL = ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.
 def fd_stencil(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-    scales: np.ndarray | float | None = None,
+    scales: np.ndarray | float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The field on the central-difference stencil at one base point x (N,)
     or at each of a batch of base points (B, N), as (values, weights, h):
@@ -192,8 +192,8 @@ def fd_stencil(
     stencil order, and returns one value of any shape per row, which come
     back as values (B, N, width, ...) with h (B, N).  ``scales`` fixes the
     step scale and broadcasts against x: a scalar, a per-axis (N,) array or
-    a per-sample (B, 1) column; default max(1, |x_k|) per axis.  A
-    non-finite value raises StencilError naming its sample, axis and offset.
+    a per-sample (B, 1) column (the engine passes r or |y|).  A non-finite
+    value raises StencilError naming its sample, axis and offset.
 
     If the field raises StencilMissError, the samples owning the rows it
     names (every sample when it names none) are redone once with the step
@@ -202,10 +202,7 @@ def fd_stencil(
     """
     x = np.asarray(x, dtype=float)
     lead, n = x.shape[:-1], x.shape[-1]
-    if scales is None:
-        scale_arr = np.maximum(1.0, np.abs(x))
-    else:
-        scale_arr = np.broadcast_to(np.asarray(scales, dtype=float), x.shape)
+    scale_arr = np.broadcast_to(np.asarray(scales, dtype=float), x.shape)
     width = len(_STENCIL)
     rows = n * width
     # moves[k, j] = offset_j e_k: stencil point j along axis k.
@@ -244,7 +241,7 @@ def fd_stencil(
 
 
 def fd_partials(
-    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scales: np.ndarray | float | None = None
+    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scales: np.ndarray | float
 ) -> np.ndarray:
     """Central-difference partials out[..., k, ...] = d f / d x^k, shaped
     (B, N, ...), for fd_stencil's arguments: per sample, the stencil rows

@@ -179,7 +179,7 @@ class TestFdPartialsBatch:
             raise StencilMissError("defined only at x", rows=rows)
 
         with pytest.raises(ConeStencilError):
-            fd_partials(point_field, x)
+            fd_partials(point_field, x, scales=np.maximum(1.0, np.abs(x)))
 
 
 class TestClosedFormsBatch:

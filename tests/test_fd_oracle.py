@@ -99,13 +99,13 @@ def test_a_non_finite_stencil_value_raises(batched, monkeypatch):
     # The order-4 stencil moves r by about 2e-5 per unit offset along axis 1
     # and by at most 1e-5 per offset along the others.
     beyond = 2.1 + 3e-5
-    values_at = ProfilePair.eval
+    jets_at = ProfilePair.jets
 
-    def eval_with_nan(self, r):
-        p = values_at(self, r)
-        return dataclasses.replace(p, m1=np.where(np.asarray(r) > beyond, np.nan, p.m1))
+    def jets_with_nan(self, r):
+        cj, mj = jets_at(self, r)
+        return cj, dataclasses.replace(mj, d1=np.where(np.asarray(r) > beyond, np.nan, mj.d1))
 
-    monkeypatch.setattr(ProfilePair, "eval", eval_with_nan)
+    monkeypatch.setattr(ProfilePair, "jets", jets_with_nan)
     where = r"sample \(0,\), axis 1, offset 2\)" if batched else r"\(axis 1, offset 2\)"
     with pytest.raises(StencilError, match=where):
         curvature_fd_oracle(state)

@@ -17,8 +17,7 @@ from finslergeo import (
     reduced_curvature,
 )
 from finslergeo import riemann, vacuum
-from finslergeo.profiles import combo_scalars
-from finslergeo.riemann import _gamma_products, _pair_sum
+from finslergeo.riemann import _gamma_products, _pair_sum, combo_scalars
 from finslergeo.tensors import matvec, max_abs, outer
 
 from conftest import sample_point
@@ -88,7 +87,7 @@ def _curvature_blocks_dot(state, y):
 def _block_scalars(state, rank=4):
     """Scalar weights of the curvature blocks, (m_slope, mixed, m_curv/2,
     cross/c^2), each with ``rank`` unit axes to scale a block."""
-    s = combo_scalars(state, state.r)
+    s = combo_scalars(state)
     weights = (s.m_slope, s.mixed, 0.5 * s.m_curv, s.cross / state.c**2)
     return tuple(w[(...,) + (None,) * rank] for w in weights)
 

@@ -1,25 +1,36 @@
 """Radial profile catalog: values, derivatives, domains, and the scalar
-combinations feeding the Ricci decomposition."""
+combinations feeding the Ricci decomposition, read from a metric state."""
 
 import numpy as np
 import pytest
 
 from finslergeo import (
     DomainError,
+    Frame,
     ProfilePair,
+    build_metric,
     combo_scalars,
-    ricci_coefficients,
+    ricci_closed,
 )
 
 from conftest import fd_scalar
 
 
+def state_at(pair, r, n_dim=4):
+    """The metric state of ``pair`` at radius r (a float or an array of
+    radii), on the standard frame at the points r e_1."""
+    r = np.asarray(r, dtype=float)
+    x = np.zeros(r.shape + (n_dim,))
+    x[..., 1] = r
+    return build_metric(Frame.standard(n_dim), pair, x)
+
+
 class TestSchwarzschildPair:
     def test_values_at_unit_radius(self):
         """c(1) = 1.25/0.75 = 5/3 and m(1) = -(1.25)^4 = -2.44140625 for xi = 1."""
-        p = ProfilePair.schwarzschild_isotropic(1.0).eval(1.0)
-        assert p.c == pytest.approx(5.0 / 3.0, rel=1e-15)
-        assert p.m == pytest.approx(-2.44140625, rel=1e-15)
+        cj, mj = ProfilePair.schwarzschild_isotropic(1.0).jets(1.0)
+        assert cj.value == pytest.approx(5.0 / 3.0, rel=1e-15)
+        assert mj.value == pytest.approx(-2.44140625, rel=1e-15)
 
     def test_first_derivatives_match_chain_rule(self):
         """c' = -(xi/4r^2) * 2/(1 - xi/4r)^2 and m' = (xi/r^2)(1 + xi/4r)^3."""
@@ -27,9 +38,9 @@ class TestSchwarzschildPair:
         pair = ProfilePair.schwarzschild_isotropic(xi)
         for r in (0.4, 1.0, 2.5, 7.0):
             t = xi / (4.0 * r)
-            p = pair.eval(r)
-            assert p.c1 == pytest.approx(-(xi / (4 * r**2)) * 2.0 / (1 - t) ** 2, rel=1e-13)
-            assert p.m1 == pytest.approx((xi / r**2) * (1 + t) ** 3, rel=1e-13)
+            cj, mj = pair.jets(r)
+            assert cj.d1 == pytest.approx(-(xi / (4 * r**2)) * 2.0 / (1 - t) ** 2, rel=1e-13)
+            assert mj.d1 == pytest.approx((xi / r**2) * (1 + t) ** 3, rel=1e-13)
 
     def test_second_derivatives_match_substitution_rule(self):
         """c'' = (xi/2r^3) y' + (xi^2/16r^4) y'' with y' = 2/(1-t)^2, y'' = 4/(1-t)^3."""
@@ -39,17 +50,17 @@ class TestSchwarzschildPair:
             t = xi / (4.0 * r)
             yp = 2.0 / (1 - t) ** 2
             ypp = 4.0 / (1 - t) ** 3
-            p = pair.eval(r)
-            assert p.c2 == pytest.approx(
+            cj, _ = pair.jets(r)
+            assert cj.d2 == pytest.approx(
                 (xi / (2 * r**3)) * yp + (xi**2 / (16 * r**4)) * ypp, rel=1e-13
             )
 
     def test_domain_error_names_pole(self):
         pair = ProfilePair.schwarzschild_isotropic(1.0)
         with pytest.raises(DomainError, match="pole"):
-            pair.eval(0.25)
+            pair.jets(0.25)
         with pytest.raises(DomainError, match="pole"):
-            pair.eval(0.1)
+            pair.jets(0.1)
 
     def test_xi_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -60,30 +71,30 @@ class TestSchwarzschildPair:
 
 class TestConstantAndRational:
     def test_constant_pair_is_flat(self):
-        p = ProfilePair.constant(1.0, -1.0).eval(3.7)
-        assert (p.c, p.m) == (1.0, -1.0)
-        assert p.c1 == p.c2 == p.m1 == p.m2 == 0.0
+        cj, mj = ProfilePair.constant(1.0, -1.0).jets(3.7)
+        assert (cj.value, mj.value) == (1.0, -1.0)
+        assert cj.d1 == cj.d2 == mj.d1 == mj.d2 == 0.0
 
     def test_rational_values_and_derivatives(self):
         # c = 0.8 + 0.1/r: c' = -0.1/r^2, c'' = 0.2/r^3
         pair = ProfilePair.rational((0.8, 0.1), (1.0, 0.2))
-        p = pair.eval(2.0)
-        assert p.c == pytest.approx(0.85, rel=1e-15)
-        assert p.c1 == pytest.approx(-0.1 / 4.0, rel=1e-14)
-        assert p.c2 == pytest.approx(0.2 / 8.0, rel=1e-14)
-        assert p.m == pytest.approx(1.1, rel=1e-15)
+        cj, mj = pair.jets(2.0)
+        assert cj.value == pytest.approx(0.85, rel=1e-15)
+        assert cj.d1 == pytest.approx(-0.1 / 4.0, rel=1e-14)
+        assert cj.d2 == pytest.approx(0.2 / 8.0, rel=1e-14)
+        assert mj.value == pytest.approx(1.1, rel=1e-15)
 
     def test_positivity_enforced_at_eval(self):
         # c = 1 - 1/r turns non-positive at r <= 1
         pair = ProfilePair.rational((1.0, -1.0), (1.0,))
-        pair.eval(5.0)
+        pair.jets(5.0)
         with pytest.raises(DomainError):
-            pair.eval(0.9)
+            pair.jets(0.9)
 
     def test_m_zero_rejected(self):
         pair = ProfilePair.rational((1.0,), (1.0, -1.0))
         with pytest.raises(DomainError):
-            pair.eval(1.0)
+            pair.jets(1.0)
         with pytest.raises(ValueError):
             ProfilePair.constant(1.0, 0.0)
 
@@ -104,20 +115,20 @@ class TestDerivativeOracle:
         for _ in range(200):
             r = rng.uniform(0.4, 12.0)
 
-            p = pair.eval(r)
-            for ch in ("c", "m"):
-                got1, got2 = getattr(p, ch + "1"), getattr(p, ch + "2")
-                d1 = fd_scalar(lambda rr: getattr(pair.eval(rr), ch), r, r)
-                d2 = fd_scalar(lambda rr: getattr(pair.eval(rr), ch + "1"), r, r)
+            for pos, jet in enumerate(pair.jets(r)):
+                got1, got2 = jet.d1, jet.d2
+                d1 = fd_scalar(lambda rr: pair.jets(rr)[pos].value, r, r)
+                d2 = fd_scalar(lambda rr: pair.jets(rr)[pos].d1, r, r)
                 assert abs(got1 - d1) <= 1e-8 * max(abs(got1), 1.0)
                 assert abs(got2 - d2) <= 1e-8 * max(abs(got2), 1.0)
 
 
 class TestComboScalars:
     def test_constant_profiles_vanish(self):
-        s = combo_scalars(ProfilePair.constant(1.4, -2.0).eval(2.2), 2.2)
+        state = state_at(ProfilePair.constant(1.4, -2.0), 2.2)
+        s = combo_scalars(state)
         assert s.c_curv == s.m_curv == s.m_slope == s.cross == 0.0
-        n = ricci_coefficients(ProfilePair.constant(1.4, -2.0).eval(2.2), 2.2, 4)
+        _, n = ricci_closed(state)
         assert n.as_tuple() == (0.0, 0.0, 0.0)
 
     def test_schwarzschild_vacuum_coefficients(self, rng):
@@ -125,18 +136,17 @@ class TestComboScalars:
         for the isotropic pair at N = 4, across 50 radii in (xi/4, 20 xi]."""
         xi = 1.0
         pair = ProfilePair.schwarzschild_isotropic(xi)
-        for _ in range(50):
-            r = rng.uniform(xi / 4 * 1.01 + 1e-9, 20 * xi)
-            n = ricci_coefficients(pair.eval(r), r, 4)
-            assert max(abs(v) for v in n.as_tuple()) * r**2 < 1e-10
+        r = rng.uniform(xi / 4 * 1.01 + 1e-9, 20 * xi, size=50)
+        _, n = ricci_closed(state_at(pair, r))
+        assert np.all(np.max(np.abs(n.as_tuple()), axis=0) * r**2 < 1e-10)
 
     def test_mixed_combination_value(self):
         """The mixed scalar c''/c - 2(c'/c)^2 - c'/(rc) - (c'/c)(m'/m) equals
         6 (1/r^2) t/(1+t)^2; at r = 1, xi = 1 that is 6 * 0.25/1.5625 = 0.96."""
         pair = ProfilePair.schwarzschild_isotropic(1.0)
-        p = pair.eval(1.0)
-        s = combo_scalars(p, 1.0)
-        mixed = s.c_curv - (p.c1 / p.c) * (p.m1 / p.m)
+        state = state_at(pair, 1.0)
+        s = combo_scalars(state)
+        mixed = s.c_curv - (state.c1 / state.c) * (state.m1 / state.m)
         assert mixed == pytest.approx(0.96, rel=1e-12)
 
     def test_pure_c_combination_identity(self, rng):
@@ -147,18 +157,10 @@ class TestComboScalars:
         for _ in range(25):
             r = rng.uniform(0.3, 15.0)
             t = xi / (4.0 * r)
-            s = combo_scalars(pair.eval(r), r)
+            s = combo_scalars(state_at(pair, r))
             want = (
                 (t / r**2)
                 / ((1 + t) * (1 - t))
                 * (6.0 - 4.0 * t / (1 + t))
             )
             assert s.c_curv == pytest.approx(want, rel=1e-10)
-
-    def test_dimension_five_is_not_vacuum(self):
-        """At N = 5 the coefficients are (0.64, -0.32, -0.96) at r = 1, xi = 1;
-        the vanishing is specific to N = 4."""
-        n = ricci_coefficients(ProfilePair.schwarzschild_isotropic(1.0).eval(1.0), 1.0, 5)
-        assert n.u_term == pytest.approx(0.64, rel=1e-12)
-        assert n.bb_term == pytest.approx(-0.32, rel=1e-12)
-        assert n.nn_term == pytest.approx(-0.96, rel=1e-12)

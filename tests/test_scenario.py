@@ -112,6 +112,8 @@ class TestParsing:
     def test_comments_and_blank_lines_ignored(self):
         scenario = parse_scenario("# header\n\n[scenario]\nseed = 7 # trailing\n")
         assert scenario.seed == 7
+        scenario = parse_scenario("  # indented\n[scenario]\nseed = 8\t# after a tab\n")
+        assert scenario.seed == 8
 
 
 class TestRun:
@@ -336,6 +338,18 @@ class TestCli:
         assert (tmp_path / "1e3").is_file()
         assert (tmp_path / "a,b").is_dir()
 
+    def test_hash_inside_an_output_path_is_part_of_it(self, tmp_path, monkeypatch):
+        """'#' starts a comment only at line start or after whitespace, so
+        report = out#1.json names that file instead of 'out'."""
+        monkeypatch.chdir(tmp_path)
+        scn = tmp_path / "scn.ini"
+        output = "[output]\nreport = out#1.json  # the report\ndump_tensors = d#2\n"
+        scn.write_text(MINIMAL_VACUUM + output, encoding="utf-8")
+        assert main(["run", str(scn)]) == 0
+        assert (tmp_path / "out#1.json").is_file()
+        assert (tmp_path / "d#2").is_dir()
+        assert not (tmp_path / "out").exists() and not (tmp_path / "d").exists()
+
     def test_tolerance_class_override_can_force_failure(self, tmp_path):
         good = tmp_path / "vacuum.ini"
         good.write_text(MINIMAL_VACUUM, encoding="utf-8")
@@ -380,6 +394,7 @@ class TestCli:
             ("[scenario]\nseed = 1\nseed = 2\n", "line 3: duplicate key 'seed'"),
             ("[scenario]\nsuites = vacuum, vacuum\n", "listed twice"),
             ("[scenario]\nseed = -1\n", "seed must be an integer >= 0"),
+            ("[scenario]\nseed = 7#8\nsuites = vacuum\n", "seed must be an integer"),
             (["verify-vacuum", "--dimension", "9"], r"N must be in [2,8]"),
             (["verify-vacuum", "--radii", "0.25,1"], "radii > 0.25"),
             (["finsler-curvature", "--samples", "0"], "must be >= 1"),
@@ -414,6 +429,7 @@ class TestCli:
         ],
         ids=[
             "boolean", "integer", "finite", "duplicate-key", "duplicate-suite", "seed",
+            "hash-inside-a-number",
             "vacuum-dimension", "vacuum-pole", "curvature-samples", "huge-points",
             "curvature-samples-cap", "huge-radii", "vacuum-radii-cap",
             "duplicate-tolerance-class", "no-suites",

@@ -156,13 +156,14 @@ class TestFdGradient:
     def test_radius_gradient_is_radial_covector(self, frame4, rng):
         """The gradient of r = sqrt(u_ij x^i x^j) is the unit radial covector n_i."""
         x = sample_point(rng, 4, 0.5, 5.0)
-        grad = fd_partials(lambda p: frame4.radius(p), x)
+        grad = fd_partials(lambda p: frame4.radius(p), x, scales=np.maximum(1.0, np.abs(x)))
         n_low = (frame4.u_low @ x) / frame4.radius(x)
         np.testing.assert_allclose(grad, n_low, atol=1e-9)
 
     def test_constant_field_gives_zero(self, rng):
         # roundoff in the stencil sum is amplified by 1/h; zero at FD accuracy
-        grad = fd_partials(lambda pts: np.full(len(pts), 4.25), rng.normal(size=4))
+        x = rng.normal(size=4)
+        grad = fd_partials(lambda pts: np.full(len(pts), 4.25), x, scales=np.maximum(1.0, np.abs(x)))
         np.testing.assert_allclose(grad, np.zeros(4), atol=1e-9)
 
     def test_schwarzschild_c_gradient(self, frame4, schwarzschild):
@@ -170,17 +171,18 @@ class TestFdGradient:
         x = np.array([0.2, 0.6, 0.8, 0.0])
 
         def c_field(p):
-            return schwarzschild.eval(frame4.radius(p)).c
+            return schwarzschild.jets(frame4.radius(p))[0].value
 
-        grad = fd_partials(c_field, x)
+        grad = fd_partials(c_field, x, scales=np.maximum(1.0, np.abs(x)))
         n_low = (frame4.u_low @ x) / 1.0
         np.testing.assert_allclose(grad, (-8.0 / 9.0) * n_low, atol=1e-9)
         # Cross-check the same derivative through the jet engine.
-        assert schwarzschild.eval(1.0).c1 == pytest.approx(-8.0 / 9.0, rel=1e-14)
+        state = build_metric(frame4, schwarzschild, x)
+        assert state.c1 == pytest.approx(-8.0 / 9.0, rel=1e-14)
 
     def test_non_finite_stencil_raises(self):
         with pytest.raises(StencilError):
-            fd_partials(lambda pts: np.full(len(pts), np.nan), np.ones(3))
+            fd_partials(lambda pts: np.full(len(pts), np.nan), np.ones(3), scales=1.0)
 
     def test_non_finite_message_names_axis_and_offset(self):
         """Only the point at axis 1, offset -1 is NaN: the error names it."""
@@ -196,7 +198,7 @@ class TestFdGradient:
 
     def test_single_point_field_is_rejected(self):
         with pytest.raises(ValueError, match="one value per row"):
-            fd_partials(lambda pts: 4.25, np.ones(3))
+            fd_partials(lambda pts: 4.25, np.ones(3), scales=1.0)
 
     @pytest.mark.parametrize("route", ["y-stencil", "x-stencil"])
     def test_non_finite_spray_stencil_raises(self, route):
@@ -287,9 +289,9 @@ class TestFdGradient:
 
     def test_stencil_rows_sit_at_one_and_two_steps_of_the_scale(self):
         """Along axis k the rows sit at x + (2, 1, -1, -2) h_k e_k with
-        h_k = FD_STEP * scale_k, the default scale being max(1, |x_k|)."""
+        h_k = FD_STEP * scale_k, here with scale max(1, |x_k|)."""
         x = np.array([0.3, -4.0, 2.5])
-        values, _, h = tensors.fd_stencil(lambda pts: pts, x)
+        values, _, h = tensors.fd_stencil(lambda pts: pts, x, scales=np.maximum(1.0, np.abs(x)))
         np.testing.assert_array_equal(h, tensors.FD_STEP * np.array([1.0, 4.0, 2.5]))
         for axis in range(3):
             moved = values[axis] - x
@@ -305,7 +307,7 @@ class TestFdGradient:
             return 1.0
 
         with pytest.raises(ConeStencilError):
-            fd_partials(point_field, x)
+            fd_partials(point_field, x, scales=np.maximum(1.0, np.abs(x)))
 
 
 class TestPlanned:

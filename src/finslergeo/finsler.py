@@ -79,8 +79,9 @@ class FinsleroidState:
 
     Built from a stack of metrics or of fiber vectors, the per-point fields
     carry the stack's leading axis (the scalars become arrays over it).
-    r_low, eta, sigma and e_fiber are computed on first use and kept: no
-    spray stencil row reads them.
+    r_mix, r_low, eta, sigma and e_fiber are computed on first use and
+    kept: no spray stencil row reads the last four, and no e-fiber stencil
+    row reads r_mix.
     """
 
     metric: MetricState
@@ -95,9 +96,12 @@ class FinsleroidState:
     v_up: np.ndarray
     nu: float | np.ndarray
     nu_low: np.ndarray
-    r_mix: np.ndarray
     s_low: np.ndarray
     ys: float | np.ndarray
+
+    @cached_property
+    def r_mix(self) -> np.ndarray:
+        return np.eye(self.metric.frame.n_dim) - outer(self.metric.b_up, self.metric.b_low)
 
     @cached_property
     def r_low(self) -> np.ndarray:
@@ -162,7 +166,6 @@ def kinematics(metric: MetricState, y: np.ndarray, charge: float) -> FinsleroidS
         )
 
     nu_low = eps * v_low / q[..., None] + (one_minus_c2 * charge)[..., None] * metric.b_low
-    r_mix = np.eye(metric.frame.n_dim) - outer(metric.b_up, metric.b_low)
     s_low = nabla_b_dot(metric, y)
     ys = np.einsum("...i,...i->...", y, s_low)
     return FinsleroidState(
@@ -178,7 +181,6 @@ def kinematics(metric: MetricState, y: np.ndarray, charge: float) -> FinsleroidS
         v_up=v_up,
         nu=nu,
         nu_low=nu_low,
-        r_mix=r_mix,
         s_low=s_low,
         ys=ys,
     )

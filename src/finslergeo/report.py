@@ -41,7 +41,7 @@ class CheckResult:
         values = np.asarray(list(residuals), dtype=float)
         worst_index = int(np.argmax(values)) if values.size else None
         worst = float(values[worst_index]) if values.size else 0.0
-        med = float(np.median(values)) if values.size else 0.0
+        med = _median(values) if values.size else 0.0
         passed = True if tolerance is None else worst <= tolerance
         return CheckResult(
             name=name,
@@ -53,6 +53,18 @@ class CheckResult:
             passed=passed,
             worst_index=worst_index,
         )
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D float array, bit for bit, without
+    np.median (whose NaN check imports numpy.ma): the middle value of the
+    sorted values, or the mean of the two middle ones, summed from +0.0 and
+    divided as np.mean does; NaN if any value is NaN (sorted last)."""
+    ordered = np.sort(values)
+    if np.isnan(ordered[-1]):
+        return float("nan")
+    middle = ordered[(values.size - 1) // 2 : values.size // 2 + 1]
+    return float(middle.sum() / middle.size)
 
 
 def _planned(rows: dict, plan: list, tolerances: Mapping[str, float]) -> list[CheckResult]:

@@ -4,7 +4,7 @@ Christoffel, nabla b and curvature kernels against the full arrays,
 per-sample stencil misses, the block samplers against the try-by-try loops,
 the calls each stage makes, the fields a stencil row computes, the suites'
 chunk counts, chunk-size invariance and chunk memory, and the worst-sample
-index of each check."""
+index and residual median of each check."""
 
 import sys
 import tracemalloc
@@ -596,6 +596,20 @@ def test_spray_stencils_build_no_christoffel_array(monkeypatch):
     assert calls == []
 
 
+def _recording(monkeypatch, module, names) -> list:
+    """Every state that ``module``'s functions ``names`` return, in order."""
+    built = []
+    for name in names:
+        original = getattr(module, name)
+
+        def recorded(*args, _original=original, **kwargs):
+            built.append(_original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(module, name, recorded)
+    return built
+
+
 def test_spray_stencil_rows_compute_only_what_the_spray_reads(monkeypatch):
     """On a charged N = 8 batch, hh_curvature's x-stencil rows build no
     inverse metric, no nabla b and none of the Finsleroid fields that only
@@ -603,20 +617,25 @@ def test_spray_stencil_rows_compute_only_what_the_spray_reads(monkeypatch):
     scenario = parse_scenario(CHARGED_N8)
     fibers = _sample_blocks(scenario, np.random.default_rng(1), 4, charge=0.3)
     derivs = spray_derivatives(fibers.metric, fibers.y, scenario.charge)
-    built = []
-    for name in ("build_metric", "kinematics"):
-        original = getattr(finsler, name)
-
-        def recorded(*args, _original=original, **kwargs):
-            built.append(_original(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(finsler, name, recorded)
+    built = _recording(monkeypatch, finsler, ("build_metric", "kinematics"))
     hh_curvature(derivs)
     kinds = {type(state).__name__ for state in built}
     assert kinds == {"MetricState", "FinsleroidState"}
     for state in built:
         assert not {"r_low", "eta", "sigma", "e_fiber", "a_up", "nb", "gamma"} & vars(state).keys()
+
+
+def test_e_fiber_stencil_rows_build_no_projector(monkeypatch):
+    """The y-stencil rows of the e-fiber FD check read only e_fiber: on a
+    charged N = 8 batch they build no transverse projector r_mix and none
+    of the other fields computed on first use that e_fiber does not read."""
+    scenario = parse_scenario(CHARGED_N8)
+    fibers = _sample_blocks(scenario, np.random.default_rng(1), 4, charge=0.3)
+    built = _recording(monkeypatch, suites, ("kinematics",))
+    suites._e_fiber_rule_fd(fibers)
+    assert built and all(state.y.ndim == 3 for state in built)  # [sample, row, i]
+    for state in built:
+        assert not {"r_mix", "r_low", "eta", "sigma"} & vars(state).keys()
 
 
 @pytest.mark.parametrize(
@@ -768,6 +787,43 @@ def test_vacuum_chunks_stay_within_the_memory_guard():
         tracemalloc.stop()
     assert [check.n_samples for check in result.checks] == [200] * 5
     assert peak <= 8 * 2**20
+
+
+class TestResidualMedian:
+    @pytest.mark.parametrize(
+        "residuals",
+        [
+            [3.0, 1e-16, 2.5, 7.0, 0.0],  # odd
+            [4.0, 1.0, 3.0, 2.0],  # even: the mean of 2 and 3
+            [0.1, 0.2, 0.7, 0.3],  # even, (a + b) / 2 rounds
+            [2.0**-1074, 2.0**-1074],  # the smallest subnormal, halved in the mean
+            [1e308, 1.5e308],  # the mean's sum overflows
+            [6.5],
+            [1.0, np.inf, 2.0],
+            [np.inf, 1.0, np.inf, 2.0],
+            [1.0, np.nan, 2.0],
+            [np.nan, 1.0, 2.0, 3.0],
+            [-0.0],
+            [0.0, -0.0, -0.0],
+        ],
+    )
+    def test_median_is_numpy_median_bit_for_bit(self, residuals):
+        with np.errstate(over="ignore"):
+            want = np.median(np.array(residuals))
+            got = CheckResult.from_residuals("r", residuals, None).residual_median
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes() or (
+            np.isnan(got) and np.isnan(want)
+        )
+
+    def test_no_samples(self):
+        empty = CheckResult.from_residuals("r", [], 1.0)
+        assert (empty.residual_median, empty.residual_max, empty.worst_index) == (0.0, 0.0, None)
+        assert empty.n_samples == 0 and empty.passed
+
+    def test_ties_report_the_first_maximal_sample(self):
+        check = CheckResult.from_residuals("r", [2.0, 5.0, 1.0, 5.0, 5.0], 10.0)
+        assert (check.worst_index, check.residual_max, check.residual_median) == (1, 5.0, 5.0)
 
 
 class TestWorstIndex:

@@ -1,6 +1,8 @@
 """Exact oracles from sympy at a rational point with a rational radius:
-the Christoffel symbols against christoffel, the Riemann tensor of the
-family against curvature_closed and curvature_fd_oracle, and the
+the Christoffel symbols against christoffel, nabla b against nabla_b and
+nabla_b_definitional, the Riemann tensor of the family against
+curvature_closed and curvature_fd_oracle, its trace against ricci_closed
+(N = 4, and N = 5 where Schwarzschild is not Ricci-flat), and the
 Finsleroid spray with its y-derivatives against spray_derivatives, in both
 conventions.
 
@@ -26,6 +28,9 @@ from finslergeo import (
     christoffel,
     curvature_closed,
     curvature_fd_oracle,
+    nabla_b,
+    nabla_b_definitional,
+    ricci_closed,
     spray_derivatives,
 )
 from finslergeo.tensors import max_abs
@@ -61,35 +66,36 @@ PROFILES = {
 
 
 @lru_cache(maxsize=None)
-def metric_jet(name):
-    """a_ij and its first and second partials at POINT in the standard
-    chart, as Fractions: sympy differentiates a_ij(x), then the point is
-    substituted."""
-    xs = sp.symbols("x0:4")
-    r = sp.sqrt(xs[1] ** 2 + xs[2] ** 2 + xs[3] ** 2)
+def metric_jet(name, point=POINT):
+    """a_ij and its first and second partials at ``point`` (N = its length)
+    in the standard chart, as Fractions: sympy differentiates a_ij(x), then
+    the point is substituted."""
+    n = len(point)
+    xs = sp.symbols(f"x0:{n}")
+    r = sp.sqrt(sum(x**2 for x in xs[1:]))
     c, m = PROFILES[name][0](r)
-    e = sp.Matrix([1, 0, 0, 0])
-    a = e * e.T / c**2 + m * sp.diag(0, 1, 1, 1)
-    at = {x: sp.Rational(v.numerator, v.denominator) for x, v in zip(xs, POINT)}
+    e = sp.Matrix([1] + [0] * (n - 1))
+    a = e * e.T / c**2 + m * sp.diag(0, *[1] * (n - 1))
+    at = {x: sp.Rational(v.numerator, v.denominator) for x, v in zip(xs, point)}
 
     def value(expr) -> Fraction:
         exact = expr.xreplace(at)
         assert exact.is_Rational, exact
         return Fraction(int(exact.p), int(exact.q))
 
-    rng4 = range(4)
-    a0 = np.empty((4, 4), dtype=object)
-    da = np.empty((4, 4, 4), dtype=object)  # [d, i, j] = d_d a_ij
-    dda = np.empty((4, 4, 4, 4), dtype=object)  # [e, d, i, j] = d_e d_d a_ij
-    for i, j in product(rng4, rng4):
+    dims = range(n)
+    a0 = np.empty((n, n), dtype=object)
+    da = np.empty((n, n, n), dtype=object)  # [d, i, j] = d_d a_ij
+    dda = np.empty((n, n, n, n), dtype=object)  # [e, d, i, j] = d_e d_d a_ij
+    for i, j in product(dims, dims):
         if j < i:
             a0[i, j], da[:, i, j], dda[:, :, i, j] = a0[j, i], da[:, j, i], dda[:, :, j, i]
             continue
         a0[i, j] = value(a[i, j])
-        for d in rng4:
+        for d in dims:
             first = sp.diff(a[i, j], xs[d])
             da[d, i, j] = value(first)
-            for f in range(d, 4):
+            for f in range(d, n):
                 dda[f, d, i, j] = dda[d, f, i, j] = value(sp.diff(first, xs[f]))
     return a0, da, dda
 
@@ -116,11 +122,11 @@ def _christoffel(a_up, da):
 
 
 @lru_cache(maxsize=None)
-def chart_jet(name, chart):
+def chart_jet(name, chart, point=POINT):
     """metric_jet carried to the chart x' = chart x by the chain rule: every
     covariant index picks up chart^-1."""
     inv = _inverse(np.array(chart, dtype=object) + Fraction(0))
-    a0, da, dda = metric_jet(name)
+    a0, da, dda = metric_jet(name, point)
     return (
         np.einsum("pi,qj,pq->ij", inv, inv, a0, optimize=True),
         np.einsum("sd,pi,qj,spq->dij", inv, inv, inv, da, optimize=True),
@@ -129,11 +135,11 @@ def chart_jet(name, chart):
 
 
 @lru_cache(maxsize=None)
-def exact_riemann(name, chart):
+def exact_riemann(name, chart, point=POINT):
     """a_n^i_km, axes [n, i, k, m], as Fractions, in the chart x' = chart x:
     from chart_jet, the Christoffel symbols, their partials and the
     curvature follow from the definition."""
-    a0, da, dda = chart_jet(name, chart)
+    a0, da, dda = chart_jet(name, chart, point)
     a_up = _inverse(a0)
     combo, gamma = _christoffel(a_up, da)
     dcombo = dda + np.einsum("ejli->eilj", dda) - np.einsum("elij->eilj", dda)  # d_e combo
@@ -149,12 +155,12 @@ def exact_riemann(name, chart):
     )
 
 
-def chart_state(name, chart):
-    """The package's MetricState at POINT in the chart x' = chart x."""
+def chart_state(name, chart, point=POINT):
+    """The package's MetricState at ``point`` in the chart x' = chart x."""
     _, pair, signature = PROFILES[name]
     lin = np.array(chart, dtype=float)
-    frame = Frame.standard(4, signature).transformed(lin)
-    return build_metric(frame, pair, lin @ np.array(POINT, dtype=float))
+    frame = Frame.standard(len(point), signature).transformed(lin)
+    return build_metric(frame, pair, lin @ np.array(point, dtype=float))
 
 
 CHARTS = pytest.mark.parametrize("chart", [IDENTITY, CHART], ids=["standard", "general"])
@@ -187,6 +193,92 @@ def test_christoffel_and_fd_oracle_match_the_exact_ones(name, chart):
     assert max_abs(christoffel(state) - gamma) <= 1e-13 * max_abs(gamma)
     exact = exact_riemann(name, chart).astype(float)
     assert max_abs(curvature_fd_oracle(state) - exact) <= 1e-8 * max_abs(exact)
+
+
+def _exact_ricci(name, chart, point=POINT):
+    """The exact Ricci tensor a_n^i_im in the chart x' = chart x and its
+    exact coefficients over {u_nm, b_n b_m / (c^2 m), n_n n_m}.
+
+    The three basis tensors are carried from the standard chart (b = e_0,
+    u = diag(0, 1, ..., 1), n = the spatial unit vector of ``point``); the
+    coefficients solve the system of the quadratic forms at the axis, the
+    radial and a transverse direction, and the decomposition is asserted
+    to hold exactly in every component."""
+    n = len(point)
+    ric = np.trace(exact_riemann(name, chart, point), axis1=1, axis2=2)
+    lin = np.array(chart, dtype=object) + Fraction(0)
+    inv = _inverse(lin)
+    r = sp.sqrt(sum(sp.Rational(v.numerator, v.denominator) ** 2 for v in point[1:]))
+    assert r.is_Rational
+    r = Fraction(int(r.p), int(r.q))
+    c, m = (
+        Fraction(int(v.p), int(v.q))
+        for v in PROFILES[name][0](sp.Rational(r.numerator, r.denominator))
+    )
+    axis = np.array([1] + [0] * (n - 1), dtype=object) + Fraction(0)
+    radial = np.array([0] + [v / r for v in point[1:]], dtype=object)
+    transverse = np.array([0, -point[2], point[1]] + [0] * (n - 3), dtype=object) + Fraction(0)
+    u = np.diag([0] + [1] * (n - 1)).astype(object) + Fraction(0)
+    basis = [
+        inv.T @ tensor @ inv
+        for tensor in (u, np.outer(axis, axis) / (c * c * m), np.outer(radial, radial))
+    ]
+    probes = [lin @ v for v in (axis, radial, transverse)]
+    system = np.array([[v @ t @ v for t in basis] for v in probes], dtype=object)
+    coeffs = _inverse(system) @ np.array([v @ ric @ v for v in probes], dtype=object)
+    assert (ric == sum(k * t for k, t in zip(coeffs, basis))).all()
+    return ric, coeffs
+
+
+@CHARTS
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_nabla_b_matches_the_exact_one(name, chart):
+    """b_i is constant in a linear chart, so nabla_i b_j = -a^k_ij b_k
+    exactly: nabla_b equals it to 1e-13 of max|nabla b| (measured at most
+    3.1e-16), and nabla_b_definitional to 1e-8 (measured at most 2.5e-9)."""
+    state = chart_state(name, chart)
+    a0, da, _ = chart_jet(name, chart)
+    inv = _inverse(np.array(chart, dtype=object) + Fraction(0))
+    b_low = inv[0]  # e_0 carried to the chart: b'_i = chart^-1[0, i]
+    exact = -np.einsum("kij,k->ij", _christoffel(_inverse(a0), da)[1], b_low).astype(float)
+    assert max_abs(exact) > 1e-2
+    assert max_abs(nabla_b(state) - exact) <= 1e-13 * max_abs(exact)
+    assert max_abs(nabla_b_definitional(state) - exact) <= 1e-8 * max_abs(exact)
+
+
+@CHARTS
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_ricci_closed_matches_the_exact_ricci(name, chart):
+    """ricci_closed's tensor equals the trace of the exact Riemann tensor,
+    and its coefficients the exact ones, to 1e-12 of max|R| (measured at
+    most 6.1e-16); for N = 4 Schwarzschild both are exactly zero."""
+    ric, coeffs = _exact_ricci(name, chart)
+    got, got_coeffs = ricci_closed(chart_state(name, chart))
+    scale = max_abs(exact_riemann(name, chart).astype(float))
+    assert max_abs(got - ric.astype(float)) <= 1e-12 * scale
+    assert max_abs(np.array(got_coeffs.as_tuple()) - coeffs.astype(float)) <= 1e-12 * scale
+    assert any(coeffs) == (name != "schwarzschild")
+
+
+POINT5 = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(1), Fraction(2))  # r = 5/2
+
+
+def test_five_dimensional_schwarzschild_is_not_ricci_flat():
+    """The isotropic Schwarzschild pair is Ricci-flat only at N = 4: at a
+    rational point with N = 5 the exact Ricci tensor has a nonzero
+    coefficient (all three are: 32/605, -16/605 and -48/605), and
+    ricci_closed gives every coefficient to 1e-12 of max|R|, so the
+    failing exit of an N = 5 vacuum run is geometry, not roundoff."""
+    identity = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+    ric, coeffs = _exact_ricci("schwarzschild", identity, POINT5)
+    got, got_coeffs = ricci_closed(chart_state("schwarzschild", identity, POINT5))
+    scale = max_abs(exact_riemann("schwarzschild", identity, POINT5).astype(float))
+    assert any(coeffs)
+    assert max_abs(got - ric.astype(float)) <= 1e-12 * scale
+    for closed, exact in zip(got_coeffs.as_tuple(), coeffs):
+        assert abs(closed - float(exact)) <= 1e-12 * scale
+        if exact:
+            assert abs(closed) > 1e-3 * scale
 
 
 def exact_spray_jet(name):

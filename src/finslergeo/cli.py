@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .scenario import (
@@ -58,7 +59,10 @@ def _option(parser: argparse.ArgumentParser, flag: str, entry: str, text: str) -
     parser.add_argument(flag, dest=entry, type=_parse_value, metavar=flag[2:].upper(), help=text)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: main parses every call with it, so a
+    caller running many scenarios builds it once."""
     parser = argparse.ArgumentParser(
         prog="finslergeo",
         description="Cross-validated verification runs for the radial metric "
@@ -143,8 +147,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         scenario = _scenario_from_args(args)
     except (ScenarioError, OSError, ValueError) as exc:

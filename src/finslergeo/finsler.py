@@ -126,8 +126,10 @@ def fiber_vectors(metric: MetricState, y: np.ndarray):
     requirement): returns (y_low, b, S^2, S^2 - b^2, v_low, v_up).  The
     fourth entry is S^2 - b^2 on either signature; kinematics multiplies it
     by eps = metric.frame.epsilon to get q^2.
-    A stack of metrics (x-stencils) or of fiber vectors (y-stencils)
-    broadcasts against a single partner."""
+    The metric and y broadcast over their leading axes: metrics built at
+    x-stencil rows (rows, B) against one y per sample (B, N), or a batch
+    metric (B,) against y on y-stencil rows (rows, B, N); such row states
+    are transient and never passed to take."""
     y = np.asarray(y, dtype=float)
     y_low = np.einsum("...ij,...j->...i", metric.a_low, y)
     b = np.einsum("...i,...i->...", metric.b_low, y)
@@ -309,9 +311,8 @@ def spray_derivatives(
     # One |y|-scaled stencil pass over [G^i, G^i_k], each sample's metric
     # broadcast over its rows; fd_partials puts the derivative index before
     # the components, so it moves last for G^i_k and G^i_km.
-    rows = metric.per_row()
     d_stack = fd_partials(
-        lambda ys: _spray_stack(rows, ys, charge),
+        lambda ys: _spray_stack(metric, ys, charge),
         y,
         scales=np.linalg.norm(y, axis=-1)[..., None],
     )
@@ -351,11 +352,11 @@ def hh_curvature(derivs: SprayDerivatives) -> np.ndarray:
     """
     metric, y, charge = derivs.metric, derivs.y, derivs.charge
     n = y.shape[-1]
-    y_rows = y[..., None, :]  # each sample's y, broadcast over its stencil rows
 
-    # One r-scaled stencil pass over [G^i, G^i_k]: each stencil metric is built once.
+    # One r-scaled stencil pass over [G^i, G^i_k]: each stencil metric is
+    # built once, and each sample's y broadcasts over its rows.
     d_stack = fd_partials(
-        lambda pts: _spray_stack(build_metric(metric.frame, metric.profiles, pts), y_rows, charge),
+        lambda pts: _spray_stack(build_metric(metric.frame, metric.profiles, pts), y, charge),
         metric.x,
         scales=metric.r[..., None],
     )

@@ -11,7 +11,6 @@ on its MetricState, where the curvature's scalar combinations read them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -52,7 +51,6 @@ class ProfilePair:
     kind: str
     params: Mapping[str, object] = field(default_factory=dict)
     r_min: float = 0.0
-    r_max: float = math.inf
 
     @staticmethod
     def constant(c0: float = 1.0, m0: float = 1.0) -> "ProfilePair":
@@ -81,11 +79,10 @@ class ProfilePair:
         )
 
     def _check_domain(self, r) -> None:
-        where = f"({self.r_min}, {self.r_max})"
+        where = f"r > {self.r_min}"
         if self.kind == "schwarzschild_isotropic":
-            where = f"r > {self.r_min} (pole of c at r = xi/4 with xi={self.params['xi']})"
-        bad = np.logical_not((self.r_min < r) & (r < self.r_max))
-        _reject(r, bad, lambda at: f"r={at} outside domain {where}")
+            where += f" (pole of c at r = xi/4 with xi={self.params['xi']})"
+        _reject(r, np.logical_not(self.r_min < r), lambda at: f"r={at} outside domain {where}")
 
     def jets(self, r) -> tuple[Jet2, Jet2]:
         """The (c, m) jets at radius r (a float or an array of radii), each

@@ -15,7 +15,7 @@ of points (leading sample axes) and returns one result per sample.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -49,6 +49,12 @@ class Frame:
     epsilon: int
     e_low: np.ndarray
     u_low: np.ndarray
+    background: np.ndarray = field(init=False, repr=False, compare=False)
+    background_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    e_up: np.ndarray = field(init=False, repr=False, compare=False)
+    u_up: np.ndarray = field(init=False, repr=False, compare=False)
+    # u_i^j with axes [lower, upper]; equals delta_i^j - e_i e^j.
+    u_mix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.epsilon not in (1, -1):
@@ -67,12 +73,12 @@ class Frame:
             raise FrameError("background split e_i e_j + eps u_ij is not invertible") from exc
         e_up = bg_inv @ e
         u_up = bg_inv @ u @ bg_inv
-        u_mix = u @ u_up  # u_i^j with axes [lower i, upper j]
-        object.__setattr__(self, "_bg", bg)
-        object.__setattr__(self, "_bg_inv", bg_inv)
-        object.__setattr__(self, "_e_up", e_up)
-        object.__setattr__(self, "_u_up", u_up)
-        object.__setattr__(self, "_u_mix", u_mix)
+        u_mix = u @ u_up
+        object.__setattr__(self, "background", bg)
+        object.__setattr__(self, "background_inv", bg_inv)
+        object.__setattr__(self, "e_up", e_up)
+        object.__setattr__(self, "u_up", u_up)
+        object.__setattr__(self, "u_mix", u_mix)
         for arr in (e, u, bg, bg_inv, e_up, u_up, u_mix):
             arr.flags.writeable = False
 
@@ -98,27 +104,6 @@ class Frame:
         """Residuals of the split identities by name, computed and validated
         at construction; they do not depend on the point."""
         return dict(self._identities)
-
-    @property
-    def background(self) -> np.ndarray:
-        return self._bg
-
-    @property
-    def background_inv(self) -> np.ndarray:
-        return self._bg_inv
-
-    @property
-    def e_up(self) -> np.ndarray:
-        return self._e_up
-
-    @property
-    def u_up(self) -> np.ndarray:
-        return self._u_up
-
-    @property
-    def u_mix(self) -> np.ndarray:
-        """u_i^j with axes [lower, upper]; equals delta_i^j - e_i e^j."""
-        return self._u_mix
 
     @staticmethod
     def standard(n_dim: int, epsilon: int = -1) -> "Frame":
@@ -207,14 +192,6 @@ class MetricState:
         """nabla_b(self), computed once."""
         return nabla_b(self)
 
-    def per_row(self) -> "MetricState":
-        """The same state with a unit axis inserted after its sample axes, so
-        that it broadcasts against each sample's stack of stencil rows
-        without a copy per row; values already cached (Christoffel symbols,
-        nabla b) come along as views."""
-        at = np.ndim(self.r)
-        return _combine([self], lambda values: np.expand_dims(values[0], at))
-
 
 def take(state, rows):
     """The samples ``rows`` (an index, slice or mask over the leading axis)
@@ -292,7 +269,8 @@ def nabla_b(state: MetricState) -> np.ndarray:
 
 def nabla_b_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
     """nabla_k b_h y^h = (c_k (b.y) + b_k (c.y)) / c, axes [k], in O(N)
-    without building nabla b; state and y broadcast as in christoffel_dot."""
+    without building nabla b; state and y broadcast over their leading axes
+    as in christoffel_dot (a batch metric against rows of fiber vectors)."""
     ci, b = state.dc_low, state.b_low
     return (ci * dot(b, y)[..., None] + b * dot(ci, y)[..., None]) / state.c[..., None]
 
@@ -353,9 +331,11 @@ def christoffel_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
     """a^k_ij y^j, axes [k, i], from the blocks contracted with y, without
     building a^k_ij or the N x N blocks.
 
-    The state and y broadcast against each other over their leading axes:
-    a per_row() metric against each sample's stack of fiber vectors, or a
-    stack of stencil metrics against each sample's one fiber vector.
+    The state and y broadcast against each other over their leading axes,
+    as NumPy broadcasts: a batch metric (B,) against fiber vectors on the
+    stencil rows (rows, B, N), or metrics built at the stencil rows
+    (rows, B) against one fiber vector per sample (B, N).  States built at
+    stencil rows are transient and never passed to take.
     """
     py, qy, w = _christoffel_blocks(state, y)
     u_mix = state.frame.u_mix
@@ -508,7 +488,7 @@ def curvature_closed(state: MetricState) -> np.ndarray:
 def curvature_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
     """R^i_k = a_n^i_km y^n y^m, axes [i, k], from curvature_closed's pairs
     contracted with y, in O(N^2) per point without building the N^4 tensor;
-    state and y broadcast as in christoffel_dot."""
+    state and y broadcast over their leading axes as in christoffel_dot."""
     return _pair_dot(_curvature_pairs(state), y)
 
 

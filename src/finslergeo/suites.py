@@ -363,10 +363,9 @@ def suite_finsler_identities(scenario: Scenario):
 def _e_fiber_rule_fd(fib) -> np.ndarray:
     """Finite-difference cross-check of the e_k derivative rule, one
     residual per sample of the stacked state ``fib``."""
-    rows = fib.metric.per_row()
 
     def e_field(ys: np.ndarray) -> np.ndarray:
-        return kinematics(rows, ys, fib.charge).e_fiber
+        return kinematics(fib.metric, ys, fib.charge).e_fiber
 
     d_e = fd_partials(e_field, fib.y, scales=np.linalg.norm(fib.y, axis=-1)[..., None])
     return max_abs(d_e - np.swapaxes(_e_fiber_rule(fib), -1, -2), 2)

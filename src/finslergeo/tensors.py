@@ -30,9 +30,10 @@ class StencilError(RuntimeError):
 class StencilMissError(ValueError):
     """A field is undefined at some stencil points (e.g. outside the
     Finsleroid cone); fd_partials then retries once with a step ten times
-    smaller.  ``rows``, when known, is a boolean mask over the leading axes
-    of the evaluated stack that marks the points that missed, so a batch
-    shrinks only the samples that missed."""
+    smaller.  ``rows``, when known, is a boolean mask shaped like the
+    points' leading axes, (N * width, B) for fd_stencil's rows-first
+    layout, that marks the points that missed; fd_stencil reduces it over
+    the rows, so a batch shrinks only the samples that missed."""
 
     def __init__(self, message: str, rows: np.ndarray | None = None):
         super().__init__(message)
@@ -187,15 +188,18 @@ def fd_stencil(
     d f / d x^k = sum over j of weights[j] * values[..., k, j, ...] / h[..., k].
 
     ``f`` is evaluated once per step on the whole stencil: it receives the
-    stencil points with x's leading axes kept, (B, N * width, N) for a
-    batch and (N * width, N) for one point, rows axis-major and then in
-    stencil order, and returns one value of any shape per row, which come
-    back as values (B, N, width, ...) with h (B, N).  ``scales`` fixes the
-    step scale and broadcasts against x: a scalar, a per-axis (N,) array or
-    a per-sample (B, 1) column (the engine passes r or |y|).  A non-finite
-    value raises StencilError naming its sample, axis and offset.
+    stencil points with the rows in front, (N * width, B, N) for a batch
+    and (N * width, N) for one point, rows axis-major and then in stencil
+    order, and returns one value of any shape per point, which come back
+    as values (B, N, width, ...) with h (B, N).  Per-sample data (a batch's
+    MetricState, its fiber vectors) broadcasts against the rows as it is;
+    states built at the rows are transient and never passed to take.
+    ``scales`` fixes the step scale and broadcasts against x: a scalar, a
+    per-axis (N,) array or a per-sample (B, 1) column (the engine passes r
+    or |y|).  A non-finite value raises StencilError naming its sample,
+    axis and offset.
 
-    If the field raises StencilMissError, the samples owning the rows it
+    If the field raises StencilMissError, the samples owning the points it
     names (every sample when it names none) are redone once with the step
     shrunk tenfold, while the others keep the full step; a second miss
     raises ConeStencilError.
@@ -207,35 +211,39 @@ def fd_stencil(
     rows = n * width
     # moves[k, j] = offset_j e_k: stencil point j along axis k.
     moves = np.eye(n)[:, None, :] * np.array([off for off, _ in _STENCIL], dtype=float)[:, None]
+    moves = moves.reshape((n, width) + (1,) * len(lead) + (n,))
     step = np.full(lead + (1,), FD_STEP)
     for attempt in range(2):
         h = step * scale_arr
-        points = (x[..., None, None, :] + moves * h[..., :, None, None]).reshape(lead + (rows, n))
+        h_rows = np.moveaxis(h, -1, 0)[:, None, ..., None]  # [k, 1, *batch, 1] = h[..., k]
+        points = (x + moves * h_rows).reshape((rows,) + lead + (n,))
         try:
             values = np.asarray(f(points), dtype=float)
         except StencilMissError as miss:
             if attempt:
                 break
             missed = np.ones(lead, dtype=bool)
-            if miss.rows is not None and np.shape(miss.rows) == lead + (rows,):
-                missed = np.any(miss.rows, axis=-1)
+            if miss.rows is not None and np.shape(miss.rows) == (rows,) + lead:
+                missed = np.any(miss.rows, axis=0)
             step = np.where(missed[..., None], 0.1 * FD_STEP, step)
             continue
-        if values.shape[: len(lead) + 1] != lead + (rows,):
+        if values.shape[: len(lead) + 1] != (rows,) + lead:
             raise ValueError(
                 f"field returned shape {values.shape} for stencil points shaped "
-                f"{lead + (rows, n)}; it must return one value per row"
+                f"{(rows,) + lead + (n,)}; it must return one value per row"
             )
-        finite = np.isfinite(values.reshape(lead + (rows, -1))).all(axis=-1)
+        finite = np.isfinite(values.reshape((rows,) + lead + (-1,))).all(axis=-1)
         if not finite.all():
-            *sample, row = np.argwhere(~finite)[0]
+            # The first sample with a non-finite value, and its first such row.
+            *sample, row = np.argwhere(np.moveaxis(~finite, 0, -1))[0]
             axis, pos = divmod(int(row), width)
             where = f"sample {tuple(int(i) for i in sample)}, " if sample else ""
             raise StencilError(
                 f"non-finite evaluation at stencil point ({where}axis {axis}, "
                 f"offset {_STENCIL[pos][0]})"
             )
-        values = values.reshape(lead + (n, width) + values.shape[len(lead) + 1 :])
+        values = values.reshape((n, width) + values.shape[1:])
+        values = np.moveaxis(values, (0, 1), (len(lead), len(lead) + 1))
         return values, np.array([w for _, w in _STENCIL]), h
     raise ConeStencilError("stencil left the admissible set even after shrinking the step")
 

@@ -121,7 +121,7 @@ class TestFdPartialsBatch:
 
     def test_batch_with_per_sample_scales_equals_per_point_calls(self, rng):
         """A (B, N) batch with one scale per sample gives each sample the
-        per-point result bit for bit; f sees (B, N * width, N)."""
+        per-point result bit for bit; f sees (N * width, B, N)."""
         x = rng.normal(size=(5, 3))
         scales = rng.uniform(0.5, 3.0, size=(5, 1))
         shapes = []
@@ -131,7 +131,7 @@ class TestFdPartialsBatch:
             return self.field(pts)
 
         got = fd_partials(field, x, scales=scales)
-        assert shapes == [(5, 12, 3)]
+        assert shapes == [(12, 5, 3)]
         assert got.shape == (5, 3, 2)
         for b in range(5):
             assert np.array_equal(got[b], fd_partials(self.field, x[b], scales=scales[b, 0]))
@@ -142,8 +142,8 @@ class TestFdPartialsBatch:
         x = rng.normal(size=(4, 3))
 
         def ball_field(pts):
-            rows = np.zeros(pts.shape[:-1], dtype=bool)
-            rows[1] = np.max(np.abs(pts[1] - x[1]), axis=-1) > 1.5e-5
+            rows = np.zeros(pts.shape[:-1], dtype=bool)  # [row, sample]
+            rows[:, 1] = np.max(np.abs(pts[:, 1] - x[1]), axis=-1) > 1.5e-5
             if rows.any():
                 raise StencilMissError("outside the ball", rows=rows)
             return self.field(pts)
@@ -174,8 +174,8 @@ class TestFdPartialsBatch:
         x = rng.normal(size=(3, 3))
 
         def point_field(pts):
-            rows = np.zeros(pts.shape[:-1], dtype=bool)
-            rows[2] = np.any(pts[2] != x[2], axis=-1)
+            rows = np.zeros(pts.shape[:-1], dtype=bool)  # [row, sample]
+            rows[:, 2] = np.any(pts[:, 2] != x[2], axis=-1)
             raise StencilMissError("defined only at x", rows=rows)
 
         with pytest.raises(ConeStencilError):
@@ -337,24 +337,34 @@ class TestChristoffelKernel:
 
     @pytest.mark.parametrize("signature", [1, -1])
     def test_dot_broadcasts_over_stencil_rows(self, signature, rng):
-        """christoffel_dot and nabla_b_dot broadcast a per_row() metric (B, 1)
-        against fiber vectors (B, rows, N), as in the y-stencil, and a stencil
-        of metrics (B, rows) against one fiber vector per sample (B, 1, N), as
-        in the x-stencil."""
+        """christoffel_dot, nabla_b_dot and kinematics broadcast a batch
+        metric (B,) against fiber vectors (rows, B, N), as in the y-stencil,
+        where nabla_b_dot and kinematics equal each sample's own call bit
+        for bit; and a stencil of metrics (rows, B) against one fiber vector
+        per sample (B, N), as in the x-stencil."""
         frame, pair, xs, ys = self._stack(rng, 8, signature, True, 3)
         metric = build_metric(frame, pair, xs)
-        y_rows = ys[:, None, :] + 0.01 * rng.normal(size=(3, 6, 8))
-        got = christoffel_dot(metric.per_row(), y_rows)
-        assert got.shape == (3, 6, 8, 8)
-        self._assert_dot(got, _einsum_christoffel(metric)[:, None], y_rows)
-        self._assert_nabla_b_dot(metric.per_row(), y_rows)
+        y_rows = ys + 0.01 * rng.normal(size=(6, 3, 8))
+        got = christoffel_dot(metric, y_rows)
+        assert got.shape == (6, 3, 8, 8)
+        self._assert_dot(got, _einsum_christoffel(metric), y_rows)
+        self._assert_nabla_b_dot(metric, y_rows)
+        s_low = nabla_b_dot(metric, y_rows)
+        fibers = kinematics(metric, y_rows, 0.3)
+        for b in range(3):
+            one, y_one = take(metric, b), y_rows[:, b]
+            assert np.array_equal(s_low[:, b], nabla_b_dot(one, y_one))
+            want = kinematics(one, y_one, 0.3)
+            for name in ("y_low", "b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "s_low",
+                         "ys", "eta", "sigma", "e_fiber"):
+                assert np.array_equal(getattr(fibers, name)[:, b], getattr(want, name)), name
 
-        pts = xs[:, None, :] + 0.01 * rng.normal(size=(3, 6, 8))
+        pts = xs + 0.01 * rng.normal(size=(6, 3, 8))
         stencil = build_metric(frame, pair, pts)
-        got = christoffel_dot(stencil, ys[:, None, :])
-        assert got.shape == (3, 6, 8, 8)
-        self._assert_dot(got, _einsum_christoffel(stencil), np.broadcast_to(ys[:, None, :], pts.shape))
-        self._assert_nabla_b_dot(stencil, ys[:, None, :])
+        got = christoffel_dot(stencil, ys)
+        assert got.shape == (6, 3, 8, 8)
+        self._assert_dot(got, _einsum_christoffel(stencil), np.broadcast_to(ys, pts.shape))
+        self._assert_nabla_b_dot(stencil, ys)
 
 
 class TestCurvatureKernel:
@@ -633,7 +643,7 @@ def test_e_fiber_stencil_rows_build_no_projector(monkeypatch):
     fibers = _sample_blocks(scenario, np.random.default_rng(1), 4, charge=0.3)
     built = _recording(monkeypatch, suites, ("kinematics",))
     suites._e_fiber_rule_fd(fibers)
-    assert built and all(state.y.ndim == 3 for state in built)  # [sample, row, i]
+    assert built and all(state.y.ndim == 3 for state in built)  # [row, sample, i]
     for state in built:
         assert not {"r_mix", "r_low", "eta", "sigma"} & vars(state).keys()
 

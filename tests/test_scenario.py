@@ -1,5 +1,6 @@
 """Scenario parsing and validation, report determinism, exit codes, CLI."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -312,6 +313,37 @@ class TestCli:
         assert bodies[0]["scenario"]["seed"] == 9
         assert bodies[0]["scenario"]["tolerances"]["exact"] == 1e-13
         assert bodies[0] == bodies[1]
+
+    def test_two_main_calls_build_one_parser(self, tmp_path, monkeypatch):
+        """main builds the argparse parser at most once per process, not once
+        per call (a caller running many scenarios pays for it once)."""
+        good = tmp_path / "vacuum.ini"
+        good.write_text(MINIMAL_VACUUM, encoding="utf-8")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "finslergeo":
+                built.append(self)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+        assert main(["run", str(good)]) == 0
+        assert main(["run", str(good)]) == 0
+        assert len(built) <= 1
+
+    def test_a_tolerance_option_does_not_leak_into_the_next_call(self, tmp_path):
+        """run FILE --tolerance-class exact=1e-13 and then run FILE in one
+        process: the second call echoes the default tolerances."""
+        good = tmp_path / "vacuum.ini"
+        good.write_text(MINIMAL_VACUUM, encoding="utf-8")
+        echoes = []
+        for options in (["--tolerance-class", "exact=1e-13"], []):
+            report = tmp_path / f"{len(echoes)}.json"
+            assert main(["run", str(good), *options, "--report", str(report)]) == 0
+            echoes.append(json.loads(report.read_text(encoding="utf-8"))["scenario"])
+        assert echoes[0]["tolerances"]["exact"] == 1e-13
+        assert echoes[1]["tolerances"] == Scenario().echo()["tolerances"]
 
     @pytest.mark.parametrize("command", ["verify-vacuum", "finsler-curvature"])
     def test_subcommands_without_options_echo_the_scenario_defaults(self, command, tmp_path):

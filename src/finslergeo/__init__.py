@@ -2,14 +2,7 @@
 Riemannian metric family and its Finsleroid spray extension, built around
 closed forms cross-validated by independent differentiation oracles."""
 
-from .tensors import (
-    ConeStencilError,
-    Jet2,
-    StencilError,
-    StencilMissError,
-    TOLERANCE_CLASSES,
-    fd_partials,
-)
+from .tensors import TOLERANCE_CLASSES, Jet2, StencilError, fd_partials
 from .profiles import DomainError, ProfilePair
 from .riemann import (
     ComboScalars,

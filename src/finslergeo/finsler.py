@@ -18,8 +18,9 @@ y-derivative of q carries it once: dq/dy^k = eps v_k / q.
 The spray coefficients are  G^i = (g/nu) (ys) v^i + a^i_km y^k y^m  with
 (ys) = y^j y^h nabla_j b_h, valid when nabla b is symmetric and g is
 constant (both hold for this metric family).  Their y-derivatives have
-exact closed forms; x-derivatives are taken by finite differences, and the
-hh-curvature bundle K^2 R^i_k is assembled from
+exact closed forms; x-derivatives are taken by complex step (every field
+here is complex-analytic, and every admissibility test reads the real
+part), and the hh-curvature bundle K^2 R^i_k is assembled from
 
     2 dGbar^i/dx^k - Gbar^i_j Gbar^j_k - y^j dGbar^i_k/dx^j + 2 Gbar^j Gbar^i_kj
 
@@ -35,19 +36,17 @@ from functools import cached_property
 import numpy as np
 
 from .riemann import MetricState, build_metric, christoffel_dot, nabla_b_dot
-from .tensors import (
-    Jet2,
-    StencilMissError,
-    dot,
-    fd_partials,
-    matvec,
-    max_abs,
-    outer,
-)
+from .tensors import Jet2, dot, fd_partials, matvec, max_abs, outer
 
 
-class AdmissibilityError(StencilMissError):
-    """The fiber vector lies outside the admissible cone."""
+class AdmissibilityError(ValueError):
+    """The fiber vector lies outside the admissible cone.  ``rows``, shaped
+    like the stack's leading axes, marks the points that failed the test
+    that raised, so a stack can drop just those points."""
+
+    def __init__(self, message: str, rows: np.ndarray | None = None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class DegenerateFiberError(AdmissibilityError):
@@ -80,8 +79,8 @@ class FinsleroidState:
     Built from a stack of metrics or of fiber vectors, the per-point fields
     carry the stack's leading axis (the scalars become arrays over it).
     r_mix, r_low, eta, sigma and e_fiber are computed on first use and
-    kept: no spray stencil row reads the last four, and no e-fiber stencil
-    row reads r_mix.
+    kept: no complex row of the spray reads the last four, and no complex
+    row of the e-fiber check reads r_mix.
     """
 
     metric: MetricState
@@ -127,10 +126,10 @@ def fiber_vectors(metric: MetricState, y: np.ndarray):
     fourth entry is S^2 - b^2 on either signature; kinematics multiplies it
     by eps = metric.frame.epsilon to get q^2.
     The metric and y broadcast over their leading axes: metrics built at
-    x-stencil rows (rows, B) against one y per sample (B, N), or a batch
-    metric (B,) against y on y-stencil rows (rows, B, N); such row states
-    are transient and never passed to take."""
-    y = np.asarray(y, dtype=float)
+    complex x-rows (rows, B) against one y per sample (B, N), or a batch
+    metric (B,) against complex y-rows (rows, B, N); such row states are
+    transient and never passed to take."""
+    y = np.asarray(y)
     y_low = np.einsum("...ij,...j->...i", metric.a_low, y)
     b = np.einsum("...i,...i->...", metric.b_low, y)
     s2 = np.einsum("...i,...i->...", y, y_low)
@@ -145,26 +144,29 @@ def kinematics(metric: MetricState, y: np.ndarray, charge: float) -> FinsleroidS
 
     Either side may be a stack (see fiber_vectors); every point of the
     stack must be admissible, and the error of an inadmissible stack marks
-    its points in ``rows``.  The convention sign eps = metric.frame.epsilon
-    enters here once: q^2 = eps (S^2 - b^2), and since dq/dy^k =
-    eps v_k / q, the nu gradient is nu_k = eps v_k / q + (1 - c^2) g b_k.
+    its points in ``rows``; at a complex step the tests read the real part.
+    The convention sign eps = metric.frame.epsilon enters here once: q^2 =
+    eps (S^2 - b^2), and since dq/dy^k = eps v_k / q, the nu gradient is
+    nu_k = eps v_k / q + (1 - c^2) g b_k.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y)
     eps = metric.frame.epsilon
     y_low, b, s2, transverse, v_low, v_up = fiber_vectors(metric, y)
     q2 = eps * transverse
-    if np.any(q2 <= 0.0):
+    bad = np.real(q2) <= 0.0
+    if np.any(bad):
         raise DegenerateFiberError(
-            f"q^2 = {np.min(q2):.3e} <= 0: no transverse norm for this fiber vector",
-            rows=q2 <= 0.0,
+            f"q^2 = {np.min(np.real(q2)):.3e} <= 0: no transverse norm for this fiber vector",
+            rows=bad,
         )
     q = np.sqrt(q2)
     c = metric.c
     one_minus_c2 = 1.0 - c * c
     nu = q + charge * one_minus_c2 * b
-    if np.any(nu <= 0.0):
+    bad = np.real(nu) <= 0.0
+    if np.any(bad):
         raise OutsideConeError(
-            f"nu = {np.min(nu):.3e} <= 0: fiber vector outside the cone", rows=nu <= 0.0
+            f"nu = {np.min(np.real(nu)):.3e} <= 0: fiber vector outside the cone", rows=bad
         )
 
     nu_low = eps * v_low / q[..., None] + (one_minus_c2 * charge)[..., None] * metric.b_low
@@ -199,7 +201,7 @@ def _spray_and_first(
     """The spray G^i, its closed y-derivative G^i_k and the kinematics state
     they came from (one evaluation, one a^i_km y^m); at charge 0 both are
     geodesic, need no admissible cone, and the state is None."""
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y)
     gamma_y = christoffel_dot(metric, y)
     base = matvec(gamma_y, y)
     if charge == 0.0:
@@ -210,7 +212,8 @@ def _spray_and_first(
 
 
 def _spray_stack(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
-    """G^i followed by G^i_k row-major: the one field each stencil differences."""
+    """G^i followed by G^i_k row-major: the one field each complex step
+    differentiates."""
     g, g_first, _ = _spray_and_first(metric, y, charge)
     return np.concatenate([g, g_first.reshape(g_first.shape[:-2] + (-1,))], axis=-1)
 
@@ -301,21 +304,16 @@ def spray_derivatives(
     The closed G^i, G^i_k and G^i_km come from one kinematics evaluation.
     The first numeric derivative differentiates the spray itself; the
     second differentiates the independently verified closed first
-    derivative (one stencil level each keeps the error budget at the
-    closed-form class).
+    derivative, so each numeric derivative is a first one, by complex step.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
     spray, first_closed, state = _spray_and_first(metric, y, charge)
     second_closed = 2.0 * metric.gamma if state is None else spray_y_second(state)
-    # One |y|-scaled stencil pass over [G^i, G^i_k], each sample's metric
-    # broadcast over its rows; fd_partials puts the derivative index before
-    # the components, so it moves last for G^i_k and G^i_km.
-    d_stack = fd_partials(
-        lambda ys: _spray_stack(metric, ys, charge),
-        y,
-        scales=np.linalg.norm(y, axis=-1)[..., None],
-    )
+    # One complex step over [G^i, G^i_k], each sample's metric broadcast
+    # over its rows; fd_partials puts the derivative index before the
+    # components, so it moves last for G^i_k and G^i_km.
+    d_stack = fd_partials(lambda ys: _spray_stack(metric, ys, charge), y)
     first_numeric = np.swapaxes(d_stack[..., :n], -1, -2)
     second_numeric = np.moveaxis(d_stack[..., n:].reshape(y.shape[:-1] + (n, n, n)), -3, -1)
     return SprayDerivatives(
@@ -339,10 +337,10 @@ def spray_derivatives(
 
 def hh_curvature(derivs: SprayDerivatives) -> np.ndarray:
     """K^2 R^i_k, axes [i, k], at the point (or at each sample) of
-    ``derivs``, assembled from its closed spray data and one x-stencil of
-    [G^i, G^i_k].
+    ``derivs``, assembled from its closed spray data and one complex x-step
+    of [G^i, G^i_k].
 
-    With Gbar = G/2 and y held fixed across the x-stencil:
+    With Gbar = G/2 and y held fixed across the complex x-rows:
 
         K^2 R^i_k = 2 dGbar^i/dx^k - Gbar^i_j Gbar^j_k
                     - y^j dGbar^i_k/dx^j + 2 Gbar^j Gbar^i_kj
@@ -353,12 +351,11 @@ def hh_curvature(derivs: SprayDerivatives) -> np.ndarray:
     metric, y, charge = derivs.metric, derivs.y, derivs.charge
     n = y.shape[-1]
 
-    # One r-scaled stencil pass over [G^i, G^i_k]: each stencil metric is
-    # built once, and each sample's y broadcasts over its rows.
+    # One complex step over [G^i, G^i_k]: each row's metric is built once,
+    # and each sample's y broadcasts over its rows.
     d_stack = fd_partials(
         lambda pts: _spray_stack(build_metric(metric.frame, metric.profiles, pts), y, charge),
         metric.x,
-        scales=metric.r[..., None],
     )
 
     gbar = 0.5 * derivs.spray
@@ -400,7 +397,7 @@ def _fiber_jets(state: FinsleroidState):
 
     Jet arithmetic gives the exact directional derivative of every quantity
     built from b(t), S^2(t), q(t), so derivative identities can be checked
-    to algebraic precision without finite differences.  The q^2 jet and the
+    to algebraic precision without a numeric derivative.  The q^2 jet and the
     nu_k jet's v/q term carry the convention sign, as in kinematics.
     """
     ms = state.metric

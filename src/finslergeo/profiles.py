@@ -4,7 +4,8 @@ second derivatives carried as second-order jets.
 The pair parameterises the metric family a_ij = b_i b_j / c^2 + m u_ij.
 Profiles expose their own derivatives because the vacuum check hinges on
 accurate values of c''/c and m''/m; relying on the generic differentiator
-there would put finite-difference noise inside the headline result.
+there would make the closed forms lean on the numeric oracle that judges
+them, and it takes first derivatives only.
 ``riemann.build_metric`` keeps the six jet scalars c, c', c'', m, m', m''
 on its MetricState, where the curvature's scalar combinations read them.
 """
@@ -82,11 +83,13 @@ class ProfilePair:
         where = f"r > {self.r_min}"
         if self.kind == "schwarzschild_isotropic":
             where += f" (pole of c at r = xi/4 with xi={self.params['xi']})"
-        _reject(r, np.logical_not(self.r_min < r), lambda at: f"r={at} outside domain {where}")
+        outside = np.logical_not(self.r_min < np.real(r))
+        _reject(r, outside, lambda at: f"r={at} outside domain {where}")
 
     def jets(self, r) -> tuple[Jet2, Jet2]:
         """The (c, m) jets at radius r (a float or an array of radii), each
-        carrying value, d/dr, d^2/dr^2.  Every radius must be in the domain."""
+        carrying value, d/dr, d^2/dr^2.  Every radius must be in the domain;
+        a complex radius (a complex step) is tested by its real part."""
         self._check_domain(r)
         rj = Jet2.variable(r)
         if self.kind == "constant":
@@ -103,17 +106,18 @@ class ProfilePair:
             mj = _poly(self.params["m_coeffs"], w)
         else:  # pragma: no cover - constructors guard the kind
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        not_positive = np.logical_not(cj.value > 0.0)
+        not_positive = np.logical_not(np.real(cj.value) > 0.0)
         _reject(r, not_positive, lambda at: f"profile c(r) is not positive at r={at}")
-        _reject(r, mj.value == 0.0, lambda at: f"profile m(r) vanishes at r={at}")
+        _reject(r, np.real(mj.value) == 0.0, lambda at: f"profile m(r) vanishes at r={at}")
         return cj, mj
 
 
 def _reject(r, bad, message) -> None:
     """Raise DomainError(message(at), rows=bad) if the mask ``bad`` (shaped
-    like r) holds anywhere; ``at`` is the first radius where it does."""
+    like r) holds anywhere; ``at`` is the real part of the first radius
+    where it does."""
     if np.any(bad):
-        raise DomainError(message(float(np.asarray(r)[bad].flat[0])), rows=bad)
+        raise DomainError(message(float(np.asarray(r).real[bad].flat[0])), rows=bad)
 
 
 def _poly(coeffs, w: Jet2) -> Jet2:

@@ -7,7 +7,7 @@ block u_ij with e_ij = e_i e_j + eps u_ij.  The metric family is
 
 with r = sqrt(u_ij x^i x^j).  Every derived object (the covariant
 derivative of b, Christoffel symbols, Riemann and Ricci curvature) has a closed
-form assembled here, each paired with a finite-difference oracle built from
+form assembled here, each paired with a complex-step oracle built from
 nothing but the definition.  Each takes a state at one point or at a batch
 of points (leading sample axes) and returns one result per sample.
 """
@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .profiles import ProfilePair
-from .tensors import dot, fd_partials, fd_stencil, matvec, outer
+from .tensors import dot, fd_partials, matvec, outer
 
 _FRAME_TOL = 1e-9
 
@@ -34,7 +34,7 @@ class RadialSingularityError(ValueError):
     """The radial coordinate vanishes; the metric family is singular there."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """Background split e_ij = e_i e_j + eps u_ij in a concrete chart.
 
@@ -43,6 +43,7 @@ class Frame:
     transverse block, and it is the Finsleroid convention sign (finsler.py).
     Derived arrays (background inverse, raised/mixed u, raised e) are
     precomputed and validated at construction; every array is read-only.
+    Frames compare and hash by identity.
     """
 
     n_dim: int
@@ -122,9 +123,10 @@ class Frame:
         )
 
     def radius(self, x: np.ndarray) -> float | np.ndarray:
-        """r = sqrt(u_ij x^i x^j) for a point or, row by row, a stack of points."""
+        """r = sqrt(u_ij x^i x^j) for a point or, row by row, a stack of points
+        (complex at a complex step, whose real part is tested)."""
         r2 = dot(x @ self.u_low, x)
-        if np.any(r2 <= 0.0):
+        if np.any(np.real(r2) <= 0.0):
             raise RadialSingularityError(
                 "radius vanishes (point on the axis); the metric family is singular at r = 0"
             )
@@ -150,7 +152,7 @@ class MetricState:
     (n^i = u^ij n_j); the axis vector is metric-raised (b^i = a^ij b_j = c^2 e^i).
     States are immutable snapshots.  The inverse metric, the closed
     Christoffel symbols and nabla b are computed on first use and kept, so
-    each is built at most once per state and never at a spray stencil row
+    each is built at most once per state and never at a complex row of a spray
     (the sprays contract a^k_ij and nabla b with y through christoffel_dot
     and nabla_b_dot).
     """
@@ -225,9 +227,10 @@ def _combine(states: list, join):
 def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricState:
     """Assemble the metric family at x, one point (N,) or a stack (..., N);
     the closed inverse (MetricState.a_up, built on first use) is verified
-    against a_ij a^jn = delta."""
-    x = np.array(x, dtype=float)
-    x = x.reshape(x.shape[:-1] + (frame.n_dim,))
+    against a_ij a^jn = delta.  A complex x (a complex step) gives a complex
+    state."""
+    x = np.asarray(x)
+    x = x.astype(np.promote_types(x.dtype, float)).reshape(x.shape[:-1] + (frame.n_dim,))
     r = frame.radius(x)
     cj, mj = profiles.jets(r)
     c, m = cj.value, mj.value
@@ -277,12 +280,12 @@ def nabla_b_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
 
 def nabla_b_definitional(state: MetricState) -> np.ndarray:
     """Oracle: nabla_i b_j = d b_j / d x^i - b_n Gamma^n_ij with
-    finite-difference partials and definitional Christoffel symbols."""
+    complex-step partials and definitional Christoffel symbols."""
 
     def b_field(pts: np.ndarray) -> np.ndarray:
         return build_metric(state.frame, state.profiles, pts).b_low
 
-    db = fd_partials(b_field, state.x, scales=state.r[..., None])  # [i, j] = d_i b_j
+    db = fd_partials(b_field, state.x)  # [i, j] = d_i b_j
     gamma = christoffel_definitional(state)
     return db - np.einsum("...n,...nij->...ij", state.b_low, gamma)
 
@@ -318,7 +321,7 @@ def christoffel(state: MetricState) -> np.ndarray:
     """Closed Christoffel symbols of the family, axes [k, i, j] for a^k_ij,
     assembled from the blocks of _christoffel_blocks."""
     p, q, w = _christoffel_blocks(state)
-    # Summed in place: one N^3 array per point (no stencil row builds it).
+    # Summed in place: one N^3 array per point (no complex row builds it).
     out = state.b_up[..., :, None, None] * p[..., None, :, :]
     out += state.n_up[..., :, None, None] * q[..., None, :, :]
     # wnu[k, i, j] = w n_i u_j^k
@@ -333,9 +336,9 @@ def christoffel_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
 
     The state and y broadcast against each other over their leading axes,
     as NumPy broadcasts: a batch metric (B,) against fiber vectors on the
-    stencil rows (rows, B, N), or metrics built at the stencil rows
+    complex rows (rows, B, N), or metrics built at the complex rows
     (rows, B) against one fiber vector per sample (B, N).  States built at
-    stencil rows are transient and never passed to take.
+    complex rows are transient and never passed to take.
     """
     py, qy, w = _christoffel_blocks(state, y)
     u_mix = state.frame.u_mix
@@ -348,13 +351,13 @@ def christoffel_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
 
 
 def christoffel_definitional(state: MetricState) -> np.ndarray:
-    """Oracle: (1/2) a^kn (d_i a_nj + d_j a_ni - d_n a_ij) with numeric
+    """Oracle: (1/2) a^kn (d_i a_nj + d_j a_ni - d_n a_ij) with complex-step
     metric derivatives."""
 
     def metric_field(pts: np.ndarray) -> np.ndarray:
         return build_metric(state.frame, state.profiles, pts).a_low
 
-    da = fd_partials(metric_field, state.x, scales=state.r[..., None])  # [n, i, j] = d_n a_ij
+    da = fd_partials(metric_field, state.x)  # [n, i, j] = d_n a_ij
     # combo[i, n, j] = d_i a_nj + d_j a_ni - d_n a_ij
     combo = da + np.einsum("...jni->...inj", da) - np.swapaxes(da, -3, -2)
     return 0.5 * np.einsum("...kn,...inj->...kij", state.a_up, combo)
@@ -481,7 +484,7 @@ def curvature_closed(state: MetricState) -> np.ndarray:
     """Closed-form curvature tensor a_n^i_km, axes [n, i, k, m], from the
     five pairs of _curvature_pairs (the pure-u block rewritten through a_mn
     and delta).  Algebraically equal to the presubstituted four-pair sum
-    (asserted in tests) and to the finite-difference oracle."""
+    (asserted in tests) and to curvature_fd_oracle."""
     return _pair_sum(_curvature_pairs(state))
 
 
@@ -511,11 +514,12 @@ def curvature_fd_oracle(state: MetricState) -> np.ndarray:
 
     a_n^i_km = d_k a^i_nm - d_m a^i_nk + a^u_nm a^i_uk - a^u_nk a^i_um
 
-    with the products from _gamma_products and the partials by central
-    differences of the closed Christoffel field, never built at a stencil
-    row: a^k_ij = b^k P_ij + n^k Q_ij + U^k_j (w n)_i + U^k_i (w n)_j with
+    with the products from _gamma_products and the partials by complex step
+    of the closed Christoffel field, never built at a complex row:
+    a^k_ij = b^k P_ij + n^k Q_ij + U^k_j (w n)_i + U^k_i (w n)_j with
     U = u_mix^T fixed by the frame, so a row holds only P, Q, b^k, n^k and
-    w n (_christoffel_blocks).  Nothing here reads the curvature's pairs.
+    w n (_christoffel_blocks), and the product rule joins their partials
+    with the base point's blocks.  Nothing here reads the curvature's pairs.
     """
     n = state.frame.n_dim
 
@@ -525,14 +529,16 @@ def curvature_fd_oracle(state: MetricState) -> np.ndarray:
         blocks = (p, q, rows.b_up, rows.n_up, w[..., None] * rows.n_low)
         return np.concatenate([v.reshape(pts.shape[:-1] + (-1,)) for v in blocks], axis=-1)
 
-    values, weights, h = fd_stencil(block_field, state.x, scales=state.r[..., None])
-    *lead, _, width, _ = values.shape
-    pq, bn, wn = np.split(values, [2 * n * n, 2 * n * (n + 1)], axis=-1)
-    # sum_j w_j (b^k P_ij + n^k Q_ij)(x + off_j h_d e_d): one (N x 2W) @ (2W x N^2) matmul
-    bn = np.swapaxes((weights[:, None] * bn).reshape(*lead, n, 2 * width, n), -1, -2)
-    dgamma = bn @ pq.reshape(*lead, n, 2 * width, n * n) / h[..., None, None]
-    dgamma = dgamma.reshape(*lead, n, n, n, n)
-    dwn = np.swapaxes(wn, -1, -2) @ weights / h[..., None]  # [d, i]
+    d_blocks = fd_partials(block_field, state.x)  # [d, block]
+    lead = d_blocks.shape[:-2]
+    dp, dq, db, dn, dwn = np.split(d_blocks, [n * n, 2 * n * n, 2 * n * n + n, 2 * n * (n + 1)], -1)
+    p, q = (v.reshape(*lead, 1, n * n) for v in _christoffel_blocks(state)[:2])
+    b_up, n_up = state.b_up[..., None, :], state.n_up[..., None, :]
+    # d_d (b^k P_ij + n^k Q_ij) = (d b^k) P + b^k d P + (d n^k) Q + n^k d Q:
+    # one stacked (N x 4) @ (4 x N^2) matmul per axis d.
+    left = np.stack(np.broadcast_arrays(db, b_up, dn, n_up), axis=-1)  # [d, k, 4]
+    right = np.stack(np.broadcast_arrays(p, dp, q, dq), axis=-2)  # [d, 4, (i, j)]
+    dgamma = (left @ right).reshape(*lead, n, n, n, n)
     du = dwn[..., :, None, :, None] * state.frame.u_mix.T[:, None, :]  # U^k_j d_d (w n)_i
     dgamma += du + np.swapaxes(du, -1, -2)
     # half[n, i, k, m] = d_k a^i_nm + a^u_nm a^i_uk; the rest is its (k, m) transpose

@@ -361,13 +361,13 @@ def suite_finsler_identities(scenario: Scenario):
 
 
 def _e_fiber_rule_fd(fib) -> np.ndarray:
-    """Finite-difference cross-check of the e_k derivative rule, one
-    residual per sample of the stacked state ``fib``."""
+    """Complex-step cross-check of the e_k derivative rule, one residual
+    per sample of the stacked state ``fib``."""
 
     def e_field(ys: np.ndarray) -> np.ndarray:
         return kinematics(fib.metric, ys, fib.charge).e_fiber
 
-    d_e = fd_partials(e_field, fib.y, scales=np.linalg.norm(fib.y, axis=-1)[..., None])
+    d_e = fd_partials(e_field, fib.y)
     return max_abs(d_e - np.swapaxes(_e_fiber_rule(fib), -1, -2), 2)
 
 
@@ -398,9 +398,10 @@ def suite_finsler_curvature(scenario: Scenario):
             out["riemann_limit"] = rel_frobenius(curvature, curvature_dot(state, y), 2)
         return out
 
-    # The spray stencils hold two N x N arrays at each of a sample's 4N rows;
-    # riemann_limit contracts the closed curvature with y, so no sample holds
-    # an N^4 array at either charge.
+    # The spray derivatives hold two N x N arrays at each of a sample's N
+    # complex rows (the factor counts the 4N real rows of central
+    # differences); riemann_limit contracts the closed curvature with y, so
+    # no sample holds an N^4 array at either charge.
     rows = _per_sample(scenario.n_fibers, 8 * scenario.n_dim**3, evaluate)
     check_plan = [
         ("spray_homogeneity", "exact", 1.0),

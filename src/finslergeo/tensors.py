@@ -1,7 +1,7 @@
-"""Small dense-array helpers plus two independent differentiation engines:
-second-order Taylor jets (analytic chain rule) and central finite
-differences.  The two engines are used as mutual oracles throughout the
-geometry code.
+"""Small dense-array helpers plus two differentiation engines: second-order
+Taylor jets (the analytic chain rule, for the profile scalars) and the
+complex step (numeric first partials of any complex-analytic field).  The
+closed forms of the geometry code are judged against the complex step.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from typing import Callable
 import numpy as np
 
 # Default tolerance per check class.  Rationale: error budgets differ by
-# provenance (pure algebra vs closed-form assembly vs finite differences vs
-# doubly-stencilled curvature bundles).
+# provenance (pure algebra vs closed-form assembly vs numeric derivatives
+# vs curvature bundles built from them); the last two were sized for
+# central differences, whose error the complex step sits far below.
 TOLERANCE_CLASSES: dict[str, float] = {
     "exact": 1e-12,
     "algebraic": 1e-10,
@@ -24,25 +25,7 @@ TOLERANCE_CLASSES: dict[str, float] = {
 
 
 class StencilError(RuntimeError):
-    """A finite-difference stencil produced a non-finite evaluation."""
-
-
-class StencilMissError(ValueError):
-    """A field is undefined at some stencil points (e.g. outside the
-    Finsleroid cone); fd_partials then retries once with a step ten times
-    smaller.  ``rows``, when known, is a boolean mask shaped like the
-    points' leading axes, (N * width, B) for fd_stencil's rows-first
-    layout, that marks the points that missed; fd_stencil reduces it over
-    the rows, so a batch shrinks only the samples that missed."""
-
-    def __init__(self, message: str, rows: np.ndarray | None = None):
-        super().__init__(message)
-        self.rows = rows
-
-
-class ConeStencilError(StencilError):
-    """A derivative stencil left the field's admissible set even after
-    shrinking the step."""
+    """A complex-step derivative produced a non-finite evaluation."""
 
 
 def transform_components(components: np.ndarray, variance: str, lin: np.ndarray) -> np.ndarray:
@@ -96,7 +79,7 @@ class Jet2:
 
     Arithmetic propagates (value, d1, d2) by the product/chain rules, which
     makes any composite expression an exact analytic derivative evaluator,
-    independent of the finite-difference engine it is checked against.
+    independent of the complex-step engine it is checked against.
     The three parts may be floats or broadcast-compatible arrays, so one
     pass evaluates a jet at many points or along many directions.
     """
@@ -166,100 +149,48 @@ class Jet2:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference engine
+# Complex-step engine
 # ---------------------------------------------------------------------------
 
 
-# Steps are relative: the step along an axis is FD_STEP times a scale (by
-# default max(1, |coordinate|)).
-FD_STEP = 1e-5
+# The imaginary step h of d f / d x^k = Im f(x + i h e_k) / h.  The complex
+# step subtracts nothing, so its error is roundoff at any tiny h, and h
+# needs no scale: Squire & Trapp, SIAM Review 40 (1998) 110; Martins,
+# Sturdza & Alonso, ACM TOMS 29 (2003) 245.
+COMPLEX_STEP = 1e-30
 
-# The order-4 first-derivative stencil as (offset, weight); value = sum w*f(x+off*h) / h.
-_STENCIL = ((2, -1.0 / 12.0), (1, 8.0 / 12.0), (-1, -8.0 / 12.0), (-2, 1.0 / 12.0))
 
+def fd_partials(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Partials out[..., k, ...] = d f / d x^k by complex step, at one base
+    point x (N,) or at each of a batch of base points (B, N), shaped
+    (N, ...) or (B, N, ...).
 
-def fd_stencil(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    scales: np.ndarray | float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The field on the central-difference stencil at one base point x (N,)
-    or at each of a batch of base points (B, N), as (values, weights, h):
-    d f / d x^k = sum over j of weights[j] * values[..., k, j, ...] / h[..., k].
-
-    ``f`` is evaluated once per step on the whole stencil: it receives the
-    stencil points with the rows in front, (N * width, B, N) for a batch
-    and (N * width, N) for one point, rows axis-major and then in stencil
-    order, and returns one value of any shape per point, which come back
-    as values (B, N, width, ...) with h (B, N).  Per-sample data (a batch's
+    ``f`` is called once, on the N complex points x + i h e_k with the rows
+    in front, (N, B, N) for a batch and (N, N) for one point, and returns
+    one value of any shape per point.  Per-sample data (a batch's
     MetricState, its fiber vectors) broadcasts against the rows as it is;
-    states built at the rows are transient and never passed to take.
-    ``scales`` fixes the step scale and broadcasts against x: a scalar, a
-    per-axis (N,) array or a per-sample (B, 1) column (the engine passes r
-    or |y|).  A non-finite value raises StencilError naming its sample,
-    axis and offset.
-
-    If the field raises StencilMissError, the samples owning the points it
-    names (every sample when it names none) are redone once with the step
-    shrunk tenfold, while the others keep the full step; a second miss
-    raises ConeStencilError.
+    states built at the rows are transient and never passed to take.  The
+    field must be complex-analytic in x: every admissibility test reads the
+    real part, which is the base point's own, so no row can leave a domain
+    the base point is in.  A non-finite value raises StencilError naming its
+    sample and axis.
     """
     x = np.asarray(x, dtype=float)
     lead, n = x.shape[:-1], x.shape[-1]
-    scale_arr = np.broadcast_to(np.asarray(scales, dtype=float), x.shape)
-    width = len(_STENCIL)
-    rows = n * width
-    # moves[k, j] = offset_j e_k: stencil point j along axis k.
-    moves = np.eye(n)[:, None, :] * np.array([off for off, _ in _STENCIL], dtype=float)[:, None]
-    moves = moves.reshape((n, width) + (1,) * len(lead) + (n,))
-    step = np.full(lead + (1,), FD_STEP)
-    for attempt in range(2):
-        h = step * scale_arr
-        h_rows = np.moveaxis(h, -1, 0)[:, None, ..., None]  # [k, 1, *batch, 1] = h[..., k]
-        points = (x + moves * h_rows).reshape((rows,) + lead + (n,))
-        try:
-            values = np.asarray(f(points), dtype=float)
-        except StencilMissError as miss:
-            if attempt:
-                break
-            missed = np.ones(lead, dtype=bool)
-            if miss.rows is not None and np.shape(miss.rows) == (rows,) + lead:
-                missed = np.any(miss.rows, axis=0)
-            step = np.where(missed[..., None], 0.1 * FD_STEP, step)
-            continue
-        if values.shape[: len(lead) + 1] != (rows,) + lead:
-            raise ValueError(
-                f"field returned shape {values.shape} for stencil points shaped "
-                f"{(rows,) + lead + (n,)}; it must return one value per row"
-            )
-        finite = np.isfinite(values.reshape((rows,) + lead + (-1,))).all(axis=-1)
-        if not finite.all():
-            # The first sample with a non-finite value, and its first such row.
-            *sample, row = np.argwhere(np.moveaxis(~finite, 0, -1))[0]
-            axis, pos = divmod(int(row), width)
-            where = f"sample {tuple(int(i) for i in sample)}, " if sample else ""
-            raise StencilError(
-                f"non-finite evaluation at stencil point ({where}axis {axis}, "
-                f"offset {_STENCIL[pos][0]})"
-            )
-        values = values.reshape((n, width) + values.shape[1:])
-        values = np.moveaxis(values, (0, 1), (len(lead), len(lead) + 1))
-        return values, np.array([w for _, w in _STENCIL]), h
-    raise ConeStencilError("stencil left the admissible set even after shrinking the step")
-
-
-def fd_partials(
-    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scales: np.ndarray | float
-) -> np.ndarray:
-    """Central-difference partials out[..., k, ...] = d f / d x^k, shaped
-    (B, N, ...), for fd_stencil's arguments: per sample, the stencil rows
-    times their weights summed in stencil order and divided by the step."""
-    values, weights, h = fd_stencil(f, x, scales)
-    values = np.moveaxis(values, h.ndim, 0)  # values[j][..., k, ...] = f(x + off_j h_k e_k)
-    acc = weights[0] * values[0]
-    for pos in range(1, len(weights)):
-        acc = acc + weights[pos] * values[pos]
-    return acc / h.reshape(h.shape + (1,) * (acc.ndim - h.ndim))
+    points = x + (1j * COMPLEX_STEP) * np.eye(n).reshape((n,) + (1,) * len(lead) + (n,))
+    values = np.asarray(f(points))
+    if values.shape[: len(lead) + 1] != (n,) + lead:
+        raise ValueError(
+            f"field returned shape {values.shape} for points shaped {points.shape}; "
+            "it must return one value per row"
+        )
+    finite = np.isfinite(values.reshape((n,) + lead + (-1,))).all(axis=-1)
+    if not finite.all():
+        # The first sample with a non-finite value, and its first such axis.
+        *sample, axis = np.argwhere(np.moveaxis(~finite, 0, -1))[0]
+        where = f"sample {tuple(int(i) for i in sample)}, " if sample else ""
+        raise StencilError(f"non-finite evaluation at complex step ({where}axis {axis})")
+    return np.moveaxis(values.imag, 0, len(lead)) / COMPLEX_STEP
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +199,19 @@ def fd_partials(
 
 # Samples are evaluated in stacked chunks: one call per chunk instead of
 # one per sample removes the per-call overhead on tiny arrays, but a
-# chunk's stencil arrays grow with it (all 100 fibers of an N = 8 charged
-# finsler-curvature run in one chunk peak at 57 MB of arrays when each
-# stencil row holds an N^3 Christoffel array).  Each suite passes a sizing
-# constant F, the floats it counts per sample: 4N^4 where a sample holds
-# N^4 curvature arrays (the curvature FD oracle's 4N rows hold only the
-# blocks of the Christoffel symbols), 8N^3 where each of the 4N rows
-# (order-4 stencil) holds two N x N arrays (the spray stencils).  A chunk
-# takes as many samples as keep F per sample within this many floats
-# (512 KiB): at N = 8, 4 samples at 4N^4 and 16 at 8N^3.  F is not the
-# measured peak: tracemalloc over one curvature-xcheck chunk reads about
-# 9.8, 8.2 and 7.6 N^4 floats per sample at N = 4, 6 and 8, so those
-# chunks peak at about twice the budget.
+# chunk's arrays grow with it.  Each suite passes a sizing constant F, the
+# floats it counts per sample: 4N^4 where a sample holds N^4 curvature
+# arrays (the curvature FD oracle's N complex rows hold only the blocks of
+# the Christoffel symbols), 8N^3 where a sample's rows hold two N x N
+# arrays (the spray derivatives).  The factors count 4N real rows per
+# sample, where the complex step has N complex ones (2N floats each); they
+# are kept so that the chunks stay as they were.  A chunk takes as many
+# samples as keep F per sample within this many floats (512 KiB): at
+# N = 8, 4 samples at 4N^4 and 16 at 8N^3.  F is not the measured peak:
+# tracemalloc over one curvature-xcheck chunk reads about 9.4, 7.5 and 7.1
+# N^4 floats per sample at N = 4, 6 and 8, and over hh_curvature on 16
+# charged N = 8 fibers 15.8 N^3 per fiber, so those chunks peak at about
+# twice the budget.
 STENCIL_FLOAT_BUDGET = 2**16
 
 

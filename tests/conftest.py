@@ -63,11 +63,31 @@ def point_sampler():
     return sample_point
 
 
-def fd_scalar(f, t, scale):
-    """Central difference of a scalar function of one scalar: fd_partials
-    at the one-coordinate point (t,), with ``f`` applied to the stencil
-    coordinates."""
-    return float(fd_partials(lambda pts: f(pts[..., 0]), np.array([t]), scale)[0])
+def fd_scalar(f, t):
+    """Complex-step derivative of a scalar function of one scalar:
+    fd_partials at the one-coordinate point (t,), with ``f`` applied to the
+    complex coordinates."""
+    return float(fd_partials(lambda pts: f(pts[..., 0]), np.array([t]))[0])
+
+
+def fd_reference(f, x, scales):
+    """Order-4 central differences d f / d x^k, shaped like fd_partials'
+    result: the real-valued reference the complex step is checked against.
+    Along axis k the step is 1e-5 * scales[..., k] (``scales`` broadcasts
+    against x: r or |y| per sample, as the engine once took), and
+    f(x +- h e_k), f(x +- 2 h e_k) are each evaluated on the whole batch,
+    points shaped like x."""
+    x = np.asarray(x, dtype=float)
+    h = 1e-5 * np.broadcast_to(np.asarray(scales, dtype=float), x.shape)
+    eye = np.eye(x.shape[-1])
+    partials = []
+    for k in range(x.shape[-1]):
+        def at(offset, k=k):
+            return np.asarray(f(x + offset * h[..., k, None] * eye[k]))
+
+        diff = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / 12.0
+        partials.append(diff / h[..., k].reshape(h.shape[:-1] + (1,) * (diff.ndim - x.ndim + 1)))
+    return np.stack(partials, axis=x.ndim - 1)
 
 
 def stack_states(states):
@@ -97,12 +117,12 @@ def nabla_c(state):
 
 
 def nabla_c_definitional(state):
-    """Oracle: nabla_i c_j = d c_j / d x^i - c_n Gamma^n_ij, all numeric."""
+    """Oracle: nabla_i c_j = d c_j / d x^i - c_n Gamma^n_ij, all by complex step."""
 
     def c_field(pts):
         return build_metric(state.frame, state.profiles, pts).dc_low
 
-    dc = fd_partials(c_field, state.x, scales=state.r[..., None])
+    dc = fd_partials(c_field, state.x)
     gamma = christoffel_definitional(state)
     return dc - np.einsum("...n,...nij->...ij", state.dc_low, gamma)
 
@@ -117,13 +137,18 @@ def spray_y_derivative(state):
     return _first_derivative(state, christoffel_dot(state.metric, state.y))
 
 
-def reference_fd_oracle(state):
-    """curvature_fd_oracle as it was first built: fd_partials over the N^3
-    closed Christoffel array at every stencil row, plus _gamma_products."""
+def reference_fd_oracle(state, central=False):
+    """curvature_fd_oracle as it was first built: the partials of the N^3
+    closed Christoffel array at every row, plus _gamma_products.  The
+    partials are fd_partials' complex step or, with ``central``,
+    fd_reference's central differences at step 1e-5 r."""
 
     def gamma_field(pts):
         return christoffel(build_metric(state.frame, state.profiles, pts))
 
-    dgamma = fd_partials(gamma_field, state.x, scales=state.r[..., None])
+    if central:
+        dgamma = fd_reference(gamma_field, state.x, state.r[..., None])
+    else:
+        dgamma = fd_partials(gamma_field, state.x)
     half = np.einsum("...kinm->...nikm", dgamma) + _gamma_products(state.gamma)
     return half - np.swapaxes(half, -1, -2)

@@ -1,8 +1,8 @@
 """The batch path: fd_partials over a (B, N) batch of base points, the
 geometry and Finsler closed forms over a leading sample axis, the block
 Christoffel, nabla b and curvature kernels against the full arrays,
-per-sample stencil misses, the block samplers against the try-by-try loops,
-the calls each stage makes, the fields a stencil row computes, the suites'
+fibers at the cone's edge, the block samplers against the try-by-try loops,
+the calls each stage makes, the fields a complex row computes, the suites'
 chunk counts, chunk-size invariance and chunk memory, and the worst-sample
 index and residual median of each check."""
 
@@ -14,12 +14,11 @@ import pytest
 
 from finslergeo import (
     AdmissibilityError,
-    ConeStencilError,
     DomainError,
     Frame,
     ProfilePair,
     Scenario,
-    StencilMissError,
+    StencilError,
     build_metric,
     christoffel,
     christoffel_dot,
@@ -119,67 +118,48 @@ class TestFdPartialsBatch:
     def field(pts):
         return np.stack([np.sin(pts[..., 0]) * pts[..., 1], np.sum(pts * pts, axis=-1)], axis=-1)
 
-    def test_batch_with_per_sample_scales_equals_per_point_calls(self, rng):
-        """A (B, N) batch with one scale per sample gives each sample the
-        per-point result bit for bit; f sees (N * width, B, N)."""
+    def test_batch_equals_per_point_calls(self, rng):
+        """A (B, N) batch gives each sample the per-point result bit for
+        bit; f sees the rows in front, (N, B, N)."""
         x = rng.normal(size=(5, 3))
-        scales = rng.uniform(0.5, 3.0, size=(5, 1))
         shapes = []
 
         def field(pts):
             shapes.append(pts.shape)
             return self.field(pts)
 
-        got = fd_partials(field, x, scales=scales)
-        assert shapes == [(12, 5, 3)]
+        got = fd_partials(field, x)
+        assert shapes == [(3, 5, 3)]
         assert got.shape == (5, 3, 2)
         for b in range(5):
-            assert np.array_equal(got[b], fd_partials(self.field, x[b], scales=scales[b, 0]))
+            assert np.array_equal(got[b], fd_partials(self.field, x[b]))
 
-    def test_miss_shrinks_only_the_samples_that_missed(self, rng, monkeypatch):
-        """Rows of sample 1 beyond 1.5e-5 of its base point miss: sample 1
-        gets its step/10 result, the others their full-step results."""
+    def test_every_row_keeps_its_samples_real_point(self, rng):
+        """Row k of sample b is x_b + i h e_k: a field that accepts only
+        points whose real part is their sample's base point accepts every
+        row of every sample, so no sample misses."""
         x = rng.normal(size=(4, 3))
 
-        def ball_field(pts):
-            rows = np.zeros(pts.shape[:-1], dtype=bool)  # [row, sample]
-            rows[:, 1] = np.max(np.abs(pts[:, 1] - x[1]), axis=-1) > 1.5e-5
-            if rows.any():
-                raise StencilMissError("outside the ball", rows=rows)
+        def strict_field(pts):
+            if not np.array_equal(pts.real, np.broadcast_to(x, pts.shape)):
+                raise ValueError("a row left its sample's point")
             return self.field(pts)
 
-        got = fd_partials(ball_field, x, scales=1.0)
-        wants = [fd_partials(self.field, x[b], scales=1.0) for b in range(4)]
-        monkeypatch.setattr(tensors, "FD_STEP", 0.1 * tensors.FD_STEP)
-        wants[1] = fd_partials(self.field, x[1], scales=1.0)
+        got = fd_partials(strict_field, x)
         for b in range(4):
-            assert np.array_equal(got[b], wants[b])
+            assert np.array_equal(got[b], fd_partials(self.field, x[b]))
 
-    def test_miss_without_rows_shrinks_the_whole_batch(self, rng, monkeypatch):
-        x = rng.normal(size=(3, 3))
-        calls = []
-
-        def shy_field(pts):
-            calls.append(pts.shape)
-            if len(calls) == 1:
-                raise StencilMissError("somewhere")
-            return self.field(pts)
-
-        got = fd_partials(shy_field, x, scales=1.0)
-        monkeypatch.setattr(tensors, "FD_STEP", 0.1 * tensors.FD_STEP)
-        for b in range(3):
-            assert np.array_equal(got[b], fd_partials(self.field, x[b], scales=1.0))
-
-    def test_second_miss_of_a_sample_raises(self, rng):
+    def test_non_finite_value_names_its_sample_and_axis(self, rng):
+        """A NaN on sample 2's axis-1 row names that sample and that axis."""
         x = rng.normal(size=(3, 3))
 
-        def point_field(pts):
-            rows = np.zeros(pts.shape[:-1], dtype=bool)  # [row, sample]
-            rows[:, 2] = np.any(pts[:, 2] != x[2], axis=-1)
-            raise StencilMissError("defined only at x", rows=rows)
+        def field(pts):
+            out = self.field(pts)
+            out[1, 2] = np.nan  # [row, sample, component]
+            return out
 
-        with pytest.raises(ConeStencilError):
-            fd_partials(point_field, x, scales=np.maximum(1.0, np.abs(x)))
+        with pytest.raises(StencilError, match=r"sample \(2,\), axis 1\)"):
+            fd_partials(field, x)
 
 
 class TestClosedFormsBatch:
@@ -398,7 +378,7 @@ class TestCurvatureKernel:
         assert np.all(gap <= CLOSED * max_abs(state.a_low, 2) * max_abs(got, 2))
 
 
-class TestStencilMissInBatch:
+class TestConeEdgeInBatch:
     @staticmethod
     def _batch(nu_at_edge: float):
         """Three fibers at one constant-profile point; fiber 1 sits nu_at_edge
@@ -411,29 +391,22 @@ class TestStencilMissInBatch:
         ys = np.array([[-1.0, 0.5, 0.3, 0.0], edge, [-0.5, 0.2, -0.4, 0.7]])
         return stack_states([metric] * 3), ys, charge, metric
 
-    def test_only_the_missing_sample_shrinks(self, monkeypatch):
-        """Fiber 1's full-step stencil crosses nu = 0 but its tenfold-shrunk
-        one does not: it equals its own step/10 result, the others their
-        full-step results."""
-        batch, ys, charge, metric = self._batch(2e-5)
-        step = tensors.FD_STEP
-        with monkeypatch.context() as patch:
-            patch.setattr(tensors, "FD_STEP", 1e-4)
-            with pytest.raises(ConeStencilError):
-                spray_derivatives(metric, ys[1], charge)
+    @pytest.mark.parametrize("nu_at_edge", [2e-5, 1e-9])
+    def test_a_fiber_at_the_edge_is_differentiated_with_the_rest(self, nu_at_edge):
+        """Fiber 1 sits where an order-4 stencil of |y|-relative step 1e-5
+        crossed nu = 0 (at 2e-5 only the full step, at 1e-9 also the tenth
+        step): the complex rows keep its real part, so the batch gives every
+        fiber its own single-fiber result, and the closed first derivative
+        matches the numeric one to roundoff."""
+        batch, ys, charge, metric = self._batch(nu_at_edge)
         got = spray_derivatives(batch, ys, charge)
-        wants = [spray_derivatives(metric, y, charge) for y in ys[::2]]
-        monkeypatch.setattr(tensors, "FD_STEP", 0.1 * step)
-        wants.insert(1, spray_derivatives(metric, ys[1], charge))
-        for row, want in enumerate(wants):
+        for row, y in enumerate(ys):
+            want = spray_derivatives(metric, y, charge)
             for field in ("first_numeric", "second_numeric"):
                 value = getattr(want, field)
                 assert max_abs(getattr(got, field)[row] - value) <= FD * max_abs(value)
-
-    def test_second_miss_raises(self):
-        batch, ys, charge, _ = self._batch(1e-9)
-        with pytest.raises(ConeStencilError):
-            spray_derivatives(batch, ys, charge)
+        assert np.all(got.first_gap <= 1e-13 * max_abs(got.first_closed, 2))
+        assert np.all(np.isfinite(hh_curvature(got)))
 
 
 def _loop_states(scenario, rng, count, with_fiber=False):

@@ -78,6 +78,15 @@ class TestFrame:
         assert Frame.standard(4, 1) is not Frame.standard(4, -1)
         assert Frame.standard(5, 1).n_dim == 5
 
+    def test_frames_compare_and_hash_by_identity(self):
+        """Two distinct frames compare unequal without comparing their
+        arrays (which raised ValueError), and the shared standard frame
+        equals itself; a frame can key a dict."""
+        standard = Frame.standard(4)
+        assert (standard == standard.transformed(np.eye(4))) is False
+        assert standard == Frame.standard(4)
+        assert {standard: 1}[Frame.standard(4)] == 1
+
     def test_radius_and_direction(self, frame4, schwarzschild):
         """x with spatial part (3, 4, 0) has r = 5 and n = (0, 0.6, 0.8, 0)."""
         state = build_metric(frame4, schwarzschild, np.array([0.7, 3.0, 4.0, 0.0]))

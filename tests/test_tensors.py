@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslergeo import (
-    ConeStencilError,
     Frame,
     Jet2,
+    OutsideConeError,
     ProfilePair,
     StencilError,
-    StencilMissError,
     build_metric,
     fd_partials,
     hh_curvature,
@@ -68,15 +67,15 @@ class TestJet2:
         b=st.floats(0.5, 2.5),
     )
     @settings(max_examples=60, deadline=None)
-    def test_composite_against_finite_differences(self, t, a, b):
-        """Jets and finite differences agree on a composite rational-sqrt map."""
+    def test_composite_against_the_complex_step(self, t, a, b):
+        """Jets and the complex step agree on a composite rational-sqrt map."""
 
         def f(s):
             return (s * s + a) / (s + b) ** 2 + (s * s + b) ** 0.5
 
         jet = f(Jet2.variable(t))
-        d1 = fd_scalar(f, t, 1.0)
-        d2 = fd_scalar(lambda s: f(Jet2.variable(s)).d1, t, 1.0)
+        d1 = fd_scalar(f, t)
+        d2 = fd_scalar(lambda s: f(Jet2.variable(s)).d1, t)
         assert jet.d1 == pytest.approx(d1, rel=1e-8, abs=1e-10)
         assert jet.d2 == pytest.approx(d2, rel=1e-6, abs=1e-8)
 
@@ -134,15 +133,15 @@ class TestJet2:
         ],
         ids=["constant", "schwarzschild", "rational"],
     )
-    def test_catalog_profiles_vs_finite_differences(self, profile, rng):
-        """Jet derivatives of every catalog profile match FD to 1e-6 relative
-        at 100 random radii away from poles."""
+    def test_catalog_profiles_vs_the_complex_step(self, profile, rng):
+        """Jet derivatives of every catalog profile match the complex step
+        to 1e-6 relative at 100 random radii away from poles."""
         for _ in range(100):
             r = rng.uniform(0.5, 10.0)
             cj, mj = profile.jets(r)
             for pos, jet in enumerate((cj, mj)):
-                d1 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p].value, r, r)
-                d2 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p].d1, r, r)
+                d1 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p].value, r)
+                d2 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p].d1, r)
                 scale1 = max(abs(jet.d1), 1e-3)
                 scale2 = max(abs(jet.d2), 1e-3)
                 assert abs(jet.d1 - d1) / scale1 < 1e-6
@@ -150,21 +149,21 @@ class TestJet2:
 
 
 class TestFdGradient:
-    """fd_partials on scalar fields: one value per stencil row gives the
+    """fd_partials on scalar fields: one value per complex row gives the
     gradient covector, shaped like the point."""
 
     def test_radius_gradient_is_radial_covector(self, frame4, rng):
         """The gradient of r = sqrt(u_ij x^i x^j) is the unit radial covector n_i."""
         x = sample_point(rng, 4, 0.5, 5.0)
-        grad = fd_partials(lambda p: frame4.radius(p), x, scales=np.maximum(1.0, np.abs(x)))
+        grad = fd_partials(lambda p: frame4.radius(p), x)
         n_low = (frame4.u_low @ x) / frame4.radius(x)
-        np.testing.assert_allclose(grad, n_low, atol=1e-9)
+        np.testing.assert_allclose(grad, n_low, atol=1e-15)
 
     def test_constant_field_gives_zero(self, rng):
-        # roundoff in the stencil sum is amplified by 1/h; zero at FD accuracy
+        """The complex step sums nothing, so a constant's gradient is exactly 0."""
         x = rng.normal(size=4)
-        grad = fd_partials(lambda pts: np.full(len(pts), 4.25), x, scales=np.maximum(1.0, np.abs(x)))
-        np.testing.assert_allclose(grad, np.zeros(4), atol=1e-9)
+        grad = fd_partials(lambda pts: np.full(len(pts), 4.25 + 0j), x)
+        assert np.array_equal(grad, np.zeros(4))
 
     def test_schwarzschild_c_gradient(self, frame4, schwarzschild):
         """grad c at r = 1, xi = 1 equals c' n_i with c' = -8/9."""
@@ -173,98 +172,92 @@ class TestFdGradient:
         def c_field(p):
             return schwarzschild.jets(frame4.radius(p))[0].value
 
-        grad = fd_partials(c_field, x, scales=np.maximum(1.0, np.abs(x)))
+        grad = fd_partials(c_field, x)
         n_low = (frame4.u_low @ x) / 1.0
-        np.testing.assert_allclose(grad, (-8.0 / 9.0) * n_low, atol=1e-9)
+        np.testing.assert_allclose(grad, (-8.0 / 9.0) * n_low, atol=1e-14)
         # Cross-check the same derivative through the jet engine.
         state = build_metric(frame4, schwarzschild, x)
         assert state.c1 == pytest.approx(-8.0 / 9.0, rel=1e-14)
 
     def test_non_finite_stencil_raises(self):
         with pytest.raises(StencilError):
-            fd_partials(lambda pts: np.full(len(pts), np.nan), np.ones(3), scales=1.0)
+            fd_partials(lambda pts: np.full(len(pts), np.nan), np.ones(3))
 
-    def test_non_finite_message_names_axis_and_offset(self):
-        """Only the point at axis 1, offset -1 is NaN: the error names it."""
+    def test_non_finite_message_names_the_axis(self):
+        """Only the row moved along axis 1 is NaN: the error names its axis."""
         x = np.ones(3)
 
         def field(pts):
             out = pts.sum(axis=1)
-            out[(pts[:, 1] < 1.0) & (pts[:, 1] > 1.0 - 1.5 * tensors.FD_STEP)] = np.nan
+            out[pts[:, 1].imag != 0.0] = np.nan
             return out
 
-        with pytest.raises(StencilError, match=r"axis 1, offset -1\)"):
-            fd_partials(field, x, scales=1.0)
+        with pytest.raises(StencilError, match=r"\(axis 1\)"):
+            fd_partials(field, x)
 
     def test_single_point_field_is_rejected(self):
         with pytest.raises(ValueError, match="one value per row"):
-            fd_partials(lambda pts: 4.25, np.ones(3), scales=1.0)
+            fd_partials(lambda pts: 4.25, np.ones(3))
 
     @pytest.mark.parametrize("route", ["y-stencil", "x-stencil"])
     def test_non_finite_spray_stencil_raises(self, route):
         """m = nan makes every spray evaluation NaN: the spray's y- and
-        x-stencils run through fd_partials, so they reject it too."""
+        x-derivatives run through fd_partials, so they reject it too."""
         frame = Frame.standard(4, 1)
         pair = ProfilePair.rational((0.8,), (float("nan"),))
         x = np.array([0.1, 1.0, 0.5, -0.3])
         y = np.array([1.0, 0.2, -0.4, 0.3])
         nan_metric = build_metric(frame, pair, x)
-        with pytest.raises(StencilError):
+        # Complex division flags the NaN it propagates; the StencilError is the point.
+        with pytest.raises(StencilError), np.errstate(invalid="ignore"):
             if route == "y-stencil":
                 spray_derivatives(nan_metric, y, 0.0)
             else:
-                # Closed data from a finite profile, so only the x-stencil sees the NaN.
+                # Closed data from a finite profile, so only the x-derivative sees the NaN.
                 finite = build_metric(frame, ProfilePair.constant(0.8, 1.0), x)
                 derivs = spray_derivatives(finite, y, 0.0)
                 hh_curvature(dataclasses.replace(derivs, metric=nan_metric))
 
-    def test_miss_at_full_step_retries_at_tenth(self, rng, monkeypatch):
-        """A field undefined beyond 1.5e-5 of x misses the order-4 stencil
-        (reach 2e-5) but not the tenfold-shrunk one: the result is exactly
-        the derivative taken at step/10.  The field sees each step's whole
-        stencil as one (4 N, N) stack, so it is called twice."""
+    def test_rows_keep_the_real_part_of_the_point(self, rng):
+        """A field defined only where the real part is exactly x is
+        differentiated as if it were defined everywhere: no complex row
+        leaves the base point, so nothing misses and nothing retries."""
         x = rng.normal(size=3)
-        shapes = []
 
         def field(pts):
             return np.stack([np.sin(pts[:, 0]) * pts[:, 1], np.sum(pts * pts, axis=1)], axis=1)
 
-        def ball_field(pts):
-            shapes.append(pts.shape)
-            if np.max(np.abs(pts - x)) > 1.5e-5:
-                raise StencilMissError("outside the ball")
+        def point_field(pts):
+            if not np.array_equal(pts.real, np.broadcast_to(x, pts.shape)):
+                raise ValueError("defined only at x")
             return field(pts)
 
-        got = fd_partials(ball_field, x, scales=1.0)
-        monkeypatch.setattr(tensors, "FD_STEP", 0.1 * tensors.FD_STEP)
-        want = fd_partials(field, x, scales=1.0)
-        assert np.array_equal(got, want)
-        assert shapes == [(12, 3), (12, 3)]
+        got = fd_partials(point_field, x)
+        assert np.array_equal(got, fd_partials(field, x))
+        want = np.array(
+            [[np.cos(x[0]) * x[1], 2 * x[0]], [np.sin(x[0]), 2 * x[1]], [0.0, 2 * x[2]]]
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
 
-    def test_one_call_per_step_in_axis_major_order(self, rng):
-        """Without a miss the field is called once, with rows axis-major and
-        then in stencil order, each row x moved along one axis."""
-        x = rng.normal(size=4)
-        width = 4  # points in the order-4 first-derivative stencil
+    def test_one_call_with_one_complex_row_per_axis(self, rng):
+        """The field is called once, on N rows in axis order, row k being
+        x + i h e_k with h = COMPLEX_STEP whatever |x| is."""
+        x = np.array([0.3, -4.0, 2.5, 1e3])
         stacks = []
 
         def field(pts):
             stacks.append(pts.copy())
             return pts @ np.arange(1.0, 5.0)
 
-        grad = fd_partials(field, x, scales=1.0)
-        np.testing.assert_allclose(grad, np.arange(1.0, 5.0), rtol=1e-9)
-        assert len(stacks) == 1 and stacks[0].shape == (4 * width, 4)
-        moved = (stacks[0] - x).reshape(4, width, 4)
-        for axis in range(4):
-            others = np.delete(moved[axis], axis, axis=1)
-            assert np.all(others == 0.0)
-            assert np.all(np.diff(moved[axis, :, axis]) < 0.0)  # offsets descend
+        grad = fd_partials(field, x)
+        np.testing.assert_allclose(grad, np.arange(1.0, 5.0), rtol=1e-15)
+        assert len(stacks) == 1 and stacks[0].shape == (4, 4)
+        assert np.array_equal(stacks[0].real, np.broadcast_to(x, (4, 4)))
+        assert np.array_equal(stacks[0].imag, tensors.COMPLEX_STEP * np.eye(4))
 
-    def test_exact_through_degree_four(self, rng, monkeypatch):
-        """The order-4 stencil differentiates a quartic exactly: even at a
-        step of 0.1 the gradient matches to roundoff."""
-        monkeypatch.setattr(tensors, "FD_STEP", 0.1)
+    def test_exact_on_polynomials(self, rng):
+        """The complex step differentiates a polynomial to roundoff: its
+        truncation error is O(h^2) = 1e-60 relative."""
         x = rng.normal(size=3)
 
         def quartic(pts):
@@ -273,41 +266,33 @@ class TestFdGradient:
 
         a, b, c = x
         want = np.array([4 * a**3 - 4 * a * b, -2 * a**2 + 3 * c**3, 9 * b * c**2 + 1])
-        np.testing.assert_allclose(fd_partials(quartic, x, scales=1.0), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fd_partials(quartic, x), want, rtol=0, atol=1e-12)
 
-    def test_quintic_error_is_fourth_order_in_the_step(self, rng, monkeypatch):
-        """On f = t^5 the stencil's error is exactly -(h^4 / 30) f^(5) =
-        -4 h^4 at every point: halving the step divides it by 16."""
-        t = rng.uniform(-2.0, 2.0)
-        errors = []
-        for step in (0.1, 0.05):
-            monkeypatch.setattr(tensors, "FD_STEP", step)
-            got = fd_scalar(lambda pts: pts**5, t, 1.0)
-            errors.append(got - 5.0 * t**4)
-            assert errors[-1] == pytest.approx(-4.0 * step**4, rel=1e-6)
-        assert errors[0] / errors[1] == pytest.approx(16.0, rel=1e-6)
+    def test_quintic_error_is_second_order_in_the_step(self, rng, monkeypatch):
+        """On f = t^5, Im f(t + ih)/h = 5t^4 - 10 t^2 h^2 + h^4: at a
+        large step the error is that second-order term, with no
+        cancellation, and at any step below 1e-20 it is gone."""
+        t = rng.uniform(0.5, 2.0)
+        for step in (1e-3, 5e-4):
+            monkeypatch.setattr(tensors, "COMPLEX_STEP", step)
+            error = fd_scalar(lambda pts: pts**5, t) - 5.0 * t**4
+            assert error == pytest.approx(-10.0 * t**2 * step**2 + step**4, rel=1e-6)
+        for step in (1e-20, 1e-30, 1e-200):
+            monkeypatch.setattr(tensors, "COMPLEX_STEP", step)
+            assert fd_scalar(lambda pts: pts**5, t) == pytest.approx(5.0 * t**4, rel=1e-14)
 
-    def test_stencil_rows_sit_at_one_and_two_steps_of_the_scale(self):
-        """Along axis k the rows sit at x + (2, 1, -1, -2) h_k e_k with
-        h_k = FD_STEP * scale_k, here with scale max(1, |x_k|)."""
-        x = np.array([0.3, -4.0, 2.5])
-        values, _, h = tensors.fd_stencil(lambda pts: pts, x, scales=np.maximum(1.0, np.abs(x)))
-        np.testing.assert_array_equal(h, tensors.FD_STEP * np.array([1.0, 4.0, 2.5]))
-        for axis in range(3):
-            moved = values[axis] - x
-            assert np.all(np.delete(moved, axis, axis=1) == 0.0)
-            np.testing.assert_allclose(moved[:, axis] / h[axis], [2.0, 1.0, -1.0, -2.0], rtol=1e-9)
+    def test_a_field_error_propagates_without_retry(self):
+        """An error the field raises (here an admissibility test) leaves
+        fd_partials unchanged after one call: there is no second step."""
+        calls = []
 
-    def test_miss_at_both_steps_raises(self):
-        x = np.ones(3)
+        def refusing(pts):
+            calls.append(pts.shape)
+            raise OutsideConeError("refused", rows=np.ones(len(pts), dtype=bool))
 
-        def point_field(p):
-            if not np.array_equal(p, x):
-                raise StencilMissError("defined only at x")
-            return 1.0
-
-        with pytest.raises(ConeStencilError):
-            fd_partials(point_field, x, scales=np.maximum(1.0, np.abs(x)))
+        with pytest.raises(OutsideConeError, match="refused"):
+            fd_partials(refusing, np.ones(3))
+        assert calls == [(3, 3)]
 
 
 class TestPlanned:

@@ -321,7 +321,8 @@ def christoffel(state: MetricState) -> np.ndarray:
     """Closed Christoffel symbols of the family, axes [k, i, j] for a^k_ij,
     assembled from the blocks of _christoffel_blocks."""
     p, q, w = _christoffel_blocks(state)
-    # Summed in place: one N^3 array per point (no complex row builds it).
+    # Summed in place: one N^3 array per point, or per complex row where
+    # curvature_fd_oracle differentiates it.
     out = state.b_up[..., :, None, None] * p[..., None, :, :]
     out += state.n_up[..., :, None, None] * q[..., None, :, :]
     # wnu[k, i, j] = w n_i u_j^k
@@ -514,33 +515,15 @@ def curvature_fd_oracle(state: MetricState) -> np.ndarray:
 
     a_n^i_km = d_k a^i_nm - d_m a^i_nk + a^u_nm a^i_uk - a^u_nk a^i_um
 
-    with the products from _gamma_products and the partials by complex step
-    of the closed Christoffel field, never built at a complex row:
-    a^k_ij = b^k P_ij + n^k Q_ij + U^k_j (w n)_i + U^k_i (w n)_j with
-    U = u_mix^T fixed by the frame, so a row holds only P, Q, b^k, n^k and
-    w n (_christoffel_blocks), and the product rule joins their partials
-    with the base point's blocks.  Nothing here reads the curvature's pairs.
+    with the partials by complex step of the closed Christoffel field and
+    the products from _gamma_products.  Nothing here reads the curvature's
+    pairs.
     """
-    n = state.frame.n_dim
 
-    def block_field(pts: np.ndarray) -> np.ndarray:
-        rows = build_metric(state.frame, state.profiles, pts)
-        p, q, w = _christoffel_blocks(rows)
-        blocks = (p, q, rows.b_up, rows.n_up, w[..., None] * rows.n_low)
-        return np.concatenate([v.reshape(pts.shape[:-1] + (-1,)) for v in blocks], axis=-1)
+    def gamma_field(pts: np.ndarray) -> np.ndarray:
+        return christoffel(build_metric(state.frame, state.profiles, pts))
 
-    d_blocks = fd_partials(block_field, state.x)  # [d, block]
-    lead = d_blocks.shape[:-2]
-    dp, dq, db, dn, dwn = np.split(d_blocks, [n * n, 2 * n * n, 2 * n * n + n, 2 * n * (n + 1)], -1)
-    p, q = (v.reshape(*lead, 1, n * n) for v in _christoffel_blocks(state)[:2])
-    b_up, n_up = state.b_up[..., None, :], state.n_up[..., None, :]
-    # d_d (b^k P_ij + n^k Q_ij) = (d b^k) P + b^k d P + (d n^k) Q + n^k d Q:
-    # one stacked (N x 4) @ (4 x N^2) matmul per axis d.
-    left = np.stack(np.broadcast_arrays(db, b_up, dn, n_up), axis=-1)  # [d, k, 4]
-    right = np.stack(np.broadcast_arrays(p, dp, q, dq), axis=-2)  # [d, 4, (i, j)]
-    dgamma = (left @ right).reshape(*lead, n, n, n, n)
-    du = dwn[..., :, None, :, None] * state.frame.u_mix.T[:, None, :]  # U^k_j d_d (w n)_i
-    dgamma += du + np.swapaxes(du, -1, -2)
+    dgamma = fd_partials(gamma_field, state.x)  # [k, i, n, m] = d_k a^i_nm
     # half[n, i, k, m] = d_k a^i_nm + a^u_nm a^i_uk; the rest is its (k, m) transpose
     half = np.einsum("...kinm->...nikm", dgamma) + _gamma_products(state.gamma)
     return half - np.swapaxes(half, -1, -2)

@@ -137,18 +137,14 @@ def spray_y_derivative(state):
     return _first_derivative(state, christoffel_dot(state.metric, state.y))
 
 
-def reference_fd_oracle(state, central=False):
-    """curvature_fd_oracle as it was first built: the partials of the N^3
-    closed Christoffel array at every row, plus _gamma_products.  The
-    partials are fd_partials' complex step or, with ``central``,
-    fd_reference's central differences at step 1e-5 r."""
+def reference_fd_oracle(state):
+    """curvature_fd_oracle's construction with fd_reference's order-4
+    central differences at step 1e-5 r in place of the complex step: the
+    partials of the N^3 closed Christoffel array, plus _gamma_products."""
 
     def gamma_field(pts):
         return christoffel(build_metric(state.frame, state.profiles, pts))
 
-    if central:
-        dgamma = fd_reference(gamma_field, state.x, state.r[..., None])
-    else:
-        dgamma = fd_partials(gamma_field, state.x)
+    dgamma = fd_reference(gamma_field, state.x, state.r[..., None])
     half = np.einsum("...kinm->...nikm", dgamma) + _gamma_products(state.gamma)
     return half - np.swapaxes(half, -1, -2)

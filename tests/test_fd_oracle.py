@@ -1,13 +1,10 @@
 """The curvature FD oracle takes its complex step of the closed
-Christoffel field from the field's blocks at each complex row, joined by
-the product rule.  It must equal the construction it replaced (the N^3
-array at every row, kept in conftest) and agree with the order-4 central
-differences of that construction, in general charts L = D Q where
-U = u_mix^T is not symmetric, and it must never build that array at a
-complex row."""
+Christoffel field, the N^3 array built at each complex row.  It must agree
+with the order-4 central differences of that field (the reference in
+conftest), in general charts L = D Q where U = u_mix^T is not symmetric,
+and a non-finite value at a complex row must name its sample and axis."""
 
 import dataclasses
-import inspect
 
 import numpy as np
 import pytest
@@ -19,31 +16,12 @@ from finslergeo import (
     build_metric,
     curvature_fd_oracle,
 )
-from finslergeo import riemann, tensors
+from finslergeo import tensors
 from finslergeo.riemann import take
-from finslergeo.tensors import TOLERANCE_CLASSES, max_abs, rel_frobenius
+from finslergeo.tensors import TOLERANCE_CLASSES, rel_frobenius
 
 from conftest import reference_fd_oracle
 from test_pair_assembly import PD_RATIONAL, general_chart
-
-PARITY = 1e-13  # of max|R| per sample
-
-
-def _gap(got, want):
-    """Largest per-sample |got - want| relative to max|want| of the sample."""
-    assert got.shape == want.shape
-    return float(np.max(max_abs(got - want, 4) / max_abs(want, 4)))
-
-
-@pytest.mark.parametrize("signature", [1, -1])
-@pytest.mark.parametrize("n_dim", range(2, 9))
-def test_oracle_matches_the_per_row_christoffel_construction(n_dim, signature, rng):
-    """Within 1e-13 of max|R|, batched and at one point (measured 8.5e-16)."""
-    state, _ = general_chart(rng, n_dim, signature)
-    assert _gap(curvature_fd_oracle(state), reference_fd_oracle(state)) < PARITY
-    one = take(state, 2)
-    assert one.x.shape == (n_dim,)
-    assert _gap(curvature_fd_oracle(one), reference_fd_oracle(one)) < PARITY
 
 
 @pytest.mark.parametrize("signature", [1, -1])
@@ -54,41 +32,10 @@ def test_oracle_agrees_with_central_differences(n_dim, signature, rng):
     batched and at one point."""
     state, _ = general_chart(rng, n_dim, signature)
     tol = TOLERANCE_CLASSES["finite_difference"]
-    got, want = curvature_fd_oracle(state), reference_fd_oracle(state, central=True)
+    got, want = curvature_fd_oracle(state), reference_fd_oracle(state)
     assert np.all(rel_frobenius(got, want, 4) < tol)
     one = take(state, 2)
-    assert rel_frobenius(curvature_fd_oracle(one), reference_fd_oracle(one, central=True)) < tol
-
-
-def test_a_transposed_u_fails_parity(rng):
-    """Mutation check: the oracle with U = u_mix in its u-term instead of
-    u_mix^T misses the reference by far more than the parity bound."""
-    source = inspect.getsource(riemann.curvature_fd_oracle)
-    assert source.count("u_mix.T") == 1
-    namespace = dict(vars(riemann))
-    exec(source.replace("u_mix.T", "u_mix"), namespace)
-    mutated = namespace["curvature_fd_oracle"]
-    for n_dim, signature in ((3, 1), (4, -1), (8, 1)):
-        state, _ = general_chart(rng, n_dim, signature)
-        want = reference_fd_oracle(state)
-        assert _gap(curvature_fd_oracle(state), want) < PARITY
-        assert _gap(mutated(state), want) > 1e-6
-
-
-def test_christoffel_is_built_only_at_the_samples(rng, monkeypatch):
-    """The oracle builds the N^3 Christoffel array once, for the sample
-    points' state.gamma, and never at a stencil row."""
-    state, _ = general_chart(rng, 5, -1)
-    built = []
-    closed = riemann.christoffel
-
-    def recording(s):
-        built.append(np.array(s.x))
-        return closed(s)
-
-    monkeypatch.setattr(riemann, "christoffel", recording)
-    curvature_fd_oracle(state)
-    assert len(built) == 1 and np.array_equal(built[0], state.x)
+    assert rel_frobenius(curvature_fd_oracle(one), reference_fd_oracle(one)) < tol
 
 
 @pytest.mark.parametrize("batched", [False, True])

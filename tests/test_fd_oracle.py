@@ -2,9 +2,12 @@
 Christoffel field, the N^3 array built at each complex row.  It must agree
 with the order-4 central differences of that field (the reference in
 conftest), in general charts L = D Q where U = u_mix^T is not symmetric,
-and a non-finite value at a complex row must name its sample and axis."""
+closely enough that a mis-assembled oracle fails it; it builds that array
+in one call on the complex rows; and a non-finite value at a complex row
+must name its sample and axis."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from finslergeo import (
     build_metric,
     curvature_fd_oracle,
 )
-from finslergeo import tensors
+from finslergeo import riemann, tensors
 from finslergeo.riemann import take
 from finslergeo.tensors import TOLERANCE_CLASSES, rel_frobenius
 
@@ -36,6 +39,61 @@ def test_oracle_agrees_with_central_differences(n_dim, signature, rng):
     assert np.all(rel_frobenius(got, want, 4) < tol)
     one = take(state, 2)
     assert rel_frobenius(curvature_fd_oracle(one), reference_fd_oracle(one)) < tol
+
+
+# name: (text in curvature_fd_oracle's source, its mutated form)
+MUTATIONS = {
+    # d_k taken along the Christoffel symbol's upper index
+    "derivative_axis": ('"...kinm->...nikm"', '"...iknm->...nikm"'),
+    # d_m a^i_nk in place of d_k a^i_nm
+    "derivative_order": ('"...kinm->...nikm"', '"...kinm->...nimk"'),
+    "product_sign": ("+ _gamma_products", "- _gamma_products"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize(("n_dim", "signature"), [(3, 1), (4, -1), (8, 1)])
+def test_a_mutated_oracle_fails_central_differences(mutation, n_dim, signature, rng):
+    """Mutation check: the oracle with its partials' axes or its products'
+    sign changed misses the central-difference reference by far more than
+    the finite_difference class, which the oracle itself meets."""
+    before, after = MUTATIONS[mutation]
+    source = inspect.getsource(riemann.curvature_fd_oracle)
+    assert source.count(before) == 1
+    namespace = dict(vars(riemann))
+    exec(source.replace(before, after), namespace)
+    mutated = namespace["curvature_fd_oracle"]
+    state, _ = general_chart(rng, n_dim, signature)
+    want = reference_fd_oracle(state)
+    tol = TOLERANCE_CLASSES["finite_difference"]
+    assert np.all(rel_frobenius(curvature_fd_oracle(state), want, 4) < tol)
+    assert np.all(rel_frobenius(mutated(state), want, 4) > 1e3 * tol)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_christoffel_is_built_once_on_the_complex_rows(batched, rng, monkeypatch):
+    """The oracle builds the N^3 Christoffel array in one call, on the N
+    complex rows x + i h e_k in front of the batch; the sample's own array
+    comes from state.gamma, which is not rebuilt."""
+    state, _ = general_chart(rng, 5, -1)
+    if not batched:
+        state = take(state, 2)
+    state.gamma  # computed here, so the oracle only reads it
+    built = []
+    closed = riemann.christoffel
+
+    def recording(s):
+        built.append(np.array(s.x))
+        return closed(s)
+
+    monkeypatch.setattr(riemann, "christoffel", recording)
+    curvature_fd_oracle(state)
+    assert len(built) == 1
+    rows, lead = built[0], state.x.shape[:-1]
+    steps = tensors.COMPLEX_STEP * np.eye(5).reshape((5,) + (1,) * len(lead) + (5,))
+    assert rows.shape == (5,) + state.x.shape
+    assert np.array_equal(rows.real, np.broadcast_to(state.x, rows.shape))
+    assert np.array_equal(rows.imag, np.broadcast_to(steps, rows.shape))
 
 
 @pytest.mark.parametrize("batched", [False, True])

@@ -127,8 +127,7 @@ def fiber_vectors(metric: MetricState, y: np.ndarray):
     by eps = metric.frame.epsilon to get q^2.
     The metric and y broadcast over their leading axes: metrics built at
     complex x-rows (rows, B) against one y per sample (B, N), or a batch
-    metric (B,) against complex y-rows (rows, B, N); such row states are
-    transient and never passed to take."""
+    metric (B,) against complex y-rows (rows, B, N)."""
     y = np.asarray(y)
     y_low = np.einsum("...ij,...j->...i", metric.a_low, y)
     b = np.einsum("...i,...i->...", metric.b_low, y)

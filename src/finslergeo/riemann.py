@@ -14,7 +14,6 @@ of points (leading sample axes) and returns one result per sample.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -195,35 +194,6 @@ class MetricState:
         return nabla_b(self)
 
 
-def take(state, rows):
-    """The samples ``rows`` (an index, slice or mask over the leading axis)
-    of a stacked MetricState or FinsleroidState: every per-point array,
-    nested state and cached value is indexed, nothing is evaluated again."""
-    return _combine([state], lambda values: values[0][rows])
-
-
-def _combine(states: list, join):
-    """A state of the kind of ``states[0]`` whose array fields, nested
-    states and values cached on every state are ``join`` of the states'
-    values; other fields (frame, profiles, charge, flags) come from the
-    first state."""
-    first = states[0]
-    values = {}
-    for f in dataclasses.fields(first):
-        items = [getattr(s, f.name) for s in states]
-        if isinstance(items[0], MetricState):
-            values[f.name] = _combine(items, join)
-        elif isinstance(items[0], (np.ndarray, np.generic)):
-            values[f.name] = join(items)
-        else:
-            values[f.name] = items[0]
-    out = type(first)(**values)
-    for key in vars(first).keys() - values.keys():
-        if all(key in vars(s) for s in states):
-            vars(out)[key] = join([vars(s)[key] for s in states])
-    return out
-
-
 def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricState:
     """Assemble the metric family at x, one point (N,) or a stack (..., N);
     the closed inverse (MetricState.a_up, built on first use) is verified
@@ -338,8 +308,7 @@ def christoffel_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
     The state and y broadcast against each other over their leading axes,
     as NumPy broadcasts: a batch metric (B,) against fiber vectors on the
     complex rows (rows, B, N), or metrics built at the complex rows
-    (rows, B) against one fiber vector per sample (B, N).  States built at
-    complex rows are transient and never passed to take.
+    (rows, B) against one fiber vector per sample (B, N).
     """
     py, qy, w = _christoffel_blocks(state, y)
     u_mix = state.frame.u_mix

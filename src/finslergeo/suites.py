@@ -1,11 +1,11 @@
 """Verification suites driven by a Scenario.
 
-Each suite samples deterministically from a seed derived from the scenario
-seed and the suite's fixed position (`vacuum` from the scenario seed),
-evaluates its residuals on stacked chunks of samples (one residual per
-sample, in draw order), and returns per-check statistics.  A suite whose
-preconditions fail is marked skipped with the reason, and the run
-continues.
+Each suite samples points (and fiber vectors) deterministically from a seed
+derived from the scenario seed and the suite's fixed position (`vacuum` from
+the scenario seed), builds each chunk's states from its points, evaluates
+its residuals on them (one residual per sample, in draw order), and returns
+per-check statistics.  A suite whose preconditions fail is marked skipped
+with the reason, and the run continues.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .riemann import (
     curvature_presubstitution,
     ricci_closed,
     ricci_from_curvature,
-    take,
-    _combine,
 )
 from .scenario import SUITES, Scenario
 from .tensors import (
@@ -85,19 +83,6 @@ _REJECTIONS = {
 }
 
 
-def _survivors(evaluate, size: int, rejected: dict):
-    """``evaluate(keep)`` on the rows ``keep`` of a stack of ``size`` that it
-    accepts, and that mask: each DomainError or AdmissibilityError drops
-    the rows it marks, counted in ``rejected`` by cause."""
-    keep = np.ones(size, dtype=bool)
-    while True:
-        try:
-            return evaluate(keep), keep
-        except (DomainError, AdmissibilityError) as exc:
-            rejected[_REJECTIONS[type(exc)]] += int(np.sum(exc.rows))
-            keep[np.flatnonzero(keep)[exc.rows]] = False
-
-
 # A cone-mode fiber is kept iff q >= CONE_MARGIN (|S| + |b|) and nu >= CONE_MARGIN q.
 CONE_MARGIN = 0.05
 
@@ -105,50 +90,52 @@ CONE_MARGIN = 0.05
 def _sample_blocks(
     scenario: Scenario, rng: np.random.Generator, count: int, fiber: bool = False, charge=None
 ):
-    """``count`` samples in draw order, for at most 60 tries per sample: one
-    stacked MetricState; with ``fiber``, that state and the normal fiber
-    vectors ys paired with its points, as (metric, ys); or given a
-    ``charge``, one FinsleroidState of that charge whose fibers lie
-    CONE_MARGIN inside the cone.
+    """``count`` samples in draw order, for at most 60 tries per sample:
+    (xs, ys), the accepted points and, with ``fiber`` or a ``charge``, their
+    fiber vectors (else None).  Given a ``charge``, each fiber lies
+    CONE_MARGIN inside the cone of that charge at its point.
 
     Each try draws a point, then (with ``fiber`` or a ``charge``) a fiber
-    vector.  A block of tries is drawn in try order and judged by one
-    build_metric (and, given a ``charge``, one kinematics) call; it never
-    holds more tries than could still be accepted, so the generator stops
-    where a try-by-try loop would."""
+    vector.  A block of tries is drawn in try order and judged in passes:
+    each builds the metric (and, given a ``charge``, the kinematics) at the
+    block's surviving tries in one call, and each DomainError or
+    AdmissibilityError drops the tries it marks, counted by cause.  A block
+    never holds more tries than could still be accepted, so the generator
+    stops where a try-by-try loop would."""
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     lo, hi = _sampling_range(scenario.profile)
     cone = charge is not None
+    fiber = fiber or cone
     causes = [*_REJECTIONS.values(), "inside the margin"] if cone else ["outside the domain"]
     rejected = dict.fromkeys(causes, 0)
-    parts, fibers = [], []
+    points, fibers = [], []
     tries = accepted = 0
     while accepted < count and tries < 60 * count:
         block = min(count - accepted, 60 * count - tries)
         xs, ys = np.empty((2, block, scenario.n_dim))
         for i in range(block):
             xs[i] = _sample_point(rng, scenario.n_dim, lo, hi)
-            if fiber or cone:
+            if fiber:
                 ys[i] = rng.normal(size=scenario.n_dim)
         tries += block
-        state, kept = _survivors(
-            lambda keep: build_metric(frame, scenario.profile, xs[keep]), block, rejected
-        )
-        ys = ys[kept]
+        kept = np.ones(block, dtype=bool)
+        while True:
+            try:
+                state = build_metric(frame, scenario.profile, xs[kept])
+                if cone:
+                    state = kinematics(state, ys[kept], charge)
+                break
+            except (DomainError, AdmissibilityError) as exc:
+                rejected[_REJECTIONS[type(exc)]] += int(np.sum(exc.rows))
+                kept[np.flatnonzero(kept)[exc.rows]] = False
         if cone:
-            metric = state
-            state, _ = _survivors(
-                lambda keep: kinematics(take(metric, keep), ys[keep], charge),
-                len(ys),
-                rejected,
-            )
-            kept = (state.q >= CONE_MARGIN * (np.sqrt(np.abs(state.s2)) + np.abs(state.b))) & (
+            inside = (state.q >= CONE_MARGIN * (np.sqrt(np.abs(state.s2)) + np.abs(state.b))) & (
                 state.nu >= CONE_MARGIN * np.maximum(state.q, 1e-300)
             )
-            rejected["inside the margin"] += int(np.sum(~kept))
-            state = take(state, kept)
-        parts.append(state)
-        fibers.append(ys)
+            rejected["inside the margin"] += int(np.sum(~inside))
+            kept[np.flatnonzero(kept)[~inside]] = False
+        points.append(xs[kept])
+        fibers.append(ys[kept])
         accepted += int(np.sum(kept))
     if accepted < count:
         what = (
@@ -161,8 +148,7 @@ def _sample_blocks(
             f"only {accepted} of {count} {what} in {tries} tries (rejected: {counts}); "
             "nothing was verified"
         )
-    states = _combine(parts, np.concatenate)
-    return (states, np.concatenate(fibers)) if fiber else states
+    return np.concatenate(points), np.concatenate(fibers) if fiber else None
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +168,13 @@ def _verdict(name: str, checks, dumps=None):
 
 def suite_frame_identities(scenario: Scenario):
     rng = _suite_rng(scenario, "frame-identities")
-    states = _sample_blocks(scenario, rng, scenario.n_points)
-    frame = states.frame
+    xs, _ = _sample_blocks(scenario, rng, scenario.n_points)
+    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     eye = np.eye(scenario.n_dim)
     u, e_up = frame.u_low, frame.e_up
 
     def residuals(rows) -> dict[str, np.ndarray]:
-        state = take(states, rows)
+        state = build_metric(frame, scenario.profile, xs[rows])
         c2 = state.c**2
         # The frame identities do not depend on the point: the same value per sample.
         return {name: np.full(c2.shape, value) for name, value in frame.identities.items()} | {
@@ -212,10 +198,11 @@ def suite_frame_identities(scenario: Scenario):
 
 def suite_christoffel_xcheck(scenario: Scenario):
     rng = _suite_rng(scenario, "christoffel-xcheck")
-    states = _sample_blocks(scenario, rng, scenario.n_points)
+    xs, _ = _sample_blocks(scenario, rng, scenario.n_points)
+    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
 
     def residuals(rows) -> dict[str, np.ndarray]:
-        state = take(states, rows)
+        state = build_metric(frame, scenario.profile, xs[rows])
         closed = state.gamma
         return {
             "closed_vs_definitional": max_abs(closed - christoffel_definitional(state), 3),
@@ -230,10 +217,11 @@ def suite_christoffel_xcheck(scenario: Scenario):
 
 def suite_curvature_xcheck(scenario: Scenario):
     rng = _suite_rng(scenario, "curvature-xcheck")
-    states = _sample_blocks(scenario, rng, scenario.n_points)
+    xs, _ = _sample_blocks(scenario, rng, scenario.n_points)
+    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
 
     def residuals(rows) -> dict[str, np.ndarray]:
-        state = take(states, rows)
+        state = build_metric(frame, scenario.profile, xs[rows])
         closed = curvature_closed(state)
         oracle = curvature_fd_oracle(state)
         ric_decomposed, _ = ricci_closed(state)
@@ -263,7 +251,9 @@ def suite_curvature_xcheck(scenario: Scenario):
     checks = _planned(rows, check_plan, scenario.tolerances)
     dumps = {}
     if scenario.dump_dir:
-        dumps["curvature_closed_sample"] = curvature_closed(take(states, 0))
+        dumps["curvature_closed_sample"] = curvature_closed(
+            build_metric(frame, scenario.profile, xs[0])
+        )
     return _verdict("curvature-xcheck", checks, dumps)
 
 
@@ -344,10 +334,11 @@ def suite_finsler_identities(scenario: Scenario):
     # The identity set involves the charge through nu; if the scenario runs
     # charge 0 the suite still validates the charged formulas at 0.3.
     charge = scenario.charge if scenario.charge != 0.0 else 0.3
-    fibers = _sample_blocks(scenario, rng, scenario.n_fibers, charge=charge)
+    xs, ys = _sample_blocks(scenario, rng, scenario.n_fibers, charge=charge)
+    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
 
     def residuals(rows) -> dict[str, np.ndarray]:
-        fib = take(fibers, rows)
+        fib = kinematics(build_metric(frame, scenario.profile, xs[rows]), ys[rows], charge)
         res = kinematic_identity_residuals(fib)
         res["e_fiber_derivative_fd"] = _e_fiber_rule_fd(fib)
         return res
@@ -374,14 +365,14 @@ def _e_fiber_rule_fd(fib) -> np.ndarray:
 def suite_finsler_curvature(scenario: Scenario):
     rng = _suite_rng(scenario, "finsler-curvature")
     charge = scenario.charge
-    if charge == 0.0:
-        metrics, ys = _sample_blocks(scenario, rng, scenario.n_fibers, fiber=True)
-    else:
-        fibers = _sample_blocks(scenario, rng, scenario.n_fibers, charge=charge)
-        metrics, ys = fibers.metric, fibers.y
+    # At charge 0 (the Riemannian limit) no cone bounds the fibers.
+    xs, ys = _sample_blocks(
+        scenario, rng, scenario.n_fibers, fiber=True, charge=charge if charge != 0.0 else None
+    )
+    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
 
     def evaluate(rows) -> dict[str, np.ndarray]:
-        state, y = take(metrics, rows), ys[rows]
+        state, y = build_metric(frame, scenario.profile, xs[rows]), ys[rows]
         derivs = spray_derivatives(state, y, charge)
         g1 = derivs.spray
         g2 = spray_coefficients(state, 2.0 * y, charge)

@@ -168,12 +168,11 @@ def fd_partials(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
     ``f`` is called once, on the N complex points x + i h e_k with the rows
     in front, (N, B, N) for a batch and (N, N) for one point, and returns
     one value of any shape per point.  Per-sample data (a batch's
-    MetricState, its fiber vectors) broadcasts against the rows as it is;
-    states built at the rows are transient and never passed to take.  The
-    field must be complex-analytic in x: every admissibility test reads the
-    real part, which is the base point's own, so no row can leave a domain
-    the base point is in.  A non-finite value raises StencilError naming its
-    sample and axis.
+    MetricState, its fiber vectors) broadcasts against the rows as it is.
+    The field must be complex-analytic in x: every admissibility test reads
+    the real part, which is the base point's own, so no row can leave a
+    domain the base point is in.  A non-finite value raises StencilError
+    naming its sample and axis.
     """
     x = np.asarray(x, dtype=float)
     lead, n = x.shape[:-1], x.shape[-1]

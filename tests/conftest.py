@@ -17,7 +17,7 @@ from finslergeo import (
     fd_partials,
 )
 from finslergeo.finsler import _first_derivative
-from finslergeo.riemann import _combine, _gamma_products, christoffel_dot
+from finslergeo.riemann import _gamma_products, christoffel_dot
 from finslergeo.tensors import matvec, outer
 
 
@@ -88,14 +88,6 @@ def fd_reference(f, x, scales):
         diff = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / 12.0
         partials.append(diff / h[..., k].reshape(h.shape[:-1] + (1,) * (diff.ndim - x.ndim + 1)))
     return np.stack(partials, axis=x.ndim - 1)
-
-
-def stack_states(states):
-    """One state over a leading sample axis from per-sample states of one
-    kind (MetricState or FinsleroidState) on one frame, profile pair and
-    charge: every per-point array, nested state and cached value is stacked
-    as computed, nothing is evaluated again."""
-    return _combine(states, np.array)
 
 
 def nabla_c(state):

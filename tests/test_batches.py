@@ -6,6 +6,7 @@ the calls each stage makes, the fields a complex row computes, the suites'
 chunk counts, chunk-size invariance and chunk memory, and the worst-sample
 index and residual median of each check."""
 
+import dataclasses
 import sys
 import tracemalloc
 
@@ -42,7 +43,7 @@ from finslergeo import (
 from finslergeo.finsler import fiber_vectors
 from finslergeo.report import CheckResult, SuiteResult
 from finslergeo import finsler, riemann, suites, tensors
-from finslergeo.riemann import christoffel_definitional, take
+from finslergeo.riemann import christoffel_definitional
 from finslergeo.suites import (
     SamplingError,
     _sample_blocks,
@@ -56,7 +57,7 @@ from finslergeo.suites import (
 from finslergeo.tensors import max_abs
 from finslergeo.vacuum import reduced_prefactor
 
-from conftest import nabla_c, nabla_c_definitional, sample_point, stack_states
+from conftest import nabla_c, nabla_c_definitional, sample_point
 
 # name -> (profile, signature, charge): the Finsleroid convention follows the
 # signature, so Schwarzschild runs the pseudo-Finsleroid (q^2 = b^2 - S^2)
@@ -78,16 +79,17 @@ def _frame(signature: int, rotated: bool) -> tuple[Frame, np.ndarray]:
 
 
 def _samples(rng, name, rotated, count=5):
-    """(metric, y, state) per sample in the chosen chart, admissible for the
-    profile's charge, for at most 60 tries per sample."""
+    """(metric, y, state) per sample in the chosen chart, each a batch of
+    one, admissible for the profile's charge, for at most 60 tries per
+    sample."""
     pair, signature, charge = PROFILES[name]
     frame, lin = _frame(signature, rotated)
     out = []
     for _ in range(60 * count):
         if len(out) == count:
             break
-        x = lin @ sample_point(rng, 4, 0.8, 4.0)
-        y = lin @ rng.normal(size=4)
+        x = (lin @ sample_point(rng, 4, 0.8, 4.0))[None]
+        y = (lin @ rng.normal(size=4))[None]
         metric = build_metric(frame, pair, x)
         try:
             fib = kinematics(metric, y, charge)
@@ -100,8 +102,17 @@ def _samples(rng, name, rotated, count=5):
     return out
 
 
+def _batch(samples):
+    """The samples' metric built at their stacked points, and their stacked
+    fiber vectors: leading axes (B, 1), so that each sample's arithmetic is
+    that of its batch of one."""
+    first = samples[0][0]
+    xs = np.stack([metric.x for metric, _, _ in samples])
+    return build_metric(first.frame, first.profiles, xs), np.stack([y for _, y, _ in samples])
+
+
 def _agree(batched, singles, rel):
-    """Each row of ``batched`` equals its single-point result to ``rel`` of
+    """Each row of ``batched`` equals its sample's result alone to ``rel`` of
     the array's largest component."""
     want = np.stack([np.asarray(s, dtype=float) for s in singles])
     batched = np.asarray(batched, dtype=float)
@@ -167,7 +178,7 @@ class TestClosedFormsBatch:
     def test_riemann_layer_equals_per_sample(self, name, rotated, rng):
         samples = _samples(rng, name, rotated)
         metrics = [m for m, _, _ in samples]
-        batch = stack_states(metrics)
+        batch, _ = _batch(samples)
         _agree(curvature_closed(batch), [curvature_closed(m) for m in metrics], CLOSED)
         _agree(
             curvature_presubstitution(batch),
@@ -178,7 +189,7 @@ class TestClosedFormsBatch:
         _agree(ric, [ricci_closed(m)[0] for m in metrics], CLOSED)
         _agree(
             np.stack(coeffs.as_tuple(), axis=-1),
-            [ricci_closed(m)[1].as_tuple() for m in metrics],
+            [np.stack(ricci_closed(m)[1].as_tuple(), axis=-1) for m in metrics],
             CLOSED,
         )
         _agree(curvature_fd_oracle(batch), [curvature_fd_oracle(m) for m in metrics], FD)
@@ -188,8 +199,9 @@ class TestClosedFormsBatch:
 
     @pytest.mark.parametrize("name, rotated", CASES, ids=IDS)
     def test_covariant_derivative_oracles_equal_per_sample(self, name, rotated, rng):
-        metrics = [m for m, _, _ in _samples(rng, name, rotated)]
-        batch = stack_states(metrics)
+        samples = _samples(rng, name, rotated)
+        metrics = [m for m, _, _ in samples]
+        batch, _ = _batch(samples)
         _agree(nabla_c(batch), [nabla_c(m) for m in metrics], CLOSED)
         _agree(nabla_b_definitional(batch), [nabla_b_definitional(m) for m in metrics], FD)
         _agree(nabla_c_definitional(batch), [nabla_c_definitional(m) for m in metrics], FD)
@@ -198,8 +210,7 @@ class TestClosedFormsBatch:
     def test_vacuum_layer_equals_per_sample(self, rotated, rng):
         samples = _samples(rng, "schwarzschild", rotated)
         metrics = [m for m, _, _ in samples]
-        batch = stack_states(metrics)
-        y = np.stack([yy for _, yy, _ in samples])
+        batch, y = _batch(samples)
         _agree(reduced_prefactor(batch), [reduced_prefactor(m) for m in metrics], CLOSED)
         reduced = reduced_curvature(batch)
         _agree(reduced, [reduced_curvature(m) for m in metrics], CLOSED)
@@ -208,7 +219,7 @@ class TestClosedFormsBatch:
         res = contraction_identities(batch, y, curvature_closed(batch))
         alone = [contraction_identities(m, yy, curvature_closed(m)) for m, yy, _ in samples]
         for key, values in res.items():
-            assert values.shape == (len(samples),)
+            assert values.shape == (len(samples), 1)
             gap = max_abs(values - np.array([a[key] for a in alone]))
             assert gap <= CLOSED * max_abs(reduced)
 
@@ -217,8 +228,7 @@ class TestClosedFormsBatch:
         """At the profile's charge and at the Riemannian limit."""
         charge = PROFILES[name][2]
         samples = _samples(rng, name, rotated)
-        metric = stack_states([m for m, _, _ in samples])
-        y = np.stack([y for _, y, _ in samples])
+        metric, y = _batch(samples)
         for g in (charge, 0.0):
             derivs = spray_derivatives(metric, y, g)
             singles = [spray_derivatives(m, yy, g) for m, yy, _ in samples]
@@ -228,7 +238,7 @@ class TestClosedFormsBatch:
                 _agree(getattr(derivs, field), [getattr(s, field) for s in singles], FD)
             _agree(hh_curvature(derivs), [hh_curvature(s) for s in singles], FD)
 
-        fib = stack_states([f for _, _, f in samples])
+        fib = kinematics(metric, y, charge)
         res = kinematic_identity_residuals(fib)
         alone = [kinematic_identity_residuals(f) for _, _, f in samples]
         for key, values in res.items():
@@ -318,21 +328,23 @@ class TestChristoffelKernel:
     @pytest.mark.parametrize("signature", [1, -1])
     def test_dot_broadcasts_over_stencil_rows(self, signature, rng):
         """christoffel_dot, nabla_b_dot and kinematics broadcast a batch
-        metric (B,) against fiber vectors (rows, B, N), as in the y-stencil,
-        where nabla_b_dot and kinematics equal each sample's own call bit
-        for bit; and a stencil of metrics (rows, B) against one fiber vector
-        per sample (B, N), as in the x-stencil."""
+        metric against fiber vectors on rows in front of it, as in the
+        y-stencil, where nabla_b_dot and kinematics equal each sample's own
+        call bit for bit (the batch (B, 1) is built at the stacked points, so
+        each sample is summed as it is alone); and a stencil of metrics
+        (rows, B) against one fiber vector per sample (B, N), as in the
+        x-stencil."""
         frame, pair, xs, ys = self._stack(rng, 8, signature, True, 3)
-        metric = build_metric(frame, pair, xs)
-        y_rows = ys + 0.01 * rng.normal(size=(6, 3, 8))
+        metric = build_metric(frame, pair, xs[:, None])
+        y_rows = ys[:, None] + 0.01 * rng.normal(size=(6, 3, 1, 8))
         got = christoffel_dot(metric, y_rows)
-        assert got.shape == (6, 3, 8, 8)
+        assert got.shape == (6, 3, 1, 8, 8)
         self._assert_dot(got, _einsum_christoffel(metric), y_rows)
         self._assert_nabla_b_dot(metric, y_rows)
         s_low = nabla_b_dot(metric, y_rows)
         fibers = kinematics(metric, y_rows, 0.3)
         for b in range(3):
-            one, y_one = take(metric, b), y_rows[:, b]
+            one, y_one = build_metric(frame, pair, xs[b : b + 1]), y_rows[:, b]
             assert np.array_equal(s_low[:, b], nabla_b_dot(one, y_one))
             want = kinematics(one, y_one, 0.3)
             for name in ("y_low", "b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "s_low",
@@ -389,7 +401,7 @@ class TestConeEdgeInBatch:
         _, b, _, q2, _, _ = fiber_vectors(metric, edge)
         charge = -(np.sqrt(q2) - nu_at_edge) / ((1.0 - 0.9**2) * b)
         ys = np.array([[-1.0, 0.5, 0.3, 0.0], edge, [-0.5, 0.2, -0.4, 0.7]])
-        return stack_states([metric] * 3), ys, charge, metric
+        return build_metric(frame, metric.profiles, np.stack([metric.x] * 3)), ys, charge, metric
 
     @pytest.mark.parametrize("nu_at_edge", [2e-5, 1e-9])
     def test_a_fiber_at_the_edge_is_differentiated_with_the_rest(self, nu_at_edge):
@@ -467,6 +479,9 @@ SAMPLER_PROFILES = {
 }
 # The positive-definite pair run at signature -1: no fiber has q^2 > 0.
 SAMPLER_PROFILES["no_fiber"] = SAMPLER_PROFILES["pd_rational"]
+# c = 1.5 everywhere: nu = q - 0.375 b at charge 0.3, so kinematics itself
+# rejects the fibers with nu <= 0 and the judge passes over a block again.
+SAMPLER_PROFILES["cone_retry"] = "kind = constant\nc0 = 1.5\nm0 = 1.0\n"
 # (profile, dimension, signature, sampler); "cone" samples admissible fibers
 # at charge 0.3 in the signature's convention.
 SAMPLER_CASES = [
@@ -481,6 +496,7 @@ SAMPLER_CASES = [
     ("half_domain", 4, 1, "points"),
     ("half_domain", 4, 1, "fiber"),
     ("half_domain", 4, 1, "cone"),
+    ("cone_retry", 4, 1, "cone"),
 ]
 
 
@@ -501,19 +517,15 @@ def test_block_samplers_draw_the_try_by_try_samples(profile, n_dim, signature, s
     rng_loop, rng_block = np.random.default_rng(11), np.random.default_rng(11)
     if sampler == "cone":
         want = _loop_admissible(scenario, rng_loop, count, 0.3)
-        try:
-            fib = _sample_blocks(scenario, rng_block, count, charge=0.3)
-            got = fib.metric.x, fib.y
-        except SamplingError:
-            got = None
     else:
-        with_fiber = sampler == "fiber"
-        want = _loop_states(scenario, rng_loop, count, with_fiber)
-        try:
-            out = _sample_blocks(scenario, rng_block, count, with_fiber)
-            got = (out[0].x, out[1]) if with_fiber else (out.x, None)
-        except SamplingError:
-            got = None
+        want = _loop_states(scenario, rng_loop, count, sampler == "fiber")
+    try:
+        if sampler == "cone":
+            got = _sample_blocks(scenario, rng_block, count, charge=0.3)
+        else:
+            got = _sample_blocks(scenario, rng_block, count, sampler == "fiber")
+    except SamplingError:
+        got = None
     if want is None:
         assert got is None
     else:
@@ -535,15 +547,23 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_samplers_make_a_few_stacked_calls(monkeypatch):
-    """Sampling 100 admissible N = 8 fibers, or 25 points, takes at most three
-    build_metric and three kinematics calls, not one per try."""
-    scenario = parse_scenario(CHARGED_N8)
+@pytest.mark.parametrize(
+    "profile, n_dim, count, passes", [("pd_rational", 8, 100, 3), ("cone_retry", 4, 40, 6)]
+)
+def test_samplers_make_a_few_stacked_calls(monkeypatch, profile, n_dim, count, passes):
+    """Sampling admissible fibers takes at most ``passes`` judge passes, not
+    one per try (on ``cone_retry`` kinematics itself rejects fibers, so a
+    block is judged again), and one build_metric call per pass: neither
+    profile rejects a point, so every pass reaches kinematics.  25 points
+    take at most three build_metric calls."""
+    scenario = parse_scenario(
+        f"[scenario]\ndimension = {n_dim}\nsignature = 1\n[profile]\n{SAMPLER_PROFILES[profile]}"
+    )
     builds = _counting(monkeypatch, "build_metric")
     kins = _counting(monkeypatch, "kinematics")
-    fibers = _sample_blocks(scenario, np.random.default_rng(1), 100, charge=0.3)
-    assert fibers.y.shape == (100, 8)
-    assert len(builds) <= 3 and len(kins) <= 3
+    xs, ys = _sample_blocks(scenario, np.random.default_rng(1), count, charge=0.3)
+    assert xs.shape == ys.shape == (count, n_dim)
+    assert len(kins) <= passes and len(builds) <= len(kins)
     for with_fiber in (False, True):
         builds.clear()
         _sample_blocks(scenario, np.random.default_rng(1), 25, with_fiber)
@@ -565,14 +585,22 @@ def _counting_everywhere(monkeypatch, func):
     return calls
 
 
+def _charged_fibers(count):
+    """The FinsleroidState at the first ``count`` admissible samples of
+    CHARGED_N8 from generator 1, built at the sampled points."""
+    scenario = parse_scenario(CHARGED_N8)
+    xs, ys = _sample_blocks(scenario, np.random.default_rng(1), count, charge=scenario.charge)
+    metric = build_metric(Frame.standard(8, 1), scenario.profile, xs)
+    return kinematics(metric, ys, scenario.charge)
+
+
 def test_spray_stencils_build_no_christoffel_array(monkeypatch):
     """On a charged N = 8 batch of four fibers the spray stencils contract
     the Christoffel blocks with y: spray_derivatives builds the full array
     once (the cached gamma of spray_y_second) and hh_curvature never."""
-    scenario = parse_scenario(CHARGED_N8)
-    fibers = _sample_blocks(scenario, np.random.default_rng(1), 4, charge=0.3)
+    fibers = _charged_fibers(4)
     calls = _counting_everywhere(monkeypatch, riemann.christoffel)
-    derivs = spray_derivatives(fibers.metric, fibers.y, scenario.charge)
+    derivs = spray_derivatives(fibers.metric, fibers.y, fibers.charge)
     assert len(calls) <= 1
     calls.clear()
     hh_curvature(derivs)
@@ -597,9 +625,8 @@ def test_spray_stencil_rows_compute_only_what_the_spray_reads(monkeypatch):
     """On a charged N = 8 batch, hh_curvature's x-stencil rows build no
     inverse metric, no nabla b and none of the Finsleroid fields that only
     the identities and the second derivative read."""
-    scenario = parse_scenario(CHARGED_N8)
-    fibers = _sample_blocks(scenario, np.random.default_rng(1), 4, charge=0.3)
-    derivs = spray_derivatives(fibers.metric, fibers.y, scenario.charge)
+    fibers = _charged_fibers(4)
+    derivs = spray_derivatives(fibers.metric, fibers.y, fibers.charge)
     built = _recording(monkeypatch, finsler, ("build_metric", "kinematics"))
     hh_curvature(derivs)
     kinds = {type(state).__name__ for state in built}
@@ -612,8 +639,7 @@ def test_e_fiber_stencil_rows_build_no_projector(monkeypatch):
     """The y-stencil rows of the e-fiber FD check read only e_fiber: on a
     charged N = 8 batch they build no transverse projector r_mix and none
     of the other fields computed on first use that e_fiber does not read."""
-    scenario = parse_scenario(CHARGED_N8)
-    fibers = _sample_blocks(scenario, np.random.default_rng(1), 4, charge=0.3)
+    fibers = _charged_fibers(4)
     built = _recording(monkeypatch, suites, ("kinematics",))
     suites._e_fiber_rule_fd(fibers)
     assert built and all(state.y.ndim == 3 for state in built)  # [row, sample, i]
@@ -639,8 +665,8 @@ def test_charge_zero_sampler_evaluates_the_profile_in_a_block(monkeypatch, profi
         return jets(self, r)
 
     monkeypatch.setattr(ProfilePair, "jets", counted)
-    metric, ys = _sample_blocks(scenario, np.random.default_rng(1), count, fiber=True)
-    assert ys.shape == (count, 8) and metric.x.shape == (count, 8)
+    xs, ys = _sample_blocks(scenario, np.random.default_rng(1), count, fiber=True)
+    assert ys.shape == xs.shape == (count, 8)
     assert len(calls) <= most
 
 
@@ -809,6 +835,19 @@ class TestResidualMedian:
         assert (check.worst_index, check.residual_max, check.residual_median) == (1, 5.0, 5.0)
 
 
+# (suite, scenario charge, the suite's sampler arguments): every suite that
+# samples, finsler-curvature at both charges.
+WORST_CASES = [
+    ("frame-identities", 0.3, {}),
+    ("christoffel-xcheck", 0.3, {}),
+    ("curvature-xcheck", 0.3, {}),
+    ("finsler-identities", 0.3, {"charge": 0.3}),
+    ("finsler-curvature", 0.3, {"charge": 0.3}),
+    ("finsler-curvature", 0.0, {"fiber": True}),
+]
+WORST_IDS = [f"{suite}-charge{charge}" for suite, charge, _ in WORST_CASES]
+
+
 class TestWorstIndex:
     def test_first_position_of_the_maximum(self):
         assert CheckResult.from_residuals("r", [1, 3, 2], 10.0).worst_index == 1
@@ -817,24 +856,23 @@ class TestWorstIndex:
         assert empty.worst_index is None
         assert SuiteResult("s", "pass", (empty,)).to_dict()["checks"][0]["worst_index"] is None
 
-    def test_reported_sample_reproduces_the_residual(self):
-        """Redrawing the seeded samples and evaluating the reported one alone
-        gives the check's residual_max."""
+    @pytest.mark.parametrize("suite, charge, sampler", WORST_CASES, ids=WORST_IDS)
+    def test_reported_sample_reproduces_the_residual(self, suite, charge, sampler, monkeypatch):
+        """Redrawing the suite's seeded samples and running the suite on the
+        reported one alone, xs[worst_index] (with ys[worst_index]), gives
+        each check's residual_max."""
         scenario = parse_scenario(
-            "[scenario]\nsignature = 1\ncharge = 0.3\nseed = 5\nsuites = finsler-curvature\n"
+            f"[scenario]\nsignature = 1\ncharge = {charge}\nseed = 5\nsuites = {suite}\n"
             "[profile]\nkind = rational\nc_coeffs = 0.8, 0.1\nm_coeffs = 1.0, 0.2\n"
-            "[samples]\nfibers = 12\n"
+            "[samples]\npoints = 12\nfibers = 12\n"
         )
-        result, _ = suite_finsler_curvature(scenario)
-        checks = {c.name: c for c in result.checks}
-        rng = _suite_rng(scenario, "finsler-curvature")
-        fibers = _sample_blocks(scenario, rng, 12, charge=scenario.charge)
-        for name in ("bundle_magnitude", "spray_first_derivative_gap"):
-            check = checks[name]
-            fib = take(fibers, check.worst_index)
-            derivs = spray_derivatives(fib.metric, fib.y, scenario.charge)
-            if name == "bundle_magnitude":
-                alone = max_abs(hh_curvature(derivs))
-            else:
-                alone = derivs.first_gap
-            assert alone == pytest.approx(check.residual_max, rel=1e-9)
+        run = suites._SUITE_FUNCS[suite]
+        result, _ = run(scenario)
+        xs, ys = _sample_blocks(scenario, _suite_rng(scenario, suite), 12, **sampler)
+        one = dataclasses.replace(scenario, n_points=1, n_fibers=1)
+        for check in result.checks:
+            w = check.worst_index
+            sample = xs[w : w + 1], None if ys is None else ys[w : w + 1]
+            monkeypatch.setattr(suites, "_sample_blocks", lambda *args, **kwargs: sample)
+            alone = {c.name: c.residual_max for c in run(one)[0].checks}
+            assert alone[check.name] == check.residual_max, check.name

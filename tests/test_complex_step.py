@@ -14,6 +14,7 @@ import pytest
 from finslergeo import (
     DegenerateFiberError,
     DomainError,
+    Frame,
     OutsideConeError,
     ProfilePair,
     RadialSingularityError,
@@ -151,10 +152,12 @@ def _oracles(scenario) -> dict:
     no check reads it."""
     out = {}
     run = set(scenario.suites)
+    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     if run & {"christoffel-xcheck", "curvature-xcheck"}:
-        states = _sample_blocks(
+        xs, _ = _sample_blocks(
             scenario, _suite_rng(scenario, "christoffel-xcheck"), scenario.n_points
         )
+        states = build_metric(frame, scenario.profile, xs)
         out["christoffel_definitional"] = (
             christoffel_definitional(states),
             lambda a, b: max_abs(a - b, 3),
@@ -166,10 +169,11 @@ def _oracles(scenario) -> dict:
             TOL["finite_difference"],
         )
     if "finsler-identities" in run:
-        fib = _sample_blocks(
+        xs, ys = _sample_blocks(
             scenario, _suite_rng(scenario, "finsler-identities"), scenario.n_fibers,
             charge=scenario.charge,
         )
+        fib = kinematics(build_metric(frame, scenario.profile, xs), ys, scenario.charge)
 
         def e_field(ys):
             return kinematics(fib.metric, ys, fib.charge).e_fiber
@@ -178,11 +182,9 @@ def _oracles(scenario) -> dict:
         out["e_fiber_derivative"] = (d_e, lambda a, b: max_abs(a - b, 2), TOL["closed_form"])
     if "finsler-curvature" in run:
         rng = _suite_rng(scenario, "finsler-curvature")
-        if scenario.charge == 0.0:
-            metric, y = _sample_blocks(scenario, rng, scenario.n_fibers, fiber=True)
-        else:
-            fib = _sample_blocks(scenario, rng, scenario.n_fibers, charge=scenario.charge)
-            metric, y = fib.metric, fib.y
+        cone = scenario.charge if scenario.charge != 0.0 else None
+        xs, y = _sample_blocks(scenario, rng, scenario.n_fibers, fiber=True, charge=cone)
+        metric = build_metric(frame, scenario.profile, xs)
         derivs = spray_derivatives(metric, y, scenario.charge)
         bundle = hh_curvature(derivs)
         fd = TOL["finite_difference"]

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .riemann import MetricState, build_metric, christoffel_dot, nabla_b_dot
-from .tensors import Jet2, dot, fd_partials, matvec, max_abs, outer
+from .tensors import dot, fd_partials, matvec, max_abs, outer
 
 
 class AdmissibilityError(ValueError):
@@ -372,7 +372,7 @@ def hh_curvature(derivs: SprayDerivatives) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Identity residuals (two-sided evaluations, analytic-jet derivatives)
+# Identity residuals (two-sided evaluations, complex-step y-derivatives)
 # ---------------------------------------------------------------------------
 
 
@@ -389,42 +389,41 @@ def _e_fiber_rule(state: FinsleroidState) -> np.ndarray:
     return (state.b / state.q2)[..., None, None] * state.eta - outer(state.v_low, factor) / q2
 
 
-def _fiber_jets(state: FinsleroidState):
-    """Second-order jets of the fiber scalars along y + t e_axis, for every
-    axis in one pass: after the state's sample axes, jet parts have axes
-    [axis, 1] (scalars) or [axis, k] (covector components).
+def _fiber_partials(state: FinsleroidState):
+    """The y-derivatives of nu, nu_k/nu and e_k by one complex step, axes
+    [j] and [j, k] (d/dy^j first) after the state's sample axes.
 
-    Jet arithmetic gives the exact directional derivative of every quantity
-    built from b(t), S^2(t), q(t), so derivative identities can be checked
-    to algebraic precision without a numeric derivative.  The q^2 jet and the
-    nu_k jet's v/q term carry the convention sign, as in kinematics.
+    The three fields are rebuilt from fiber_vectors at the complex rows, not
+    read from kinematics, so the nu_k that the identities judge is never
+    the derivative's own source.  They are complex-analytic on the cone the
+    base point is in, so the rows need no admissibility test.  The q^2 and
+    the nu_k's v/q term carry the convention sign, as in kinematics.
     """
     ms = state.metric
     eps = ms.frame.epsilon
-    a = ms.a_low
-    b_low = ms.b_low
-    bj = Jet2(state.b[..., None, None], b_low[..., :, None], 0.0)
-    s2j = Jet2(
-        state.s2[..., None, None],
-        2.0 * state.y_low[..., :, None],
-        2.0 * np.diagonal(a, axis1=-2, axis2=-1)[..., :, None],
-    )
-    q2j = (s2j - bj * bj) * eps
-    qj = q2j.sqrt()
     gc = state.charge * (1.0 - ms.c**2)
-    nuj = qj + bj * gc[..., None, None]
-    v_j = Jet2(state.v_low[..., None, :], state.r_low, 0.0)
-    ratio_j = (v_j * eps / qj + (gc[..., None] * b_low)[..., None, :]) / nuj
-    e_j = bj / q2j * v_j - b_low[..., None, :]
-    return nuj, ratio_j, e_j
+
+    def fields(ys: np.ndarray) -> np.ndarray:
+        _, b, _, transverse, v_low, _ = fiber_vectors(ms, ys)
+        q2 = eps * transverse
+        q = np.sqrt(q2)
+        nu = q + gc * b
+        ratio = (eps * v_low / q[..., None] + gc[..., None] * ms.b_low) / nu[..., None]
+        e = (b / q2)[..., None] * v_low - ms.b_low
+        return np.concatenate([nu[..., None], ratio, e], axis=-1)
+
+    n = state.y.shape[-1]
+    d = fd_partials(fields, state.y)
+    return d[..., 0], d[..., 1 : n + 1], d[..., n + 1 :]
 
 
 def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float | np.ndarray]:
     """Two-sided residuals of the printed kinematic identities, one per
     sample of the state (a float for one point).
 
-    Derivative identities evaluate their left sides with directional jets
-    (exact chain rule), so every residual measures pure algebra:
+    Derivative identities evaluate their left sides by one complex step of
+    the fields rebuilt from the fiber vectors (roundoff only, no truncation),
+    so every residual measures algebra:
 
       nu_gradient          nu_k = eps v_k/q + (1-c^2) g b_k  vs  d(nu)/dy^k
       nu_ratio_derivative  d(nu_k/nu)/dy^m = -nu_k nu_m/nu^2 + eps eta_km/(nu q)
@@ -450,11 +449,8 @@ def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float | np
 
     res: dict[str, float | np.ndarray] = {}
 
-    # Jet-based derivative identities: one pass over all directions.
-    nuj, ratio_j, e_j = _fiber_jets(state)
-    nu_grad = nuj.d1[..., 0]
-    ratio_d = ratio_j.d1  # [m, k] = d(nu_k/nu)/dy^m
-    e_d = e_j.d1          # [j, k] = d(e_k)/dy^j
+    # The derivative identities: one complex step over all directions.
+    nu_grad, ratio_d, e_d = _fiber_partials(state)  # ratio_d [m, k], e_d [j, k]
 
     res["nu_gradient"] = max_abs(state.nu_low - nu_grad, 1)
 

@@ -1,13 +1,15 @@
-"""Catalog of radial profile pairs (c(r), m(r)) with analytic first and
-second derivatives carried as second-order jets.
+"""Catalog of radial profile pairs (c(r), m(r)), each kind stating its own
+first and second derivatives in closed form.
 
 The pair parameterises the metric family a_ij = b_i b_j / c^2 + m u_ij.
-Profiles expose their own derivatives because the vacuum check hinges on
-accurate values of c''/c and m''/m; relying on the generic differentiator
-there would make the closed forms lean on the numeric oracle that judges
-them, and it takes first derivatives only.
-``riemann.build_metric`` keeps the six jet scalars c, c', c'', m, m', m''
-on its MetricState, where the curvature's scalar combinations read them.
+Profiles state their own derivatives because the vacuum check hinges on
+accurate values of c''/c and m''/m; relying on the complex step there
+would make the closed forms lean on the numeric oracle that judges them,
+and it takes first derivatives only.  The non-constant kinds are functions
+of w = 1/r: each gives f, df/dw and d^2f/dw^2, and one chain rule maps
+them to r.  ``riemann.build_metric`` keeps the six scalars c, c', c'', m,
+m', m'' on its MetricState, where the curvature's scalar combinations read
+them.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-
-from .tensors import Jet2
 
 # Each profile kind, named as its ProfilePair constructor, with the keys that
 # constructor takes; the keys ending in "_coeffs" hold lists of numbers.
@@ -86,30 +86,29 @@ class ProfilePair:
         outside = np.logical_not(self.r_min < np.real(r))
         _reject(r, outside, lambda at: f"r={at} outside domain {where}")
 
-    def jets(self, r) -> tuple[Jet2, Jet2]:
-        """The (c, m) jets at radius r (a float or an array of radii), each
-        carrying value, d/dr, d^2/dr^2.  Every radius must be in the domain;
-        a complex radius (a complex step) is tested by its real part."""
+    def jets(self, r) -> tuple[tuple, tuple]:
+        """The triples (c, c', c'') and (m, m', m''), derivatives in r, at
+        radius r (a float or an array of radii), each part shaped like r.
+        Every radius must be in the domain; a complex radius (a complex
+        step) is tested by its real part.  The closed forms run on r as a
+        flat array, so each radius of a stack gets the bits it gets alone."""
         self._check_domain(r)
-        rj = Jet2.variable(r)
+        w = 1.0 / np.reshape(r, -1)
         if self.kind == "constant":
-            flat = 0.0 * rj  # zero jet shaped like r
-            cj = flat + self.params["c0"]
-            mj = flat + self.params["m0"]
+            zero = 0.0 * w
+            c = (zero + self.params["c0"], zero, zero)
+            m = (zero + self.params["m0"], zero, zero)
         elif self.kind == "schwarzschild_isotropic":
-            t = self.params["xi"] / (4.0 * rj)
-            cj = (1.0 + t) / (1.0 - t)
-            mj = -((1.0 + t) ** 4)
+            c, m = (_in_r(f, w) for f in _schwarzschild_in_w(self.params["xi"] / 4.0, w))
         elif self.kind == "rational":
-            w = 1.0 / rj
-            cj = _poly(self.params["c_coeffs"], w)
-            mj = _poly(self.params["m_coeffs"], w)
+            c, m = (_in_r(_poly(self.params[key], w), w) for key in ("c_coeffs", "m_coeffs"))
         else:  # pragma: no cover - constructors guard the kind
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        not_positive = np.logical_not(np.real(cj.value) > 0.0)
+        c, m = (tuple(np.reshape(f, np.shape(r))[()] for f in triple) for triple in (c, m))
+        not_positive = np.logical_not(np.real(c[0]) > 0.0)
         _reject(r, not_positive, lambda at: f"profile c(r) is not positive at r={at}")
-        _reject(r, np.real(mj.value) == 0.0, lambda at: f"profile m(r) vanishes at r={at}")
-        return cj, mj
+        _reject(r, np.real(m[0]) == 0.0, lambda at: f"profile m(r) vanishes at r={at}")
+        return c, m
 
 
 def _reject(r, bad, message) -> None:
@@ -120,9 +119,29 @@ def _reject(r, bad, message) -> None:
         raise DomainError(message(float(np.asarray(r).real[bad].flat[0])), rows=bad)
 
 
-def _poly(coeffs, w: Jet2) -> Jet2:
-    # Horner over descending powers of w = 1/r; coeffs[k] multiplies w^k.
-    acc = Jet2.constant(0.0)
+def _in_r(f, w):
+    """(f, df/dr, d^2f/dr^2) from (f, f_w, f_ww) in w = 1/r: dw/dr = -w^2,
+    so f' = -w^2 f_w and f'' = w^3 (w f_ww + 2 f_w)."""
+    f0, f1, f2 = f
+    return f0, -(w * w) * f1, (w * w * w) * (w * f2 + 2.0 * f1)
+
+
+def _schwarzschild_in_w(k, w):
+    """c = (1 + kw) / (1 - kw) and m = -(1 + kw)^4 with k = xi/4, each with
+    its first and second w-derivatives."""
+    p, q = 1.0 + k * w, 1.0 - k * w
+    p2 = p * p
+    c = (p / q, (2.0 * k) / (q * q), (4.0 * k * k) / (q * q * q))
+    m = (-(p2 * p2), (-4.0 * k) * (p2 * p), (-12.0 * k * k) * p2)
+    return c, m
+
+
+def _poly(coeffs, w):
+    """(f, f_w, f_ww) of f = sum_k coeffs[k] w^k: Horner over descending
+    powers, one accumulator per derivative."""
+    f0 = f1 = f2 = 0.0
     for coef in reversed(coeffs):
-        acc = acc * w + coef
-    return acc
+        f2 = f2 * w + 2.0 * f1
+        f1 = f1 * w + f0
+        f0 = f0 * w + coef
+    return f0, f1, f2

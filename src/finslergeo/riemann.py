@@ -143,7 +143,7 @@ def _standard_frame(n_dim: int, epsilon: int) -> Frame:
 class MetricState:
     """All point-local metric data at x: radius, radial covector, metric and
     inverse, axis covector/vector, and the six profile scalars c, c', c'',
-    m, m', m'' at r (the values and derivatives of the profile jets).
+    m, m', m'' at r (the profile values and their r-derivatives).
 
     x may be one point (N,) or a stack of points (..., N); every array field
     then carries the same leading axes (scalars become arrays over them).
@@ -202,8 +202,7 @@ def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricSt
     x = np.asarray(x)
     x = x.astype(np.promote_types(x.dtype, float)).reshape(x.shape[:-1] + (frame.n_dim,))
     r = frame.radius(x)
-    cj, mj = profiles.jets(r)
-    c, m = cj.value, mj.value
+    (c, c1, c2), (m, m1, m2) = profiles.jets(r)
     n_low = (x @ frame.u_low.T) / r[..., None]
     n_up = n_low @ frame.u_up.T
     b_low = np.empty_like(x)
@@ -221,11 +220,11 @@ def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricSt
         b_up=b_up,
         a_low=a_low,
         c=c,
-        c1=cj.d1,
-        c2=cj.d2,
+        c1=c1,
+        c2=c2,
         m=m,
-        m1=mj.d1,
-        m2=mj.d2,
+        m1=m1,
+        m2=m2,
     )
 
 

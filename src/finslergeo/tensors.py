@@ -1,12 +1,10 @@
-"""Small dense-array helpers plus two differentiation engines: second-order
-Taylor jets (the analytic chain rule, for the profile scalars) and the
-complex step (numeric first partials of any complex-analytic field).  The
-closed forms of the geometry code are judged against the complex step.
+"""Small dense-array helpers plus the package's one differentiation
+engine, the complex step (numeric first partials of any complex-analytic
+field), against which the closed forms of the geometry code are judged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -60,92 +58,6 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """m^i_j v^j per point, summed as m @ v sums at one point."""
     return (m @ v[..., :, None])[..., 0]
-
-
-# ---------------------------------------------------------------------------
-# Second-order Taylor jets (analytic differentiation engine)
-# ---------------------------------------------------------------------------
-
-
-def _as_jet(value) -> "Jet2":
-    if isinstance(value, Jet2):
-        return value
-    return Jet2(value, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class Jet2:
-    """Value with first and second derivative with respect to one parameter.
-
-    Arithmetic propagates (value, d1, d2) by the product/chain rules, which
-    makes any composite expression an exact analytic derivative evaluator,
-    independent of the complex-step engine it is checked against.
-    The three parts may be floats or broadcast-compatible arrays, so one
-    pass evaluates a jet at many points or along many directions.
-    """
-
-    value: float | np.ndarray
-    d1: float | np.ndarray = 0.0
-    d2: float | np.ndarray = 0.0
-
-    @staticmethod
-    def variable(value) -> "Jet2":
-        return Jet2(value, 1.0, 0.0)
-
-    @staticmethod
-    def constant(value) -> "Jet2":
-        return Jet2(value, 0.0, 0.0)
-
-    def __add__(self, other) -> "Jet2":
-        o = _as_jet(other)
-        return Jet2(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.d1, -self.d2)
-
-    def __sub__(self, other) -> "Jet2":
-        return self + (-_as_jet(other))
-
-    def __rsub__(self, other) -> "Jet2":
-        return _as_jet(other) + (-self)
-
-    def __mul__(self, other) -> "Jet2":
-        o = _as_jet(other)
-        return Jet2(
-            self.value * o.value,
-            self.d1 * o.value + self.value * o.d1,
-            self.d2 * o.value + 2.0 * self.d1 * o.d1 + self.value * o.d2,
-        )
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "Jet2":
-        v = self.value
-        return Jet2(1.0 / v, -self.d1 / v**2, 2.0 * self.d1**2 / v**3 - self.d2 / v**2)
-
-    def __truediv__(self, other) -> "Jet2":
-        return self * _as_jet(other).reciprocal()
-
-    def __rtruediv__(self, other) -> "Jet2":
-        return _as_jet(other) * self.reciprocal()
-
-    def __pow__(self, exponent) -> "Jet2":
-        p = float(exponent)
-        if not p.is_integer() and np.any(self.value <= 0.0):
-            raise ValueError(f"non-integer power of non-positive value {np.min(self.value)}")
-        v, d1, d2 = self.value, self.d1, self.d2
-        f = v**p
-        fp = p * v ** (p - 1)
-        fpp = p * (p - 1) * v ** (p - 2)
-        return Jet2(f, fp * d1, fpp * d1 * d1 + fp * d2)
-
-    def sqrt(self) -> "Jet2":
-        if np.any(self.value < 0.0):
-            raise ValueError(f"square root of negative value {np.min(self.value)}")
-        s = np.sqrt(self.value)
-        return Jet2(s, self.d1 / (2.0 * s), self.d2 / (2.0 * s) - self.d1**2 / (4.0 * s**3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Finsleroid kinematics, spray coefficients, their y-derivatives, and the
 hh-curvature bundle."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from finslergeo import (
     spray_coefficients,
     spray_derivatives,
 )
+from finslergeo import finsler, suites
 from finslergeo.finsler import (
     AdmissibilityError,
     _spray_stack,
@@ -148,7 +151,8 @@ class TestKinematics:
     def test_e_fiber_rule_by_finite_differences(self, frame4_pd, pd_rational, rng):
         """The covector e_k = (b/q^2) v_k - b_k obeys
         d(e_k)/dy^j = (b/q^2) eta_kj - v_k e_j / q^2, re-checked here by the
-        complex step (the identity suite uses exact jets)."""
+        complex step of kinematics' own e_fiber (the identity suite rebuilds e_k
+        from the fiber vectors)."""
         for state, y in admissible_sample(rng, frame4_pd, pd_rational, 0.3, 10):
             fib = kinematics(state, y, 0.3)
 
@@ -159,6 +163,45 @@ class TestKinematics:
             rhs = (fib.b / fib.q2) * fib.eta - np.outer(fib.v_low, fib.e_fiber) / fib.q2
             assert max_abs(d_e - rhs.T) < 1e-8
 
+
+
+# kinematics' charge term scaled by (1 + 1e-6), consistently in nu and nu_k.
+NU_CHARGE_MUTATION = (
+    ("nu = q + charge * one_minus_c2 * b", "nu = q + charge * one_minus_c2 * b * (1 + 1e-6)"),
+    ("(one_minus_c2 * charge)[..., None]", "(one_minus_c2 * charge * (1 + 1e-6))[..., None]"),
+)
+MUTATION_SCENARIOS = {
+    "schwarzschild_n4": "dimension = 4\nsignature = -1\nseed = 3\n"
+    "[profile]\nkind = schwarzschild_isotropic\nxi = 1.0\n",
+    "pd_rational_n8": "dimension = 8\nsignature = 1\nseed = 1\n"
+    "[profile]\nkind = rational\nc_coeffs = 0.8, 0.1\nm_coeffs = 1.0, 0.2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATION_SCENARIOS))
+def test_a_scaled_charge_term_in_kinematics_fails_nu_gradient(name, monkeypatch):
+    """Mutation check: with nu's charge term scaled by (1 + 1e-6) in
+    kinematics, in nu and nu_k alike, finsler-identities fails nu_gradient,
+    because its derivative rebuilds nu from the fiber vectors and never
+    calls kinematics (patched here in finsler as well as in suites)."""
+    source = inspect.getsource(finsler.kinematics)
+    for before, after in NU_CHARGE_MUTATION:
+        assert source.count(before) == 1
+        source = source.replace(before, after)
+    namespace = dict(vars(finsler))
+    exec(source, namespace)
+    scenario = parse_scenario(
+        "[scenario]\ncharge = 0.3\nsuites = finsler-identities\n"
+        f"{MUTATION_SCENARIOS[name]}[samples]\nfibers = 20\n"
+    )
+    result, _ = suites.suite_finsler_identities(scenario)
+    assert result.status == "pass"
+    monkeypatch.setattr(finsler, "kinematics", namespace["kinematics"])
+    monkeypatch.setattr(suites, "kinematics", namespace["kinematics"])
+    result, _ = suites.suite_finsler_identities(scenario)
+    checks = {check.name: check for check in result.checks}
+    assert result.status == "fail" and not checks["nu_gradient"].passed
+    assert checks["nu_gradient"].residual_max > 1e2 * checks["nu_gradient"].tolerance
 
 
 STATE_FIELDS = ("y_low", "b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "r_mix",

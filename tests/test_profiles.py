@@ -28,9 +28,9 @@ def state_at(pair, r, n_dim=4):
 class TestSchwarzschildPair:
     def test_values_at_unit_radius(self):
         """c(1) = 1.25/0.75 = 5/3 and m(1) = -(1.25)^4 = -2.44140625 for xi = 1."""
-        cj, mj = ProfilePair.schwarzschild_isotropic(1.0).jets(1.0)
-        assert cj.value == pytest.approx(5.0 / 3.0, rel=1e-15)
-        assert mj.value == pytest.approx(-2.44140625, rel=1e-15)
+        (c, _, _), (m, _, _) = ProfilePair.schwarzschild_isotropic(1.0).jets(1.0)
+        assert c == pytest.approx(5.0 / 3.0, rel=1e-15)
+        assert m == pytest.approx(-2.44140625, rel=1e-15)
 
     def test_first_derivatives_match_chain_rule(self):
         """c' = -(xi/4r^2) * 2/(1 - xi/4r)^2 and m' = (xi/r^2)(1 + xi/4r)^3."""
@@ -38,9 +38,9 @@ class TestSchwarzschildPair:
         pair = ProfilePair.schwarzschild_isotropic(xi)
         for r in (0.4, 1.0, 2.5, 7.0):
             t = xi / (4.0 * r)
-            cj, mj = pair.jets(r)
-            assert cj.d1 == pytest.approx(-(xi / (4 * r**2)) * 2.0 / (1 - t) ** 2, rel=1e-13)
-            assert mj.d1 == pytest.approx((xi / r**2) * (1 + t) ** 3, rel=1e-13)
+            (_, c1, _), (_, m1, _) = pair.jets(r)
+            assert c1 == pytest.approx(-(xi / (4 * r**2)) * 2.0 / (1 - t) ** 2, rel=1e-13)
+            assert m1 == pytest.approx((xi / r**2) * (1 + t) ** 3, rel=1e-13)
 
     def test_second_derivatives_match_substitution_rule(self):
         """c'' = (xi/2r^3) y' + (xi^2/16r^4) y'' with y' = 2/(1-t)^2, y'' = 4/(1-t)^3."""
@@ -50,8 +50,8 @@ class TestSchwarzschildPair:
             t = xi / (4.0 * r)
             yp = 2.0 / (1 - t) ** 2
             ypp = 4.0 / (1 - t) ** 3
-            cj, _ = pair.jets(r)
-            assert cj.d2 == pytest.approx(
+            (_, _, c2), _ = pair.jets(r)
+            assert c2 == pytest.approx(
                 (xi / (2 * r**3)) * yp + (xi**2 / (16 * r**4)) * ypp, rel=1e-13
             )
 
@@ -71,18 +71,18 @@ class TestSchwarzschildPair:
 
 class TestConstantAndRational:
     def test_constant_pair_is_flat(self):
-        cj, mj = ProfilePair.constant(1.0, -1.0).jets(3.7)
-        assert (cj.value, mj.value) == (1.0, -1.0)
-        assert cj.d1 == cj.d2 == mj.d1 == mj.d2 == 0.0
+        (c, c1, c2), (m, m1, m2) = ProfilePair.constant(1.0, -1.0).jets(3.7)
+        assert (c, m) == (1.0, -1.0)
+        assert c1 == c2 == m1 == m2 == 0.0
 
     def test_rational_values_and_derivatives(self):
         # c = 0.8 + 0.1/r: c' = -0.1/r^2, c'' = 0.2/r^3
         pair = ProfilePair.rational((0.8, 0.1), (1.0, 0.2))
-        cj, mj = pair.jets(2.0)
-        assert cj.value == pytest.approx(0.85, rel=1e-15)
-        assert cj.d1 == pytest.approx(-0.1 / 4.0, rel=1e-14)
-        assert cj.d2 == pytest.approx(0.2 / 8.0, rel=1e-14)
-        assert mj.value == pytest.approx(1.1, rel=1e-15)
+        (c, c1, c2), (m, _, _) = pair.jets(2.0)
+        assert c == pytest.approx(0.85, rel=1e-15)
+        assert c1 == pytest.approx(-0.1 / 4.0, rel=1e-14)
+        assert c2 == pytest.approx(0.2 / 8.0, rel=1e-14)
+        assert m == pytest.approx(1.1, rel=1e-15)
 
     def test_positivity_enforced_at_eval(self):
         # c = 1 - 1/r turns non-positive at r <= 1
@@ -106,23 +106,51 @@ class TestDerivativeOracle:
             ProfilePair.constant(0.9, 1.1),
             ProfilePair.schwarzschild_isotropic(1.0),
             ProfilePair.rational((0.8, 0.1), (1.0, 0.2)),
+            ProfilePair.rational((0.9,), (1.2,)),
+            ProfilePair.rational((0.8, 0.1, -0.05, 0.02), (1.0, 0.2, 0.03, -0.01)),
         ],
-        ids=["constant", "schwarzschild", "rational"],
+        ids=["constant", "schwarzschild", "rational", "rational_1", "rational_4"],
     )
     def test_jets_match_order4_differences(self, pair, rng):
-        """Jet derivatives equal order-4 FD of the value channel to 1e-8
-        relative at 200 random domain points."""
+        """The closed c', c'', m', m'' equal order-4 FD of the value and of
+        the closed first derivative to 1e-8 relative at 200 random domain
+        points; the rational pairs with 1, 2 and 4 coefficients run the
+        Horner accumulators at their short and long lengths."""
         for _ in range(200):
             r = rng.uniform(0.4, 12.0)
 
-            for pos, jet in enumerate(pair.jets(r)):
-                got1, got2 = jet.d1, jet.d2
+            for pos, (_, got1, got2) in enumerate(pair.jets(r)):
                 d1, d2 = (
-                    fd_reference(lambda p: getattr(pair.jets(p[..., 0])[pos], part), [r], r)[0]
-                    for part in ("value", "d1")
+                    fd_reference(lambda p: pair.jets(p[..., 0])[pos][part], [r], r)[0]
+                    for part in (0, 1)
                 )
                 assert abs(got1 - d1) <= 1e-8 * max(abs(got1), 1.0)
                 assert abs(got2 - d2) <= 1e-8 * max(abs(got2), 1.0)
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ProfilePair.schwarzschild_isotropic(1.0),
+            ProfilePair.rational((0.8, 0.1), (1.0, 0.2)),
+            ProfilePair.rational((0.8, 0.1, -0.05, 0.02), (1.0, 0.2, 0.03, -0.01)),
+            ProfilePair.constant(0.9, 1.1),
+        ],
+        ids=["schwarzschild", "rational_2", "rational_4", "constant"],
+    )
+    def test_each_radius_of_a_stack_gets_its_own_bits(self, pair, rng):
+        """jets at one radius equals the same radius's row of a stacked call
+        bit for bit, in all six parts, over 200 radii (stacked as (200,)
+        and as (8, 25))."""
+        r = rng.uniform(0.4, 12.0, size=200)
+        stacked = pair.jets(r)
+        grid = pair.jets(r.reshape(8, 25))
+        for i, ri in enumerate(r):
+            for triple, flat, grid_triple in zip(pair.jets(float(ri)), stacked, grid):
+                for one, row, cell in zip(triple, flat, grid_triple):
+                    assert np.shape(one) == () and row.shape == (200,)
+                    assert one == row[i] == cell.reshape(-1)[i]
 
 
 class TestComboScalars:

@@ -1,16 +1,13 @@
-"""Index contractions on the frame and metric arrays, and the two
-differentiation engines."""
+"""Index contractions on the frame and metric arrays, the profiles' own
+derivatives, and the complex-step engine."""
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from finslergeo import (
     Frame,
-    Jet2,
     OutsideConeError,
     ProfilePair,
     StencilError,
@@ -60,70 +57,7 @@ class TestContractionAlgebra:
         np.testing.assert_allclose(back, comp, rtol=1e-10, atol=1e-12)
 
 
-class TestJet2:
-    @given(
-        t=st.floats(0.3, 3.0),
-        a=st.floats(0.2, 2.0),
-        b=st.floats(0.5, 2.5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_composite_against_the_complex_step(self, t, a, b):
-        """Jets and the complex step agree on a composite rational-sqrt map."""
-
-        def f(s):
-            return (s * s + a) / (s + b) ** 2 + (s * s + b) ** 0.5
-
-        jet = f(Jet2.variable(t))
-        d1 = fd_scalar(f, t)
-        d2 = fd_scalar(lambda s: f(Jet2.variable(s)).d1, t)
-        assert jet.d1 == pytest.approx(d1, rel=1e-8, abs=1e-10)
-        assert jet.d2 == pytest.approx(d2, rel=1e-6, abs=1e-8)
-
-    def test_arithmetic_identities(self):
-        x = Jet2.variable(1.7)
-        y = (x * x - 2.0) / x
-        # d/dx (x - 2/x) = 1 + 2/x^2; second derivative -4/x^3
-        assert y.d1 == pytest.approx(1.0 + 2.0 / 1.7**2, rel=1e-14)
-        assert y.d2 == pytest.approx(-4.0 / 1.7**3, rel=1e-14)
-        z = (2.0 - x) + 3.0 / x
-        assert z.value == pytest.approx(2.0 - 1.7 + 3.0 / 1.7, rel=1e-15)
-
-    def test_sqrt_matches_half_power(self):
-        x = Jet2.variable(2.3) * Jet2.variable(2.3) + 1.0
-        s1, s2 = x.sqrt(), x**0.5
-        assert s1.value == pytest.approx(s2.value, rel=1e-15)
-        assert s1.d1 == pytest.approx(s2.d1, rel=1e-14)
-        assert s1.d2 == pytest.approx(s2.d2, rel=1e-13)
-
-    def test_fractional_power_of_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Jet2.variable(-2.0) ** 0.5
-        with pytest.raises(ValueError):
-            Jet2.variable(-2.0).sqrt()
-
-    def test_array_jets_match_scalar_jets_and_reject_any_negative_base(self):
-        """Array parts evaluate every element as the scalar jet would, to
-        roundoff (numpy's array and scalar powers may round differently, and
-        the d2 combination cancels); one negative element rejects the whole
-        array."""
-
-        def f(t):
-            return (Jet2.variable(t) * Jet2.variable(t) + 1.0).sqrt() / (Jet2.variable(t) + 2.0) ** 3
-
-        t = np.array([0.4, 1.3, 2.2])
-        jet = f(t)
-        for k, tk in enumerate(t):
-            one = f(tk)
-            np.testing.assert_allclose(
-                [jet.value[k], jet.d1[k], jet.d2[k]],
-                [one.value, one.d1, one.d2],
-                rtol=1e-13,
-            )
-        with pytest.raises(ValueError):
-            Jet2(np.array([1.0, -1.0]), 1.0, 0.0).sqrt()
-        with pytest.raises(ValueError):
-            Jet2(np.array([1.0, -1.0]), 1.0, 0.0) ** 1.5
-
+class TestProfileDerivatives:
     @pytest.mark.parametrize(
         "profile",
         [
@@ -134,18 +68,16 @@ class TestJet2:
         ids=["constant", "schwarzschild", "rational"],
     )
     def test_catalog_profiles_vs_the_complex_step(self, profile, rng):
-        """Jet derivatives of every catalog profile match the complex step
-        to 1e-6 relative at 100 random radii away from poles."""
+        """The closed derivatives of every catalog profile match the complex
+        step of its value and of its closed first derivative to 1e-6
+        relative at 100 random radii away from poles."""
         for _ in range(100):
             r = rng.uniform(0.5, 10.0)
-            cj, mj = profile.jets(r)
-            for pos, jet in enumerate((cj, mj)):
-                d1 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p].value, r)
-                d2 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p].d1, r)
-                scale1 = max(abs(jet.d1), 1e-3)
-                scale2 = max(abs(jet.d2), 1e-3)
-                assert abs(jet.d1 - d1) / scale1 < 1e-6
-                assert abs(jet.d2 - d2) / scale2 < 1e-6
+            for pos, (_, f1, f2) in enumerate(profile.jets(r)):
+                d1 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p][0], r)
+                d2 = fd_scalar(lambda rr, _p=pos: profile.jets(rr)[_p][1], r)
+                assert abs(f1 - d1) / max(abs(f1), 1e-3) < 1e-6
+                assert abs(f2 - d2) / max(abs(f2), 1e-3) < 1e-6
 
 
 class TestFdGradient:
@@ -170,12 +102,12 @@ class TestFdGradient:
         x = np.array([0.2, 0.6, 0.8, 0.0])
 
         def c_field(p):
-            return schwarzschild.jets(frame4.radius(p))[0].value
+            return schwarzschild.jets(frame4.radius(p))[0][0]
 
         grad = fd_partials(c_field, x)
         n_low = (frame4.u_low @ x) / 1.0
         np.testing.assert_allclose(grad, (-8.0 / 9.0) * n_low, atol=1e-14)
-        # Cross-check the same derivative through the jet engine.
+        # Cross-check the same derivative against the profile's closed c'.
         state = build_metric(frame4, schwarzschild, x)
         assert state.c1 == pytest.approx(-8.0 / 9.0, rel=1e-14)
 

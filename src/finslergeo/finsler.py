@@ -74,13 +74,11 @@ class FinsleroidState:
       r_low    a_km - b_k b_m
       eta      r_km - eps v_k v_m / q^2, so that d(nu_k)/dy^m = eps eta_km / q
       s_low    s_k = y^h nabla_k b_h;  ys = y^k s_k;  sigma = b^k s_k
-      e_fiber  (b/q^2) v_k - b_k, the covector whose y-derivative closes on eta
 
     Built from a stack of metrics or of fiber vectors, the per-point fields
     carry the stack's leading axis (the scalars become arrays over it).
-    r_mix, r_low, eta, sigma and e_fiber are computed on first use and
-    kept: no complex row of the spray reads the last four, and no complex
-    row of the e-fiber check reads r_mix.
+    r_mix, r_low, eta and sigma are computed on first use and kept: no
+    complex row of the spray reads the last three.
     """
 
     metric: MetricState
@@ -114,10 +112,6 @@ class FinsleroidState:
     @cached_property
     def sigma(self) -> float | np.ndarray:
         return np.einsum("...i,...i->...", self.metric.b_up, self.s_low)
-
-    @cached_property
-    def e_fiber(self) -> np.ndarray:
-        return (self.b / self.q2)[..., None] * self.v_low - self.metric.b_low
 
 
 def fiber_vectors(metric: MetricState, y: np.ndarray):

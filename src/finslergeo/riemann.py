@@ -122,9 +122,9 @@ class Frame:
         )
 
     def radius(self, x: np.ndarray) -> float | np.ndarray:
-        """r = sqrt(u_ij x^i x^j) for a point or, row by row, a stack of points
-        (complex at a complex step, whose real part is tested)."""
-        r2 = dot(x @ self.u_low, x)
+        """r = sqrt(u_ij x^i x^j) for a point or, each row as alone, a stack of
+        points (complex at a complex step, whose real part is tested)."""
+        r2 = dot(matvec(self.u_low.T, x), x)
         if np.any(np.real(r2) <= 0.0):
             raise RadialSingularityError(
                 "radius vanishes (point on the axis); the metric family is singular at r = 0"
@@ -195,16 +195,16 @@ class MetricState:
 
 
 def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricState:
-    """Assemble the metric family at x, one point (N,) or a stack (..., N);
-    the closed inverse (MetricState.a_up, built on first use) is verified
-    against a_ij a^jn = delta.  A complex x (a complex step) gives a complex
-    state."""
+    """Assemble the metric family at x, one point (N,) or a stack (..., N)
+    whose every row is bit for bit its point alone.  Only frame-identities'
+    metric_inverse judges the closed inverse MetricState.a_up (built on
+    first use).  A complex x (a complex step) gives a complex state."""
     x = np.asarray(x)
     x = x.astype(np.promote_types(x.dtype, float)).reshape(x.shape[:-1] + (frame.n_dim,))
     r = frame.radius(x)
     (c, c1, c2), (m, m1, m2) = profiles.jets(r)
-    n_low = (x @ frame.u_low.T) / r[..., None]
-    n_up = n_low @ frame.u_up.T
+    n_low = matvec(frame.u_low, x) / r[..., None]
+    n_up = matvec(frame.u_up, n_low)
     b_low = np.empty_like(x)
     b_low[...] = frame.e_low
     b_up = (c**2)[..., None] * frame.e_up

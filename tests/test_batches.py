@@ -276,6 +276,29 @@ KERNEL_IDS = [f"N{n}-sig{s:+d}-{'transformed' if t else 'standard'}" for n, s, t
 KERNEL_TOL = 2e-15
 
 
+METRIC_FIELDS = ("r", "n_low", "n_up", "b_low", "b_up", "a_low", "c", "c1", "c2", "m", "m1", "m2")
+
+
+@pytest.mark.parametrize("signature", [1, -1])
+@pytest.mark.parametrize("n_dim", range(2, 9))
+def test_stack_rows_equal_single_points_bit_for_bit(n_dim, signature):
+    """In a seeded chart L = D Q (Q from the QR of a Gaussian matrix, D
+    diagonal in [0.5, 2]), each row of a metric built on a stack of 7 points
+    equals, bit for bit, the metric built at that point alone: every
+    product over the point's components is taken point by point."""
+    rng = np.random.default_rng([n_dim, signature + 1])
+    q, _ = np.linalg.qr(rng.normal(size=(n_dim, n_dim)))
+    lin = np.diag(rng.uniform(0.5, 2.0, size=n_dim)) @ q
+    frame = Frame.standard(n_dim, signature).transformed(lin)
+    pair = PROFILES["pd_rational" if signature == 1 else "schwarzschild"][0]
+    xs = np.stack([lin @ sample_point(rng, n_dim, 0.8, 4.0) for _ in range(7)])
+    stack = build_metric(frame, pair, xs)
+    for row, x in enumerate(xs):
+        alone = build_metric(frame, pair, x)
+        for name in METRIC_FIELDS:
+            assert np.array_equal(getattr(stack, name)[row], getattr(alone, name)), (row, name)
+
+
 class TestChristoffelKernel:
     @staticmethod
     def _stack(rng, n_dim, signature, transformed, count):
@@ -348,7 +371,7 @@ class TestChristoffelKernel:
             assert np.array_equal(s_low[:, b], nabla_b_dot(one, y_one))
             want = kinematics(one, y_one, 0.3)
             for name in ("y_low", "b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "s_low",
-                         "ys", "eta", "sigma", "e_fiber"):
+                         "ys", "eta", "sigma"):
                 assert np.array_equal(getattr(fibers, name)[:, b], getattr(want, name)), name
 
         pts = xs + 0.01 * rng.normal(size=(6, 3, 8))
@@ -632,19 +655,7 @@ def test_spray_stencil_rows_compute_only_what_the_spray_reads(monkeypatch):
     kinds = {type(state).__name__ for state in built}
     assert kinds == {"MetricState", "FinsleroidState"}
     for state in built:
-        assert not {"r_low", "eta", "sigma", "e_fiber", "a_up", "nb", "gamma"} & vars(state).keys()
-
-
-def test_e_fiber_stencil_rows_build_no_projector(monkeypatch):
-    """The y-stencil rows of the e-fiber FD check read only e_fiber: on a
-    charged N = 8 batch they build no transverse projector r_mix and none
-    of the other fields computed on first use that e_fiber does not read."""
-    fibers = _charged_fibers(4)
-    built = _recording(monkeypatch, suites, ("kinematics",))
-    suites._e_fiber_rule_fd(fibers)
-    assert built and all(state.y.ndim == 3 for state in built)  # [row, sample, i]
-    for state in built:
-        assert not {"r_mix", "r_low", "eta", "sigma"} & vars(state).keys()
+        assert not {"r_low", "eta", "sigma", "a_up", "nb", "gamma"} & vars(state).keys()
 
 
 @pytest.mark.parametrize(

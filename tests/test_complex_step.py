@@ -76,6 +76,8 @@ m_coeffs = 1.0, 0.2
 [samples]
 points = 25
 """
+# The two curvature-xcheck checks whose residuals are divided by their operands.
+RESCALED_CHECKS = ("antisymmetry_first_pair_lowered", "ricci_decomposition_consistency")
 
 
 class TestRejectionsReadTheRealPart:
@@ -126,18 +128,21 @@ class TestRejectionsReadTheRealPart:
             assert err.value.rows.tolist() is True
 
 
-def _bench_scenarios(tmp_path):
-    """One bench file per workload at seed 1, as bench/run.py writes them:
-    the N = 8 charged and charge-0 files and the Schwarzschild sweep file."""
+def _bench_scenario(tmp_path, name, index):
+    """Scenario ``index`` of workload ``name`` at seed 1, as bench/run.py
+    writes it."""
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     workloads = json.loads((ROOT / "bench" / "workloads.json").read_text())
+    return load_scenario(bench.generate(workloads, name, 1, tmp_path / name)[index]["path"])
+
+
+def _bench_scenarios(tmp_path):
+    """One bench file per workload: the N = 8 charged and charge-0 files and
+    the Schwarzschild sweep file."""
     picks = {"fiber_charged": 1, "fiber_limit": 1, "riemann_sweep": 0}
-    return [
-        load_scenario(bench.generate(workloads, name, 1, tmp_path / name)[index]["path"])
-        for name, index in picks.items()
-    ]
+    return [_bench_scenario(tmp_path, name, index) for name, index in picks.items()]
 
 
 def _central(f, x):
@@ -174,11 +179,7 @@ def _oracles(scenario) -> dict:
             charge=scenario.charge,
         )
         fib = kinematics(build_metric(frame, scenario.profile, xs), ys, scenario.charge)
-
-        def e_field(ys):
-            return kinematics(fib.metric, ys, fib.charge).e_fiber
-
-        d_e = suites.fd_partials(e_field, fib.y)
+        d_e = finsler._fiber_partials(fib)[2]  # e_k rebuilt from the fiber vectors
         out["e_fiber_derivative"] = (d_e, lambda a, b: max_abs(a - b, 2), TOL["closed_form"])
     if "finsler-curvature" in run:
         rng = _suite_rng(scenario, "finsler-curvature")
@@ -197,7 +198,7 @@ def _oracles(scenario) -> dict:
 def _assert_oracles_agree(scenario, monkeypatch):
     complex_step = _oracles(scenario)
     with monkeypatch.context() as patch:
-        for module in (riemann, finsler, suites):
+        for module in (riemann, finsler):
             patch.setattr(module, "fd_partials", _central)
         central = _oracles(scenario)
     assert complex_step.keys() == central.keys() and complex_step
@@ -218,7 +219,8 @@ def test_paper_shape_oracles_agree_with_central_differences(monkeypatch):
 
 
 class TestVerdicts:
-    """Verdicts that central-difference noise decided, on correct closed forms."""
+    """Verdicts that central-difference noise or an absolute residual on
+    large tensors decided, on correct closed forms."""
 
     def test_c_to_zero_christoffel_passes(self):
         """Near c = 0, max|Gamma| reaches 1.4e3 and the central-difference
@@ -236,3 +238,44 @@ class TestVerdicts:
         checks = {c.name: c for c in result.checks}
         assert checks["bundle_magnitude"].residual_max > 1e7
         assert checks["bundle_y_contraction"].residual_max < 5e-8
+
+    def test_c_to_zero_curvature_passes(self):
+        """Near c = 0 the curvature grows like 1/c^2 (its lowered form and the
+        Ricci tensor reach about 1e11), and the absolute residuals of two
+        closed-vs-closed checks read 7.6e-6 and 3.1e-5 at roundoff; divided
+        by max(1, max|operand|) they read about 1e-15, and the run exits 0."""
+        report = suites.run(parse_scenario(C_TO_ZERO))
+        assert report.exit_code == 0
+        (curvature,) = [s for s in report.suites if s.name == "curvature-xcheck"]
+        checks = {c.name: c for c in curvature.checks}
+        for name in RESCALED_CHECKS:
+            assert checks[name].n_samples == 25 and checks[name].residual_max < 1e-14, name
+
+
+
+@pytest.mark.parametrize("scenario_name", ["c_to_zero", "riemann_sweep"])
+@pytest.mark.parametrize("pair", range(5))
+def test_a_scaled_curvature_pair_fails_the_rescaled_checks(pair, scenario_name, tmp_path,
+                                                           monkeypatch):
+    """Mutation check: one pair's M in curvature_closed's pair table scaled
+    by (1 + 1e-6) still fails both rescaled checks, on the c -> 0 scenario
+    and on the N = 4 Schwarzschild file of the riemann_sweep workload."""
+    scenario = (
+        parse_scenario(C_TO_ZERO)
+        if scenario_name == "c_to_zero"
+        else _bench_scenario(tmp_path, "riemann_sweep", 0)
+    )
+    original = riemann._curvature_pairs
+
+    def mutated(state, substituted=True):
+        pairs = list(original(state, substituted))
+        if substituted:
+            left, right = pairs[pair]
+            pairs[pair] = (left, right * (1 + 1e-6))
+        return tuple(pairs)
+
+    monkeypatch.setattr(riemann, "_curvature_pairs", mutated)
+    result, _ = suites.suite_curvature_xcheck(scenario)
+    checks = {c.name: c for c in result.checks}
+    for name in RESCALED_CHECKS:
+        assert not checks[name].passed, (name, checks[name].residual_max)

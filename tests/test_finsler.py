@@ -150,19 +150,20 @@ class TestKinematics:
 
     def test_e_fiber_rule_by_finite_differences(self, frame4_pd, pd_rational, rng):
         """The covector e_k = (b/q^2) v_k - b_k obeys
-        d(e_k)/dy^j = (b/q^2) eta_kj - v_k e_j / q^2, re-checked here by the
-        complex step of kinematics' own e_fiber (the identity suite rebuilds e_k
-        from the fiber vectors)."""
+        d(e_k)/dy^j = (b/q^2) eta_kj - v_k e_j / q^2 at eps = +1, re-checked
+        here by the complex step of e_k typed from fiber_vectors; the identity
+        suite's own complex step of the rebuilt e_k agrees with it."""
         for state, y in admissible_sample(rng, frame4_pd, pd_rational, 0.3, 10):
             fib = kinematics(state, y, 0.3)
 
             def e_field(yv):
-                return kinematics(state, yv, 0.3).e_fiber
+                _, b, _, q2, v_low, _ = fiber_vectors(state, yv)
+                return (b / q2)[..., None] * v_low - state.b_low
 
             d_e = fd_partials(e_field, y)
-            rhs = (fib.b / fib.q2) * fib.eta - np.outer(fib.v_low, fib.e_fiber) / fib.q2
+            rhs = (fib.b / fib.q2) * fib.eta - np.outer(fib.v_low, e_field(y)) / fib.q2
             assert max_abs(d_e - rhs.T) < 1e-8
-
+            assert max_abs(finsler._fiber_partials(fib)[2] - d_e) <= 1e-14 * max_abs(d_e)
 
 
 # kinematics' charge term scaled by (1 + 1e-6), consistently in nu and nu_k.
@@ -178,6 +179,13 @@ MUTATION_SCENARIOS = {
 }
 
 
+def _identity_scenario(name):
+    return parse_scenario(
+        "[scenario]\ncharge = 0.3\nsuites = finsler-identities\n"
+        f"{MUTATION_SCENARIOS[name]}[samples]\nfibers = 20\n"
+    )
+
+
 @pytest.mark.parametrize("name", sorted(MUTATION_SCENARIOS))
 def test_a_scaled_charge_term_in_kinematics_fails_nu_gradient(name, monkeypatch):
     """Mutation check: with nu's charge term scaled by (1 + 1e-6) in
@@ -190,10 +198,7 @@ def test_a_scaled_charge_term_in_kinematics_fails_nu_gradient(name, monkeypatch)
         source = source.replace(before, after)
     namespace = dict(vars(finsler))
     exec(source, namespace)
-    scenario = parse_scenario(
-        "[scenario]\ncharge = 0.3\nsuites = finsler-identities\n"
-        f"{MUTATION_SCENARIOS[name]}[samples]\nfibers = 20\n"
-    )
+    scenario = _identity_scenario(name)
     result, _ = suites.suite_finsler_identities(scenario)
     assert result.status == "pass"
     monkeypatch.setattr(finsler, "kinematics", namespace["kinematics"])
@@ -204,8 +209,36 @@ def test_a_scaled_charge_term_in_kinematics_fails_nu_gradient(name, monkeypatch)
     assert checks["nu_gradient"].residual_max > 1e2 * checks["nu_gradient"].tolerance
 
 
+@pytest.mark.parametrize("name", sorted(MUTATION_SCENARIOS))
+def test_both_e_fiber_checks_report_one_residual(name):
+    """e_fiber_derivative_fd is e_fiber_derivative under a second name (and
+    the closed_form class): both report the same statistics."""
+    result, _ = suites.suite_finsler_identities(_identity_scenario(name))
+    checks = {check.name: check for check in result.checks}
+    one, alias = checks["e_fiber_derivative"], checks["e_fiber_derivative_fd"]
+    assert (one.tolerance, alias.tolerance) == (TOLERANCE_CLASSES["algebraic"],
+                                                TOLERANCE_CLASSES["closed_form"])
+    for field in ("residual_max", "residual_median", "worst_index", "n_samples"):
+        assert getattr(one, field) == getattr(alias, field), field
+
+
+@pytest.mark.parametrize("name", sorted(MUTATION_SCENARIOS))
+def test_a_scaled_eta_term_in_the_e_fiber_rule_fails_both_checks(name, monkeypatch):
+    """Mutation check: _e_fiber_rule's eta term scaled by (1 + 1e-6) fails
+    e_fiber_derivative and its alias, and no other check."""
+    source = inspect.getsource(finsler._e_fiber_rule)
+    before = "[..., None, None] * state.eta"
+    assert source.count(before) == 1
+    namespace = dict(vars(finsler))
+    exec(source.replace(before, before + " * (1 + 1e-6)"), namespace)
+    monkeypatch.setattr(finsler, "_e_fiber_rule", namespace["_e_fiber_rule"])
+    result, _ = suites.suite_finsler_identities(_identity_scenario(name))
+    failed = {check.name for check in result.checks if not check.passed}
+    assert failed == {"e_fiber_derivative", "e_fiber_derivative_fd"}
+
+
 STATE_FIELDS = ("y_low", "b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "r_mix",
-                "r_low", "eta", "s_low", "ys", "sigma", "e_fiber")
+                "r_low", "eta", "s_low", "ys", "sigma")
 
 
 def _assert_row_matches(stacked, row, want):

@@ -17,6 +17,7 @@ every suite was skipped, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from functools import cache
 from pathlib import Path
@@ -146,7 +147,26 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return scenario_from_sections(sections, overrides)
 
 
+@cache
+def _keep_freed_memory() -> None:
+    """Keep freed heap memory in the process (glibc's mallopt(3)).  Each
+    chunk frees its temporaries and the next allocates them again; with
+    glibc's defaults the freed pages go back to the kernel and are faulted
+    in anew, chunk after chunk.  Below 64 MiB nothing is trimmed, and no
+    block under 32 MiB is mapped on its own.  A no-op without mallopt.
+    Only the command line sets this: the allocator is the whole process's,
+    so the library entry ``finslergeo.run`` leaves its host's settings."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no C library handle or no mallopt
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         scenario = _scenario_from_args(args)

@@ -189,7 +189,7 @@ def suite_frame_identities(scenario: Scenario):
             "axis_c_orthogonality": np.abs(dot(state.b_up, state.dc_low)),
         }
 
-    rows = _per_sample(scenario.n_points, 8 * scenario.n_dim**3, residuals)
+    rows = _per_sample(scenario.n_points, 4 * scenario.n_dim**3, residuals)
     checks = _planned(rows, [(name, "exact", 1.0) for name in rows], scenario.tolerances)
     return _verdict("frame-identities", checks)
 
@@ -207,7 +207,7 @@ def suite_christoffel_xcheck(scenario: Scenario):
             "lower_symmetry": max_abs(closed - np.swapaxes(closed, -1, -2), 3),
         }
 
-    rows = _per_sample(scenario.n_points, 8 * scenario.n_dim**3, residuals)
+    rows = _per_sample(scenario.n_points, 4 * scenario.n_dim**3, residuals)
     check_plan = [("closed_vs_definitional", "closed_form", 1.0), ("lower_symmetry", "exact", 1.0)]
     checks = _planned(rows, check_plan, scenario.tolerances)
     return _verdict("christoffel-xcheck", checks)
@@ -248,7 +248,7 @@ def suite_curvature_xcheck(scenario: Scenario):
             ),
         }
 
-    rows = _per_sample(scenario.n_points, 4 * scenario.n_dim**4, residuals)
+    rows = _per_sample(scenario.n_points, 2 * scenario.n_dim**4, residuals)
     check_plan = [
         ("closed_vs_fd_oracle", "finite_difference", 1.0),
         ("block_form_equivalence", "exact", 1.0),
@@ -285,7 +285,7 @@ def suite_vacuum(scenario: Scenario):
         state = build_metric(frame, scenario.profile, xs[rows])
         return verify_vacuum(state, ys[rows], radii[rows])
 
-    rows = _per_sample(len(radii), 4 * n**4, residuals)
+    rows = _per_sample(len(radii), 2 * n**4, residuals)
     check_plan = [
         ("ricci_scaled", "algebraic", 10.0),  # 1e-9 in 1/r^2 units
         ("ricci_coefficients_scaled", "algebraic", 1.0),
@@ -328,7 +328,7 @@ def suite_schwarzschild_reductions(scenario: Scenario):
             "scaling_covariance": np.stack(scaling, axis=-1).reshape(-1),
         }
 
-    rows = _per_sample(len(xs), 4 * scenario.n_dim**4, residuals)
+    rows = _per_sample(len(xs), 2 * scenario.n_dim**4, residuals)
     check_plan = [
         ("reduced_vs_closed", "closed_form", 1.0),
         ("axis_contractions", "algebraic", 10.0),
@@ -352,7 +352,7 @@ def suite_finsler_identities(scenario: Scenario):
         res["e_fiber_derivative_fd"] = res["e_fiber_derivative"]
         return res
 
-    rows = _per_sample(scenario.n_fibers, 8 * scenario.n_dim**3, residuals)
+    rows = _per_sample(scenario.n_fibers, 4 * scenario.n_dim**3, residuals)
     check_plan = [
         (name, "closed_form" if name == "e_fiber_derivative_fd" else "algebraic", 1.0)
         for name in rows
@@ -387,11 +387,10 @@ def suite_finsler_curvature(scenario: Scenario):
             out["riemann_limit"] = rel_frobenius(curvature, curvature_dot(state, y), 2)
         return out
 
-    # The spray derivatives hold two N x N arrays at each of a sample's N
-    # complex rows (the factor counts the 4N real rows of central
-    # differences); riemann_limit contracts the closed curvature with y, so
-    # no sample holds an N^4 array at either charge.
-    rows = _per_sample(scenario.n_fibers, 8 * scenario.n_dim**3, evaluate)
+    # The spray derivatives hold two N x N complex arrays (4N^2 floats) at
+    # each of a sample's N complex rows; riemann_limit contracts the closed
+    # curvature with y, so no sample holds an N^4 array at either charge.
+    rows = _per_sample(scenario.n_fibers, 4 * scenario.n_dim**3, evaluate)
     check_plan = [
         ("spray_homogeneity", "exact", 1.0),
         ("euler_identity", "algebraic", 10.0),

@@ -111,18 +111,16 @@ def fd_partials(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
 # Samples are evaluated in stacked chunks: one call per chunk instead of
 # one per sample removes the per-call overhead on tiny arrays, but a
 # chunk's arrays grow with it.  Each suite passes a sizing constant F, the
-# floats it counts per sample: 4N^4 where a sample holds N^4 curvature
-# arrays (each of the curvature FD oracle's N complex rows holds an N^3
-# complex Christoffel array), 8N^3 where a sample's rows hold two N x N
-# arrays (the spray derivatives).  The factors count 4N real rows per
-# sample, where the complex step has N complex ones (2N floats each); they
-# are kept so that the chunks stay as they were.  A chunk takes as many
-# samples as keep F per sample within this many floats (512 KiB): at
-# N = 8, 4 samples at 4N^4 and 16 at 8N^3.  F is not the measured peak:
-# tracemalloc over one curvature-xcheck chunk reads about 11.8, 9.5 and
-# 9.0 N^4 floats per sample at N = 4, 6 and 8, and over hh_curvature on 16
-# charged N = 8 fibers 15.8 N^3 per fiber, so those chunks peak at about
-# twice the budget.
+# floats its complex rows hold per sample: 2N^4 where a sample holds N^4
+# curvature arrays (each of the curvature FD oracle's N complex rows holds
+# an N^3 complex Christoffel array), 4N^3 where each of a sample's N
+# complex rows holds two N x N complex arrays (the spray derivatives).  A
+# chunk takes as many samples as keep F per sample within this many floats
+# (512 KiB): at N = 8, 8 samples at 2N^4 and 32 at 4N^3.  F is not the
+# measured peak: tracemalloc over one curvature-xcheck chunk reads about
+# 10.2, 9.0 and 8.5 N^4 floats per sample at N = 4, 6 and 8, and over
+# hh_curvature on 32 charged N = 8 fibers 14.8 N^3 per fiber, so those
+# chunks peak at about four to five times the budget.
 STENCIL_FLOAT_BUDGET = 2**16
 
 

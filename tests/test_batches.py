@@ -50,8 +50,11 @@ from finslergeo.suites import (
     _sample_point,
     _sampling_range,
     _suite_rng,
+    suite_christoffel_xcheck,
+    suite_curvature_xcheck,
     suite_finsler_curvature,
     suite_finsler_identities,
+    suite_frame_identities,
     suite_vacuum,
 )
 from finslergeo.tensors import max_abs
@@ -713,24 +716,24 @@ def _suite_calls(monkeypatch, text, suite, names):
 
 def test_charged_chunks_are_sized_for_their_stencil_rows(monkeypatch):
     """At N = 8 the spray stencils hold N x N arrays per row, so 100 fibers
-    take at most 7 chunks at either charge; charge 0 contracts the closed
+    take at most 4 chunks at either charge; charge 0 contracts the closed
     curvature with y (curvature_dot) and never builds the N^4 tensor."""
     spray = ("spray_derivatives", "hh_curvature")
     charged = _suite_calls(monkeypatch, CHARGED_N8, suite_finsler_curvature, spray)
-    assert all(count <= 7 for count in charged.values()), charged
+    assert all(count <= 4 for count in charged.values()), charged
     identities = _suite_calls(
         monkeypatch, CHARGED_N8, suite_finsler_identities, ("kinematic_identity_residuals",)
     )
-    assert identities["kinematic_identity_residuals"] <= 7
+    assert identities["kinematic_identity_residuals"] <= 4
     closed = _counting_everywhere(monkeypatch, riemann.curvature_closed)
     limit = _suite_calls(monkeypatch, LIMIT_N8, suite_finsler_curvature, spray)
-    assert all(count <= 7 for count in limit.values()), limit
+    assert all(count <= 4 for count in limit.values()), limit
     assert closed == []
 
 
-def _suite_rows(monkeypatch, text):
-    """The per-sample residual arrays and worst indices of the charged
-    finsler-identities and finsler-curvature suites on ``text``."""
+def _suite_rows(monkeypatch, text, suite_funcs):
+    """The per-sample residual arrays and worst indices of ``suite_funcs``
+    on ``text``."""
     scenario = parse_scenario(text)
     rows = []
 
@@ -739,25 +742,52 @@ def _suite_rows(monkeypatch, text):
         return rows[-1]
 
     monkeypatch.setattr(suites, "_per_sample", recorded)
-    worst = [
-        [check.worst_index for check in suite(scenario)[0].checks]
-        for suite in (suite_finsler_identities, suite_finsler_curvature)
-    ]
+    worst = [[check.worst_index for check in suite(scenario)[0].checks] for suite in suite_funcs]
     return rows, worst
 
 
-@pytest.mark.parametrize("text", [CHARGED_N4, CHARGED_N8], ids=["N4", "N8"])
-def test_residuals_do_not_depend_on_the_chunk_size(monkeypatch, text):
-    """Budgets that give one sample per chunk and one chunk for all give the
-    same residuals and worst indices, bit for bit, at either charge."""
+FINSLER_SUITES = (suite_finsler_identities, suite_finsler_curvature)
+METRIC_SUITES = (
+    suite_frame_identities,
+    suite_christoffel_xcheck,
+    suite_curvature_xcheck,
+    suite_vacuum,
+)
+SCHWARZSCHILD_N8 = """
+[scenario]
+dimension = 8
+signature = -1
+[profile]
+kind = schwarzschild_isotropic
+xi = 1.0
+[samples]
+points = 30
+radii = 0.5, 0.7, 1, 1.5, 2, 3, 4, 5, 6, 7, 8, 10
+"""
+SCHWARZSCHILD_N4 = SCHWARZSCHILD_N8.replace("dimension = 8", "dimension = 4")
+CHUNK_CASES = {
+    "N4": (CHARGED_N4, FINSLER_SUITES, ("0.3", "0.0")),
+    "N8": (CHARGED_N8, FINSLER_SUITES, ("0.3", "0.0")),
+    "metric-N4": (SCHWARZSCHILD_N4, METRIC_SUITES, ("0.0",)),
+    "metric-N8": (SCHWARZSCHILD_N8, METRIC_SUITES, ("0.0",)),
+}
+
+
+@pytest.mark.parametrize(
+    "text, suite_funcs, charges", CHUNK_CASES.values(), ids=CHUNK_CASES.keys()
+)
+def test_residuals_do_not_depend_on_the_chunk_size(monkeypatch, text, suite_funcs, charges):
+    """A budget that gives small chunks (one or two samples each at N = 8)
+    and one that gives one chunk for all give the same residuals and worst
+    indices, bit for bit, in every sampled suite (the Finsler suites at
+    either charge)."""
     results = {}
     for budget in (2**12, 2**20):
         monkeypatch.setattr(tensors, "STENCIL_FLOAT_BUDGET", budget)
-        for charge in ("0.3", "0.0"):
-            results[budget, charge] = _suite_rows(
-                monkeypatch, text.replace("charge = 0.3", f"charge = {charge}")
-            )
-    for charge in ("0.3", "0.0"):
+        for charge in charges:
+            scenario = text.replace("charge = 0.3", f"charge = {charge}")
+            results[budget, charge] = _suite_rows(monkeypatch, scenario, suite_funcs)
+    for charge in charges:
         small, large = results[2**12, charge], results[2**20, charge]
         assert small[1] == large[1]
         for got, want in zip(small[0], large[0], strict=True):
@@ -772,14 +802,16 @@ MEMORY_CASES = {
     "suite_finsler_curvature-N8-charge0": (suite_finsler_curvature, LIMIT_N8),
     "suite_finsler_identities-N4": (suite_finsler_identities, CHARGED_N4),
     "suite_finsler_identities-N8": (suite_finsler_identities, CHARGED_N8),
+    "suite_curvature_xcheck-N8": (suite_curvature_xcheck, CHARGED_N8),
 }
 
 
 @pytest.mark.parametrize("suite, text", MEMORY_CASES.values(), ids=MEMORY_CASES.keys())
 def test_chunked_suites_stay_within_the_memory_guard(suite, text):
-    """The suites evaluate in chunks sized for their stencil rows, so the
-    stacked stencils of a run over 100 fibers (one chunk at N = 4, seven at
-    N = 8, at either charge) peak at a few MB, not tens of MB."""
+    """The suites evaluate in chunks sized for their complex rows, so the
+    stacked rows of a run over 100 fibers (one chunk at N = 4, four at
+    N = 8, at either charge) or 100 points (N = 8 curvature-xcheck, eight
+    points per chunk) peak at a few MB, not tens of MB."""
     scenario = parse_scenario(text)
     tracemalloc.start()
     try:

@@ -188,20 +188,30 @@ def kinematics(metric: MetricState, y: np.ndarray, charge: float) -> FinsleroidS
 # ---------------------------------------------------------------------------
 
 
-def _spray_and_first(
+def _spray(
     metric: MetricState, y: np.ndarray, charge: float
 ) -> tuple[np.ndarray, np.ndarray, FinsleroidState | None]:
-    """The spray G^i, its closed y-derivative G^i_k and the kinematics state
-    they came from (one evaluation, one a^i_km y^m); at charge 0 both are
-    geodesic, need no admissible cone, and the state is None."""
+    """The spray G^i, gamma_y = a^i_km y^m and the kinematics state they
+    came from; at charge 0 the spray is geodesic, needs no admissible cone,
+    and the state is None."""
     y = np.asarray(y)
     gamma_y = christoffel_dot(metric, y)
     base = matvec(gamma_y, y)
     if charge == 0.0:
-        return base, 2.0 * gamma_y, None
+        return base, gamma_y, None
     state = kinematics(metric, y, charge)
     weight = (state.charge / state.nu) * state.ys
-    return weight[..., None] * state.v_up + base, _first_derivative(state, gamma_y), state
+    return weight[..., None] * state.v_up + base, gamma_y, state
+
+
+def _spray_and_first(
+    metric: MetricState, y: np.ndarray, charge: float
+) -> tuple[np.ndarray, np.ndarray, FinsleroidState | None]:
+    """_spray with the closed y-derivative G^i_k in place of gamma_y (one
+    evaluation, one a^i_km y^m); at charge 0 it is 2 gamma_y."""
+    g, gamma_y, state = _spray(metric, y, charge)
+    first = 2.0 * gamma_y if state is None else _first_derivative(state, gamma_y)
+    return g, first, state
 
 
 def _spray_stack(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
@@ -214,7 +224,7 @@ def _spray_stack(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarra
 def spray_coefficients(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
     """G^i = (g/nu) (ys) v^i + a^i_km y^k y^m at (x, y); at charge 0 this is
     exactly the geodesic spray and needs no admissible cone."""
-    return _spray_and_first(metric, y, charge)[0]
+    return _spray(metric, y, charge)[0]
 
 
 def _weight_gradient(state: FinsleroidState) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -38,7 +38,7 @@ class CheckResult:
         """Statistics of per-sample residuals given in draw order;
         ``worst_index`` is the position of the first sample that attains
         the maximum (None without samples)."""
-        values = np.asarray(list(residuals), dtype=float)
+        values = np.asarray(residuals, dtype=float)
         worst_index = int(np.argmax(values)) if values.size else None
         worst = float(values[worst_index]) if values.size else 0.0
         med = _median(values) if values.size else 0.0
@@ -94,7 +94,7 @@ class SuiteResult:
             "name": self.name,
             "status": self.status,
             "reason": self.reason,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [dict(vars(c)) for c in self.checks],
         }
 
 

@@ -59,14 +59,31 @@ def _sampling_range(profile: ProfilePair) -> tuple[float, float]:
     return lo, max(8.0, 4.0 * lo)
 
 
-def _sample_point(rng: np.random.Generator, n_dim: int, lo: float, hi: float) -> np.ndarray:
-    # Standard chart: coordinate 0 is the axis direction, the rest spatial.
-    direction = rng.normal(size=n_dim - 1)
-    direction /= np.linalg.norm(direction)
-    x = np.empty(n_dim)
-    x[0] = rng.uniform(-1.0, 1.0)
-    x[1:] = rng.uniform(lo, hi) * direction
-    return x
+def _draw_tries(rng: np.random.Generator, n_dim: int, count: int, lo, hi, fiber: bool):
+    """``count`` tries in draw order: (xs, ys), the points and, with
+    ``fiber``, a fiber vector per point (else None).  In the standard chart
+    coordinate 0 is the axis direction, drawn in [-1, 1); the rest is a
+    radius in [lo, hi) (per try where ``lo`` and ``hi`` are arrays) times a
+    uniform direction.
+
+    Each try makes only its generator calls: a direction, two uniform
+    doubles for x^0 and the radius, and with ``fiber`` a fiber vector.  The
+    block is then mapped in one pass.  -1 + 2u and lo + (hi - lo)u are what
+    uniform(-1, 1) and uniform(lo, hi) compute from their double u, and
+    sqrt(d . d) by a stacked dot is np.linalg.norm's dot and sqrt, so the
+    points are those of one uniform and norm call per try, bit for bit."""
+    direction, u = np.empty((count, n_dim - 1)), np.empty((count, 2))
+    ys = np.empty((count, n_dim)) if fiber else None
+    for i in range(count):
+        direction[i] = rng.normal(size=n_dim - 1)
+        u[i] = rng.random(2)
+        if fiber:
+            ys[i] = rng.normal(size=n_dim)
+    xs = np.empty((count, n_dim))
+    xs[:, 0] = -1.0 + 2.0 * u[:, 0]
+    radius = lo + (hi - lo) * u[:, 1]
+    xs[:, 1:] = radius[:, None] * (direction / np.sqrt(dot(direction, direction))[:, None])
+    return xs, ys
 
 
 class SamplingError(RuntimeError):
@@ -94,7 +111,7 @@ def _sample_blocks(
     CONE_MARGIN inside the cone of that charge at its point.
 
     Each try draws a point, then (with ``fiber`` or a ``charge``) a fiber
-    vector.  A block of tries is drawn in try order and judged in passes:
+    vector.  A block of tries is drawn (_draw_tries) and judged in passes:
     each builds the metric (and, given a ``charge``, the kinematics) at the
     block's surviving tries in one call, and each DomainError or
     AdmissibilityError drops the tries it marks, counted by cause.  A block
@@ -110,11 +127,7 @@ def _sample_blocks(
     tries = accepted = 0
     while accepted < count and tries < 60 * count:
         block = min(count - accepted, 60 * count - tries)
-        xs, ys = np.empty((2, block, scenario.n_dim))
-        for i in range(block):
-            xs[i] = _sample_point(rng, scenario.n_dim, lo, hi)
-            if fiber:
-                ys[i] = rng.normal(size=scenario.n_dim)
+        xs, ys = _draw_tries(rng, scenario.n_dim, block, lo, hi, fiber)
         tries += block
         kept = np.ones(block, dtype=bool)
         while True:
@@ -133,7 +146,8 @@ def _sample_blocks(
             rejected["inside the margin"] += int(np.sum(~inside))
             kept[np.flatnonzero(kept)[~inside]] = False
         points.append(xs[kept])
-        fibers.append(ys[kept])
+        if fiber:
+            fibers.append(ys[kept])
         accepted += int(np.sum(kept))
     if accepted < count:
         what = (
@@ -309,10 +323,8 @@ def suite_schwarzschild_reductions(scenario: Scenario):
     rng = _suite_rng(scenario, "schwarzschild-reductions")
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     xi = float(scenario.profile.params["xi"])
-    xs, ys = np.empty((2, len(scenario.radii), scenario.n_dim))
-    for i, r in enumerate(scenario.radii):
-        xs[i] = _sample_point(rng, scenario.n_dim, r, r)
-        ys[i] = rng.normal(size=scenario.n_dim)
+    radii = np.array(scenario.radii, dtype=float)
+    xs, ys = _draw_tries(rng, scenario.n_dim, len(radii), radii, radii, fiber=True)
 
     def residuals(rows) -> dict[str, np.ndarray]:
         x = xs[rows]
@@ -352,7 +364,9 @@ def suite_finsler_identities(scenario: Scenario):
         res["e_fiber_derivative_fd"] = res["e_fiber_derivative"]
         return res
 
-    rows = _per_sample(scenario.n_fibers, 4 * scenario.n_dim**3, residuals)
+    # Each of a sample's N complex rows holds the 2N + 1 complex fields of
+    # _fiber_partials and fiber_vectors' three complex N-vectors, about 10N floats.
+    rows = _per_sample(scenario.n_fibers, 10 * scenario.n_dim**2, residuals)
     check_plan = [
         (name, "closed_form" if name == "e_fiber_derivative_fd" else "algebraic", 1.0)
         for name in rows

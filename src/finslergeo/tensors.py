@@ -114,13 +114,16 @@ def fd_partials(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
 # floats its complex rows hold per sample: 2N^4 where a sample holds N^4
 # curvature arrays (each of the curvature FD oracle's N complex rows holds
 # an N^3 complex Christoffel array), 4N^3 where each of a sample's N
-# complex rows holds two N x N complex arrays (the spray derivatives).  A
-# chunk takes as many samples as keep F per sample within this many floats
-# (512 KiB): at N = 8, 8 samples at 2N^4 and 32 at 4N^3.  F is not the
-# measured peak: tracemalloc over one curvature-xcheck chunk reads about
-# 10.2, 9.0 and 8.5 N^4 floats per sample at N = 4, 6 and 8, and over
-# hh_curvature on 32 charged N = 8 fibers 14.8 N^3 per fiber, so those
-# chunks peak at about four to five times the budget.
+# complex rows holds two N x N complex arrays (the spray derivatives), and
+# 10N^2 where each row holds five complex N-vectors (the fiber identities'
+# y-step).  A chunk takes as many samples as keep F per sample within this
+# many floats (512 KiB): at N = 8, 8 samples at 2N^4, 32 at 4N^3 and 102
+# at 10N^2.  F is not the measured peak: tracemalloc over one
+# curvature-xcheck chunk reads about 10.2, 9.0 and 8.5 N^4 floats per
+# sample at N = 4, 6 and 8, over hh_curvature on 32 charged N = 8 fibers
+# 14.8 N^3 per fiber, and over the N = 8 finsler-identities suite on 100
+# fibers (one chunk, sampling included) about 18 N^2 per fiber, so those
+# chunks peak at about two to five times the budget.
 STENCIL_FLOAT_BUDGET = 2**16
 
 

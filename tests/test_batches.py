@@ -46,8 +46,8 @@ from finslergeo import finsler, riemann, suites, tensors
 from finslergeo.riemann import christoffel_definitional
 from finslergeo.suites import (
     SamplingError,
+    _draw_tries,
     _sample_blocks,
-    _sample_point,
     _sampling_range,
     _suite_rng,
     suite_christoffel_xcheck,
@@ -448,7 +448,8 @@ class TestConeEdgeInBatch:
 
 
 def _loop_states(scenario, rng, count, with_fiber=False):
-    """The try-by-try point sampler: one build_metric per try, and with
+    """The try-by-try point sampler: one build_metric per try on the point
+    of conftest's sample_point (uniform draws and np.linalg.norm), and with
     ``with_fiber`` a fiber drawn right after each try's point, the order of
     ``_loop_admissible``.  Returns the stacked points and fibers, or None
     where it gives up."""
@@ -458,7 +459,7 @@ def _loop_states(scenario, rng, count, with_fiber=False):
     tries = 0
     while len(xs) < count and tries < 60 * count:
         tries += 1
-        x = _sample_point(rng, scenario.n_dim, lo, hi)
+        x = sample_point(rng, scenario.n_dim, lo, hi)
         y = rng.normal(size=scenario.n_dim) if with_fiber else None
         try:
             build_metric(frame, scenario.profile, x)
@@ -480,7 +481,7 @@ def _loop_admissible(scenario, rng, count, charge, margin=0.05):
     tries = 0
     while len(xs) < count and tries < 60 * count:
         tries += 1
-        x = _sample_point(rng, scenario.n_dim, lo, hi)
+        x = sample_point(rng, scenario.n_dim, lo, hi)
         y = rng.normal(size=scenario.n_dim)
         try:
             fib = kinematics(build_metric(frame, scenario.profile, x), y, charge)
@@ -523,6 +524,15 @@ SAMPLER_CASES = [
     ("half_domain", 4, 1, "fiber"),
     ("half_domain", 4, 1, "cone"),
     ("cone_retry", 4, 1, "cone"),
+    # At N = 2 the direction has one component.
+    ("pd_rational", 2, 1, "points"),
+    ("pd_rational", 2, 1, "cone"),
+    ("schwarzschild", 3, -1, "fiber"),
+    ("half_domain", 3, 1, "cone"),
+    ("pd_rational", 5, 1, "cone"),
+    ("schwarzschild", 6, -1, "cone"),
+    ("half_domain", 7, 1, "fiber"),
+    ("schwarzschild", 7, -1, "cone"),
 ]
 
 
@@ -559,6 +569,66 @@ def test_block_samplers_draw_the_try_by_try_samples(profile, n_dim, signature, s
         for w, g in zip(want, got):
             assert (w is None and g is None) or (g.shape == w.shape and np.array_equal(g, w))
     assert rng_block.random() == rng_loop.random()
+
+
+@pytest.mark.parametrize("n_dim", range(2, 9))
+def test_reductions_draw_each_radius_as_the_try_by_try_loop(monkeypatch, n_dim):
+    """schwarzschild-reductions evaluates, at each radius, the point of one
+    sample_point at lo = hi = the radius and the fiber drawn right after it
+    from the suite's stream, bit for bit; the block draw leaves the
+    generator where that loop leaves it."""
+    scenario = parse_scenario(SCHWARZSCHILD_N8.replace("dimension = 8", f"dimension = {n_dim}"))
+    seen = []
+    original = suites.reduction_residuals
+
+    def recorded(state, y, closed):
+        seen.append((state.x, y))
+        return original(state, y, closed)
+
+    monkeypatch.setattr(suites, "reduction_residuals", recorded)
+    suites.suite_schwarzschild_reductions(scenario)
+    radii = np.array(scenario.radii)
+    rng_loop = _suite_rng(scenario, "schwarzschild-reductions")
+    want = np.empty((2, len(radii), n_dim))
+    for i, r in enumerate(radii):
+        want[0, i] = sample_point(rng_loop, n_dim, r, r)
+        want[1, i] = rng_loop.normal(size=n_dim)
+    for got, expected in zip(map(np.concatenate, zip(*seen)), want, strict=True):
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+    rng_block = _suite_rng(scenario, "schwarzschild-reductions")
+    _draw_tries(rng_block, n_dim, len(radii), radii, radii, fiber=True)
+    assert rng_block.random() == rng_loop.random()
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts the method calls made through it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("with_fiber", [False, True])
+def test_sampler_makes_only_its_generator_calls(with_fiber):
+    """Each try makes at most two generator calls for its point (direction,
+    then x^0 and radius together) and one for its fiber, on a profile that
+    rejects no try, so 40 samples take exactly 40 tries."""
+    scenario = parse_scenario(
+        f"[scenario]\ndimension = 4\nsignature = 1\n[profile]\n{SAMPLER_PROFILES['pd_rational']}"
+    )
+    rng = _CountingGenerator(1)
+    xs, _ = _sample_blocks(scenario, rng, 40, with_fiber)
+    assert len(xs) == 40
+    assert rng.calls <= (3 if with_fiber else 2) * 40
 
 
 def _counting(monkeypatch, name):
@@ -717,14 +787,15 @@ def _suite_calls(monkeypatch, text, suite, names):
 def test_charged_chunks_are_sized_for_their_stencil_rows(monkeypatch):
     """At N = 8 the spray stencils hold N x N arrays per row, so 100 fibers
     take at most 4 chunks at either charge; charge 0 contracts the closed
-    curvature with y (curvature_dot) and never builds the N^4 tensor."""
+    curvature with y (curvature_dot) and never builds the N^4 tensor.  The
+    identity stencil holds N-vectors per row, so its 100 fibers take one."""
     spray = ("spray_derivatives", "hh_curvature")
     charged = _suite_calls(monkeypatch, CHARGED_N8, suite_finsler_curvature, spray)
     assert all(count <= 4 for count in charged.values()), charged
     identities = _suite_calls(
         monkeypatch, CHARGED_N8, suite_finsler_identities, ("kinematic_identity_residuals",)
     )
-    assert identities["kinematic_identity_residuals"] <= 4
+    assert identities["kinematic_identity_residuals"] == 1
     closed = _counting_everywhere(monkeypatch, riemann.curvature_closed)
     limit = _suite_calls(monkeypatch, LIMIT_N8, suite_finsler_curvature, spray)
     assert all(count <= 4 for count in limit.values()), limit
@@ -809,8 +880,9 @@ MEMORY_CASES = {
 @pytest.mark.parametrize("suite, text", MEMORY_CASES.values(), ids=MEMORY_CASES.keys())
 def test_chunked_suites_stay_within_the_memory_guard(suite, text):
     """The suites evaluate in chunks sized for their complex rows, so the
-    stacked rows of a run over 100 fibers (one chunk at N = 4, four at
-    N = 8, at either charge) or 100 points (N = 8 curvature-xcheck, eight
+    stacked rows of a run over 100 fibers (one chunk at N = 4; at N = 8
+    four for finsler-curvature at either charge and one for the identities)
+    or 100 points (N = 8 curvature-xcheck, eight
     points per chunk) peak at a few MB, not tens of MB."""
     scenario = parse_scenario(text)
     tracemalloc.start()

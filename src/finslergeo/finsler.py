@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .riemann import MetricState, build_metric, christoffel_dot, nabla_b_dot
-from .tensors import dot, fd_partials, matvec, max_abs, outer
+from .tensors import dot, fd_partials, gap, matvec, outer
 
 
 class AdmissibilityError(ValueError):
@@ -280,8 +280,8 @@ def spray_y_second(state: FinsleroidState) -> np.ndarray:
 @dataclass(frozen=True)
 class SprayDerivatives:
     """The closed spray at (x, y) with its first and second y-derivatives,
-    their numeric differentiations, and the disagreements (one per sample
-    over a batch).  It carries the point, so the hh-curvature bundle is
+    their numeric differentiations, and the disagreements (tensors.gap, one
+    per sample over a batch).  It carries the point, so the hh-curvature bundle is
     assembled from it."""
 
     metric: MetricState
@@ -328,8 +328,8 @@ def spray_derivatives(
         first_numeric=first_numeric,
         second_closed=second_closed,
         second_numeric=second_numeric,
-        first_gap=max_abs(first_closed - first_numeric, 2),
-        second_gap=max_abs(second_closed - second_numeric, 3),
+        first_gap=gap(first_closed, first_numeric, 2),
+        second_gap=gap(second_closed, second_numeric, 3),
     )
 
 
@@ -423,7 +423,7 @@ def _fiber_partials(state: FinsleroidState):
 
 def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float | np.ndarray]:
     """Two-sided residuals of the printed kinematic identities, one per
-    sample of the state (a float for one point).
+    sample of the state (a float for one point), each by tensors.gap.
 
     Derivative identities evaluate their left sides by one complex step of
     the fields rebuilt from the fiber vectors (roundoff only, no truncation),
@@ -456,28 +456,28 @@ def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float | np
     # The derivative identities: one complex step over all directions.
     nu_grad, ratio_d, e_d = _fiber_partials(state)  # ratio_d [m, k], e_d [j, k]
 
-    res["nu_gradient"] = max_abs(state.nu_low - nu_grad, 1)
+    res["nu_gradient"] = gap(state.nu_low, nu_grad, 1)
 
     ratio_rhs = (
         -outer(state.nu_low, state.nu_low) / (nu**2)[..., None, None]
         + eps * state.eta / (nu * q)[..., None, None]
     )  # [k, m]; symmetric in (k, m)
-    res["nu_ratio_derivative"] = max_abs(ratio_d - np.swapaxes(ratio_rhs, -1, -2), 2)
+    res["nu_ratio_derivative"] = gap(ratio_d, np.swapaxes(ratio_rhs, -1, -2), 2)
 
-    res["e_fiber_derivative"] = max_abs(e_d - np.swapaxes(_e_fiber_rule(state), -1, -2), 2)
+    res["e_fiber_derivative"] = gap(e_d, np.swapaxes(_e_fiber_rule(state), -1, -2), 2)
 
     v_up, v_low, r_mix = state.v_up, state.v_low, state.r_mix
-    res["v_dot_s"] = np.abs(dot(v_up, state.s_low) - (state.ys - b * state.sigma))
-    res["v_projected"] = max_abs(
-        matvec(r_mix, v_up) - (v_up - (one_minus_c2 * b)[..., None] * ms.b_up), 1
+    res["v_dot_s"] = gap(dot(v_up, state.s_low), state.ys - b * state.sigma, 0)
+    res["v_projected"] = gap(
+        matvec(r_mix, v_up), v_up - (one_minus_c2 * b)[..., None] * ms.b_up, 1
     )
     proj_sq = np.einsum("...ij,...jm->...im", r_mix, r_mix)
-    res["projector_square"] = max_abs(
-        proj_sq - (r_mix - one_minus_c2[..., None, None] * outer(ms.b_up, ms.b_low)), 2
+    res["projector_square"] = gap(
+        proj_sq, r_mix - one_minus_c2[..., None, None] * outer(ms.b_up, ms.b_low), 2
     )
-    res["v_norm"] = np.abs(dot(v_low, v_up) - (eps * q2 - one_minus_c2 * b**2))
-    res["nu_dot_v"] = np.abs(
-        dot(state.nu_low, v_up) - (nu - one_minus_c2 * (eps * b**2 + g * c2 * b * q) / q)
+    res["v_norm"] = gap(dot(v_low, v_up), eps * q2 - one_minus_c2 * b**2, 0)
+    res["nu_dot_v"] = gap(
+        dot(state.nu_low, v_up), nu - one_minus_c2 * (eps * b**2 + g * c2 * b * q) / q, 0
     )
-    res["b_dot_v"] = np.abs(dot(ms.b_low, v_up) - one_minus_c2 * b)
+    res["b_dot_v"] = gap(dot(ms.b_low, v_up), one_minus_c2 * b, 0)
     return res

@@ -128,7 +128,10 @@ class RunReport:
             "conventions": {
                 "curvature_layout": "R[n,i,k,m] for a_n^i_km; Ricci contracts a_n^i_im",
                 "bundle_index_lowering": "Riemannian a_ij (the Finsler metric tensor is out of scope)",
-                "residual_units": "vacuum Ricci residuals are scaled by r^2",
+                "residual_units": (
+                    "closed-form residuals are relative to max(1, operand) per sample; "
+                    "vacuum Ricci residuals are scaled by r^2"
+                ),
             },
             "suites": [s.to_dict() for s in self.suites],
             "passed": self.passed,

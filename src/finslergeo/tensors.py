@@ -150,6 +150,18 @@ def max_abs(arr, ndim: int | None = None):
     return float(out) if ndim is None else out
 
 
+def gap(lhs, rhs, ndim: int, scale=1.0):
+    """Per sample, max|lhs - rhs| over the last ``ndim`` axes divided by
+    max(1, scale, max|lhs|, max|rhs|): a closed form's residual against its
+    partner, judged on the size of what was computed, so roundoff on large
+    operands reads as roundoff and operands within 1 read max_abs(lhs - rhs,
+    ndim).  A ``rhs`` with fewer axes (a scalar, an identity) broadcasts."""
+    diff = np.abs(lhs - rhs)
+    axes = _component_axes(diff, ndim)
+    size = np.maximum.reduce(np.maximum(np.abs(lhs), np.abs(rhs)), axes, initial=0.0)
+    return np.maximum.reduce(diff, axes, initial=0.0) / np.maximum(np.maximum(1.0, scale), size)
+
+
 def rel_frobenius(a, b, ndim: int | None = None):
     """Frobenius norm of (a - b), relative to the larger of the two norms
     (absolute where both vanish); over the whole array, or per sample over

@@ -5,8 +5,8 @@ m = -(1 + xi/4r)^4 is Ricci-flat; its curvature collapses to a compact
 single-prefactor form, and contracting that form with the axis vector
 yields short closed expressions.  This module evaluates all of it on a
 stack of radii (each function takes one state or a batch) and returns
-scale-free residuals (Ricci-like quantities are scaled by r^2 so pass/fail
-does not depend on units); the suites sample, chunk and judge them.
+scale-free residuals (Ricci-like quantities times r^2, a unit choice; the
+contractions by tensors.gap); the suites sample, chunk and judge them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .riemann import (
     ricci_closed,
     ricci_from_curvature,
 )
-from .tensors import dot, max_abs, outer, rel_frobenius
+from .tensors import dot, gap, max_abs, outer, rel_frobenius
 
 
 def _schwarzschild_xi(state: MetricState) -> float:
@@ -80,8 +80,8 @@ def reduced_curvature(state: MetricState) -> np.ndarray:
 def contraction_identities(
     state: MetricState, y: np.ndarray, riem: np.ndarray
 ) -> dict[str, float | np.ndarray]:
-    """Residuals of the axis contractions of the Schwarzschild curvature,
-    one per sample of the state (fiber vectors y stacked like the state's
+    """Residuals (tensors.gap) of the axis contractions of the Schwarzschild
+    curvature, one per sample of the state (fiber vectors y stacked like the state's
     points), given the state's closed-form curvature ``riem``.
 
     Each left side contracts the full closed-form curvature tensor; each
@@ -122,9 +122,9 @@ def contraction_identities(
     )
 
     return {
-        "axis_contraction_last": max_abs(lhs_last - rhs_last, 3),
-        "axis_contraction_first": max_abs(lhs_first - rhs_first, 3),
-        "axis_contraction_mixed": max_abs(lhs_mixed - rhs_mixed, 2),
+        "axis_contraction_last": gap(lhs_last, rhs_last, 3),
+        "axis_contraction_first": gap(lhs_first, rhs_first, 3),
+        "axis_contraction_mixed": gap(lhs_mixed, rhs_mixed, 2),
     }
 
 

@@ -76,7 +76,25 @@ m_coeffs = 1.0, 0.2
 [samples]
 points = 25
 """
-# The two curvature-xcheck checks whose residuals are divided by their operands.
+# The paper's spray at the c -> 0 profile: near c = 0 (9.2e-4 here) G^i_k y^k
+# reaches 4.8e8 and max|K^2 R| max|y| 3.6e11.
+CHARGED_C_TO_ZERO = """
+[scenario]
+dimension = 4
+signature = 1
+charge = 0.3
+seed = 1
+suites = finsler-identities, finsler-curvature
+[profile]
+kind = rational
+c_coeffs = 0.8, -3.0
+m_coeffs = 1.0, 0.2
+[samples]
+fibers = 100
+"""
+# Two curvature-xcheck checks whose operands grow like 1/c^2 near c = 0.  Like
+# every closed-form check, they are judged on max(1, max|operand|) per sample
+# (tensors.gap).
 RESCALED_CHECKS = ("antisymmetry_first_pair_lowered", "ricci_decomposition_consistency")
 
 
@@ -242,14 +260,26 @@ class TestVerdicts:
     def test_c_to_zero_curvature_passes(self):
         """Near c = 0 the curvature grows like 1/c^2 (its lowered form and the
         Ricci tensor reach about 1e11), and the absolute residuals of two
-        closed-vs-closed checks read 7.6e-6 and 3.1e-5 at roundoff; divided
-        by max(1, max|operand|) they read about 1e-15, and the run exits 0."""
+        closed-vs-closed checks read 7.6e-6 and 3.1e-5 at roundoff; judged on
+        max(1, max|operand|) they read about 1e-15, and the run exits 0."""
         report = suites.run(parse_scenario(C_TO_ZERO))
         assert report.exit_code == 0
         (curvature,) = [s for s in report.suites if s.name == "curvature-xcheck"]
         checks = {c.name: c for c in curvature.checks}
         for name in RESCALED_CHECKS:
             assert checks[name].n_samples == 25 and checks[name].residual_max < 1e-14, name
+
+    def test_charged_c_to_zero_passes(self):
+        """Near c = 0 the absolute residuals of euler_identity and
+        bundle_y_contraction read 6.0e-8 and 6.1e-5 at roundoff, on operands
+        up to 4.8e8 and 3.6e11; judged on their operands' scale they read
+        about 1e-15, and the run exits 0 with default tolerances."""
+        report = suites.run(parse_scenario(CHARGED_C_TO_ZERO))
+        assert report.exit_code == 0, report.human_summary()
+        (curvature,) = [s for s in report.suites if s.name == "finsler-curvature"]
+        checks = {c.name: c for c in curvature.checks}
+        for name in ("euler_identity", "bundle_y_contraction"):
+            assert checks[name].n_samples == 100 and checks[name].residual_max < 1e-14, name
 
 
 
@@ -278,4 +308,46 @@ def test_a_scaled_curvature_pair_fails_the_rescaled_checks(pair, scenario_name, 
     result, _ = suites.suite_curvature_xcheck(scenario)
     checks = {c.name: c for c in result.checks}
     for name in RESCALED_CHECKS:
+        assert not checks[name].passed, (name, checks[name].residual_max)
+
+
+def _charged_scenario(name, tmp_path):
+    """The three charged runs the spray mutations are judged on: the N = 4
+    fiber_charged file at seed 1, the paper's shape and the charged c -> 0 run."""
+    if name == "fiber_charged":
+        return _bench_scenario(tmp_path, "fiber_charged", 0)
+    return parse_scenario(PAPER_SHAPE if name == "paper_shape" else CHARGED_C_TO_ZERO)
+
+
+CHARGED_RUNS = ["fiber_charged", "paper_shape", "charged_c_to_zero"]
+
+
+@pytest.mark.parametrize("scenario_name", CHARGED_RUNS)
+@pytest.mark.parametrize("term", ["nabla_b_dot", "spray_y_second"])
+def test_a_scaled_spray_term_fails_finsler_curvature(term, scenario_name, tmp_path, monkeypatch):
+    """Mutation check: s_k = y^h nabla_k b_h as kinematics reads it, or the
+    closed G^i_km, scaled by (1 + 1e-6) fails a finsler-curvature check.
+    Judged absolutely against the finite_difference class, the N = 4
+    fiber_charged file passed both (1.3e-7 and 5.5e-7)."""
+    original = getattr(finsler, term)
+    monkeypatch.setattr(finsler, term, lambda *args: original(*args) * (1 + 1e-6))
+    result, _ = suites.suite_finsler_curvature(_charged_scenario(scenario_name, tmp_path))
+    assert result.status == "fail", [(c.name, c.residual_max) for c in result.checks]
+
+
+@pytest.mark.parametrize("scenario_name", CHARGED_RUNS)
+def test_a_scaled_christoffel_term_of_the_first_derivative_fails_three_checks(
+    scenario_name, tmp_path, monkeypatch
+):
+    """Mutation check: G^i_k's 2 a^i_km y^m term scaled by (1 + 1e-6) fails
+    euler_identity, spray_first_derivative_gap and bundle_y_contraction."""
+    original = finsler._first_derivative
+
+    def mutated(state, gamma_y):
+        return original(state, gamma_y) + 2e-6 * gamma_y  # 2 a^i_km y^m (1 + 1e-6)
+
+    monkeypatch.setattr(finsler, "_first_derivative", mutated)
+    result, _ = suites.suite_finsler_curvature(_charged_scenario(scenario_name, tmp_path))
+    checks = {c.name: c for c in result.checks}
+    for name in ("euler_identity", "spray_first_derivative_gap", "bundle_y_contraction"):
         assert not checks[name].passed, (name, checks[name].residual_max)

@@ -239,3 +239,50 @@ class TestPlanned:
         assert c.tolerance is None and c.tolerance_class is None and c.passed
         (tight,) = _planned(rows, plan[1:2], {"algebraic": 1e-11})
         assert tight.tolerance == pytest.approx(1e-10) and not tight.passed
+
+
+class TestGap:
+    """tensors.gap, the one residual rule: max|lhs - rhs| per sample over
+    max(1, scale, max|lhs|, max|rhs|)."""
+
+    def test_operands_within_one_read_the_absolute_residual(self, rng):
+        lhs = rng.uniform(-1.0, 1.0, (5, 3, 3))
+        rhs = lhs + rng.uniform(-1e-12, 1e-12, lhs.shape)
+        want = tensors.max_abs(lhs - rhs, 2)
+        assert np.array_equal(tensors.gap(lhs, rhs, 2), want)
+
+    def test_large_operands_divide(self):
+        lhs = np.array([[3e8, 1.0], [0.5, 0.25]])
+        rhs = np.array([[3e8 + 64.0, 1.0], [0.5, 0.25 + 1e-3]])
+        got = tensors.gap(lhs, rhs, 1)
+        assert got[0] == 64.0 / (3e8 + 64.0)
+        assert got[1] == tensors.max_abs(lhs[1] - rhs[1])
+
+    def test_scale_raises_the_divisor_and_never_lowers_it_below_one(self):
+        lhs, rhs = np.array([[0.5, 0.0]]), np.array([[0.25, 0.0]])
+        assert tensors.gap(lhs, rhs, 1, scale=1e4).tolist() == [0.25 / 1e4]
+        assert tensors.gap(lhs, rhs, 1, scale=1e-3).tolist() == [0.25]
+        per_sample = tensors.gap(np.vstack([lhs, lhs]), 0.0, 1, np.array([4.0, 0.5]))
+        assert per_sample.tolist() == [0.125, 0.5]
+
+    def test_scalar_rhs_broadcasts(self, rng):
+        lhs = rng.normal(size=(4, 3)) * np.array([[1e-3], [1.0], [1e2], [1e6]])
+        got = tensors.gap(lhs, 0.0, 1)
+        size = np.maximum(1.0, tensors.max_abs(lhs, 1))
+        assert np.array_equal(got, tensors.max_abs(lhs, 1) / size)
+        assert got[0] == tensors.max_abs(lhs[0])
+        assert np.array_equal(tensors.gap(np.eye(3)[None] * 2.0, np.eye(3), 2), [1.0 / 2.0])
+
+    def test_zero_component_axes_compare_scalars_per_sample(self):
+        lhs, rhs = np.array([0.5, 3e6, -2.0]), np.array([0.5 + 2**-40, 3e6 + 1.0, -2.5])
+        got = tensors.gap(lhs, rhs, 0)
+        assert got.tolist() == [2**-40, 1.0 / (3e6 + 1.0), 0.5 / 2.5]
+
+    def test_a_stacked_row_equals_its_point_alone(self, rng):
+        """Per-sample reductions: a sample's reading does not depend on the
+        other samples of the stack, bit for bit."""
+        lhs = rng.normal(size=(6, 4, 4)) * np.logspace(-2, 8, 6)[:, None, None]
+        rhs = lhs * (1.0 + rng.uniform(-1e-15, 1e-15, lhs.shape))
+        stacked = tensors.gap(lhs, rhs, 2, scale=np.arange(6.0))
+        for i in range(6):
+            assert tensors.gap(lhs[i], rhs[i], 2, scale=float(i)) == stacked[i]

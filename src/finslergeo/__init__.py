@@ -21,7 +21,6 @@ from .riemann import (
     curvature_fd_oracle,
     curvature_presubstitution,
     nabla_b,
-    nabla_b_definitional,
     nabla_b_dot,
     ricci_closed,
     ricci_from_curvature,

@@ -215,8 +215,8 @@ def _spray_and_first(
 
 
 def _spray_stack(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
-    """G^i followed by G^i_k row-major: the one field each complex step
-    differentiates."""
+    """G^i followed by G^i_k row-major: the field of hh_curvature's complex
+    x-step, which needs both."""
     g, g_first, _ = _spray_and_first(metric, y, charge)
     return np.concatenate([g, g_first.reshape(g_first.shape[:-2] + (-1,))], axis=-1)
 
@@ -280,9 +280,9 @@ def spray_y_second(state: FinsleroidState) -> np.ndarray:
 @dataclass(frozen=True)
 class SprayDerivatives:
     """The closed spray at (x, y) with its first and second y-derivatives,
-    their numeric differentiations, and the disagreements (tensors.gap, one
-    per sample over a batch).  It carries the point, so the hh-curvature bundle is
-    assembled from it."""
+    the numeric first derivative and its disagreement with the closed one
+    (tensors.gap, one per sample over a batch).  It carries the point, so
+    the hh-curvature bundle is assembled from it."""
 
     metric: MetricState
     y: np.ndarray
@@ -291,9 +291,7 @@ class SprayDerivatives:
     first_closed: np.ndarray
     first_numeric: np.ndarray
     second_closed: np.ndarray
-    second_numeric: np.ndarray
     first_gap: float | np.ndarray
-    second_gap: float | np.ndarray
 
 
 def spray_derivatives(
@@ -301,24 +299,20 @@ def spray_derivatives(
     y: np.ndarray,
     charge: float,
 ) -> SprayDerivatives:
-    """Both derivative routes at (x, y), or at each sample of a batch: a
-    metric over B points with fiber vectors y (B, N).
+    """Both first-derivative routes at (x, y), or at each sample of a batch:
+    a metric over B points with fiber vectors y (B, N).
 
     The closed G^i, G^i_k and G^i_km come from one kinematics evaluation.
-    The first numeric derivative differentiates the spray itself; the
-    second differentiates the independently verified closed first
-    derivative, so each numeric derivative is a first one, by complex step.
+    The numeric G^i_k is one complex y-step of the spray G^i alone, each
+    sample's metric broadcast over its rows; fd_partials puts the
+    derivative index first, so it moves last.
     """
     y = np.asarray(y, dtype=float)
-    n = y.shape[-1]
     spray, first_closed, state = _spray_and_first(metric, y, charge)
     second_closed = 2.0 * metric.gamma if state is None else spray_y_second(state)
-    # One complex step over [G^i, G^i_k], each sample's metric broadcast
-    # over its rows; fd_partials puts the derivative index before the
-    # components, so it moves last for G^i_k and G^i_km.
-    d_stack = fd_partials(lambda ys: _spray_stack(metric, ys, charge), y)
-    first_numeric = np.swapaxes(d_stack[..., :n], -1, -2)
-    second_numeric = np.moveaxis(d_stack[..., n:].reshape(y.shape[:-1] + (n, n, n)), -3, -1)
+    first_numeric = np.swapaxes(
+        fd_partials(lambda ys: spray_coefficients(metric, ys, charge), y), -1, -2
+    )
     return SprayDerivatives(
         metric=metric,
         y=y,
@@ -327,9 +321,7 @@ def spray_derivatives(
         first_closed=first_closed,
         first_numeric=first_numeric,
         second_closed=second_closed,
-        second_numeric=second_numeric,
         first_gap=gap(first_closed, first_numeric, 2),
-        second_gap=gap(second_closed, second_numeric, 3),
     )
 
 

@@ -7,9 +7,10 @@ block u_ij with e_ij = e_i e_j + eps u_ij.  The metric family is
 
 with r = sqrt(u_ij x^i x^j).  Every derived object (the covariant
 derivative of b, Christoffel symbols, Riemann and Ricci curvature) has a closed
-form assembled here, each paired with a complex-step oracle built from
-nothing but the definition.  Each takes a state at one point or at a batch
-of points (leading sample axes) and returns one result per sample.
+form assembled here; the Christoffel symbols and the curvature are each
+paired with a complex-step oracle built from nothing but the definition.
+Each takes a state at one point or at a batch of points (leading sample
+axes) and returns one result per sample.
 """
 
 from __future__ import annotations
@@ -109,17 +110,6 @@ class Frame:
     def standard(n_dim: int, epsilon: int = -1) -> "Frame":
         """e = (1, 0, ...), u = diag(0, 1, ..., 1); one shared frame per (n_dim, epsilon)."""
         return _standard_frame(n_dim, epsilon)
-
-    def transformed(self, lin: np.ndarray) -> "Frame":
-        """The same frame expressed in the chart x_new = lin @ x_old."""
-        lin = np.asarray(lin, dtype=float)
-        lin_inv = np.linalg.inv(lin)
-        return Frame(
-            self.n_dim,
-            self.epsilon,
-            self.e_low @ lin_inv,
-            lin_inv.T @ self.u_low @ lin_inv,
-        )
 
     def radius(self, x: np.ndarray) -> float | np.ndarray:
         """r = sqrt(u_ij x^i x^j) for a point or, each row as alone, a stack of
@@ -245,18 +235,6 @@ def nabla_b_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
     as in christoffel_dot (a batch metric against rows of fiber vectors)."""
     ci, b = state.dc_low, state.b_low
     return (ci * dot(b, y)[..., None] + b * dot(ci, y)[..., None]) / state.c[..., None]
-
-
-def nabla_b_definitional(state: MetricState) -> np.ndarray:
-    """Oracle: nabla_i b_j = d b_j / d x^i - b_n Gamma^n_ij with
-    complex-step partials and definitional Christoffel symbols."""
-
-    def b_field(pts: np.ndarray) -> np.ndarray:
-        return build_metric(state.frame, state.profiles, pts).b_low
-
-    db = fd_partials(b_field, state.x)  # [i, j] = d_i b_j
-    gamma = christoffel_definitional(state)
-    return db - np.einsum("...n,...nij->...ij", state.b_low, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -384,9 +384,10 @@ def suite_finsler_curvature(scenario: Scenario):
             out["riemann_limit"] = rel_frobenius(curvature, curvature_dot(state, y), 2)
         return out
 
-    # The spray derivatives hold two N x N complex arrays (4N^2 floats) at
-    # each of a sample's N complex rows; riemann_limit contracts the closed
-    # curvature with y, so no sample holds an N^4 array at either charge.
+    # hh_curvature's x-step holds two N x N complex arrays (4N^2 floats) at
+    # each of a sample's N complex rows, and the y-step G^i alone;
+    # riemann_limit contracts the closed curvature with y, so no sample
+    # holds an N^4 array at either charge.
     rows = _per_sample(scenario.n_fibers, 4 * scenario.n_dim**3, evaluate)
     check_plan = [
         ("spray_homogeneity", "exact", 1.0),

@@ -26,24 +26,6 @@ class StencilError(RuntimeError):
     """A complex-step derivative produced a non-finite evaluation."""
 
 
-def transform_components(components: np.ndarray, variance: str, lin: np.ndarray) -> np.ndarray:
-    """Push tensor components to the chart x_new = lin @ x_old.
-
-    ``variance`` holds one tag per axis, "u" (contravariant) or "d"
-    (covariant).  Contravariant axes transform with ``lin``, covariant
-    axes with its inverse transpose; used by the chart-covariance tests.
-    """
-    comp = np.asarray(components, dtype=float)
-    lin = np.asarray(lin, dtype=float)
-    lin_inv = np.linalg.inv(lin)
-    for axis, ch in enumerate(variance):
-        if ch == "u":
-            comp = np.moveaxis(np.tensordot(lin, comp, axes=(1, axis)), 0, axis)
-        else:
-            comp = np.moveaxis(np.tensordot(comp, lin_inv, axes=(axis, 0)), -1, axis)
-    return comp
-
-
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Outer product over the last axis, broadcast over leading (point) axes."""
     return a[..., :, None] * b[..., None, :]
@@ -114,7 +96,7 @@ def fd_partials(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
 # floats its complex rows hold per sample: 2N^4 where a sample holds N^4
 # curvature arrays (each of the curvature FD oracle's N complex rows holds
 # an N^3 complex Christoffel array), 4N^3 where each of a sample's N
-# complex rows holds two N x N complex arrays (the spray derivatives), and
+# complex rows holds two N x N complex arrays (hh_curvature's x-step), and
 # 10N^2 where each row holds five complex N-vectors (the fiber identities'
 # y-step).  A chunk takes as many samples as keep F per sample within this
 # many floats (512 KiB): at N = 8, 8 samples at 2N^4, 32 at 4N^3 and 102

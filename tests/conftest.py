@@ -16,7 +16,7 @@ from finslergeo import (
     christoffel_definitional,
     fd_partials,
 )
-from finslergeo.finsler import _first_derivative
+from finslergeo.finsler import _first_derivative, _spray_and_first
 from finslergeo.riemann import _gamma_products, christoffel_dot
 from finslergeo.tensors import matvec, outer
 
@@ -119,6 +119,43 @@ def nabla_c_definitional(state):
     return dc - np.einsum("...n,...nij->...ij", state.dc_low, gamma)
 
 
+def nabla_b_definitional(state):
+    """Oracle: nabla_i b_j = d b_j / d x^i - b_n Gamma^n_ij, all by complex step."""
+
+    def b_field(pts):
+        return build_metric(state.frame, state.profiles, pts).b_low
+
+    db = fd_partials(b_field, state.x)  # [i, j] = d_i b_j
+    gamma = christoffel_definitional(state)
+    return db - np.einsum("...n,...nij->...ij", state.b_low, gamma)
+
+
+def in_chart(frame, lin):
+    """The same frame expressed in the chart x_new = lin @ x_old."""
+    lin = np.asarray(lin, dtype=float)
+    lin_inv = np.linalg.inv(lin)
+    u_low = lin_inv.T @ frame.u_low @ lin_inv
+    return Frame(frame.n_dim, frame.epsilon, frame.e_low @ lin_inv, u_low)
+
+
+def transform_components(components, variance, lin):
+    """Push tensor components to the chart x_new = lin @ x_old.
+
+    ``variance`` holds one tag per axis, "u" (contravariant) or "d"
+    (covariant).  Contravariant axes transform with ``lin``, covariant
+    axes with its inverse transpose.
+    """
+    comp = np.asarray(components, dtype=float)
+    lin = np.asarray(lin, dtype=float)
+    lin_inv = np.linalg.inv(lin)
+    for axis, ch in enumerate(variance):
+        if ch == "u":
+            comp = np.moveaxis(np.tensordot(lin, comp, axes=(1, axis)), 0, axis)
+        else:
+            comp = np.moveaxis(np.tensordot(comp, lin_inv, axes=(axis, 0)), -1, axis)
+    return comp
+
+
 def riemann_spray(metric, y):
     """The geodesic spray of the underlying metric: a^i_km y^k y^m."""
     return matvec(christoffel_dot(metric, y), y)
@@ -127,6 +164,13 @@ def riemann_spray(metric, y):
 def spray_y_derivative(state):
     """The closed first y-derivative G^i_k of a FinsleroidState's spray."""
     return _first_derivative(state, christoffel_dot(state.metric, state.y))
+
+
+def spray_second_numeric(metric, y, charge):
+    """The numeric second y-derivative G^i_km, axes [i, k, m]: one complex
+    y-step of the closed G^i_k, whose derivative index moves last."""
+    d = fd_partials(lambda ys: _spray_and_first(metric, ys, charge)[1], y)
+    return np.moveaxis(d, -3, -1)
 
 
 def reference_fd_oracle(state):

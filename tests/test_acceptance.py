@@ -21,7 +21,6 @@ from finslergeo import (
     kinematic_identity_residuals,
     kinematics,
     nabla_b,
-    nabla_b_definitional,
     parse_scenario,
     reduced_curvature,
     ricci_closed,
@@ -34,7 +33,7 @@ from finslergeo.cli import main
 from finslergeo.suites import suite_vacuum
 from finslergeo.tensors import max_abs, rel_frobenius
 
-from conftest import nabla_c, nabla_c_definitional, sample_point
+from conftest import nabla_b_definitional, nabla_c, nabla_c_definitional, sample_point
 
 RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
 

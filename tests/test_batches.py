@@ -33,7 +33,6 @@ from finslergeo import (
     kinematic_identity_residuals,
     kinematics,
     nabla_b,
-    nabla_b_definitional,
     nabla_b_dot,
     parse_scenario,
     reduced_curvature,
@@ -60,7 +59,14 @@ from finslergeo.suites import (
 from finslergeo.tensors import max_abs
 from finslergeo.vacuum import reduced_prefactor
 
-from conftest import nabla_c, nabla_c_definitional, sample_point
+from conftest import (
+    in_chart,
+    nabla_b_definitional,
+    nabla_c,
+    nabla_c_definitional,
+    sample_point,
+    spray_second_numeric,
+)
 
 # name -> (profile, signature, charge): the Finsleroid convention follows the
 # signature, so Schwarzschild runs the pseudo-Finsleroid (q^2 = b^2 - S^2)
@@ -78,7 +84,7 @@ ROTATION = np.array(
 
 def _frame(signature: int, rotated: bool) -> tuple[Frame, np.ndarray]:
     lin = ROTATION if rotated else np.eye(4)
-    return Frame.standard(4, signature).transformed(lin), lin
+    return in_chart(Frame.standard(4, signature), lin), lin
 
 
 def _samples(rng, name, rotated, count=5):
@@ -237,8 +243,12 @@ class TestClosedFormsBatch:
             singles = [spray_derivatives(m, yy, g) for m, yy, _ in samples]
             for field in ("spray", "first_closed", "second_closed"):
                 _agree(getattr(derivs, field), [getattr(s, field) for s in singles], CLOSED)
-            for field in ("first_numeric", "second_numeric"):
-                _agree(getattr(derivs, field), [getattr(s, field) for s in singles], FD)
+            _agree(derivs.first_numeric, [s.first_numeric for s in singles], FD)
+            _agree(
+                spray_second_numeric(metric, y, g),
+                [spray_second_numeric(m, yy, g) for m, yy, _ in samples],
+                FD,
+            )
             _agree(hh_curvature(derivs), [hh_curvature(s) for s in singles], FD)
 
         fib = kinematics(metric, y, charge)
@@ -292,7 +302,7 @@ def test_stack_rows_equal_single_points_bit_for_bit(n_dim, signature):
     rng = np.random.default_rng([n_dim, signature + 1])
     q, _ = np.linalg.qr(rng.normal(size=(n_dim, n_dim)))
     lin = np.diag(rng.uniform(0.5, 2.0, size=n_dim)) @ q
-    frame = Frame.standard(n_dim, signature).transformed(lin)
+    frame = in_chart(Frame.standard(n_dim, signature), lin)
     pair = PROFILES["pd_rational" if signature == 1 else "schwarzschild"][0]
     xs = np.stack([lin @ sample_point(rng, n_dim, 0.8, 4.0) for _ in range(7)])
     stack = build_metric(frame, pair, xs)
@@ -311,7 +321,7 @@ class TestChristoffelKernel:
         lin = np.eye(n_dim)
         if transformed:
             lin = lin + 0.2 * rng.normal(size=(n_dim, n_dim))
-        frame = Frame.standard(n_dim, signature).transformed(lin)
+        frame = in_chart(Frame.standard(n_dim, signature), lin)
         xs = np.stack([lin @ sample_point(rng, n_dim, 0.8, 4.0) for _ in range(count)])
         ys = rng.normal(size=(count, n_dim)) @ lin.T
         return frame, pair, xs, ys
@@ -438,11 +448,12 @@ class TestConeEdgeInBatch:
         matches the numeric one to roundoff."""
         batch, ys, charge, metric = self._batch(nu_at_edge)
         got = spray_derivatives(batch, ys, charge)
+        got_second = spray_second_numeric(batch, ys, charge)
         for row, y in enumerate(ys):
-            want = spray_derivatives(metric, y, charge)
-            for field in ("first_numeric", "second_numeric"):
-                value = getattr(want, field)
-                assert max_abs(getattr(got, field)[row] - value) <= FD * max_abs(value)
+            want = spray_derivatives(metric, y, charge).first_numeric
+            assert max_abs(got.first_numeric[row] - want) <= FD * max_abs(want)
+            want = spray_second_numeric(metric, y, charge)
+            assert max_abs(got_second[row] - want) <= FD * max_abs(want)
         assert np.all(got.first_gap <= 1e-13 * max_abs(got.first_closed, 2))
         assert np.all(np.isfinite(hh_curvature(got)))
 
@@ -729,6 +740,24 @@ def test_spray_stencil_rows_compute_only_what_the_spray_reads(monkeypatch):
     assert kinds == {"MetricState", "FinsleroidState"}
     for state in built:
         assert not {"r_low", "eta", "sigma", "a_up", "nb", "gamma"} & vars(state).keys()
+
+
+def test_spray_y_rows_compute_only_the_spray(monkeypatch):
+    """On a charged N = 8 batch, spray_derivatives' complex y-step
+    differentiates G^i alone: the closed G^i_k is built once, at the real
+    fibers, and never at a complex row."""
+    fibers = _charged_fibers(4)
+    received = []
+    first_derivative = finsler._first_derivative
+
+    def recorded(state, gamma_y):
+        received.append((state.y, gamma_y))
+        return first_derivative(state, gamma_y)
+
+    monkeypatch.setattr(finsler, "_first_derivative", recorded)
+    spray_derivatives(fibers.metric, fibers.y, fibers.charge)
+    assert len(received) == 1
+    assert not any(np.iscomplexobj(arr) for arr in received[0])
 
 
 @pytest.mark.parametrize(

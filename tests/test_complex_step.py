@@ -171,8 +171,8 @@ def _central(f, x):
 def _oracles(scenario) -> dict:
     """Every numeric oracle that a check of the scenario's suites reads, on
     the samples those suites draw: name -> (value, per-sample residual
-    function, tolerance).  The numeric second y-derivative is left out:
-    no check reads it."""
+    function, tolerance).  No check reads a numeric second y-derivative,
+    so the engine computes none and none is compared here."""
     out = {}
     run = set(scenario.suites)
     frame = Frame.standard(scenario.n_dim, scenario.epsilon)

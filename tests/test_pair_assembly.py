@@ -20,7 +20,7 @@ from finslergeo import riemann, vacuum
 from finslergeo.riemann import _gamma_products, _pair_sum, combo_scalars
 from finslergeo.tensors import matvec, max_abs, outer
 
-from conftest import sample_point
+from conftest import in_chart, sample_point
 
 TOL = 1e-13
 SCHWARZSCHILD = ProfilePair.schwarzschild_isotropic(1.0)
@@ -167,7 +167,7 @@ def general_chart(rng, n_dim, signature):
     on +1) and five fiber vectors."""
     q, _ = np.linalg.qr(rng.normal(size=(n_dim, n_dim)))
     lin = rng.uniform(0.5, 2.0, size=n_dim)[:, None] * q
-    frame = Frame.standard(n_dim, signature).transformed(lin)
+    frame = in_chart(Frame.standard(n_dim, signature), lin)
     profiles = SCHWARZSCHILD if signature == -1 else PD_RATIONAL
     xs = np.stack([lin @ sample_point(rng, n_dim, 1.0, 4.0) for _ in range(5)])
     state = build_metric(frame, profiles, xs)

@@ -17,13 +17,19 @@ from finslergeo import (
     curvature_fd_oracle,
     curvature_presubstitution,
     nabla_b,
-    nabla_b_definitional,
     ricci_closed,
     ricci_from_curvature,
 )
-from finslergeo.tensors import max_abs, rel_frobenius, transform_components
+from finslergeo.tensors import max_abs, rel_frobenius
 
-from conftest import nabla_c, nabla_c_definitional, sample_point
+from conftest import (
+    in_chart,
+    nabla_b_definitional,
+    nabla_c,
+    nabla_c_definitional,
+    sample_point,
+    transform_components,
+)
 
 
 def spatial_rotation(rng, n_dim):
@@ -46,7 +52,7 @@ class TestFrame:
             )
 
     def test_transformed_frame_keeps_identities(self, rng):
-        frame = Frame.standard(4, -1).transformed(spatial_rotation(rng, 4))
+        frame = in_chart(Frame.standard(4, -1), spatial_rotation(rng, 4))
         assert frame.e_low @ frame.e_up == pytest.approx(1.0, abs=1e-12)
         assert max_abs(frame.e_up @ frame.u_low) < 1e-12
 
@@ -64,7 +70,7 @@ class TestFrame:
     def test_frame_arrays_are_read_only(self, name, rng):
         """A validated frame cannot be changed through its arrays, in the
         standard chart or a transformed one."""
-        for frame in (Frame.standard(4, -1), Frame.standard(4, 1).transformed(rng.normal(size=(4, 4)))):
+        for frame in (Frame.standard(4, -1), in_chart(Frame.standard(4, 1), rng.normal(size=(4, 4)))):
             arr = getattr(frame, name)
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 2.0
@@ -83,7 +89,7 @@ class TestFrame:
         arrays (which raised ValueError), and the shared standard frame
         equals itself; a frame can key a dict."""
         standard = Frame.standard(4)
-        assert (standard == standard.transformed(np.eye(4))) is False
+        assert (standard == in_chart(standard, np.eye(4))) is False
         assert standard == Frame.standard(4)
         assert {standard: 1}[Frame.standard(4)] == 1
 
@@ -132,7 +138,7 @@ class TestMetricAssembly:
         )
         frame = Frame.standard(4, 1)
         if rotated:
-            frame = frame.transformed(spatial_rotation(rng, 4))
+            frame = in_chart(frame, spatial_rotation(rng, 4))
         pts = np.array([sample_point(rng, 4, 0.5, 5.0) for _ in range(6)])
         stack = build_metric(frame, pair, pts)
         for row, pt in enumerate(pts):
@@ -312,7 +318,7 @@ class TestCurvature:
         equals pushing the standard-chart tensors through the rotation."""
         rot = spatial_rotation(rng, 4)
         frame_std = Frame.standard(4, -1)
-        frame_rot = frame_std.transformed(rot)
+        frame_rot = in_chart(frame_std, rot)
         x = sample_point(rng, 4, 0.6, 4.0)
         state_std = build_metric(frame_std, schwarzschild, x)
         state_rot = build_metric(frame_rot, schwarzschild, rot @ x)

@@ -1,6 +1,6 @@
 """Exact oracles from sympy at a rational point with a rational radius:
 the Christoffel symbols against christoffel, nabla b against nabla_b and
-nabla_b_definitional, the Riemann tensor of the family against
+conftest.nabla_b_definitional, the Riemann tensor of the family against
 curvature_closed and curvature_fd_oracle, its trace against ricci_closed
 (N = 4, and N = 5 where Schwarzschild is not Ricci-flat), and the
 Finsleroid spray with its y-derivatives against spray_derivatives, in both
@@ -31,11 +31,12 @@ from finslergeo import (
     curvature_closed,
     curvature_fd_oracle,
     nabla_b,
-    nabla_b_definitional,
     ricci_closed,
     spray_derivatives,
 )
 from finslergeo.tensors import max_abs
+
+from conftest import in_chart, nabla_b_definitional
 
 sp = pytest.importorskip("sympy")
 
@@ -174,7 +175,7 @@ def chart_state(name, chart, point=None):
     _, pair, signature, default = PROFILES[name]
     point = point or default
     lin = np.array(chart, dtype=float)
-    frame = Frame.standard(len(point), signature).transformed(lin)
+    frame = in_chart(Frame.standard(len(point), signature), lin)
     return build_metric(frame, pair, lin @ np.array(point, dtype=float))
 
 

@@ -18,9 +18,9 @@ from finslergeo import (
 )
 from finslergeo import tensors
 from finslergeo.report import _planned
-from finslergeo.tensors import TOLERANCE_CLASSES, transform_components
+from finslergeo.tensors import TOLERANCE_CLASSES
 
-from conftest import fd_scalar, sample_point
+from conftest import fd_scalar, in_chart, sample_point, transform_components
 
 
 class TestTensorBasics:
@@ -34,7 +34,7 @@ class TestTensorBasics:
     def test_transverse_contraction_from_explicit_frame(self, rng):
         """u^ij u_jn = delta^i_n - e^i e_n, checked componentwise in a rotated chart."""
         rot = _spatial_rotation(rng, 4)
-        frame = Frame.standard(4, epsilon=1).transformed(rot)
+        frame = in_chart(Frame.standard(4, epsilon=1), rot)
         got = np.einsum("ij,jn->in", frame.u_up, frame.u_low)
         want = np.eye(4) - np.outer(frame.e_up, frame.e_low)
         np.testing.assert_allclose(got, want, atol=1e-12)

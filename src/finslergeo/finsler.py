@@ -24,8 +24,11 @@ part), and the hh-curvature bundle K^2 R^i_k is assembled from
 
     2 dGbar^i/dx^k - Gbar^i_j Gbar^j_k - y^j dGbar^i_k/dx^j + 2 Gbar^j Gbar^i_kj
 
-with Gbar = G/2.  The fundamental Finsler function itself is never needed:
-only the combination K^2 R^i_k is exposed.
+with Gbar = G/2.  Each term is taken in the form it is read: dG^i/dx^k
+on N coordinate rows of G^i alone, y^j dG^i_k/dx^j on one complex row
+along y, and G^i_kj G^j by contracting the closed G^i_km with the spray,
+so no N^3 array is built per fiber.  The fundamental Finsler function
+itself is never needed: only the combination K^2 R^i_k is exposed.
 """
 
 from __future__ import annotations
@@ -35,7 +38,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .riemann import MetricState, build_metric, christoffel_dot, nabla_b_dot
+from .riemann import (
+    MetricState,
+    build_metric,
+    christoffel_dot,
+    christoffel_quadratic,
+    nabla_b_dot,
+)
 from .tensors import dot, fd_partials, gap, matvec, outer
 
 
@@ -190,35 +199,29 @@ def kinematics(metric: MetricState, y: np.ndarray, charge: float) -> FinsleroidS
 
 def _spray(
     metric: MetricState, y: np.ndarray, charge: float
-) -> tuple[np.ndarray, np.ndarray, FinsleroidState | None]:
-    """The spray G^i, gamma_y = a^i_km y^m and the kinematics state they
-    came from; at charge 0 the spray is geodesic, needs no admissible cone,
-    and the state is None."""
+) -> tuple[np.ndarray, FinsleroidState | None]:
+    """The spray G^i and the kinematics state it came from; at charge 0 the
+    spray is geodesic, needs no admissible cone, and the state is None.  The
+    geodesic part a^i_km y^k y^m is christoffel_quadratic's, so a row of the
+    spray builds no N x N array of its own."""
     y = np.asarray(y)
-    gamma_y = christoffel_dot(metric, y)
-    base = matvec(gamma_y, y)
+    base = christoffel_quadratic(metric, y)
     if charge == 0.0:
-        return base, gamma_y, None
+        return base, None
     state = kinematics(metric, y, charge)
     weight = (state.charge / state.nu) * state.ys
-    return weight[..., None] * state.v_up + base, gamma_y, state
+    return weight[..., None] * state.v_up + base, state
 
 
 def _spray_and_first(
     metric: MetricState, y: np.ndarray, charge: float
 ) -> tuple[np.ndarray, np.ndarray, FinsleroidState | None]:
-    """_spray with the closed y-derivative G^i_k in place of gamma_y (one
-    evaluation, one a^i_km y^m); at charge 0 it is 2 gamma_y."""
-    g, gamma_y, state = _spray(metric, y, charge)
+    """_spray with the closed y-derivative G^i_k from the same kinematics
+    evaluation; at charge 0 it is 2 a^i_km y^m."""
+    g, state = _spray(metric, y, charge)
+    gamma_y = christoffel_dot(metric, y)
     first = 2.0 * gamma_y if state is None else _first_derivative(state, gamma_y)
     return g, first, state
-
-
-def _spray_stack(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
-    """G^i followed by G^i_k row-major: the field of hh_curvature's complex
-    x-step, which needs both."""
-    g, g_first, _ = _spray_and_first(metric, y, charge)
-    return np.concatenate([g, g_first.reshape(g_first.shape[:-2] + (-1,))], axis=-1)
 
 
 def spray_coefficients(metric: MetricState, y: np.ndarray, charge: float) -> np.ndarray:
@@ -248,11 +251,14 @@ def _first_derivative(state: FinsleroidState, gamma_y: np.ndarray) -> np.ndarray
     return out
 
 
-def spray_y_second(state: FinsleroidState) -> np.ndarray:
-    """Closed second y-derivative, axes [i, k, m]:
+def spray_y_second(state: FinsleroidState, w: np.ndarray) -> np.ndarray:
+    """The closed second y-derivative contracted with a vector w, G^i_km w^m,
+    axes [i, k], in O(N^2) per point without building G^i_km:
 
-    G^i_km = v^i dY_k/dy^m + r^i_k Y_m + r^i_m Y_k + 2 a^i_km
-           = v^i D_km + P^i_k Y_m + P^i_m Y_k + 2 a^i_km
+    G^i_km w^m = v^i (D w)_k + P^i_k (Y.w) + (P w)^i Y_k + 2 a^i_km w^m
+
+    from G^i_km = v^i dY_k/dy^m + r^i_k Y_m + r^i_m Y_k + 2 a^i_km
+                = v^i D_km + P^i_k Y_m + P^i_m Y_k + 2 a^i_km,
 
     with Y_k from _weight_gradient, dv^i/dy^m = r^i_m, and
 
@@ -261,28 +267,33 @@ def spray_y_second(state: FinsleroidState) -> np.ndarray:
     P^i_k = r^i_k - v^i nu_k / nu.
 
     The eta term is d(nu_k)/dy^m = eps eta_km / q, with the convention
-    sign eps = metric.frame.epsilon.  Exact under the symmetry of nabla b
-    and constant charge (confirmed against the numeric second derivative
-    and the exact symbolic one in the tests).
+    sign eps = metric.frame.epsilon; nabla b is the metric's own (nb), not
+    the s_k that kinematics contracted.  w is one vector per sample of the
+    state.  At charge 0 the contraction is 2 christoffel_dot(metric, w).
+    Exact under the symmetry of nabla b and constant charge (confirmed
+    against the numeric second derivative and the exact symbolic one in the
+    tests).
     """
-    g, eps = state.charge, state.metric.frame.epsilon
-    nu, q, ys = (v[..., None, None] for v in (state.nu, state.q, state.ys))
-    d = (2.0 * g / nu) * state.metric.nb - (eps * g / (nu**2 * q)) * ys * state.eta
-    p = state.r_mix - outer(state.v_up, state.nu_low) / nu
-    p_y = p[..., :, :, None] * _weight_gradient(state)[..., None, None, :]  # P^i_k Y_m
-    out = state.v_up[..., :, None, None] * d[..., None, :, :]
-    out += p_y
-    out += np.swapaxes(p_y, -1, -2)
-    out += 2.0 * state.metric.gamma
+    ms, g, eps = state.metric, state.charge, state.metric.frame.epsilon
+    nu, q, ys = (v[..., None] for v in (state.nu, state.q, state.ys))
+    d_w = (2.0 * g / nu) * matvec(ms.nb, w) - (eps * g / (nu**2 * q)) * ys * matvec(state.eta, w)
+    y_k = _weight_gradient(state)
+    p = state.r_mix - outer(state.v_up, state.nu_low) / nu[..., None]
+    out = outer(state.v_up, d_w)
+    out += p * dot(y_k, w)[..., None, None]
+    out += outer(matvec(p, w), y_k)
+    out += 2.0 * christoffel_dot(ms, w)
     return out
 
 
 @dataclass(frozen=True)
 class SprayDerivatives:
-    """The closed spray at (x, y) with its first and second y-derivatives,
-    the numeric first derivative and its disagreement with the closed one
-    (tensors.gap, one per sample over a batch).  It carries the point, so
-    the hh-curvature bundle is assembled from it."""
+    """The closed spray at (x, y) with its first y-derivative, the second
+    contracted with the spray (second_closed = G^i_km G^m, axes [i, k], the
+    only form of it the bundle reads), the numeric first derivative and its
+    disagreement with the closed one (tensors.gap, one per sample over a
+    batch).  It carries the point, so the hh-curvature bundle is assembled
+    from it."""
 
     metric: MetricState
     y: np.ndarray
@@ -302,14 +313,17 @@ def spray_derivatives(
     """Both first-derivative routes at (x, y), or at each sample of a batch:
     a metric over B points with fiber vectors y (B, N).
 
-    The closed G^i, G^i_k and G^i_km come from one kinematics evaluation.
-    The numeric G^i_k is one complex y-step of the spray G^i alone, each
-    sample's metric broadcast over its rows; fd_partials puts the
-    derivative index first, so it moves last.
+    The closed G^i, G^i_k and G^i_km G^m come from one kinematics
+    evaluation.  The numeric G^i_k is one complex y-step of the spray G^i
+    alone, each sample's metric broadcast over its rows; fd_partials puts
+    the derivative index first, so it moves last.
     """
     y = np.asarray(y, dtype=float)
     spray, first_closed, state = _spray_and_first(metric, y, charge)
-    second_closed = 2.0 * metric.gamma if state is None else spray_y_second(state)
+    if state is None:
+        second_closed = 2.0 * christoffel_dot(metric, spray)
+    else:
+        second_closed = spray_y_second(state, spray)
     first_numeric = np.swapaxes(
         fd_partials(lambda ys: spray_coefficients(metric, ys, charge), y), -1, -2
     )
@@ -332,38 +346,36 @@ def spray_derivatives(
 
 def hh_curvature(derivs: SprayDerivatives) -> np.ndarray:
     """K^2 R^i_k, axes [i, k], at the point (or at each sample) of
-    ``derivs``, assembled from its closed spray data and one complex x-step
-    of [G^i, G^i_k].
+    ``derivs``, assembled from its closed spray data and two complex
+    x-steps: G^i alone on the N coordinate rows, and G^i_k on one row along
+    y, whose Im G^i_k(x + i h y) / h is y^j dG^i_k/dx^j.
 
     With Gbar = G/2 and y held fixed across the complex x-rows:
 
         K^2 R^i_k = 2 dGbar^i/dx^k - Gbar^i_j Gbar^j_k
                     - y^j dGbar^i_k/dx^j + 2 Gbar^j Gbar^i_kj
 
+    where the last term is G^i_kj G^j / 2, derivs.second_closed halved.
     Index lowering on the bundle, where wanted, uses the Riemannian metric
     a_ij (the Finsler metric tensor is out of scope).
     """
     metric, y, charge = derivs.metric, derivs.y, derivs.charge
-    n = y.shape[-1]
 
-    # One complex step over [G^i, G^i_k]: each row's metric is built once,
-    # and each sample's y broadcasts over its rows.
-    d_stack = fd_partials(
-        lambda pts: _spray_stack(build_metric(metric.frame, metric.profiles, pts), y, charge),
-        metric.x,
-    )
+    # Each row's metric is built once, and each sample's y broadcasts over its rows.
+    def at_rows(pts: np.ndarray) -> MetricState:
+        return build_metric(metric.frame, metric.profiles, pts)
 
-    gbar = 0.5 * derivs.spray
+    d_spray = fd_partials(lambda pts: spray_coefficients(at_rows(pts), y, charge), metric.x)
+    y_d_first = fd_partials(
+        lambda pts: _spray_and_first(at_rows(pts), y, charge)[1], metric.x, y[None]
+    )[..., 0, :, :]  # [i, k] = y^j dG^i_k/dx^j
+
     gbar_first = 0.5 * derivs.first_closed
-    gbar_second = 0.5 * derivs.second_closed
-    d_gbar = 0.5 * d_stack[..., :n]  # [k, i] = d Gbar^i / d x^k
-    d_gbar_first = 0.5 * d_stack[..., n:].reshape(y.shape[:-1] + (n, n, n))  # [j, i, k]
-
     return (
-        2.0 * np.swapaxes(d_gbar, -1, -2)
+        np.swapaxes(d_spray, -1, -2)
         - gbar_first @ gbar_first
-        - np.einsum("...j,...jik->...ik", y, d_gbar_first)
-        + 2.0 * np.einsum("...j,...ikj->...ik", gbar, gbar_second)
+        - 0.5 * y_d_first
+        + 0.5 * derivs.second_closed
     )
 
 

@@ -142,8 +142,8 @@ class MetricState:
     States are immutable snapshots.  The inverse metric, the closed
     Christoffel symbols and nabla b are computed on first use and kept, so
     each is built at most once per state and never at a complex row of a spray
-    (the sprays contract a^k_ij and nabla b with y through christoffel_dot
-    and nabla_b_dot).
+    (the sprays contract a^k_ij and nabla b with y through
+    christoffel_quadratic, christoffel_dot and nabla_b_dot).
     """
 
     frame: Frame
@@ -294,6 +294,18 @@ def christoffel_dot(state: MetricState, y: np.ndarray) -> np.ndarray:
     out += outer(state.n_up, qy)
     out += outer(y @ u_mix, wn)
     out += dot(wn, y)[..., None, None] * u_mix.T
+    return out
+
+
+def christoffel_quadratic(state: MetricState, y: np.ndarray) -> np.ndarray:
+    """a^k_ij y^i y^j, axes [k], from the blocks contracted with y, in O(N)
+    per point without building an N x N array; state and y broadcast as in
+    christoffel_dot.  It is the geodesic spray, the part of G^i that needs no
+    G^i_k."""
+    py, qy, w = _christoffel_blocks(state, y)
+    out = state.b_up * dot(y, py)[..., None]
+    out += state.n_up * dot(y, qy)[..., None]
+    out += (2.0 * w * dot(state.n_low, y))[..., None] * (y @ state.frame.u_mix)
     return out
 
 

@@ -384,11 +384,13 @@ def suite_finsler_curvature(scenario: Scenario):
             out["riemann_limit"] = rel_frobenius(curvature, curvature_dot(state, y), 2)
         return out
 
-    # hh_curvature's x-step holds two N x N complex arrays (4N^2 floats) at
-    # each of a sample's N complex rows, and the y-step G^i alone;
-    # riemann_limit contracts the closed curvature with y, so no sample
-    # holds an N^4 array at either charge.
-    rows = _per_sample(scenario.n_fibers, 4 * scenario.n_dim**3, evaluate)
+    # hh_curvature's x-step holds a row metric's N x N complex a_ij (2N^2
+    # floats) at each of a sample's N coordinate rows, and its one row along
+    # y N x N complex arrays of the same size; the y-step differentiates G^i
+    # alone, and riemann_limit contracts the closed curvature with y, so no
+    # sample holds an N^3 or N^4 array at either charge.
+    n = scenario.n_dim
+    rows = _per_sample(scenario.n_fibers, 2 * n**3 + 2 * n**2, evaluate)
     check_plan = [
         ("spray_homogeneity", "exact", 1.0),
         ("euler_identity", "algebraic", 10.0),

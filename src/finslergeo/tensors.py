@@ -54,35 +54,44 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 COMPLEX_STEP = 1e-30
 
 
-def fd_partials(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Partials out[..., k, ...] = d f / d x^k by complex step, at one base
-    point x (N,) or at each of a batch of base points (B, N), shaped
-    (N, ...) or (B, N, ...).
+def fd_partials(
+    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, directions: np.ndarray | None = None
+) -> np.ndarray:
+    """Directional derivatives out[..., r, ...] = d^j d f / d x^j along each
+    row d of ``directions`` (the identity by default, giving the partials
+    d f / d x^k) by complex step, at one base point x (N,) or at each of a
+    batch of base points (B, N), shaped (R, ...) or (B, R, ...) for R rows.
 
-    ``f`` is called once, on the N complex points x + i h e_k with the rows
-    in front, (N, B, N) for a batch and (N, N) for one point, and returns
-    one value of any shape per point.  Per-sample data (a batch's
-    MetricState, its fiber vectors) broadcasts against the rows as it is.
-    The field must be complex-analytic in x: every admissibility test reads
-    the real part, which is the base point's own, so no row can leave a
-    domain the base point is in.  A non-finite value raises StencilError
-    naming its sample and axis.
+    ``directions`` puts its rows first: (R, N) for directions shared by
+    every sample, or (R, B, N) for one per sample.  ``f`` is called once, on
+    the R complex points x + i h d with the rows in front, (R, B, N) for a
+    batch and (R, N) for one point, and returns one value of any shape per
+    point.  Per-sample data (a batch's MetricState, its fiber vectors)
+    broadcasts against the rows as it is.  The field must be
+    complex-analytic in x: every admissibility test reads the real part,
+    which is the base point's own, so no row can leave a domain the base
+    point is in.  A non-finite value raises StencilError naming its sample
+    and row (its axis, for the partials).
     """
     x = np.asarray(x, dtype=float)
     lead, n = x.shape[:-1], x.shape[-1]
-    points = x + (1j * COMPLEX_STEP) * np.eye(n).reshape((n,) + (1,) * len(lead) + (n,))
+    d = np.eye(n) if directions is None else np.asarray(directions, dtype=float)
+    rows = d.shape[0]
+    d = d.reshape((rows,) + (1,) * (x.ndim + 1 - d.ndim) + d.shape[1:])
+    points = x + (1j * COMPLEX_STEP) * d
     values = np.asarray(f(points))
-    if values.shape[: len(lead) + 1] != (n,) + lead:
+    if values.shape[: len(lead) + 1] != (rows,) + lead:
         raise ValueError(
             f"field returned shape {values.shape} for points shaped {points.shape}; "
             "it must return one value per row"
         )
-    finite = np.isfinite(values.reshape((n,) + lead + (-1,))).all(axis=-1)
+    finite = np.isfinite(values.reshape((rows,) + lead + (-1,))).all(axis=-1)
     if not finite.all():
-        # The first sample with a non-finite value, and its first such axis.
-        *sample, axis = np.argwhere(np.moveaxis(~finite, 0, -1))[0]
+        # The first sample with a non-finite value, and its first such row.
+        *sample, row = np.argwhere(np.moveaxis(~finite, 0, -1))[0]
         where = f"sample {tuple(int(i) for i in sample)}, " if sample else ""
-        raise StencilError(f"non-finite evaluation at complex step ({where}axis {axis})")
+        label = "axis" if directions is None else "row"
+        raise StencilError(f"non-finite evaluation at complex step ({where}{label} {row})")
     return np.moveaxis(values.imag, 0, len(lead)) / COMPLEX_STEP
 
 
@@ -95,17 +104,20 @@ def fd_partials(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
 # chunk's arrays grow with it.  Each suite passes a sizing constant F, the
 # floats its complex rows hold per sample: 2N^4 where a sample holds N^4
 # curvature arrays (each of the curvature FD oracle's N complex rows holds
-# an N^3 complex Christoffel array), 4N^3 where each of a sample's N
-# complex rows holds two N x N complex arrays (hh_curvature's x-step), and
-# 10N^2 where each row holds five complex N-vectors (the fiber identities'
-# y-step).  A chunk takes as many samples as keep F per sample within this
-# many floats (512 KiB): at N = 8, 8 samples at 2N^4, 32 at 4N^3 and 102
-# at 10N^2.  F is not the measured peak: tracemalloc over one
-# curvature-xcheck chunk reads about 10.2, 9.0 and 8.5 N^4 floats per
-# sample at N = 4, 6 and 8, over hh_curvature on 32 charged N = 8 fibers
-# 14.8 N^3 per fiber, and over the N = 8 finsler-identities suite on 100
-# fibers (one chunk, sampling included) about 18 N^2 per fiber, so those
-# chunks peak at about two to five times the budget.
+# an N^3 complex Christoffel array), 2N^3 + 2N^2 where each of a sample's
+# N complex rows holds a row metric's N x N complex a_ij and one more row
+# holds N x N complex arrays (hh_curvature's coordinate rows of G^i and its
+# row of G^i_k along y), 4N^3 for frame-identities and christoffel-xcheck,
+# and 10N^2 where each row holds five complex N-vectors (the fiber
+# identities' y-step).  A chunk takes as many samples as keep F per sample
+# within this many floats (512 KiB): at N = 8, 8 samples at 2N^4, 56 at
+# 2N^3 + 2N^2, 32 at 4N^3 and 102 at 10N^2.  F is not the measured peak:
+# tracemalloc over one curvature-xcheck chunk reads about 10.2, 9.0 and
+# 8.5 N^4 floats per sample at N = 4, 6 and 8, over hh_curvature on 56
+# charged N = 8 fibers 6.9 N^3 per fiber (the row metrics' temporaries),
+# and over the N = 8 finsler-identities suite on 100 fibers (one chunk,
+# sampling included) about 18 N^2 per fiber, so those chunks peak at about
+# two to five times the budget.
 STENCIL_FLOAT_BUDGET = 2**16
 
 
@@ -127,8 +139,8 @@ def max_abs(arr, ndim: int | None = None):
     """Largest |component|: a float over the whole array, or, given the
     number ``ndim`` of trailing component axes, one value per sample of the
     leading axes."""
-    a = np.abs(np.asarray(arr, dtype=float))
-    out = np.max(a, axis=_component_axes(a, ndim), initial=0.0)
+    a = np.abs(arr)
+    out = np.maximum.reduce(a, _component_axes(a, ndim), initial=0.0)
     return float(out) if ndim is None else out
 
 

@@ -15,10 +15,11 @@ from finslergeo import (
     christoffel,
     christoffel_definitional,
     fd_partials,
+    kinematics,
 )
-from finslergeo.finsler import _first_derivative, _spray_and_first
-from finslergeo.riemann import _gamma_products, christoffel_dot
-from finslergeo.tensors import matvec, outer
+from finslergeo.finsler import _first_derivative, _spray_and_first, spray_y_second
+from finslergeo.riemann import _gamma_products, christoffel_dot, christoffel_quadratic
+from finslergeo.tensors import outer
 
 
 @pytest.fixture
@@ -70,23 +71,29 @@ def fd_scalar(f, t):
     return float(fd_partials(lambda pts: f(pts[..., 0]), np.array([t]))[0])
 
 
-def fd_reference(f, x, scales):
-    """Order-4 central differences d f / d x^k, shaped like fd_partials'
+def fd_reference(f, x, scales, directions=None):
+    """Order-4 central differences along each row d of ``directions`` (the
+    identity by default, giving d f / d x^k), shaped like fd_partials'
     result: the real-valued reference the complex step is checked against.
-    Along axis k the step is 1e-5 * scales[..., k] (``scales`` broadcasts
-    against x: r or |y| per sample, as the engine once took), and
-    f(x +- h e_k), f(x +- 2 h e_k) are each evaluated on the whole batch,
-    points shaped like x."""
+    Row r moves the point by t d with |t d| = 1e-5 * scales[..., r]
+    (``scales`` broadcasts against x: r or |y| per sample, as the engine
+    once took), and f(x +- t d), f(x +- 2 t d) are each evaluated on the
+    whole batch, points shaped like x.  ``directions`` puts its rows first,
+    as fd_partials takes them."""
     x = np.asarray(x, dtype=float)
-    h = 1e-5 * np.broadcast_to(np.asarray(scales, dtype=float), x.shape)
-    eye = np.eye(x.shape[-1])
+    d = np.eye(x.shape[-1]) if directions is None else np.asarray(directions, dtype=float)
+    d = d.reshape(d.shape[:1] + (1,) * (x.ndim + 1 - d.ndim) + d.shape[1:])
+    d = np.broadcast_to(d, d.shape[:1] + x.shape)
+    scale = np.broadcast_to(np.asarray(scales, dtype=float), x.shape)
     partials = []
-    for k in range(x.shape[-1]):
-        def at(offset, k=k):
-            return np.asarray(f(x + offset * h[..., k, None] * eye[k]))
+    for r, row in enumerate(d):
+        t = 1e-5 * scale[..., r] / np.linalg.norm(row, axis=-1)
+
+        def at(offset, t=t, row=row):
+            return np.asarray(f(x + offset * t[..., None] * row))
 
         diff = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / 12.0
-        partials.append(diff / h[..., k].reshape(h.shape[:-1] + (1,) * (diff.ndim - x.ndim + 1)))
+        partials.append(diff / t.reshape(t.shape + (1,) * (diff.ndim - x.ndim + 1)))
     return np.stack(partials, axis=x.ndim - 1)
 
 
@@ -158,12 +165,26 @@ def transform_components(components, variance, lin):
 
 def riemann_spray(metric, y):
     """The geodesic spray of the underlying metric: a^i_km y^k y^m."""
-    return matvec(christoffel_dot(metric, y), y)
+    return christoffel_quadratic(metric, y)
 
 
 def spray_y_derivative(state):
     """The closed first y-derivative G^i_k of a FinsleroidState's spray."""
     return _first_derivative(state, christoffel_dot(state.metric, state.y))
+
+
+def spray_second_closed(metric, y, charge):
+    """The closed second y-derivative G^i_km, axes [i, k, m]: the engine's
+    contraction G^i_km w^m (spray_y_second; at charge 0, 2 a^i_km w^m)
+    taken with each unit vector w = e_m."""
+    y = np.asarray(y, dtype=float)
+    state = None if charge == 0.0 else kinematics(metric, y, charge)
+    columns = []
+    for e in np.eye(y.shape[-1]):
+        w = np.broadcast_to(e, y.shape)
+        column = 2.0 * christoffel_dot(metric, w) if state is None else spray_y_second(state, w)
+        columns.append(column)
+    return np.stack(columns, axis=-1)
 
 
 def spray_second_numeric(metric, y, charge):

@@ -42,7 +42,7 @@ from finslergeo import (
 from finslergeo.finsler import fiber_vectors
 from finslergeo.report import CheckResult, SuiteResult
 from finslergeo import finsler, riemann, suites, tensors
-from finslergeo.riemann import christoffel_definitional
+from finslergeo.riemann import christoffel_definitional, christoffel_quadratic
 from finslergeo.suites import (
     SamplingError,
     _draw_tries,
@@ -65,6 +65,7 @@ from conftest import (
     nabla_c,
     nabla_c_definitional,
     sample_point,
+    spray_second_closed,
     spray_second_numeric,
 )
 
@@ -245,6 +246,11 @@ class TestClosedFormsBatch:
                 _agree(getattr(derivs, field), [getattr(s, field) for s in singles], CLOSED)
             _agree(derivs.first_numeric, [s.first_numeric for s in singles], FD)
             _agree(
+                spray_second_closed(metric, y, g),
+                [spray_second_closed(m, yy, g) for m, yy, _ in samples],
+                CLOSED,
+            )
+            _agree(
                 spray_second_numeric(metric, y, g),
                 [spray_second_numeric(m, yy, g) for m, yy, _ in samples],
                 FD,
@@ -336,6 +342,15 @@ class TestChristoffelKernel:
         assert np.all(max_abs(got - want, 2) <= bound)
 
     @staticmethod
+    def _assert_quadratic(got, gamma, y):
+        """got equals a^k_ij y^i y^j of the reference gamma to KERNEL_TOL of
+        max|gamma| max|y|^2, sample by sample."""
+        want = np.einsum("...kij,...i,...j->...k", gamma, y, y)
+        assert got.shape == want.shape
+        bound = KERNEL_TOL * max_abs(gamma, 3) * max_abs(y, 1) ** 2
+        assert np.all(max_abs(got - want, 1) <= bound)
+
+    @staticmethod
     def _assert_nabla_b_dot(state, y):
         """nabla_b_dot(state, y) equals nabla_b(state) @ y to 1e-15 of
         max|nabla b| sum|y^h|, sample by sample."""
@@ -348,9 +363,9 @@ class TestChristoffelKernel:
 
     @pytest.mark.parametrize("n_dim, signature, transformed", KERNEL_CASES, ids=KERNEL_IDS)
     def test_blocks_match_the_einsum_form(self, n_dim, signature, transformed, rng):
-        """christoffel and christoffel_dot agree with the six-einsum form and
-        its contraction with y, and nabla_b_dot with nabla_b contracted with
-        y, at one point and over a batch."""
+        """christoffel, christoffel_dot and christoffel_quadratic agree with
+        the six-einsum form and its contractions with y, and nabla_b_dot with
+        nabla_b contracted with y, at one point and over a batch."""
         frame, pair, xs, ys = self._stack(rng, n_dim, signature, transformed, 5)
         for x, y in [(xs[0], ys[0]), (xs, ys)]:
             state = build_metric(frame, pair, x)
@@ -359,13 +374,14 @@ class TestChristoffelKernel:
             assert got.shape == want.shape
             assert np.all(max_abs(got - want, 3) <= KERNEL_TOL * max_abs(want, 3))
             self._assert_dot(christoffel_dot(state, y), want, y)
+            self._assert_quadratic(christoffel_quadratic(state, y), want, y)
             self._assert_nabla_b_dot(state, y)
 
     @pytest.mark.parametrize("signature", [1, -1])
     def test_dot_broadcasts_over_stencil_rows(self, signature, rng):
-        """christoffel_dot, nabla_b_dot and kinematics broadcast a batch
-        metric against fiber vectors on rows in front of it, as in the
-        y-stencil, where nabla_b_dot and kinematics equal each sample's own
+        """christoffel_dot, christoffel_quadratic, nabla_b_dot and kinematics
+        broadcast a batch metric against fiber vectors on rows in front of
+        it, as in the y-stencil, where nabla_b_dot and kinematics equal each sample's own
         call bit for bit (the batch (B, 1) is built at the stacked points, so
         each sample is summed as it is alone); and a stencil of metrics
         (rows, B) against one fiber vector per sample (B, N), as in the
@@ -376,6 +392,9 @@ class TestChristoffelKernel:
         got = christoffel_dot(metric, y_rows)
         assert got.shape == (6, 3, 1, 8, 8)
         self._assert_dot(got, _einsum_christoffel(metric), y_rows)
+        self._assert_quadratic(
+            christoffel_quadratic(metric, y_rows), _einsum_christoffel(metric), y_rows
+        )
         self._assert_nabla_b_dot(metric, y_rows)
         s_low = nabla_b_dot(metric, y_rows)
         fibers = kinematics(metric, y_rows, 0.3)
@@ -391,7 +410,10 @@ class TestChristoffelKernel:
         stencil = build_metric(frame, pair, pts)
         got = christoffel_dot(stencil, ys)
         assert got.shape == (6, 3, 8, 8)
-        self._assert_dot(got, _einsum_christoffel(stencil), np.broadcast_to(ys, pts.shape))
+        y_each = np.broadcast_to(ys, pts.shape)
+        self._assert_dot(got, _einsum_christoffel(stencil), y_each)
+        quadratic = christoffel_quadratic(stencil, ys)
+        self._assert_quadratic(quadratic, _einsum_christoffel(stencil), y_each)
         self._assert_nabla_b_dot(stencil, ys)
 
 
@@ -703,13 +725,13 @@ def _charged_fibers(count):
 
 def test_spray_stencils_build_no_christoffel_array(monkeypatch):
     """On a charged N = 8 batch of four fibers the spray stencils contract
-    the Christoffel blocks with y: spray_derivatives builds the full array
-    once (the cached gamma of spray_y_second) and hh_curvature never."""
+    the Christoffel blocks with y, and the bundle reads G^i_km only as
+    contracted with the spray: neither spray_derivatives nor hh_curvature
+    builds the full array."""
     fibers = _charged_fibers(4)
     calls = _counting_everywhere(monkeypatch, riemann.christoffel)
     derivs = spray_derivatives(fibers.metric, fibers.y, fibers.charge)
-    assert len(calls) <= 1
-    calls.clear()
+    assert calls == []
     hh_curvature(derivs)
     assert calls == []
 
@@ -758,6 +780,29 @@ def test_spray_y_rows_compute_only_the_spray(monkeypatch):
     spray_derivatives(fibers.metric, fibers.y, fibers.charge)
     assert len(received) == 1
     assert not any(np.iscomplexobj(arr) for arr in received[0])
+
+
+def test_bundle_takes_g_k_on_one_complex_row_per_sample(monkeypatch):
+    """On a charged N = 8 batch of four fibers, hh_curvature builds the
+    closed G^i_k once, on one complex row along y per sample, (1, 4, 8):
+    its coordinate rows differentiate G^i alone, and no row builds an
+    N x N Christoffel contraction but that one."""
+    fibers = _charged_fibers(4)
+    derivs = spray_derivatives(fibers.metric, fibers.y, fibers.charge)
+    received = []
+    first_derivative = finsler._first_derivative
+
+    def recorded(state, gamma_y):
+        received.append(state.metric.x)
+        return first_derivative(state, gamma_y)
+
+    monkeypatch.setattr(finsler, "_first_derivative", recorded)
+    dots = _counting_everywhere(monkeypatch, riemann.christoffel_dot)
+    hh_curvature(derivs)
+    assert [x.shape for x in received] == [(1, 4, 8)]
+    assert np.iscomplexobj(received[0])
+    assert np.array_equal(received[0].imag[0], tensors.COMPLEX_STEP * fibers.y)
+    assert len(dots) == 1
 
 
 @pytest.mark.parametrize(
@@ -814,20 +859,22 @@ def _suite_calls(monkeypatch, text, suite, names):
 
 
 def test_charged_chunks_are_sized_for_their_stencil_rows(monkeypatch):
-    """At N = 8 the spray stencils hold N x N arrays per row, so 100 fibers
-    take at most 4 chunks at either charge; charge 0 contracts the closed
-    curvature with y (curvature_dot) and never builds the N^4 tensor.  The
-    identity stencil holds N-vectors per row, so its 100 fibers take one."""
+    """At N = 8 the spray stencils hold a row metric's N x N a_ij at each of
+    a fiber's N coordinate rows, and N x N arrays on its one row along y
+    (2N^3 + 2N^2 floats), so 100 fibers take exactly 2 chunks at either
+    charge; charge 0 contracts the closed curvature with y (curvature_dot)
+    and never builds the N^4 tensor.  The identity stencil holds N-vectors
+    per row, so its 100 fibers take one."""
     spray = ("spray_derivatives", "hh_curvature")
     charged = _suite_calls(monkeypatch, CHARGED_N8, suite_finsler_curvature, spray)
-    assert all(count <= 4 for count in charged.values()), charged
+    assert charged == {"spray_derivatives": 2, "hh_curvature": 2}
     identities = _suite_calls(
         monkeypatch, CHARGED_N8, suite_finsler_identities, ("kinematic_identity_residuals",)
     )
     assert identities["kinematic_identity_residuals"] == 1
     closed = _counting_everywhere(monkeypatch, riemann.curvature_closed)
     limit = _suite_calls(monkeypatch, LIMIT_N8, suite_finsler_curvature, spray)
-    assert all(count <= 4 for count in limit.values()), limit
+    assert limit == {"spray_derivatives": 2, "hh_curvature": 2}
     assert closed == []
 
 
@@ -910,7 +957,7 @@ MEMORY_CASES = {
 def test_chunked_suites_stay_within_the_memory_guard(suite, text):
     """The suites evaluate in chunks sized for their complex rows, so the
     stacked rows of a run over 100 fibers (one chunk at N = 4; at N = 8
-    four for finsler-curvature at either charge and one for the identities)
+    two for finsler-curvature at either charge and one for the identities)
     or 100 points (N = 8 curvature-xcheck, eight
     points per chunk) peak at a few MB, not tens of MB."""
     scenario = parse_scenario(text)
@@ -922,6 +969,23 @@ def test_chunked_suites_stay_within_the_memory_guard(suite, text):
         tracemalloc.stop()
     assert result.status == "pass"
     assert peak <= 8 * 2**20
+
+
+def test_charged_bundle_holds_no_n_cubed_array_per_fiber():
+    """The charged N = 8 finsler-curvature suite on 100 fibers (two chunks,
+    sampling included) peaks at about 1.7 MiB (tracemalloc), below the
+    2.20 MiB it took while hh_curvature's x-step differentiated the N x N
+    G^i_k at every coordinate row and the bundle read the N^3 G^i_km; the
+    guard sits at 2.0 MiB."""
+    scenario = parse_scenario(CHARGED_N8)
+    tracemalloc.start()
+    try:
+        result, _ = suite_finsler_curvature(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status == "pass"
+    assert peak < 2.0 * 2**20
 
 
 def test_vacuum_chunks_stay_within_the_memory_guard():

@@ -163,9 +163,10 @@ def _bench_scenarios(tmp_path):
     return [_bench_scenario(tmp_path, name, index) for name, index in picks.items()]
 
 
-def _central(f, x):
-    """fd_reference at each sample's |x|, the step scale of r or |y|."""
-    return fd_reference(f, x, np.linalg.norm(x, axis=-1, keepdims=True))
+def _central(f, x, directions=None):
+    """fd_reference at each sample's |x|, the step scale of r or |y|, along
+    the same rows as fd_partials."""
+    return fd_reference(f, x, np.linalg.norm(x, axis=-1, keepdims=True), directions)
 
 
 def _oracles(scenario) -> dict:

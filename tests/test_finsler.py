@@ -24,15 +24,20 @@ from finslergeo import (
 from finslergeo import finsler, suites
 from finslergeo.finsler import (
     AdmissibilityError,
-    _spray_stack,
+    _spray_and_first,
     fiber_vectors,
-    spray_y_second,
 )
 from finslergeo.riemann import christoffel, christoffel_dot, nabla_b
 from finslergeo.suites import _sample_blocks, _suite_rng
 from finslergeo.tensors import TOLERANCE_CLASSES, fd_partials, gap, max_abs, rel_frobenius
 
-from conftest import riemann_spray, sample_point, spray_second_numeric, spray_y_derivative
+from conftest import (
+    riemann_spray,
+    sample_point,
+    spray_second_closed,
+    spray_second_numeric,
+    spray_y_derivative,
+)
 
 
 def admissible_sample(rng, frame, pair, charge, count, lo=0.8, hi=5.0, margin=0.05):
@@ -268,17 +273,20 @@ class TestStacks:
                 _assert_row_matches(getattr(by_x, name), row, getattr(alone_x, name))
 
     @pytest.mark.parametrize("charge", [0.3, 0.0])
-    def test_spray_stack_over_fiber_and_metric_stacks(self, charge, frame4_pd, pd_rational, rng):
+    def test_spray_fields_over_fiber_and_metric_stacks(self, charge, frame4_pd, pd_rational, rng):
+        """The two fields of hh_curvature's complex x-steps, G^i and G^i_k."""
         pairs = admissible_sample(rng, frame4_pd, pd_rational, 0.3, 6)
         state, y0 = pairs[0]
         ys = np.array([y for _, y in pairs])
         xs = np.array([ms.x for ms, _ in pairs])
-        by_y = _spray_stack(state, ys, charge)
-        by_x = _spray_stack(build_metric(frame4_pd, pd_rational, xs), y0, charge)
-        assert by_y.shape == by_x.shape == (6, 4 + 16)
+        by_y = _spray_and_first(state, ys, charge)[:2]
+        by_x = _spray_and_first(build_metric(frame4_pd, pd_rational, xs), y0, charge)[:2]
+        assert [a.shape for a in by_y] == [a.shape for a in by_x] == [(6, 4), (6, 4, 4)]
         for row, (ms, y) in enumerate(pairs):
-            _assert_row_matches(by_y, row, _spray_stack(state, y, charge))
-            _assert_row_matches(by_x, row, _spray_stack(ms, y0, charge))
+            for field, alone in enumerate(_spray_and_first(state, y, charge)[:2]):
+                _assert_row_matches(by_y[field], row, alone)
+            for field, alone in enumerate(_spray_and_first(ms, y0, charge)[:2]):
+                _assert_row_matches(by_x[field], row, alone)
 
     def test_one_inadmissible_row_rejects_the_stack(self):
         """The outside-cone fiber of test_outside_cone_error, stacked among
@@ -331,7 +339,10 @@ class TestSprayDerivatives:
         y = rng.normal(size=4)
         derivs = spray_derivatives(state, y, 0.0)
         assert max_abs(derivs.first_closed - 2.0 * christoffel_dot(state, y)) == 0.0
-        assert max_abs(derivs.second_closed - 2.0 * christoffel(state)) == 0.0
+        assert max_abs(derivs.second_closed - 2.0 * christoffel_dot(state, derivs.spray)) == 0.0
+        second = spray_second_closed(state, y, 0.0)
+        gamma = christoffel(state)
+        assert max_abs(second - 2.0 * gamma) <= 1e-15 * max_abs(gamma)
 
     def test_closed_first_matches_numeric(self, frame4_pd, pd_rational, rng):
         """Closed G^i_k vs the numeric y-derivative of the spray, 1e-7."""
@@ -340,15 +351,18 @@ class TestSprayDerivatives:
             assert derivs.first_gap < 1e-7
 
     def test_closed_second_matches_numeric(self, frame4_pd, pd_rational, rng):
-        """The closed G^i_km (second y-derivative) is exact: differentiating
-        the verified closed G^i_k numerically reproduces it, and so does a
-        pure double-stencil of the spray itself (coarser tolerance)."""
+        """The closed G^i_km (second y-derivative, built from spray_y_second
+        with each e_m) is exact: differentiating the verified closed G^i_k
+        numerically reproduces it, and so does a pure double-stencil of the
+        spray itself (coarser tolerance); the bundle reads its contraction
+        with the spray."""
         for state, y in admissible_sample(rng, frame4_pd, pd_rational, 0.3, 5):
             derivs = spray_derivatives(state, y, 0.3)
-            assert gap(derivs.second_closed, spray_second_numeric(state, y, 0.3), 3) < 1e-7
-            fib = kinematics(state, y, 0.3)
-            second = spray_y_second(fib)
+            second = spray_second_closed(state, y, 0.3)
+            assert gap(second, spray_second_numeric(state, y, 0.3), 3) < 1e-7
             assert max_abs(second - np.transpose(second, (0, 2, 1))) < 1e-14
+            contracted = second @ derivs.spray
+            assert max_abs(derivs.second_closed - contracted) <= 1e-14 * max_abs(contracted)
             # double stencil straight on G^i
             h = 1e-3 * float(np.linalg.norm(y))
             for k in range(4):
@@ -382,8 +396,9 @@ class TestSprayDerivatives:
         assert 0.0 < kinematics(state, y, charge).nu < 2e-9
         derivs = spray_derivatives(state, y, charge)
         assert derivs.first_gap <= 1e-13 * max_abs(derivs.first_closed)
-        second_gap = gap(derivs.second_closed, spray_second_numeric(state, y, charge), 3)
-        assert second_gap <= 1e-13 * max(max_abs(derivs.second_closed), 1.0)
+        second = spray_second_closed(state, y, charge)
+        second_gap = gap(second, spray_second_numeric(state, y, charge), 3)
+        assert second_gap <= 1e-13 * max(max_abs(second), 1.0)
 
 
 def transverse_slope_residuals(metric, y, charge):

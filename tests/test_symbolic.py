@@ -3,8 +3,8 @@ the Christoffel symbols against christoffel, nabla b against nabla_b and
 conftest.nabla_b_definitional, the Riemann tensor of the family against
 curvature_closed and curvature_fd_oracle, its trace against ricci_closed
 (N = 4, and N = 5 where Schwarzschild is not Ricci-flat), and the
-Finsleroid spray with its y-derivatives against spray_derivatives, in both
-conventions.  Besides Schwarzschild and a positive-definite rational pair,
+Finsleroid spray with its y-derivatives against spray_derivatives and
+spray_y_second, in both conventions.  Besides Schwarzschild and a positive-definite rational pair,
 the metric tests run at a point near c = 0 (c = 1/95, r = 19/5), where
 the closed forms stay within the same relative bounds.
 
@@ -30,13 +30,15 @@ from finslergeo import (
     christoffel,
     curvature_closed,
     curvature_fd_oracle,
+    kinematics,
     nabla_b,
     ricci_closed,
     spray_derivatives,
 )
+from finslergeo.finsler import spray_y_second
 from finslergeo.tensors import max_abs
 
-from conftest import in_chart, nabla_b_definitional
+from conftest import in_chart, nabla_b_definitional, spray_second_closed
 
 sp = pytest.importorskip("sympy")
 
@@ -301,9 +303,10 @@ def test_five_dimensional_schwarzschild_is_not_ricci_flat():
             assert abs(closed) > 1e-3 * scale
 
 
+@lru_cache(maxsize=None)
 def exact_spray_jet(name):
-    """G^i, G^i_k and G^i_km at (POINT, FIBER) with charge 3/10, as floats
-    rounded from 30 digits, in the standard chart.
+    """G^i, G^i_k and G^i_km at (POINT, FIBER) with charge 3/10, as sympy
+    numbers to 30 digits (object arrays), in the standard chart.
 
     There b_i = e_i is constant, so nabla_i b_j = -a^k_ij b_k, and
     G^i = (g/nu) (ys) v^i + a^i_km y^k y^m with q = sqrt(eps (S^2 - b^2))
@@ -328,30 +331,69 @@ def exact_spray_jet(name):
     first = [[sp.diff(spray[i], y[k]) for k in range(4)] for i in range(4)]
     at = {yk: exact(f) for yk, f in zip(y, FIBER)}
 
-    def value(expr) -> float:
-        return float(sp.N(expr.xreplace(at), 30))
+    def value(expr):
+        return sp.N(expr.xreplace(at), 30)
 
-    second = np.empty((4, 4, 4))
+    second = np.empty((4, 4, 4), dtype=object)
     for i, k in product(range(4), range(4)):
         for m in range(k, 4):
             second[i, k, m] = second[i, m, k] = value(sp.diff(first[i][k], y[m]))
     return (
-        np.array([value(e) for e in spray]),
-        np.array([[value(e) for e in row] for row in first]),
+        np.array([value(e) for e in spray], dtype=object),
+        np.array([[value(e) for e in row] for row in first], dtype=object),
         second,
     )
 
 
+def _spray_point(name):
+    """The metric at POINT of profile ``name``, in the standard chart."""
+    _, pair, signature, _ = PROFILES[name]
+    return build_metric(Frame.standard(4, signature), pair, np.array(POINT, dtype=float))
+
+
 @pytest.mark.parametrize("name", ["pd_rational", "schwarzschild"])
 def test_spray_derivatives_match_the_exact_ones(name):
-    """The closed G^i, G^i_k and G^i_km equal sympy's to 1e-13 of their
-    largest component, in the positive-definite convention (rational pair,
+    """The closed G^i and G^i_k, and G^i_km contracted with the spray (the
+    form the bundle reads), equal sympy's to 1e-13 of their largest
+    component, in the positive-definite convention (rational pair,
     signature +1) and the pseudo-Finsleroid one (Schwarzschild, signature
-    -1, where q^2 = b^2 - S^2)."""
-    _, pair, signature, _ = PROFILES[name]
-    state = build_metric(Frame.standard(4, signature), pair, np.array(POINT, dtype=float))
-    derivs = spray_derivatives(state, np.array(FIBER, dtype=float), float(CHARGE))
-    got = (derivs.spray, derivs.first_closed, derivs.second_closed)
-    for closed, exact in zip(got, exact_spray_jet(name)):
-        assert max_abs(exact) > 1e-3
+    -1, where q^2 = b^2 - S^2).  The full G^i_km, built from the engine's
+    contraction with each e_m (conftest.spray_second_closed), equals
+    sympy's too."""
+    state = _spray_point(name)
+    y = np.array(FIBER, dtype=float)
+    derivs = spray_derivatives(state, y, float(CHARGE))
+    spray, first, second = exact_spray_jet(name)
+    got = (
+        derivs.spray,
+        derivs.first_closed,
+        derivs.second_closed,
+        spray_second_closed(state, y, float(CHARGE)),
+    )
+    for closed, exact in zip(got, (spray, first, second @ spray, second)):
+        exact = exact.astype(float)
+        assert max_abs(exact) > 1e-4
         assert max_abs(closed - exact) <= 1e-13 * max_abs(exact)
+
+
+# A rational w != y, exact in binary, for G^i_km w^m off the spray.
+W = (Fraction(-3, 4), Fraction(1, 2), Fraction(5, 8), Fraction(-1, 8))
+
+
+@pytest.mark.parametrize("w", ["spray", "rational"])
+@pytest.mark.parametrize("name", ["pd_rational", "schwarzschild"])
+def test_spray_y_second_matches_the_exact_contraction(name, w):
+    """spray_y_second(state, w) equals sympy's G^i_km w^m to 1e-13 of its
+    largest component, in both conventions at g = 3/10, with w the spray
+    G^m and with the rational W."""
+    state = kinematics(_spray_point(name), np.array(FIBER, dtype=float), float(CHARGE))
+    spray, _, second = exact_spray_jet(name)
+    if w == "spray":
+        w_exact, w_float = spray, spray.astype(float)
+    else:
+        w_exact = np.array([sp.Rational(f.numerator, f.denominator) for f in W], dtype=object)
+        w_float = np.array(W, dtype=float)
+    exact = (second @ w_exact).astype(float)
+    got = spray_y_second(state, w_float)
+    assert max_abs(exact) > 1e-4
+    assert max_abs(got - exact) <= 1e-13 * max_abs(exact)

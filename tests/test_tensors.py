@@ -227,6 +227,45 @@ class TestFdGradient:
         assert calls == [(3, 3)]
 
 
+class TestDirectionalStep:
+    """fd_partials along given directions: a row d gives d^j d f / d x^j,
+    the Jacobian (the identity's rows) contracted with d."""
+
+    @staticmethod
+    def field(pts):
+        a, b, c = pts[..., 0], pts[..., 1], pts[..., 2]
+        return np.stack([np.sin(a) * b, a * b * c + c**3, np.exp(b) - a**2], axis=-1)
+
+    def test_one_point(self, rng):
+        x, d = rng.normal(size=3), rng.normal(size=(2, 3))
+        jacobian = fd_partials(self.field, x)  # [k, f]
+        got = fd_partials(self.field, x, d)
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got, d @ jacobian, rtol=1e-14, atol=1e-14)
+
+    def test_batch_with_one_direction_per_sample(self, rng):
+        """Directions (1, B, N): one row along each sample's own vector,
+        as hh_curvature steps along its fiber vectors."""
+        x, d = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        jacobian = fd_partials(self.field, x)  # [b, k, f]
+        got = fd_partials(self.field, x, d[None])
+        assert got.shape == (5, 1, 3)
+        want = np.einsum("bk,bkf->bf", d, jacobian)
+        np.testing.assert_allclose(got[:, 0], want, rtol=1e-14, atol=1e-14)
+        shared = fd_partials(self.field, x, d[:2])  # (R, N) rows shared by every sample
+        np.testing.assert_allclose(shared, np.einsum("rk,bkf->brf", d[:2], jacobian), rtol=1e-14)
+
+    def test_non_finite_direction_row_names_its_sample(self, rng):
+        """A NaN in sample 3's direction makes its row non-finite: one
+        StencilError, naming that sample and row."""
+        x, d = rng.normal(size=(4, 3)), rng.normal(size=(1, 4, 3))
+        d[0, 3, 1] = np.nan
+        with pytest.raises(StencilError, match=r"sample \(3,\), row 0\)"), np.errstate(
+            invalid="ignore"
+        ):
+            fd_partials(self.field, x, d)
+
+
 class TestPlanned:
     def test_tolerance_is_class_value_times_scale(self):
         """A check's tolerance is its class's value times the plan's scale;
@@ -239,6 +278,24 @@ class TestPlanned:
         assert c.tolerance is None and c.tolerance_class is None and c.passed
         (tight,) = _planned(rows, plan[1:2], {"algebraic": 1e-11})
         assert tight.tolerance == pytest.approx(1e-10) and not tight.passed
+
+
+def test_max_abs_is_the_largest_magnitude_bit_for_bit(rng):
+    """max_abs reduces |arr| in one ufunc pass: over the whole array (a
+    float, 0.0 for an empty one) and per sample over the trailing axes, it
+    gives np.max of |arr| bit for bit, signed zeros and NaN included."""
+    a = rng.normal(size=(6, 4, 4)) * 10.0 ** rng.integers(-300, 300, size=(6, 1, 1))
+    a[0] = -0.0
+    a[1, 2, 3] = np.nan
+    for arr in (a, a[2:], a[3, 1], -2.5, np.zeros((0, 3))):
+        got = tensors.max_abs(arr)
+        want = float(np.max(np.abs(np.asarray(arr, dtype=float)), initial=0.0))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    for ndim in (1, 2):
+        got = tensors.max_abs(a, ndim)
+        want = np.max(np.abs(a), axis=tuple(range(3 - ndim, 3)), initial=0.0)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGap:

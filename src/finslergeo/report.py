@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -65,18 +64,6 @@ def _median(values: np.ndarray) -> float:
         return float("nan")
     middle = ordered[(values.size - 1) // 2 : values.size // 2 + 1]
     return float(middle.sum() / middle.size)
-
-
-def _planned(rows: dict, plan: list, tolerances: Mapping[str, float]) -> list[CheckResult]:
-    """One check per (name, tolerance class, scale) of ``plan`` on the
-    per-sample residuals ``rows[name]``, with tolerance tolerances[class]
-    times scale; a None class is an informational check with no tolerance."""
-    return [
-        CheckResult.from_residuals(
-            name, rows[name], None if klass is None else tolerances[klass] * scale, klass
-        )
-        for name, klass, scale in plan
-    ]
 
 
 @dataclass(frozen=True)

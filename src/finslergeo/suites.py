@@ -2,16 +2,18 @@
 
 Each suite samples points (and fiber vectors) deterministically from a seed
 derived from the scenario seed and the suite's fixed position (`vacuum` from
-the scenario seed), builds each chunk's states from its points, evaluates
-its residuals on them (one residual per sample, in draw order), and returns
-per-check statistics.  A suite whose preconditions fail is marked skipped
-with the reason, and the run continues.
+the scenario seed), states its residuals, check plan and chunk factor, and
+returns through one function, `_judged`, which builds each chunk's state from
+its points, evaluates the residuals on it (one residual per sample, in draw
+order) and returns per-check statistics.  A suite whose preconditions fail
+is marked skipped with the reason, and the run continues.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from .finsler import (
     spray_derivatives,
 )
 from .profiles import DomainError, ProfilePair
-from .report import RunReport, SuiteResult, _planned
+from .report import CheckResult, RunReport, SuiteResult
 from .riemann import (
     Frame,
     build_metric,
@@ -40,12 +42,17 @@ from .riemann import (
     ricci_from_curvature,
 )
 from .scenario import SUITES, Scenario
-from .tensors import _per_sample, dot, gap, matvec, max_abs, rel_frobenius
+from .tensors import dot, gap, matvec, max_abs, rel_frobenius
 from .vacuum import reduction_residuals, verify_vacuum
 
 
 def _suite_rng(scenario: Scenario, suite: str) -> np.random.Generator:
     return np.random.default_rng([scenario.seed, SUITES.index(suite)])
+
+
+def _state(scenario: Scenario, x: np.ndarray):
+    """The scenario's metric at the points x, on the standard frame."""
+    return build_metric(Frame.standard(scenario.n_dim, scenario.epsilon), scenario.profile, x)
 
 
 def _sampling_range(profile: ProfilePair) -> tuple[float, float]:
@@ -111,7 +118,6 @@ def _sample_blocks(
     AdmissibilityError drops the tries it marks, counted by cause.  A block
     never holds more tries than could still be accepted, so the generator
     stops where a try-by-try loop would."""
-    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     lo, hi = _sampling_range(scenario.profile)
     cone = charge is not None
     fiber = fiber or cone
@@ -126,7 +132,7 @@ def _sample_blocks(
         kept = np.ones(block, dtype=bool)
         while True:
             try:
-                state = build_metric(frame, scenario.profile, xs[kept])
+                state = _state(scenario, xs[kept])
                 if cone:
                     state = kinematics(state, ys[kept], charge)
                 break
@@ -158,36 +164,65 @@ def _sample_blocks(
 
 
 # ---------------------------------------------------------------------------
-# Individual suites
+# The suite skeleton and the individual suites
 # ---------------------------------------------------------------------------
+
+# Samples are judged in stacked chunks: one call per chunk instead of one
+# per sample removes the per-call overhead on tiny arrays, but a chunk's
+# arrays grow with it.  Each suite states F, the floats its complex rows
+# hold per sample (a sizing constant, not the measured peak; README,
+# "Numerical conventions"), and a chunk takes as many samples as keep F per
+# sample within this many floats (512 KiB).
+STENCIL_FLOAT_BUDGET = 2**16
+
+
+def _per_sample(count: int, sample_floats: int, evaluate) -> dict[str, np.ndarray]:
+    """Run ``evaluate`` on consecutive index ranges (slices) of ``count``
+    stacked samples, as many per range as keep ``sample_floats`` floats per
+    sample within the budget; it returns per-sample arrays by name for its
+    range, which are joined in draw order."""
+    size = max(1, STENCIL_FLOAT_BUDGET // sample_floats)
+    parts = [evaluate(slice(i, i + size)) for i in range(0, count, size)]
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def _judged(name: str, scenario: Scenario, xs, sample_floats: int, residuals, plan) -> SuiteResult:
+    """The suite's result, a pass iff every check passed.
+
+    ``residuals(state, rows)`` gives per-sample arrays by check name for the
+    chunk ``rows`` of the points ``xs``, ``state`` being the metric at
+    xs[rows]; chunks hold ``sample_floats`` floats per sample within the
+    budget.  Each name, in the order the residuals give them, is one check
+    judged by plan[name] = (tolerance class, scale): tolerance
+    scenario.tolerances[class] times scale, a None class marking an
+    informational check."""
+    rows = _per_sample(len(xs), sample_floats, lambda r: residuals(_state(scenario, xs[r]), r))
+    checks = []
+    for check, values in rows.items():
+        klass, scale = plan[check]
+        tolerance = None if klass is None else scenario.tolerances[klass] * scale
+        checks.append(CheckResult.from_residuals(check, values, tolerance, klass))
+    status = "pass" if all(c.passed for c in checks) else "fail"
+    return SuiteResult(name, status, tuple(checks))
 
 
 def _skipped(name: str, reason: str):
     return SuiteResult(name, "skipped", reason=reason), {}
 
 
-def _verdict(name: str, checks, dumps=None):
-    """The suite's result, a pass iff every check passed, and its dumps."""
-    status = "pass" if all(c.passed for c in checks) else "fail"
-    return SuiteResult(name, status, tuple(checks)), dumps or {}
-
-
 def suite_frame_identities(scenario: Scenario):
     rng = _suite_rng(scenario, "frame-identities")
     xs, _ = _sample_blocks(scenario, rng, scenario.n_points)
-    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
     eye = np.eye(scenario.n_dim)
-    u, e_up = frame.u_low, frame.e_up
 
-    def residuals(rows) -> dict[str, np.ndarray]:
-        state = build_metric(frame, scenario.profile, xs[rows])
-        c2 = state.c**2
+    def residuals(state, rows) -> dict[str, np.ndarray]:
+        frame, c2 = state.frame, state.c**2
         # The frame identities do not depend on the point: the same value per sample.
         return {name: np.full(c2.shape, value) for name, value in frame.identities.items()} | {
             "metric_inverse": gap(state.a_low @ state.a_up, eye, 2),
             "axis_vector_norm": gap(dot(state.b_up, state.b_low), c2, 0),
-            "axis_vector_transversality": gap(state.b_up @ u, 0.0, 1),
-            "axis_vector_form": gap(state.b_up, c2[:, None] * e_up, 1),
+            "axis_vector_transversality": gap(state.b_up @ frame.u_low, 0.0, 1),
+            "axis_vector_form": gap(state.b_up, c2[:, None] * frame.e_up, 1),
             "metric_raise_consistency": gap(matvec(state.a_up, state.b_low), state.b_up, 1),
             "radial_norm": gap(dot(state.n_up, state.n_low), 1.0, 0),
             "radial_axis_orthogonality": gap(dot(state.n_low, state.b_up), 0.0, 0),
@@ -197,74 +232,65 @@ def suite_frame_identities(scenario: Scenario):
             "axis_c_orthogonality": gap(dot(state.b_up, state.dc_low), 0.0, 0),
         }
 
-    rows = _per_sample(scenario.n_points, 4 * scenario.n_dim**3, residuals)
-    checks = _planned(rows, [(name, "exact", 1.0) for name in rows], scenario.tolerances)
-    return _verdict("frame-identities", checks)
+    # F = 4N^3, as for christoffel-xcheck.
+    plan = defaultdict(lambda: ("exact", 1.0))  # one class for every check
+    return _judged("frame-identities", scenario, xs, 4 * scenario.n_dim**3, residuals, plan), {}
 
 
 def suite_christoffel_xcheck(scenario: Scenario):
     rng = _suite_rng(scenario, "christoffel-xcheck")
     xs, _ = _sample_blocks(scenario, rng, scenario.n_points)
-    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
 
-    def residuals(rows) -> dict[str, np.ndarray]:
-        state = build_metric(frame, scenario.profile, xs[rows])
+    def residuals(state, rows) -> dict[str, np.ndarray]:
         closed = state.gamma
         return {
             "closed_vs_definitional": gap(closed, christoffel_definitional(state), 3),
             "lower_symmetry": gap(closed, np.swapaxes(closed, -1, -2), 3),
         }
 
-    rows = _per_sample(scenario.n_points, 4 * scenario.n_dim**3, residuals)
-    check_plan = [("closed_vs_definitional", "closed_form", 1.0), ("lower_symmetry", "exact", 1.0)]
-    checks = _planned(rows, check_plan, scenario.tolerances)
-    return _verdict("christoffel-xcheck", checks)
+    # F = 4N^3: the definitional symbols' N complex rows hold an N x N
+    # complex metric each, and the closed and definitional symbols N^3 each.
+    plan = {"closed_vs_definitional": ("closed_form", 1.0), "lower_symmetry": ("exact", 1.0)}
+    return _judged("christoffel-xcheck", scenario, xs, 4 * scenario.n_dim**3, residuals, plan), {}
 
 
 def suite_curvature_xcheck(scenario: Scenario):
     rng = _suite_rng(scenario, "curvature-xcheck")
     xs, _ = _sample_blocks(scenario, rng, scenario.n_points)
-    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
+    n = scenario.n_dim
 
-    def residuals(rows) -> dict[str, np.ndarray]:
-        state = build_metric(frame, scenario.profile, xs[rows])
+    def residuals(state, rows) -> dict[str, np.ndarray]:
         closed = curvature_closed(state)
-        oracle = curvature_fd_oracle(state)
         ric_decomposed, _ = ricci_closed(state)
-        n = scenario.n_dim
         # lowered[n, i, k, m] = a_is a_n^s_km, one stacked matmul over (k, m)
         lowered = (state.a_low[:, None] @ closed.reshape(-1, n, n, n * n)).reshape(closed.shape)
-        ric_traced = ricci_from_curvature(closed)
         return {
-            "closed_vs_fd_oracle": rel_frobenius(closed, oracle, 4),
+            "closed_vs_fd_oracle": rel_frobenius(closed, curvature_fd_oracle(state), 4),
             "block_form_equivalence": gap(closed, curvature_presubstitution(state), 4),
-            "ricci_decomposition_consistency": gap(ric_traced, ric_decomposed, 2),
+            "ricci_decomposition_consistency": gap(ricci_from_curvature(closed), ric_decomposed, 2),
             "antisymmetry_last_pair": gap(closed, -np.swapaxes(closed, -1, -2), 4),
             "antisymmetry_first_pair_lowered": gap(lowered, -np.swapaxes(lowered, -4, -3), 4),
         }
 
-    rows = _per_sample(scenario.n_points, 2 * scenario.n_dim**4, residuals)
-    check_plan = [
-        ("closed_vs_fd_oracle", "finite_difference", 1.0),
-        ("block_form_equivalence", "exact", 1.0),
-        ("ricci_decomposition_consistency", "algebraic", 10.0),
-        ("antisymmetry_last_pair", "exact", 1.0),
-        ("antisymmetry_first_pair_lowered", "exact", 10.0),
-    ]
-    checks = _planned(rows, check_plan, scenario.tolerances)
+    plan = {
+        "closed_vs_fd_oracle": ("finite_difference", 1.0),
+        "block_form_equivalence": ("exact", 1.0),
+        "ricci_decomposition_consistency": ("algebraic", 10.0),
+        "antisymmetry_last_pair": ("exact", 1.0),
+        "antisymmetry_first_pair_lowered": ("exact", 10.0),
+    }
     dumps = {}
     if scenario.dump_dir:
-        dumps["curvature_closed_sample"] = curvature_closed(
-            build_metric(frame, scenario.profile, xs[0])
-        )
-    return _verdict("curvature-xcheck", checks, dumps)
+        dumps["curvature_closed_sample"] = curvature_closed(_state(scenario, xs[0]))
+    # F = 2N^4: each of the FD oracle's N complex rows holds an N^3 complex
+    # Christoffel array, and the closed curvature is N^4 per sample.
+    return _judged("curvature-xcheck", scenario, xs, 2 * n**4, residuals, plan), dumps
 
 
 def suite_vacuum(scenario: Scenario):
     if scenario.profile.kind != "schwarzschild_isotropic":
         return _skipped("vacuum", "requires the schwarzschild_isotropic profile")
     n = scenario.n_dim
-    frame = Frame.standard(n, scenario.epsilon)
     # Reports pin this draw order: one direction, then per radius x^0 and a fiber.
     rng = np.random.default_rng(scenario.seed)
     direction = rng.normal(size=n - 1)
@@ -276,83 +302,72 @@ def suite_vacuum(scenario: Scenario):
         xs[i, 1:] = r * direction
         ys[i] = rng.normal(size=n)
 
-    def residuals(rows) -> dict[str, np.ndarray]:
-        state = build_metric(frame, scenario.profile, xs[rows])
+    def residuals(state, rows) -> dict[str, np.ndarray]:
         return verify_vacuum(state, ys[rows], radii[rows])
 
-    rows = _per_sample(len(radii), 2 * n**4, residuals)
-    check_plan = [
-        ("ricci_scaled", "algebraic", 10.0),  # 1e-9 in 1/r^2 units
-        ("ricci_coefficients_scaled", "algebraic", 1.0),
-        ("closed_vs_oracle", "finite_difference", 1.0),
-        ("reduced_vs_closed", "closed_form", 1.0),
-        ("axis_contractions", "algebraic", 10.0),
-    ]
+    plan = {
+        "ricci_scaled": ("algebraic", 10.0),  # 1e-9 in 1/r^2 units
+        "ricci_coefficients_scaled": ("algebraic", 1.0),
+        "closed_vs_oracle": ("finite_difference", 1.0),
+        "reduced_vs_closed": ("closed_form", 1.0),
+        "axis_contractions": ("algebraic", 10.0),
+    }
     dumps = {}
     if scenario.dump_dir:
         for r in radii.tolist():
             x = np.zeros(n)
             x[1] = r
-            state = build_metric(frame, scenario.profile, x)
-            dumps[f"vacuum_curvature_r{r!r}"] = curvature_closed(state)
-    return _verdict("vacuum", _planned(rows, check_plan, scenario.tolerances), dumps)
+            dumps[f"vacuum_curvature_r{r!r}"] = curvature_closed(_state(scenario, x))
+    # F = 2N^4, the curvature FD oracle's, as in curvature-xcheck.
+    return _judged("vacuum", scenario, xs, 2 * n**4, residuals, plan), dumps
 
 
 def suite_schwarzschild_reductions(scenario: Scenario):
     if scenario.profile.kind != "schwarzschild_isotropic":
         return _skipped("schwarzschild-reductions", "requires the schwarzschild_isotropic profile")
     rng = _suite_rng(scenario, "schwarzschild-reductions")
-    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
+    n = scenario.n_dim
     xi = float(scenario.profile.params["xi"])
     radii = np.array(scenario.radii, dtype=float)
-    xs, ys = _draw_tries(rng, scenario.n_dim, len(radii), radii, radii, fiber=True)
+    xs, ys = _draw_tries(rng, n, len(radii), radii, radii, fiber=True)
 
-    def residuals(rows) -> dict[str, np.ndarray]:
-        x = xs[rows]
-        state = build_metric(frame, scenario.profile, x)
+    def residuals(state, rows) -> dict[str, np.ndarray]:
         closed = curvature_closed(state)
         # Scaling xi -> lam*xi, x -> lam*x leaves (c, m) invariant and scales
         # curvature components by 1/lam^2; both scalings of a radius in turn.
         scaling = []
         for lam in (0.5, 2.0):
-            scaled = build_metric(frame, ProfilePair.schwarzschild_isotropic(lam * xi), lam * x)
+            pair = ProfilePair.schwarzschild_isotropic(lam * xi)
+            scaled = build_metric(state.frame, pair, lam * state.x)
             scaling.append(gap(lam**2 * curvature_closed(scaled), closed, 4))
         return reduction_residuals(state, ys[rows], closed) | {
             "scaling_covariance": np.stack(scaling, axis=-1).reshape(-1),
         }
 
-    rows = _per_sample(len(xs), 2 * scenario.n_dim**4, residuals)
-    check_plan = [
-        ("reduced_vs_closed", "closed_form", 1.0),
-        ("axis_contractions", "algebraic", 10.0),
-        ("scaling_covariance", "algebraic", 1.0),
-    ]
-    return _verdict("schwarzschild-reductions", _planned(rows, check_plan, scenario.tolerances))
+    plan = {
+        "reduced_vs_closed": ("closed_form", 1.0),
+        "axis_contractions": ("algebraic", 10.0),
+        "scaling_covariance": ("algebraic", 1.0),
+    }
+    # F = 2N^4, the closed curvature's, as in curvature-xcheck.
+    return _judged("schwarzschild-reductions", scenario, xs, 2 * n**4, residuals, plan), {}
 
 
 def suite_finsler_identities(scenario: Scenario):
     rng = _suite_rng(scenario, "finsler-identities")
-    # The identity set involves the charge through nu; if the scenario runs
-    # charge 0 the suite still validates the charged formulas at 0.3.
-    charge = scenario.charge if scenario.charge != 0.0 else 0.3
+    charge = scenario.charge
     xs, ys = _sample_blocks(scenario, rng, scenario.n_fibers, charge=charge)
-    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
 
-    def residuals(rows) -> dict[str, np.ndarray]:
-        fib = kinematics(build_metric(frame, scenario.profile, xs[rows]), ys[rows], charge)
-        res = kinematic_identity_residuals(fib)
+    def residuals(state, rows) -> dict[str, np.ndarray]:
+        res = kinematic_identity_residuals(kinematics(state, ys[rows], charge))
         # Kept for bench/workloads.json only; a bench-only change drops it (ROADMAP item 10).
         res["e_fiber_derivative_fd"] = res["e_fiber_derivative"]
         return res
 
-    # Each of a sample's N complex rows holds the 2N + 1 complex fields of
-    # _fiber_partials and fiber_vectors' three complex N-vectors, about 10N floats.
-    rows = _per_sample(scenario.n_fibers, 10 * scenario.n_dim**2, residuals)
-    check_plan = [
-        (name, "closed_form" if name == "e_fiber_derivative_fd" else "algebraic", 1.0)
-        for name in rows
-    ]
-    return _verdict("finsler-identities", _planned(rows, check_plan, scenario.tolerances))
+    plan = defaultdict(lambda: ("algebraic", 1.0), e_fiber_derivative_fd=("closed_form", 1.0))
+    # F = 10N^2: each of a sample's N complex rows holds the 2N + 1 complex
+    # fields of _fiber_partials and fiber_vectors' three complex N-vectors.
+    return _judged("finsler-identities", scenario, xs, 10 * scenario.n_dim**2, residuals, plan), {}
 
 
 def suite_finsler_curvature(scenario: Scenario):
@@ -362,10 +377,9 @@ def suite_finsler_curvature(scenario: Scenario):
     xs, ys = _sample_blocks(
         scenario, rng, scenario.n_fibers, fiber=True, charge=charge if charge != 0.0 else None
     )
-    frame = Frame.standard(scenario.n_dim, scenario.epsilon)
 
-    def evaluate(rows) -> dict[str, np.ndarray]:
-        state, y = build_metric(frame, scenario.profile, xs[rows]), ys[rows]
+    def residuals(state, rows) -> dict[str, np.ndarray]:
+        y = ys[rows]
         derivs = spray_derivatives(state, y, charge)
         g1 = derivs.spray
         g2 = spray_coefficients(state, 2.0 * y, charge)
@@ -377,34 +391,29 @@ def suite_finsler_curvature(scenario: Scenario):
             "spray_first_derivative_gap": derivs.first_gap,
             # K^2 R^i_k y^k sums terms up to max|K^2 R| max|y| in size.
             "bundle_y_contraction": gap(matvec(curvature, y), 0.0, 1, magnitude * max_abs(y, 1)),
-            "bundle_magnitude": magnitude,
-            "bundle": curvature,
         }
         if charge == 0.0:
             out["riemann_limit"] = rel_frobenius(curvature, curvature_dot(state, y), 2)
-        return out
+        return out | {"bundle_magnitude": magnitude}
 
-    # hh_curvature's x-step holds a row metric's N x N complex a_ij (2N^2
-    # floats) at each of a sample's N coordinate rows, and its one row along
-    # y N x N complex arrays of the same size; the y-step differentiates G^i
-    # alone, and riemann_limit contracts the closed curvature with y, so no
-    # sample holds an N^3 or N^4 array at either charge.
-    n = scenario.n_dim
-    rows = _per_sample(scenario.n_fibers, 2 * n**3 + 2 * n**2, evaluate)
-    check_plan = [
-        ("spray_homogeneity", "exact", 1.0),
-        ("euler_identity", "algebraic", 10.0),
-        ("spray_first_derivative_gap", "finite_difference", 0.1),
-        ("bundle_y_contraction", "algebraic", 1.0),
-    ]
-    if charge == 0.0:
-        check_plan.append(("riemann_limit", "bundle", 1.0))
-    check_plan.append(("bundle_magnitude", None, 1.0))
-    checks = _planned(rows, check_plan, scenario.tolerances)
+    plan = {
+        "spray_homogeneity": ("exact", 1.0),
+        "euler_identity": ("algebraic", 10.0),
+        "spray_first_derivative_gap": ("finite_difference", 0.1),
+        "bundle_y_contraction": ("algebraic", 1.0),
+        "riemann_limit": ("bundle", 1.0),  # charge 0 only
+        "bundle_magnitude": (None, 1.0),
+    }
     dumps = {}
     if scenario.dump_dir:
-        dumps["finsler_bundle_sample"] = rows["bundle"][0]
-    return _verdict("finsler-curvature", checks, dumps)
+        sample = spray_derivatives(_state(scenario, xs[:1]), ys[:1], charge)
+        dumps["finsler_bundle_sample"] = hh_curvature(sample)[0]
+    # F = 2N^3 + 2N^2 at either charge: hh_curvature's x-step holds a row
+    # metric's N x N complex a_ij at each of a sample's N coordinate rows,
+    # and its one row along y N x N complex arrays; no sample holds an N^3
+    # or N^4 array.
+    n = scenario.n_dim
+    return _judged("finsler-curvature", scenario, xs, 2 * n**3 + 2 * n**2, residuals, plan), dumps
 
 
 _SUITE_FUNCS = {
@@ -435,34 +444,43 @@ def run(scenario: Scenario) -> RunReport:
     continues; an unexpected numerical error marks it failed with the
     diagnostic.  Exit-code policy: report.exit_code is 0 iff no suite
     failed and at least one ran (a run whose every suite skipped verified
-    nothing).  The output directories are created before the first suite
-    runs, so an unwritable path raises OSError before any work is done.
+    nothing).  The output directories are created and the report file
+    opened before the first suite runs, so an unwritable path raises
+    OSError before any work is done; a report file that this opening
+    created is removed again if the run stops before writing it.
     """
     report_path = Path(scenario.report_path) if scenario.report_path else None
     dump_root = Path(scenario.dump_dir) if scenario.dump_dir else None
+    new_report = report_path is not None and not report_path.exists()
     if report_path:
         report_path.parent.mkdir(parents=True, exist_ok=True)
-    if dump_root:
-        dump_root.mkdir(parents=True, exist_ok=True)
-    suite_results = []
-    dumps_all: dict[str, np.ndarray] = {}
-    for name in scenario.suites:
-        func = _SUITE_FUNCS[name]
-        started = time.perf_counter()
-        try:
-            result, dumps = func(scenario)
-        except Exception as exc:  # numerical failure inside a suite
-            result, dumps = (
-                SuiteResult(name, "fail", reason=f"{type(exc).__name__}: {exc}"),
-                {},
-            )
-        suite_results.append(dataclasses.replace(result, wall_time_s=time.perf_counter() - started))
-        dumps_all.update(dumps)
+        report_path.open("a").close()  # a directory or an unwritable file raises here
+    try:
+        if dump_root:
+            dump_root.mkdir(parents=True, exist_ok=True)
+        suite_results = []
+        dumps_all: dict[str, np.ndarray] = {}
+        for name in scenario.suites:
+            func = _SUITE_FUNCS[name]
+            started = time.perf_counter()
+            try:
+                result, dumps = func(scenario)
+            except Exception as exc:  # numerical failure inside a suite
+                result, dumps = (
+                    SuiteResult(name, "fail", reason=f"{type(exc).__name__}: {exc}"),
+                    {},
+                )
+            wall_time_s = time.perf_counter() - started
+            suite_results.append(dataclasses.replace(result, wall_time_s=wall_time_s))
+            dumps_all.update(dumps)
 
-    report = RunReport(scenario=scenario.echo(), suites=tuple(suite_results))
-
-    if report_path:
-        report_path.write_text(report.to_json() + "\n", encoding="utf-8")
+        report = RunReport(scenario=scenario.echo(), suites=tuple(suite_results))
+        if report_path:
+            report_path.write_text(report.to_json() + "\n", encoding="utf-8")
+    except BaseException:
+        if new_report:
+            report_path.unlink(missing_ok=True)
+        raise
     for name, array in dumps_all.items():
         write_tensor_csv(dump_root / f"{name}.csv", array)
     return report

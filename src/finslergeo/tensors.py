@@ -96,39 +96,8 @@ def fd_partials(
 
 
 # ---------------------------------------------------------------------------
-# Chunked evaluation and residual helpers shared by the verification suites
+# Residual helpers shared by the verification suites
 # ---------------------------------------------------------------------------
-
-# Samples are evaluated in stacked chunks: one call per chunk instead of
-# one per sample removes the per-call overhead on tiny arrays, but a
-# chunk's arrays grow with it.  Each suite passes a sizing constant F, the
-# floats its complex rows hold per sample: 2N^4 where a sample holds N^4
-# curvature arrays (each of the curvature FD oracle's N complex rows holds
-# an N^3 complex Christoffel array), 2N^3 + 2N^2 where each of a sample's
-# N complex rows holds a row metric's N x N complex a_ij and one more row
-# holds N x N complex arrays (hh_curvature's coordinate rows of G^i and its
-# row of G^i_k along y), 4N^3 for frame-identities and christoffel-xcheck,
-# and 10N^2 where each row holds five complex N-vectors (the fiber
-# identities' y-step).  A chunk takes as many samples as keep F per sample
-# within this many floats (512 KiB): at N = 8, 8 samples at 2N^4, 56 at
-# 2N^3 + 2N^2, 32 at 4N^3 and 102 at 10N^2.  F is not the measured peak:
-# tracemalloc over one curvature-xcheck chunk reads about 10.2, 9.0 and
-# 8.5 N^4 floats per sample at N = 4, 6 and 8, over hh_curvature on 56
-# charged N = 8 fibers 6.9 N^3 per fiber (the row metrics' temporaries),
-# and over the N = 8 finsler-identities suite on 100 fibers (one chunk,
-# sampling included) about 18 N^2 per fiber, so those chunks peak at about
-# two to five times the budget.
-STENCIL_FLOAT_BUDGET = 2**16
-
-
-def _per_sample(count: int, sample_floats: int, evaluate) -> dict[str, np.ndarray]:
-    """Run ``evaluate`` on consecutive index ranges (slices) of ``count``
-    stacked samples, as many per range as keep ``sample_floats`` floats per
-    sample within the budget; it returns per-sample arrays by name for its
-    range, which are joined in draw order."""
-    size = max(1, STENCIL_FLOAT_BUDGET // sample_floats)
-    parts = [evaluate(slice(i, i + size)) for i in range(0, count, size)]
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
 def _component_axes(a: np.ndarray, ndim: int | None) -> tuple[int, ...]:

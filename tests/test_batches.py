@@ -46,6 +46,7 @@ from finslergeo.riemann import christoffel_definitional, christoffel_quadratic
 from finslergeo.suites import (
     SamplingError,
     _draw_tries,
+    _per_sample,
     _sample_blocks,
     _sampling_range,
     _suite_rng,
@@ -878,19 +879,34 @@ def test_charged_chunks_are_sized_for_their_stencil_rows(monkeypatch):
     assert closed == []
 
 
-def _suite_rows(monkeypatch, text, suite_funcs):
-    """The per-sample residual arrays and worst indices of ``suite_funcs``
-    on ``text``."""
-    scenario = parse_scenario(text)
-    rows = []
+def _suite_rows(monkeypatch, text, suite_funcs, dump_dir):
+    """The per-sample residual arrays, worst indices and dumps of
+    ``suite_funcs`` on ``text``, with tensors dumped.  A suite whose chunks
+    evaluate the bundle K^2 R^i_k (finsler-curvature) has its chunks'
+    bundles joined in draw order under "bundle" in its arrays; the bundle
+    its dump evaluates outside the chunks is not among them."""
+    scenario = dataclasses.replace(parse_scenario(text), dump_dir=str(dump_dir))
+    rows, bundles = [], []
 
     def recorded(*args):
-        rows.append(tensors._per_sample(*args))
-        return rows[-1]
+        start = len(bundles)
+        arrays = _per_sample(*args)
+        joined = {"bundle": np.concatenate(bundles[start:])} if len(bundles) > start else {}
+        rows.append(arrays | joined)
+        return arrays
+
+    def bundle(derivs):
+        bundles.append(hh_curvature(derivs))
+        return bundles[-1]
 
     monkeypatch.setattr(suites, "_per_sample", recorded)
-    worst = [[check.worst_index for check in suite(scenario)[0].checks] for suite in suite_funcs]
-    return rows, worst
+    monkeypatch.setattr(suites, "hh_curvature", bundle)
+    worst, dumps = [], {}
+    for suite in suite_funcs:
+        result, suite_dumps = suite(scenario)
+        worst.append([check.worst_index for check in result.checks])
+        dumps |= suite_dumps
+    return rows, worst, dumps
 
 
 FINSLER_SUITES = (suite_finsler_identities, suite_finsler_curvature)
@@ -923,23 +939,35 @@ CHUNK_CASES = {
 @pytest.mark.parametrize(
     "text, suite_funcs, charges", CHUNK_CASES.values(), ids=CHUNK_CASES.keys()
 )
-def test_residuals_do_not_depend_on_the_chunk_size(monkeypatch, text, suite_funcs, charges):
+def test_residuals_do_not_depend_on_the_chunk_size(
+    monkeypatch, tmp_path, text, suite_funcs, charges
+):
     """A budget that gives small chunks (one or two samples each at N = 8)
-    and one that gives one chunk for all give the same residuals and worst
-    indices, bit for bit, in every sampled suite (the Finsler suites at
-    either charge)."""
+    and one that gives one chunk for all give the same residuals, worst
+    indices, finsler-curvature bundles and dumps, bit for bit, in every
+    sampled suite (the Finsler suites at either charge).  The bundle dump
+    is sample 0's bundle as its chunk evaluates it."""
     results = {}
     for budget in (2**12, 2**20):
-        monkeypatch.setattr(tensors, "STENCIL_FLOAT_BUDGET", budget)
+        monkeypatch.setattr(suites, "STENCIL_FLOAT_BUDGET", budget)
         for charge in charges:
             scenario = text.replace("charge = 0.3", f"charge = {charge}")
-            results[budget, charge] = _suite_rows(monkeypatch, scenario, suite_funcs)
+            results[budget, charge] = _suite_rows(monkeypatch, scenario, suite_funcs, tmp_path)
     for charge in charges:
         small, large = results[2**12, charge], results[2**20, charge]
         assert small[1] == large[1]
         for got, want in zip(small[0], large[0], strict=True):
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[name], want[name]) for name in want)
+        assert small[2].keys() == large[2].keys()
+        assert all(np.array_equal(small[2][name], large[2][name]) for name in large[2])
+        bundles = [arrays["bundle"] for arrays in small[0] if "bundle" in arrays]
+        if suite_finsler_curvature in suite_funcs:
+            (bundle,) = bundles
+            assert bundle.shape == (100, *small[2]["finsler_bundle_sample"].shape)
+            assert np.array_equal(small[2]["finsler_bundle_sample"], bundle[0])
+        else:
+            assert bundles == []
 
 
 MEMORY_CASES = {

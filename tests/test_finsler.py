@@ -242,6 +242,28 @@ def test_a_scaled_eta_term_in_the_e_fiber_rule_fails_both_checks(name, monkeypat
     assert failed == {"e_fiber_derivative", "e_fiber_derivative_fd"}
 
 
+@pytest.mark.parametrize("name", sorted(MUTATION_SCENARIOS))
+def test_identities_are_judged_at_the_scenario_charge(name, monkeypatch):
+    """A charge-0 scenario (the grammar's default) is judged at charge 0,
+    the value its report echoes: the sampler's and the residuals'
+    kinematics calls all receive 0.0, and the suite passes."""
+    charges = []
+    original = suites.kinematics
+
+    def spy(metric, y, charge):
+        charges.append(charge)
+        return original(metric, y, charge)
+
+    monkeypatch.setattr(suites, "kinematics", spy)
+    scenario = parse_scenario(
+        f"[scenario]\nsuites = finsler-identities\n{MUTATION_SCENARIOS[name]}[samples]\nfibers = 20\n"
+    )
+    assert scenario.charge == 0.0
+    result, _ = suites.suite_finsler_identities(scenario)
+    assert result.status == "pass" and len(charges) >= 2
+    assert set(charges) == {0.0}
+
+
 STATE_FIELDS = ("y_low", "b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "r_mix",
                 "r_low", "eta", "s_low", "ys", "sigma")
 

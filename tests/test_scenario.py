@@ -264,20 +264,44 @@ class TestCli:
         assert main(["verify-vacuum", "--radii", "1,2", "--dump-tensors", str(blocker)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("option", ["--report", "--dump-tensors"])
-    def test_unwritable_output_fails_before_any_suite_runs(self, tmp_path, monkeypatch, option):
-        """The output directories are created before the first suite runs,
-        so an unwritable path exits 2 without running the vacuum suite."""
+    @pytest.mark.parametrize(
+        "option, target",
+        [("--report", "FILE/r.json"), ("--dump-tensors", "FILE"), ("--report", ".")],
+        ids=["--report", "--dump-tensors", "--report-directory"],
+    )
+    def test_unwritable_output_fails_before_any_suite_runs(
+        self, tmp_path, monkeypatch, capsys, option, target
+    ):
+        """The output directories are created and the report file opened
+        before the first suite runs, so an unwritable path (below a regular
+        file, or a report path that is a directory) exits 2 with a message
+        without running the vacuum suite."""
         calls = []
         vacuum = suites._SUITE_FUNCS["vacuum"]
         monkeypatch.setitem(
             suites._SUITE_FUNCS, "vacuum", lambda *args: calls.append(args) or vacuum(*args)
         )
-        blocker = tmp_path / "FILE"
-        blocker.write_text("", encoding="utf-8")
-        target = blocker / "r.json" if option == "--report" else blocker
-        assert main(["verify-vacuum", "--radii", "1,2", option, str(target)]) == 2
+        (tmp_path / "FILE").write_text("", encoding="utf-8")
+        assert main(["verify-vacuum", "--radii", "1,2", option, str(tmp_path / target)]) == 2
         assert calls == []
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_an_interrupted_run_leaves_no_new_report(self, tmp_path, monkeypatch):
+        """The report file opened before the first suite runs is removed
+        again when the run stops before writing it; an existing report is
+        left as it was."""
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(suites._SUITE_FUNCS, "vacuum", interrupted)
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_text("previous\n", encoding="utf-8")
+        for path in (new, old):
+            with pytest.raises(KeyboardInterrupt):
+                main(["verify-vacuum", "--radii", "1,2", "--report", str(path)])
+        assert not new.exists()
+        assert old.read_text(encoding="utf-8") == "previous\n"
 
     def test_unknown_tolerance_class_has_one_rule(self, tmp_path, capsys):
         """--tolerance-class and a file's [tolerances] entry are refused by

@@ -33,6 +33,7 @@ from finslergeo import (
     kinematics,
     nabla_b,
     ricci_closed,
+    spray_coefficients,
     spray_derivatives,
 )
 from finslergeo.finsler import spray_y_second
@@ -397,3 +398,79 @@ def test_spray_y_second_matches_the_exact_contraction(name, w):
     got = spray_y_second(state, w_float)
     assert max_abs(exact) > 1e-4
     assert max_abs(got - exact) <= 1e-13 * max_abs(exact)
+
+
+# The Finsleroid metric function: F^2 = b^2 P(s) exp(-eps g I(s)) with
+# s = q/b, P = 1 + eps (g s + s^2) and I' = 1/P, a function of b = b_i y^i
+# and S^2 = a_ij y^i y^j alone (q^2 = eps (S^2 - b^2)).  At eps = +1,
+# I = arctan((s + g/2)/h)/h with h = sqrt(1 - g^2/4); at eps = -1,
+# I = ln|(s + g/2 + w)/(s + g/2 - w)|/(2w) with w = sqrt(1 + g^2/4).
+B, S2 = sp.symbols("b S2", real=True)
+
+
+def _half_f2_jet(eps, g, b, s2):
+    """F^2/2 and its first and second partials in (b, S^2) at (b, s2), to
+    30 digits: (value, [d_b, d_S2], [[d_bb, d_bS2], [d_S2b, d_S2S2]])."""
+    s = sp.sqrt(eps * (S2 - B**2)) / B
+    at = {B: b, S2: s2}
+    if eps == 1:
+        h = sp.sqrt(1 - g**2 / 4)
+        integral = sp.atan((s + g / 2) / h) / h
+    else:
+        w = sp.sqrt(1 + g**2 / 4)
+        ratio = (s + g / 2 + w) / (s + g / 2 - w)
+        integral = sp.log(sp.sign(ratio.xreplace(at)) * ratio) / (2 * w)
+    half = B**2 * (1 + eps * (g * s + s**2)) * sp.exp(-eps * g * integral) / 2
+    first = [sp.diff(half, v) for v in (B, S2)]
+
+    def value(expr):
+        return sp.N(expr.xreplace(at), 30)
+
+    hessian = [[value(sp.diff(d, v)) for v in (B, S2)] for d in first]
+    return value(half), [value(d) for d in first], hessian
+
+
+# (profile, charge, fiber, sign of F^2): eps = +1 at g = 3/10 and g = 3/2,
+# eps = -1 on a fiber with F^2 > 0 and one with F^2 < 0; b = y^0 < 0 in
+# each convention.
+NEAR_AXIS = (Fraction(-1, 2), Fraction(1, 16), Fraction(-1, 32), Fraction(1, 16))
+F_CASES = {
+    "pd_rational-g0.3": ("pd_rational", CHARGE, FIBER, 1),
+    "pd_rational-g1.5-b<0": ("pd_rational", Fraction(3, 2), (-FIBER[0],) + FIBER[1:], 1),
+    "schwarzschild-F2>0-b<0": ("schwarzschild", CHARGE, NEAR_AXIS, 1),
+    "schwarzschild-F2<0": ("schwarzschild", CHARGE, FIBER, -1),
+}
+
+
+@pytest.mark.parametrize("name, charge, fiber, f2_sign", F_CASES.values(), ids=F_CASES.keys())
+def test_spray_is_the_euler_lagrange_spray_of_f(name, charge, fiber, f2_sign):
+    """With l_l = d(F^2/2)/dy^l and g_il = d l_i/dy^l, the engine's spray
+    satisfies g_il G^l = y^k d_k l_l - d_l(F^2/2) to 1e-13 of its Finsler
+    part (the engine's G^i is twice Shen's).  The y-derivatives follow
+    from b and S^2 by the chain rule, d b/dy^l = b_l and d S^2/dy^l = 2 y_l,
+    and the x-derivatives from sympy's exact d_k a_ij (metric_jet)."""
+    eps = PROFILES[name][2]
+    rat = np.vectorize(lambda f: sp.Rational(f.numerator, f.denominator), otypes=[object])
+    a0, da, _ = (rat(a) for a in metric_jet(name))
+    y, g = rat(np.array(fiber, dtype=object)), sp.Rational(charge.numerator, charge.denominator)
+    e = rat(np.array([1, 0, 0, 0], dtype=object) + Fraction(0))  # b_i in the standard chart
+    y_low = a0 @ y
+    half, (d_b, d_s), ((d_bb, d_bs), (_, d_ss)) = _half_f2_jet(eps, g, y[0], y @ y_low)
+    assert np.sign(float(half)) == f2_sign
+    ell = d_b * e + 2 * d_s * y_low
+    metric = (
+        d_bb * np.outer(e, e)
+        + 2 * d_bs * (np.outer(e, y_low) + np.outer(y_low, e))
+        + 4 * d_ss * np.outer(y_low, y_low)
+        + 2 * d_s * a0
+    )
+    ds2 = np.einsum("kij,i,j->k", da, y, y)  # d_k S^2
+    d_ell = np.outer(ds2, d_bs * e + 2 * d_ss * y_low) + 2 * d_s * (da @ y)  # [k, l] = d_k l_l
+    rhs = y @ d_ell - d_s * ds2
+    assert abs(float(ell @ y - 2 * half)) <= 1e-25  # F^2 is 2-homogeneous in y
+    state = build_metric(Frame.standard(4, eps), PROFILES[name][1], np.array(POINT, dtype=float))
+    spray = spray_coefficients(state, np.array(fiber, dtype=float), float(charge))
+    finsler_part = metric.astype(float) @ (spray - spray_coefficients(state, y.astype(float), 0.0))
+    lhs = metric @ np.array([sp.Float(v, 30) for v in spray], dtype=object)
+    assert max_abs(finsler_part) > 1e-4
+    assert max_abs((lhs - rhs).astype(float)) <= 1e-13 * max_abs(finsler_part)

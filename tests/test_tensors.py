@@ -1,5 +1,6 @@
 """Index contractions on the frame and metric arrays, the profiles' own
-derivatives, and the complex-step engine."""
+derivatives, the complex-step engine, and the tolerances of the suite
+skeleton's check plan."""
 
 import dataclasses
 
@@ -17,7 +18,8 @@ from finslergeo import (
     spray_derivatives,
 )
 from finslergeo import tensors
-from finslergeo.report import _planned
+from finslergeo.scenario import parse_scenario
+from finslergeo.suites import STENCIL_FLOAT_BUDGET, _judged
 from finslergeo.tensors import TOLERANCE_CLASSES
 
 from conftest import fd_scalar, in_chart, sample_point, transform_components
@@ -268,15 +270,31 @@ class TestDirectionalStep:
 
 class TestPlanned:
     def test_tolerance_is_class_value_times_scale(self):
-        """A check's tolerance is its class's value times the plan's scale;
-        a None class is an informational check with no tolerance."""
-        rows = {"a": np.array([2e-10, 5e-10]), "b": np.array([5e-10]), "c": np.array([3.0])}
-        plan = [("a", "algebraic", 1.0), ("b", "algebraic", 10.0), ("c", None, 1.0)]
-        a, b, c = _planned(rows, plan, TOLERANCE_CLASSES)
-        assert a.tolerance == 1e-10 and not a.passed
+        """A check's tolerance is the scenario's value of its class times the
+        plan's scale; a None class is an informational check with no
+        tolerance.  Chunks of one sample each are joined in draw order."""
+        rows = {"a": [2e-10, 5e-10], "b": [5e-10, 0.0], "c": [3.0, 1.0]}
+        plan = {"a": ("algebraic", 1.0), "b": ("algebraic", 10.0), "c": (None, 1.0)}
+        xs = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 2.0]])
+
+        def judged(tolerances=""):
+            text = "[scenario]\ndimension = 3\n[profile]\nkind = constant\n" + tolerances
+            return _judged(
+                "s",
+                parse_scenario(text),
+                xs,
+                STENCIL_FLOAT_BUDGET,
+                lambda state, r: {name: np.array(v)[r] for name, v in rows.items()},
+                plan,
+            )
+
+        result = judged()
+        a, b, c = result.checks
+        assert result.status == "fail" and a.worst_index == 1 and a.n_samples == 2
+        assert a.tolerance == TOLERANCE_CLASSES["algebraic"] == 1e-10 and not a.passed
         assert b.tolerance == 1e-9 and b.passed
         assert c.tolerance is None and c.tolerance_class is None and c.passed
-        (tight,) = _planned(rows, plan[1:2], {"algebraic": 1e-11})
+        (_, tight, _) = judged("[tolerances]\nalgebraic = 1e-11\n").checks
         assert tight.tolerance == pytest.approx(1e-10) and not tight.passed
 
 

@@ -10,7 +10,6 @@ from .riemann import (
     FrameError,
     MetricState,
     RadialSingularityError,
-    RicciCoefficients,
     build_metric,
     christoffel,
     christoffel_definitional,

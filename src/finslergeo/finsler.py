@@ -93,7 +93,6 @@ class FinsleroidState:
     metric: MetricState
     y: np.ndarray
     charge: float
-    y_low: np.ndarray
     b: float | np.ndarray
     s2: float | np.ndarray
     q2: float | np.ndarray
@@ -125,8 +124,8 @@ class FinsleroidState:
 
 def fiber_vectors(metric: MetricState, y: np.ndarray):
     """The fiber data before the convention sign (no admissibility
-    requirement): returns (y_low, b, S^2, S^2 - b^2, v_low, v_up).  The
-    fourth entry is S^2 - b^2 on either signature; kinematics multiplies it
+    requirement): returns (b, S^2, S^2 - b^2, v_low, v_up).  The
+    third entry is S^2 - b^2 on either signature; kinematics multiplies it
     by eps = metric.frame.epsilon to get q^2.
     The metric and y broadcast over their leading axes: metrics built at
     complex x-rows (rows, B) against one y per sample (B, N), or a batch
@@ -138,7 +137,7 @@ def fiber_vectors(metric: MetricState, y: np.ndarray):
     q2 = s2 - b * b
     v_low = y_low - b[..., None] * metric.b_low
     v_up = y - b[..., None] * metric.b_up
-    return y_low, b, s2, q2, v_low, v_up
+    return b, s2, q2, v_low, v_up
 
 
 def kinematics(metric: MetricState, y: np.ndarray, charge: float) -> FinsleroidState:
@@ -153,7 +152,7 @@ def kinematics(metric: MetricState, y: np.ndarray, charge: float) -> FinsleroidS
     """
     y = np.asarray(y)
     eps = metric.frame.epsilon
-    y_low, b, s2, transverse, v_low, v_up = fiber_vectors(metric, y)
+    b, s2, transverse, v_low, v_up = fiber_vectors(metric, y)
     q2 = eps * transverse
     bad = np.real(q2) <= 0.0
     if np.any(bad):
@@ -178,7 +177,6 @@ def kinematics(metric: MetricState, y: np.ndarray, charge: float) -> FinsleroidS
         metric=metric,
         y=y,
         charge=float(charge),
-        y_low=y_low,
         b=b,
         s2=s2,
         q2=q2,
@@ -412,7 +410,7 @@ def _fiber_partials(state: FinsleroidState):
     gc = state.charge * (1.0 - ms.c**2)
 
     def fields(ys: np.ndarray) -> np.ndarray:
-        _, b, _, transverse, v_low, _ = fiber_vectors(ms, ys)
+        b, _, transverse, v_low, _ = fiber_vectors(ms, ys)
         q2 = eps * transverse
         q = np.sqrt(q2)
         nu = q + gc * b

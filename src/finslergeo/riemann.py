@@ -346,18 +346,6 @@ class ComboScalars:
     mixed: float
 
 
-@dataclass(frozen=True)
-class RicciCoefficients:
-    """Coefficients of the Ricci decomposition over {u_nm, b_n b_m / (c^2 m), n_n n_m}."""
-
-    u_term: float
-    bb_term: float
-    nn_term: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.u_term, self.bb_term, self.nn_term)
-
-
 def combo_scalars(state: MetricState) -> ComboScalars:
     """The scalar combinations of the state's six profile scalars at its
     radius, the one home of the curvature's and the Ricci decomposition's
@@ -492,12 +480,13 @@ def ricci_from_curvature(curvature: np.ndarray) -> np.ndarray:
     return np.trace(curvature, axis1=-3, axis2=-2)
 
 
-def ricci_closed(state: MetricState) -> tuple[np.ndarray, RicciCoefficients]:
+def ricci_closed(state: MetricState):
     """Decomposed Ricci tensor
 
         a_n^i_im = u_term * u_nm + bb_term * b_n b_m / (c^2 m) + nn_term * n_n n_m
 
-    returned together with its three scalar coefficients.  In dimension N,
+    returned with the triple (u_term, bb_term, nn_term) of its scalar
+    coefficients, each shaped like state.r.  In dimension N,
     with A = c_curv, B = m_curv, C = m_slope, D = cross and the mixed
     combination Y = A - (c'/c)(m'/m) of combo_scalars:
 
@@ -509,18 +498,15 @@ def ricci_closed(state: MetricState) -> tuple[np.ndarray, RicciCoefficients]:
     N = 4, which is the vacuum property.
     """
     s, n_dim = combo_scalars(state), state.frame.n_dim
-    coeffs = RicciCoefficients(
-        u_term=-(n_dim - 2) * s.m_slope - 0.5 * s.m_curv + s.cross,
-        bb_term=s.mixed + (n_dim - 1) * s.cross,
-        nn_term=s.mixed - (n_dim - 3) * 0.5 * s.m_curv,
-    )
-    u_term, bb_term, nn_term = (
-        v[..., None, None]
-        for v in (coeffs.u_term, coeffs.bb_term / (state.c**2 * state.m), coeffs.nn_term)
+    u_term = -(n_dim - 2) * s.m_slope - 0.5 * s.m_curv + s.cross
+    bb_term = s.mixed + (n_dim - 1) * s.cross
+    nn_term = s.mixed - (n_dim - 3) * 0.5 * s.m_curv
+    u_w, bb_w, nn_w = (
+        v[..., None, None] for v in (u_term, bb_term / (state.c**2 * state.m), nn_term)
     )
     ric = (
-        u_term * state.frame.u_low
-        + bb_term * outer(state.b_low, state.b_low)
-        + nn_term * outer(state.n_low, state.n_low)
+        u_w * state.frame.u_low
+        + bb_w * outer(state.b_low, state.b_low)
+        + nn_w * outer(state.n_low, state.n_low)
     )
-    return ric, coeffs
+    return ric, (u_term, bb_term, nn_term)

@@ -261,6 +261,11 @@ def scenario_from_sections(sections: Sections, overrides: Sections | None = None
     if epsilon not in (1, -1):
         raise ScenarioError(f"signature must be +1 or -1; got {epsilon}")
     charge = _number(sc.get("charge", default.charge), "charge")
+    if epsilon == 1 and abs(charge) >= 2.0:
+        raise ScenarioError(
+            f"charge must be in (-2, 2) at signature +1, where the Finsleroid needs "
+            f"h = sqrt(1 - g^2/4) > 0; got {charge!r}"
+        )
     seed = sc.get("seed", default.seed)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ScenarioError(f"seed must be an integer >= 0; got {seed!r}")

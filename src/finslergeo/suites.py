@@ -1,12 +1,12 @@
 """Verification suites driven by a Scenario.
 
 Each suite samples points (and fiber vectors) deterministically from a seed
-derived from the scenario seed and the suite's fixed position (`vacuum` from
-the scenario seed), states its residuals, check plan and chunk factor, and
-returns through one function, `_judged`, which builds each chunk's state from
-its points, evaluates the residuals on it (one residual per sample, in draw
-order) and returns per-check statistics.  A suite whose preconditions fail
-is marked skipped with the reason, and the run continues.
+derived from the scenario seed and the suite's fixed position, states its
+residuals, check plan and chunk factor, and returns through one function,
+`_judged`, which builds each chunk's state from its points, evaluates the
+residuals on it (one residual per sample, in draw order) and returns
+per-check statistics.  A suite whose preconditions fail is marked skipped
+with the reason, and the run continues.
 """
 
 from __future__ import annotations
@@ -291,19 +291,11 @@ def suite_vacuum(scenario: Scenario):
     if scenario.profile.kind != "schwarzschild_isotropic":
         return _skipped("vacuum", "requires the schwarzschild_isotropic profile")
     n = scenario.n_dim
-    # Reports pin this draw order: one direction, then per radius x^0 and a fiber.
-    rng = np.random.default_rng(scenario.seed)
-    direction = rng.normal(size=n - 1)
-    direction /= np.linalg.norm(direction)
     radii = np.array(scenario.radii, dtype=float)
-    xs, ys = np.zeros((2, len(radii), n))
-    for i, r in enumerate(radii):
-        xs[i, 0] = rng.uniform(-1.0, 1.0)
-        xs[i, 1:] = r * direction
-        ys[i] = rng.normal(size=n)
+    xs, ys = _draw_tries(_suite_rng(scenario, "vacuum"), n, len(radii), radii, radii, fiber=True)
 
     def residuals(state, rows) -> dict[str, np.ndarray]:
-        return verify_vacuum(state, ys[rows], radii[rows])
+        return verify_vacuum(state, ys[rows])
 
     plan = {
         "ricci_scaled": ("algebraic", 10.0),  # 1e-9 in 1/r^2 units

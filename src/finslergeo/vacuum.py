@@ -139,18 +139,18 @@ def reduction_residuals(state: MetricState, y: np.ndarray, closed: np.ndarray) -
     }
 
 
-def verify_vacuum(state: MetricState, y: np.ndarray, radii) -> dict[str, np.ndarray]:
+def verify_vacuum(state: MetricState, y: np.ndarray) -> dict[str, np.ndarray]:
     """The `vacuum` suite's five residuals by check name, one per sample of
-    a stacked Schwarzschild state, with the fiber vectors y and the nominal
-    radii stacked like its points; the Ricci residuals are scaled by radii^2.
-    The Ricci residual combines the decomposed closed form with the trace
-    of the closed curvature; at N != 4 it is expected to fail."""
-    r2 = np.asarray(radii, dtype=float) ** 2
+    a stacked Schwarzschild state, with the fiber vectors y stacked like its
+    points; the Ricci residuals are scaled by r^2.  The Ricci residual
+    combines the decomposed closed form with the trace of the closed
+    curvature; at N != 4 it is expected to fail."""
+    r2 = state.r**2
     closed = curvature_closed(state)
     ric_decomposed, coeffs = ricci_closed(state)
     ricci = np.maximum(max_abs(ric_decomposed, 2), max_abs(ricci_from_curvature(closed), 2))
     return {
         "ricci_scaled": ricci * r2,
-        "ricci_coefficients_scaled": np.max(np.abs(coeffs.as_tuple()), axis=0) * r2,
+        "ricci_coefficients_scaled": np.max(np.abs(coeffs), axis=0) * r2,
         "closed_vs_oracle": rel_frobenius(closed, curvature_fd_oracle(state), 4),
     } | reduction_residuals(state, y, closed)

@@ -199,8 +199,8 @@ class TestClosedFormsBatch:
         ric, coeffs = ricci_closed(batch)
         _agree(ric, [ricci_closed(m)[0] for m in metrics], CLOSED)
         _agree(
-            np.stack(coeffs.as_tuple(), axis=-1),
-            [np.stack(ricci_closed(m)[1].as_tuple(), axis=-1) for m in metrics],
+            np.stack(coeffs, axis=-1),
+            [np.stack(ricci_closed(m)[1], axis=-1) for m in metrics],
             CLOSED,
         )
         _agree(curvature_fd_oracle(batch), [curvature_fd_oracle(m) for m in metrics], FD)
@@ -403,8 +403,8 @@ class TestChristoffelKernel:
             one, y_one = build_metric(frame, pair, xs[b : b + 1]), y_rows[:, b]
             assert np.array_equal(s_low[:, b], nabla_b_dot(one, y_one))
             want = kinematics(one, y_one, 0.3)
-            for name in ("y_low", "b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "s_low",
-                         "ys", "eta", "sigma"):
+            for name in ("b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "s_low", "ys",
+                         "eta", "sigma"):
                 assert np.array_equal(getattr(fibers, name)[:, b], getattr(want, name)), name
 
         pts = xs + 0.01 * rng.normal(size=(6, 3, 8))
@@ -457,7 +457,7 @@ class TestConeEdgeInBatch:
         frame = Frame.standard(4, 1)
         metric = build_metric(frame, ProfilePair.constant(0.9, 1.0), np.array([0.0, 1.0, 0.0, 0.0]))
         edge = np.array([1.0, 1.0, 0.0, 0.0])
-        _, b, _, q2, _, _ = fiber_vectors(metric, edge)
+        b, _, q2, _, _ = fiber_vectors(metric, edge)
         charge = -(np.sqrt(q2) - nu_at_edge) / ((1.0 - 0.9**2) * b)
         ys = np.array([[-1.0, 0.5, 0.3, 0.0], edge, [-0.5, 0.2, -0.4, 0.7]])
         return build_metric(frame, metric.profiles, np.stack([metric.x] * 3)), ys, charge, metric

@@ -115,7 +115,7 @@ class TestKinematics:
         kinematics admits the fibers and nu_k carries dq/dy^k = -v_k / q."""
         state = build_metric(frame4, schwarzschild, np.array([0.2, 0.6, 0.8, 0.0]))
         ys = rng.normal(size=(50, 4))
-        transverse = fiber_vectors(state, ys)[3]
+        transverse = fiber_vectors(state, ys)[2]
         assert np.all(transverse < 0.0)
         fib = kinematics(state, ys, 0.3)
         np.testing.assert_array_equal(fib.q2, fib.b**2 - fib.s2)
@@ -142,7 +142,7 @@ class TestKinematics:
         r_mix = np.eye(4) - np.outer(state.b_up, state.b_low)
         for _ in range(25):
             y = rng.normal(size=4)
-            y_low, b, s2, q2, v_low, v_up = fiber_vectors(state, y)
+            b, s2, q2, v_low, v_up = fiber_vectors(state, y)
             s_low = nb @ y
             ys = float(y @ s_low)
             sigma = float(state.b_up @ s_low)
@@ -162,7 +162,7 @@ class TestKinematics:
             fib = kinematics(state, y, 0.3)
 
             def e_field(yv):
-                _, b, _, q2, v_low, _ = fiber_vectors(state, yv)
+                b, _, q2, v_low, _ = fiber_vectors(state, yv)
                 return (b / q2)[..., None] * v_low - state.b_low
 
             d_e = fd_partials(e_field, y)
@@ -264,8 +264,8 @@ def test_identities_are_judged_at_the_scenario_charge(name, monkeypatch):
     assert set(charges) == {0.0}
 
 
-STATE_FIELDS = ("y_low", "b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "r_mix",
-                "r_low", "eta", "s_low", "ys", "sigma")
+STATE_FIELDS = ("b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "r_mix", "r_low",
+                "eta", "s_low", "ys", "sigma")
 
 
 def _assert_row_matches(stacked, row, want):
@@ -412,7 +412,7 @@ class TestSprayDerivatives:
         state = build_metric(frame, pair, np.array([0.0, 1.0, 0.0, 0.0]))
         # Asymmetric fiber: nu has a nonzero transverse slope.
         y = np.array([1.0, 1.0, 0.0, 0.0])
-        _, b, _, q2, _, _ = fiber_vectors(state, y)
+        b, _, q2, _, _ = fiber_vectors(state, y)
         q = np.sqrt(q2)
         charge = -(q - 1e-9) / ((1.0 - 0.9**2) * b)  # nu barely positive at y
         assert 0.0 < kinematics(state, y, charge).nu < 2e-9
@@ -433,7 +433,7 @@ def transverse_slope_residuals(metric, y, charge):
     frame, profiles, x = metric.frame, metric.profiles, metric.x
 
     def q_field(pts):
-        return np.sqrt(fiber_vectors(build_metric(frame, profiles, pts), y)[3])
+        return np.sqrt(fiber_vectors(build_metric(frame, profiles, pts), y)[2])
 
     dq = fd_partials(q_field, x)
     db = fd_partials(lambda pts: build_metric(frame, profiles, pts).b_low, x)
@@ -575,3 +575,126 @@ class TestBundle:
         sym = max_abs(lowered + lowered.T) / 2.0
         antisym = max_abs(lowered - lowered.T) / 2.0
         assert np.isfinite(sym) and np.isfinite(antisym)
+
+
+BUNDLE_PROFILES = {
+    1: "kind = rational\nc_coeffs = 0.8, 0.1\nm_coeffs = 1.0, 0.2\n",
+    -1: "kind = schwarzschild_isotropic\nxi = 1\n",
+}
+BUNDLE_CASES = pytest.mark.parametrize(
+    "signature, charge", [(1, 0.0), (1, 0.3), (-1, 0.0), (-1, 0.3)],
+    ids=["pd-g0", "pd-g0.3", "pseudo-g0", "pseudo-g0.3"],
+)
+
+
+def _bundle_scenario(n_dim, signature, charge):
+    return parse_scenario(
+        f"[scenario]\ndimension = {n_dim}\nsignature = {signature}\ncharge = {charge}\n"
+        f"[profile]\n{BUNDLE_PROFILES[signature]}"
+    )
+
+
+def _bundle_draw(n_dim, signature, charge, count=6):
+    """The points and fibers of ``count`` finsler-curvature samples (inside
+    the cone of a nonzero charge), and their bundles K^2 R^i_k."""
+    scenario = _bundle_scenario(n_dim, signature, charge)
+    rng = _suite_rng(scenario, "finsler-curvature")
+    xs, ys = _sample_blocks(scenario, rng, count, fiber=True, charge=charge or None)
+    return xs, ys, _bundle_at(scenario, xs, ys)
+
+
+def _bundle_at(scenario, xs, ys):
+    metric = build_metric(Frame.standard(scenario.n_dim, scenario.epsilon), scenario.profile, xs)
+    return hh_curvature(spray_derivatives(metric, ys, scenario.charge))
+
+
+def _point_span(x, y):
+    """Projectors onto span{e, n, y_perp} and onto its complement, in the
+    standard chart: e the axis, n the radial direction of x, y_perp the part
+    of y's spatial components transverse to n."""
+    e = np.eye(len(x))[0]
+    n = np.concatenate([[0.0], x[1:]]) / np.linalg.norm(x[1:])
+    y_perp = np.concatenate([[0.0], y[1:]])
+    y_perp -= (y_perp @ n) * n
+    basis = np.stack([e, n, y_perp / np.linalg.norm(y_perp)], axis=1)
+    span = basis @ basis.T
+    return span, np.eye(len(x)) - span
+
+
+def _isotropy_gap(bundle, x, y):
+    """How far the bundle is, relative to max|K^2 R|, from mapping
+    span{e, n, y_perp} into itself and acting as A times the identity on
+    the complement (A its mean eigenvalue there)."""
+    span, rest = _point_span(x, y)
+    a = np.trace(rest @ bundle @ rest) / np.trace(rest)
+    worst = max(
+        max_abs(rest @ bundle @ span),
+        max_abs(span @ bundle @ rest),
+        max_abs(rest @ bundle @ rest - a * rest),
+    )
+    return worst / max_abs(bundle)
+
+
+def _y_contraction_passes(bundle, y):
+    """finsler-curvature's bundle_y_contraction rule on one sample."""
+    residual = gap(bundle @ y, 0.0, 1, max_abs(bundle) * max_abs(y))
+    return residual <= TOLERANCE_CLASSES["algebraic"]
+
+
+class TestBundleSymmetry:
+    """The bundle at (x, y) is a 3 x 3 block on span{e, n, y_perp} and one
+    scalar A on the complement: the profiles are isotropic in the spatial
+    coordinates, so N enters only through the complement.  These tests
+    catch an error that breaks that symmetry; one that keeps it (a wrong
+    scalar in an isotropic term) passes them."""
+
+    @BUNDLE_CASES
+    def test_isotropy(self, signature, charge):
+        """At N = 4 to 8 the bundle maps span{e, n, y_perp} into itself and
+        acts as A times the identity on the complement, to 1e-14 of
+        max|K^2 R| (measured at most 5.8e-16).  A 1e-6 term that leaks a
+        span vector into the complement, annihilating y so that the run's
+        bundle_y_contraction still passes, fails it."""
+        for n_dim in range(4, 9):
+            xs, ys, bundles = _bundle_draw(n_dim, signature, charge)
+            for x, y, bundle in zip(xs, ys, bundles):
+                assert _isotropy_gap(bundle, x, y) <= 1e-14, n_dim
+                span, rest = _point_span(x, y)
+                leak_to = rest[:, np.argmax(np.diag(rest))]  # the complement's longest column
+                along = span[:, 1] - (span[:, 1] @ y) / (y @ y) * y  # in the span, y . along = 0
+                wrong = bundle + 1e-6 * max_abs(bundle) * np.outer(leak_to, along)
+                assert _y_contraction_passes(wrong, y)
+                assert _isotropy_gap(wrong, x, y) > 1e-14, n_dim
+
+    @BUNDLE_CASES
+    def test_lift_from_four_dimensions(self, signature, charge):
+        """At x = (x^0, r, 0, ...) and y = (y^0, y^1, y^2, 0, ...) the
+        N-dimensional bundle, N = 5 to 8, is the N = 4 bundle at the same
+        components padded with A = K_4[3, 3] on the diagonal, to 1e-14 of
+        max|K_4| (measured at most 3.3e-16).  Moving one padded diagonal
+        entry by 1e-6 of max|K| (y has no component there, so
+        bundle_y_contraction still passes) fails it."""
+        xs4, ys4, _ = _bundle_draw(4, signature, charge)
+        # Rotate each sample's spatial components so that n and y_perp are axes 1 and 2.
+        xs, ys = np.zeros((2, len(xs4), 4))
+        for i, (x, y) in enumerate(zip(xs4, ys4)):
+            n = x[1:] / np.linalg.norm(x[1:])
+            xs[i, :2] = x[0], np.linalg.norm(x[1:])
+            ys[i, :3] = y[0], y[1:] @ n, np.linalg.norm(y[1:] - (y[1:] @ n) * n)
+        four = _bundle_at(_bundle_scenario(4, signature, charge), xs, ys)
+        scale = max_abs(four, 2)
+        for n_dim in range(5, 9):
+            pad = ((0, 0), (0, n_dim - 4))
+            bundles = _bundle_at(
+                _bundle_scenario(n_dim, signature, charge), np.pad(xs, pad), np.pad(ys, pad)
+            )
+            lifted = np.zeros_like(bundles)
+            lifted[:, :4, :4] = four
+            for j in range(4, n_dim):
+                lifted[:, j, j] = four[:, 3, 3]
+            assert np.all(max_abs(bundles - lifted, 2) <= 1e-14 * scale), n_dim
+            wrong = bundles.copy()
+            wrong[:, -1, -1] += 1e-6 * scale
+            for bundle, y in zip(wrong, np.pad(ys, pad)):
+                assert _y_contraction_passes(bundle, y)
+            assert np.all(max_abs(wrong - lifted, 2) > 1e-14 * scale), n_dim

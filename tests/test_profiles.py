@@ -159,7 +159,7 @@ class TestComboScalars:
         s = combo_scalars(state)
         assert s.c_curv == s.m_curv == s.m_slope == s.cross == 0.0
         _, n = ricci_closed(state)
-        assert n.as_tuple() == (0.0, 0.0, 0.0)
+        assert n == (0.0, 0.0, 0.0)
 
     def test_schwarzschild_vacuum_coefficients(self, rng):
         """All three Ricci coefficients vanish (below 1e-10 in 1/r^2 units)
@@ -168,7 +168,7 @@ class TestComboScalars:
         pair = ProfilePair.schwarzschild_isotropic(xi)
         r = rng.uniform(xi / 4 * 1.01 + 1e-9, 20 * xi, size=50)
         _, n = ricci_closed(state_at(pair, r))
-        assert np.all(np.max(np.abs(n.as_tuple()), axis=0) * r**2 < 1e-10)
+        assert np.all(np.max(np.abs(n), axis=0) * r**2 < 1e-10)
 
     def test_mixed_combination_value(self):
         """The mixed scalar c''/c - 2(c'/c)^2 - c'/(rc) - (c'/c)(m'/m) equals

@@ -306,10 +306,10 @@ class TestCurvature:
         x[1:3] = [0.6, 0.8]
         x[0] = 0.1
         state = build_metric(frame, pair, x)
-        ric, coeffs = ricci_closed(state)
-        assert coeffs.u_term == pytest.approx(0.64, rel=1e-12)
-        assert coeffs.bb_term == pytest.approx(-0.32, rel=1e-12)
-        assert coeffs.nn_term == pytest.approx(-0.96, rel=1e-12)
+        ric, (u_term, bb_term, nn_term) = ricci_closed(state)
+        assert u_term == pytest.approx(0.64, rel=1e-12)
+        assert bb_term == pytest.approx(-0.32, rel=1e-12)
+        assert nn_term == pytest.approx(-0.96, rel=1e-12)
         assert max_abs(ric) > 0.1
         assert max_abs(ricci_from_curvature(curvature_closed(state)) - ric) < 1e-9
 

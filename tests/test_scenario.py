@@ -513,6 +513,23 @@ class TestCli:
         assert main(["finsler-curvature", "--charge", "0.3", "--samples", "5"]) == 0
         assert main(["finsler-curvature", "--profile", "schwarzschild", "--samples", "3"]) == 0
 
+    @pytest.mark.parametrize("charge", ["2.5", "-3", "1e6", "2", "-2"])
+    def test_charge_outside_the_finsleroid_range_is_refused_at_signature_plus_one(
+        self, charge, capsys
+    ):
+        """At signature +1 the Finsleroid needs h = sqrt(1 - g^2/4) > 0, so a
+        charge with |g| >= 2 is a configuration error naming the range, from
+        the CLI and from a scenario file alike, instead of a passing run."""
+        assert main(["finsler-curvature", "--charge", charge, "--samples", "3"]) == 2
+        assert "charge must be in (-2, 2) at signature +1" in capsys.readouterr().err
+        with pytest.raises(ScenarioError, match=r"h = sqrt\(1 - g\^2/4\) > 0"):
+            parse_scenario(f"[scenario]\nsignature = 1\ncharge = {charge}\nsuites = vacuum\n")
+
+    def test_charge_inside_the_range_or_at_signature_minus_one_runs(self):
+        assert main(["finsler-curvature", "--charge", "1.5", "--samples", "3"]) == 0
+        argv = ["finsler-curvature", "--profile", "schwarzschild", "--charge", "2.5"]
+        assert main(argv + ["--samples", "3"]) == 0
+
     def test_charged_schwarzschild_subcommand_runs(self, capsys):
         """The Schwarzschild profile runs at signature -1, so a charge takes
         the pseudo-Finsleroid convention instead of a configuration error."""

@@ -15,6 +15,8 @@ GRAMMAR = settings(max_examples=60, deadline=None)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+# The charges of a Finsleroid at signature +1: |g| < 2, so h = sqrt(1 - g^2/4) > 0.
+asanov_range = st.floats(min_value=-2.0, max_value=2.0, exclude_min=True, exclude_max=True)
 
 
 def _text(sections: dict) -> str:
@@ -53,11 +55,12 @@ def valid_scenarios(draw):
     radii = draw(st.lists(st.floats(min_value=lowest, exclude_min=r_min > 0.0,
                                     allow_infinity=False), min_size=1, max_size=5))
     tolerances = draw(st.dictionaries(st.sampled_from(sorted(TOLERANCE_CLASSES)), positive))
+    signature = draw(st.sampled_from([1, -1]))
     echo = {
         "dimension": draw(st.integers(2, 8)),
-        "signature": draw(st.sampled_from([1, -1])),
+        "signature": signature,
         "profile": {"kind": kind, "params": params},
-        "charge": draw(finite),
+        "charge": draw(finite if signature == -1 else asanov_range),
         "seed": draw(st.integers(0, 2**64)),
         "suites": draw(st.lists(st.sampled_from(SUITES), min_size=1, unique=True)),
         "radii": radii,
@@ -96,6 +99,18 @@ def _rejected(text: str) -> None:
 def test_valid_text_round_trips_through_echo(case):
     text, echo = case
     assert parse_scenario(text).echo() == echo
+
+
+@GRAMMAR
+@given(
+    magnitude=st.floats(min_value=2.0, allow_infinity=False),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_charge_outside_the_range_is_rejected_at_signature_plus_one(magnitude, sign):
+    text = _text({"scenario": {"signature": "1", "charge": _value(sign * magnitude),
+                               "suites": "vacuum"}})
+    with pytest.raises(ScenarioError, match=r"charge must be in \(-2, 2\)"):
+        parse_scenario(text)
 
 
 non_finite = st.one_of(

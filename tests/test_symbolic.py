@@ -279,7 +279,7 @@ def test_ricci_closed_matches_the_exact_ricci(name, chart):
     got, got_coeffs = ricci_closed(chart_state(name, chart))
     scale = max_abs(exact_riemann(name, chart).astype(float))
     assert max_abs(got - ric.astype(float)) <= 1e-12 * scale
-    assert max_abs(np.array(got_coeffs.as_tuple()) - coeffs.astype(float)) <= 1e-12 * scale
+    assert max_abs(np.array(got_coeffs) - coeffs.astype(float)) <= 1e-12 * scale
     assert any(coeffs) == (name != "schwarzschild")
 
 
@@ -298,7 +298,7 @@ def test_five_dimensional_schwarzschild_is_not_ricci_flat():
     scale = max_abs(exact_riemann("schwarzschild", identity, POINT5).astype(float))
     assert any(coeffs)
     assert max_abs(got - ric.astype(float)) <= 1e-12 * scale
-    for closed, exact in zip(got_coeffs.as_tuple(), coeffs):
+    for closed, exact in zip(got_coeffs, coeffs):
         assert abs(closed - float(exact)) <= 1e-12 * scale
         if exact:
             assert abs(closed) > 1e-3 * scale

@@ -93,7 +93,7 @@ class TestVerifyVacuum:
         radii = np.array([0.7, 2.0, 6.0])
         xs = np.stack([sample_point(rng, 4, r, r) for r in radii])
         ys = rng.normal(size=(3, 4))
-        stacked = verify_vacuum(build_metric(frame4, schwarzschild, xs), ys, radii)
+        stacked = verify_vacuum(build_metric(frame4, schwarzschild, xs), ys)
         assert list(stacked) == [
             "ricci_scaled", "ricci_coefficients_scaled", "closed_vs_oracle",
             "reduced_vs_closed", "axis_contractions",
@@ -101,7 +101,7 @@ class TestVerifyVacuum:
         for i in range(3):
             rows = slice(i, i + 1)
             state = build_metric(frame4, schwarzschild, xs[rows])
-            alone = verify_vacuum(state, ys[rows], radii[rows])
+            alone = verify_vacuum(state, ys[rows])
             reductions = reduction_residuals(state, ys[rows], curvature_closed(state))
             for name, values in stacked.items():
                 assert values.shape == (3,)

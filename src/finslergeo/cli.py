@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import re
 import sys
 from functools import cache
 from pathlib import Path
@@ -53,6 +54,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--report", dest="output.report", metavar="PATH", help="write the JSON report to PATH"
     )
+
+
+# The words each subcommand reads as a negative number, not an option:
+# argparse's own pattern (the private _negative_number_matcher, set by
+# build_parser) takes -N and -N.N, this one also -1e-3 and -2.5E+4.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _option(parser: argparse.ArgumentParser, flag: str, entry: str, text: str) -> None:
@@ -97,6 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     _option(fc, "--xi", "profile.xi", "xi for --profile schwarzschild")
     _add_common(fc)
 
+    for subcommand in (run_p, vac, fc):
+        subcommand._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

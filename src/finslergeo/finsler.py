@@ -284,57 +284,16 @@ def spray_y_second(state: FinsleroidState, w: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SprayDerivatives:
-    """The closed spray at (x, y) with its first y-derivative, the second
-    contracted with the spray (second_closed = G^i_km G^m, axes [i, k], the
-    only form of it the bundle reads), the numeric first derivative and its
-    disagreement with the closed one (tensors.gap, one per sample over a
-    batch).  It carries the point, so the hh-curvature bundle is assembled
-    from it."""
-
-    metric: MetricState
-    y: np.ndarray
-    charge: float
-    spray: np.ndarray
-    first_closed: np.ndarray
-    first_numeric: np.ndarray
-    second_closed: np.ndarray
-    first_gap: float | np.ndarray
-
-
 def spray_derivatives(
-    metric: MetricState,
-    y: np.ndarray,
-    charge: float,
-) -> SprayDerivatives:
-    """Both first-derivative routes at (x, y), or at each sample of a batch:
-    a metric over B points with fiber vectors y (B, N).
-
-    The closed G^i, G^i_k and G^i_km G^m come from one kinematics
-    evaluation.  The numeric G^i_k is one complex y-step of the spray G^i
-    alone, each sample's metric broadcast over its rows; fd_partials puts
-    the derivative index first, so it moves last.
-    """
-    y = np.asarray(y, dtype=float)
-    spray, first_closed, state = _spray_and_first(metric, y, charge)
-    if state is None:
-        second_closed = 2.0 * christoffel_dot(metric, spray)
-    else:
-        second_closed = spray_y_second(state, spray)
-    first_numeric = np.swapaxes(
-        fd_partials(lambda ys: spray_coefficients(metric, ys, charge), y), -1, -2
-    )
-    return SprayDerivatives(
-        metric=metric,
-        y=y,
-        charge=float(charge),
-        spray=spray,
-        first_closed=first_closed,
-        first_numeric=first_numeric,
-        second_closed=second_closed,
-        first_gap=gap(first_closed, first_numeric, 2),
-    )
+    metric: MetricState, y: np.ndarray, charge: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed (G^i, G^i_k, G^i_km G^m), axes [i], [i, k] and [i, k], at
+    (x, y) or at each sample of a batch (a metric over B points with fiber
+    vectors y (B, N)), from one kinematics evaluation; G^i_km comes
+    contracted with the spray, the one form of it the bundle reads."""
+    spray, first, state = _spray_and_first(metric, np.asarray(y, dtype=float), charge)
+    second = 2.0 * christoffel_dot(metric, spray) if state is None else spray_y_second(state, spray)
+    return spray, first, second
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +301,17 @@ def spray_derivatives(
 # ---------------------------------------------------------------------------
 
 
-def hh_curvature(derivs: SprayDerivatives) -> np.ndarray:
-    """K^2 R^i_k, axes [i, k], at the point (or at each sample) of
-    ``derivs``, assembled from its closed spray data and two complex
-    x-steps: G^i alone on the N coordinate rows, and G^i_k on one row along
-    y, whose Im G^i_k(x + i h y) / h is y^j dG^i_k/dx^j.
-
-    With Gbar = G/2 and y held fixed across the complex x-rows:
-
-        K^2 R^i_k = 2 dGbar^i/dx^k - Gbar^i_j Gbar^j_k
-                    - y^j dGbar^i_k/dx^j + 2 Gbar^j Gbar^i_kj
-
-    where the last term is G^i_kj G^j / 2, derivs.second_closed halved.
-    Index lowering on the bundle, where wanted, uses the Riemannian metric
-    a_ij (the Finsler metric tensor is out of scope).
-    """
-    metric, y, charge = derivs.metric, derivs.y, derivs.charge
+def hh_curvature(
+    metric: MetricState, y: np.ndarray, charge: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K^2 R^i_k, G^i, G^i_k) at (x, y), or at each sample of a batch: the
+    bundle, axes [i, k], by the module docstring's formula (Gbar = G/2, y
+    held fixed across the complex x-rows), with the closed G^i and G^i_k of
+    spray_derivatives that it is assembled from.  Two complex x-steps take
+    dG^i/dx^k from G^i alone on the N coordinate rows, and
+    y^j dG^i_k/dx^j = Im G^i_k(x + i h y) / h on one row along y."""
+    y = np.asarray(y, dtype=float)
+    spray, first, second = spray_derivatives(metric, y, charge)
 
     # Each row's metric is built once, and each sample's y broadcasts over its rows.
     def at_rows(pts: np.ndarray) -> MetricState:
@@ -368,13 +322,9 @@ def hh_curvature(derivs: SprayDerivatives) -> np.ndarray:
         lambda pts: _spray_and_first(at_rows(pts), y, charge)[1], metric.x, y[None]
     )[..., 0, :, :]  # [i, k] = y^j dG^i_k/dx^j
 
-    gbar_first = 0.5 * derivs.first_closed
-    return (
-        np.swapaxes(d_spray, -1, -2)
-        - gbar_first @ gbar_first
-        - 0.5 * y_d_first
-        + 0.5 * derivs.second_closed
-    )
+    gbar = 0.5 * first
+    bundle = np.swapaxes(d_spray, -1, -2) - gbar @ gbar - 0.5 * y_d_first + 0.5 * second
+    return bundle, spray, first
 
 
 # ---------------------------------------------------------------------------

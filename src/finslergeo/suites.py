@@ -26,7 +26,6 @@ from .finsler import (
     kinematics,
     kinematic_identity_residuals,
     spray_coefficients,
-    spray_derivatives,
 )
 from .profiles import DomainError, ProfilePair
 from .report import CheckResult, RunReport, SuiteResult
@@ -42,7 +41,7 @@ from .riemann import (
     ricci_from_curvature,
 )
 from .scenario import SUITES, Scenario
-from .tensors import dot, gap, matvec, max_abs, rel_frobenius
+from .tensors import dot, fd_partials, gap, matvec, max_abs, rel_frobenius
 from .vacuum import reduction_residuals, verify_vacuum
 
 
@@ -352,7 +351,7 @@ def suite_finsler_identities(scenario: Scenario):
 
     def residuals(state, rows) -> dict[str, np.ndarray]:
         res = kinematic_identity_residuals(kinematics(state, ys[rows], charge))
-        # Kept for bench/workloads.json only; a bench-only change drops it (ROADMAP item 10).
+        # Kept for bench/workloads.json only; a bench-only change drops it (ROADMAP item 11).
         res["e_fiber_derivative_fd"] = res["e_fiber_derivative"]
         return res
 
@@ -372,15 +371,15 @@ def suite_finsler_curvature(scenario: Scenario):
 
     def residuals(state, rows) -> dict[str, np.ndarray]:
         y = ys[rows]
-        derivs = spray_derivatives(state, y, charge)
-        g1 = derivs.spray
+        curvature, g1, first = hh_curvature(state, y, charge)
         g2 = spray_coefficients(state, 2.0 * y, charge)
-        curvature = hh_curvature(derivs)
+        # The numeric G^i_k, axes [k, i]: one complex y-step of G^i alone.
+        numeric = fd_partials(lambda v: spray_coefficients(state, v, charge), y)
         magnitude = max_abs(curvature, 2)
         out = {
             "spray_homogeneity": gap(g2, 4.0 * g1, 1),
-            "euler_identity": gap(matvec(derivs.first_closed, y), 2.0 * g1, 1),
-            "spray_first_derivative_gap": derivs.first_gap,
+            "euler_identity": gap(matvec(first, y), 2.0 * g1, 1),
+            "spray_first_derivative_gap": gap(first, np.swapaxes(numeric, -1, -2), 2),
             # K^2 R^i_k y^k sums terms up to max|K^2 R| max|y| in size.
             "bundle_y_contraction": gap(matvec(curvature, y), 0.0, 1, magnitude * max_abs(y, 1)),
         }
@@ -398,8 +397,7 @@ def suite_finsler_curvature(scenario: Scenario):
     }
     dumps = {}
     if scenario.dump_dir:
-        sample = spray_derivatives(_state(scenario, xs[:1]), ys[:1], charge)
-        dumps["finsler_bundle_sample"] = hh_curvature(sample)[0]
+        dumps["finsler_bundle_sample"] = hh_curvature(_state(scenario, xs[:1]), ys[:1], charge)[0][0]
     # F = 2N^3 + 2N^2 at either charge: hh_curvature's x-step holds a row
     # metric's N x N complex a_ij at each of a sample's N coordinate rows,
     # and its one row along y N x N complex arrays; no sample holds an N^3

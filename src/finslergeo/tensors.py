@@ -48,9 +48,10 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # The imaginary step h of d f / d x^k = Im f(x + i h e_k) / h.  The complex
-# step subtracts nothing, so its error is roundoff at any tiny h, and h
-# needs no scale: Squire & Trapp, SIAM Review 40 (1998) 110; Martins,
-# Sturdza & Alonso, ACM TOMS 29 (2003) 245.
+# step subtracts nothing, so it loses no digits to cancellation (Squire &
+# Trapp, SIAM Review 40 (1998) 110; Martins, Sturdza & Alonso, ACM TOMS 29
+# (2003) 245); h needs no scale only while it lies far below the length l
+# over which the field varies, for the truncation error is O((h/l)^2).
 COMPLEX_STEP = 1e-30
 
 

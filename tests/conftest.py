@@ -16,6 +16,7 @@ from finslergeo import (
     christoffel_definitional,
     fd_partials,
     kinematics,
+    spray_coefficients,
 )
 from finslergeo.finsler import _first_derivative, _spray_and_first, spray_y_second
 from finslergeo.riemann import _gamma_products, christoffel_dot, christoffel_quadratic
@@ -185,6 +186,13 @@ def spray_second_closed(metric, y, charge):
         column = 2.0 * christoffel_dot(metric, w) if state is None else spray_y_second(state, w)
         columns.append(column)
     return np.stack(columns, axis=-1)
+
+
+def spray_first_numeric(metric, y, charge):
+    """The numeric first y-derivative G^i_k, axes [i, k]: one complex
+    y-step of the spray G^i alone, as finsler-curvature takes it for
+    spray_first_derivative_gap; the derivative index moves last."""
+    return np.swapaxes(fd_partials(lambda ys: spray_coefficients(metric, ys, charge), y), -1, -2)
 
 
 def spray_second_numeric(metric, y, charge):

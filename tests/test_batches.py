@@ -66,6 +66,7 @@ from conftest import (
     nabla_c,
     nabla_c_definitional,
     sample_point,
+    spray_first_numeric,
     spray_second_closed,
     spray_second_numeric,
 )
@@ -241,11 +242,14 @@ class TestClosedFormsBatch:
         samples = _samples(rng, name, rotated)
         metric, y = _batch(samples)
         for g in (charge, 0.0):
-            derivs = spray_derivatives(metric, y, g)
             singles = [spray_derivatives(m, yy, g) for m, yy, _ in samples]
-            for field in ("spray", "first_closed", "second_closed"):
-                _agree(getattr(derivs, field), [getattr(s, field) for s in singles], CLOSED)
-            _agree(derivs.first_numeric, [s.first_numeric for s in singles], FD)
+            for field, closed in enumerate(spray_derivatives(metric, y, g)):
+                _agree(closed, [s[field] for s in singles], CLOSED)
+            _agree(
+                spray_first_numeric(metric, y, g),
+                [spray_first_numeric(m, yy, g) for m, yy, _ in samples],
+                FD,
+            )
             _agree(
                 spray_second_closed(metric, y, g),
                 [spray_second_closed(m, yy, g) for m, yy, _ in samples],
@@ -256,7 +260,11 @@ class TestClosedFormsBatch:
                 [spray_second_numeric(m, yy, g) for m, yy, _ in samples],
                 FD,
             )
-            _agree(hh_curvature(derivs), [hh_curvature(s) for s in singles], FD)
+            _agree(
+                hh_curvature(metric, y, g)[0],
+                [hh_curvature(m, yy, g)[0] for m, yy, _ in samples],
+                FD,
+            )
 
         fib = kinematics(metric, y, charge)
         res = kinematic_identity_residuals(fib)
@@ -470,15 +478,16 @@ class TestConeEdgeInBatch:
         fiber its own single-fiber result, and the closed first derivative
         matches the numeric one to roundoff."""
         batch, ys, charge, metric = self._batch(nu_at_edge)
-        got = spray_derivatives(batch, ys, charge)
+        got = spray_first_numeric(batch, ys, charge)
         got_second = spray_second_numeric(batch, ys, charge)
         for row, y in enumerate(ys):
-            want = spray_derivatives(metric, y, charge).first_numeric
-            assert max_abs(got.first_numeric[row] - want) <= FD * max_abs(want)
+            want = spray_first_numeric(metric, y, charge)
+            assert max_abs(got[row] - want) <= FD * max_abs(want)
             want = spray_second_numeric(metric, y, charge)
             assert max_abs(got_second[row] - want) <= FD * max_abs(want)
-        assert np.all(got.first_gap <= 1e-13 * max_abs(got.first_closed, 2))
-        assert np.all(np.isfinite(hh_curvature(got)))
+        bundle, _, first = hh_curvature(batch, ys, charge)
+        assert np.all(tensors.gap(first, got, 2) <= 1e-13 * max_abs(first, 2))
+        assert np.all(np.isfinite(bundle))
 
 
 def _loop_states(scenario, rng, count, with_fiber=False):
@@ -731,9 +740,9 @@ def test_spray_stencils_build_no_christoffel_array(monkeypatch):
     builds the full array."""
     fibers = _charged_fibers(4)
     calls = _counting_everywhere(monkeypatch, riemann.christoffel)
-    derivs = spray_derivatives(fibers.metric, fibers.y, fibers.charge)
+    spray_derivatives(fibers.metric, fibers.y, fibers.charge)
     assert calls == []
-    hh_curvature(derivs)
+    hh_curvature(fibers.metric, fibers.y, fibers.charge)
     assert calls == []
 
 
@@ -754,33 +763,36 @@ def _recording(monkeypatch, module, names) -> list:
 def test_spray_stencil_rows_compute_only_what_the_spray_reads(monkeypatch):
     """On a charged N = 8 batch, hh_curvature's x-stencil rows build no
     inverse metric, no nabla b and none of the Finsleroid fields that only
-    the identities and the second derivative read."""
+    the identities and the second derivative read; only its one
+    kinematics at the real fibers, which the second derivative reads, does."""
     fibers = _charged_fibers(4)
-    derivs = spray_derivatives(fibers.metric, fibers.y, fibers.charge)
     built = _recording(monkeypatch, finsler, ("build_metric", "kinematics"))
-    hh_curvature(derivs)
-    kinds = {type(state).__name__ for state in built}
+    hh_curvature(fibers.metric, fibers.y, fibers.charge)
+    rows = [state for state in built if np.iscomplexobj(getattr(state, "metric", state).x)]
+    assert len(built) - len(rows) == 1
+    kinds = {type(state).__name__ for state in rows}
     assert kinds == {"MetricState", "FinsleroidState"}
-    for state in built:
+    for state in rows:
         assert not {"r_low", "eta", "sigma", "a_up", "nb", "gamma"} & vars(state).keys()
 
 
 def test_spray_y_rows_compute_only_the_spray(monkeypatch):
-    """On a charged N = 8 batch, spray_derivatives' complex y-step
-    differentiates G^i alone: the closed G^i_k is built once, at the real
-    fibers, and never at a complex row."""
-    fibers = _charged_fibers(4)
+    """On a charged N = 8 run of four fibers, finsler-curvature's complex
+    y-step differentiates G^i alone: the closed G^i_k is built at the real
+    fibers and on hh_curvature's complex x-row along y, never at a complex fiber."""
+    scenario = parse_scenario(CHARGED_N8.replace("fibers = 100", "fibers = 4"))
     received = []
     first_derivative = finsler._first_derivative
 
     def recorded(state, gamma_y):
-        received.append((state.y, gamma_y))
+        received.append(state)
         return first_derivative(state, gamma_y)
 
     monkeypatch.setattr(finsler, "_first_derivative", recorded)
-    spray_derivatives(fibers.metric, fibers.y, fibers.charge)
-    assert len(received) == 1
-    assert not any(np.iscomplexobj(arr) for arr in received[0])
+    result, _ = suite_finsler_curvature(scenario)
+    assert result.status == "pass"
+    assert [np.iscomplexobj(state.metric.x) for state in received] == [False, True]
+    assert not any(np.iscomplexobj(state.y) for state in received)
 
 
 def test_bundle_takes_g_k_on_one_complex_row_per_sample(monkeypatch):
@@ -789,7 +801,6 @@ def test_bundle_takes_g_k_on_one_complex_row_per_sample(monkeypatch):
     its coordinate rows differentiate G^i alone, and no row builds an
     N x N Christoffel contraction but that one."""
     fibers = _charged_fibers(4)
-    derivs = spray_derivatives(fibers.metric, fibers.y, fibers.charge)
     received = []
     first_derivative = finsler._first_derivative
 
@@ -799,11 +810,13 @@ def test_bundle_takes_g_k_on_one_complex_row_per_sample(monkeypatch):
 
     monkeypatch.setattr(finsler, "_first_derivative", recorded)
     dots = _counting_everywhere(monkeypatch, riemann.christoffel_dot)
-    hh_curvature(derivs)
-    assert [x.shape for x in received] == [(1, 4, 8)]
-    assert np.iscomplexobj(received[0])
-    assert np.array_equal(received[0].imag[0], tensors.COMPLEX_STEP * fibers.y)
-    assert len(dots) == 1
+    hh_curvature(fibers.metric, fibers.y, fibers.charge)
+    # The first is the closed G^i_k at the real fibers, (4, 8).
+    assert [x.shape for x in received] == [(4, 8), (1, 4, 8)]
+    assert np.iscomplexobj(received[1])
+    assert np.array_equal(received[1].imag[0], tensors.COMPLEX_STEP * fibers.y)
+    # Two at the real fibers (G^i_k and G^i_km G^m), one on the row along y.
+    assert len(dots) == 3
 
 
 @pytest.mark.parametrize(
@@ -866,16 +879,16 @@ def test_charged_chunks_are_sized_for_their_stencil_rows(monkeypatch):
     charge; charge 0 contracts the closed curvature with y (curvature_dot)
     and never builds the N^4 tensor.  The identity stencil holds N-vectors
     per row, so its 100 fibers take one."""
-    spray = ("spray_derivatives", "hh_curvature")
+    spray = ("hh_curvature",)
     charged = _suite_calls(monkeypatch, CHARGED_N8, suite_finsler_curvature, spray)
-    assert charged == {"spray_derivatives": 2, "hh_curvature": 2}
+    assert charged == {"hh_curvature": 2}
     identities = _suite_calls(
         monkeypatch, CHARGED_N8, suite_finsler_identities, ("kinematic_identity_residuals",)
     )
     assert identities["kinematic_identity_residuals"] == 1
     closed = _counting_everywhere(monkeypatch, riemann.curvature_closed)
     limit = _suite_calls(monkeypatch, LIMIT_N8, suite_finsler_curvature, spray)
-    assert limit == {"spray_derivatives": 2, "hh_curvature": 2}
+    assert limit == {"hh_curvature": 2}
     assert closed == []
 
 
@@ -895,9 +908,10 @@ def _suite_rows(monkeypatch, text, suite_funcs, dump_dir):
         rows.append(arrays | joined)
         return arrays
 
-    def bundle(derivs):
-        bundles.append(hh_curvature(derivs))
-        return bundles[-1]
+    def bundle(*args):
+        out = hh_curvature(*args)
+        bundles.append(out[0])
+        return out
 
     monkeypatch.setattr(suites, "_per_sample", recorded)
     monkeypatch.setattr(suites, "hh_curvature", bundle)

@@ -25,7 +25,7 @@ from finslergeo import (
     kinematics,
     load_scenario,
     parse_scenario,
-    spray_derivatives,
+    spray_coefficients,
 )
 from finslergeo import finsler, riemann, suites
 from finslergeo.suites import (
@@ -205,10 +205,11 @@ def _oracles(scenario) -> dict:
         cone = scenario.charge if scenario.charge != 0.0 else None
         xs, y = _sample_blocks(scenario, rng, scenario.n_fibers, fiber=True, charge=cone)
         metric = build_metric(frame, scenario.profile, xs)
-        derivs = spray_derivatives(metric, y, scenario.charge)
-        bundle = hh_curvature(derivs)
+        bundle = hh_curvature(metric, y, scenario.charge)[0]
         fd = TOL["finite_difference"]
-        out["spray_first"] = (derivs.first_numeric, lambda a, b: max_abs(a - b, 2), 0.1 * fd)
+        # The y-step that finsler-curvature's spray_first_derivative_gap reads.
+        first = suites.fd_partials(lambda v: spray_coefficients(metric, v, scenario.charge), y)
+        out["spray_first"] = (first, lambda a, b: max_abs(a - b, 2), 0.1 * fd)
         out["bundle"] = (bundle, lambda a, b: rel_frobenius(a, b, 2), TOL["bundle"])
         out["bundle_y"] = (matvec(bundle, y), lambda a, b: max_abs(a - b, 1), fd)
     return out
@@ -217,7 +218,7 @@ def _oracles(scenario) -> dict:
 def _assert_oracles_agree(scenario, monkeypatch):
     complex_step = _oracles(scenario)
     with monkeypatch.context() as patch:
-        for module in (riemann, finsler):
+        for module in (riemann, finsler, suites):
             patch.setattr(module, "fd_partials", _central)
         central = _oracles(scenario)
     assert complex_step.keys() == central.keys() and complex_step

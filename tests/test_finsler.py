@@ -34,6 +34,7 @@ from finslergeo.tensors import TOLERANCE_CLASSES, fd_partials, gap, max_abs, rel
 from conftest import (
     riemann_spray,
     sample_point,
+    spray_first_numeric,
     spray_second_closed,
     spray_second_numeric,
     spray_y_derivative,
@@ -359,9 +360,9 @@ class TestSprayDerivatives:
     def test_zero_charge_first_derivative(self, frame4, schwarzschild, rng):
         state = build_metric(frame4, schwarzschild, sample_point(rng, 4, 0.5, 4.0))
         y = rng.normal(size=4)
-        derivs = spray_derivatives(state, y, 0.0)
-        assert max_abs(derivs.first_closed - 2.0 * christoffel_dot(state, y)) == 0.0
-        assert max_abs(derivs.second_closed - 2.0 * christoffel_dot(state, derivs.spray)) == 0.0
+        spray, first, second_spray = spray_derivatives(state, y, 0.0)
+        assert max_abs(first - 2.0 * christoffel_dot(state, y)) == 0.0
+        assert max_abs(second_spray - 2.0 * christoffel_dot(state, spray)) == 0.0
         second = spray_second_closed(state, y, 0.0)
         gamma = christoffel(state)
         assert max_abs(second - 2.0 * gamma) <= 1e-15 * max_abs(gamma)
@@ -369,8 +370,8 @@ class TestSprayDerivatives:
     def test_closed_first_matches_numeric(self, frame4_pd, pd_rational, rng):
         """Closed G^i_k vs the numeric y-derivative of the spray, 1e-7."""
         for state, y in admissible_sample(rng, frame4_pd, pd_rational, 0.3, 10):
-            derivs = spray_derivatives(state, y, 0.3)
-            assert derivs.first_gap < 1e-7
+            _, first, _ = spray_derivatives(state, y, 0.3)
+            assert gap(first, spray_first_numeric(state, y, 0.3), 2) < 1e-7
 
     def test_closed_second_matches_numeric(self, frame4_pd, pd_rational, rng):
         """The closed G^i_km (second y-derivative, built from spray_y_second
@@ -379,12 +380,12 @@ class TestSprayDerivatives:
         spray itself (coarser tolerance); the bundle reads its contraction
         with the spray."""
         for state, y in admissible_sample(rng, frame4_pd, pd_rational, 0.3, 5):
-            derivs = spray_derivatives(state, y, 0.3)
+            spray, _, second_spray = spray_derivatives(state, y, 0.3)
             second = spray_second_closed(state, y, 0.3)
             assert gap(second, spray_second_numeric(state, y, 0.3), 3) < 1e-7
             assert max_abs(second - np.transpose(second, (0, 2, 1))) < 1e-14
-            contracted = second @ derivs.spray
-            assert max_abs(derivs.second_closed - contracted) <= 1e-14 * max_abs(contracted)
+            contracted = second @ spray
+            assert max_abs(second_spray - contracted) <= 1e-14 * max_abs(contracted)
             # double stencil straight on G^i
             h = 1e-3 * float(np.linalg.norm(y))
             for k in range(4):
@@ -416,8 +417,8 @@ class TestSprayDerivatives:
         q = np.sqrt(q2)
         charge = -(q - 1e-9) / ((1.0 - 0.9**2) * b)  # nu barely positive at y
         assert 0.0 < kinematics(state, y, charge).nu < 2e-9
-        derivs = spray_derivatives(state, y, charge)
-        assert derivs.first_gap <= 1e-13 * max_abs(derivs.first_closed)
+        _, first, _ = spray_derivatives(state, y, charge)
+        assert gap(first, spray_first_numeric(state, y, charge), 2) <= 1e-13 * max_abs(first)
         second = spray_second_closed(state, y, charge)
         second_gap = gap(second, spray_second_numeric(state, y, charge), 3)
         assert second_gap <= 1e-13 * max(max_abs(second), 1.0)
@@ -481,9 +482,22 @@ class TestBundle:
             y = rng.normal(size=4)
             if eps == 1:
                 y[1:] += 1.0  # keep q away from zero
-            derivs = spray_derivatives(build_metric(frame, pair, x), y, charge)
-            assert max_abs(derivs.spray) == 0.0
-            assert max_abs(hh_curvature(derivs)) < 1e-10
+            bundle, spray, _ = hh_curvature(build_metric(frame, pair, x), y, charge)
+            assert max_abs(spray) == 0.0
+            assert max_abs(bundle) < 1e-10
+
+    @pytest.mark.parametrize("charge", [0.3, 0.0])
+    def test_bundle_returns_the_spray_it_is_built_from(self, charge, frame4_pd, pd_rational, rng):
+        """hh_curvature's G^i and G^i_k are spray_derivatives' at the same
+        batch of (x, y), bit for bit: the caller reads them from the one
+        evaluation that the bundle is assembled from."""
+        pairs = admissible_sample(rng, frame4_pd, pd_rational, 0.3, 3)
+        metric = build_metric(frame4_pd, pd_rational, np.array([ms.x for ms, _ in pairs]))
+        ys = np.array([y for _, y in pairs])
+        bundle, spray, first = hh_curvature(metric, ys, charge)
+        want_spray, want_first, _ = spray_derivatives(metric, ys, charge)
+        assert bundle.shape == first.shape == (3, 4, 4)
+        assert np.array_equal(spray, want_spray) and np.array_equal(first, want_first)
 
     def test_riemannian_limit_matches_curvature(self, frame4, schwarzschild, rng):
         """g = 0: the bundle equals y^n y^m a_n^i_km (sign +1, fixed at the
@@ -493,7 +507,7 @@ class TestBundle:
             x = sample_point(rng, 4, 0.6, 4.0)
             y = rng.normal(size=4)
             state = build_metric(frame4, schwarzschild, x)
-            curvature = hh_curvature(spray_derivatives(state, y, 0.0))
+            curvature = hh_curvature(state, y, 0.0)[0]
             comparison = np.einsum("nikm,n,m->ik", curvature_closed(state), y, y)
             if k == 0:
                 plus = max_abs(curvature - comparison)
@@ -529,7 +543,7 @@ class TestBundle:
             riemannian = curvature_dot(metric, ys)
             gap = {}
             for g in (1e-8, 1e-6):
-                bundle = hh_curvature(spray_derivatives(metric, ys, g))
+                bundle = hh_curvature(metric, ys, g)[0]
                 gap[g] = np.max(rel_frobenius(bundle, riemannian, 2))
             assert gap[1e-8] <= tol, (seed, gap)
             assert 90.0 <= gap[1e-6] / gap[1e-8] <= 110.0, (seed, gap)
@@ -560,7 +574,7 @@ class TestBundle:
         ]
         for x, y, trace in probes:
             state = build_metric(frame, pair, np.array(x))
-            curvature = hh_curvature(spray_derivatives(state, np.array(y), 0.3))
+            curvature = hh_curvature(state, np.array(y), 0.3)[0]
             assert float(np.trace(curvature)) == pytest.approx(trace, rel=1e-6)
             assert max_abs(curvature @ np.array(y)) < 1e-9
 
@@ -571,7 +585,7 @@ class TestBundle:
         x = sample_point(rng, 4, 1.0, 3.0)
         y = rng.normal(size=4)
         state = build_metric(frame4_pd, pd_rational, x)
-        lowered = state.a_low @ hh_curvature(spray_derivatives(state, y, 0.3))
+        lowered = state.a_low @ hh_curvature(state, y, 0.3)[0]
         sym = max_abs(lowered + lowered.T) / 2.0
         antisym = max_abs(lowered - lowered.T) / 2.0
         assert np.isfinite(sym) and np.isfinite(antisym)
@@ -605,7 +619,7 @@ def _bundle_draw(n_dim, signature, charge, count=6):
 
 def _bundle_at(scenario, xs, ys):
     metric = build_metric(Frame.standard(scenario.n_dim, scenario.epsilon), scenario.profile, xs)
-    return hh_curvature(spray_derivatives(metric, ys, scenario.charge))
+    return hh_curvature(metric, ys, scenario.charge)[0]
 
 
 def _point_span(x, y):
@@ -633,6 +647,33 @@ def _isotropy_gap(bundle, x, y):
         max_abs(rest @ bundle @ rest - a * rest),
     )
     return worst / max_abs(bundle)
+
+
+def _four_and_lifts(signature, charge):
+    """The N = 4 bundles at six finsler-curvature samples whose spatial
+    components are rotated so that n and y_perp are axes 1 and 2, and for
+    N = 5 to 8 (bundles, lifted, ys): the N-dimensional bundles at the same
+    components zero-padded, and the N = 4 bundles padded with
+    A = K_4[3, 3] on the new diagonal."""
+    xs4, ys4, _ = _bundle_draw(4, signature, charge)
+    xs, ys = np.zeros((2, len(xs4), 4))
+    for i, (x, y) in enumerate(zip(xs4, ys4)):
+        n = x[1:] / np.linalg.norm(x[1:])
+        xs[i, :2] = x[0], np.linalg.norm(x[1:])
+        ys[i, :3] = y[0], y[1:] @ n, np.linalg.norm(y[1:] - (y[1:] @ n) * n)
+    four = _bundle_at(_bundle_scenario(4, signature, charge), xs, ys)
+    lifts = {}
+    for n_dim in range(5, 9):
+        pad = ((0, 0), (0, n_dim - 4))
+        bundles = _bundle_at(
+            _bundle_scenario(n_dim, signature, charge), np.pad(xs, pad), np.pad(ys, pad)
+        )
+        lifted = np.zeros_like(bundles)
+        lifted[:, :4, :4] = four
+        for j in range(4, n_dim):
+            lifted[:, j, j] = four[:, 3, 3]
+        lifts[n_dim] = bundles, lifted, np.pad(ys, pad)
+    return four, lifts
 
 
 def _y_contraction_passes(bundle, y):
@@ -674,27 +715,42 @@ class TestBundleSymmetry:
         max|K_4| (measured at most 3.3e-16).  Moving one padded diagonal
         entry by 1e-6 of max|K| (y has no component there, so
         bundle_y_contraction still passes) fails it."""
-        xs4, ys4, _ = _bundle_draw(4, signature, charge)
-        # Rotate each sample's spatial components so that n and y_perp are axes 1 and 2.
-        xs, ys = np.zeros((2, len(xs4), 4))
-        for i, (x, y) in enumerate(zip(xs4, ys4)):
-            n = x[1:] / np.linalg.norm(x[1:])
-            xs[i, :2] = x[0], np.linalg.norm(x[1:])
-            ys[i, :3] = y[0], y[1:] @ n, np.linalg.norm(y[1:] - (y[1:] @ n) * n)
-        four = _bundle_at(_bundle_scenario(4, signature, charge), xs, ys)
+        four, lifts = _four_and_lifts(signature, charge)
         scale = max_abs(four, 2)
-        for n_dim in range(5, 9):
-            pad = ((0, 0), (0, n_dim - 4))
-            bundles = _bundle_at(
-                _bundle_scenario(n_dim, signature, charge), np.pad(xs, pad), np.pad(ys, pad)
-            )
-            lifted = np.zeros_like(bundles)
-            lifted[:, :4, :4] = four
-            for j in range(4, n_dim):
-                lifted[:, j, j] = four[:, 3, 3]
+        for n_dim, (bundles, lifted, ys) in lifts.items():
             assert np.all(max_abs(bundles - lifted, 2) <= 1e-14 * scale), n_dim
             wrong = bundles.copy()
             wrong[:, -1, -1] += 1e-6 * scale
-            for bundle, y in zip(wrong, np.pad(ys, pad)):
+            for bundle, y in zip(wrong, ys):
                 assert _y_contraction_passes(bundle, y)
             assert np.all(max_abs(wrong - lifted, 2) > 1e-14 * scale), n_dim
+
+    @BUNDLE_CASES
+    def test_a_term_seen_only_above_four_dimensions_fails_both(
+        self, signature, charge, monkeypatch
+    ):
+        """Mutation check: rows i >= 4 of finsler.christoffel_dot's
+        a^i_km w^m scaled by (1 + 1e-6) leave every N = 4 bundle bit for
+        bit, and fail both checks above at every sample of every N = 5 to 8
+        (isotropy gaps measured 1.3e-7 to 6.7e-7, lift residuals at least
+        3.9e-8 of max|K_4|, against bounds of 1e-14)."""
+        four = _four_and_lifts(signature, charge)[0]
+        draw4 = _bundle_draw(4, signature, charge)[2]
+        christoffel_dot = finsler.christoffel_dot
+
+        def mutated(metric, w):
+            out = christoffel_dot(metric, w)
+            out[..., 4:, :] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(finsler, "christoffel_dot", mutated)
+        assert np.array_equal(_bundle_draw(4, signature, charge)[2], draw4)
+        for n_dim in range(5, 9):
+            xs, ys, bundles = _bundle_draw(n_dim, signature, charge)
+            for x, y, bundle in zip(xs, ys, bundles):
+                assert _isotropy_gap(bundle, x, y) > 1e-14, n_dim
+        mutated_four, lifts = _four_and_lifts(signature, charge)
+        assert np.array_equal(mutated_four, four)
+        scale = max_abs(four, 2)
+        for n_dim, (bundles, lifted, _) in lifts.items():
+            assert np.all(max_abs(bundles - lifted, 2) > 1e-14 * scale), n_dim

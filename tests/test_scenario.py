@@ -12,7 +12,7 @@ import pytest
 
 from finslergeo import Scenario, ScenarioError, parse_scenario, run
 from finslergeo import suites
-from finslergeo.cli import main
+from finslergeo.cli import build_parser, main
 from finslergeo.scenario import DEFAULT_RADII, scenario_from_sections
 from finslergeo.suites import write_tensor_csv
 
@@ -524,6 +524,29 @@ class TestCli:
         assert "charge must be in (-2, 2) at signature +1" in capsys.readouterr().err
         with pytest.raises(ScenarioError, match=r"h = sqrt\(1 - g\^2/4\) > 0"):
             parse_scenario(f"[scenario]\nsignature = 1\ncharge = {charge}\nsuites = vacuum\n")
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-1.0e-3", "-.1e-2", "-1e+0"])
+    def test_a_negative_value_with_an_exponent_is_a_value(self, value, tmp_path):
+        """argparse's own pattern for a negative number (-N or -N.N) took
+        --charge -1e-3 for an option missing its value, and exited 2.  Each
+        subcommand reads it as the value, and finsler-curvature reports the
+        body of --charge=VALUE."""
+        for argv, dest in (
+            (["run", "x.ini", "--seed", value], "scenario.seed"),
+            (["verify-vacuum", "--xi", value], "profile.xi"),
+            (["finsler-curvature", "--charge", value], "scenario.charge"),
+        ):
+            assert vars(build_parser().parse_args(argv))[dest] == float(value)
+        bodies = []
+        for argv in (["--charge", value], [f"--charge={value}"]):
+            report = tmp_path / f"{len(bodies)}.json"
+            argv = ["finsler-curvature", *argv, "--samples", "3", "--report", str(report)]
+            assert main(argv) == 0
+            payload = json.loads(report.read_text(encoding="utf-8"))
+            del payload["timings"]
+            bodies.append(payload)
+        assert bodies[0]["scenario"]["charge"] == float(value)
+        assert bodies[0] == bodies[1]
 
     def test_charge_inside_the_range_or_at_signature_minus_one_runs(self):
         assert main(["finsler-curvature", "--charge", "1.5", "--samples", "3"]) == 0

@@ -363,14 +363,11 @@ def test_spray_derivatives_match_the_exact_ones(name):
     sympy's too."""
     state = _spray_point(name)
     y = np.array(FIBER, dtype=float)
-    derivs = spray_derivatives(state, y, float(CHARGE))
-    spray, first, second = exact_spray_jet(name)
     got = (
-        derivs.spray,
-        derivs.first_closed,
-        derivs.second_closed,
+        *spray_derivatives(state, y, float(CHARGE)),
         spray_second_closed(state, y, float(CHARGE)),
     )
+    spray, first, second = exact_spray_jet(name)
     for closed, exact in zip(got, (spray, first, second @ spray, second)):
         exact = exact.astype(float)
         assert max_abs(exact) > 1e-4

@@ -127,12 +127,19 @@ def fiber_vectors(metric: MetricState, y: np.ndarray):
     requirement): returns (b, S^2, S^2 - b^2, v_low, v_up).  The
     third entry is S^2 - b^2 on either signature; kinematics multiplies it
     by eps = metric.frame.epsilon to get q^2.
-    The metric and y broadcast over their leading axes: metrics built at
-    complex x-rows (rows, B) against one y per sample (B, N), or a batch
-    metric (B,) against complex y-rows (rows, B, N)."""
+
+    This is the one place y is lowered, y_i = a_ij y^j = (b_i/c^2)(b.y) +
+    m u_ij y^j, in O(N) per point without the metric's N x N a_ij (which
+    stays unbuilt at a complex row).  b_i/c^2 is formed first, as a_ij forms
+    it, so in the standard frame each component is the a_ij y^j of the full
+    metric bit for bit.  The metric and y broadcast over their
+    leading axes: metrics built at complex x-rows (rows, B) against one y
+    per sample (B, N), whose u_ij y^j the rows share, or a batch metric (B,)
+    against complex y-rows (rows, B, N)."""
     y = np.asarray(y)
-    y_low = np.einsum("...ij,...j->...i", metric.a_low, y)
     b = np.einsum("...i,...i->...", metric.b_low, y)
+    c_sq, m = (v[..., None] for v in (metric.c**2, metric.m))
+    y_low = metric.b_low / c_sq * b[..., None] + m * matvec(metric.frame.u_low, y)
     s2 = np.einsum("...i,...i->...", y, y_low)
     q2 = s2 - b * b
     v_low = y_low - b[..., None] * metric.b_low

@@ -131,18 +131,19 @@ def _standard_frame(n_dim: int, epsilon: int) -> Frame:
 
 @dataclass(frozen=True)
 class MetricState:
-    """All point-local metric data at x: radius, radial covector, metric and
-    inverse, axis covector/vector, and the six profile scalars c, c', c'',
-    m, m', m'' at r (the profile values and their r-derivatives).
+    """All point-local metric data at x: radius, radial covector, axis
+    covector/vector, and the six profile scalars c, c', c'', m, m', m'' at r
+    (the profile values and their r-derivatives).
 
     x may be one point (N,) or a stack of points (..., N); every array field
     then carries the same leading axes (scalars become arrays over them).
     Raised radial components use the background transverse block
     (n^i = u^ij n_j); the axis vector is metric-raised (b^i = a^ij b_j = c^2 e^i).
-    States are immutable snapshots.  The inverse metric, the closed
-    Christoffel symbols and nabla b are computed on first use and kept, so
-    each is built at most once per state and never at a complex row of a spray
-    (the sprays contract a^k_ij and nabla b with y through
+    States are immutable snapshots, and every field is O(N) per point.  The
+    metric and its inverse, the closed Christoffel symbols and nabla b are
+    computed on first use and kept, so each is built at most once per state
+    and none at a complex row of a spray (the sprays lower y through
+    finsler.fiber_vectors and contract a^k_ij and nabla b with it through
     christoffel_quadratic, christoffel_dot and nabla_b_dot).
     """
 
@@ -154,7 +155,6 @@ class MetricState:
     n_up: np.ndarray
     b_low: np.ndarray
     b_up: np.ndarray
-    a_low: np.ndarray
     c: float | np.ndarray
     c1: float | np.ndarray
     c2: float | np.ndarray
@@ -166,6 +166,12 @@ class MetricState:
     def dc_low(self) -> np.ndarray:
         """Gradient covector of c: c_i = c'(r) n_i."""
         return self.c1[..., None] * self.n_low
+
+    @cached_property
+    def a_low(self) -> np.ndarray:
+        """The metric a_ij = b_i b_j / c^2 + m u_ij, computed once."""
+        c_sq, m = (v[..., None, None] for v in (self.c**2, self.m))
+        return outer(self.b_low, self.b_low) / c_sq + m * self.frame.u_low
 
     @cached_property
     def a_up(self) -> np.ndarray:
@@ -186,9 +192,10 @@ class MetricState:
 
 def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricState:
     """Assemble the metric family at x, one point (N,) or a stack (..., N)
-    whose every row is bit for bit its point alone.  Only frame-identities'
-    metric_inverse judges the closed inverse MetricState.a_up (built on
-    first use).  A complex x (a complex step) gives a complex state."""
+    whose every row is bit for bit its point alone.  It forms no N x N
+    array: the metric MetricState.a_low and its closed inverse a_up are
+    built on first use (only frame-identities' metric_inverse judges a_up).
+    A complex x (a complex step) gives a complex state."""
     x = np.asarray(x)
     x = x.astype(np.promote_types(x.dtype, float)).reshape(x.shape[:-1] + (frame.n_dim,))
     r = frame.radius(x)
@@ -198,7 +205,6 @@ def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricSt
     b_low = np.empty_like(x)
     b_low[...] = frame.e_low
     b_up = (c**2)[..., None] * frame.e_up
-    a_low = outer(b_low, b_low) / (c**2)[..., None, None] + m[..., None, None] * frame.u_low
     return MetricState(
         frame=frame,
         profiles=profiles,
@@ -208,7 +214,6 @@ def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricSt
         n_up=n_up,
         b_low=b_low,
         b_up=b_up,
-        a_low=a_low,
         c=c,
         c1=c1,
         c2=c2,

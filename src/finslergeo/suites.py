@@ -398,12 +398,14 @@ def suite_finsler_curvature(scenario: Scenario):
     dumps = {}
     if scenario.dump_dir:
         dumps["finsler_bundle_sample"] = hh_curvature(_state(scenario, xs[:1]), ys[:1], charge)[0][0]
-    # F = 2N^3 + 2N^2 at either charge: hh_curvature's x-step holds a row
-    # metric's N x N complex a_ij at each of a sample's N coordinate rows,
-    # and its one row along y N x N complex arrays; no sample holds an N^3
-    # or N^4 array.
+    # F = 18N^2 at either charge: each of a sample's N coordinate rows of
+    # hh_curvature's x-step holds 8 complex N-vectors, G^i as its field, the
+    # row metric's n_i, n^i, b_i and b^i, and fiber_vectors' three as
+    # finsler-identities counts them (16N floats; a row builds no N x N
+    # a_ij), and its one row along y N x N complex arrays (2N^2); no sample
+    # holds an N^3 or N^4 array.
     n = scenario.n_dim
-    return _judged("finsler-curvature", scenario, xs, 2 * n**3 + 2 * n**2, residuals, plan), dumps
+    return _judged("finsler-curvature", scenario, xs, 18 * n**2, residuals, plan), dumps
 
 
 _SUITE_FUNCS = {

@@ -873,12 +873,16 @@ def _suite_calls(monkeypatch, text, suite, names):
 
 
 def test_charged_chunks_are_sized_for_their_stencil_rows(monkeypatch):
-    """At N = 8 the spray stencils hold a row metric's N x N a_ij at each of
-    a fiber's N coordinate rows, and N x N arrays on its one row along y
-    (2N^3 + 2N^2 floats), so 100 fibers take exactly 2 chunks at either
-    charge; charge 0 contracts the closed curvature with y (curvature_dot)
-    and never builds the N^4 tensor.  The identity stencil holds N-vectors
-    per row, so its 100 fibers take one."""
+    """The spray stencils hold 8 complex N-vectors at each of a fiber's N
+    coordinate rows (G^i, the row metric's n_i, n^i, b_i and b^i, and
+    fiber_vectors' y_i, v_i and v^i; no row builds the N x N a_ij) and an
+    N x N complex array on its one row along y: F = 16N^2 + 2N^2 = 18N^2
+    floats, 1152 at N = 8, so 56 fibers a chunk and 100 fibers take exactly
+    2 chunks at either charge.  (2N^3 + 2N^2, the factor while each row
+    built its a_ij, is also 1152 at N = 8.)  Charge 0 contracts the closed
+    curvature with y (curvature_dot) and never builds the N^4 tensor.  The
+    identity stencil holds N-vectors per row (10N^2), so its 100 fibers
+    take one."""
     spray = ("hh_curvature",)
     charged = _suite_calls(monkeypatch, CHARGED_N8, suite_finsler_curvature, spray)
     assert charged == {"hh_curvature": 2}
@@ -1013,21 +1017,35 @@ def test_chunked_suites_stay_within_the_memory_guard(suite, text):
     assert peak <= 8 * 2**20
 
 
-def test_charged_bundle_holds_no_n_cubed_array_per_fiber():
+def test_charged_bundle_holds_no_n_cubed_array_per_fiber(monkeypatch):
     """The charged N = 8 finsler-curvature suite on 100 fibers (two chunks,
-    sampling included) peaks at about 1.7 MiB (tracemalloc), below the
-    2.20 MiB it took while hh_curvature's x-step differentiated the N x N
-    G^i_k at every coordinate row and the bundle read the N^3 G^i_km; the
-    guard sits at 2.0 MiB."""
+    sampling included) peaks at about 1.03 MiB (tracemalloc), below the
+    1.66 MiB it took while each coordinate row built its metric's N x N
+    a_ij, and the 2.20 MiB it took while hh_curvature's x-step also
+    differentiated the N x N G^i_k at every coordinate row and the bundle
+    read the N^3 G^i_km; the guard sits at 2.0 MiB.  Per fiber of its
+    largest chunk (56 fibers) that is about 19 KB, held below 30 KB: with
+    the row metrics' a_ij it was 31 KB.  The suite runs once untraced
+    first, so the one-time import of numpy.random (the sampler's) is not
+    counted when the test runs alone."""
+    chunks = []
+
+    def bundle(metric, y, charge):
+        chunks.append(len(y))
+        return hh_curvature(metric, y, charge)
+
     scenario = parse_scenario(CHARGED_N8)
+    suite_finsler_curvature(scenario)
+    monkeypatch.setattr(suites, "hh_curvature", bundle)
     tracemalloc.start()
     try:
         result, _ = suite_finsler_curvature(scenario)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.status == "pass"
+    assert result.status == "pass" and sum(chunks) == 100
     assert peak < 2.0 * 2**20
+    assert peak / max(chunks) < 30 * 2**10
 
 
 def test_vacuum_chunks_stay_within_the_memory_guard():

@@ -10,11 +10,12 @@ change that breaks it fails the tests instead of every bench operation:
 import importlib
 import inspect
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-from finslergeo import run
+from finslergeo import run, suites
 from finslergeo.scenario import scenario_from_sections
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,9 +23,11 @@ BENCHMARK = ROOT / "BENCHMARK.json"
 WORKLOADS = json.loads((ROOT / "bench" / "workloads.json").read_text())
 # Tiny counts per sample kind; a check's count in the table is one of these.
 COUNTS = {"points": 2, "fibers": 2, "radii": 2, "2*radii": 4}
-# The N = 8 shapes run 20 fibers: two chunks (16 + 4) of a Finsler suite at
-# either charge, so the contract also covers joining the chunks.
+# The N = 8 shapes run 20 fibers under a budget of 16 finsler-identities
+# fibers a chunk (16 + 4; finsler-curvature 8 + 8 + 4), so the contract also
+# covers joining a Finsler suite's chunks at either charge.
 COUNTS_N8 = COUNTS | {"fibers": 20}
+BUDGET_N8 = 16 * 10 * 8**2
 SHAPES = [
     (f"{workload}-{index}", entry)
     for workload, spec in WORKLOADS["workloads"].items()
@@ -67,11 +70,25 @@ def test_every_traced_span_names_a_public_function():
 
 
 @pytest.mark.parametrize("entry", [entry for _, entry in SHAPES], ids=[i for i, _ in SHAPES])
-def test_every_workload_suite_reports_the_checks_the_bench_expects(entry):
+def test_every_workload_suite_reports_the_checks_the_bench_expects(entry, monkeypatch):
     """Each suite of each workload scenario, run with tiny counts, passes
     and reports the check names and n_samples that bench/workloads.json
-    lists for it (a charge-0 finsler-curvature run has its own table)."""
+    lists for it (a charge-0 finsler-curvature run has its own table); at
+    N = 8 each Finsler suite joins more than one chunk."""
     counts = COUNTS_N8 if entry["dimension"] == 8 else COUNTS
+    chunks = defaultdict(int)
+    judged = suites._judged
+
+    def counted(name, scenario, xs, sample_floats, residuals, plan):
+        def chunk(state, rows):
+            chunks[name] += 1
+            return residuals(state, rows)
+
+        return judged(name, scenario, xs, sample_floats, chunk, plan)
+
+    monkeypatch.setattr(suites, "_judged", counted)
+    if entry["dimension"] == 8:
+        monkeypatch.setattr(suites, "STENCIL_FLOAT_BUDGET", BUDGET_N8)
     scenario = scenario_from_sections(
         {
             "scenario": {
@@ -97,3 +114,5 @@ def test_every_workload_suite_reports_the_checks_the_bench_expects(entry):
         expected = {name: counts[base] for name, base in WORKLOADS["checks"][key].items()}
         assert suite.status == "pass", (suite.name, suite.reason)
         assert {check.name: check.n_samples for check in suite.checks} == expected
+        if entry["dimension"] == 8 and suite.name.startswith("finsler-"):
+            assert chunks[suite.name] > 1, suite.name

@@ -21,17 +21,24 @@ from finslergeo import (
     spray_coefficients,
     spray_derivatives,
 )
-from finslergeo import finsler, suites
+from finslergeo import finsler, riemann, suites
 from finslergeo.finsler import (
     AdmissibilityError,
     _spray_and_first,
     fiber_vectors,
 )
-from finslergeo.riemann import christoffel, christoffel_dot, nabla_b
+from finslergeo.riemann import (
+    christoffel,
+    christoffel_definitional,
+    christoffel_dot,
+    curvature_fd_oracle,
+    nabla_b,
+)
 from finslergeo.suites import _sample_blocks, _suite_rng
 from finslergeo.tensors import TOLERANCE_CLASSES, fd_partials, gap, max_abs, rel_frobenius
 
 from conftest import (
+    in_chart,
     riemann_spray,
     sample_point,
     spray_first_numeric,
@@ -754,3 +761,120 @@ class TestBundleSymmetry:
         scale = max_abs(four, 2)
         for n_dim, (bundles, lifted, _) in lifts.items():
             assert np.all(max_abs(bundles - lifted, 2) > 1e-14 * scale), n_dim
+
+
+def _spy_states(monkeypatch, *modules):
+    """Every MetricState that build_metric builds through ``modules`` from
+    now on, in build order."""
+    built, build = [], riemann.build_metric
+
+    def spy(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    for module in modules:
+        monkeypatch.setattr(module, "build_metric", spy)
+    return built
+
+
+def _complex(states):
+    return [state for state in states if np.iscomplexobj(state.x)]
+
+
+class TestRowMetrics:
+    """A state built at a complex row holds no N x N metric: fiber_vectors
+    lowers y in O(N), and only what reads a_ij itself builds it."""
+
+    @BUNDLE_CASES
+    def test_bundle_rows_build_no_metric(self, monkeypatch, signature, charge):
+        """hh_curvature's N coordinate rows and its row along y are the two
+        states it builds, at complex points; neither forms a_low."""
+        scenario = _bundle_scenario(4, signature, charge)
+        rng = _suite_rng(scenario, "finsler-curvature")
+        xs, ys = _sample_blocks(scenario, rng, 3, fiber=True, charge=charge or None)
+        metric = build_metric(Frame.standard(4, signature), scenario.profile, xs)
+        built = _spy_states(monkeypatch, finsler, riemann)
+        hh_curvature(metric, ys, charge)
+        rows = _complex(built)
+        assert [state.x.shape for state in rows] == [(4, 3, 4), (1, 3, 4)]
+        assert not any("a_low" in vars(state) for state in rows)
+
+    @pytest.mark.parametrize("signature", [1, -1])
+    def test_cone_test_builds_no_metric(self, monkeypatch, signature):
+        """The sampler's cone test reads kinematics alone at its tries."""
+        scenario = _bundle_scenario(4, signature, 0.3)
+        built = _spy_states(monkeypatch, suites)
+        _sample_blocks(scenario, _suite_rng(scenario, "finsler-curvature"), 20, charge=0.3)
+        assert built and not any("a_low" in vars(state) for state in built)
+
+    def test_curvature_oracle_rows_build_no_metric(self, monkeypatch, frame4, schwarzschild, rng):
+        """curvature_fd_oracle differentiates the closed Christoffel field,
+        which needs no a_ij; christoffel_definitional differentiates a_ij
+        itself, so each of its row states builds it."""
+        xs = [sample_point(rng, 4, 0.6, 4.0) for _ in range(3)]
+        metric = build_metric(frame4, schwarzschild, xs)
+        built = _spy_states(monkeypatch, riemann)
+        curvature_fd_oracle(metric)
+        (rows,) = _complex(built)
+        assert "a_low" not in vars(rows)
+        built.clear()
+        christoffel_definitional(metric)
+        (rows,) = _complex(built)
+        assert rows.x.shape == (4, 3, 4) and "a_low" in vars(rows)
+
+
+def _lowering_gap(metric, y):
+    """Per sample, |y_i - a_ij y^j| for fiber_vectors' y_i = v_i + b b_i,
+    over max(1, |b_i (b.y)/c^2|, |m u_ij y^j|, |a_ij y^j|), the operands
+    the two routes sum (in the standard chart the last adds nothing: there
+    a_ij y^j sums y^0/c^2 and m y^i alone)."""
+    b, _, _, v_low, _ = fiber_vectors(metric, y)
+    y_low = v_low + b[..., None] * metric.b_low
+    terms = metric.a_low * y[..., None, :]
+    parts = (
+        metric.b_low * (b / metric.c**2)[..., None],
+        metric.m[..., None] * np.einsum("ij,...j->...i", metric.frame.u_low, y),
+        terms,
+    )
+    sizes = [max_abs(part, part.ndim - b.ndim) for part in parts]
+    scale = np.maximum.reduce([np.ones(b.shape), *sizes])
+    return max_abs(y_low - np.sum(terms, axis=-1), 1) / scale
+
+
+LOWERING_CASES = {
+    "eps+1": (1, ProfilePair.rational((0.8, 0.1), (1.0, 0.2)), (0.8, 5.0)),
+    "eps-1": (-1, ProfilePair.schwarzschild_isotropic(1.0), (0.6, 5.0)),
+    # c = 0.8 - 3/r -> 0 toward r = 3.75, where b_i (b.y)/c^2 dominates.
+    "c-to-zero": (1, ProfilePair.rational((0.8, -3.0), (1.0, 0.2)), (3.75 + 1e-3, 3.8)),
+}
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["standard", "rotated"])
+@pytest.mark.parametrize("n_dim", [2, 4, 8])
+@pytest.mark.parametrize(
+    "signature, pair, radii", LOWERING_CASES.values(), ids=LOWERING_CASES.keys()
+)
+def test_lowering_matches_the_full_metric(signature, pair, radii, n_dim, rotated, rng):
+    """fiber_vectors' O(N) lowering equals a_ij y^j of the full metric to
+    1e-15 of its operands: on a real batch, on metrics built at complex
+    x-rows against one y per sample, and on a real batch against complex
+    y-rows (the two shapes of hh_curvature's and the identities' steps), in
+    the standard chart and in an orthogonally rotated one."""
+    frame, xs = Frame.standard(n_dim, signature), np.array(
+        [sample_point(rng, n_dim, *radii) for _ in range(20)]
+    )
+    if rotated:
+        lin = np.linalg.qr(rng.normal(size=(n_dim, n_dim)))[0]
+        frame, xs = in_chart(frame, lin), xs @ lin.T
+    ys = rng.normal(size=(20, n_dim))
+    metric = build_metric(frame, pair, xs)
+    if radii[0] > 3.75:
+        assert np.min(metric.c) < 1e-2
+    x_rows = xs + 1e-2j * np.eye(n_dim)[:, None]
+    y_rows = ys + 1e-2j * np.eye(n_dim)[:, None]
+    for gaps in (
+        _lowering_gap(metric, ys),
+        _lowering_gap(build_metric(frame, pair, x_rows), ys),
+        _lowering_gap(metric, y_rows),
+    ):
+        assert np.max(gaps) <= 1e-15

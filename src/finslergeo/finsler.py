@@ -43,6 +43,7 @@ from .riemann import (
     build_metric,
     christoffel_dot,
     christoffel_quadratic,
+    nabla_b,
     nabla_b_dot,
 )
 from .tensors import dot, fd_partials, gap, matvec, outer
@@ -80,14 +81,13 @@ class FinsleroidState:
       nu       q + g (1 - c^2) b
       nu_low   y-gradient of nu: eps v_k / q + (1 - c^2) g b_k
       r_mix    transverse projector r^i_k = delta^i_k - b^i b_k  [upper, lower]
-      r_low    a_km - b_k b_m
-      eta      r_km - eps v_k v_m / q^2, so that d(nu_k)/dy^m = eps eta_km / q
-      s_low    s_k = y^h nabla_k b_h;  ys = y^k s_k;  sigma = b^k s_k
+      eta      a_km - b_k b_m - eps v_k v_m / q^2, so that d(nu_k)/dy^m = eps eta_km / q
+      s_low    s_k = y^h nabla_k b_h;  ys = y^k s_k
 
     Built from a stack of metrics or of fiber vectors, the per-point fields
     carry the stack's leading axis (the scalars become arrays over it).
-    r_mix, r_low, eta and sigma are computed on first use and kept: no
-    complex row of the spray reads the last three.
+    r_mix and eta are computed on first use and kept: no complex row of the
+    spray reads eta.
     """
 
     metric: MetricState
@@ -109,17 +109,10 @@ class FinsleroidState:
         return np.eye(self.metric.frame.n_dim) - outer(self.metric.b_up, self.metric.b_low)
 
     @cached_property
-    def r_low(self) -> np.ndarray:
-        return self.metric.a_low - outer(self.metric.b_low, self.metric.b_low)
-
-    @cached_property
     def eta(self) -> np.ndarray:
-        eps = self.metric.frame.epsilon
-        return self.r_low - eps * outer(self.v_low, self.v_low) / self.q2[..., None, None]
-
-    @cached_property
-    def sigma(self) -> float | np.ndarray:
-        return np.einsum("...i,...i->...", self.metric.b_up, self.s_low)
+        ms, eps = self.metric, self.metric.frame.epsilon
+        r_low = ms.a_low - outer(ms.b_low, ms.b_low)
+        return r_low - eps * outer(self.v_low, self.v_low) / self.q2[..., None, None]
 
 
 def fiber_vectors(metric: MetricState, y: np.ndarray):
@@ -272,8 +265,8 @@ def spray_y_second(state: FinsleroidState, w: np.ndarray) -> np.ndarray:
     P^i_k = r^i_k - v^i nu_k / nu.
 
     The eta term is d(nu_k)/dy^m = eps eta_km / q, with the convention
-    sign eps = metric.frame.epsilon; nabla b is the metric's own (nb), not
-    the s_k that kinematics contracted.  w is one vector per sample of the
+    sign eps = metric.frame.epsilon; nabla b is riemann.nabla_b's, not the
+    s_k that kinematics contracted.  w is one vector per sample of the
     state.  At charge 0 the contraction is 2 christoffel_dot(metric, w).
     Exact under the symmetry of nabla b and constant charge (confirmed
     against the numeric second derivative and the exact symbolic one in the
@@ -281,7 +274,8 @@ def spray_y_second(state: FinsleroidState, w: np.ndarray) -> np.ndarray:
     """
     ms, g, eps = state.metric, state.charge, state.metric.frame.epsilon
     nu, q, ys = (v[..., None] for v in (state.nu, state.q, state.ys))
-    d_w = (2.0 * g / nu) * matvec(ms.nb, w) - (eps * g / (nu**2 * q)) * ys * matvec(state.eta, w)
+    nb_w, eta_w = matvec(nabla_b(ms), w), matvec(state.eta, w)
+    d_w = (2.0 * g / nu) * nb_w - (eps * g / (nu**2 * q)) * ys * eta_w
     y_k = _weight_gradient(state)
     p = state.r_mix - outer(state.v_up, state.nu_low) / nu[..., None]
     out = outer(state.v_up, d_w)
@@ -392,7 +386,7 @@ def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float | np
       nu_ratio_derivative  d(nu_k/nu)/dy^m = -nu_k nu_m/nu^2 + eps eta_km/(nu q)
       e_fiber_derivative   d(e_k)/dy^j = (b/q^2) eta_kj
                                          - v_k ((eps b/q^2) v_j - b_j) / q^2
-      v_dot_s              v^m s_m = (ys) - b sigma
+      v_dot_s              v^m s_m = (ys) - b b^k s_k
       v_projected          v^j r^i_j = v^i - (1-c^2) b b^i
       projector_square     r^j_m r^i_j = r^i_m - (1-c^2) b^i b_m
       v_norm               v_j v^j = eps q^2 - (1-c^2) b^2
@@ -426,7 +420,8 @@ def kinematic_identity_residuals(state: FinsleroidState) -> dict[str, float | np
     res["e_fiber_derivative"] = gap(e_d, np.swapaxes(_e_fiber_rule(state), -1, -2), 2)
 
     v_up, v_low, r_mix = state.v_up, state.v_low, state.r_mix
-    res["v_dot_s"] = gap(dot(v_up, state.s_low), state.ys - b * state.sigma, 0)
+    b_s = np.einsum("...i,...i->...", ms.b_up, state.s_low)
+    res["v_dot_s"] = gap(dot(v_up, state.s_low), state.ys - b * b_s, 0)
     res["v_projected"] = gap(
         matvec(r_mix, v_up), v_up - (one_minus_c2 * b)[..., None] * ms.b_up, 1
     )

@@ -121,9 +121,10 @@ def _reject(r, bad, message) -> None:
 
 def _in_r(f, w):
     """(f, df/dr, d^2f/dr^2) from (f, f_w, f_ww) in w = 1/r: dw/dr = -w^2,
-    so f' = -w^2 f_w and f'' = w^3 (w f_ww + 2 f_w)."""
+    so f' = -w (w f_w) and f'' = w (w (w (w f_ww + 2 f_w))): each factor of
+    w scales the bracket in turn, as w^3 formed first underflows for r > 1e103."""
     f0, f1, f2 = f
-    return f0, -(w * w) * f1, (w * w * w) * (w * f2 + 2.0 * f1)
+    return f0, -(w * (w * f1)), w * (w * (w * (w * f2 + 2.0 * f1)))
 
 
 def _schwarzschild_in_w(k, w):

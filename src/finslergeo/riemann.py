@@ -139,12 +139,13 @@ class MetricState:
     then carries the same leading axes (scalars become arrays over them).
     Raised radial components use the background transverse block
     (n^i = u^ij n_j); the axis vector is metric-raised (b^i = a^ij b_j = c^2 e^i).
-    States are immutable snapshots, and every field is O(N) per point.  The
-    metric and its inverse, the closed Christoffel symbols and nabla b are
-    computed on first use and kept, so each is built at most once per state
-    and none at a complex row of a spray (the sprays lower y through
-    finsler.fiber_vectors and contract a^k_ij and nabla b with it through
-    christoffel_quadratic, christoffel_dot and nabla_b_dot).
+    States are immutable snapshots, every field O(N) per point, and b_low
+    is the frame's e_low, a read-only view broadcast over the points.  The
+    metric and its inverse are the only members computed on first use and
+    kept, so each is built at most once per state and neither at a complex
+    row of a spray (the sprays lower y through finsler.fiber_vectors and
+    contract a^k_ij and nabla b with it through christoffel_quadratic,
+    christoffel_dot and nabla_b_dot).
     """
 
     frame: Frame
@@ -179,31 +180,22 @@ class MetricState:
         c_sq, m = (v[..., None, None] for v in (self.c**2, self.m))
         return outer(self.b_up, self.b_up) / c_sq + self.frame.u_up / m
 
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        """christoffel(self), computed once."""
-        return christoffel(self)
-
-    @cached_property
-    def nb(self) -> np.ndarray:
-        """nabla_b(self), computed once."""
-        return nabla_b(self)
-
 
 def build_metric(frame: Frame, profiles: ProfilePair, x: np.ndarray) -> MetricState:
     """Assemble the metric family at x, one point (N,) or a stack (..., N)
     whose every row is bit for bit its point alone.  It forms no N x N
     array: the metric MetricState.a_low and its closed inverse a_up are
-    built on first use (only frame-identities' metric_inverse judges a_up).
-    A complex x (a complex step) gives a complex state."""
+    built on first use (only frame-identities' metric_inverse judges a_up),
+    and b_i is a read-only view of frame.e_low.  A complex x (a complex
+    step) gives a complex state; x is copied, so later writes to the
+    caller's array leave the state as it was."""
     x = np.asarray(x)
     x = x.astype(np.promote_types(x.dtype, float)).reshape(x.shape[:-1] + (frame.n_dim,))
     r = frame.radius(x)
     (c, c1, c2), (m, m1, m2) = profiles.jets(r)
     n_low = matvec(frame.u_low, x) / r[..., None]
     n_up = matvec(frame.u_up, n_low)
-    b_low = np.empty_like(x)
-    b_low[...] = frame.e_low
+    b_low = np.broadcast_to(frame.e_low, x.shape)
     b_up = (c**2)[..., None] * frame.e_up
     return MetricState(
         frame=frame,
@@ -476,7 +468,7 @@ def curvature_fd_oracle(state: MetricState) -> np.ndarray:
 
     dgamma = fd_partials(gamma_field, state.x)  # [k, i, n, m] = d_k a^i_nm
     # half[n, i, k, m] = d_k a^i_nm + a^u_nm a^i_uk; the rest is its (k, m) transpose
-    half = np.einsum("...kinm->...nikm", dgamma) + _gamma_products(state.gamma)
+    half = np.einsum("...kinm->...nikm", dgamma) + _gamma_products(christoffel(state))
     return half - np.swapaxes(half, -1, -2)
 
 

@@ -32,6 +32,7 @@ from .report import CheckResult, RunReport, SuiteResult
 from .riemann import (
     Frame,
     build_metric,
+    christoffel,
     christoffel_definitional,
     curvature_closed,
     curvature_dot,
@@ -231,9 +232,10 @@ def suite_frame_identities(scenario: Scenario):
             "axis_c_orthogonality": gap(dot(state.b_up, state.dc_low), 0.0, 0),
         }
 
-    # F = 4N^3, as for christoffel-xcheck.
+    # F = 4N^2: no complex step; a sample holds the N x N metric, its
+    # inverse, their product and its difference from delta.
     plan = defaultdict(lambda: ("exact", 1.0))  # one class for every check
-    return _judged("frame-identities", scenario, xs, 4 * scenario.n_dim**3, residuals, plan), {}
+    return _judged("frame-identities", scenario, xs, 4 * scenario.n_dim**2, residuals, plan), {}
 
 
 def suite_christoffel_xcheck(scenario: Scenario):
@@ -241,7 +243,7 @@ def suite_christoffel_xcheck(scenario: Scenario):
     xs, _ = _sample_blocks(scenario, rng, scenario.n_points)
 
     def residuals(state, rows) -> dict[str, np.ndarray]:
-        closed = state.gamma
+        closed = christoffel(state)
         return {
             "closed_vs_definitional": gap(closed, christoffel_definitional(state), 3),
             "lower_symmetry": gap(closed, np.swapaxes(closed, -1, -2), 3),
@@ -398,14 +400,14 @@ def suite_finsler_curvature(scenario: Scenario):
     dumps = {}
     if scenario.dump_dir:
         dumps["finsler_bundle_sample"] = hh_curvature(_state(scenario, xs[:1]), ys[:1], charge)[0][0]
-    # F = 18N^2 at either charge: each of a sample's N coordinate rows of
-    # hh_curvature's x-step holds 8 complex N-vectors, G^i as its field, the
-    # row metric's n_i, n^i, b_i and b^i, and fiber_vectors' three as
-    # finsler-identities counts them (16N floats; a row builds no N x N
-    # a_ij), and its one row along y N x N complex arrays (2N^2); no sample
-    # holds an N^3 or N^4 array.
+    # F = 16N^2 at either charge: each of a sample's N coordinate rows of
+    # hh_curvature's x-step holds 7 complex N-vectors, G^i as its field, the
+    # row metric's n_i, n^i and b^i, and fiber_vectors' three as
+    # finsler-identities counts them (14N floats; b_i is the frame's e_i and
+    # a row builds no N x N a_ij), and its one row along y N x N complex
+    # arrays (2N^2); no sample holds an N^3 or N^4 array.
     n = scenario.n_dim
-    return _judged("finsler-curvature", scenario, xs, 18 * n**2, residuals, plan), dumps
+    return _judged("finsler-curvature", scenario, xs, 16 * n**2, residuals, plan), dumps
 
 
 _SUITE_FUNCS = {

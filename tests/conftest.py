@@ -211,5 +211,5 @@ def reference_fd_oracle(state):
         return christoffel(build_metric(state.frame, state.profiles, pts))
 
     dgamma = fd_reference(gamma_field, state.x, state.r[..., None])
-    half = np.einsum("...kinm->...nikm", dgamma) + _gamma_products(state.gamma)
+    half = np.einsum("...kinm->...nikm", dgamma) + _gamma_products(christoffel(state))
     return half - np.swapaxes(half, -1, -2)

@@ -412,7 +412,7 @@ class TestChristoffelKernel:
             assert np.array_equal(s_low[:, b], nabla_b_dot(one, y_one))
             want = kinematics(one, y_one, 0.3)
             for name in ("b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "s_low", "ys",
-                         "eta", "sigma"):
+                         "eta"):
                 assert np.array_equal(getattr(fibers, name)[:, b], getattr(want, name)), name
 
         pts = xs + 0.01 * rng.normal(size=(6, 3, 8))
@@ -764,16 +764,26 @@ def test_spray_stencil_rows_compute_only_what_the_spray_reads(monkeypatch):
     """On a charged N = 8 batch, hh_curvature's x-stencil rows build no
     inverse metric, no nabla b and none of the Finsleroid fields that only
     the identities and the second derivative read; only its one
-    kinematics at the real fibers, which the second derivative reads, does."""
+    kinematics at the real fibers, which the second derivative reads, does,
+    and only the second derivative at the real fibers calls nabla_b."""
     fibers = _charged_fibers(4)
     built = _recording(monkeypatch, finsler, ("build_metric", "kinematics"))
+    nabla_b_at = []
+    nabla_b = finsler.nabla_b
+
+    def recorded(ms):
+        nabla_b_at.append(ms.x)
+        return nabla_b(ms)
+
+    monkeypatch.setattr(finsler, "nabla_b", recorded)
     hh_curvature(fibers.metric, fibers.y, fibers.charge)
+    assert len(nabla_b_at) == 1 and nabla_b_at[0] is fibers.metric.x
     rows = [state for state in built if np.iscomplexobj(getattr(state, "metric", state).x)]
     assert len(built) - len(rows) == 1
     kinds = {type(state).__name__ for state in rows}
     assert kinds == {"MetricState", "FinsleroidState"}
     for state in rows:
-        assert not {"r_low", "eta", "sigma", "a_up", "nb", "gamma"} & vars(state).keys()
+        assert not {"eta", "a_up"} & vars(state).keys()
 
 
 def test_spray_y_rows_compute_only_the_spray(monkeypatch):
@@ -873,16 +883,15 @@ def _suite_calls(monkeypatch, text, suite, names):
 
 
 def test_charged_chunks_are_sized_for_their_stencil_rows(monkeypatch):
-    """The spray stencils hold 8 complex N-vectors at each of a fiber's N
-    coordinate rows (G^i, the row metric's n_i, n^i, b_i and b^i, and
-    fiber_vectors' y_i, v_i and v^i; no row builds the N x N a_ij) and an
-    N x N complex array on its one row along y: F = 16N^2 + 2N^2 = 18N^2
-    floats, 1152 at N = 8, so 56 fibers a chunk and 100 fibers take exactly
-    2 chunks at either charge.  (2N^3 + 2N^2, the factor while each row
-    built its a_ij, is also 1152 at N = 8.)  Charge 0 contracts the closed
-    curvature with y (curvature_dot) and never builds the N^4 tensor.  The
-    identity stencil holds N-vectors per row (10N^2), so its 100 fibers
-    take one."""
+    """The spray stencils hold 7 complex N-vectors at each of a fiber's N
+    coordinate rows (G^i, the row metric's n_i, n^i and b^i, and
+    fiber_vectors' y_i, v_i and v^i; b_i is the frame's e_i and no row
+    builds the N x N a_ij) and an N x N complex array on its one row along
+    y: F = 14N^2 + 2N^2 = 16N^2 floats, 1024 at N = 8, so 64 fibers a chunk
+    and 100 fibers take exactly 2 chunks at either charge.  Charge 0
+    contracts the closed curvature with y (curvature_dot) and never builds
+    the N^4 tensor.  The identity stencil holds N-vectors per row (10N^2),
+    so its 100 fibers take one."""
     spray = ("hh_curvature",)
     charged = _suite_calls(monkeypatch, CHARGED_N8, suite_finsler_curvature, spray)
     assert charged == {"hh_curvature": 2}

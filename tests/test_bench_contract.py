@@ -24,7 +24,7 @@ WORKLOADS = json.loads((ROOT / "bench" / "workloads.json").read_text())
 # Tiny counts per sample kind; a check's count in the table is one of these.
 COUNTS = {"points": 2, "fibers": 2, "radii": 2, "2*radii": 4}
 # The N = 8 shapes run 20 fibers under a budget of 16 finsler-identities
-# fibers a chunk (16 + 4; finsler-curvature 8 + 8 + 4), so the contract also
+# fibers a chunk (16 + 4; finsler-curvature 10 + 10), so the contract also
 # covers joining a Finsler suite's chunks at either charge.
 COUNTS_N8 = COUNTS | {"fibers": 20}
 BUDGET_N8 = 16 * 10 * 8**2

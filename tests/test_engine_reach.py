@@ -1,7 +1,8 @@
 """The engine computes only what a run reads: the two all-suite runs of
 test_readme (Schwarzschild, signature -1, charge 0.3 and 0) call every
 module-level function of riemann, finsler, tensors and vacuum, and every
-method, property and cached property of their classes.  Exception classes
+method, property and cached property of their classes, and they read each
+cached property of a state at least twice on one state.  Exception classes
 are exempt.  An oracle that only the tests call lives in tests/conftest.py."""
 
 import inspect
@@ -9,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -99,9 +101,41 @@ def test_the_guard_sees_every_kind_of_member():
         "Frame.identities",
         "Frame.__post_init__",
         "Frame.radius",
-        "MetricState.gamma",
+        "MetricState.a_low",
         "FinsleroidState.r_mix",
         "kinematics",
     } <= names
     assert not any(name.startswith(("FrameError", "AdmissibilityError")) for name in names)
     assert "FinsleroidState.__init__" not in names
+
+
+def cache_reads(monkeypatch) -> dict[str, int]:
+    """``Class.member`` -> the most reads of that cached property of
+    MetricState or FinsleroidState on one instance during the two all-suite
+    runs.  Each is wrapped in a property, which, unlike the cached property,
+    sees the reads that the instance's cache serves."""
+    from test_readme import _every_check_name
+
+    reads, alive = {}, []  # the instances stay alive, so each id stays its own
+    for cls in (riemann.MetricState, finsler.FinsleroidState):
+        for attr, member in list(vars(cls).items()):
+            if isinstance(member, cached_property):
+                counts = reads[f"{cls.__name__}.{attr}"] = Counter()
+
+                def counted(instance, _member=member, _counts=counts):
+                    alive.append(instance)
+                    _counts[id(instance)] += 1
+                    return _member.__get__(instance, type(instance))
+
+                monkeypatch.setattr(cls, attr, property(counted))
+    _every_check_name()
+    return {name: max(counts.values(), default=0) for name, counts in reads.items()}
+
+
+def test_every_cached_member_is_read_twice_on_one_state(monkeypatch):
+    """A state caches only what a run reads again: a member computed on
+    every read is a function, not a cache."""
+    reads = cache_reads(monkeypatch)
+    assert reads, "no cached property found"
+    once = sorted(name for name, count in reads.items() if count < 2)
+    assert not once, f"never read twice on one state: {', '.join(once)}"

@@ -70,24 +70,24 @@ def test_a_mutated_oracle_fails_central_differences(mutation, n_dim, signature, 
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_christoffel_is_built_once_on_the_complex_rows(batched, rng, monkeypatch):
-    """The oracle builds the N^3 Christoffel array in one call, on the N
-    complex rows x + i h e_k in front of the batch; the sample's own array
-    comes from state.gamma, which is not rebuilt."""
+    """The oracle builds the N^3 Christoffel array in one call on the N
+    complex rows x + i h e_k in front of the batch, and in one more call
+    the sample's own array at the state itself."""
     state, _ = general_chart(rng, 5, -1)
     if not batched:
         state = build_metric(state.frame, state.profiles, state.x[2])
-    state.gamma  # computed here, so the oracle only reads it
     built = []
     closed = riemann.christoffel
 
     def recording(s):
-        built.append(np.array(s.x))
+        built.append(s)
         return closed(s)
 
     monkeypatch.setattr(riemann, "christoffel", recording)
     curvature_fd_oracle(state)
-    assert len(built) == 1
-    rows, lead = built[0], state.x.shape[:-1]
+    assert len(built) == 2
+    assert built[1] is state
+    rows, lead = built[0].x, state.x.shape[:-1]
     steps = tensors.COMPLEX_STEP * np.eye(5).reshape((5,) + (1,) * len(lead) + (5,))
     assert rows.shape == (5,) + state.x.shape
     assert np.array_equal(rows.real, np.broadcast_to(state.x, rows.shape))

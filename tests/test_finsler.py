@@ -272,8 +272,8 @@ def test_identities_are_judged_at_the_scenario_charge(name, monkeypatch):
     assert set(charges) == {0.0}
 
 
-STATE_FIELDS = ("b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "r_mix", "r_low",
-                "eta", "s_low", "ys", "sigma")
+STATE_FIELDS = ("b", "s2", "q2", "q", "v_low", "v_up", "nu", "nu_low", "r_mix", "eta",
+                "s_low", "ys")
 
 
 def _assert_row_matches(stacked, row, want):

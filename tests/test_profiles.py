@@ -55,6 +55,18 @@ class TestSchwarzschildPair:
                 (xi / (2 * r**3)) * yp + (xi**2 / (16 * r**4)) * ypp, rel=1e-13
             )
 
+    @pytest.mark.parametrize("xi", [1e110, 1e150])
+    def test_derivatives_keep_their_digits_at_large_scales(self, xi):
+        """c and m depend on xi/r alone, so xi c'(xi, 2 xi) and xi^2 c''(xi, 2 xi)
+        equal c'(1, 2) and c''(1, 2), and likewise for m, to 1e-14 relative:
+        no power of 1/r may underflow before the O(xi) bracket scales it."""
+        want = ProfilePair.schwarzschild_isotropic(1.0).jets(2.0)
+        got = ProfilePair.schwarzschild_isotropic(xi).jets(2.0 * xi)
+        for (f, f1, f2), (g, g1, g2) in zip(want, got):
+            assert g == pytest.approx(f, rel=1e-14)
+            assert xi * g1 == pytest.approx(f1, rel=1e-14)
+            assert xi * (xi * g2) == pytest.approx(f2, rel=1e-14)
+
     def test_domain_error_names_pole(self):
         pair = ProfilePair.schwarzschild_isotropic(1.0)
         with pytest.raises(DomainError, match="pole"):

@@ -174,6 +174,21 @@ class TestMetricAssembly:
             build_metric(frame4, half, pts)
         assert err.value.rows.tolist() == [False, True, False]
 
+    @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+    def test_axis_covector_is_the_frames_own_array(self, complex_rows, frame4, schwarzschild, rng):
+        """b_i is a read-only view of frame.e_low broadcast over the points,
+        on a real batch and on complex rows in front of it, not a copy per
+        point; the points themselves are copied."""
+        pts = np.array([sample_point(rng, 4, 0.5, 5.0) for _ in range(3)])
+        if complex_rows:
+            pts = pts + 1j * 1e-30 * np.eye(4)[:, None]
+        state = build_metric(frame4, schwarzschild, pts)
+        assert state.b_low.shape == pts.shape
+        assert not state.b_low.flags.writeable
+        assert np.shares_memory(state.b_low, frame4.e_low)
+        assert np.array_equal(state.b_low, np.broadcast_to(frame4.e_low, pts.shape))
+        assert not np.shares_memory(state.x, pts)
+
     def test_axis_vector_identities(self, frame4, schwarzschild, rng):
         state = build_metric(frame4, schwarzschild, sample_point(rng, 4, 0.5, 5.0))
         assert state.b_up @ state.b_low == pytest.approx(state.c**2, rel=1e-14)
